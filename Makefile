@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet bench bench-parallel bench-check bench-baseline serve-soak chaos-soak admin-smoke trace-smoke fuzz clean
+.PHONY: build test race vet bench bench-parallel bench-check bench-baseline bench-smoke serve-soak chaos-soak admin-smoke trace-smoke fuzz loc clean
 
 build:
 	$(GO) build ./...
@@ -77,14 +77,39 @@ trace-smoke:
 chaos-soak:
 	$(GO) test -race -count=1 -v -run 'TestChaosSoak|TestCrashRecoveryInvariants|TestFederationChaosSoak|TestShareChaosSoak|TestOverloadChaosSoak' ./internal/chaos
 
-# A short fuzz pass over the grammar-adjacent surfaces: the query parser's
-# robustness invariants (never panic; accepted input round-trips) and the
-# canonical dedup/CSE key's byte-stability under predicate reordering,
-# duplicate entries and whitespace noise. The seeded corpora live in the
-# fuzz tests themselves; this budget is sized for CI.
+# A short fuzz pass over every fuzz target in the repository: the query
+# parser's robustness invariants (never panic; accepted input round-trips),
+# the canonical dedup/CSE key's byte-stability under predicate reordering,
+# duplicate entries and whitespace noise, the wire codec (arbitrary bytes
+# never panic the frame decoder; requests round-trip both encodings) and the
+# partial-aggregate algebra (Finish over any partition equals direct
+# evaluation). The seeded corpora live in the fuzz tests themselves; this
+# budget is sized for CI.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 10s ./internal/query
 	$(GO) test -run '^$$' -fuzz FuzzCanonicalKey -fuzztime 10s ./internal/gateway
+	$(GO) test -run '^$$' -fuzz FuzzDecodeFrame -fuzztime 10s ./internal/gateway
+	$(GO) test -run '^$$' -fuzz FuzzRequestRoundTrip -fuzztime 10s ./internal/gateway
+	$(GO) test -run '^$$' -fuzz FuzzPartition -fuzztime 10s ./internal/tier
+
+# The end-to-end benchmark is a module of its own (bench/, `replace repro =>
+# ../`) that root `go test ./...` does not build: vet and test it here so an
+# API refactor cannot silently break it.
+bench-smoke:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
+
+# Code lines — non-blank, non-comment, non-test Go — per package under
+# internal/ and cmd/, and the total: the ROADMAP's tracked size number.
+loc:
+	@for d in internal/* cmd/*; do \
+		ls $$d/*.go 2>/dev/null | grep -v _test.go | xargs awk -v d=$$d ' \
+			{ l = $$0; sub(/^[ \t]+/, "", l) } \
+			inb { if (l ~ /\*\//) inb = 0; next } \
+			l == "" || l ~ /^\/\// { next } \
+			l ~ /^\/\*/ { if (l !~ /\*\//) inb = 1; next } \
+			{ n++ } \
+			END { printf "%6d  %s\n", n, d }'; \
+	done | awk '{ print; t += $$1 } END { printf "%6d  total\n", t }'
 
 clean:
 	rm -f ttmqo-bench ttmqo-sim ttmqo-workload ttmqo-shell ttmqo-serve

@@ -91,6 +91,36 @@ func TestDocsMentionEveryCommand(t *testing.T) {
 	}
 }
 
+// TestDesignListsEveryInternalPackage: DESIGN.md §2 is the module map, so
+// every package under internal/ and every program under cmd/ has a row.
+func TestDesignListsEveryInternalPackage(t *testing.T) {
+	design := readDoc(t, "DESIGN.md")
+	start := strings.Index(design, "## 2. System inventory")
+	end := strings.Index(design, "## 3. ")
+	if start < 0 || end < start {
+		t.Fatal("DESIGN.md has no §2 module map")
+	}
+	section := design[start:end]
+	entries, err := os.ReadDir("internal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := commands(t)
+	for i := range rows {
+		rows[i] = "cmd/" + rows[i]
+	}
+	for _, e := range entries {
+		if e.IsDir() {
+			rows = append(rows, "internal/"+e.Name())
+		}
+	}
+	for _, pkg := range rows {
+		if !strings.Contains(section, "| `"+pkg+"` |") {
+			t.Errorf("DESIGN.md §2 has no row for %s", pkg)
+		}
+	}
+}
+
 // TestDocsFlagsExist: any "-flag" on a doc line that names a command must
 // be declared by one of the commands named on that line; a "-flag" on a
 // line naming no command must at least be declared by some command.

@@ -267,7 +267,7 @@ func RunScenario(cfg RunConfig) (*Report, error) {
 		c.sess, c.token = sess, sess.Token()
 		clients[i] = c
 		q := pool[i%len(pool)]
-		t, err := sess.SubscribeAsync(q)
+		t, err := sess.SubscribeAsync(gateway.SubscribeRequest{Query: q})
 		if err != nil {
 			return nil, err
 		}

@@ -753,7 +753,7 @@ func RunStuckShardScenario(cfg StuckShardConfig) (*StuckShardReport, error) {
 			return nil, err
 		}
 		for s := 0; s < 2; s++ {
-			tk, err := sess.SubscribeAsync(pool[(c*2+s)%len(pool)])
+			tk, err := sess.SubscribeAsync(gateway.SubscribeRequest{Query: pool[(c*2+s)%len(pool)]})
 			if err != nil {
 				return nil, err
 			}

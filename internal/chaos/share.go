@@ -295,7 +295,7 @@ func RunShareScenario(cfg ShareRunConfig) (*ShareReport, error) {
 			return nil, err
 		}
 		for s := 0; s < 2; s++ {
-			tk, err := sess.SubscribeAsync(pool[(c*2+s)%len(pool)])
+			tk, err := sess.SubscribeAsync(gateway.SubscribeRequest{Query: pool[(c*2+s)%len(pool)]})
 			if err != nil {
 				return nil, err
 			}
@@ -331,7 +331,7 @@ func RunShareScenario(cfg ShareRunConfig) (*ShareReport, error) {
 			if err != nil {
 				return nil, err
 			}
-			lateTicket, err = sess.SubscribeAsync(pool[0])
+			lateTicket, err = sess.SubscribeAsync(gateway.SubscribeRequest{Query: pool[0]})
 			if err != nil {
 				return nil, err
 			}

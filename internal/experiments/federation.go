@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/federation"
+	"repro/internal/gateway"
 	"repro/internal/query"
 )
 
@@ -118,7 +119,7 @@ func runFederationCell(cfg FederationScalingConfig, shards int) (FederationScali
 			"SELECT nodeid, light WHERE nodeid >= %d AND nodeid <= %d EPOCH DURATION %d",
 			base+1, base+spn, epochMS))
 		for _, q := range []query.Query{region, agg} {
-			tk, err := sess.SubscribeAsync(q)
+			tk, err := sess.SubscribeAsync(gateway.SubscribeRequest{Query: q})
 			if err != nil {
 				return FederationScalingRow{}, err
 			}

@@ -188,7 +188,7 @@ func runShareCell(cfg ShareStudyConfig, overlap float64, sharing bool) (ShareStu
 			if err != nil {
 				return nil, err
 			}
-			tk, err := sess.SubscribeAsync(q)
+			tk, err := sess.SubscribeAsync(gateway.SubscribeRequest{Query: q})
 			if err != nil {
 				return nil, err
 			}
@@ -206,7 +206,7 @@ func runShareCell(cfg ShareStudyConfig, overlap float64, sharing bool) (ShareStu
 		if err != nil {
 			return nil, err
 		}
-		tk, err := sess.SubscribeAsync(q)
+		tk, err := sess.SubscribeAsync(gateway.SubscribeRequest{Query: q})
 		if err != nil {
 			return nil, err
 		}

@@ -2,12 +2,11 @@ package federation
 
 import (
 	"fmt"
-	"math"
-	"sort"
 
 	"repro/internal/field"
 	"repro/internal/query"
 	"repro/internal/sim"
+	"repro/internal/tier"
 	"repro/internal/topology"
 )
 
@@ -23,13 +22,10 @@ import (
 // misses entirely. Result rows travel back in local ids and are translated
 // to global ones at the merge.
 //
-// Aggregates: AggResult carries only final values, so AVG is not
-// recombinable from AVG partials. The planner rewrites each downstream
-// AVG(x) into upstream SUM(x)+COUNT(x) (deduplicated against explicit
-// SUMs/COUNTs) and the merger recombines: SUM and COUNT add, MIN/MAX fold,
-// AVG = ΣSUM/ΣCOUNT. nodeid itself cannot be aggregated or grouped across
-// shards (local ids would recombine into nonsense), so the planner rejects
-// those queries up front.
+// Aggregates: every slice streams the query's basis aggregates and the
+// merger folds the partials back (tier.Basis / tier.Acc). nodeid itself
+// cannot be aggregated or grouped across shards (local ids would recombine
+// into nonsense), so the planner rejects those queries up front.
 
 // shardSlice is one shard's view of a planned query.
 type shardSlice struct {
@@ -37,19 +33,11 @@ type shardSlice struct {
 	q     query.Query // upstream query, nodeid predicate in local coordinates
 }
 
-// avgSource names the upstream aggregates a downstream AVG recombines from.
-type avgSource struct {
-	sum query.Agg // SUM(attr)
-	cnt query.Agg // COUNT(attr)
-}
-
 // plan is the routing decision for one canonical downstream query.
 type plan struct {
 	q      query.Query  // normalized downstream query
 	agg    bool         // aggregation (recombine) vs acquisition (concatenate)
 	slices []shardSlice // intersecting shards, ascending shard index
-	// avg maps a downstream AVG agg to its upstream SUM/COUNT pair.
-	avg map[query.Agg]avgSource
 }
 
 // shards returns the planned shard indices.
@@ -80,71 +68,21 @@ func planQuery(q query.Query, shards, spn int) (*plan, error) {
 			return nil, fmt.Errorf("federation: windowed nodeid is not federatable (shard-local ids)")
 		}
 	}
-
+	region, err := tier.Region(n, shards*spn)
+	if err != nil {
+		return nil, err
+	}
 	p := &plan{q: n, agg: n.IsAggregation()}
-
-	// Rewrite the aggregate list for recombination.
 	upAggs := n.Aggs
 	if p.agg {
-		upAggs = make([]query.Agg, 0, len(n.Aggs)+2)
-		seen := make(map[query.Agg]bool, len(n.Aggs)+2)
-		add := func(a query.Agg) {
-			if !seen[a] {
-				seen[a] = true
-				upAggs = append(upAggs, a)
-			}
-		}
-		for _, a := range n.Aggs {
-			if a.Op != query.Avg {
-				add(a)
-				continue
-			}
-			src := avgSource{
-				sum: query.Agg{Op: query.Sum, Attr: a.Attr},
-				cnt: query.Agg{Op: query.Count, Attr: a.Attr},
-			}
-			add(src.sum)
-			add(src.cnt)
-			if p.avg == nil {
-				p.avg = make(map[query.Agg]avgSource, 1)
-			}
-			p.avg[a] = src
-		}
+		upAggs = tier.Basis(n.Aggs)
 	}
-
-	// Intersect the nodeid predicate (global ids) with each shard's slice.
-	pred, hasPred := n.PredFor(field.AttrNodeID)
-	for s := 0; s < shards; s++ {
-		base := float64(s * spn)
-		lo, hi := 1.0, float64(spn) // the shard's full local sensor range
-		if hasPred {
-			lo = math.Max(lo, pred.Min-base)
-			hi = math.Min(hi, pred.Max-base)
-			if lo > hi {
-				continue // the query's region misses this shard
-			}
-		}
-		uq := n.Clone()
-		uq.Aggs = append([]query.Agg(nil), upAggs...)
-		uq.Lifetime = 0 // lifecycle is managed at the router
-		// Swap the global nodeid range for the local one; drop it entirely
-		// when it covers the whole shard so equal-coverage queries dedup to
-		// one canonical upstream form.
-		preds := uq.Preds[:0]
-		for _, pr := range uq.Preds {
-			if pr.Attr != field.AttrNodeID {
-				preds = append(preds, pr)
-			}
-		}
-		if lo > 1 || hi < float64(spn) {
-			preds = append(preds, query.Predicate{Attr: field.AttrNodeID, Min: lo, Max: hi})
-		}
-		uq.Preds = preds
-		p.slices = append(p.slices, shardSlice{shard: s, q: uq.Normalize()})
-	}
-	if len(p.slices) == 0 {
-		return nil, fmt.Errorf("federation: nodeid predicate %s selects no shard (global sensors are 1..%d)",
-			pred.String(), shards*spn)
+	// One slice per shard the region touches, its range shifted into the
+	// shard's local coordinates.
+	for _, r := range tier.Split(region, spn) {
+		s := (r.Lo - 1) / spn
+		local := tier.Range{Lo: r.Lo - s*spn, Hi: r.Hi - s*spn}
+		p.slices = append(p.slices, shardSlice{shard: s, q: tier.Piece(n, upAggs, local, spn)})
 	}
 	return p, nil
 }
@@ -170,109 +108,19 @@ func translateRows(dst []query.Row, rows []query.Row, shard, spn int) []query.Ro
 	return dst
 }
 
-// aggKey identifies one partial-aggregate accumulator within an epoch.
-type aggKey struct {
-	agg   query.Agg
-	group int64
-}
-
-// partial folds per-shard aggregate results of one (agg, group, epoch).
-type partial struct {
-	sum   float64 // SUM/COUNT accumulate here
-	min   float64
-	max   float64
-	count int64 // contributing non-empty partials
-}
-
 // epochAcc accumulates one virtual instant's partial results across shards
 // until the watermark releases it.
 type epochAcc struct {
 	at   sim.Time
-	rows []query.Row         // translated acquisition/window rows, shard order
-	aggs map[aggKey]*partial // aggregation partials
-	ord  []aggKey            // insertion order, for deterministic iteration
-}
-
-func newEpochAcc(at sim.Time) *epochAcc {
-	return &epochAcc{at: at}
-}
-
-// addAggs folds one shard's aggregate results into the accumulator.
-func (e *epochAcc) addAggs(results []query.AggResult) {
-	if e.aggs == nil {
-		e.aggs = make(map[aggKey]*partial, len(results))
-	}
-	for _, r := range results {
-		k := aggKey{agg: r.Agg, group: r.Group}
-		p, ok := e.aggs[k]
-		if !ok {
-			p = &partial{min: math.Inf(1), max: math.Inf(-1)}
-			e.aggs[k] = p
-			e.ord = append(e.ord, k)
-		}
-		if r.Empty {
-			continue
-		}
-		p.count++
-		p.sum += r.Value
-		p.min = math.Min(p.min, r.Value)
-		p.max = math.Max(p.max, r.Value)
-	}
+	rows []query.Row // translated acquisition/window rows, shard order
+	tier.Acc
 }
 
 // finish recombines the accumulated partials into the downstream query's
-// aggregate list, deterministically ordered by (agg position, group).
+// aggregate list.
 func (e *epochAcc) finish(p *plan) []query.AggResult {
 	if !p.agg {
 		return nil
 	}
-	// Collect the group buckets present in any partial.
-	groupSet := make(map[int64]bool, 4)
-	for _, k := range e.ord {
-		groupSet[k.group] = true
-	}
-	groups := make([]int64, 0, len(groupSet))
-	for g := range groupSet {
-		groups = append(groups, g)
-	}
-	sort.Slice(groups, func(i, j int) bool { return groups[i] < groups[j] })
-
-	out := make([]query.AggResult, 0, len(p.q.Aggs)*len(groups))
-	for _, a := range p.q.Aggs {
-		for _, g := range groups {
-			r := query.AggResult{Time: e.at, Agg: a, Group: g}
-			if src, ok := p.avg[a]; ok {
-				sum, sok := e.lookup(src.sum, g)
-				cnt, cok := e.lookup(src.cnt, g)
-				if !sok || !cok || cnt.count == 0 || cnt.sum == 0 {
-					r.Empty = true
-				} else {
-					r.Value = sum.sum / cnt.sum
-				}
-				out = append(out, r)
-				continue
-			}
-			pt, ok := e.lookup(a, g)
-			if !ok || pt.count == 0 {
-				r.Empty = true
-				out = append(out, r)
-				continue
-			}
-			switch a.Op {
-			case query.Sum, query.Count:
-				r.Value = pt.sum
-			case query.Min:
-				r.Value = pt.min
-			case query.Max:
-				r.Value = pt.max
-			}
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
-func (e *epochAcc) lookup(a query.Agg, group int64) (*partial, bool) {
-	p, ok := e.aggs[aggKey{agg: a, group: group}]
-	return p, ok
+	return e.Finish(e.at, p.q.Aggs)
 }

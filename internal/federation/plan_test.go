@@ -90,9 +90,6 @@ func TestPlanRewritesAvg(t *testing.T) {
 			t.Fatalf("upstream still carries AVG: %v", up)
 		}
 	}
-	if len(p.avg) != 1 {
-		t.Fatalf("avg sources = %d, want 1", len(p.avg))
-	}
 }
 
 func TestEpochAccRecombines(t *testing.T) {
@@ -104,14 +101,14 @@ func TestEpochAccRecombines(t *testing.T) {
 	mx := query.Agg{Op: query.Max, Attr: light}
 
 	at := sim.Time(8192e6)
-	acc := newEpochAcc(at)
+	acc := &epochAcc{at: at}
 	// Shard 0: sum 30 over 3 readings, min 5, max 15.
-	acc.addAggs([]query.AggResult{
+	acc.Add([]query.AggResult{
 		{Time: at, Agg: sum, Value: 30}, {Time: at, Agg: cnt, Value: 3},
 		{Time: at, Agg: mn, Value: 5}, {Time: at, Agg: mx, Value: 15},
 	})
 	// Shard 1: sum 50 over 2 readings, min 20, max 30.
-	acc.addAggs([]query.AggResult{
+	acc.Add([]query.AggResult{
 		{Time: at, Agg: sum, Value: 50}, {Time: at, Agg: cnt, Value: 2},
 		{Time: at, Agg: mn, Value: 20}, {Time: at, Agg: mx, Value: 30},
 	})
@@ -142,8 +139,8 @@ func TestEpochAccEmptyPartials(t *testing.T) {
 	sum := query.Agg{Op: query.Sum, Attr: light}
 	cnt := query.Agg{Op: query.Count, Attr: light}
 
-	acc := newEpochAcc(0)
-	acc.addAggs([]query.AggResult{
+	acc := &epochAcc{}
+	acc.Add([]query.AggResult{
 		{Agg: sum, Empty: true}, {Agg: cnt, Empty: true},
 	})
 	out := acc.finish(p)
@@ -152,8 +149,8 @@ func TestEpochAccEmptyPartials(t *testing.T) {
 	}
 
 	// COUNT=0 from every shard also yields an empty AVG (no division).
-	acc2 := newEpochAcc(0)
-	acc2.addAggs([]query.AggResult{
+	acc2 := &epochAcc{}
+	acc2.Add([]query.AggResult{
 		{Agg: sum, Value: 0}, {Agg: cnt, Value: 0},
 	})
 	out2 := acc2.finish(p)

@@ -3,15 +3,14 @@ package federation
 import (
 	"fmt"
 	"path/filepath"
-	"sort"
 	"sync"
 	"time"
 
 	"repro/internal/gateway"
 	"repro/internal/network"
-	"repro/internal/query"
 	"repro/internal/resilience"
 	"repro/internal/sim"
+	"repro/internal/tier"
 	"repro/internal/topology"
 	"repro/internal/tracing"
 )
@@ -71,7 +70,7 @@ type Config struct {
 	// subscribes: a command that waits longer than this in the router's
 	// group-commit mailbox is shed with resilience.ErrOverloaded instead of
 	// being applied late. Zero disables the default; a per-command budget
-	// (SubscribeAsyncBudget / wire deadline_ms) always overrides.
+	// (SubscribeRequest.Budget / wire deadline_ms) always overrides.
 	MailboxDeadline time.Duration
 	// MaxStaged and MaxLiveSubs forward the gateway admission-control
 	// bounds to every shard (zero disables, as on the gateway). Shard-side
@@ -121,35 +120,26 @@ func (c Config) withDefaults() Config {
 // Stats is the router's own counter snapshot (shard gateway counters are
 // separate; see ShardStats and ServeStats).
 type Stats struct {
-	Shards              int
-	AliveShards         int
-	Sessions            int64 // registrations ever accepted
-	ActiveSessions      int
-	Subscribes          int64
-	Unsubscribes        int64
-	DedupHits           int64 // subscribes coalesced onto an existing tree
-	ActiveSubscriptions int
-	Trees               int   // live canonical cross-shard queries
-	UpstreamSubs        int   // live upstream subscriptions across shards
-	PartialUpdates      int64 // upstream updates drained from shards
-	Updates             int64 // merged updates delivered downstream
-	MergedEpochs        int64 // epochs released by the watermark
-	ForcedReleases      int64 // epochs released early by MaxPending overflow
-	LateDropped         int64 // partials that arrived for an already-released epoch
-	Evicted             int64 // downstream subscribers dropped on overflow
-	RingDropped         int64 // detached-subscriber updates dropped by ring bound
-	ShardCrashes        int64
-	ShardRecoveries     int64
-	Partitions          int64
-	Heals               int64
-	UpstreamResumes     int64 // upstream streams resumed after recover/heal
-	ShedDeadline        int64 // subscribes shed: mailbox sojourn exceeded the budget
-	DegradedEpochs      int64 // epochs released without full shard coverage
-	ShardStalls         int64 // StallShard(i, true) calls (chaos stuck-shard injections)
-	StalledShards       int   // shards currently wedged by StallShard
-	BreakerTrips        int64 // per-shard breakers tripped open (summed)
-	BreakerProbes       int64 // half-open probes issued (summed)
-	BreakerRecoveries   int64 // breakers closed again after a probe succeeded (summed)
+	tier.Stats        // session and delivery lifecycle (the kernel's)
+	Shards            int
+	AliveShards       int
+	Trees             int   // live canonical cross-shard queries
+	UpstreamSubs      int   // live upstream subscriptions across shards
+	PartialUpdates    int64 // upstream updates drained from shards
+	MergedEpochs      int64 // epochs released by the watermark
+	ForcedReleases    int64 // epochs released early by MaxPending overflow
+	LateDropped       int64 // partials that arrived for an already-released epoch
+	ShardCrashes      int64
+	ShardRecoveries   int64
+	Partitions        int64
+	Heals             int64
+	UpstreamResumes   int64 // upstream streams resumed after recover/heal
+	DegradedEpochs    int64 // epochs released without full shard coverage
+	ShardStalls       int64 // StallShard(i, true) calls (chaos stuck-shard injections)
+	StalledShards     int   // shards currently wedged by StallShard
+	BreakerTrips      int64 // per-shard breakers tripped open (summed)
+	BreakerProbes     int64 // half-open probes issued (summed)
+	BreakerRecoveries int64 // breakers closed again after a probe succeeded (summed)
 }
 
 // upstream is the router's one canonical subscription to a shard for a
@@ -206,18 +196,16 @@ func (sh *shard) watermark() sim.Time {
 }
 
 // tree is one canonical downstream query: its plan, its per-shard
-// upstream subscriptions and its downstream subscribers.
+// upstream subscriptions and (the embedded group) its downstream
+// subscribers.
 type tree struct {
-	key  string
-	p    *plan
-	qid  query.ID    // representative upstream query id (first slice's)
-	ups  []*upstream // parallel to p.slices
-	subs []*Sub      // ascending SubID
+	tier.Group
+	p   *plan
+	ups []*upstream // parallel to p.slices
 	// pending buffers partially merged epochs until the watermark (min
 	// over planned shards) passes them.
 	pending  map[sim.Time]*epochAcc
 	released sim.Time // newest released epoch instant
-	broken   error    // set when upstream establishment failed
 	// trace/spanID are the materializing subscriber's causal context: a
 	// shared tree's fan-out and release spans belong to the trace that
 	// first established it (later subscribers get dedup-hit spans on
@@ -229,81 +217,13 @@ type tree struct {
 func (t *tree) acc(at sim.Time) *epochAcc {
 	a := t.pending[at]
 	if a == nil {
-		a = newEpochAcc(at)
+		a = &epochAcc{at: at}
 		if t.pending == nil {
 			t.pending = make(map[sim.Time]*epochAcc, 4)
 		}
 		t.pending[at] = a
 	}
 	return a
-}
-
-// rcmd is a staged downstream command, committed in deterministic order
-// at the next Advance (mirroring the gateway's group-commit mailbox).
-type rcmd struct {
-	kind rcmdKind
-	sess *Session
-	seq  uint64      // per-session staging order
-	q    query.Query // subscribe
-	id   gateway.SubID
-	done chan rres
-	// at/deadline implement the mailbox sojourn budget: at is stamped when
-	// the command is staged, and a subscribe still uncommitted after
-	// deadline (or Config.MailboxDeadline when zero) is shed at commit.
-	at       time.Time
-	deadline time.Duration
-	// trace is the subscriber-propagated causal context (zero derives one
-	// at commit when tracing is enabled).
-	trace tracing.Context
-}
-
-// remainingBudget is the unspent part of the staging deadline, forwarded
-// to the shard gateways' mailboxes so one budget spans the whole
-// router→shard chain.
-func (c *rcmd) remainingBudget() time.Duration {
-	if c.deadline <= 0 || c.at.IsZero() {
-		return 0
-	}
-	rem := c.deadline - time.Since(c.at)
-	if rem < 0 {
-		return 0
-	}
-	return rem
-}
-
-type rcmdKind uint8
-
-const (
-	cmdSubscribe rcmdKind = iota
-	cmdUnsubscribe
-	cmdClose
-)
-
-type rres struct {
-	sub *Sub
-	err error
-}
-
-// Ticket resolves a staged router command at the next Advance.
-type Ticket struct {
-	r    *Router
-	done chan rres
-}
-
-// Wait blocks until the command commits (the next Advance) or the router
-// closes.
-func (t *Ticket) Wait() (*Sub, error) {
-	select {
-	case res := <-t.done:
-		return res.sub, res.err
-	case <-t.r.done:
-		select {
-		case res := <-t.done:
-			return res.sub, res.err
-		default:
-			return nil, gateway.ErrClosed
-		}
-	}
 }
 
 // pendingUp is an upstream subscription staged on a shard this round,
@@ -313,13 +233,14 @@ type pendingUp struct {
 	tk *gateway.Ticket
 }
 
-// pendingAck is a downstream subscribe reply held until its tree's
-// upstreams resolve.
-type pendingAck struct {
-	c   *rcmd
-	sub *Sub
-	tr  *tree
-}
+// Session, Sub and Ticket are the kernel's: a downstream client session, one
+// subscription to a merged cross-shard stream, and a staged command's
+// handle.
+type (
+	Session = tier.Session
+	Sub     = tier.Sub
+	Ticket  = tier.Ticket
+)
 
 // Router fronts K gateway shards behind the gateway.Backend surface:
 // sessions consistent-hash to home shards, cross-shard queries are
@@ -328,22 +249,23 @@ type pendingAck struct {
 // downstream updates stay in virtual-time order even when a shard dies
 // or partitions.
 type Router struct {
+	// k is the downstream surface: sessions, staged commands, tickets and
+	// per-subscriber streams, all guarded by mu.
+	k    *tier.Kernel
 	cfg  Config
 	ring *ring
 	spn  int // sensors per shard
 
-	done chan struct{} // closed on Close; unblocks ticket waiters
-
-	mu         sync.Mutex
-	shards     []*shard
-	sessions   map[string]*Session
-	trees      map[string]*tree
-	staged     []*rcmd
+	mu     sync.Mutex
+	shards []*shard
+	trees  map[string]*tree
+	// mirrors holds each downstream session's durable twin on its home
+	// shard's gateway; its WAL entry is what makes the session token
+	// survive a shard crash.
+	mirrors    map[string]*gateway.Session
 	pendingUps []pendingUp
-	nextSub    gateway.SubID
 	now        sim.Time // the router's virtual clock (max of shard clocks)
 	quantum    time.Duration
-	closed     bool
 	stats      Stats
 	// onMerge observes each Advance's merge+release wall-clock latency
 	// (telemetry hook; see SetMergeObserver).
@@ -362,14 +284,27 @@ func New(cfg Config) (*Router, error) {
 		return nil, fmt.Errorf("federation: shard topology: %w", err)
 	}
 	r := &Router{
-		cfg:      cfg,
-		ring:     newRing(cfg.Shards, cfg.Replicas),
-		spn:      topo.Size() - 1,
-		done:     make(chan struct{}),
-		sessions: make(map[string]*Session),
-		trees:    make(map[string]*tree),
-		quantum:  defaultCatchUpStep,
+		cfg:     cfg,
+		ring:    newRing(cfg.Shards, cfg.Replicas),
+		spn:     topo.Size() - 1,
+		trees:   make(map[string]*tree),
+		mirrors: make(map[string]*gateway.Session),
+		quantum: defaultCatchUpStep,
 	}
+	r.k = tier.New(tier.Config{
+		Name:            "federation",
+		Mu:              &r.mu,
+		Buffer:          cfg.Buffer,
+		MaxSessions:     cfg.MaxSessions,
+		SessionQuota:    cfg.SessionQuota,
+		MailboxDeadline: cfg.MailboxDeadline,
+		Tracer:          cfg.Tracer,
+		NowMS:           r.nowMS,
+		Token:           r.mintMirrorLocked,
+		ApplySubscribe:  r.applySubscribeLocked,
+		ReleaseGroup:    func(g *tier.Group) { r.teardownTreeLocked(r.trees[g.Key]) },
+		CloseSession:    r.closeMirrorLocked,
+	})
 	for i := 0; i < cfg.Shards; i++ {
 		sh, err := r.buildShard(i)
 		if err != nil {
@@ -381,6 +316,20 @@ func New(cfg Config) (*Router, error) {
 		r.shards = append(r.shards, sh)
 	}
 	return r, nil
+}
+
+// Register creates a downstream session under a unique name; Attach
+// re-claims a detached one by name and token. RegisterSession and
+// AttachSession are the same two behind gateway.Backend.
+func (r *Router) Register(name string) (*Session, error) { return r.k.Register(name) }
+func (r *Router) Attach(name, token string) (*Session, []gateway.ResumeInfo, error) {
+	return r.k.Attach(name, token)
+}
+func (r *Router) RegisterSession(name string) (gateway.ServerSession, error) {
+	return r.k.RegisterSession(name)
+}
+func (r *Router) AttachSession(name, token string) (gateway.ServerSession, []gateway.ResumeInfo, error) {
+	return r.k.AttachSession(name, token)
 }
 
 func (r *Router) buildShard(i int) (*shard, error) {
@@ -513,6 +462,7 @@ func (r *Router) FedStats() Stats {
 
 func (r *Router) statsLocked() Stats {
 	st := r.stats
+	st.Stats = r.k.StatsLocked()
 	st.Shards = len(r.shards)
 	for _, sh := range r.shards {
 		if sh.alive {
@@ -525,13 +475,6 @@ func (r *Router) statsLocked() Stats {
 		st.BreakerTrips += sh.brk.Trips
 		st.BreakerProbes += sh.brk.Probes
 		st.BreakerRecoveries += sh.brk.Recoveries
-	}
-	st.ActiveSessions = 0
-	for _, s := range r.sessions {
-		if s.attached {
-			st.ActiveSessions++
-		}
-		st.ActiveSubscriptions += len(s.live)
 	}
 	st.Trees = len(r.trees)
 	return st
@@ -554,7 +497,7 @@ func (r *Router) ShardStats(i int) (gateway.Stats, error) {
 func (r *Router) Alive() bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return !r.closed
+	return !r.k.ClosedLocked()
 }
 
 // UpstreamSubsOn returns the number of canonical upstream subscriptions
@@ -606,23 +549,14 @@ func (r *Router) ServeStats() (gateway.Stats, sim.Time, error) {
 		}
 		addGatewayStats(&agg, st)
 	}
-	agg.Sessions = fs.Sessions
-	agg.ActiveSessions = fs.ActiveSessions
-	agg.Subscribes = fs.Subscribes
-	agg.Unsubscribes = fs.Unsubscribes
-	agg.DedupHits = fs.DedupHits
-	agg.ActiveSubscriptions = fs.ActiveSubscriptions
+	fs.Overlay(&agg)
 	agg.SharedQueries = fs.Trees
-	agg.Updates = fs.Updates
-	agg.Evicted = fs.Evicted
-	agg.RingDropped += fs.RingDropped
 	agg.Recoveries += fs.ShardRecoveries
-	agg.ShedDeadline += fs.ShedDeadline
 	return agg, now, nil
 }
 
 // addGatewayStats folds one shard's backend-side counters into the sum.
-// Serving-level fields are overwritten by the router's own counters in
+// Serving-level fields are overlaid with the router's own counters in
 // ServeStats, so only the simulation/WAL-side ones matter here.
 func addGatewayStats(dst *gateway.Stats, s gateway.Stats) {
 	dst.Admitted += s.Admitted
@@ -631,10 +565,6 @@ func addGatewayStats(dst *gateway.Stats, s gateway.Stats) {
 	dst.Epochs += s.Epochs
 	dst.Dropped += s.Dropped
 	dst.Evicted += s.Evicted
-	dst.Detaches += s.Detaches
-	dst.Attaches += s.Attaches
-	dst.Resumes += s.Resumes
-	dst.ResumeGaps += s.ResumeGaps
 	dst.RingDropped += s.RingDropped
 	dst.IdleReaped += s.IdleReaped
 	dst.Recoveries += s.Recoveries
@@ -647,7 +577,7 @@ func addGatewayStats(dst *gateway.Stats, s gateway.Stats) {
 	dst.ShedBrownout += s.ShedBrownout
 }
 
-// BrownoutLevel implements gateway.BrownoutReporter over the fleet: the
+// BrownoutLevel implements gateway.Backend over the fleet: the
 // router's pressure is its hottest alive shard's ladder rung.
 func (r *Router) BrownoutLevel() resilience.Level {
 	r.mu.Lock()
@@ -674,363 +604,33 @@ func (r *Router) ShardBreaker(i int) resilience.BreakerState {
 	return r.shards[i].brk.State()
 }
 
-// ---------------------------------------------------------------------------
-// Sessions and subscriptions (the downstream surface)
-
-// Session is a downstream client session at the router. It satisfies
-// gateway.ServerSession, so the TCP server drives it like a gateway
-// session.
-type Session struct {
-	r     *Router
-	name  string
-	token string
-	home  int
-	// mirror is the durable twin on the home shard's gateway; its WAL
-	// entry is what makes the session token survive a shard crash.
-	mirror   *gateway.Session
-	seq      uint64 // staging order tiebreaker
-	live     map[gateway.SubID]*Sub
-	attached bool
-	closed   bool
-}
-
-// Name returns the session's registered name.
-func (s *Session) Name() string { return s.name }
-
-// Token returns the resume token for Attach after a disconnect.
-func (s *Session) Token() string { return s.token }
-
-// Sub is one downstream subscription to a merged cross-shard stream. It
-// satisfies gateway.ServerSub.
-type Sub struct {
-	sess   *Session
-	tr     *tree
-	id     gateway.SubID
-	key    string
-	shared bool
-
-	// Guarded by sess.r.mu.
-	seq      uint64
-	ch       chan gateway.Update
-	ring     []gateway.Update // parked tail while detached
-	detached bool
-	reason   gateway.CloseReason
-	// trace is the subscription's causal-trace identity (0 when the
-	// router was built without a Tracer).
-	trace uint64
-}
-
-// ID returns the subscription id (unique within the router).
-func (s *Sub) ID() gateway.SubID { return s.id }
-
-// TraceID reports the subscription's causal-trace identity (0 untraced).
-func (s *Sub) TraceID() uint64 { return s.trace }
-
-// Key returns the canonical downstream query text.
-func (s *Sub) Key() string { return s.key }
-
-// Shared reports whether the subscription joined an existing query tree.
-func (s *Sub) Shared() bool { return s.shared }
-
-// QueryID returns the representative upstream query id of the tree.
-func (s *Sub) QueryID() query.ID {
-	s.sess.r.mu.Lock()
-	defer s.sess.r.mu.Unlock()
-	return s.tr.qid
-}
-
-// Updates returns the live update channel (replaced on Resume).
-func (s *Sub) Updates() <-chan gateway.Update {
-	s.sess.r.mu.Lock()
-	defer s.sess.r.mu.Unlock()
-	return s.ch
-}
-
-// Reason reports why the channel closed (ReasonNone while live).
-func (s *Sub) Reason() gateway.CloseReason {
-	s.sess.r.mu.Lock()
-	defer s.sess.r.mu.Unlock()
-	return s.reason
-}
-
-// Register creates a downstream session homed (by consistent hash) on one
-// shard. The home shard must be alive: the durable mirror session minted
-// there backs the resume token.
-func (r *Router) Register(name string) (*Session, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.closed {
-		return nil, gateway.ErrClosed
-	}
-	if _, dup := r.sessions[name]; dup {
-		return nil, fmt.Errorf("federation: session %q already registered", name)
-	}
-	if len(r.sessions) >= r.cfg.MaxSessions {
-		return nil, fmt.Errorf("federation: session limit %d reached", r.cfg.MaxSessions)
-	}
+// mintMirrorLocked is the kernel's token hook: a new downstream session is
+// homed (by consistent hash) on one shard, and the durable mirror session
+// minted there backs its resume token. The home shard must be alive.
+func (r *Router) mintMirrorLocked(name string) (string, error) {
 	home := r.ring.lookup(name)
 	sh := r.shards[home]
 	if !sh.alive {
-		return nil, fmt.Errorf("federation: home shard %d for %q is down", home, name)
+		return "", fmt.Errorf("federation: home shard %d for %q is down", home, name)
 	}
 	mirror, err := sh.gw.Register(name)
 	if err != nil {
-		return nil, fmt.Errorf("federation: home shard %d: %w", home, err)
+		return "", fmt.Errorf("federation: home shard %d: %w", home, err)
 	}
-	s := &Session{
-		r:        r,
-		name:     name,
-		token:    mirror.Token(),
-		home:     home,
-		mirror:   mirror,
-		live:     make(map[gateway.SubID]*Sub),
-		attached: true,
-	}
-	r.sessions[name] = s
-	r.stats.Sessions++
-	return s, nil
+	r.mirrors[name] = mirror
+	return mirror.Token(), nil
 }
 
-// Attach re-claims a detached session by name and token.
-func (r *Router) Attach(name, token string) (*Session, []gateway.ResumeInfo, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.closed {
-		return nil, nil, gateway.ErrClosed
-	}
-	s := r.sessions[name]
-	if s == nil {
-		return nil, nil, fmt.Errorf("federation: no session %q", name)
-	}
-	if s.token != token {
-		return nil, nil, fmt.Errorf("federation: bad token for session %q", name)
-	}
-	if s.attached {
-		return nil, nil, fmt.Errorf("federation: session %q is already attached", name)
-	}
-	s.attached = true
-	ids := make([]gateway.SubID, 0, len(s.live))
-	for id := range s.live {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	infos := make([]gateway.ResumeInfo, 0, len(ids))
-	for _, id := range ids {
-		sub := s.live[id]
-		infos = append(infos, gateway.ResumeInfo{
-			ID: id, Key: sub.key, QueryID: sub.tr.qid, LastSeq: sub.seq,
-		})
-	}
-	return s, infos, nil
-}
-
-// RegisterSession implements gateway.Backend.
-func (r *Router) RegisterSession(name string) (gateway.ServerSession, error) {
-	s, err := r.Register(name)
-	if err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
-// AttachSession implements gateway.Backend.
-func (r *Router) AttachSession(name, token string) (gateway.ServerSession, []gateway.ResumeInfo, error) {
-	s, infos, err := r.Attach(name, token)
-	if err != nil {
-		return nil, nil, err
-	}
-	return s, infos, nil
-}
-
-// SubscribeAsync stages a subscription, committed at the next Advance.
-func (s *Session) SubscribeAsync(q query.Query) (*Ticket, error) {
-	return s.SubscribeAsyncBudget(q, 0)
-}
-
-// SubscribeAsyncBudget stages a subscription carrying a mailbox deadline
-// budget: if the command is still staged after `budget` at commit time it
-// is shed with resilience.ErrOverloaded, and whatever is left of the
-// budget is forwarded to the shard gateways' own mailboxes. Zero falls
-// back to Config.MailboxDeadline.
-func (s *Session) SubscribeAsyncBudget(q query.Query, budget time.Duration) (*Ticket, error) {
-	return s.SubscribeAsyncTraced(q, budget, tracing.Context{})
-}
-
-// SubscribeAsyncTraced is SubscribeAsyncBudget with a subscriber-propagated
-// causal-trace context: the router's subscribe span parents on tc.Span, and
-// the context rides the shard fan-out so every tier's spans join one trace.
-// A zero context derives a deterministic trace at commit.
-func (s *Session) SubscribeAsyncTraced(q query.Query, budget time.Duration, tc tracing.Context) (*Ticket, error) {
-	r := s.r
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.closed {
-		return nil, gateway.ErrClosed
-	}
-	if s.closed {
-		return nil, fmt.Errorf("federation: session %q is closed", s.name)
-	}
-	s.seq++
-	c := &rcmd{kind: cmdSubscribe, sess: s, seq: s.seq, q: q, done: make(chan rres, 1),
-		at: time.Now(), deadline: budget, trace: tc}
-	r.staged = append(r.staged, c)
-	return &Ticket{r: r, done: c.done}, nil
-}
-
-// SubscribeQuery implements gateway.ServerSession: parse, stage, wait.
-func (s *Session) SubscribeQuery(text string) (gateway.ServerSub, error) {
-	return s.SubscribeQueryBudget(text, 0)
-}
-
-// SubscribeQueryBudget implements gateway.BudgetSubscriber: the wire
-// deadline_ms budget rides the staged command through the router and on
-// to the shard mailboxes.
-func (s *Session) SubscribeQueryBudget(text string, budget time.Duration) (gateway.ServerSub, error) {
-	return s.SubscribeQueryTraced(text, budget, 0)
-}
-
-// SubscribeQueryTraced implements gateway.TracedSubscriber: the wire
-// trace_id (or a derived trace) keys every router and shard span this
-// subscription produces.
-func (s *Session) SubscribeQueryTraced(text string, budget time.Duration, trace uint64) (gateway.ServerSub, error) {
-	q, err := query.Parse(text)
-	if err != nil {
-		return nil, err
-	}
-	tk, err := s.SubscribeAsyncTraced(q, budget, tracing.Context{Trace: trace})
-	if err != nil {
-		return nil, err
-	}
-	sub, err := tk.Wait()
-	if err != nil {
-		return nil, err
-	}
-	return sub, nil
-}
-
-// UnsubscribeAsync stages an unsubscribe, committed at the next Advance.
-func (s *Session) UnsubscribeAsync(id gateway.SubID) (*Ticket, error) {
-	r := s.r
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.closed {
-		return nil, gateway.ErrClosed
-	}
-	if s.closed {
-		return nil, fmt.Errorf("federation: session %q is closed", s.name)
-	}
-	s.seq++
-	c := &rcmd{kind: cmdUnsubscribe, sess: s, seq: s.seq, id: id, done: make(chan rres, 1)}
-	r.staged = append(r.staged, c)
-	return &Ticket{r: r, done: c.done}, nil
-}
-
-// Unsubscribe implements gateway.ServerSession (blocks until commit).
-func (s *Session) Unsubscribe(id gateway.SubID) error {
-	tk, err := s.UnsubscribeAsync(id)
-	if err != nil {
-		return err
-	}
-	_, err = tk.Wait()
-	return err
-}
-
-// Detach releases the connection but keeps the session resumable: live
-// streams park their tails in bounded rings.
-func (s *Session) Detach() error {
-	r := s.r
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.closed {
-		return gateway.ErrClosed
-	}
-	if s.closed {
-		return fmt.Errorf("federation: session %q is closed", s.name)
-	}
-	if !s.attached {
-		return fmt.Errorf("federation: session %q is already detached", s.name)
-	}
-	s.attached = false
-	for _, sub := range s.live {
-		sub.detachLocked()
-	}
-	return nil
-}
-
-// detachLocked parks the stream: buffered updates move to the ring and
-// the channel closes so the forwarder drains out.
-func (sub *Sub) detachLocked() {
-	if sub.detached || sub.reason != gateway.ReasonNone {
-		return
-	}
-	sub.detached = true
-	sub.reason = gateway.ReasonDetached
-	close(sub.ch)
-	for u := range sub.ch {
-		sub.pushRing(u)
-	}
-}
-
-// pushRing appends to the parked tail, dropping the oldest update past
-// the buffer bound.
-func (sub *Sub) pushRing(u gateway.Update) {
-	r := sub.sess.r
-	sub.ring = append(sub.ring, u)
-	if max := r.cfg.Buffer; len(sub.ring) > max {
-		drop := len(sub.ring) - max
-		sub.ring = append(sub.ring[:0], sub.ring[drop:]...)
-		r.stats.RingDropped += int64(drop)
-	}
-}
-
-// Resume revives a detached stream from just after sequence `after`,
-// replaying the parked tail before going live. Implements
-// gateway.ServerSession.
-func (s *Session) Resume(id gateway.SubID, after uint64) (gateway.ServerSub, error) {
-	r := s.r
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.closed {
-		return nil, gateway.ErrClosed
-	}
-	if !s.attached {
-		return nil, fmt.Errorf("federation: session %q is detached", s.name)
-	}
-	sub := s.live[id]
-	if sub == nil {
-		return nil, fmt.Errorf("federation: session %q has no stream %d", s.name, id)
-	}
-	if !sub.detached {
-		return nil, fmt.Errorf("federation: stream %d is already attached", id)
-	}
-	sub.ch = make(chan gateway.Update, r.cfg.Buffer)
-	for _, u := range sub.ring {
-		if u.Seq > after {
-			sub.ch <- u
+// closeMirrorLocked tears down a closed session's mirror on the home shard
+// so its WAL entry is reclaimed; best effort — the shard may be down.
+func (r *Router) closeMirrorLocked(s *Session) {
+	mirror := r.mirrors[s.Name()]
+	delete(r.mirrors, s.Name())
+	if sh := r.shards[r.ring.lookup(s.Name())]; sh.alive && mirror != nil {
+		if tk, err := mirror.CloseAsync(); err == nil {
+			go func() { _, _ = tk.Wait() }()
 		}
 	}
-	sub.ring = nil
-	sub.detached = false
-	sub.reason = gateway.ReasonNone
-	return sub, nil
-}
-
-// CloseAsync stages session teardown; completion lags until the next
-// Advance. Implements gateway.ServerSession.
-func (s *Session) CloseAsync() error {
-	r := s.r
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.closed {
-		return gateway.ErrClosed
-	}
-	if s.closed {
-		return nil
-	}
-	s.seq++
-	c := &rcmd{kind: cmdClose, sess: s, seq: s.seq, done: make(chan rres, 1)}
-	r.staged = append(r.staged, c)
-	return nil
 }
 
 // ---------------------------------------------------------------------------
@@ -1042,14 +642,15 @@ func (s *Session) CloseAsync() error {
 func (r *Router) Advance(d time.Duration) (int, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.closed {
+	if r.k.ClosedLocked() {
 		return 0, gateway.ErrClosed
 	}
 	if d > 0 {
 		r.quantum = d
 	}
 
-	applied, acks := r.commitLocked()
+	// Subscribe acks are deferred until upstream resolution.
+	applied, acks := r.k.CommitLocked()
 
 	// Advance alive shards in parallel: each runs its own simulation for
 	// one quantum; this is where shard count buys wall-clock throughput.
@@ -1128,225 +729,73 @@ func (r *Router) Advance(d time.Duration) (int, error) {
 		r.onMerge(merge)
 	}
 
-	r.ackLocked(acks)
+	r.k.AckLocked(acks)
 	return applied, firstErr
 }
 
-// commitLocked applies staged commands in deterministic (session name,
-// seq) order. Subscribe acks are deferred until upstream resolution.
-func (r *Router) commitLocked() (int, []pendingAck) {
-	staged := r.staged
-	r.staged = nil
-	sort.SliceStable(staged, func(i, j int) bool {
-		if staged[i].sess.name != staged[j].sess.name {
-			return staged[i].sess.name < staged[j].sess.name
-		}
-		return staged[i].seq < staged[j].seq
-	})
-	wall := time.Now()
-	var acks []pendingAck
-	for _, c := range staged {
-		switch c.kind {
-		case cmdSubscribe:
-			if err := r.checkDeadlineLocked(c, wall); err != nil {
-				c.done <- rres{err: err}
-				continue
-			}
-			sub, tr, err := r.applySubscribeLocked(c)
-			if err != nil {
-				c.done <- rres{err: err}
-				continue
-			}
-			acks = append(acks, pendingAck{c: c, sub: sub, tr: tr})
-		case cmdUnsubscribe:
-			c.done <- rres{err: r.applyUnsubscribeLocked(c)}
-		case cmdClose:
-			r.applyCloseLocked(c.sess)
-			c.done <- rres{}
-		}
-	}
-	return len(staged), acks
-}
-
-// checkDeadlineLocked sheds a staged subscribe whose mailbox sojourn
-// (stage to commit, wall clock) exceeded its budget.
-func (r *Router) checkDeadlineLocked(c *rcmd, wall time.Time) error {
-	budget := c.deadline
-	if budget <= 0 {
-		budget = r.cfg.MailboxDeadline
-	}
-	if budget <= 0 || c.at.IsZero() || wall.Sub(c.at) <= budget {
-		return nil
-	}
-	r.stats.ShedDeadline++
-	return &resilience.OverloadError{RetryAfter: gateway.DefaultShedRetryAfter, Reason: "deadline"}
-}
-
-func (r *Router) applySubscribeLocked(c *rcmd) (*Sub, *tree, error) {
-	s := c.sess
-	if s.closed {
-		return nil, nil, fmt.Errorf("federation: session %q is closed", s.name)
-	}
-	if len(s.live) >= r.cfg.SessionQuota {
-		return nil, nil, fmt.Errorf("federation: session %q is at its quota of %d subscriptions",
-			s.name, r.cfg.SessionQuota)
-	}
-	q := c.q.Normalize()
+// applySubscribeLocked is the kernel's admission hook: join the query's
+// live tree, or plan a new one and stage its canonical upstream on every
+// shard the region touches.
+func (r *Router) applySubscribeLocked(a tier.Admission) (*tier.Group, error) {
+	q := a.Query.Normalize()
 	q.ID = 0
 	if q.Lifetime != 0 {
-		return nil, nil, fmt.Errorf("federation: LIFETIME is not supported for subscriptions")
+		return nil, fmt.Errorf("federation: LIFETIME is not supported for subscriptions")
 	}
 	key := gateway.CanonicalKey(q)
-	r.stats.Subscribes++
-	// Causal trace: a subscriber-propagated context wins; otherwise derive
-	// deterministically from the session name and staging sequence, so the
-	// same command sequence yields the same trace IDs on every run.
-	var trace, span uint64
-	if r.cfg.Tracer != nil {
-		trace = c.trace.Trace
-		if trace == 0 {
-			trace = tracing.TraceID(s.name, c.seq)
-		}
-		span = r.cfg.Tracer.Record(tracing.Span{
-			Trace:  trace,
-			Parent: c.trace.Span,
-			Kind:   tracing.KindSubscribe,
-			Shard:  tracing.NoShard,
-			AtMS:   r.nowMS(),
-			Seq:    c.seq,
-		})
-	}
-	tr := r.trees[key]
-	shared := tr != nil
-	if tr == nil {
-		p, err := planQuery(q, len(r.shards), r.spn)
-		if err != nil {
-			return nil, nil, err
-		}
-		// Every planned shard must be alive and reachable to establish
-		// the canonical upstreams.
-		for _, sl := range p.slices {
-			sh := r.shards[sl.shard]
-			if !sh.alive || !sh.reachable {
-				return nil, nil, fmt.Errorf("federation: shard %d (region sensors %d..%d) is unavailable",
-					sl.shard, sl.shard*r.spn+1, (sl.shard+1)*r.spn)
-			}
-		}
-		tr = &tree{key: key, p: p, trace: trace, spanID: span}
-		rem := c.remainingBudget()
-		for i, sl := range p.slices {
-			sh := r.shards[sl.shard]
-			up := &upstream{sh: sh, tr: tr, slice: i}
-			// Fan-out span per slice; the shard gateway's subscribe span
-			// parents on it, stitching router→shard in one trace.
-			shardCtx := tracing.Context{}
-			if r.cfg.Tracer != nil {
-				fanID := r.cfg.Tracer.Record(tracing.Span{
-					Trace:  trace,
-					Parent: span,
-					Kind:   tracing.KindShardFanout,
-					Shard:  sl.shard,
-					AtMS:   r.nowMS(),
-					Note:   key,
-				})
-				shardCtx = tracing.Context{Trace: trace, Span: fanID}
-			}
-			tk, err := sh.sess.SubscribeAsyncTraced(sl.q, rem, shardCtx)
-			if err != nil {
-				return nil, nil, fmt.Errorf("federation: shard %d subscribe: %w", sl.shard, err)
-			}
-			tr.ups = append(tr.ups, up)
-			r.pendingUps = append(r.pendingUps, pendingUp{up: up, tk: tk})
-		}
-		r.trees[key] = tr
-	} else {
-		r.stats.DedupHits++
+	if tr := r.trees[key]; tr != nil {
 		if r.cfg.Tracer != nil {
 			r.cfg.Tracer.Record(tracing.Span{
-				Trace:  trace,
-				Parent: span,
+				Trace:  a.Trace,
+				Parent: a.Span,
 				Kind:   tracing.KindDedupHit,
 				Shard:  tracing.NoShard,
 				AtMS:   r.nowMS(),
 				Note:   key,
 			})
 		}
+		return &tr.Group, nil
 	}
-	r.nextSub++
-	sub := &Sub{
-		sess:   s,
-		tr:     tr,
-		id:     r.nextSub,
-		key:    key,
-		shared: shared,
-		ch:     make(chan gateway.Update, r.cfg.Buffer),
-		seq:    0,
-		trace:  trace,
+	p, err := planQuery(q, len(r.shards), r.spn)
+	if err != nil {
+		return nil, err
 	}
-	if !s.attached {
-		sub.detached = true
-		sub.reason = gateway.ReasonDetached
-	}
-	tr.subs = append(tr.subs, sub)
-	s.live[sub.id] = sub
-	return sub, tr, nil
-}
-
-func (r *Router) applyUnsubscribeLocked(c *rcmd) error {
-	s := c.sess
-	sub := s.live[c.id]
-	if sub == nil {
-		return fmt.Errorf("federation: session %q has no subscription %d", s.name, c.id)
-	}
-	r.stats.Unsubscribes++
-	r.dropSubLocked(sub, gateway.ReasonUnsubscribed)
-	return nil
-}
-
-func (r *Router) applyCloseLocked(s *Session) {
-	if s.closed {
-		return
-	}
-	for _, id := range sortedSubIDs(s.live) {
-		r.dropSubLocked(s.live[id], gateway.ReasonShutdown)
-	}
-	s.closed = true
-	s.attached = false
-	delete(r.sessions, s.name)
-	// Tear down the durable mirror on the home shard so its WAL entry is
-	// reclaimed; best effort — the shard may be down.
-	if sh := r.shards[s.home]; sh.alive && s.mirror != nil {
-		if tk, err := s.mirror.CloseAsync(); err == nil {
-			go func() { _, _ = tk.Wait() }()
+	// Every planned shard must be alive and reachable to establish
+	// the canonical upstreams.
+	for _, sl := range p.slices {
+		sh := r.shards[sl.shard]
+		if !sh.alive || !sh.reachable {
+			return nil, fmt.Errorf("federation: shard %d (region sensors %d..%d) is unavailable",
+				sl.shard, sl.shard*r.spn+1, (sl.shard+1)*r.spn)
 		}
 	}
-	s.mirror = nil
-}
-
-// dropSubLocked closes a downstream stream and, on last-unsubscribe,
-// tears its tree down (cancelling the canonical upstreams).
-func (r *Router) dropSubLocked(sub *Sub, reason gateway.CloseReason) {
-	s := sub.sess
-	delete(s.live, sub.id)
-	if sub.reason == gateway.ReasonNone || sub.detached {
-		if sub.detached {
-			sub.ring = nil
-			sub.reason = reason
-		} else {
-			sub.reason = reason
-			close(sub.ch)
+	tr := &tree{Group: tier.Group{Key: key}, p: p, trace: a.Trace, spanID: a.Span}
+	for i, sl := range p.slices {
+		sh := r.shards[sl.shard]
+		up := &upstream{sh: sh, tr: tr, slice: i}
+		// Fan-out span per slice; the shard gateway's subscribe span
+		// parents on it, stitching router→shard in one trace.
+		req := gateway.SubscribeRequest{Query: sl.q, Budget: a.Budget}
+		if r.cfg.Tracer != nil {
+			fanID := r.cfg.Tracer.Record(tracing.Span{
+				Trace:  a.Trace,
+				Parent: a.Span,
+				Kind:   tracing.KindShardFanout,
+				Shard:  sl.shard,
+				AtMS:   r.nowMS(),
+				Note:   key,
+			})
+			req.Trace = tracing.Context{Trace: a.Trace, Span: fanID}
 		}
-	}
-	tr := sub.tr
-	for i, other := range tr.subs {
-		if other == sub {
-			tr.subs = append(tr.subs[:i], tr.subs[i+1:]...)
-			break
+		tk, err := sh.sess.SubscribeAsync(req)
+		if err != nil {
+			return nil, fmt.Errorf("federation: shard %d subscribe: %w", sl.shard, err)
 		}
+		tr.ups = append(tr.ups, up)
+		r.pendingUps = append(r.pendingUps, pendingUp{up: up, tk: tk})
 	}
-	if len(tr.subs) == 0 {
-		r.teardownTreeLocked(tr)
-	}
+	r.trees[key] = tr
+	return &tr.Group, nil
 }
 
 func (r *Router) teardownTreeLocked(tr *tree) {
@@ -1361,7 +810,7 @@ func (r *Router) teardownTreeLocked(tr *tree) {
 			up.sub = nil
 		}
 	}
-	delete(r.trees, tr.key)
+	delete(r.trees, tr.Key)
 }
 
 // resolveUpstreamsLocked collects the shard tickets staged at commit
@@ -1373,8 +822,8 @@ func (r *Router) resolveUpstreamsLocked() {
 		up := pu.up
 		sub, err := pu.tk.Wait()
 		if err != nil {
-			if up.tr.broken == nil {
-				up.tr.broken = fmt.Errorf("federation: shard %d admission: %w", up.sh.idx, err)
+			if up.tr.Broken == nil {
+				up.tr.Broken = fmt.Errorf("federation: shard %d admission: %w", up.sh.idx, err)
 			}
 			continue
 		}
@@ -1383,31 +832,15 @@ func (r *Router) resolveUpstreamsLocked() {
 		up.lastSeq = 0
 		up.sh.ups[up.id] = up
 		if up.slice == 0 {
-			up.tr.qid = sub.QueryID()
+			up.tr.QID = sub.QueryID()
 		}
-	}
-}
-
-// ackLocked replies to the deferred subscribe commands, failing those
-// whose trees broke during upstream establishment.
-func (r *Router) ackLocked(acks []pendingAck) {
-	for _, a := range acks {
-		if a.tr.broken != nil {
-			err := a.tr.broken
-			if _, live := a.sub.sess.live[a.sub.id]; live {
-				r.dropSubLocked(a.sub, gateway.ReasonShutdown)
-			}
-			a.c.done <- rres{err: err}
-			continue
-		}
-		a.c.done <- rres{sub: a.sub}
 	}
 }
 
 // drainShardLocked empties every upstream channel of one shard into the
 // pending epoch accumulators.
 func (r *Router) drainShardLocked(sh *shard) {
-	for _, id := range sortedUpIDs(sh.ups) {
+	for _, id := range tier.SortedKeys(sh.ups) {
 		up := sh.ups[id]
 		if up.sub == nil {
 			continue
@@ -1449,7 +882,7 @@ func (r *Router) mergePartialLocked(up *upstream, u gateway.Update) {
 		acc.rows = translateRows(acc.rows, u.Rows, up.sh.idx, r.spn)
 	}
 	if len(u.Aggs) > 0 {
-		acc.addAggs(u.Aggs)
+		acc.Add(u.Aggs)
 	}
 }
 
@@ -1457,7 +890,7 @@ func (r *Router) mergePartialLocked(up *upstream, u gateway.Update) {
 // watermark) downstream in virtual-time order. MaxPending overflow
 // force-releases the oldest epochs without the stalled shard's partials.
 func (r *Router) releaseLocked() {
-	for _, key := range sortedTreeKeys(r.trees) {
+	for _, key := range tier.SortedKeys(r.trees) {
 		tr := r.trees[key]
 		if len(tr.pending) == 0 {
 			continue
@@ -1476,11 +909,7 @@ func (r *Router) releaseLocked() {
 				wm = w
 			}
 		}
-		times := make([]sim.Time, 0, len(tr.pending))
-		for at := range tr.pending {
-			times = append(times, at)
-		}
-		sort.Slice(times, func(i, j int) bool { return times[i] < times[j] })
+		times := tier.SortedKeys(tr.pending)
 		force := 0
 		if over := len(times) - r.cfg.MaxPending; over > 0 {
 			force = over
@@ -1497,7 +926,7 @@ func (r *Router) releaseLocked() {
 			tr.released = at
 		}
 		// A tree can lose its last subscriber via eviction during release.
-		if len(tr.subs) == 0 {
+		if tr.Empty() {
 			r.teardownTreeLocked(tr)
 		}
 	}
@@ -1547,56 +976,19 @@ func (r *Router) releaseEpochLocked(tr *tree, acc *epochAcc) {
 			Coverage: coverage,
 		})
 	}
-	aggs := acc.finish(tr.p)
-	var evicted []*Sub
-	for _, sub := range tr.subs {
-		sub.seq++
-		u := gateway.Update{
-			Sub:      sub.id,
-			QueryID:  tr.qid,
-			Seq:      sub.seq,
-			At:       acc.at,
-			Rows:     acc.rows,
-			Aggs:     aggs,
-			Degraded: degraded,
-			Coverage: coverage,
-			Enqueued: time.Now(),
-		}
-		if sub.trace != 0 {
-			u.Trace = sub.trace
-			u.Prov = tracing.Prov{Shards: coveredMask}
-		}
-		if sub.detached {
-			sub.pushRing(u)
-			r.stats.Updates++
-			continue
-		}
-		select {
-		case sub.ch <- u:
-			r.stats.Updates++
-		default:
-			evicted = append(evicted, sub)
-		}
+	u := gateway.Update{
+		QueryID:  tr.QID,
+		At:       acc.at,
+		Rows:     acc.rows,
+		Aggs:     acc.finish(tr.p),
+		Degraded: degraded,
+		Coverage: coverage,
+		Enqueued: time.Now(),
 	}
-	for _, sub := range evicted {
-		r.stats.Evicted++
-		r.dropSubEvictedLocked(sub)
+	if r.cfg.Tracer != nil {
+		u.Prov = tracing.Prov{Shards: coveredMask}
 	}
-}
-
-// dropSubEvictedLocked removes an overflowed subscriber without tearing
-// the tree down mid-release (releaseLocked sweeps empty trees after).
-func (r *Router) dropSubEvictedLocked(sub *Sub) {
-	delete(sub.sess.live, sub.id)
-	sub.reason = gateway.ReasonEvicted
-	close(sub.ch)
-	tr := sub.tr
-	for i, other := range tr.subs {
-		if other == sub {
-			tr.subs = append(tr.subs[:i], tr.subs[i+1:]...)
-			break
-		}
-	}
+	tr.Deliver(&u)
 }
 
 // ---------------------------------------------------------------------------
@@ -1750,7 +1142,7 @@ func (r *Router) StallShard(i int, stuck bool) error {
 }
 
 func (r *Router) shardLocked(i int) (*shard, error) {
-	if r.closed {
+	if r.k.ClosedLocked() {
 		return nil, gateway.ErrClosed
 	}
 	if i < 0 || i >= len(r.shards) {
@@ -1772,7 +1164,7 @@ func (r *Router) reattachLocked(sh *shard) error {
 	for _, in := range infos {
 		known[in.ID] = true
 	}
-	for _, id := range sortedUpIDs(sh.ups) {
+	for _, id := range tier.SortedKeys(sh.ups) {
 		up := sh.ups[id]
 		if !known[id] {
 			// The shard no longer carries the stream (e.g. its query was
@@ -1838,31 +1230,12 @@ func (r *Router) catchUpLocked(sh *shard) {
 // live downstream streams fail with ReasonShutdown.
 func (r *Router) Close() error {
 	r.mu.Lock()
-	if r.closed {
+	if r.k.ClosedLocked() {
 		r.mu.Unlock()
 		return gateway.ErrClosed
 	}
-	r.closed = true
-	for _, c := range r.staged {
-		c.done <- rres{err: gateway.ErrClosed}
-	}
-	r.staged = nil
-	r.pendingUps = nil
-	for _, s := range r.sessions {
-		s.closed = true
-		s.attached = false
-		for _, id := range sortedSubIDs(s.live) {
-			sub := s.live[id]
-			if sub.reason == gateway.ReasonNone && !sub.detached {
-				sub.reason = gateway.ReasonShutdown
-				close(sub.ch)
-			} else if sub.detached {
-				sub.reason = gateway.ReasonShutdown
-				sub.ring = nil
-			}
-		}
-		s.live = map[gateway.SubID]*Sub{}
-	}
+	// The fleet goes down with the router: mark it dead first so closing the
+	// sessions stages nothing on shards that are about to close.
 	gws := make([]*gateway.Gateway, 0, len(r.shards))
 	for _, sh := range r.shards {
 		if sh.alive {
@@ -1871,7 +1244,8 @@ func (r *Router) Close() error {
 		sh.alive = false
 		sh.reachable = false
 	}
-	close(r.done)
+	r.k.CloseLocked()
+	r.pendingUps = nil
 	r.mu.Unlock()
 
 	var firstErr error
@@ -1881,34 +1255,4 @@ func (r *Router) Close() error {
 		}
 	}
 	return firstErr
-}
-
-// ---------------------------------------------------------------------------
-// Small helpers
-
-func sortedSubIDs(m map[gateway.SubID]*Sub) []gateway.SubID {
-	ids := make([]gateway.SubID, 0, len(m))
-	for id := range m {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
-}
-
-func sortedUpIDs(m map[gateway.SubID]*upstream) []gateway.SubID {
-	ids := make([]gateway.SubID, 0, len(m))
-	for id := range m {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
-}
-
-func sortedTreeKeys(m map[string]*tree) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

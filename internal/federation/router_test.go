@@ -40,7 +40,7 @@ func newTestRouter(t *testing.T, cfg Config) *Router {
 
 func stageSub(t *testing.T, s *Session, text string) *Ticket {
 	t.Helper()
-	tk, err := s.SubscribeAsync(query.MustParse(text))
+	tk, err := s.SubscribeAsync(gateway.SubscribeRequest{Query: query.MustParse(text)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 	"repro/internal/query"
 	"repro/internal/resilience"
 	"repro/internal/sim"
+	"repro/internal/tracing"
 )
 
 // Backend is the serving surface Server drives: session registration and
@@ -24,14 +25,36 @@ type Backend interface {
 	Advance(d time.Duration) (int, error)
 	// ServeStats snapshots the backend's counters and current virtual time.
 	ServeStats() (Stats, sim.Time, error)
+	// BrownoutLevel is the backend's rung on the brownout degradation
+	// ladder: the server's pacer coalesces ticks at LevelBatching and the
+	// connection handlers shed new subscribes at LevelShed without even
+	// staging them.
+	BrownoutLevel() resilience.Level
+}
+
+// SubscribeRequest is the one subscribe call every tier takes: the parsed
+// query plus the options that ride down the tier chain with it.
+type SubscribeRequest struct {
+	Query query.Query
+	// Budget bounds the command's mailbox sojourn (wire deadline_ms): any
+	// hop — router staging, shard gateway staging — that out-waits it sheds
+	// the command with ErrOverloaded instead of applying it late. Zero falls
+	// back to the tier's configured MailboxDeadline.
+	Budget time.Duration
+	// Trace is the subscriber-propagated causal context: Trace keys every
+	// span the subscription produces and Span parents the tier's subscribe
+	// span, so the hops of every tier join one trace. A zero context lets
+	// the backend derive a deterministic trace at commit.
+	Trace tracing.Context
 }
 
 // ServerSession is the per-client surface the connection handler uses.
 type ServerSession interface {
 	Name() string
 	Token() string
-	// SubscribeQuery parses and subscribes a TinyDB-dialect query string.
-	SubscribeQuery(text string) (ServerSub, error)
+	// Subscribe stages the request and blocks until the next Advance
+	// commits it.
+	Subscribe(req SubscribeRequest) (ServerSub, error)
 	Unsubscribe(id SubID) error
 	// Resume revives a detached stream from just after sequence number
 	// `after`, replaying the parked tail before going live.
@@ -42,34 +65,6 @@ type ServerSession interface {
 	CloseAsync() error
 }
 
-// BudgetSubscriber is the optional ServerSession extension for deadline
-// propagation: a wire subscribe carrying deadline_ms lands here, and the
-// budget rides down through whatever mailbox chain the backend has
-// (router staging, shard gateway staging) — any hop that out-waits the
-// budget sheds the command with ErrOverloaded instead of applying it
-// late. Sessions without the extension just ignore budgets.
-type BudgetSubscriber interface {
-	SubscribeQueryBudget(text string, budget time.Duration) (ServerSub, error)
-}
-
-// TracedSubscriber is the optional ServerSession extension for causal
-// tracing: a wire subscribe carrying trace_id (and possibly a deadline
-// budget) lands here, and the trace context rides down the tier chain so
-// every hop's span joins the same trace. A zero trace lets the backend
-// derive one deterministically. Sessions without the extension just drop
-// the trace, exactly as pre-tracing builds did.
-type TracedSubscriber interface {
-	SubscribeQueryTraced(text string, budget time.Duration, trace uint64) (ServerSub, error)
-}
-
-// BrownoutReporter is the optional Backend extension exposing the
-// brownout degradation ladder. The server's pacer coalesces ticks at
-// LevelBatching and the connection handlers shed new subscribes at
-// LevelShed without even staging them.
-type BrownoutReporter interface {
-	BrownoutLevel() resilience.Level
-}
-
 // ServerSub is one update stream as the connection forwarders consume it.
 type ServerSub interface {
 	ID() SubID
@@ -78,30 +73,17 @@ type ServerSub interface {
 	Key() string
 	Updates() <-chan Update
 	Reason() CloseReason
+	// TraceID is the subscription's causal-trace identity (zero when the
+	// backend runs untraced, which omits the wire field).
+	TraceID() uint64
 }
 
 // gwSession adapts *Session to ServerSession (the concrete methods return
 // concrete types, so the interface needs thin wrappers).
 type gwSession struct{ *Session }
 
-func (s gwSession) SubscribeQuery(text string) (ServerSub, error) {
-	sub, err := s.Session.SubscribeQuery(text)
-	if err != nil {
-		return nil, err
-	}
-	return sub, nil
-}
-
-func (s gwSession) SubscribeQueryBudget(text string, budget time.Duration) (ServerSub, error) {
-	sub, err := s.Session.SubscribeQueryBudget(text, budget)
-	if err != nil {
-		return nil, err
-	}
-	return sub, nil
-}
-
-func (s gwSession) SubscribeQueryTraced(text string, budget time.Duration, trace uint64) (ServerSub, error) {
-	sub, err := s.Session.SubscribeQueryTraced(text, budget, trace)
+func (s gwSession) Subscribe(req SubscribeRequest) (ServerSub, error) {
+	sub, err := s.Session.Subscribe(req)
 	if err != nil {
 		return nil, err
 	}

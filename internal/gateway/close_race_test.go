@@ -36,7 +36,7 @@ func TestSendCloseRaceDropsNoCommand(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				for {
-					tk, err := sess.SubscribeAsync(q)
+					tk, err := sess.SubscribeAsync(SubscribeRequest{Query: q})
 					if err != nil {
 						if !errors.Is(err, ErrClosed) {
 							t.Errorf("SubscribeAsync: %v", err)
@@ -63,7 +63,7 @@ func TestSendCloseRaceDropsNoCommand(t *testing.T) {
 		}
 		// Sealed mailbox: post-close sends must fail deterministically.
 		for i := 0; i < 64; i++ {
-			if _, err := sess.SubscribeAsync(q); !errors.Is(err, ErrClosed) {
+			if _, err := sess.SubscribeAsync(SubscribeRequest{Query: q}); !errors.Is(err, ErrClosed) {
 				t.Fatalf("post-close SubscribeAsync = %v, want ErrClosed", err)
 			}
 		}
@@ -87,7 +87,7 @@ func TestSendAfterCrashSealed(t *testing.T) {
 	}
 	q := query.MustParse("SELECT light EPOCH DURATION 8192ms")
 	for i := 0; i < 64; i++ {
-		if _, err := sess.SubscribeAsync(q); !errors.Is(err, ErrClosed) {
+		if _, err := sess.SubscribeAsync(SubscribeRequest{Query: q}); !errors.Is(err, ErrClosed) {
 			t.Fatalf("post-crash SubscribeAsync = %v, want ErrClosed", err)
 		}
 		if _, err := gw.Advance(time.Second); !errors.Is(err, ErrClosed) {

@@ -137,7 +137,7 @@ type Config struct {
 	// staged subscribes (the CoDel-style deadline on the group-commit
 	// mailbox): a subscribe that waits longer than its budget between
 	// staging and the committing Advance is shed with ErrOverloaded
-	// instead of applied. Per-command budgets (SubscribeAsyncBudget, wire
+	// instead of applied. Per-command budgets (SubscribeRequest.Budget, wire
 	// deadline_ms) override it. Zero disables the default deadline.
 	MailboxDeadline time.Duration
 	// MaxLiveSubs, when positive, caps gateway-wide live subscriptions;
@@ -828,32 +828,19 @@ func (g *Gateway) Register(name string) (*Session, error) {
 	}
 }
 
-// SubscribeAsync stages a subscription to q; it commits at the next
-// Advance. Errors detectable without the simulation (parse-level
-// validation, LIFETIME) fail immediately.
-func (s *Session) SubscribeAsync(q query.Query) (*Ticket, error) {
-	return s.SubscribeAsyncBudget(q, 0)
-}
-
-// SubscribeAsyncBudget is SubscribeAsync with an explicit mailbox
-// deadline budget: if the command sits staged longer than budget before
-// the committing Advance reaches it, it is shed with a typed
-// *resilience.OverloadError instead of applied. A budget <= 0 falls back
-// to Config.MailboxDeadline. The staged queue itself may also reject the
-// command immediately when Config.MaxStaged or the brownout ladder says
-// the mailbox is full — that error comes back from this call, not Wait.
-func (s *Session) SubscribeAsyncBudget(q query.Query, budget time.Duration) (*Ticket, error) {
-	return s.SubscribeAsyncTraced(q, budget, tracing.Context{})
-}
-
-// SubscribeAsyncTraced is SubscribeAsyncBudget with an explicit causal
-// trace context: tc.Trace becomes the subscription's trace ID and tc.Span
-// the parent of the commit's subscribe span, so an upstream tier (the
-// federation router, the share coordinator, a wire client quoting
-// trace_id) threads one causal path through this gateway. A zero context
-// derives a fresh deterministic trace at commit.
-func (s *Session) SubscribeAsyncTraced(q query.Query, budget time.Duration, tc tracing.Context) (*Ticket, error) {
-	n, key, err := canonicalize(q)
+// SubscribeAsync stages a subscription; it commits at the next Advance.
+// Errors detectable without the simulation (parse-level validation,
+// LIFETIME) fail immediately, as does a full mailbox (Config.MaxStaged or
+// the brownout ladder). If the command then sits staged longer than
+// req.Budget (Config.MailboxDeadline when zero) before the committing
+// Advance reaches it, it is shed with a typed *resilience.OverloadError
+// instead of applied. req.Trace.Trace becomes the subscription's trace ID
+// and req.Trace.Span the parent of the commit's subscribe span, so an
+// upstream tier (the federation router, the share coordinator, a wire
+// client quoting trace_id) threads one causal path through this gateway; a
+// zero context derives a fresh deterministic trace at commit.
+func (s *Session) SubscribeAsync(req SubscribeRequest) (*Ticket, error) {
+	n, key, err := canonicalize(req.Query)
 	if err != nil {
 		return nil, err
 	}
@@ -865,8 +852,8 @@ func (s *Session) SubscribeAsyncTraced(q query.Query, budget time.Duration, tc t
 		key:      key,
 		done:     make(chan result, 1),
 		at:       time.Now(),
-		deadline: budget,
-		trace:    tc,
+		deadline: req.Budget,
+		trace:    req.Trace,
 	}
 	if err := s.g.send(c); err != nil {
 		return nil, err
@@ -876,33 +863,8 @@ func (s *Session) SubscribeAsyncTraced(q query.Query, budget time.Duration, tc t
 
 // Subscribe is SubscribeAsync plus waiting for the commit. It blocks until
 // the next Advance tick.
-func (s *Session) Subscribe(q query.Query) (*Subscription, error) {
-	t, err := s.SubscribeAsync(q)
-	if err != nil {
-		return nil, err
-	}
-	return t.Wait()
-}
-
-// SubscribeQuery parses and subscribes a TinyDB-dialect query string.
-func (s *Session) SubscribeQuery(text string) (*Subscription, error) {
-	return s.SubscribeQueryBudget(text, 0)
-}
-
-// SubscribeQueryBudget is SubscribeQuery with a mailbox deadline budget
-// (see SubscribeAsyncBudget).
-func (s *Session) SubscribeQueryBudget(text string, budget time.Duration) (*Subscription, error) {
-	return s.SubscribeQueryTraced(text, budget, 0)
-}
-
-// SubscribeQueryTraced is SubscribeQueryBudget with a wire-propagated
-// trace ID (see SubscribeAsyncTraced); zero derives a fresh trace.
-func (s *Session) SubscribeQueryTraced(text string, budget time.Duration, trace uint64) (*Subscription, error) {
-	q, err := query.Parse(text)
-	if err != nil {
-		return nil, err
-	}
-	t, err := s.SubscribeAsyncTraced(q, budget, tracing.Context{Trace: trace})
+func (s *Session) Subscribe(req SubscribeRequest) (*Subscription, error) {
+	t, err := s.SubscribeAsync(req)
 	if err != nil {
 		return nil, err
 	}

@@ -39,7 +39,7 @@ func newTestGateway(t *testing.T, cfg Config) *Gateway {
 // stage subscribes asynchronously and fails the test on a staging error.
 func stage(t *testing.T, sess *Session, text string) *Ticket {
 	t.Helper()
-	ti, err := sess.SubscribeAsync(query.MustParse(text))
+	ti, err := sess.SubscribeAsync(SubscribeRequest{Query: query.MustParse(text)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -369,7 +369,7 @@ func TestGatewayShutdown(t *testing.T) {
 	if sub.Reason() != ReasonShutdown {
 		t.Errorf("reason %v, want shutdown", sub.Reason())
 	}
-	if _, err := sess.SubscribeAsync(query.MustParse("SELECT light EPOCH DURATION 8192ms")); !errors.Is(err, ErrClosed) {
+	if _, err := sess.SubscribeAsync(SubscribeRequest{Query: query.MustParse("SELECT light EPOCH DURATION 8192ms")}); !errors.Is(err, ErrClosed) {
 		t.Errorf("subscribe after close: %v, want ErrClosed", err)
 	}
 	if _, err := gw.Register("bob"); !errors.Is(err, ErrClosed) {

@@ -386,7 +386,7 @@ func (c *lgClient) stage(cfg LoadgenConfig, pool []query.Query, round int) {
 	}
 	if subscribe {
 		q := c.variant(pool[c.rng.Intn(len(pool))])
-		if t, err := c.sess.SubscribeAsync(q); err == nil {
+		if t, err := c.sess.SubscribeAsync(SubscribeRequest{Query: q}); err == nil {
 			c.pending = append(c.pending, lgPending{ticket: t})
 		} else {
 			c.errs++

@@ -51,7 +51,7 @@ func TestEvictionShedRefcountRace(t *testing.T) {
 					return
 				default:
 				}
-				tk, err := sess.SubscribeAsync(q)
+				tk, err := sess.SubscribeAsync(SubscribeRequest{Query: q})
 				if err != nil {
 					if errors.Is(err, resilience.ErrOverloaded) {
 						shed.Add(1)
@@ -139,7 +139,7 @@ drain:
 	}
 
 	// The gateway must still be fully serviceable after the storm.
-	tk, err := sess.SubscribeAsync(query.MustParse("SELECT MAX(light) EPOCH DURATION 8192ms"))
+	tk, err := sess.SubscribeAsync(SubscribeRequest{Query: query.MustParse("SELECT MAX(light) EPOCH DURATION 8192ms")})
 	if err != nil {
 		t.Fatalf("post-storm subscribe: %v", err)
 	}

@@ -93,7 +93,7 @@ func overloadFirstResults(clients, maxStaged int) ([]time.Duration, error) {
 	}
 	cls := make([]benchClient, clients)
 	subscribe := func(c *benchClient) error {
-		tk, err := sess.SubscribeAsync(q)
+		tk, err := sess.SubscribeAsync(SubscribeRequest{Query: q})
 		if err != nil {
 			if errors.Is(err, resilience.ErrOverloaded) {
 				return nil // shed at enqueue; retry next round

@@ -74,7 +74,7 @@ func TestCrashRecoverResumeExactlyOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ti, err := sess.SubscribeAsync(query.MustParse("SELECT light EPOCH DURATION 2048"))
+	ti, err := sess.SubscribeAsync(SubscribeRequest{Query: query.MustParse("SELECT light EPOCH DURATION 2048")})
 	if err != nil {
 		t.Fatal(err)
 	}

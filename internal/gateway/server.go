@@ -10,7 +10,9 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/query"
 	"repro/internal/resilience"
+	"repro/internal/tracing"
 )
 
 // DefaultReadTimeout is the default per-read deadline on client
@@ -127,7 +129,6 @@ func (s *Server) pace() {
 	defer s.wg.Done()
 	t := time.NewTicker(s.cfg.TickEvery)
 	defer t.Stop()
-	br, _ := s.gw.(BrownoutReporter)
 	owe := false // a tick was skipped; the next Advance is double
 	for {
 		select {
@@ -139,7 +140,7 @@ func (s *Server) pace() {
 			case owe:
 				owe = false
 				q = 2 * s.cfg.Quantum
-			case br != nil && br.BrownoutLevel() >= resilience.LevelBatching:
+			case s.gw.BrownoutLevel() >= resilience.LevelBatching:
 				owe = true
 				continue
 			}
@@ -271,16 +272,6 @@ func (w *connWriter) flush() error {
 	return w.bw.Flush()
 }
 
-// traceIDOf reports a subscription's assigned causal-trace identity via
-// the optional accessor every traced backend's sub implements; zero (and
-// an omitted wire field) when the backend does not trace.
-func traceIDOf(sub ServerSub) uint64 {
-	if t, ok := sub.(interface{ TraceID() uint64 }); ok {
-		return t.TraceID()
-	}
-	return 0
-}
-
 func (s *Server) handle(conn net.Conn) {
 	defer s.wg.Done()
 	defer conn.Close()
@@ -298,7 +289,6 @@ func (s *Server) handle(conn net.Conn) {
 
 	w := newConnWriter(conn)
 	w.timeout = s.cfg.WriteTimeout
-	brownout, _ := s.gw.(BrownoutReporter)
 	// The reader's buffer bounds a JSON request line the way the old
 	// Scanner cap did; binary frames are bounded by maxFramePayload.
 	br := bufio.NewReaderSize(conn, 1<<20)
@@ -495,14 +485,14 @@ func (s *Server) handle(conn net.Conn) {
 				Shared:    sub.Shared(),
 				Canonical: sub.Key(),
 				Resumed:   true,
-				TraceID:   traceIDOf(sub),
+				TraceID:   sub.TraceID(),
 			})
 		case OpPing:
 			_ = w.write(Response{Type: TypePong, Tag: req.Tag})
 		case OpSubscribe:
 			// At the ladder's shed rung, reject before even staging: the
 			// mailbox is the resource brownout protects.
-			if brownout != nil && brownout.BrownoutLevel() >= resilience.LevelShed {
+			if s.gw.BrownoutLevel() >= resilience.LevelShed {
 				fail(&resilience.OverloadError{RetryAfter: DefaultShedRetryAfter, Reason: "brownout"})
 				continue
 			}
@@ -510,18 +500,17 @@ func (s *Server) handle(conn net.Conn) {
 				fail(err)
 				continue
 			}
-			var sub ServerSub
-			var err error
-			budget := time.Duration(req.DeadlineMS) * time.Millisecond
-			if ts, ok := sess.(TracedSubscriber); ok {
-				// The traced path subsumes the budget path: trace and
-				// deadline ride down the tier chain together.
-				sub, err = ts.SubscribeQueryTraced(req.Query, budget, req.TraceID)
-			} else if bs, ok := sess.(BudgetSubscriber); ok && req.DeadlineMS > 0 {
-				sub, err = bs.SubscribeQueryBudget(req.Query, budget)
-			} else {
-				sub, err = sess.SubscribeQuery(req.Query)
+			q, err := query.Parse(req.Query)
+			if err != nil {
+				fail(err)
+				continue
 			}
+			// Deadline and trace ride down the tier chain together.
+			sub, err := sess.Subscribe(SubscribeRequest{
+				Query:  q,
+				Budget: time.Duration(req.DeadlineMS) * time.Millisecond,
+				Trace:  tracing.Context{Trace: req.TraceID},
+			})
 			if err != nil {
 				fail(err)
 				continue
@@ -535,7 +524,7 @@ func (s *Server) handle(conn net.Conn) {
 				QueryID:   sub.QueryID(),
 				Shared:    sub.Shared(),
 				Canonical: sub.Key(),
-				TraceID:   traceIDOf(sub),
+				TraceID:   sub.TraceID(),
 			})
 		case OpUnsubscribe:
 			if sess == nil {

@@ -2,7 +2,6 @@ package gateway
 
 import (
 	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
@@ -78,8 +77,6 @@ type walRecord struct {
 // encode buffer: appends between flush points batch in the bufio.Writer
 // and hit the disk as a single write per group-commit (walAdvance flushes
 // once per Advance), with zero allocations per record in steady state.
-// readWAL still accepts NDJSON records, so logs written before the binary
-// codec recover cleanly.
 type wal struct {
 	path string
 	f    *os.File
@@ -146,12 +143,10 @@ func (w *wal) close() error {
 	return cerr
 }
 
-// readWAL parses a log file, auto-detecting the record framing byte by
-// byte: a FrameMagic first byte is a binary frame, anything else is a
-// legacy NDJSON line, and the two may interleave (a pre-codec log compacted
-// by a post-codec gateway). A truncated or malformed final record (torn
-// write at crash) is tolerated and dropped; any earlier malformed record is
-// an error.
+// readWAL parses a log file of binary frames. A truncated or malformed
+// final record (torn write at crash) is tolerated and dropped; any earlier
+// malformed record — a corrupt payload, or a byte that is not a frame's
+// magic where a frame must start — is an error.
 func readWAL(path string) ([]walRecord, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -169,57 +164,31 @@ func readWAL(path string) ([]walRecord, error) {
 		if err != nil {
 			return nil, err
 		}
+		var r walRecord
 		if first == FrameMagic {
 			scratch, err = readBinaryFrame(br, scratch)
+			// A short read is a torn tail only at end of log; a frame that
+			// could not even state its length is torn if nothing follows it.
+			if err == io.EOF || err == io.ErrUnexpectedEOF {
+				return recs, nil
+			}
 			if err != nil {
-				// A short read is a torn tail only at end of log; a frame
-				// that could not even state its length is torn if nothing
-				// follows it.
-				if err == io.EOF || err == io.ErrUnexpectedEOF {
-					return recs, nil
-				}
 				return nil, fmt.Errorf("gateway: wal %s: %w", path, err)
 			}
-			r, err := decodeWALPayload(scratch)
-			if err != nil {
-				// Corrupt payload: legal only as the final record, where it
-				// is indistinguishable from a torn write.
-				if _, eof := br.ReadByte(); eof == io.EOF {
-					return recs, nil
-				}
-				return nil, fmt.Errorf("gateway: wal %s: malformed record before end of log: %w", path, err)
+			r, err = decodeWALPayload(scratch)
+		} else {
+			err = fmt.Errorf("byte %#x is not a frame", first)
+		}
+		if err != nil {
+			// Malformed: legal only as the final record, where it is
+			// indistinguishable from a torn write.
+			if _, eof := br.ReadByte(); eof == io.EOF {
+				return recs, nil
 			}
-			recs = append(recs, r)
-			continue
-		}
-		if first == '\n' {
-			continue
-		}
-		line, err := br.ReadSlice('\n')
-		tail := err == io.EOF
-		if err != nil && !tail {
-			return nil, err
-		}
-		scratch = append(append(scratch[:0], first), line...)
-		var r walRecord
-		if jerr := json.Unmarshal(scratch, &r); jerr != nil {
-			if tail || isAtEOF(br) {
-				return recs, nil // torn final line
-			}
-			return nil, fmt.Errorf("gateway: wal %s: malformed record before end of log", path)
+			return nil, fmt.Errorf("gateway: wal %s: malformed record before end of log: %w", path, err)
 		}
 		recs = append(recs, r)
-		if tail {
-			return recs, nil
-		}
 	}
-}
-
-// isAtEOF reports whether the reader has no bytes left (used to decide if a
-// malformed record was the log's torn tail).
-func isAtEOF(br *bufio.Reader) bool {
-	_, err := br.Peek(1)
-	return err == io.EOF
 }
 
 // rewriteWAL atomically replaces the log with recs and returns a fresh

@@ -54,64 +54,42 @@ func TestWALBinaryRoundTripThroughFile(t *testing.T) {
 	}
 }
 
-// TestWALReadsLegacyJSON: a log written by the pre-codec gateway (NDJSON
-// lines) recovers unchanged — cross-version compatibility.
-func TestWALReadsLegacyJSON(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "gw.wal")
-	f, err := os.Create(path)
+// TestWALRejectsNonFrameRecord: only binary frames are ever written, so a
+// byte that is not a frame's magic where a record must start is a malformed
+// record — an error before the end of the log (an NDJSON line from the
+// pre-codec gateway included), tolerated only as the log's torn last byte.
+func TestWALRejectsNonFrameRecord(t *testing.T) {
+	dir := t.TempDir()
+	whole := filepath.Join(dir, "whole.wal")
+	writeBinaryWAL(t, whole, walFixture)
+	raw, err := os.ReadFile(whole)
 	if err != nil {
 		t.Fatal(err)
 	}
-	enc := json.NewEncoder(f)
-	for _, r := range walFixture {
-		if err := enc.Encode(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	got, err := readWAL(path)
+	line, err := json.Marshal(walFixture[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got, walFixture) {
-		t.Fatalf("legacy read:\n got %+v\nwant %+v", got, walFixture)
-	}
-}
-
-// TestWALReadsMixedFraming: JSON records followed by binary ones — the
-// shape a legacy log takes after the upgraded gateway appends to it.
-func TestWALReadsMixedFraming(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "gw.wal")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	enc := json.NewEncoder(f)
-	for _, r := range walFixture[:2] {
-		if err := enc.Encode(r); err != nil {
+	for name, c := range map[string]struct {
+		raw  []byte
+		want int // records recovered; -1 = error
+	}{
+		"json-line-first":  {append(append(line, '\n'), raw...), -1},
+		"json-line-last":   {append(append([]byte(nil), raw...), append(line, '\n')...), -1},
+		"stray-final-byte": {append(append([]byte(nil), raw...), '{'), len(walFixture)},
+	} {
+		path := filepath.Join(dir, name+".wal")
+		if err := os.WriteFile(path, c.raw, 0o644); err != nil {
 			t.Fatal(err)
 		}
-	}
-	for _, r := range walFixture[2:] {
-		b, err := appendWALFrame(nil, &r)
-		if err != nil {
-			t.Fatal(err)
+		got, err := readWAL(path)
+		if c.want < 0 {
+			if err == nil {
+				t.Errorf("%s: accepted %d records, want an error", name, len(got))
+			}
+		} else if err != nil || len(got) != c.want {
+			t.Errorf("%s: %d records, err %v; want %d", name, len(got), err, c.want)
 		}
-		if _, err := f.Write(sealFrame(b)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	got, err := readWAL(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, walFixture) {
-		t.Fatalf("mixed read:\n got %+v\nwant %+v", got, walFixture)
 	}
 }
 

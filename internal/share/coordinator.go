@@ -11,6 +11,7 @@ import (
 	"repro/internal/query"
 	"repro/internal/resilience"
 	"repro/internal/sim"
+	"repro/internal/tier"
 	"repro/internal/tracing"
 )
 
@@ -66,7 +67,7 @@ type Config struct {
 	Pressure func() resilience.Level
 	// MailboxDeadline is the default staging-sojourn budget for downstream
 	// subscribes, mirroring the gateway's: zero disables, a per-command
-	// budget (SubscribeAsyncBudget / wire deadline_ms) overrides.
+	// budget (SubscribeRequest.Budget / wire deadline_ms) overrides.
 	MailboxDeadline time.Duration
 	// Tracer, when set, records the coordinator's causal spans (subscribe,
 	// fragment CSE hit vs residual admission, cache replay) into a
@@ -106,15 +107,12 @@ func (c Config) withDefaults() Config {
 // field is a pure function of the committed command sequence and the
 // upstream seed.
 type Stats struct {
-	Sessions       int64 `json:"sessions"`
-	ActiveSessions int   `json:"active_sessions"`
-	Subscribes     int64 `json:"subscribes"`
-	Unsubscribes   int64 `json:"unsubscribes"`
-	QuotaRejected  int64 `json:"quota_rejected"`
-	// DedupHits counts subscribers joining an already-live canonical
-	// query; Trees is the live canonical query gauge.
-	DedupHits int64 `json:"dedup_hits"`
-	Trees     int   `json:"trees"`
+	// Session and downstream delivery accounting, mirroring the gateway's
+	// (the kernel's counters). DedupHits counts subscribers joining an
+	// already-live canonical query.
+	tier.Stats
+	// Trees is the live canonical query gauge.
+	Trees int `json:"trees"`
 	// Fragment registry accounting: Created fragments paid an upstream
 	// admission (the residual cost), Reused ones were already streaming
 	// for another query, Cancelled ones were torn down at refcount zero.
@@ -137,21 +135,13 @@ type Stats struct {
 	MergedEpochs   int64 `json:"merged_epochs"`
 	PartialDropped int64 `json:"partial_dropped"`
 	LateDropped    int64 `json:"late_dropped"`
-	// Downstream delivery accounting, mirroring the gateway's.
-	Updates     int64 `json:"updates"`
-	Evicted     int64 `json:"evicted"`
-	RingDropped int64 `json:"ring_dropped"`
-	Resumes     int64 `json:"resumes"`
-	ResumeGaps  int64 `json:"resume_gaps"`
 	// Upstream failover accounting.
 	Reattaches      int64 `json:"reattaches"`
 	UpstreamResumes int64 `json:"upstream_resumes"`
 	// Resilience accounting: ReplaySheds counts cache replays skipped under
-	// brownout pressure, ShedDeadline counts subscribes shed because their
-	// mailbox sojourn exceeded the budget, DegradedEpochs counts released
-	// epochs built from degraded (partial-coverage) upstream updates.
+	// brownout pressure, DegradedEpochs counts released epochs built from
+	// degraded (partial-coverage) upstream updates.
 	ReplaySheds    int64 `json:"replay_sheds"`
-	ShedDeadline   int64 `json:"shed_deadline"`
 	DegradedEpochs int64 `json:"degraded_epochs"`
 }
 
@@ -210,19 +200,16 @@ type fragment struct {
 }
 
 // shareTree is one canonical downstream query: its plan, its fragment
-// composition and its subscribers.
+// composition and (the embedded group) its subscribers.
 type shareTree struct {
-	key   string
+	tier.Group
 	p     *sharePlan
 	frags []*fragment // parallel to p.frags
 	fresh bool        // some fragment was created for this tree (no warm cache)
-	qid   query.ID    // representative upstream query id (first fragment's)
-	subs  []*Sub      // ascending SubID
 	// pending buffers epochs until every fragment has contributed.
 	pending  map[sim.Time]*shareAcc
 	released sim.Time // newest instant delivered (or seeded by replay)
 	ring     []cachedEpoch
-	broken   error
 	// reused counts the fragments satisfied by cross-query sharing when
 	// the tree was established (provenance: Prov.Reused on deliveries).
 	reused int
@@ -240,78 +227,34 @@ func (tr *shareTree) acc(at sim.Time) *shareAcc {
 	return a
 }
 
-type scmdKind uint8
-
-const (
-	cmdSubscribe scmdKind = iota
-	cmdUnsubscribe
-	cmdClose
+// Session, Sub and Ticket are the kernel's: a registered downstream client,
+// one subscription to a composed fragment stream, and a staged command's
+// handle.
+type (
+	Session = tier.Session
+	Sub     = tier.Sub
+	Ticket  = tier.Ticket
 )
-
-// scmd is a staged downstream command, committed in deterministic
-// (session name, seq) order at the next Advance.
-type scmd struct {
-	kind scmdKind
-	sess *Session
-	seq  uint64
-	q    query.Query
-	id   gateway.SubID
-	done chan sres
-	// at/deadline implement the mailbox sojourn budget (see the gateway's
-	// command struct): a subscribe still staged past its budget at commit
-	// time is shed with resilience.ErrOverloaded.
-	at       time.Time
-	deadline time.Duration
-	// trace is the subscriber-propagated causal context (zero derives one
-	// at commit when tracing is enabled).
-	trace tracing.Context
-}
-
-type sres struct {
-	sub *Sub
-	err error
-}
-
-// Ticket is a staged subscribe/unsubscribe resolving at the next Advance.
-type Ticket struct {
-	done chan sres
-}
-
-// Wait blocks until the next Advance commits the command.
-func (t *Ticket) Wait() (*Sub, error) {
-	r := <-t.done
-	return r.sub, r.err
-}
-
-// pendingAck defers a subscribe reply past fragment resolution and cache
-// replay.
-type pendingAck struct {
-	c       *scmd
-	sub     *Sub
-	tr      *shareTree
-	newTree bool
-}
 
 // Coordinator is the sharing layer. It implements gateway.Backend, so the
 // TCP server (or any driver) fronts it exactly like a gateway or a
 // federation router.
 type Coordinator struct {
+	// k is the downstream surface: sessions, staged commands, tickets and
+	// per-subscriber streams, all guarded by mu.
+	k   *tier.Kernel
 	cfg Config
 
 	mu      sync.Mutex
 	up      Upstream
 	upSess  []UpstreamSession
 	upLoad  []int // live fragments per upstream session
-	closed  bool
-	nextSub gateway.SubID
 	nextTok uint64
 
-	sessions map[string]*Session
-	staged   []*scmd
-	frags    map[string]*fragment
-	trees    map[string]*shareTree
-	resolve  []*fragment // fragments with pending tickets
-	stats    Stats
+	frags   map[string]*fragment
+	trees   map[string]*shareTree
+	resolve []*fragment // fragments with pending tickets
+	stats   Stats
 }
 
 // New builds a coordinator over cfg.Upstream. The upstream must be fresh:
@@ -323,14 +266,41 @@ func New(cfg Config) (*Coordinator, error) {
 	if cfg.Sensors <= 0 {
 		return nil, fmt.Errorf("share: Config.Sensors must name the sensor id space (got %d)", cfg.Sensors)
 	}
+	cfg = cfg.withDefaults()
 	c := &Coordinator{
-		cfg:      cfg.withDefaults(),
-		up:       cfg.Upstream,
-		sessions: make(map[string]*Session),
-		frags:    make(map[string]*fragment),
-		trees:    make(map[string]*shareTree),
+		cfg:   cfg,
+		up:    cfg.Upstream,
+		frags: make(map[string]*fragment),
+		trees: make(map[string]*shareTree),
 	}
+	c.k = tier.New(tier.Config{
+		Name:            "share",
+		Mu:              &c.mu,
+		Buffer:          cfg.Buffer,
+		MaxSessions:     cfg.MaxSessions,
+		SessionQuota:    cfg.SessionQuota,
+		MailboxDeadline: cfg.MailboxDeadline,
+		Tracer:          cfg.Tracer,
+		NowMS:           c.nowMS,
+		Token:           c.mintToken,
+		ApplySubscribe:  c.applySubscribeLocked,
+		ReleaseGroup:    func(g *tier.Group) { c.teardownTreeLocked(c.trees[g.Key]) },
+	})
 	return c, nil
+}
+
+// Register creates a downstream session under a unique name; Attach
+// re-claims a detached one by name and token. RegisterSession and
+// AttachSession are the same two behind gateway.Backend.
+func (c *Coordinator) Register(name string) (*Session, error) { return c.k.Register(name) }
+func (c *Coordinator) Attach(name, token string) (*Session, []gateway.ResumeInfo, error) {
+	return c.k.Attach(name, token)
+}
+func (c *Coordinator) RegisterSession(name string) (gateway.ServerSession, error) {
+	return c.k.RegisterSession(name)
+}
+func (c *Coordinator) AttachSession(name, token string) (gateway.ServerSession, []gateway.ResumeInfo, error) {
+	return c.k.AttachSession(name, token)
 }
 
 // ShareStats snapshots the coordinator's own counters.
@@ -342,7 +312,7 @@ func (c *Coordinator) ShareStats() Stats {
 
 func (c *Coordinator) statsLocked() Stats {
 	st := c.stats
-	st.ActiveSessions = len(c.sessions)
+	st.Stats = c.k.StatsLocked()
 	st.Trees = len(c.trees)
 	st.FragmentsActive = len(c.frags)
 	st.UpstreamSessions = len(c.upSess)
@@ -366,369 +336,25 @@ func (c *Coordinator) ServeStats() (gateway.Stats, sim.Time, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	s := c.statsLocked()
-	st.Sessions = s.Sessions
-	st.ActiveSessions = s.ActiveSessions
-	st.Subscribes = s.Subscribes
-	st.Unsubscribes = s.Unsubscribes
-	st.DedupHits = s.DedupHits
-	st.QuotaRejected += s.QuotaRejected
-	st.Evicted += s.Evicted
-	st.RingDropped += s.RingDropped
-	st.Resumes = s.Resumes
-	st.ResumeGaps = s.ResumeGaps
+	s.Overlay(&st)
 	st.SharedQueries = s.Trees
-	st.Updates = s.Updates
-	active := 0
-	for _, sess := range c.sessions {
-		active += len(sess.live)
-	}
-	st.ActiveSubscriptions = active
 	return st, now, nil
 }
 
-func (c *Coordinator) mintToken(name string) string {
+// BrownoutLevel implements gateway.Backend: the rung Config.Pressure
+// reports (LevelNormal without one).
+func (c *Coordinator) BrownoutLevel() resilience.Level {
+	if c.cfg.Pressure == nil {
+		return resilience.LevelNormal
+	}
+	return c.cfg.Pressure()
+}
+
+func (c *Coordinator) mintToken(name string) (string, error) {
 	c.nextTok++
 	h := fnv.New64a()
 	fmt.Fprintf(h, "share:%s:%d", name, c.nextTok)
-	return fmt.Sprintf("%016x", h.Sum64())
-}
-
-// ---------------------------------------------------------------------------
-// Downstream sessions
-
-// Session is one registered downstream client.
-type Session struct {
-	c     *Coordinator
-	name  string
-	token string
-
-	// Guarded by c.mu.
-	seq      uint64
-	live     map[gateway.SubID]*Sub
-	attached bool
-	closed   bool
-}
-
-// Name returns the session's registered name.
-func (s *Session) Name() string { return s.name }
-
-// Token returns the resume token for Attach after a disconnect.
-func (s *Session) Token() string { return s.token }
-
-// Sub is one downstream subscription to a composed fragment stream. It
-// satisfies gateway.ServerSub.
-type Sub struct {
-	sess   *Session
-	tr     *shareTree
-	id     gateway.SubID
-	key    string
-	shared bool
-
-	// Guarded by sess.c.mu.
-	seq      uint64
-	ch       chan gateway.Update
-	ring     []gateway.Update // parked tail while detached
-	detached bool
-	reason   gateway.CloseReason
-	// trace/spanID are the subscription's causal-trace identity and its
-	// subscribe span (parent for the cache-replay span); zero untraced.
-	trace  uint64
-	spanID uint64
-}
-
-// ID returns the subscription id (unique within the coordinator).
-func (s *Sub) ID() gateway.SubID { return s.id }
-
-// TraceID reports the subscription's causal-trace identity (0 untraced).
-func (s *Sub) TraceID() uint64 { return s.trace }
-
-// Key returns the canonical downstream query text.
-func (s *Sub) Key() string { return s.key }
-
-// Shared reports whether the subscription joined a live canonical query.
-func (s *Sub) Shared() bool { return s.shared }
-
-// QueryID returns the representative upstream query id of the tree.
-func (s *Sub) QueryID() query.ID {
-	s.sess.c.mu.Lock()
-	defer s.sess.c.mu.Unlock()
-	return s.tr.qid
-}
-
-// Updates returns the live update channel (replaced on Resume).
-func (s *Sub) Updates() <-chan gateway.Update {
-	s.sess.c.mu.Lock()
-	defer s.sess.c.mu.Unlock()
-	return s.ch
-}
-
-// Reason reports why the channel closed (ReasonNone while live).
-func (s *Sub) Reason() gateway.CloseReason {
-	s.sess.c.mu.Lock()
-	defer s.sess.c.mu.Unlock()
-	return s.reason
-}
-
-// Register creates a downstream session.
-func (c *Coordinator) Register(name string) (*Session, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed {
-		return nil, gateway.ErrClosed
-	}
-	if _, dup := c.sessions[name]; dup {
-		return nil, fmt.Errorf("share: session %q already registered", name)
-	}
-	if len(c.sessions) >= c.cfg.MaxSessions {
-		return nil, fmt.Errorf("share: session limit %d reached", c.cfg.MaxSessions)
-	}
-	s := &Session{
-		c:        c,
-		name:     name,
-		token:    c.mintToken(name),
-		live:     make(map[gateway.SubID]*Sub),
-		attached: true,
-	}
-	c.sessions[name] = s
-	c.stats.Sessions++
-	return s, nil
-}
-
-// Attach re-claims a detached session by name and token.
-func (c *Coordinator) Attach(name, token string) (*Session, []gateway.ResumeInfo, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed {
-		return nil, nil, gateway.ErrClosed
-	}
-	s := c.sessions[name]
-	if s == nil {
-		return nil, nil, fmt.Errorf("share: no session %q", name)
-	}
-	if s.token != token {
-		return nil, nil, fmt.Errorf("share: bad token for session %q", name)
-	}
-	if s.attached {
-		return nil, nil, fmt.Errorf("share: session %q is already attached", name)
-	}
-	s.attached = true
-	infos := make([]gateway.ResumeInfo, 0, len(s.live))
-	for _, id := range sortedIDs(s.live) {
-		sub := s.live[id]
-		infos = append(infos, gateway.ResumeInfo{
-			ID: id, Key: sub.key, QueryID: sub.tr.qid, LastSeq: sub.seq,
-		})
-	}
-	return s, infos, nil
-}
-
-// RegisterSession implements gateway.Backend.
-func (c *Coordinator) RegisterSession(name string) (gateway.ServerSession, error) {
-	s, err := c.Register(name)
-	if err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
-// AttachSession implements gateway.Backend.
-func (c *Coordinator) AttachSession(name, token string) (gateway.ServerSession, []gateway.ResumeInfo, error) {
-	s, infos, err := c.Attach(name, token)
-	if err != nil {
-		return nil, nil, err
-	}
-	return s, infos, nil
-}
-
-// SubscribeAsync stages a subscription, committed at the next Advance.
-func (s *Session) SubscribeAsync(q query.Query) (*Ticket, error) {
-	return s.SubscribeAsyncBudget(q, 0)
-}
-
-// SubscribeAsyncBudget stages a subscription carrying a mailbox deadline
-// budget: a command still staged past the budget at commit time is shed
-// with resilience.ErrOverloaded. The budget is not forwarded to fragment
-// admissions — fragments are shared across trees, so one subscriber's
-// deadline must not cancel another's stream. Zero falls back to
-// Config.MailboxDeadline.
-func (s *Session) SubscribeAsyncBudget(q query.Query, budget time.Duration) (*Ticket, error) {
-	return s.SubscribeAsyncTraced(q, budget, tracing.Context{})
-}
-
-// SubscribeAsyncTraced is SubscribeAsyncBudget with a subscriber-propagated
-// causal-trace context: the coordinator's subscribe span parents on
-// tc.Span, and the context rides residual fragment admissions upstream so
-// every tier's spans join one trace. A zero context derives a
-// deterministic trace at commit.
-func (s *Session) SubscribeAsyncTraced(q query.Query, budget time.Duration, tc tracing.Context) (*Ticket, error) {
-	c := s.c
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed {
-		return nil, gateway.ErrClosed
-	}
-	if s.closed {
-		return nil, fmt.Errorf("share: session %q is closed", s.name)
-	}
-	s.seq++
-	cmd := &scmd{kind: cmdSubscribe, sess: s, seq: s.seq, q: q, done: make(chan sres, 1),
-		at: time.Now(), deadline: budget, trace: tc}
-	c.staged = append(c.staged, cmd)
-	return &Ticket{done: cmd.done}, nil
-}
-
-// SubscribeQuery implements gateway.ServerSession: parse, stage, wait.
-func (s *Session) SubscribeQuery(text string) (gateway.ServerSub, error) {
-	return s.SubscribeQueryBudget(text, 0)
-}
-
-// SubscribeQueryBudget implements gateway.BudgetSubscriber.
-func (s *Session) SubscribeQueryBudget(text string, budget time.Duration) (gateway.ServerSub, error) {
-	return s.SubscribeQueryTraced(text, budget, 0)
-}
-
-// SubscribeQueryTraced implements gateway.TracedSubscriber: the wire
-// trace_id (or a derived trace) keys every coordinator and upstream span
-// this subscription produces.
-func (s *Session) SubscribeQueryTraced(text string, budget time.Duration, trace uint64) (gateway.ServerSub, error) {
-	q, err := query.Parse(text)
-	if err != nil {
-		return nil, err
-	}
-	tk, err := s.SubscribeAsyncTraced(q, budget, tracing.Context{Trace: trace})
-	if err != nil {
-		return nil, err
-	}
-	sub, err := tk.Wait()
-	if err != nil {
-		return nil, err
-	}
-	return sub, nil
-}
-
-// UnsubscribeAsync stages an unsubscribe, committed at the next Advance.
-func (s *Session) UnsubscribeAsync(id gateway.SubID) (*Ticket, error) {
-	c := s.c
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed {
-		return nil, gateway.ErrClosed
-	}
-	if s.closed {
-		return nil, fmt.Errorf("share: session %q is closed", s.name)
-	}
-	s.seq++
-	cmd := &scmd{kind: cmdUnsubscribe, sess: s, seq: s.seq, id: id, done: make(chan sres, 1)}
-	c.staged = append(c.staged, cmd)
-	return &Ticket{done: cmd.done}, nil
-}
-
-// Unsubscribe implements gateway.ServerSession (blocks until commit).
-func (s *Session) Unsubscribe(id gateway.SubID) error {
-	tk, err := s.UnsubscribeAsync(id)
-	if err != nil {
-		return err
-	}
-	_, err = tk.Wait()
-	return err
-}
-
-// Detach releases the connection but keeps the session resumable: live
-// streams park their tails in bounded rings.
-func (s *Session) Detach() error {
-	c := s.c
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed {
-		return gateway.ErrClosed
-	}
-	if s.closed {
-		return fmt.Errorf("share: session %q is closed", s.name)
-	}
-	if !s.attached {
-		return fmt.Errorf("share: session %q is already detached", s.name)
-	}
-	s.attached = false
-	for _, id := range sortedIDs(s.live) {
-		s.live[id].detachLocked()
-	}
-	return nil
-}
-
-func (sub *Sub) detachLocked() {
-	if sub.detached || sub.reason != gateway.ReasonNone {
-		return
-	}
-	sub.detached = true
-	sub.reason = gateway.ReasonDetached
-	close(sub.ch)
-	for u := range sub.ch {
-		sub.pushRingLocked(u)
-	}
-}
-
-func (sub *Sub) pushRingLocked(u gateway.Update) {
-	c := sub.sess.c
-	sub.ring = append(sub.ring, u)
-	if max := c.cfg.Buffer; len(sub.ring) > max {
-		drop := len(sub.ring) - max
-		sub.ring = append(sub.ring[:0], sub.ring[drop:]...)
-		c.stats.RingDropped += int64(drop)
-	}
-}
-
-// Resume revives a detached stream from just after sequence `after`,
-// replaying the parked tail before going live. Implements
-// gateway.ServerSession.
-func (s *Session) Resume(id gateway.SubID, after uint64) (gateway.ServerSub, error) {
-	c := s.c
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed {
-		return nil, gateway.ErrClosed
-	}
-	if !s.attached {
-		return nil, fmt.Errorf("share: session %q is detached", s.name)
-	}
-	sub := s.live[id]
-	if sub == nil {
-		return nil, fmt.Errorf("share: session %q has no stream %d", s.name, id)
-	}
-	if !sub.detached {
-		return nil, fmt.Errorf("share: stream %d is already attached", id)
-	}
-	sub.ch = make(chan gateway.Update, c.cfg.Buffer)
-	if len(sub.ring) > 0 && sub.ring[0].Seq > after+1 {
-		c.stats.ResumeGaps++
-	}
-	for _, u := range sub.ring {
-		if u.Seq > after {
-			sub.ch <- u
-		}
-	}
-	sub.ring = nil
-	sub.detached = false
-	sub.reason = gateway.ReasonNone
-	c.stats.Resumes++
-	return sub, nil
-}
-
-// CloseAsync stages session teardown; completion lags until the next
-// Advance. Implements gateway.ServerSession.
-func (s *Session) CloseAsync() error {
-	c := s.c
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed {
-		return gateway.ErrClosed
-	}
-	if s.closed {
-		return nil
-	}
-	s.seq++
-	cmd := &scmd{kind: cmdClose, sess: s, seq: s.seq, done: make(chan sres, 1)}
-	c.staged = append(c.staged, cmd)
-	return nil
+	return fmt.Sprintf("%016x", h.Sum64()), nil
 }
 
 // ---------------------------------------------------------------------------
@@ -740,11 +366,12 @@ func (s *Session) CloseAsync() error {
 func (c *Coordinator) Advance(d time.Duration) (int, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.closed {
+	if c.k.ClosedLocked() {
 		return 0, gateway.ErrClosed
 	}
 
-	applied, acks := c.commitLocked()
+	// Subscribe acks are deferred past fragment resolution and cache replay.
+	applied, acks := c.k.CommitLocked()
 
 	_, upErr := c.up.Advance(d)
 
@@ -752,108 +379,23 @@ func (c *Coordinator) Advance(d time.Duration) (int, error) {
 	c.replayLocked(acks)
 	c.drainLocked()
 	c.releaseLocked()
-	c.ackLocked(acks)
+	c.k.AckLocked(acks)
 	return applied, upErr
 }
 
-func (c *Coordinator) commitLocked() (int, []pendingAck) {
-	staged := c.staged
-	c.staged = nil
-	sort.SliceStable(staged, func(i, j int) bool {
-		if staged[i].sess.name != staged[j].sess.name {
-			return staged[i].sess.name < staged[j].sess.name
-		}
-		return staged[i].seq < staged[j].seq
-	})
-	wall := time.Now()
-	var acks []pendingAck
-	for _, cmd := range staged {
-		switch cmd.kind {
-		case cmdSubscribe:
-			if err := c.checkDeadlineLocked(cmd, wall); err != nil {
-				cmd.done <- sres{err: err}
-				continue
-			}
-			ack, err := c.applySubscribeLocked(cmd)
-			if err != nil {
-				cmd.done <- sres{err: err}
-				continue
-			}
-			acks = append(acks, ack)
-		case cmdUnsubscribe:
-			cmd.done <- sres{err: c.applyUnsubscribeLocked(cmd)}
-		case cmdClose:
-			c.applyCloseLocked(cmd.sess)
-			cmd.done <- sres{}
-		}
-	}
-	return len(staged), acks
-}
-
-// checkDeadlineLocked sheds a staged subscribe whose mailbox sojourn
-// (stage to commit, wall clock) exceeded its budget.
-func (c *Coordinator) checkDeadlineLocked(cmd *scmd, wall time.Time) error {
-	budget := cmd.deadline
-	if budget <= 0 {
-		budget = c.cfg.MailboxDeadline
-	}
-	if budget <= 0 || cmd.at.IsZero() || wall.Sub(cmd.at) <= budget {
-		return nil
-	}
-	c.stats.ShedDeadline++
-	return &resilience.OverloadError{RetryAfter: gateway.DefaultShedRetryAfter, Reason: "deadline"}
-}
-
-func (c *Coordinator) applySubscribeLocked(cmd *scmd) (pendingAck, error) {
-	s := cmd.sess
-	if s.closed {
-		return pendingAck{}, fmt.Errorf("share: session %q is closed", s.name)
-	}
-	if len(s.live) >= c.cfg.SessionQuota {
-		c.stats.QuotaRejected++
-		return pendingAck{}, fmt.Errorf("share: session %q is at its quota of %d subscriptions",
-			s.name, c.cfg.SessionQuota)
-	}
-	p, err := planShare(cmd.q, c.cfg.Sensors, c.cfg.Cell)
+// applySubscribeLocked is the kernel's admission hook: join the query's live
+// tree, or plan a new one as a composition of fragments — the ones already
+// streaming are shared, only the residual is admitted upstream.
+func (c *Coordinator) applySubscribeLocked(a tier.Admission) (*tier.Group, error) {
+	p, err := planShare(a.Query, c.cfg.Sensors, c.cfg.Cell)
 	if err != nil {
-		return pendingAck{}, err
+		return nil, err
 	}
-	c.stats.Subscribes++
-	trace, subSpan := c.traceSubscribeLocked(cmd)
-	tr := c.trees[p.key]
-	newTree := tr == nil
-	if newTree {
-		tr = &shareTree{key: p.key, p: p}
-		for i, fq := range p.frags {
-			fr := c.frags[fq.key]
-			if fr == nil {
-				fctx := c.traceFragLocked(trace, subSpan, tracing.KindResidualAdmit, fq.key)
-				fr, err = c.materializeLocked(fq, fctx)
-				if err != nil {
-					// Roll back the references this tree already took.
-					for _, held := range tr.frags {
-						c.decrefLocked(held, tr)
-					}
-					return pendingAck{}, err
-				}
-				tr.fresh = true
-				c.stats.FragmentsCreated++
-			} else {
-				c.traceFragLocked(trace, subSpan, tracing.KindCSEHit, fq.key)
-				tr.reused++
-				c.stats.FragmentsReused++
-			}
-			fr.refs++
-			fr.trees = append(fr.trees, fragRef{tr: tr, idx: i})
-			tr.frags = append(tr.frags, fr)
-		}
-		c.trees[p.key] = tr
-	} else {
-		c.stats.DedupHits++
-		if c.cfg.Tracer != nil && trace != 0 {
+	if tr := c.trees[p.key]; tr != nil {
+		if c.cfg.Tracer != nil {
 			c.cfg.Tracer.Record(tracing.Span{
-				Trace:  trace,
-				Parent: subSpan,
+				Trace:  a.Trace,
+				Parent: a.Span,
 				Kind:   tracing.KindDedupHit,
 				Shard:  tracing.NoShard,
 				AtMS:   c.nowMS(),
@@ -862,47 +404,34 @@ func (c *Coordinator) applySubscribeLocked(cmd *scmd) (pendingAck, error) {
 				Note:   p.key,
 			})
 		}
+		return &tr.Group, nil
 	}
-	c.nextSub++
-	sub := &Sub{
-		sess:   s,
-		tr:     tr,
-		id:     c.nextSub,
-		key:    p.key,
-		shared: !newTree,
-		trace:  trace,
-		spanID: subSpan,
-		ch:     make(chan gateway.Update, c.cfg.Buffer),
+	tr := &shareTree{Group: tier.Group{Key: p.key}, p: p}
+	for i, fq := range p.frags {
+		fr := c.frags[fq.key]
+		if fr == nil {
+			fctx := c.traceFragLocked(a.Trace, a.Span, tracing.KindResidualAdmit, fq.key)
+			fr, err = c.materializeLocked(fq, fctx)
+			if err != nil {
+				// Roll back the references this tree already took.
+				for _, held := range tr.frags {
+					c.decrefLocked(held, tr)
+				}
+				return nil, err
+			}
+			tr.fresh = true
+			c.stats.FragmentsCreated++
+		} else {
+			c.traceFragLocked(a.Trace, a.Span, tracing.KindCSEHit, fq.key)
+			tr.reused++
+			c.stats.FragmentsReused++
+		}
+		fr.refs++
+		fr.trees = append(fr.trees, fragRef{tr: tr, idx: i})
+		tr.frags = append(tr.frags, fr)
 	}
-	if !s.attached {
-		sub.detached = true
-		sub.reason = gateway.ReasonDetached
-	}
-	tr.subs = append(tr.subs, sub)
-	s.live[sub.id] = sub
-	return pendingAck{c: cmd, sub: sub, tr: tr, newTree: newTree}, nil
-}
-
-// traceSubscribeLocked assigns a committed subscribe its causal trace
-// (propagated or derived from session name + staged seq) and records the
-// share tier's subscribe hop. Returns zeros when tracing is off.
-func (c *Coordinator) traceSubscribeLocked(cmd *scmd) (trace, span uint64) {
-	if c.cfg.Tracer == nil {
-		return 0, 0
-	}
-	trace = cmd.trace.Trace
-	if trace == 0 {
-		trace = tracing.TraceID(cmd.sess.name, cmd.seq)
-	}
-	span = c.cfg.Tracer.Record(tracing.Span{
-		Trace:  trace,
-		Parent: cmd.trace.Span,
-		Kind:   tracing.KindSubscribe,
-		Shard:  tracing.NoShard,
-		AtMS:   c.nowMS(),
-		Seq:    cmd.seq,
-	})
-	return trace, span
+	c.trees[p.key] = tr
+	return &tr.Group, nil
 }
 
 // traceFragLocked records one fragment hop (residual-admit or cse-hit)
@@ -954,10 +483,12 @@ func (c *Coordinator) materializeLocked(fq fragQuery, fctx tracing.Context) (*fr
 		c.upLoad = append(c.upLoad, 0)
 		idx = len(c.upSess) - 1
 	}
+	// Without a trace context to forward, admit through the plain seam
+	// method, so a decorated Upstream sees every admission.
 	var tk UpstreamTicket
 	var err error
 	if ts, ok := c.upSess[idx].(tracedUpstreamSession); ok && fctx.Trace != 0 {
-		tk, err = ts.SubscribeAsyncTraced(fq.q, fctx)
+		tk, err = ts.subscribeTraced(fq.q, fctx)
 	} else {
 		tk, err = c.upSess[idx].SubscribeAsync(fq.q)
 	}
@@ -1000,61 +531,12 @@ func (c *Coordinator) decrefLocked(fr *fragment, tr *shareTree) {
 	fr.sub = nil
 }
 
-func (c *Coordinator) applyUnsubscribeLocked(cmd *scmd) error {
-	s := cmd.sess
-	sub := s.live[cmd.id]
-	if sub == nil {
-		return fmt.Errorf("share: session %q has no subscription %d", s.name, cmd.id)
-	}
-	c.stats.Unsubscribes++
-	c.dropSubLocked(sub, gateway.ReasonUnsubscribed)
-	return nil
-}
-
-func (c *Coordinator) applyCloseLocked(s *Session) {
-	if s.closed {
-		return
-	}
-	for _, id := range sortedIDs(s.live) {
-		c.dropSubLocked(s.live[id], gateway.ReasonShutdown)
-	}
-	s.closed = true
-	s.attached = false
-	delete(c.sessions, s.name)
-}
-
-// dropSubLocked closes a downstream stream and, on last-unsubscribe,
-// tears its tree down (releasing the fragment references).
-func (c *Coordinator) dropSubLocked(sub *Sub, reason gateway.CloseReason) {
-	s := sub.sess
-	delete(s.live, sub.id)
-	if sub.reason == gateway.ReasonNone || sub.detached {
-		if sub.detached {
-			sub.ring = nil
-			sub.reason = reason
-		} else {
-			sub.reason = reason
-			close(sub.ch)
-		}
-	}
-	tr := sub.tr
-	for i, other := range tr.subs {
-		if other == sub {
-			tr.subs = append(tr.subs[:i], tr.subs[i+1:]...)
-			break
-		}
-	}
-	if len(tr.subs) == 0 {
-		c.teardownTreeLocked(tr)
-	}
-}
-
 func (c *Coordinator) teardownTreeLocked(tr *shareTree) {
 	for _, fr := range tr.frags {
 		c.decrefLocked(fr, tr)
 	}
 	tr.frags = nil
-	delete(c.trees, tr.key)
+	delete(c.trees, tr.Key)
 }
 
 // resolveFragsLocked collects the fragment tickets staged at commit (the
@@ -1067,8 +549,8 @@ func (c *Coordinator) resolveFragsLocked() {
 		fr.tk = nil
 		if err != nil {
 			for _, ref := range fr.trees {
-				if ref.tr.broken == nil {
-					ref.tr.broken = fmt.Errorf("share: fragment admission %q: %w", fr.key, err)
+				if ref.tr.Broken == nil {
+					ref.tr.Broken = fmt.Errorf("share: fragment admission %q: %w", fr.key, err)
 				}
 			}
 			continue
@@ -1083,7 +565,7 @@ func (c *Coordinator) resolveFragsLocked() {
 		fr.lastSeq = 0
 		for _, ref := range fr.trees {
 			if ref.idx == 0 {
-				ref.tr.qid = sub.QueryID()
+				ref.tr.QID = sub.QueryID()
 			}
 		}
 	}
@@ -1094,34 +576,21 @@ func (c *Coordinator) resolveFragsLocked() {
 // time monotonic. A subscriber joining a live tree replays the tree's own
 // released window; the first subscriber of a new tree whose fragments all
 // pre-existed gets a window synthesized from the fragment caches.
-func (c *Coordinator) replayLocked(acks []pendingAck) {
-	if p := c.cfg.Pressure; p != nil && p() >= resilience.LevelNoReplay {
-		// Brownout: replay is the first work shed. Fresh subscribers go
-		// live without history instead of costing a window of pushes each.
-		for _, a := range acks {
-			if a.tr.broken == nil {
-				c.stats.ReplaySheds++
-			}
-		}
-		return
-	}
-	if c.cfg.Window <= 0 {
-		for _, a := range acks {
-			if a.tr.broken == nil {
-				c.stats.CacheMisses++
-			}
-		}
-		return
-	}
-	synthesized := make(map[*shareTree]bool)
+func (c *Coordinator) replayLocked(acks []tier.Ack) {
+	// Brownout: replay is the first work shed. Fresh subscribers go live
+	// without history instead of costing a window of pushes each.
+	shed := c.BrownoutLevel() >= resilience.LevelNoReplay
 	for _, a := range acks {
-		tr := a.tr
-		if tr.broken != nil {
+		tr := c.trees[a.Sub.Key()]
+		if tr == nil || &tr.Group != a.Sub.Group() || tr.Broken != nil {
+			continue // left in the commit that admitted it, or broken
+		}
+		if shed {
+			c.stats.ReplaySheds++
 			continue
 		}
-		if a.newTree && !tr.fresh && !synthesized[tr] {
+		if !a.Sub.Shared() && !tr.fresh && c.cfg.Window > 0 {
 			c.synthesizeLocked(tr)
-			synthesized[tr] = true
 		}
 		if len(tr.ring) == 0 {
 			c.stats.CacheMisses++
@@ -1129,15 +598,16 @@ func (c *Coordinator) replayLocked(acks []pendingAck) {
 		}
 		c.stats.CacheHits++
 		for _, e := range tr.ring {
-			c.pushLocked(tr, a.sub, e, true)
+			u := c.updateLocked(tr, e, true)
+			a.Sub.Push(&u)
 			c.stats.ReplayedEpochs++
 		}
-		if c.cfg.Tracer != nil && a.sub.trace != 0 {
+		if c.cfg.Tracer != nil {
 			oldest := time.Duration(tr.ring[0].at).Milliseconds()
 			newest := time.Duration(tr.ring[len(tr.ring)-1].at).Milliseconds()
 			c.cfg.Tracer.Record(tracing.Span{
-				Trace:    a.sub.trace,
-				Parent:   a.sub.spanID,
+				Trace:    a.Sub.TraceID(),
+				Parent:   a.Sub.SpanID(),
 				Kind:     tracing.KindCacheReplay,
 				Shard:    tracing.NoShard,
 				AtMS:     c.nowMS(),
@@ -1192,7 +662,7 @@ func (c *Coordinator) synthesizeLocked(tr *shareTree) {
 // drainLocked empties every live fragment stream into the referencing
 // trees' epoch accumulators and the fragment's cache ring.
 func (c *Coordinator) drainLocked() {
-	for _, key := range sortedFragKeys(c.frags) {
+	for _, key := range tier.SortedKeys(c.frags) {
 		fr := c.frags[key]
 		if fr.sub == nil {
 			continue
@@ -1239,17 +709,12 @@ func (c *Coordinator) mergeLocked(fr *fragment, u gateway.Update) {
 // epochs: a fragment that skipped it will not revisit it) and is dropped
 // rather than delivered with wrong partial values.
 func (c *Coordinator) releaseLocked() {
-	for _, key := range sortedTreeKeys(c.trees) {
+	for _, key := range tier.SortedKeys(c.trees) {
 		tr := c.trees[key]
 		if len(tr.pending) == 0 {
 			continue
 		}
-		ats := make([]sim.Time, 0, len(tr.pending))
-		for at := range tr.pending {
-			ats = append(ats, at)
-		}
-		sort.Slice(ats, func(i, j int) bool { return ats[i] < ats[j] })
-		for _, at := range ats {
+		for _, at := range tier.SortedKeys(tr.pending) {
 			acc := tr.pending[at]
 			if !acc.complete(len(tr.frags)) {
 				continue
@@ -1277,7 +742,7 @@ func (c *Coordinator) releaseLocked() {
 			c.stats.PartialDropped++
 		}
 		// A tree can lose its last subscriber via eviction during release.
-		if len(tr.subs) == 0 {
+		if tr.Empty() {
 			c.teardownTreeLocked(tr)
 		}
 	}
@@ -1297,28 +762,17 @@ func (c *Coordinator) releaseEpochLocked(tr *shareTree, acc *shareAcc) {
 			tr.ring = append(tr.ring[:0], tr.ring[len(tr.ring)-c.cfg.Window:]...)
 		}
 	}
-	var evicted []*Sub
-	for _, sub := range tr.subs {
-		if !c.pushLocked(tr, sub, e, false) {
-			evicted = append(evicted, sub)
-		}
-	}
-	for _, sub := range evicted {
-		c.stats.Evicted++
-		c.dropSubEvictedLocked(sub)
-	}
+	u := c.updateLocked(tr, e, false)
+	tr.Deliver(&u)
 }
 
-// pushLocked delivers one epoch to one subscriber without blocking,
-// reporting false when the subscriber has stalled past its buffer bound.
-// replay marks cache-window deliveries so the provenance record
+// updateLocked shapes one epoch for delivery to tr's subscribers; the
+// kernel stamps each copy with its subscriber's id, sequence number and
+// trace. replay marks cache-window deliveries so the provenance record
 // distinguishes them from live releases.
-func (c *Coordinator) pushLocked(tr *shareTree, sub *Sub, e cachedEpoch, replay bool) bool {
-	sub.seq++
+func (c *Coordinator) updateLocked(tr *shareTree, e cachedEpoch, replay bool) gateway.Update {
 	u := gateway.Update{
-		Sub:      sub.id,
-		QueryID:  tr.qid,
-		Seq:      sub.seq,
+		QueryID:  tr.QID,
 		At:       e.at,
 		Rows:     e.rows,
 		Aggs:     e.aggs,
@@ -1326,63 +780,16 @@ func (c *Coordinator) pushLocked(tr *shareTree, sub *Sub, e cachedEpoch, replay 
 		Coverage: e.coverage,
 		Enqueued: time.Now(),
 	}
-	if sub.trace != 0 {
-		u.Trace = sub.trace
+	if c.cfg.Tracer != nil {
 		u.Prov = tracing.Prov{
 			Shards:   e.shards,
 			Frags:    uint16(len(tr.frags)),
 			Reused:   uint16(tr.reused),
 			CacheHit: replay,
-		}
-		if p := c.cfg.Pressure; p != nil {
-			u.Prov.Rung = uint8(p())
+			Rung:     uint8(c.BrownoutLevel()),
 		}
 	}
-	if sub.detached {
-		sub.pushRingLocked(u)
-		c.stats.Updates++
-		return true
-	}
-	select {
-	case sub.ch <- u:
-		c.stats.Updates++
-		return true
-	default:
-		return false
-	}
-}
-
-// dropSubEvictedLocked removes an overflowed subscriber without tearing
-// the tree down mid-release (releaseLocked sweeps empty trees after).
-// The fragment refcounts release through the same teardown as explicit
-// cancels, so an evicted slow consumer never strands upstream queries.
-func (c *Coordinator) dropSubEvictedLocked(sub *Sub) {
-	delete(sub.sess.live, sub.id)
-	sub.reason = gateway.ReasonEvicted
-	close(sub.ch)
-	tr := sub.tr
-	for i, other := range tr.subs {
-		if other == sub {
-			tr.subs = append(tr.subs[:i], tr.subs[i+1:]...)
-			break
-		}
-	}
-}
-
-// ackLocked replies to the deferred subscribe commands, failing those
-// whose trees broke during fragment establishment.
-func (c *Coordinator) ackLocked(acks []pendingAck) {
-	for _, a := range acks {
-		if a.tr.broken != nil {
-			err := a.tr.broken
-			if _, live := a.sub.sess.live[a.sub.id]; live {
-				c.dropSubLocked(a.sub, gateway.ReasonShutdown)
-			}
-			a.c.done <- sres{err: err}
-			continue
-		}
-		a.c.done <- sres{sub: a.sub}
-	}
+	return u
 }
 
 // ---------------------------------------------------------------------------
@@ -1398,7 +805,7 @@ func (c *Coordinator) ackLocked(acks []pendingAck) {
 func (c *Coordinator) Reattach(up Upstream) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.closed {
+	if c.k.ClosedLocked() {
 		return gateway.ErrClosed
 	}
 	fresh := make([]UpstreamSession, len(c.upSess))
@@ -1412,7 +819,7 @@ func (c *Coordinator) Reattach(up Upstream) error {
 	c.up = up
 	c.upSess = fresh
 	c.stats.Reattaches++
-	for _, key := range sortedFragKeys(c.frags) {
+	for _, key := range tier.SortedKeys(c.frags) {
 		fr := c.frags[key]
 		fr.sess = fresh[fr.sessIdx]
 		if fr.id == 0 {
@@ -1433,52 +840,9 @@ func (c *Coordinator) Reattach(up Upstream) error {
 func (c *Coordinator) Close() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.closed {
+	if c.k.ClosedLocked() {
 		return gateway.ErrClosed
 	}
-	for _, name := range sortedSessionNames(c.sessions) {
-		c.applyCloseLocked(c.sessions[name])
-	}
-	for _, cmd := range c.staged {
-		cmd.done <- sres{err: gateway.ErrClosed}
-	}
-	c.staged = nil
-	c.closed = true
+	c.k.CloseLocked()
 	return nil
-}
-
-func sortedIDs(m map[gateway.SubID]*Sub) []gateway.SubID {
-	ids := make([]gateway.SubID, 0, len(m))
-	for id := range m {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
-}
-
-func sortedFragKeys(m map[string]*fragment) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-func sortedTreeKeys(m map[string]*shareTree) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-func sortedSessionNames(m map[string]*Session) []string {
-	names := make([]string, 0, len(m))
-	for n := range m {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }

@@ -76,7 +76,7 @@ func newTestCoord(t *testing.T, gcfg gateway.Config, ccfg Config) (*Coordinator,
 
 func stageShare(t *testing.T, s *Session, text string) *Ticket {
 	t.Helper()
-	tk, err := s.SubscribeAsync(query.MustParse(text))
+	tk, err := s.SubscribeAsync(gateway.SubscribeRequest{Query: query.MustParse(text)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,8 +143,44 @@ func TestPlanShareDecomposition(t *testing.T) {
 			t.Errorf("fragment %d aggs %v, want SUM+COUNT basis", i, fq.q.Aggs)
 		}
 	}
-	if len(p.avg) != 1 {
-		t.Errorf("avg basis map has %d entries, want 1", len(p.avg))
+
+	// Cell boundaries: a cut falls only where it bounds a whole cell inside
+	// the region, the region is clipped to the deployment, and a region that
+	// misses it is an error rather than a plan with no fragments.
+	for _, c := range []struct {
+		lo, hi float64
+		want   [][2]int // nil: rejected
+	}{
+		{5, 8, [][2]int{{5, 8}}},                     // exactly one cell
+		{2, 3, [][2]int{{2, 3}}},                     // inside one cell
+		{3, 6, [][2]int{{3, 6}}},                     // straddles a boundary, holds no whole cell
+		{3, 8, [][2]int{{3, 4}, {5, 8}}},             // left residual + whole cell
+		{5, 10, [][2]int{{5, 8}, {9, 10}}},           // whole cell + right residual
+		{2.5, 9.5, [][2]int{{3, 4}, {5, 8}, {9, 9}}}, // fractional bounds round inward
+		{float64(testSensors) - 1, 1000, [][2]int{{testSensors - 1, testSensors}}},
+		{float64(testSensors) + 1, 1000, nil},
+		{0.2, 0.8, nil},
+	} {
+		text := fmt.Sprintf("SELECT SUM(light) WHERE nodeid >= %g AND nodeid <= %g EPOCH DURATION 8192ms", c.lo, c.hi)
+		p, err := planShare(query.MustParse(text), testSensors, testCell)
+		if c.want == nil {
+			if err == nil {
+				t.Errorf("[%g,%g]: planned %d fragments for a region that misses the deployment", c.lo, c.hi, len(p.frags))
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("[%g,%g]: %v", c.lo, c.hi, err)
+			continue
+		}
+		var got [][2]int
+		for _, fq := range p.frags {
+			pred, _ := fq.q.PredFor(field.AttrNodeID)
+			got = append(got, [2]int{int(pred.Min), int(pred.Max)})
+		}
+		if fmt.Sprint(got) != fmt.Sprint(c.want) {
+			t.Errorf("[%g,%g]: fragments %v, want %v", c.lo, c.hi, got, c.want)
+		}
 	}
 
 	// A query naming the full range explicitly and one with no region
@@ -225,7 +261,7 @@ func TestCoordinatorSharesFragments(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dtk, err := direct.SubscribeAsync(query.MustParse("SELECT SUM(light) WHERE nodeid >= 1 AND nodeid <= 8 EPOCH DURATION 8192ms"))
+	dtk, err := direct.SubscribeAsync(gateway.SubscribeRequest{Query: query.MustParse("SELECT SUM(light) WHERE nodeid >= 1 AND nodeid <= 8 EPOCH DURATION 8192ms")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +346,7 @@ func TestCoordinatorAvgComposition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dtk, err := direct.SubscribeAsync(query.MustParse("SELECT AVG(temp) EPOCH DURATION 8192ms"))
+	dtk, err := direct.SubscribeAsync(gateway.SubscribeRequest{Query: query.MustParse("SELECT AVG(temp) EPOCH DURATION 8192ms")})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,18 +9,17 @@
 // query set, and plans every new query as a composition of fragments that
 // already stream plus a minimal residual — only the residual reaches the
 // optimizer and pays a network flood. Fragment streams are recombined per
-// epoch (SUM/COUNT add, MIN/MAX fold, AVG from a SUM+COUNT basis exactly
-// as the federation merger does) to synthesize each subscriber's answer.
+// epoch with the partial-aggregate algebra the federation merger also uses
+// (tier.Basis / tier.Acc) to synthesize each subscriber's answer.
 package share
 
 import (
-	"math"
 	"sort"
 
-	"repro/internal/field"
 	"repro/internal/gateway"
 	"repro/internal/query"
 	"repro/internal/sim"
+	"repro/internal/tier"
 )
 
 // fragQuery is one shareable fragment: a grid-aligned (or edge-residual)
@@ -28,12 +27,6 @@ import (
 type fragQuery struct {
 	q   query.Query
 	key string // canonical key of q; the registry identity
-}
-
-// avgSrc names the basis aggregates a downstream AVG recombines from.
-type avgSrc struct {
-	sum query.Agg
-	cnt query.Agg
 }
 
 // sharePlan is the decomposition of one canonical downstream query.
@@ -46,8 +39,6 @@ type sharePlan struct {
 	// and cached by key.
 	passthrough bool
 	frags       []fragQuery
-	// avg maps a downstream AVG agg to its SUM/COUNT basis pair.
-	avg map[query.Agg]avgSrc
 }
 
 // planShare canonicalizes q and decomposes it into cell-aligned fragments
@@ -79,94 +70,26 @@ func planShare(q query.Query, sensors, cell int) (*sharePlan, error) {
 		return p, nil
 	}
 
-	// Basis-aggregate rewrite: AVG is not recombinable from AVG partials,
-	// so fragments stream SUM+COUNT instead (deduplicated against explicit
-	// SUMs/COUNTs, mirroring the federation planner).
+	// The queried sensor ids, clipped to the deployment.
+	region, err := tier.Region(n, sensors)
+	if err != nil {
+		return nil, err
+	}
 	upAggs := n.Aggs
 	if p.agg {
-		upAggs = make([]query.Agg, 0, len(n.Aggs)+2)
-		seen := make(map[query.Agg]bool, len(n.Aggs)+2)
-		add := func(a query.Agg) {
-			if !seen[a] {
-				seen[a] = true
-				upAggs = append(upAggs, a)
-			}
-		}
-		for _, a := range n.Aggs {
-			if a.Op != query.Avg {
-				add(a)
-				continue
-			}
-			src := avgSrc{
-				sum: query.Agg{Op: query.Sum, Attr: a.Attr},
-				cnt: query.Agg{Op: query.Count, Attr: a.Attr},
-			}
-			add(src.sum)
-			add(src.cnt)
-			if p.avg == nil {
-				p.avg = make(map[query.Agg]avgSrc, 1)
-			}
-			p.avg[a] = src
-		}
+		upAggs = tier.Basis(n.Aggs)
 	}
-
-	// The queried sensor id range, clipped to the deployment.
-	lo, hi := 1, sensors
-	if pred, ok := n.PredFor(field.AttrNodeID); ok {
-		lo = int(math.Ceil(math.Max(pred.Min, 1)))
-		hi = int(math.Floor(math.Min(pred.Max, float64(sensors))))
+	// Cut at the cell grid: interior cells are whole, the edges keep exact
+	// residual ranges. A region holding no whole cell stays one fragment.
+	pieces := tier.Split(region, cell)
+	if len(pieces) == 2 && pieces[0].Len() < cell && pieces[1].Len() < cell {
+		pieces = []tier.Range{region}
 	}
-
-	mkFrag := func(flo, fhi int) fragQuery {
-		f := n.Clone()
-		f.Aggs = append([]query.Agg(nil), upAggs...)
-		f.Lifetime = 0
-		preds := f.Preds[:0]
-		for _, pr := range f.Preds {
-			if pr.Attr != field.AttrNodeID {
-				preds = append(preds, pr)
-			}
-		}
-		// Drop the region predicate when the fragment covers the whole
-		// deployment so equal-coverage queries share one canonical form.
-		if flo > 1 || fhi < sensors {
-			preds = append(preds, query.Predicate{
-				Attr: field.AttrNodeID, Min: float64(flo), Max: float64(fhi),
-			})
-		}
-		f.Preds = preds
-		f = f.Normalize()
-		return fragQuery{q: f, key: f.String()}
-	}
-
-	// Aligned interior cells: [s, s+cell-1] with s ≡ 1 (mod cell).
-	first := ((lo-1+cell-1)/cell)*cell + 1
-	cur := lo
-	for s := first; s+cell-1 <= hi; s += cell {
-		if s > cur {
-			p.frags = append(p.frags, mkFrag(cur, s-1)) // left edge residual
-		}
-		p.frags = append(p.frags, mkFrag(s, s+cell-1))
-		cur = s + cell
-	}
-	if cur <= hi {
-		p.frags = append(p.frags, mkFrag(cur, hi)) // right residual (or whole range)
+	for _, r := range pieces {
+		f := tier.Piece(n, upAggs, r, sensors)
+		p.frags = append(p.frags, fragQuery{q: f, key: f.String()})
 	}
 	return p, nil
-}
-
-// accKey identifies one partial-aggregate accumulator within an epoch.
-type accKey struct {
-	agg   query.Agg
-	group int64
-}
-
-// accPartial folds per-fragment aggregate results of one (agg, group).
-type accPartial struct {
-	sum   float64
-	min   float64
-	max   float64
-	count int64 // contributing non-empty partials
 }
 
 // shareAcc accumulates one virtual instant's fragment results until every
@@ -175,8 +98,7 @@ type shareAcc struct {
 	at   sim.Time
 	got  map[int]bool // fragment indices seen this epoch
 	rows []query.Row
-	aggs map[accKey]*accPartial
-	ord  []accKey
+	tier.Acc
 	// degraded/coverage propagate partial shard coverage from upstream
 	// (federation breaker exclusions): the composed epoch is degraded if
 	// any fragment's was, at the worst fragment's coverage fraction.
@@ -213,27 +135,8 @@ func (a *shareAcc) add(idx int, u gateway.Update) {
 		}
 	}
 	a.rows = append(a.rows, u.Rows...)
-	if len(u.Aggs) == 0 {
-		return
-	}
-	if a.aggs == nil {
-		a.aggs = make(map[accKey]*accPartial, len(u.Aggs))
-	}
-	for _, r := range u.Aggs {
-		k := accKey{agg: r.Agg, group: r.Group}
-		p, ok := a.aggs[k]
-		if !ok {
-			p = &accPartial{min: math.Inf(1), max: math.Inf(-1)}
-			a.aggs[k] = p
-			a.ord = append(a.ord, k)
-		}
-		if r.Empty {
-			continue
-		}
-		p.count++
-		p.sum += r.Value
-		p.min = math.Min(p.min, r.Value)
-		p.max = math.Max(p.max, r.Value)
+	if len(u.Aggs) > 0 {
+		a.Add(u.Aggs)
 	}
 }
 
@@ -249,52 +152,5 @@ func (a *shareAcc) finish(p *sharePlan) ([]query.Row, []query.AggResult) {
 	if !p.agg {
 		return rows, nil
 	}
-
-	groupSet := make(map[int64]bool, 4)
-	for _, k := range a.ord {
-		groupSet[k.group] = true
-	}
-	groups := make([]int64, 0, len(groupSet))
-	for g := range groupSet {
-		groups = append(groups, g)
-	}
-	sort.Slice(groups, func(i, j int) bool { return groups[i] < groups[j] })
-
-	out := make([]query.AggResult, 0, len(p.q.Aggs)*len(groups))
-	for _, ag := range p.q.Aggs {
-		for _, g := range groups {
-			r := query.AggResult{Time: a.at, Agg: ag, Group: g}
-			if src, ok := p.avg[ag]; ok {
-				sum, sok := a.aggs[accKey{agg: src.sum, group: g}]
-				cnt, cok := a.aggs[accKey{agg: src.cnt, group: g}]
-				if !sok || !cok || cnt.count == 0 || cnt.sum == 0 {
-					r.Empty = true
-				} else {
-					r.Value = sum.sum / cnt.sum
-				}
-				out = append(out, r)
-				continue
-			}
-			pt, ok := a.aggs[accKey{agg: ag, group: g}]
-			if !ok || pt.count == 0 {
-				r.Empty = true
-				out = append(out, r)
-				continue
-			}
-			switch ag.Op {
-			case query.Sum, query.Count:
-				r.Value = pt.sum
-			case query.Min:
-				r.Value = pt.min
-			case query.Max:
-				r.Value = pt.max
-			case query.Avg:
-				// Only reachable on passthrough plans (single exact
-				// fragment), where folding one AVG partial is the identity.
-				r.Value = pt.sum / float64(pt.count)
-			}
-			out = append(out, r)
-		}
-	}
-	return rows, out
+	return rows, a.Finish(a.at, p.q.Aggs)
 }

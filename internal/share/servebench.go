@@ -71,7 +71,7 @@ func BenchServe(rep *gateway.ServeBenchReport) error {
 		if err != nil {
 			return err
 		}
-		if tks[i], err = sess.SubscribeAsync(query.MustParse(text)); err != nil {
+		if tks[i], err = sess.SubscribeAsync(gateway.SubscribeRequest{Query: query.MustParse(text)}); err != nil {
 			return err
 		}
 	}
@@ -117,7 +117,7 @@ func BenchServe(rep *gateway.ServeBenchReport) error {
 		return err
 	}
 	warmAt := elapsed
-	tw, err := late.SubscribeAsync(query.MustParse(texts[0]))
+	tw, err := late.SubscribeAsync(gateway.SubscribeRequest{Query: query.MustParse(texts[0])})
 	if err != nil {
 		return err
 	}

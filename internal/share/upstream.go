@@ -43,9 +43,10 @@ type UpstreamTicket interface {
 // tracedUpstreamSession is the optional UpstreamSession extension for
 // causal tracing: a residual fragment admission carries the coordinator's
 // trace context upstream so the gateway/router spans it causes join the
-// fragment's trace. Both built-in adapters implement it.
+// fragment's trace. Both built-in adapters implement it; UpstreamSession
+// itself keeps the plain signature decorators of this seam wrap.
 type tracedUpstreamSession interface {
-	SubscribeAsyncTraced(q query.Query, tc tracing.Context) (UpstreamTicket, error)
+	subscribeTraced(q query.Query, tc tracing.Context) (UpstreamTicket, error)
 }
 
 // UpstreamSub is one live fragment stream.
@@ -92,15 +93,11 @@ func (s gwUpSession) Name() string  { return s.s.Name() }
 func (s gwUpSession) Token() string { return s.s.Token() }
 
 func (s gwUpSession) SubscribeAsync(q query.Query) (UpstreamTicket, error) {
-	tk, err := s.s.SubscribeAsync(q)
-	if err != nil {
-		return nil, err
-	}
-	return gwTicket{tk}, nil
+	return s.subscribeTraced(q, tracing.Context{})
 }
 
-func (s gwUpSession) SubscribeAsyncTraced(q query.Query, tc tracing.Context) (UpstreamTicket, error) {
-	tk, err := s.s.SubscribeAsyncTraced(q, 0, tc)
+func (s gwUpSession) subscribeTraced(q query.Query, tc tracing.Context) (UpstreamTicket, error) {
+	tk, err := s.s.SubscribeAsync(gateway.SubscribeRequest{Query: q, Trace: tc})
 	if err != nil {
 		return nil, err
 	}
@@ -174,15 +171,11 @@ func (s fedUpSession) Name() string  { return s.s.Name() }
 func (s fedUpSession) Token() string { return s.s.Token() }
 
 func (s fedUpSession) SubscribeAsync(q query.Query) (UpstreamTicket, error) {
-	tk, err := s.s.SubscribeAsync(q)
-	if err != nil {
-		return nil, err
-	}
-	return fedTicket{tk}, nil
+	return s.subscribeTraced(q, tracing.Context{})
 }
 
-func (s fedUpSession) SubscribeAsyncTraced(q query.Query, tc tracing.Context) (UpstreamTicket, error) {
-	tk, err := s.s.SubscribeAsyncTraced(q, 0, tc)
+func (s fedUpSession) subscribeTraced(q query.Query, tc tracing.Context) (UpstreamTicket, error) {
+	tk, err := s.s.SubscribeAsync(gateway.SubscribeRequest{Query: q, Trace: tc})
 	if err != nil {
 		return nil, err
 	}
@@ -203,7 +196,7 @@ func (s fedUpSession) Resume(id gateway.SubID, after uint64) (UpstreamSub, error
 	if err != nil {
 		return nil, err
 	}
-	return fedServerSub{sub}, nil
+	return sub, nil
 }
 
 type fedTicket struct{ tk *federation.Ticket }
@@ -215,10 +208,3 @@ func (t fedTicket) Wait() (UpstreamSub, error) {
 	}
 	return sub, nil
 }
-
-// fedServerSub narrows a resumed gateway.ServerSub to the upstream shape.
-type fedServerSub struct{ s gateway.ServerSub }
-
-func (f fedServerSub) ID() gateway.SubID              { return f.s.ID() }
-func (f fedServerSub) QueryID() query.ID              { return f.s.QueryID() }
-func (f fedServerSub) Updates() <-chan gateway.Update { return f.s.Updates() }

@@ -1,0 +1,446 @@
+package tier
+
+import (
+	"errors"
+	"fmt"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"repro/internal/gateway"
+	"repro/internal/query"
+	"repro/internal/resilience"
+	"repro/internal/sim"
+)
+
+// fakeTier is the smallest policy a Kernel can serve: one group per
+// distinct query text, nothing upstream.
+type fakeTier struct {
+	*Kernel
+	mu       sync.Mutex
+	groups   map[string]*Group
+	released []string // group keys, in release order
+	closed   []string // session names, in close order
+}
+
+func newFakeTier(cfg Config) *fakeTier {
+	f := &fakeTier{groups: make(map[string]*Group)}
+	cfg.Name, cfg.Mu = "fake", &f.mu
+	cfg.Token = func(name string) (string, error) { return "tok-" + name, nil }
+	cfg.ApplySubscribe = func(a Admission) (*Group, error) {
+		key := a.Query.String()
+		if strings.Contains(key, "nodeid") {
+			return nil, fmt.Errorf("fake: no region queries")
+		}
+		if f.groups[key] == nil {
+			f.groups[key] = &Group{Key: key}
+		}
+		return f.groups[key], nil
+	}
+	cfg.ReleaseGroup = func(g *Group) {
+		delete(f.groups, g.Key)
+		f.released = append(f.released, g.Key)
+	}
+	cfg.CloseSession = func(s *Session) { f.closed = append(f.closed, s.Name()) }
+	f.Kernel = New(cfg)
+	return f
+}
+
+// advance commits and acks, as a tier's Advance does around its own work.
+func (f *fakeTier) advance() int {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	n, acks := f.CommitLocked()
+	f.AckLocked(acks)
+	return n
+}
+
+// deliver fans n epochs out to the group keyed by text.
+func (f *fakeTier) deliver(text string, n int) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	g := f.groups[query.MustParse(text).String()]
+	for i := 0; i < n; i++ {
+		g.Deliver(&gateway.Update{At: sim.Time(i)})
+	}
+}
+
+func (f *fakeTier) stats() Stats {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.StatsLocked()
+}
+
+const (
+	qLight = "SELECT MAX(light) EPOCH DURATION 8192ms"
+	qTemp  = "SELECT MIN(temp) EPOCH DURATION 8192ms"
+)
+
+func mustRegister(t *testing.T, f *fakeTier, name string) *Session {
+	t.Helper()
+	s, err := f.Register(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+func stage(t *testing.T, s *Session, text string) *Ticket {
+	t.Helper()
+	tk, err := s.SubscribeAsync(gateway.SubscribeRequest{Query: query.MustParse(text)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tk
+}
+
+// mustSub stages, commits and returns one subscription.
+func mustSub(t *testing.T, f *fakeTier, s *Session, text string) *Sub {
+	t.Helper()
+	tk := stage(t, s, text)
+	f.advance()
+	sub, err := tk.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sub
+}
+
+func seqs(ch <-chan gateway.Update) []uint64 {
+	var out []uint64
+	for {
+		select {
+		case u, ok := <-ch:
+			if !ok {
+				return out
+			}
+			out = append(out, u.Seq)
+		default:
+			return out
+		}
+	}
+}
+
+func wantErr(t *testing.T, err error, substr string) {
+	t.Helper()
+	if err == nil || !strings.Contains(err.Error(), substr) {
+		t.Fatalf("err = %v, want one containing %q", err, substr)
+	}
+}
+
+// TestKernelLifecycle drives the session kernel once, for every tier that
+// embeds it.
+func TestKernelLifecycle(t *testing.T) {
+	cases := []struct {
+		name string
+		cfg  Config
+		run  func(t *testing.T, f *fakeTier)
+	}{
+		{"duplicate name", Config{}, func(t *testing.T, f *fakeTier) {
+			mustRegister(t, f, "alice")
+			_, err := f.Register("alice")
+			wantErr(t, err, `fake: session "alice" already registered`)
+		}},
+		{"session limit", Config{MaxSessions: 2}, func(t *testing.T, f *fakeTier) {
+			mustRegister(t, f, "a")
+			mustRegister(t, f, "b")
+			_, err := f.Register("c")
+			wantErr(t, err, "fake: session limit 2 reached")
+			if st := f.stats(); st.Sessions != 2 || st.ActiveSessions != 2 {
+				t.Fatalf("stats %+v, want 2 sessions", st)
+			}
+		}},
+		{"commit order across sessions", Config{}, func(t *testing.T, f *fakeTier) {
+			// Staged b, a, b: commits a, b, b — sub ids follow (name, seq).
+			a, b := mustRegister(t, f, "a"), mustRegister(t, f, "b")
+			tb1, ta, tb2 := stage(t, b, qLight), stage(t, a, qLight), stage(t, b, qTemp)
+			if n := f.advance(); n != 3 {
+				t.Fatalf("applied %d commands, want 3", n)
+			}
+			for i, tk := range []*Ticket{ta, tb1, tb2} {
+				sub, err := tk.Wait()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if sub.ID() != gateway.SubID(i+1) {
+					t.Errorf("ticket %d got sub id %d, want %d", i, sub.ID(), i+1)
+				}
+				if shared := i == 1; sub.Shared() != shared {
+					t.Errorf("sub %d shared = %v, want %v", sub.ID(), sub.Shared(), shared)
+				}
+			}
+			if st := f.stats(); st.Subscribes != 3 || st.DedupHits != 1 || st.ActiveSubscriptions != 3 {
+				t.Fatalf("stats %+v", st)
+			}
+		}},
+		{"deadline shed", Config{MailboxDeadline: time.Millisecond}, func(t *testing.T, f *fakeTier) {
+			s := mustRegister(t, f, "a")
+			late := stage(t, s, qLight)
+			roomy, err := s.SubscribeAsync(gateway.SubscribeRequest{Query: query.MustParse(qTemp), Budget: time.Hour})
+			if err != nil {
+				t.Fatal(err)
+			}
+			time.Sleep(5 * time.Millisecond)
+			f.advance()
+			if _, err := late.Wait(); !errors.Is(err, resilience.ErrOverloaded) {
+				t.Fatalf("past-budget subscribe = %v, want ErrOverloaded", err)
+			}
+			if _, err := roomy.Wait(); err != nil {
+				t.Fatalf("a request budget must override the default: %v", err)
+			}
+			if st := f.stats(); st.ShedDeadline != 1 || st.Subscribes != 1 {
+				t.Fatalf("stats %+v, want 1 shed, 1 subscribe", st)
+			}
+		}},
+		{"quota", Config{SessionQuota: 1}, func(t *testing.T, f *fakeTier) {
+			s := mustRegister(t, f, "a")
+			mustSub(t, f, s, qLight)
+			tk := stage(t, s, qTemp)
+			f.advance()
+			_, err := tk.Wait()
+			wantErr(t, err, `fake: session "a" is at its quota of 1 subscriptions`)
+			if st := f.stats(); st.QuotaRejected != 1 || st.Subscribes != 1 {
+				t.Fatalf("stats %+v", st)
+			}
+		}},
+		{"rejected by the tier", Config{}, func(t *testing.T, f *fakeTier) {
+			s := mustRegister(t, f, "a")
+			tk := stage(t, s, "SELECT light WHERE nodeid >= 1 EPOCH DURATION 8192ms")
+			f.advance()
+			_, err := tk.Wait()
+			wantErr(t, err, "fake: no region queries")
+			// Subscribes counts admissions, as a gateway's does.
+			if st := f.stats(); st.Subscribes != 0 || st.ActiveSubscriptions != 0 {
+				t.Fatalf("a rejected admission left state behind: %+v", st)
+			}
+		}},
+		{"detach, ring bound, resume with and without a gap", Config{Buffer: 4}, func(t *testing.T, f *fakeTier) {
+			s := mustRegister(t, f, "a")
+			sub := mustSub(t, f, s, qLight)
+			f.deliver(qLight, 2) // seq 1,2 buffered in the channel
+			if err := s.Detach(); err != nil {
+				t.Fatal(err)
+			}
+			if r := sub.Reason(); r != gateway.ReasonDetached {
+				t.Fatalf("reason after detach = %v", r)
+			}
+			wantErr(t, s.Detach(), "already detached")
+			f.deliver(qLight, 4) // seq 3..6 park; the ring keeps the last 4
+			// A detached session is still an open one.
+			if st := f.stats(); st.RingDropped != 2 || st.Updates != 6 || st.Detaches != 1 || st.ActiveSessions != 1 {
+				t.Fatalf("stats %+v, want 2 ring drops of 6 updates, 1 open session", st)
+			}
+
+			_, _, err := f.Attach("a", "wrong")
+			wantErr(t, err, `fake: bad token for session "a"`)
+			_, _, err = f.Attach("nobody", "tok-nobody")
+			wantErr(t, err, `fake: no session "nobody"`)
+			s2, infos, err := f.Attach("a", s.Token())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if s2 != s || len(infos) != 1 || infos[0].ID != sub.ID() || infos[0].LastSeq != 6 || infos[0].Key != sub.Key() {
+				t.Fatalf("attach = %p %+v", s2, infos)
+			}
+			_, _, err = f.Attach("a", s.Token())
+			wantErr(t, err, "already attached")
+
+			// The client saw seq 1; 2 fell off the ring: a gap, restart at 3.
+			rs, err := s.Resume(sub.ID(), 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := fmt.Sprint(seqs(rs.Updates())); got != "[3 4 5 6]" {
+				t.Fatalf("resumed tail %s, want [3 4 5 6]", got)
+			}
+			_, err = s.Resume(sub.ID(), 1)
+			wantErr(t, err, "already attached")
+			_, err = s.Resume(99, 0)
+			wantErr(t, err, "has no stream 99")
+
+			// A second cycle that loses nothing: no gap.
+			if err := s.Detach(); err != nil {
+				t.Fatal(err)
+			}
+			f.deliver(qLight, 2) // seq 7,8
+			if _, _, err := f.Attach("a", s.Token()); err != nil {
+				t.Fatal(err)
+			}
+			rs, err = s.Resume(sub.ID(), 6)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := fmt.Sprint(seqs(rs.Updates())); got != "[7 8]" {
+				t.Fatalf("resumed tail %s, want [7 8]", got)
+			}
+			f.deliver(qLight, 1)
+			if got := fmt.Sprint(seqs(rs.Updates())); got != "[9]" {
+				t.Fatalf("live after resume %s, want [9]", got)
+			}
+			st := f.stats()
+			if st.Detaches != 2 || st.Attaches != 2 || st.Resumes != 2 || st.ResumeGaps != 1 {
+				t.Fatalf("stats %+v, want 2 detaches, 2 attaches, 2 resumes, 1 gap", st)
+			}
+		}},
+		{"eviction on a full buffer", Config{Buffer: 2}, func(t *testing.T, f *fakeTier) {
+			slow, fast := mustRegister(t, f, "slow"), mustRegister(t, f, "fast")
+			ss, fs := mustSub(t, f, slow, qLight), mustSub(t, f, fast, qLight)
+			for i := 0; i < 3; i++ {
+				f.deliver(qLight, 1)
+				seqs(fs.Updates()) // fast keeps reading, slow never does
+			}
+			if got := fmt.Sprint(seqs(ss.Updates())); got != "[1 2]" || ss.Reason() != gateway.ReasonEvicted {
+				t.Fatalf("slow stream %s reason %v, want [1 2] evicted", got, ss.Reason())
+			}
+			if fs.Reason() != gateway.ReasonNone {
+				t.Fatalf("fast reader closed: %v", fs.Reason())
+			}
+			st := f.stats()
+			if st.Evicted != 1 || st.ActiveSubscriptions != 1 || st.Updates != 5 {
+				t.Fatalf("stats %+v, want 1 evicted, 1 live, 5 updates", st)
+			}
+			if len(f.released) != 0 {
+				t.Fatalf("eviction released %v while a subscriber remains", f.released)
+			}
+		}},
+		{"unsubscribe releases the group with its last subscriber", Config{}, func(t *testing.T, f *fakeTier) {
+			a, b := mustRegister(t, f, "a"), mustRegister(t, f, "b")
+			sa, sb := mustSub(t, f, a, qLight), mustSub(t, f, b, qLight)
+			tk, err := a.UnsubscribeAsync(sa.ID())
+			if err != nil {
+				t.Fatal(err)
+			}
+			f.advance()
+			if _, err := tk.Wait(); err != nil {
+				t.Fatal(err)
+			}
+			if sa.Reason() != gateway.ReasonUnsubscribed || len(f.released) != 0 {
+				t.Fatalf("reason %v, released %v", sa.Reason(), f.released)
+			}
+			tk, _ = b.UnsubscribeAsync(sa.ID()) // not b's
+			f.advance()
+			_, err = tk.Wait()
+			wantErr(t, err, fmt.Sprintf(`fake: session "b" has no subscription %d`, sa.ID()))
+			tk, _ = b.UnsubscribeAsync(sb.ID())
+			f.advance()
+			if _, err := tk.Wait(); err != nil {
+				t.Fatal(err)
+			}
+			if len(f.released) != 1 || f.stats().Unsubscribes != 2 {
+				t.Fatalf("released %v, stats %+v", f.released, f.stats())
+			}
+		}},
+		{"push to a stream closed in the commit that admitted it", Config{}, func(t *testing.T, f *fakeTier) {
+			// Subscribe then close in one batch: the ack is still pending
+			// when the stream shuts, and a tier replaying cached epochs to
+			// its acks must find the push dropped, not a closed channel.
+			s := mustRegister(t, f, "a")
+			tk := stage(t, s, qLight)
+			if err := s.CloseAsync(); err != nil {
+				t.Fatal(err)
+			}
+			f.mu.Lock()
+			_, acks := f.CommitLocked()
+			if len(acks) != 1 || !acks[0].Sub.Push(&gateway.Update{}) {
+				t.Errorf("acks %v: want one, whose push is dropped quietly", acks)
+			}
+			f.AckLocked(acks)
+			f.mu.Unlock()
+			sub, err := tk.Wait()
+			if err != nil || sub.Reason() != gateway.ReasonShutdown || f.stats().Updates != 0 {
+				t.Fatalf("sub %v err %v updates %d", sub.Reason(), err, f.stats().Updates)
+			}
+		}},
+		{"close with live subs, use after close", Config{}, func(t *testing.T, f *fakeTier) {
+			a, b := mustRegister(t, f, "a"), mustRegister(t, f, "b")
+			sa1, sa2, sb := mustSub(t, f, a, qLight), mustSub(t, f, a, qTemp), mustSub(t, f, b, qLight)
+
+			// Session close: streams end with ReasonShutdown, a's own group
+			// is released, the shared one lives on.
+			if err := a.CloseAsync(); err != nil {
+				t.Fatal(err)
+			}
+			f.advance()
+			if sa1.Reason() != gateway.ReasonShutdown || sa2.Reason() != gateway.ReasonShutdown {
+				t.Fatalf("reasons %v %v, want shutdown", sa1.Reason(), sa2.Reason())
+			}
+			if fmt.Sprint(f.released) != fmt.Sprint([]string{sa2.Key()}) || fmt.Sprint(f.closed) != "[a]" {
+				t.Fatalf("released %v closed %v", f.released, f.closed)
+			}
+			if err := a.CloseAsync(); err != nil {
+				t.Fatalf("closing a closed session = %v, want nil", err)
+			}
+			_, err := a.SubscribeAsync(gateway.SubscribeRequest{Query: query.MustParse(qLight)})
+			wantErr(t, err, `fake: session "a" is closed`)
+			if _, err := f.Register("a"); err != nil {
+				t.Fatalf("a closed session's name must be free again: %v", err)
+			}
+
+			// Tier close: staged commands fail, live streams shut down,
+			// everything afterwards is ErrClosed.
+			pending := stage(t, b, qTemp)
+			f.mu.Lock()
+			f.CloseLocked()
+			f.mu.Unlock()
+			if _, err := pending.Wait(); !errors.Is(err, gateway.ErrClosed) {
+				t.Fatalf("staged command at close = %v, want ErrClosed", err)
+			}
+			if sb.Reason() != gateway.ReasonShutdown || len(f.released) != 2 {
+				t.Fatalf("reason %v released %v", sb.Reason(), f.released)
+			}
+			if _, ok := <-sb.Updates(); ok {
+				t.Fatal("stream still open after close")
+			}
+			_, err = b.SubscribeAsync(gateway.SubscribeRequest{Query: query.MustParse(qLight)})
+			for what, err := range map[string]error{
+				"subscribe": err,
+				"detach":    b.Detach(),
+				"close":     b.CloseAsync(),
+				"register":  func() error { _, err := f.Register("z"); return err }(),
+				"attach":    func() error { _, _, err := f.Attach("b", b.Token()); return err }(),
+				"resume":    func() error { _, err := b.Resume(sb.ID(), 0); return err }(),
+			} {
+				if !errors.Is(err, gateway.ErrClosed) {
+					t.Errorf("%s after close = %v, want ErrClosed", what, err)
+				}
+			}
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			cfg := c.cfg
+			if cfg.Buffer == 0 {
+				cfg.Buffer = 8
+			}
+			if cfg.MaxSessions == 0 {
+				cfg.MaxSessions = 8
+			}
+			if cfg.SessionQuota == 0 {
+				cfg.SessionQuota = 8
+			}
+			c.run(t, newFakeTier(cfg))
+		})
+	}
+}
+
+// TestStatsOverlay pins how a tier's counters compose with its upstream's:
+// the client-facing ones replace the upstream's (whose sessions and
+// subscriptions are the tier's own plumbing), losses add up along the chain.
+func TestStatsOverlay(t *testing.T) {
+	up := gateway.Stats{
+		Sessions: 9, ActiveSessions: 9, Subscribes: 9, Updates: 9, Detaches: 9, Epochs: 7,
+		QuotaRejected: 1, Evicted: 2, RingDropped: 3, ShedDeadline: 4,
+	}
+	Stats{
+		Sessions: 2, ActiveSessions: 1, Subscribes: 5, Updates: 50,
+		QuotaRejected: 10, Evicted: 20, RingDropped: 30, ShedDeadline: 40,
+	}.Overlay(&up)
+	want := gateway.Stats{
+		Sessions: 2, ActiveSessions: 1, Subscribes: 5, Updates: 50, Epochs: 7,
+		QuotaRejected: 11, Evicted: 22, RingDropped: 33, ShedDeadline: 44,
+	}
+	if up != want {
+		t.Fatalf("overlay = %+v\nwant      %+v", up, want)
+	}
+}
