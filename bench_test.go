@@ -278,6 +278,42 @@ func BenchmarkSimulationMinute(b *testing.B) {
 	}
 }
 
+// BenchmarkSimulationRound144 measures the simulator alone at the end-to-end
+// benchmark's sim_heavy shape: one 2048 ms serving round of a 144-mote
+// network carrying 16 §4.3 queries under TTMQO, past the install floods. It
+// reports events/s and allocs/round, the numbers the benchmark's ledger
+// prints as network.events_per_s and network.allocs_per_round.
+func BenchmarkSimulationRound144(b *testing.B) {
+	topo, err := ttmqo.PaperGrid(12)
+	if err != nil {
+		b.Fatal(err)
+	}
+	sim, err := ttmqo.NewSimulation(ttmqo.SimulationConfig{
+		Topo: topo, Scheme: ttmqo.SchemeTTMQO, Seed: 1, DiscardResults: true,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, w := range ttmqo.RandomWorkload(ttmqo.RandomWorkloadConfig{Seed: 1, NumQueries: 16}) {
+		if _, err := sim.Post(w.Query); err != nil {
+			b.Fatal(err)
+		}
+	}
+	const round = 2048 * time.Millisecond
+	sim.Run(64 * round)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fired := sim.Engine().Fired()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sim.Run(round)
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	b.ReportMetric(float64(sim.Engine().Fired()-fired)/b.Elapsed().Seconds(), "events/s")
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(b.N), "allocs/round")
+}
+
 // BenchmarkFieldReading measures the synthetic field generator under the
 // simulator's access pattern: every node sampled at one shared epoch-aligned
 // instant before the clock advances. The per-instant oscillator terms are

@@ -16,6 +16,7 @@ package field
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sync/atomic"
 	"time"
 
@@ -42,6 +43,81 @@ const (
 
 	numAttrs = 5
 )
+
+// AttrSet is a set of attributes, one bit per Attr.
+type AttrSet uint8
+
+// SetOf returns the set holding the listed attributes.
+func SetOf(attrs []Attr) AttrSet {
+	var s AttrSet
+	for _, a := range attrs {
+		s |= 1 << a
+	}
+	return s
+}
+
+// Has reports whether a is in the set.
+func (s AttrSet) Has(a Attr) bool { return s&(1<<a) != 0 }
+
+// Len returns the number of attributes in the set.
+func (s AttrSet) Len() int { return bits.OnesCount8(uint8(s)) }
+
+// Values is a set of attribute readings held flat: which attributes are
+// present and one slot per attribute. It is the in-network form of a sample
+// or result row — copied by assignment, built and read without allocating —
+// and converts to the map form user-facing rows carry with Map. The zero
+// value is the empty set.
+type Values struct {
+	has AttrSet
+	v   [numAttrs + 1]float64
+}
+
+// Set stores the reading of attribute a.
+func (vs *Values) Set(a Attr, v float64) {
+	vs.v[a] = v
+	vs.has |= 1 << a
+}
+
+// Get returns the reading of attribute a and whether it is present.
+func (vs *Values) Get(a Attr) (float64, bool) {
+	if !vs.has.Has(a) {
+		return 0, false
+	}
+	return vs.v[a], true
+}
+
+// Len returns the number of readings present.
+func (vs *Values) Len() int { return vs.has.Len() }
+
+// Only returns the readings of the attributes in keep.
+func (vs Values) Only(keep AttrSet) Values {
+	vs.has &= keep
+	return vs
+}
+
+// Map returns the readings as a fresh map.
+func (vs *Values) Map() map[Attr]float64 {
+	out := make(map[Attr]float64, vs.Len())
+	for a := Attr(1); a <= numAttrs; a++ {
+		if vs.has.Has(a) {
+			out[a] = vs.v[a]
+		}
+	}
+	return out
+}
+
+// Sample reads the attributes in set at once, modelling the shared
+// acquisition of §3.2.1 (one physical sample serves every query that fires
+// at this instant).
+func Sample(src Source, id topology.NodeID, set AttrSet, t sim.Time) Values {
+	var vs Values
+	for a := Attr(1); a <= numAttrs; a++ {
+		if set.Has(a) {
+			vs.Set(a, src.Reading(id, a, t))
+		}
+	}
+	return vs
+}
 
 // AllAttrs lists every attribute, in declaration order.
 func AllAttrs() []Attr {
@@ -309,17 +385,6 @@ func (f *Field) Reading(id topology.NodeID, a Attr, t sim.Time) float64 {
 		v = m.max
 	}
 	return v
-}
-
-// Sample returns the readings for a set of attributes at once, modelling the
-// shared acquisition of §3.2.1 (one physical sample serves every query that
-// fires at this instant).
-func (f *Field) Sample(id topology.NodeID, attrs []Attr, t sim.Time) map[Attr]float64 {
-	out := make(map[Attr]float64, len(attrs))
-	for _, a := range attrs {
-		out[a] = f.Reading(id, a, t)
-	}
-	return out
 }
 
 // hashNoise maps (node, attr, time) to a deterministic value in [-1, 1],

@@ -140,14 +140,21 @@ func TestSampleSharedAcquisition(t *testing.T) {
 	topo := grid(t, 4)
 	f := New(topo, Config{Seed: 1})
 	attrs := []Attr{AttrLight, AttrTemp}
-	got := f.Sample(5, attrs, time.Minute)
-	if len(got) != 2 {
-		t.Fatalf("sample returned %d attrs, want 2", len(got))
+	got := Sample(f, 5, SetOf(attrs), time.Minute)
+	if got.Len() != 2 {
+		t.Fatalf("sample returned %d attrs, want 2", got.Len())
 	}
 	for _, a := range attrs {
-		if got[a] != f.Reading(5, a, time.Minute) {
+		if v, ok := got.Get(a); !ok || v != f.Reading(5, a, time.Minute) {
 			t.Fatal("Sample must agree with Reading")
 		}
+	}
+	if _, ok := got.Get(AttrHumidity); ok {
+		t.Fatal("unsampled attribute reported present")
+	}
+	only := got.Only(SetOf([]Attr{AttrTemp, AttrVoltage}))
+	if m := only.Map(); len(m) != 1 || m[AttrTemp] != f.Reading(5, AttrTemp, time.Minute) {
+		t.Fatalf("Only/Map = %v, want temp alone", m)
 	}
 }
 

@@ -15,18 +15,62 @@ import (
 	"repro/internal/topology"
 )
 
+// Kind classifies messages for accounting (§4.1 counts result, query
+// propagation/abortion, maintenance, and retransmission messages). The
+// radio tags every message with one; the collector counts by it.
+type Kind uint8
+
+// Message kinds. The zero Kind is an unclassified message.
+const (
+	KindResult Kind = iota + 1
+	KindQuery
+	KindAbort
+	KindBeacon
+	KindWake
+
+	numKinds
+)
+
+// String returns the accounting label of the kind.
+func (k Kind) String() string {
+	switch k {
+	case KindResult:
+		return "result"
+	case KindQuery:
+		return "query"
+	case KindAbort:
+		return "abort"
+	case KindBeacon:
+		return "beacon"
+	case KindWake:
+		return "wake"
+	default:
+		return fmt.Sprintf("kind(%d)", uint8(k))
+	}
+}
+
+// kindOf is the inverse of Kind.String over the counted kinds.
+func kindOf(label string) (Kind, bool) {
+	for k := Kind(0); k < numKinds; k++ {
+		if k.String() == label {
+			return k, true
+		}
+	}
+	return 0, false
+}
+
 // Collector accumulates radio activity during one simulation run. It is not
 // safe for concurrent use; the discrete-event engine serializes all access.
 type Collector struct {
-	txTime   []time.Duration  // per node, indexed by NodeID
-	rxTime   []time.Duration  // per node: airtime spent receiving/overhearing
-	samples  []int            // per node: attribute samples acquired
-	counts   map[string]int   // message counts by kind label
-	perNode  map[string][]int // message counts by kind, per sender
-	messages int              // total messages put on the air (incl. retries)
+	txTime   []time.Duration // per node, indexed by NodeID
+	rxTime   []time.Duration // per node: airtime spent receiving/overhearing
+	samples  []int           // per node: attribute samples acquired
+	counts   [numKinds]int   // message counts by kind
+	perNode  [numKinds][]int // message counts by kind, per sender
+	messages int             // total messages put on the air (incl. retries)
 	retrans  int
 	dropped  int
-	clipped  int // metric updates addressed to out-of-range node IDs
+	clipped  int   // metric updates addressed to out-of-range node IDs
 	payload  int64 // total bytes transmitted (incl. retries)
 	nodes    int
 	latency  stats.Series // epoch fire → base-station arrival, seconds
@@ -34,14 +78,16 @@ type Collector struct {
 
 // NewCollector returns a collector for a deployment of n nodes.
 func NewCollector(n int) *Collector {
-	return &Collector{
+	c := &Collector{
 		txTime:  make([]time.Duration, n),
 		rxTime:  make([]time.Duration, n),
 		samples: make([]int, n),
-		counts:  make(map[string]int),
-		perNode: make(map[string][]int),
 		nodes:   n,
 	}
+	for k := range c.perNode {
+		c.perNode[k] = make([]int, n)
+	}
+	return c
 }
 
 // AddTxTime accrues radio-busy time for a node. Every transmission attempt
@@ -95,35 +141,38 @@ func (c *Collector) Samples(id topology.NodeID) int {
 }
 
 // CountMessage records one message of the given kind put on the air by src.
-func (c *Collector) CountMessage(kind string, src topology.NodeID, bytes int) {
+// Kinds beyond the declared ones are counted as unclassified.
+func (c *Collector) CountMessage(kind Kind, src topology.NodeID, bytes int) {
+	if kind >= numKinds {
+		kind = 0
+	}
 	c.counts[kind]++
 	c.messages++
 	c.payload += int64(bytes)
-	per, ok := c.perNode[kind]
-	if !ok {
-		per = make([]int, c.nodes)
-		c.perNode[kind] = per
-	}
-	if int(src) < len(per) {
+	if per := c.perNode[kind]; int(src) < len(per) {
 		per[src]++
 	}
 }
 
 // MessagesFrom returns how many messages of one kind a node has sent.
 func (c *Collector) MessagesFrom(kind string, src topology.NodeID) int {
-	per, ok := c.perNode[kind]
-	if !ok || int(src) >= len(per) {
+	k, ok := kindOf(kind)
+	if !ok || int(src) >= len(c.perNode[k]) {
 		return 0
 	}
-	return per[src]
+	return c.perNode[k][src]
 }
 
 // SendersOf returns the number of distinct nodes that sent at least one
 // message of the given kind (the "involved nodes" count of the Figure 2
 // worked example).
 func (c *Collector) SendersOf(kind string) int {
+	k, ok := kindOf(kind)
+	if !ok {
+		return 0
+	}
 	n := 0
-	for _, cnt := range c.perNode[kind] {
+	for _, cnt := range c.perNode[k] {
 		if cnt > 0 {
 			n++
 		}
@@ -185,7 +234,13 @@ func (c *Collector) AvgTransmissionTime(simTime time.Duration) float64 {
 func (c *Collector) Messages() int { return c.messages }
 
 // MessagesOf returns the count of messages of one kind.
-func (c *Collector) MessagesOf(kind string) int { return c.counts[kind] }
+func (c *Collector) MessagesOf(kind string) int {
+	k, ok := kindOf(kind)
+	if !ok {
+		return 0
+	}
+	return c.counts[k]
+}
 
 // Retransmissions returns the number of collision-induced retries.
 func (c *Collector) Retransmissions() int { return c.retrans }
@@ -207,8 +262,10 @@ func (c *Collector) Bytes() int64 { return c.payload }
 // Kinds returns the message-kind labels seen so far, sorted.
 func (c *Collector) Kinds() []string {
 	kinds := make([]string, 0, len(c.counts))
-	for k := range c.counts {
-		kinds = append(kinds, k)
+	for k, n := range c.counts {
+		if n > 0 {
+			kinds = append(kinds, Kind(k).String())
+		}
 	}
 	sort.Strings(kinds)
 	return kinds
@@ -222,7 +279,7 @@ func (c *Collector) String() string {
 		fmt.Fprintf(&sb, " clipped=%d", c.clipped)
 	}
 	for _, k := range c.Kinds() {
-		fmt.Fprintf(&sb, " %s=%d", k, c.counts[k])
+		fmt.Fprintf(&sb, " %s=%d", k, c.MessagesOf(k))
 	}
 	return sb.String()
 }

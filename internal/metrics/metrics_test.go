@@ -24,9 +24,9 @@ func TestAvgTransmissionTime(t *testing.T) {
 
 func TestCounts(t *testing.T) {
 	c := NewCollector(2)
-	c.CountMessage("result", 0, 20)
-	c.CountMessage("result", 1, 30)
-	c.CountMessage("query", 1, 10)
+	c.CountMessage(KindResult, 0, 20)
+	c.CountMessage(KindResult, 1, 30)
+	c.CountMessage(KindQuery, 1, 10)
 	c.CountRetransmission()
 	c.CountDrop()
 	if c.Messages() != 3 || c.MessagesOf("result") != 2 || c.MessagesOf("query") != 1 {

@@ -2,6 +2,7 @@ package network
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -51,22 +52,64 @@ type Config struct {
 const DefaultMaintenanceInterval = 30 * time.Second
 
 // installedQuery is a network query (synthetic or raw user) the base
-// station is currently collecting results for.
+// station is currently collecting results for. It is also the event that
+// closes its collection windows: one flush is pending at a time, for epoch
+// flushT.
 type installedQuery struct {
-	q     query.Query
-	start sim.Time
-	flush sim.Handle
+	s      *Simulation
+	q      query.Query
+	start  sim.Time
+	flush  sim.Handle
+	flushT sim.Time
+	// open holds the epochs with arrivals not yet flushed — the current
+	// epoch and, when slots overlap the next firing, the one after.
+	open []epochBuffer
 }
 
-type bufKey struct {
-	qid    query.ID
-	epochT sim.Time
+// Fire closes the pending collection window and opens the next.
+func (inst *installedQuery) Fire() {
+	s := inst.s
+	s.flush(inst, inst.flushT)
+	// Delivering results can terminate the query from inside the flush (a
+	// result hook cancelling the last subscriber's query); only a
+	// still-installed query gets its next collection window.
+	if s.installed[inst.q.ID] == inst {
+		s.scheduleFlush(inst, inst.flushT+sim.Time(inst.q.ReportEvery()))
+	}
 }
 
 // epochBuffer accumulates one epoch's worth of arrivals for one query.
 type epochBuffer struct {
-	rows   map[topology.NodeID]query.Row // by origin, deduplicated
+	epochT sim.Time
+	rows   []originRow // ascending by origin, one row per origin
 	states []query.AggState
+}
+
+// originRow is one origin's row as it came off the air, copied out of the
+// message.
+type originRow struct {
+	origin topology.NodeID
+	vals   field.Values
+}
+
+// bufferFor returns the query's buffer for epochT, opening it if need be.
+func (inst *installedQuery) bufferFor(epochT sim.Time) *epochBuffer {
+	for i := range inst.open {
+		if inst.open[i].epochT == epochT {
+			return &inst.open[i]
+		}
+	}
+	inst.open = append(inst.open, epochBuffer{epochT: epochT})
+	return &inst.open[len(inst.open)-1]
+}
+
+// put stores a row, replacing an earlier one from the same origin.
+func (b *epochBuffer) put(origin topology.NodeID, vals field.Values) {
+	i := sort.Search(len(b.rows), func(i int) bool { return b.rows[i].origin >= origin })
+	if i == len(b.rows) || b.rows[i].origin != origin {
+		b.rows = slices.Insert(b.rows, i, originRow{})
+	}
+	b.rows[i] = originRow{origin, vals}
 }
 
 // Simulation is a runnable sensor network executing one scheme.
@@ -83,7 +126,6 @@ type Simulation struct {
 	nodes  []*node.Node
 
 	installed map[query.ID]*installedQuery
-	buffers   map[bufKey]*epochBuffer
 	// identity maps user queries when tier 1 is off.
 	users map[query.ID]query.Query
 
@@ -134,7 +176,6 @@ func New(cfg Config) (*Simulation, error) {
 		medium:    medium,
 		coll:      coll,
 		installed: make(map[query.ID]*installedQuery),
-		buffers:   make(map[bufKey]*epochBuffer),
 		users:     make(map[query.ID]query.Query),
 		results:   newResults(!cfg.DiscardResults),
 		spans:     telemetry.NewSpanLog(),
@@ -417,7 +458,7 @@ func (s *Simulation) startTime(q query.Query) sim.Time {
 // starts collecting its results.
 func (s *Simulation) floodQuery(q query.Query) {
 	start := s.startTime(q)
-	inst := &installedQuery{q: q, start: start}
+	inst := &installedQuery{s: s, q: q, start: start}
 	s.installed[q.ID] = inst
 	s.medium.Send(&radio.Message{
 		Kind:  radio.KindQuery,
@@ -440,11 +481,6 @@ func (s *Simulation) floodAbort(qid query.ID) {
 	if inst.flush.Pending() {
 		inst.flush.Cancel()
 	}
-	for k := range s.buffers {
-		if k.qid == qid {
-			delete(s.buffers, k)
-		}
-	}
 	s.medium.Send(&radio.Message{
 		Kind:    radio.KindAbort,
 		Src:     topology.BaseStation,
@@ -460,15 +496,8 @@ func (s *Simulation) flushDelay() sim.Time {
 }
 
 func (s *Simulation) scheduleFlush(inst *installedQuery, epochT sim.Time) {
-	inst.flush = s.engine.Schedule(epochT+s.flushDelay(), func() {
-		s.flush(inst, epochT)
-		// Delivering results can terminate the query from inside the flush
-		// (a result hook cancelling the last subscriber's query); only a
-		// still-installed query gets its next collection window.
-		if s.installed[inst.q.ID] == inst {
-			s.scheduleFlush(inst, epochT+sim.Time(inst.q.ReportEvery()))
-		}
-	})
+	inst.flushT = epochT
+	inst.flush = s.engine.ScheduleAction(epochT+s.flushDelay(), inst)
 }
 
 // onReceive is the base station's radio handler: addressed result messages
@@ -483,23 +512,19 @@ func (s *Simulation) onReceive(d radio.Delivery) {
 	}
 	s.coll.AddLatency(time.Duration(s.engine.Now() - msg.EpochT))
 	for _, qid := range msg.QueriesFor(topology.BaseStation) {
-		if _, live := s.installed[qid]; !live {
+		inst, live := s.installed[qid]
+		if !live {
 			continue
 		}
-		key := bufKey{qid: qid, epochT: msg.EpochT}
-		buf, ok := s.buffers[key]
-		if !ok {
-			buf = &epochBuffer{rows: make(map[topology.NodeID]query.Row)}
-			s.buffers[key] = buf
-		}
+		buf := inst.bufferFor(msg.EpochT)
 		if msg.IsAggregation() {
 			for _, qs := range msg.States {
 				if qs.QID == qid {
 					buf.states = mergeStates(buf.states, qs.State)
 				}
 			}
-		} else if msg.Row != nil {
-			buf.rows[msg.Origin] = query.Row{Node: msg.Origin, Time: msg.EpochT, Values: msg.Row}
+		} else {
+			buf.put(msg.Origin, msg.Row)
 		}
 	}
 }
@@ -508,21 +533,29 @@ func (s *Simulation) onReceive(d radio.Delivery) {
 // through the tier-1 mapper when the scheme rewrites queries and as-is
 // otherwise.
 func (s *Simulation) flush(inst *installedQuery, epochT sim.Time) {
-	s.cfg.Trace.Emitf(s.engine.Now(), trace.KindFlush, topology.BaseStation, "q%d epoch=%v", inst.q.ID, epochT)
-	key := bufKey{qid: inst.q.ID, epochT: epochT}
-	buf := s.buffers[key]
-	delete(s.buffers, key)
-
+	if s.cfg.Trace != nil {
+		s.cfg.Trace.Emitf(s.engine.Now(), trace.KindFlush, topology.BaseStation, "q%d epoch=%v", inst.q.ID, epochT)
+	}
+	// Windows close in epoch order, so whatever is buffered for this epoch
+	// or an earlier one is either flushed now or arrived too late to be.
 	var rows []query.Row
 	var states []query.AggState
-	if buf != nil {
-		rows = make([]query.Row, 0, len(buf.rows))
-		for _, r := range buf.rows {
-			rows = append(rows, r)
+	kept := inst.open[:0]
+	for _, buf := range inst.open {
+		switch {
+		case buf.epochT > epochT:
+			kept = append(kept, buf)
+		case buf.epochT == epochT:
+			// The one conversion from the in-network row form to the map
+			// form user-facing rows carry.
+			rows = make([]query.Row, len(buf.rows))
+			for i := range buf.rows {
+				rows[i] = query.Row{Node: buf.rows[i].origin, Time: epochT, Values: buf.rows[i].vals.Map()}
+			}
+			states = buf.states
 		}
-		sort.Slice(rows, func(i, j int) bool { return rows[i].Node < rows[j].Node })
-		states = buf.states
 	}
+	inst.open = kept
 
 	if s.opt != nil {
 		// §3.1.2 statistics maintenance: returned readings refine the

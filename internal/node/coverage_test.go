@@ -75,8 +75,8 @@ func TestNodeWindowedViaRig(t *testing.T) {
 	for _, m := range r.atBS {
 		// Uniform field: node 2's light is constant 1000, so every window
 		// aggregate equals 1000.
-		if m.Origin == 2 && m.Row[field.AttrLight] != 1000 {
-			t.Fatalf("window value = %f", m.Row[field.AttrLight])
+		if v, _ := m.Row.Get(field.AttrLight); m.Origin == 2 && v != 1000 {
+			t.Fatalf("window value = %f", v)
 		}
 		if m.EpochT%sim.Time(2*2048*time.Millisecond) != 0 {
 			t.Fatalf("report at %v off the slide schedule", m.EpochT)

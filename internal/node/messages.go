@@ -1,11 +1,10 @@
 package node
 
 import (
-	"sort"
-
 	"repro/internal/cost"
 	"repro/internal/field"
 	"repro/internal/query"
+	"repro/internal/radio"
 	"repro/internal/sim"
 	"repro/internal/topology"
 )
@@ -35,7 +34,7 @@ type AbortMsg struct {
 // (repairing nodes that were down during the flood), and a neighbor that
 // knows a query in the digest was aborted re-floods the abort.
 type BeaconMsg struct {
-	QIDs []query.ID
+	QIDs []query.ID // ascending
 }
 
 // WakeMsg is the one-hop broadcast a waking node sends when its data starts
@@ -58,7 +57,7 @@ type ResultMsg struct {
 	// Origin is the node whose reading produced Row (acquisition only).
 	Origin topology.NodeID
 	// Row holds the acquired attribute values (acquisition only).
-	Row map[field.Attr]float64
+	Row field.Values
 	// States holds partial aggregates, one per (query, aggregate) pair
 	// (aggregation only).
 	States []QueryAggState
@@ -73,7 +72,18 @@ type ResultMsg struct {
 	// Subsets optionally maps each multicast destination to the queries it
 	// is responsible for forwarding; nil means every destination forwards
 	// everything (§3.2.2's packet-header query mapping).
-	Subsets map[topology.NodeID][]query.ID
+	Subsets []Subset
+
+	// pkt is the packet this message travels in. A result message is put
+	// on the air once, by the node that built it, so the two are one
+	// allocation.
+	pkt radio.Message
+}
+
+// Subset is one destination's share of a multicast result message.
+type Subset struct {
+	Dest topology.NodeID
+	QIDs []query.ID
 }
 
 // QueryAggState ties a partial aggregate to the query it belongs to.
@@ -91,7 +101,12 @@ func (m *ResultMsg) QueriesFor(id topology.NodeID) []query.ID {
 	if m.Subsets == nil {
 		return m.QIDs
 	}
-	return m.Subsets[id]
+	for _, sub := range m.Subsets {
+		if sub.Dest == id {
+			return sub.QIDs
+		}
+	}
+	return nil
 }
 
 // --- On-air size model -------------------------------------------------
@@ -115,7 +130,7 @@ func resultMsgBytes(m *ResultMsg) int {
 	if m.IsAggregation() {
 		b += distinctStateGroups(m.States) * cost.BytesPerAgg
 	} else {
-		b += cost.BytesPerAttr * len(m.Row)
+		b += cost.BytesPerAttr * m.Row.Len()
 	}
 	if len(m.QIDs) > 1 {
 		b += cost.BytesPerQueryTag * len(m.QIDs)
@@ -152,14 +167,4 @@ func beaconMsgBytes(installed int) int {
 }
 func wakeMsgBytes(n int) int {
 	return cost.HeaderBytes + 2 + cost.BytesPerQueryTag*n
-}
-
-// sortedIDs returns a sorted copy of a query-ID set.
-func sortedIDs(set map[query.ID]bool) []query.ID {
-	out := make([]query.ID, 0, len(set))
-	for id := range set {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

@@ -1,6 +1,8 @@
 package node
 
 import (
+	"slices"
+	"sort"
 	"time"
 
 	"repro/internal/field"
@@ -34,48 +36,100 @@ type Config struct {
 
 // installed tracks one query running on this node.
 type installed struct {
+	n     *Node
 	q     query.Query
 	start sim.Time
 	timer sim.Handle // per-query timer (independent mode only)
+	// sampled and row are q.SampledAttrs() and q.RowAttrs() as sets.
+	sampled, row field.AttrSet
 	// rings holds per-attribute sample history for windowed aggregates.
 	rings map[field.Attr]*query.WindowRing
 }
 
-// pendKey identifies an aggregation assembly buffer.
-type pendKey struct {
-	qid    query.ID
-	epochT sim.Time
+// Fire drives the query's own clock (independent mode).
+func (inst *installed) Fire() { inst.n.fireOne(inst) }
+
+// sighting records when a neighbor was last known to hold data for a query.
+type sighting struct {
+	qid query.ID
+	at  sim.Time
 }
 
-// Node is one simulated sensor mote.
+// pendBuf is the aggregation assembly buffer of one (query, epoch).
+type pendBuf struct {
+	qid    query.ID
+	epochT sim.Time
+	// own marks a buffer this node's own reading contributed to.
+	own    bool
+	states []query.AggState
+}
+
+// idRuns is a set of query IDs held as ascending, disjoint, non-adjacent
+// runs. Tombstones only accumulate and the base station allocates IDs in
+// sequence, so a long history of aborted queries collapses into one run per
+// gap: the queries still alive, and those whose floods never reached this
+// mote (SRT shadow, outage).
+type idRuns []idRun
+
+type idRun struct{ lo, hi query.ID }
+
+func (s idRuns) has(id query.ID) bool {
+	i := sort.Search(len(s), func(i int) bool { return s[i].hi >= id })
+	return i < len(s) && s[i].lo <= id
+}
+
+func (s *idRuns) add(id query.ID) {
+	r := *s
+	// The first run that reaches id-1 is the only one id can lie in or touch.
+	i := sort.Search(len(r), func(i int) bool { return r[i].hi+1 >= id })
+	if i < len(r) && r[i].lo <= id+1 {
+		r[i].lo, r[i].hi = min(r[i].lo, id), max(r[i].hi, id)
+	} else {
+		r = slices.Insert(r, i, idRun{id, id})
+	}
+	if i+1 < len(r) && r[i].hi+1 == r[i+1].lo { // id closed the gap to the next run
+		r[i].hi = r[i+1].hi
+		r = slices.Delete(r, i+1, i+2)
+	}
+	*s = r
+}
+
+// Node is one simulated sensor mote. Its per-event state is flat: the
+// installed queries are an ascending slice, and everything kept per neighbor
+// is indexed by the neighbor's position in upper — the only neighbors a mote
+// routes to, and so the only ones worth remembering anything about.
 type Node struct {
-	cfg     Config
-	id      topology.NodeID
-	level   int
-	queries map[query.ID]*installed
+	cfg   Config
+	id    topology.NodeID
+	level int
+	// upper is Topo.UpperNeighbors(id), best link first; slots is 0..len-1,
+	// the candidate list when no neighbor is under suspicion.
+	upper []topology.NodeID
+	slots []int
+
+	// queries holds the installed queries in ascending ID order.
+	queries []*installed
 
 	// tick is the shared GCD clock (aligned mode).
 	tick sim.Handle
 
-	// knowledge[nb][qid] is when we last learned that neighbor nb has data
-	// for query qid (piggybacked during propagation, overheard from result
-	// traffic, or announced by a wake message).
-	knowledge map[topology.NodeID]map[query.ID]sim.Time
+	// knows[i] lists the queries upper[i] is known to hold data for, and
+	// when that was last learned (piggybacked during propagation, overheard
+	// from result traffic, or announced by a wake message).
+	knows [][]sighting
 
 	// pending accumulates partial aggregates per (query, epoch) until this
-	// node's transmission slot; pendingOwn marks the buffers this node's
-	// own reading contributed to.
-	pending    map[pendKey][]query.AggState
-	pendingOwn map[pendKey]bool
+	// node's transmission slot.
+	pending []pendBuf
 
 	// aborted tombstones query IDs whose abortion this node has seen, so a
 	// query flood arriving after (or racing) its abort flood cannot
 	// reinstall the query and set off a query/abort ping-pong storm. Query
 	// IDs are never reused, so tombstones are permanent.
-	aborted map[query.ID]bool
+	aborted idRuns
 	// pruned records queries this node's SRT index excluded, so repeated
 	// neighbor rebroadcasts are ignored and their aborts need no forward.
-	pruned map[query.ID]bool
+	pruned []query.ID
 
 	asleep       bool
 	lastUseful   sim.Time // last instant with own data or addressed traffic
@@ -86,50 +140,92 @@ type Node struct {
 	// down models node failure: the radio is off and all activity is
 	// suspended until SetDown(false).
 	down bool
-	// suspectDead records neighbors whose last unicast went unacknowledged;
-	// routing avoids them until they are heard from again or the suspicion
-	// expires.
-	suspectDead map[topology.NodeID]sim.Time
+	// suspectAt[i] is when the last unicast to upper[i] went unacknowledged
+	// (notSuspected otherwise); routing avoids such neighbors until they are
+	// heard from again or the suspicion expires. suspects counts them.
+	suspectAt []sim.Time
+	suspects  int
+
+	// noAck is onUndeliverable as a func value, made once.
+	noAck func(*radio.Message, topology.NodeID)
+	// firing is onTick's scratch list.
+	firing []*installed
 }
+
+const notSuspected sim.Time = -1
+
+// The node's recurring timers, scheduled as the node itself.
+type (
+	tickTimer   Node
+	beaconTimer Node
+	wakeTimer   Node
+)
+
+func (t *tickTimer) Fire()   { (*Node)(t).onTick() }
+func (t *beaconTimer) Fire() { (*Node)(t).beacon() }
+func (t *wakeTimer) Fire()   { (*Node)(t).onWakeCheck() }
 
 // New creates the node and attaches it to the medium. The base station is
 // not a Node; the network package handles node 0 itself.
 func New(cfg Config) *Node {
+	upper := cfg.Topo.UpperNeighbors(cfg.ID)
 	n := &Node{
-		cfg:         cfg,
-		id:          cfg.ID,
-		level:       cfg.Topo.Level(cfg.ID),
-		queries:     make(map[query.ID]*installed),
-		knowledge:   make(map[topology.NodeID]map[query.ID]sim.Time),
-		pending:     make(map[pendKey][]query.AggState),
-		pendingOwn:  make(map[pendKey]bool),
-		aborted:     make(map[query.ID]bool),
-		pruned:      make(map[query.ID]bool),
-		suspectDead: make(map[topology.NodeID]sim.Time),
+		cfg:       cfg,
+		id:        cfg.ID,
+		level:     cfg.Topo.Level(cfg.ID),
+		upper:     upper,
+		slots:     make([]int, len(upper)),
+		knows:     make([][]sighting, len(upper)),
+		suspectAt: make([]sim.Time, len(upper)),
 	}
+	for i := range upper {
+		n.slots[i] = i
+		n.suspectAt[i] = notSuspected
+	}
+	n.noAck = n.onUndeliverable
 	cfg.Medium.SetHandler(n.id, n.onReceive)
 	if cfg.MaintenanceInterval > 0 {
 		// Stagger first beacons across the interval by node ID.
 		offset := cfg.MaintenanceInterval * time.Duration(n.id) / time.Duration(cfg.Topo.Size())
-		n.maintTimer = cfg.Engine.After(cfg.MaintenanceInterval+offset, n.beacon)
+		n.maintTimer = n.after(cfg.MaintenanceInterval+offset, (*beaconTimer)(n))
 	}
 	return n
 }
 
-// installedIDs returns the installed query IDs in ascending order; loops
-// whose side effects reach the radio must use it instead of ranging over
-// the n.queries map directly.
-func (n *Node) installedIDs() []query.ID {
-	set := make(map[query.ID]bool, len(n.queries))
-	for id := range n.queries {
-		set[id] = true
-	}
-	return sortedIDs(set)
+// after schedules one of the node's own timers d from now.
+func (n *Node) after(d time.Duration, a sim.Action) sim.Handle {
+	return n.cfg.Engine.ScheduleAction(n.cfg.Engine.Now()+sim.Time(d), a)
 }
 
-// Queries returns the IDs of the queries currently installed (tests).
+// find returns the installed query with the given ID, or nil.
+func (n *Node) find(qid query.ID) *installed {
+	for _, inst := range n.queries {
+		if inst.q.ID == qid {
+			return inst
+		}
+	}
+	return nil
+}
+
+// install adds a query, keeping queries ascending.
+func (n *Node) install(q query.Query, start sim.Time) *installed {
+	inst := &installed{
+		n: n, q: q, start: start,
+		sampled: field.SetOf(q.SampledAttrs()),
+		row:     field.SetOf(q.RowAttrs()),
+	}
+	i := sort.Search(len(n.queries), func(i int) bool { return n.queries[i].q.ID > q.ID })
+	n.queries = slices.Insert(n.queries, i, inst)
+	return inst
+}
+
+// Queries returns the IDs of the queries currently installed, ascending.
 func (n *Node) Queries() []query.ID {
-	return n.installedIDs()
+	ids := make([]query.ID, len(n.queries))
+	for i, inst := range n.queries {
+		ids[i] = inst.q.ID
+	}
+	return ids
 }
 
 // Asleep reports whether the node is in sleep mode (tests).
@@ -152,8 +248,7 @@ func (n *Node) SetDown(down bool) {
 		n.cfg.Trace.Emitf(n.cfg.Engine.Now(), trace.KindFail, n.id, "")
 		n.cfg.Medium.SetHandler(n.id, nil)
 		// Stale partial aggregates and window histories die with the outage.
-		n.pending = make(map[pendKey][]query.AggState)
-		n.pendingOwn = make(map[pendKey]bool)
+		n.pending = nil
 		for _, inst := range n.queries {
 			inst.rings = nil
 		}
@@ -175,14 +270,19 @@ func (n *Node) onReceive(d radio.Delivery) {
 		return // radio off; defensive — the handler is detached while down
 	}
 	// Hearing anything from a neighbor clears its death suspicion.
-	delete(n.suspectDead, d.Msg.Src)
+	if n.suspects > 0 {
+		if slot := n.upperSlot(d.Msg.Src); slot >= 0 && n.suspectAt[slot] != notSuspected {
+			n.suspectAt[slot] = notSuspected
+			n.suspects--
+		}
+	}
 	switch msg := d.Msg.Payload.(type) {
 	case *QueryMsg:
 		n.onQuery(d.Msg.Src, msg)
 	case *AbortMsg:
 		n.onAbort(msg)
 	case *WakeMsg:
-		n.learnMany(d.Msg.Src, msg.QIDs)
+		n.learn(d.Msg.Src, msg.QIDs)
 	case *BeaconMsg:
 		n.onBeacon(msg)
 	case *ResultMsg:
@@ -195,14 +295,10 @@ func (n *Node) onReceive(d radio.Delivery) {
 // query the sender should have dropped. One repair per beacon bounds the
 // traffic.
 func (n *Node) onBeacon(bm *BeaconMsg) {
-	digest := make(map[query.ID]bool, len(bm.QIDs))
-	for _, qid := range bm.QIDs {
-		digest[qid] = true
-	}
 	// The sender still runs a query we know is aborted: repair with the
 	// abort flood (tombstoned here, so re-sending is loop-free).
 	for _, qid := range bm.QIDs {
-		if n.aborted[qid] {
+		if n.aborted.has(qid) {
 			n.cfg.Medium.Send(&radio.Message{
 				Kind:    radio.KindAbort,
 				Src:     n.id,
@@ -216,22 +312,27 @@ func (n *Node) onBeacon(bm *BeaconMsg) {
 	// message (the receiver's dup/SRT logic applies as usual). Node-id
 	// based queries are skipped under SRT — the sender may have pruned
 	// them deliberately, which a digest cannot distinguish from loss.
-	for _, qid := range n.installedIDs() {
-		inst := n.queries[qid]
+	// Both lists ascend, so one pass over the digest finds the gaps.
+	digest := bm.QIDs
+	for _, inst := range n.queries {
+		for len(digest) > 0 && digest[0] < inst.q.ID {
+			digest = digest[1:]
+		}
+		if len(digest) > 0 && digest[0] == inst.q.ID {
+			continue
+		}
 		if n.cfg.Policy.SRT {
 			if _, nodeIDBased := inst.q.PredFor(field.AttrNodeID); nodeIDBased {
 				continue
 			}
 		}
-		if !digest[inst.q.ID] {
-			n.cfg.Medium.Send(&radio.Message{
-				Kind:    radio.KindQuery,
-				Src:     n.id,
-				Bytes:   queryMsgBytes(inst.q),
-				Payload: &QueryMsg{Q: inst.q, Start: inst.start, SenderHasData: n.matchesNow(inst.q)},
-			})
-			return
-		}
+		n.cfg.Medium.Send(&radio.Message{
+			Kind:    radio.KindQuery,
+			Src:     n.id,
+			Bytes:   queryMsgBytes(inst.q),
+			Payload: &QueryMsg{Q: inst.q, Start: inst.start, SenderHasData: n.matchesNow(inst.q)},
+		})
+		return
 	}
 }
 
@@ -240,13 +341,13 @@ func (n *Node) onBeacon(bm *BeaconMsg) {
 // propagation phase). Control traffic is processed even while asleep
 // (low-power listening wakes the radio for long-preamble floods).
 func (n *Node) onQuery(src topology.NodeID, qm *QueryMsg) {
-	if n.aborted[qm.Q.ID] || n.pruned[qm.Q.ID] {
+	if n.aborted.has(qm.Q.ID) || slices.Contains(n.pruned, qm.Q.ID) {
 		return
 	}
 	if qm.SenderHasData {
-		n.learn(src, qm.Q.ID)
+		n.learn(src, []query.ID{qm.Q.ID})
 	}
-	if _, dup := n.queries[qm.Q.ID]; dup {
+	if n.find(qm.Q.ID) != nil {
 		return
 	}
 	// SRT pruning: a node-id-based query whose ID range misses this node's
@@ -254,11 +355,10 @@ func (n *Node) onQuery(src topology.NodeID, qm *QueryMsg) {
 	// install nor forward it. Answer nodes still hear the query from their
 	// own tree ancestors, which all overlap the range.
 	if n.cfg.Policy.SRT && n.srtPrunes(qm.Q) {
-		n.pruned[qm.Q.ID] = true
+		n.pruned = append(n.pruned, qm.Q.ID)
 		return
 	}
-	inst := &installed{q: qm.Q, start: qm.Start}
-	n.queries[qm.Q.ID] = inst
+	inst := n.install(qm.Q, qm.Start)
 	n.scheduleQuery(inst)
 	n.cfg.Trace.Emitf(n.cfg.Engine.Now(), trace.KindInstall, n.id, "q%d start=%v", qm.Q.ID, qm.Start)
 
@@ -284,33 +384,28 @@ func (n *Node) srtPrunes(q query.Query) bool {
 }
 
 func (n *Node) onAbort(am *AbortMsg) {
-	if n.aborted[am.QID] {
-		return
-	}
-	if n.pruned[am.QID] {
-		// The query never entered this subtree, so no one below needs the
-		// abort either; tombstone silently.
-		n.aborted[am.QID] = true
-		delete(n.pruned, am.QID)
+	if n.aborted.has(am.QID) {
 		return
 	}
 	// Tombstone first: even a node that never saw the query flood must
 	// rebroadcast the abort once (the abort flood may be ahead of the query
 	// flood) and must refuse a late installation.
-	n.aborted[am.QID] = true
-	if inst, ok := n.queries[am.QID]; ok {
-		delete(n.queries, am.QID)
+	n.aborted.add(am.QID)
+	if i := slices.Index(n.pruned, am.QID); i >= 0 {
+		// The query never entered this subtree, so no one below needs the
+		// abort either; tombstone silently.
+		n.pruned = slices.Delete(n.pruned, i, i+1)
+		return
+	}
+	if inst := n.find(am.QID); inst != nil {
+		i := slices.Index(n.queries, inst)
+		n.queries = slices.Delete(n.queries, i, i+1)
 		if inst.timer.Pending() {
 			inst.timer.Cancel()
 		}
 		n.cfg.Trace.Emitf(n.cfg.Engine.Now(), trace.KindAbort, n.id, "q%d", am.QID)
 	}
-	for k := range n.pending {
-		if k.qid == am.QID {
-			delete(n.pending, k)
-			delete(n.pendingOwn, k)
-		}
-	}
+	n.pending = slices.DeleteFunc(n.pending, func(b pendBuf) bool { return b.qid == am.QID })
 	if len(n.queries) == 0 && n.tick.Pending() {
 		n.tick.Cancel()
 	}
@@ -331,7 +426,7 @@ func (n *Node) onResult(d radio.Delivery, msg *ResultMsg) {
 			// A neighbor whose own reading contributed to this message has
 			// data to share for those queries; pure relaying teaches us
 			// nothing about the neighbor's data.
-			n.learnMany(d.Msg.Src, msg.OwnQIDs)
+			n.learn(d.Msg.Src, msg.OwnQIDs)
 		}
 		return
 	}
@@ -340,7 +435,7 @@ func (n *Node) onResult(d radio.Delivery, msg *ResultMsg) {
 	if n.asleep {
 		n.resume()
 	}
-	n.learnMany(d.Msg.Src, msg.OwnQIDs)
+	n.learn(d.Msg.Src, msg.OwnQIDs)
 
 	mine := msg.QueriesFor(n.id)
 	if len(mine) == 0 {
@@ -356,11 +451,7 @@ func (n *Node) onResult(d radio.Delivery, msg *ResultMsg) {
 // relayAcquisition forwards an origin row toward the base station, trimmed
 // to the attributes its remaining queries need.
 func (n *Node) relayAcquisition(msg *ResultMsg, mine []query.ID) {
-	row := msg.Row
-	if trimmed := n.trimRow(msg.Row, mine); trimmed != nil {
-		row = trimmed
-	}
-	out := &ResultMsg{EpochT: msg.EpochT, QIDs: mine, Origin: msg.Origin, Row: row}
+	out := &ResultMsg{EpochT: msg.EpochT, QIDs: mine, Origin: msg.Origin, Row: n.trimRow(msg.Row, mine)}
 	n.route(out)
 }
 
@@ -369,31 +460,44 @@ func (n *Node) relayAcquisition(msg *ResultMsg, mine []query.ID) {
 // arrival, or epochs this node is not running) the states are forwarded
 // unmerged — less aggregation, same answer at the base station.
 func (n *Node) relayAggregation(msg *ResultMsg, mine []query.ID) {
-	mineSet := make(map[query.ID]bool, len(mine))
-	for _, id := range mine {
-		mineSet[id] = true
-	}
-	var late []QueryAggState
+	var late []queryStates
 	for _, qs := range msg.States {
-		if !mineSet[qs.QID] {
+		if !slices.Contains(mine, qs.QID) {
 			continue
 		}
-		inst, have := n.queries[qs.QID]
-		if have && n.slotTime(msg.EpochT) > n.cfg.Engine.Now() && n.firesAt(inst, msg.EpochT) {
-			k := pendKey{qid: qs.QID, epochT: msg.EpochT}
-			n.pending[k] = mergeState(n.pending[k], qs.State)
+		inst := n.find(qs.QID)
+		if inst != nil && n.slotTime(msg.EpochT) > n.cfg.Engine.Now() && n.firesAt(inst, msg.EpochT) {
+			b := n.pendingFor(qs.QID, msg.EpochT)
+			b.states = mergeState(b.states, qs.State)
 			continue
 		}
-		late = append(late, qs)
+		// Group the late states per query, queries ascending.
+		i := sort.Search(len(late), func(i int) bool { return late[i].qid >= qs.QID })
+		if i == len(late) || late[i].qid != qs.QID {
+			late = slices.Insert(late, i, queryStates{qid: qs.QID})
+		}
+		late[i].states = append(late[i].states, qs.State)
 	}
-	if len(late) == 0 {
-		return
+	if len(late) > 0 {
+		n.sendAggStates(msg.EpochT, late)
 	}
-	perQuery := make(map[query.ID][]query.AggState)
-	for _, qs := range late {
-		perQuery[qs.QID] = append(perQuery[qs.QID], qs.State)
+}
+
+// pendingFor returns the assembly buffer of (qid, epochT), opening it if
+// need be. A buffer is read once, in its epoch's slot, which is over (jitter
+// included) by slotTime(epochT)+SlotTime; one still here after that was
+// opened for an epoch this node slept through and would sit for ever, so
+// opening a buffer is also when those are dropped.
+func (n *Node) pendingFor(qid query.ID, epochT sim.Time) *pendBuf {
+	for i := range n.pending {
+		if b := &n.pending[i]; b.qid == qid && b.epochT == epochT {
+			return b
+		}
 	}
-	n.sendAggStates(msg.EpochT, perQuery, nil)
+	stale := n.cfg.Engine.Now() - sim.Time(SlotTime)
+	n.pending = slices.DeleteFunc(n.pending, func(b pendBuf) bool { return n.slotTime(b.epochT) < stale })
+	n.pending = append(n.pending, pendBuf{qid: qid, epochT: epochT})
+	return &n.pending[len(n.pending)-1]
 }
 
 // --- Epoch scheduling -----------------------------------------------------
@@ -412,16 +516,16 @@ func (n *Node) scheduleQuery(inst *installed) {
 		missed := (now-at)/sim.Time(inst.q.Epoch) + 1
 		at += missed * sim.Time(inst.q.Epoch)
 	}
-	inst.timer = n.cfg.Engine.Schedule(at, func() { n.fireOne(inst) })
+	inst.timer = n.cfg.Engine.ScheduleAction(at, inst)
 }
 
 // fireOne drives one query in independent mode.
 func (n *Node) fireOne(inst *installed) {
-	if _, live := n.queries[inst.q.ID]; !live {
+	if n.find(inst.q.ID) == nil {
 		return
 	}
 	t := n.cfg.Engine.Now()
-	inst.timer = n.cfg.Engine.After(inst.q.Epoch, func() { n.fireOne(inst) })
+	inst.timer = n.after(inst.q.Epoch, inst)
 	if n.asleep || n.down {
 		return
 	}
@@ -450,7 +554,7 @@ func (n *Node) rescheduleTick() {
 	}
 	now := n.cfg.Engine.Now()
 	next := (now/g + 1) * g
-	n.tick = n.cfg.Engine.Schedule(next, n.onTick)
+	n.tick = n.cfg.Engine.ScheduleAction(next, (*tickTimer)(n))
 }
 
 // onTick fires every GCD period; queries whose epoch divides the current
@@ -462,15 +566,16 @@ func (n *Node) onTick() {
 	if n.asleep || n.down {
 		return
 	}
-	// Iterate in sorted query order: without SharedMessages each firing
-	// query emits its own message, and emission order feeds the medium's
-	// contention model, so map order would leak into the results.
-	var firing []*installed
-	for _, qid := range n.installedIDs() {
-		if inst := n.queries[qid]; n.firesAt(inst, t) {
+	// Query order matters: without SharedMessages each firing query emits
+	// its own message, and emission order feeds the medium's contention
+	// model. queries ascends by ID.
+	firing := n.firing[:0]
+	for _, inst := range n.queries {
+		if n.firesAt(inst, t) {
 			firing = append(firing, inst)
 		}
 	}
+	n.firing = firing
 	if len(firing) == 0 {
 		return
 	}
@@ -488,31 +593,65 @@ func (n *Node) firesAt(inst *installed, t sim.Time) bool {
 	return (t-inst.start)%inst.q.Epoch == 0
 }
 
+// slotWork is what one firing leaves to do at the node's transmission slot:
+// the shared sample and the firing queries, each with the kind of result
+// traffic it owes. Acquisition rows, windowed rows and partial aggregates
+// go out as three events at the slot instant, in that order; all three are
+// this one record.
+type slotWork struct {
+	n      *Node
+	t      sim.Time
+	sample field.Values
+	items  []slotItem
+	// room keeps the common few-query firing free of a second allocation.
+	room [4]slotItem
+}
+
+type slotItem struct {
+	inst *installed
+	owes slotKind
+}
+
+type slotKind uint8
+
+const (
+	owesAcquisition slotKind = iota + 1 // matched acquisition query
+	owesWindow                          // windowed query at a slide boundary
+	owesAggregate                       // aggregation query (matched or not)
+)
+
+type (
+	acqSlot slotWork
+	winSlot slotWork
+	aggSlot slotWork
+)
+
+func (w *acqSlot) Fire() { w.n.sendAcquisition((*slotWork)(w)) }
+func (w *winSlot) Fire() { w.n.sendWindowed((*slotWork)(w)) }
+func (w *aggSlot) Fire() { w.n.finalizeAggregation((*slotWork)(w)) }
+
 // processFiring samples once for all firing queries and generates result
 // traffic at this node's transmission slot.
 func (n *Node) processFiring(t sim.Time, firing []*installed) {
-	n.cfg.Trace.Emitf(t, trace.KindFire, n.id, "%d queries", len(firing))
+	if n.cfg.Trace != nil {
+		n.cfg.Trace.Emitf(t, trace.KindFire, n.id, "%d queries", len(firing))
+	}
 	// Shared data acquisition: one sample covers every firing query.
-	attrSet := make(map[field.Attr]bool)
+	var need field.AttrSet
 	for _, inst := range firing {
-		for _, a := range inst.q.SampledAttrs() {
-			attrSet[a] = true
-		}
+		need |= inst.sampled
 	}
-	sample := make(map[field.Attr]float64, len(attrSet))
-	for a := range attrSet {
-		sample[a] = n.cfg.Source.Reading(n.id, a, t)
-	}
+	w := &slotWork{n: n, t: t, sample: field.Sample(n.cfg.Source, n.id, need, t)}
+	w.items = w.room[:0]
+	sample := &w.sample
 	if n.cfg.Metrics != nil {
-		n.cfg.Metrics.CountSamples(n.id, len(attrSet))
+		n.cfg.Metrics.CountSamples(n.id, need.Len())
 	}
 
-	var acqMatched []*installed
-	var aggFiring []*installed
-	var winReport []*installed
+	var owed [owesAggregate + 1]bool
 	hadOwnData := false
 	for _, inst := range firing {
-		matched := inst.q.MatchesRow(sample)
+		matched := inst.q.MatchesValues(sample)
 		if inst.q.IsWindowed() {
 			// The sample history advances every epoch regardless of the
 			// predicate; the node reports at slide boundaries when its
@@ -520,53 +659,59 @@ func (n *Node) processFiring(t sim.Time, firing []*installed) {
 			if inst.rings == nil {
 				inst.rings = make(map[field.Attr]*query.WindowRing, len(inst.q.Wins))
 			}
-			for _, w := range inst.q.Wins {
-				r, ok := inst.rings[w.Attr]
+			for _, win := range inst.q.Wins {
+				r, ok := inst.rings[win.Attr]
 				if !ok {
-					r = query.NewWindowRing(w.Window)
-					inst.rings[w.Attr] = r
+					r = query.NewWindowRing(win.Window)
+					inst.rings[win.Attr] = r
 				}
-				r.Push(sample[w.Attr])
+				v, _ := sample.Get(win.Attr)
+				r.Push(v)
 			}
 			if matched && n.reportsAt(inst, t) {
 				hadOwnData = true
-				winReport = append(winReport, inst)
+				w.items = append(w.items, slotItem{inst, owesWindow})
+				owed[owesWindow] = true
 			}
 			continue
 		}
 		if inst.q.IsAggregation() {
-			aggFiring = append(aggFiring, inst)
+			w.items = append(w.items, slotItem{inst, owesAggregate})
+			owed[owesAggregate] = true
 			if matched {
 				hadOwnData = true
-				k := pendKey{qid: inst.q.ID, epochT: t}
-				n.pendingOwn[k] = true
 				var group int64
 				if inst.q.GroupBy != nil {
-					group = inst.q.GroupBy.Key(sample[inst.q.GroupBy.Attr])
+					gv, _ := sample.Get(inst.q.GroupBy.Attr)
+					group = inst.q.GroupBy.Key(gv)
 				}
 				for _, a := range inst.q.Aggs {
 					st := query.NewGroupedAggState(a, group)
-					st.Add(sample[a.Attr])
-					n.pending[k] = mergeState(n.pending[k], st)
+					v, _ := sample.Get(a.Attr)
+					st.Add(v)
+					b := n.pendingFor(inst.q.ID, t)
+					b.own = true
+					b.states = mergeState(b.states, st)
 				}
 			}
 			continue
 		}
 		if matched {
 			hadOwnData = true
-			acqMatched = append(acqMatched, inst)
+			w.items = append(w.items, slotItem{inst, owesAcquisition})
+			owed[owesAcquisition] = true
 		}
 	}
 
 	slot := n.slotTime(t) + sim.Time(n.jitter())
-	if len(acqMatched) > 0 {
-		n.cfg.Engine.Schedule(slot, func() { n.sendAcquisition(t, acqMatched, sample) })
+	if owed[owesAcquisition] {
+		n.cfg.Engine.ScheduleAction(slot, (*acqSlot)(w))
 	}
-	if len(winReport) > 0 {
-		n.cfg.Engine.Schedule(slot, func() { n.sendWindowed(t, winReport) })
+	if owed[owesWindow] {
+		n.cfg.Engine.ScheduleAction(slot, (*winSlot)(w))
 	}
-	if len(aggFiring) > 0 {
-		n.cfg.Engine.Schedule(slot, func() { n.finalizeAggregation(t, aggFiring) })
+	if owed[owesAggregate] {
+		n.cfg.Engine.ScheduleAction(slot, (*aggSlot)(w))
 	}
 
 	n.updateSleepState(hadOwnData)
@@ -588,21 +733,25 @@ func (n *Node) reportsAt(inst *installed, t sim.Time) bool {
 // sendWindowed emits this node's windowed-aggregate rows. Each windowed
 // query sends its own message: window values are query-specific derivations,
 // so cross-query packing would put conflicting values under one attribute.
-func (n *Node) sendWindowed(t sim.Time, reporting []*installed) {
-	for _, inst := range reporting {
-		row := make(map[field.Attr]float64, len(inst.q.Wins))
-		for _, w := range inst.q.Wins {
-			if r, ok := inst.rings[w.Attr]; ok {
-				if v, okv := r.Aggregate(w.Op); okv {
-					row[w.Attr] = v
+func (n *Node) sendWindowed(w *slotWork) {
+	for _, it := range w.items {
+		if it.owes != owesWindow {
+			continue
+		}
+		inst := it.inst
+		var row field.Values
+		for _, win := range inst.q.Wins {
+			if r, ok := inst.rings[win.Attr]; ok {
+				if v, okv := r.Aggregate(win.Op); okv {
+					row.Set(win.Attr, v)
 				}
 			}
 		}
-		if len(row) == 0 {
+		if row.Len() == 0 {
 			continue
 		}
 		qids := []query.ID{inst.q.ID}
-		n.route(&ResultMsg{EpochT: t, QIDs: qids, Origin: n.id, Row: row, OwnQIDs: qids})
+		n.route(&ResultMsg{EpochT: w.t, QIDs: qids, Origin: n.id, Row: row, OwnQIDs: qids})
 	}
 }
 
@@ -623,111 +772,114 @@ func (n *Node) jitter() time.Duration {
 // sendAcquisition emits this node's own readings for the matched
 // acquisition queries: one packed message under SharedMessages, one message
 // per query otherwise (TinyDB behaviour).
-func (n *Node) sendAcquisition(t sim.Time, matched []*installed, sample map[field.Attr]float64) {
+func (n *Node) sendAcquisition(w *slotWork) {
 	if n.cfg.Policy.SharedMessages {
-		ids := make(map[query.ID]bool, len(matched))
-		row := make(map[field.Attr]float64)
-		for _, inst := range matched {
-			ids[inst.q.ID] = true
-			for _, a := range inst.q.Attrs {
-				row[a] = sample[a]
+		var qids []query.ID
+		var attrs field.AttrSet
+		for _, it := range w.items {
+			if it.owes == owesAcquisition {
+				qids = append(qids, it.inst.q.ID)
+				attrs |= field.SetOf(it.inst.q.Attrs)
 			}
 		}
-		qids := sortedIDs(ids)
-		n.route(&ResultMsg{EpochT: t, QIDs: qids, Origin: n.id, Row: row, OwnQIDs: qids})
+		n.route(&ResultMsg{EpochT: w.t, QIDs: qids, Origin: n.id, Row: w.sample.Only(attrs), OwnQIDs: qids})
 		return
 	}
-	for _, inst := range matched {
-		row := make(map[field.Attr]float64, len(inst.q.Attrs))
-		for _, a := range inst.q.Attrs {
-			row[a] = sample[a]
+	for _, it := range w.items {
+		if it.owes != owesAcquisition {
+			continue
 		}
-		qids := []query.ID{inst.q.ID}
-		n.route(&ResultMsg{EpochT: t, QIDs: qids, Origin: n.id, Row: row, OwnQIDs: qids})
+		qids := []query.ID{it.inst.q.ID}
+		row := w.sample.Only(field.SetOf(it.inst.q.Attrs))
+		n.route(&ResultMsg{EpochT: w.t, QIDs: qids, Origin: n.id, Row: row, OwnQIDs: qids})
 	}
+}
+
+// queryStates is the partial-state list of one query on its way out.
+type queryStates struct {
+	qid    query.ID
+	states []query.AggState
+	// own marks states this node's own reading contributed to.
+	own bool
 }
 
 // finalizeAggregation flushes the pending partial aggregates of the firing
 // queries at this node's slot: own reading and child contributions merged
 // into one partial state record per (query, aggregate).
-func (n *Node) finalizeAggregation(t sim.Time, firing []*installed) {
-	perQuery := make(map[query.ID][]query.AggState)
-	own := make(map[query.ID]bool)
-	for _, inst := range firing {
-		k := pendKey{qid: inst.q.ID, epochT: t}
-		states, ok := n.pending[k]
-		if !ok {
+func (n *Node) finalizeAggregation(w *slotWork) {
+	var out []queryStates
+	for _, it := range w.items {
+		if it.owes != owesAggregate {
 			continue
 		}
-		delete(n.pending, k)
-		perQuery[inst.q.ID] = states
-		if n.pendingOwn[k] {
-			own[inst.q.ID] = true
-			delete(n.pendingOwn, k)
+		for i := range n.pending {
+			if b := n.pending[i]; b.qid == it.inst.q.ID && b.epochT == w.t {
+				out = append(out, queryStates{qid: b.qid, states: b.states, own: b.own})
+				n.pending = slices.Delete(n.pending, i, i+1)
+				break
+			}
 		}
 	}
-	if len(perQuery) == 0 {
-		return
+	if len(out) > 0 {
+		n.sendAggStates(w.t, out)
 	}
-	n.sendAggStates(t, perQuery, own)
 }
 
-// sendAggStates emits partial-aggregate messages. Under SharedMessages,
-// queries whose entire partial states are identical share one message
-// (§3.2.2: "one data message can be packed to share among all of the
-// queries whose partial aggregation value are the same"); queries with
-// different partials — e.g. a node that aggregated extra children for one
-// of them, as node B does in the Figure 2 walk-through — go in separate
-// messages. Without SharedMessages every query gets its own message.
-func (n *Node) sendAggStates(t sim.Time, perQuery map[query.ID][]query.AggState, own map[query.ID]bool) {
-	ownOf := func(qids []query.ID) []query.ID {
-		var out []query.ID
-		for _, qid := range qids {
-			if own[qid] {
-				out = append(out, qid)
-			}
-		}
-		return out
-	}
+// sendAggStates emits partial-aggregate messages for the given queries
+// (ascending by ID). Under SharedMessages, queries whose entire partial
+// states are identical share one message (§3.2.2: "one data message can be
+// packed to share among all of the queries whose partial aggregation value
+// are the same"); queries with different partials — e.g. a node that
+// aggregated extra children for one of them, as node B does in the Figure 2
+// walk-through — go in separate messages. Without SharedMessages every query
+// gets its own message.
+func (n *Node) sendAggStates(t sim.Time, perQuery []queryStates) {
 	if !n.cfg.Policy.SharedMessages {
-		for _, qid := range sortedKeys(perQuery) {
-			qs := make([]QueryAggState, 0, len(perQuery[qid]))
-			for _, st := range perQuery[qid] {
-				qs = append(qs, QueryAggState{QID: qid, State: st})
+		for _, pq := range perQuery {
+			qs := make([]QueryAggState, 0, len(pq.states))
+			for _, st := range pq.states {
+				qs = append(qs, QueryAggState{QID: pq.qid, State: st})
 			}
-			qids := []query.ID{qid}
-			n.route(&ResultMsg{EpochT: t, QIDs: qids, States: qs, OwnQIDs: ownOf(qids)})
+			qids := []query.ID{pq.qid}
+			var own []query.ID
+			if pq.own {
+				own = qids
+			}
+			n.route(&ResultMsg{EpochT: t, QIDs: qids, States: qs, OwnQIDs: own})
 		}
 		return
 	}
 	// Partition queries into classes with identical state lists.
 	type class struct {
-		states []query.AggState
-		qids   []query.ID
+		states    []query.AggState
+		qids, own []query.ID
 	}
-	var classes []*class
-	for _, qid := range sortedKeys(perQuery) {
-		states := perQuery[qid]
-		placed := false
-		for _, c := range classes {
-			if stateListsEqual(c.states, states) {
-				c.qids = append(c.qids, qid)
-				placed = true
+	var classes []class
+	for _, pq := range perQuery {
+		var c *class
+		for i := range classes {
+			if stateListsEqual(classes[i].states, pq.states) {
+				c = &classes[i]
 				break
 			}
 		}
-		if !placed {
-			classes = append(classes, &class{states: states, qids: []query.ID{qid}})
+		if c == nil {
+			classes = append(classes, class{states: pq.states})
+			c = &classes[len(classes)-1]
+		}
+		c.qids = append(c.qids, pq.qid)
+		if pq.own {
+			c.own = append(c.own, pq.qid)
 		}
 	}
 	for _, c := range classes {
-		var qs []QueryAggState
+		qs := make([]QueryAggState, 0, len(c.qids)*len(c.states))
 		for _, qid := range c.qids {
 			for _, st := range c.states {
 				qs = append(qs, QueryAggState{QID: qid, State: st})
 			}
 		}
-		n.route(&ResultMsg{EpochT: t, QIDs: c.qids, States: qs, OwnQIDs: ownOf(c.qids)})
+		n.route(&ResultMsg{EpochT: t, QIDs: c.qids, States: qs, OwnQIDs: c.own})
 	}
 }
 
@@ -752,14 +904,6 @@ func stateListsEqual(a, b []query.AggState) bool {
 	return true
 }
 
-func sortedKeys(m map[query.ID][]query.AggState) []query.ID {
-	set := make(map[query.ID]bool, len(m))
-	for id := range m {
-		set[id] = true
-	}
-	return sortedIDs(set)
-}
-
 // --- Routing ---------------------------------------------------------------
 
 // route picks the next hop(s) for a result message and transmits it. Under
@@ -768,186 +912,199 @@ func sortedKeys(m map[query.ID][]query.AggState) []query.ID {
 // the same queries, splitting across parents with one multicast when no
 // single neighbor serves every query (§3.2.2 result collection phase).
 func (n *Node) route(msg *ResultMsg) {
-	upper := n.liveUpper()
-	if len(upper) == 0 {
+	live := n.liveUpper()
+	if len(live) == 0 {
 		return // cannot happen in a connected topology
 	}
-	if !n.cfg.Policy.QueryAwareDAG {
-		// TinyDB parent selection by link quality; a suspected-dead parent
-		// fails over to the next-best upper neighbor.
-		n.transmit(msg, []topology.NodeID{upper[0]})
-		return
-	}
-	if len(upper) == 1 || len(msg.QIDs) == 0 {
-		n.transmit(msg, []topology.NodeID{upper[0]})
+	// Without QueryAwareDAG: TinyDB parent selection by link quality; a
+	// suspected-dead parent fails over to the next-best upper neighbor.
+	if !n.cfg.Policy.QueryAwareDAG || len(live) == 1 || len(msg.QIDs) == 0 {
+		n.unicast(msg, live[0])
 		return
 	}
 
 	// Score candidates by how many of the message's queries they have data
-	// for; upper is ordered best-link-first, so ties favor stable links.
+	// for; live is ordered best-link-first, so ties favor stable links. An
+	// observation counts for KnowledgeTTL epochs of its query.
 	now := n.cfg.Engine.Now()
-	covered := func(nb topology.NodeID, qid query.ID) bool {
-		seen, ok := n.knowledge[nb][qid]
-		if !ok {
-			return false
+	var room [16]sim.Time
+	ttl := room[:0]
+	for _, qid := range msg.QIDs {
+		epoch := query.MinEpoch
+		if inst := n.find(qid); inst != nil {
+			epoch = inst.q.Epoch
 		}
-		inst, have := n.queries[qid]
-		if !have {
-			return now-seen <= sim.Time(KnowledgeTTL*query.MinEpoch)
-		}
-		return now-seen <= sim.Time(KnowledgeTTL)*sim.Time(inst.q.Epoch)
+		ttl = append(ttl, sim.Time(KnowledgeTTL)*sim.Time(epoch))
 	}
-	best := upper[0]
+	covered := func(slot, i int) bool {
+		for _, s := range n.knows[slot] {
+			if s.qid == msg.QIDs[i] {
+				return now-s.at <= ttl[i]
+			}
+		}
+		return false
+	}
+	best := live[0]
 	bestScore := 0
-	for _, nb := range upper {
+	for _, slot := range live {
 		score := 0
-		for _, qid := range msg.QIDs {
-			if covered(nb, qid) {
+		for i := range msg.QIDs {
+			if covered(slot, i) {
 				score++
 			}
 		}
 		if score > bestScore {
-			best, bestScore = nb, score
+			best, bestScore = slot, score
 		}
 	}
 	if bestScore == 0 || bestScore == len(msg.QIDs) {
-		n.transmit(msg, []topology.NodeID{best})
+		n.unicast(msg, best)
 		return
 	}
 
 	// Partial coverage: greedily assign each query to a knowledgeable
 	// parent; queries nobody has data for ride with the primary parent.
-	assign := make(map[topology.NodeID][]query.ID)
-	for _, qid := range msg.QIDs {
-		dest := best
-		if !covered(best, qid) {
-			for _, nb := range upper {
-				if covered(nb, qid) {
-					dest = nb
+	// Emission order affects the radio medium's contention, so the parents
+	// are kept in ascending node order.
+	var shares []Subset
+	for i, qid := range msg.QIDs {
+		slot := best
+		if !covered(best, i) {
+			for _, cand := range live {
+				if covered(cand, i) {
+					slot = cand
 					break
 				}
 			}
 		}
-		assign[dest] = append(assign[dest], qid)
+		dest := n.upper[slot]
+		at := sort.Search(len(shares), func(j int) bool { return shares[j].Dest >= dest })
+		if at == len(shares) || shares[at].Dest != dest {
+			shares = slices.Insert(shares, at, Subset{Dest: dest})
+		}
+		shares[at].QIDs = append(shares[at].QIDs, qid)
 	}
-	if len(assign) == 1 || !n.cfg.Policy.Multicast {
-		if len(assign) == 1 {
-			n.transmit(msg, []topology.NodeID{best})
-			return
-		}
+	if len(shares) == 1 {
+		n.unicast(msg, best)
+		return
+	}
+	if !n.cfg.Policy.Multicast {
 		// Without multicast: one unicast per parent, each with its subset.
-		// Emission order affects the radio medium's contention, so iterate
-		// the parents in sorted order, never in map order.
-		dests := make([]topology.NodeID, 0, len(assign))
-		for dest := range assign {
-			dests = append(dests, dest)
-		}
-		sortNodeIDs(dests)
-		for _, dest := range dests {
-			sub := n.subsetMsg(msg, assign[dest])
-			n.transmit(sub, []topology.NodeID{dest})
+		for _, sh := range shares {
+			n.transmit(n.subsetMsg(msg, sh.QIDs), []topology.NodeID{sh.Dest})
 		}
 		return
 	}
 	// One multicast with a per-destination query mapping in the header.
-	dests := make([]topology.NodeID, 0, len(assign))
-	for dest := range assign {
-		dests = append(dests, dest)
+	dests := make([]topology.NodeID, len(shares))
+	for i, sh := range shares {
+		dests[i] = sh.Dest
 	}
-	sortNodeIDs(dests)
-	msg.Subsets = assign
+	msg.Subsets = shares
 	n.transmit(msg, dests)
 }
 
 // subsetMsg projects a result message onto a subset of its queries.
 func (n *Node) subsetMsg(msg *ResultMsg, qids []query.ID) *ResultMsg {
 	out := &ResultMsg{EpochT: msg.EpochT, QIDs: qids, Origin: msg.Origin, Reroutes: msg.Reroutes}
-	want := make(map[query.ID]bool, len(qids))
-	for _, id := range qids {
-		want[id] = true
-	}
 	for _, id := range msg.OwnQIDs {
-		if want[id] {
+		if slices.Contains(qids, id) {
 			out.OwnQIDs = append(out.OwnQIDs, id)
 		}
 	}
 	if msg.IsAggregation() {
 		for _, qs := range msg.States {
-			if want[qs.QID] {
+			if slices.Contains(qids, qs.QID) {
 				out.States = append(out.States, qs)
 			}
 		}
 	} else {
-		out.Row = msg.Row
-		if trimmed := n.trimRow(msg.Row, qids); trimmed != nil {
-			out.Row = trimmed
-		}
+		out.Row = n.trimRow(msg.Row, qids)
 	}
 	return out
 }
 
-// trimRow reduces a row to the attributes the given queries request; nil if
-// any query is unknown locally (keep everything in that case).
-func (n *Node) trimRow(row map[field.Attr]float64, qids []query.ID) map[field.Attr]float64 {
-	need := make(map[field.Attr]bool)
+// trimRow reduces a row to the attributes the given queries request; the
+// row is kept whole if any of them is unknown locally.
+func (n *Node) trimRow(row field.Values, qids []query.ID) field.Values {
+	var need field.AttrSet
 	for _, qid := range qids {
-		inst, ok := n.queries[qid]
-		if !ok {
-			return nil
+		inst := n.find(qid)
+		if inst == nil {
+			return row
 		}
-		for _, a := range inst.q.RowAttrs() {
-			need[a] = true
-		}
+		need |= inst.row
 	}
-	out := make(map[field.Attr]float64, len(need))
-	for a := range need {
-		if v, ok := row[a]; ok {
-			out[a] = v
-		}
-	}
-	return out
+	return row.Only(need)
 }
 
-// liveUpper returns the upper-level neighbors not currently suspected dead
-// (best link first); if every candidate is suspected, suspicion is ignored
-// — a stale blacklist must not partition the network.
-func (n *Node) liveUpper() []topology.NodeID {
-	upper := n.cfg.Topo.UpperNeighbors(n.id)
+// liveUpper returns the slots of the upper-level neighbors not currently
+// suspected dead (best link first); if every candidate is suspected,
+// suspicion is ignored — a stale blacklist must not partition the network.
+func (n *Node) liveUpper() []int {
+	if n.suspects == 0 {
+		return n.slots
+	}
 	now := n.cfg.Engine.Now()
-	live := make([]topology.NodeID, 0, len(upper))
-	for _, nb := range upper {
-		if at, ok := n.suspectDead[nb]; ok && now-at < sim.Time(DeadSuspicionTTL) {
+	live := make([]int, 0, len(n.upper))
+	for slot, at := range n.suspectAt {
+		if at != notSuspected && now-at < sim.Time(DeadSuspicionTTL) {
 			continue
 		}
-		live = append(live, nb)
+		live = append(live, slot)
 	}
 	if len(live) == 0 {
-		return upper
+		return n.slots
 	}
 	return live
 }
 
+// upperSlot returns nb's index in upper, or -1 if nb is not an upper-level
+// neighbor.
+func (n *Node) upperSlot(nb topology.NodeID) int {
+	if n.cfg.Topo.Level(nb) != n.level-1 {
+		return -1
+	}
+	for slot, id := range n.upper {
+		if id == nb {
+			return slot
+		}
+	}
+	return -1
+}
+
+// unicast transmits msg to one upper neighbor. The destination list is a
+// slice of the topology's own neighbor table, which nobody writes.
+func (n *Node) unicast(msg *ResultMsg, slot int) {
+	n.transmit(msg, n.upper[slot:slot+1:slot+1])
+}
+
 func (n *Node) transmit(msg *ResultMsg, dests []topology.NodeID) {
-	n.cfg.Medium.Send(&radio.Message{
-		Kind:    radio.KindResult,
-		Src:     n.id,
-		Dests:   dests,
-		Bytes:   resultMsgBytes(msg),
-		Payload: msg,
-		Undeliverable: func(dest topology.NodeID) {
-			n.onUndeliverable(msg, dest)
-		},
-	})
+	msg.pkt = radio.Message{
+		Kind:          radio.KindResult,
+		Src:           n.id,
+		Dests:         dests,
+		Bytes:         resultMsgBytes(msg),
+		Payload:       msg,
+		Undeliverable: n.noAck,
+	}
+	n.cfg.Medium.Send(&msg.pkt)
 }
 
 // onUndeliverable is the link-layer "no ACK" signal: the destination's
 // radio was off when the transmission completed. The sender blacklists the
 // neighbor and reroutes the affected queries through another parent.
-func (n *Node) onUndeliverable(msg *ResultMsg, dest topology.NodeID) {
+func (n *Node) onUndeliverable(pkt *radio.Message, dest topology.NodeID) {
 	if n.down {
 		return
 	}
-	n.suspectDead[dest] = n.cfg.Engine.Now()
+	msg := pkt.Payload.(*ResultMsg)
+	if slot := n.upperSlot(dest); slot >= 0 {
+		if n.suspectAt[slot] == notSuspected {
+			n.suspects++
+		}
+		n.suspectAt[slot] = n.cfg.Engine.Now()
+	}
 	if msg.Reroutes >= MaxReroutes {
 		// Reroute budget exhausted: every upper path tried and failed (a
 		// permanently dead parent region). The result is abandoned — traced
@@ -980,7 +1137,7 @@ func (n *Node) updateSleepState(hadOwnData bool) {
 	n.sawAddressed = false
 	if !n.asleep && now-n.lastUseful >= sim.Time(SleepAfterIdle) {
 		n.asleep = true
-		n.wakeCheck = n.cfg.Engine.After(SleepCheck, n.onWakeCheck)
+		n.wakeCheck = n.after(SleepCheck, (*wakeTimer)(n))
 		n.cfg.Trace.Emitf(now, trace.KindSleep, n.id, "idle since %v", time.Duration(n.lastUseful))
 	}
 }
@@ -993,25 +1150,21 @@ func (n *Node) onWakeCheck() {
 		return
 	}
 	var matched []query.ID
-	for qid, inst := range n.queries {
+	for _, inst := range n.queries {
 		if n.matchesNow(inst.q) {
-			matched = append(matched, qid)
+			matched = append(matched, inst.q.ID)
 		}
 	}
 	if len(matched) == 0 {
-		n.wakeCheck = n.cfg.Engine.After(SleepCheck, n.onWakeCheck)
+		n.wakeCheck = n.after(SleepCheck, (*wakeTimer)(n))
 		return
 	}
 	n.resume()
-	set := make(map[query.ID]bool, len(matched))
-	for _, id := range matched {
-		set[id] = true
-	}
 	n.cfg.Medium.Send(&radio.Message{
 		Kind:    radio.KindWake,
 		Src:     n.id,
 		Bytes:   wakeMsgBytes(len(matched)),
-		Payload: &WakeMsg{QIDs: sortedIDs(set)},
+		Payload: &WakeMsg{QIDs: matched},
 	})
 }
 
@@ -1031,12 +1184,8 @@ func (n *Node) resume() {
 // matchesNow evaluates a query's predicates against this node's current
 // readings.
 func (n *Node) matchesNow(q query.Query) bool {
-	now := n.cfg.Engine.Now()
-	vals := make(map[field.Attr]float64, len(q.Preds))
-	for _, p := range q.Preds {
-		vals[p.Attr] = n.cfg.Source.Reading(n.id, p.Attr, now)
-	}
-	return q.MatchesRow(vals)
+	vals := field.Sample(n.cfg.Source, n.id, field.SetOf(q.PredAttrs()), n.cfg.Engine.Now())
+	return q.MatchesValues(&vals)
 }
 
 // --- Maintenance -------------------------------------------------------------
@@ -1044,15 +1193,11 @@ func (n *Node) matchesNow(q query.Query) bool {
 // beacon emits the periodic network-maintenance message; sleeping nodes
 // skip it (part of the §3.2.2 energy saving).
 func (n *Node) beacon() {
-	n.maintTimer = n.cfg.Engine.After(n.cfg.MaintenanceInterval, n.beacon)
+	n.maintTimer = n.after(n.cfg.MaintenanceInterval, (*beaconTimer)(n))
 	if n.asleep || n.down {
 		return
 	}
-	digest := make(map[query.ID]bool, len(n.queries))
-	for qid := range n.queries {
-		digest[qid] = true
-	}
-	qids := sortedIDs(digest)
+	qids := n.Queries()
 	n.cfg.Medium.Send(&radio.Message{
 		Kind:    radio.KindBeacon,
 		Src:     n.id,
@@ -1063,19 +1208,37 @@ func (n *Node) beacon() {
 
 // --- Knowledge --------------------------------------------------------------
 
-func (n *Node) learn(nb topology.NodeID, qid query.ID) {
-	m, ok := n.knowledge[nb]
-	if !ok {
-		m = make(map[query.ID]sim.Time)
-		n.knowledge[nb] = m
+// learn records that neighbor nb holds data for the given queries as of now.
+// Only upper-level neighbors are routing candidates, so what the others hold
+// is never asked and not kept.
+func (n *Node) learn(nb topology.NodeID, qids []query.ID) {
+	if len(qids) == 0 {
+		return
 	}
-	m[qid] = n.cfg.Engine.Now()
-}
-
-func (n *Node) learnMany(nb topology.NodeID, qids []query.ID) {
+	slot := n.upperSlot(nb)
+	if slot < 0 {
+		return
+	}
+	now := n.cfg.Engine.Now()
+	known := n.knows[slot]
+next:
 	for _, qid := range qids {
-		n.learn(nb, qid)
+		for i := range known {
+			if known[i].qid == qid {
+				known[i].at = now
+				continue next
+			}
+		}
+		// A first sighting is when the list is tidied: a sighting of a query
+		// that cannot be installed here any more (aborted, or pruned by SRT)
+		// scores in route for KnowledgeTTL·MinEpoch and never again.
+		known = slices.DeleteFunc(known, func(s sighting) bool {
+			return now-s.at > sim.Time(KnowledgeTTL)*sim.Time(query.MinEpoch) &&
+				(n.aborted.has(s.qid) || slices.Contains(n.pruned, s.qid))
+		})
+		known = append(known, sighting{qid, now})
 	}
+	n.knows[slot] = known
 }
 
 // mergeState folds one partial into a state list; partials combine only
@@ -1088,12 +1251,4 @@ func mergeState(states []query.AggState, st query.AggState) []query.AggState {
 		}
 	}
 	return append(states, st)
-}
-
-func sortNodeIDs(ids []topology.NodeID) {
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && ids[j] < ids[j-1]; j-- {
-			ids[j], ids[j-1] = ids[j-1], ids[j]
-		}
-	}
 }

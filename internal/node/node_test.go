@@ -170,8 +170,8 @@ func TestAlignedSharedSampling(t *testing.T) {
 		if len(m.QIDs) != 2 {
 			t.Fatalf("message serves %v, want both queries", m.QIDs)
 		}
-		if len(m.Row) != 2 {
-			t.Fatalf("row carries %d attrs, want union of 2", len(m.Row))
+		if m.Row.Len() != 2 {
+			t.Fatalf("row carries %d attrs, want union of 2", m.Row.Len())
 		}
 	}
 }
@@ -306,9 +306,9 @@ func TestAbortCancelsTraffic(t *testing.T) {
 func TestResultMsgSubsets(t *testing.T) {
 	m := &ResultMsg{
 		QIDs: []query.ID{1, 2, 3},
-		Subsets: map[topology.NodeID][]query.ID{
-			5: {1, 2},
-			6: {3},
+		Subsets: []Subset{
+			{Dest: 5, QIDs: []query.ID{1, 2}},
+			{Dest: 6, QIDs: []query.ID{3}},
 		},
 	}
 	if got := m.QueriesFor(5); len(got) != 2 {
@@ -346,14 +346,11 @@ func TestMessageSizes(t *testing.T) {
 	if queryMsgBytes(q) <= 0 || abortMsgBytes() <= 0 || beaconMsgBytes(2) <= 0 || wakeMsgBytes(2) <= 0 {
 		t.Fatal("sizes must be positive")
 	}
-	shared := &ResultMsg{
-		QIDs: []query.ID{1, 2},
-		Row:  map[field.Attr]float64{field.AttrLight: 1, field.AttrTemp: 2},
-	}
-	single := &ResultMsg{
-		QIDs: []query.ID{1},
-		Row:  map[field.Attr]float64{field.AttrLight: 1, field.AttrTemp: 2},
-	}
+	var row field.Values
+	row.Set(field.AttrLight, 1)
+	row.Set(field.AttrTemp, 2)
+	shared := &ResultMsg{QIDs: []query.ID{1, 2}, Row: row}
+	single := &ResultMsg{QIDs: []query.ID{1}, Row: row}
 	if resultMsgBytes(shared) <= resultMsgBytes(single) {
 		t.Fatal("shared message carries per-query tags")
 	}

@@ -155,8 +155,8 @@ func TestCollectFinal(t *testing.T) {
 	c.AddTxTime(1, 500*time.Millisecond)
 	c.AddRxTime(2, time.Second)
 	c.CountSamples(1, 4)
-	c.CountMessage("result", 1, 30)
-	c.CountMessage("query", 0, 20)
+	c.CountMessage(metrics.KindResult, 1, 30)
+	c.CountMessage(metrics.KindQuery, 0, 20)
 	c.CountRetransmission()
 	c.AddLatency(250 * time.Millisecond)
 	c.AddTxTime(99, time.Second) // clipped

@@ -318,6 +318,17 @@ func (q Query) MatchesRow(values map[field.Attr]float64) bool {
 	return true
 }
 
+// MatchesValues is MatchesRow over the flat in-network form of a row.
+func (q Query) MatchesValues(values *field.Values) bool {
+	for _, p := range q.Preds {
+		v, ok := values.Get(p.Attr)
+		if !ok || !p.Matches(v) {
+			return false
+		}
+	}
+	return true
+}
+
 // PredFor returns the predicate on attribute a, if any.
 func (q Query) PredFor(a field.Attr) (Predicate, bool) {
 	for _, p := range q.Preds {

@@ -21,7 +21,6 @@
 package radio
 
 import (
-	"fmt"
 	"time"
 
 	"repro/internal/metrics"
@@ -30,53 +29,57 @@ import (
 	"repro/internal/trace"
 )
 
-// Kind classifies messages for accounting (§4.1 counts result, query
-// propagation/abortion, maintenance, and retransmission messages).
-type Kind uint8
+// Kind classifies messages for accounting; the collector that counts by it
+// owns the enumeration.
+type Kind = metrics.Kind
 
 // Message kinds.
 const (
-	KindResult Kind = iota + 1
-	KindQuery
-	KindAbort
-	KindBeacon
-	KindWake
+	KindResult = metrics.KindResult
+	KindQuery  = metrics.KindQuery
+	KindAbort  = metrics.KindAbort
+	KindBeacon = metrics.KindBeacon
+	KindWake   = metrics.KindWake
 )
-
-// String returns the accounting label of the kind.
-func (k Kind) String() string {
-	switch k {
-	case KindResult:
-		return "result"
-	case KindQuery:
-		return "query"
-	case KindAbort:
-		return "abort"
-	case KindBeacon:
-		return "beacon"
-	case KindWake:
-		return "wake"
-	default:
-		return fmt.Sprintf("kind(%d)", uint8(k))
-	}
-}
 
 // Message is one packet on the air. Payloads are passed by reference rather
 // than serialized; Bytes carries the on-air length the payload would have.
+// A Message belongs to the medium from Send until its delivery and must not
+// be sent again in between.
 type Message struct {
 	Kind Kind
 	Src  topology.NodeID
 	// Dests lists the addressed receivers: nil means broadcast, one entry is
 	// a unicast, several entries are a multicast (§3.2.2 sends one multicast
-	// when different queries need different parents).
+	// when different queries need different parents). The medium only reads
+	// it, so senders may pass a slice of a long-lived list.
 	Dests   []topology.NodeID
 	Bytes   int
 	Payload any
 	// Undeliverable, if set, is invoked once per addressed destination whose
 	// radio is off (failed node) when the transmission completes — the
-	// link-layer "no ACK" signal senders use for failover routing.
-	Undeliverable func(to topology.NodeID)
+	// link-layer "no ACK" signal senders use for failover routing. It is
+	// handed the message, so one func serves everything a sender transmits.
+	Undeliverable func(msg *Message, to topology.NodeID)
+
+	// In-flight state: the attempt number and its airtime. The message is
+	// its own event record — the engine fires it as a txStart, txRetry or
+	// txEnd — so a hop costs no closure.
+	medium *Medium
+	try    int
+	air    time.Duration
 }
+
+// The three events in the life of a transmission attempt.
+type (
+	txStart Message // the sender's radio is free: put the message on the air
+	txRetry Message // backoff after a collision is over: queue the next attempt
+	txEnd   Message // the airtime is over: deliver
+)
+
+func (t *txStart) Fire() { msg := (*Message)(t); msg.medium.transmit(msg) }
+func (t *txRetry) Fire() { msg := (*Message)(t); msg.try++; msg.medium.attempt(msg) }
+func (t *txEnd) Fire()   { msg := (*Message)(t); msg.medium.deliver(msg) }
 
 // addressedTo reports whether id is an addressed receiver.
 func (m *Message) addressedTo(id topology.NodeID) bool {
@@ -156,6 +159,9 @@ type Medium struct {
 	busyUntil []sim.Time
 	// active tracks in-flight transmissions for the contention estimate.
 	active []activeTx
+	// interferes is the n×n matrix, row-major, of node pairs within
+	// interference range (twice the radio range) of each other.
+	interferes []bool
 }
 
 type activeTx struct {
@@ -167,15 +173,28 @@ type activeTx struct {
 // into coll, with randomness from rng.
 func New(engine *sim.Engine, topo *topology.Topology, coll *metrics.Collector, rng *sim.Rand, cfg Config) *Medium {
 	cfg.setDefaults()
-	return &Medium{
-		cfg:       cfg,
-		engine:    engine,
-		topo:      topo,
-		rng:       rng,
-		coll:      coll,
-		handlers:  make([]Handler, topo.Size()),
-		busyUntil: make([]sim.Time, topo.Size()),
+	n := topo.Size()
+	m := &Medium{
+		cfg:        cfg,
+		engine:     engine,
+		topo:       topo,
+		rng:        rng,
+		coll:       coll,
+		handlers:   make([]Handler, n),
+		busyUntil:  make([]sim.Time, n),
+		interferes: make([]bool, n*n),
 	}
+	reach := 2 * topo.RadioRange()
+	for a := 0; a < n; a++ {
+		pos := topo.Position(topology.NodeID(a))
+		for b := a + 1; b < n; b++ {
+			if pos.Dist(topo.Position(topology.NodeID(b))) <= reach {
+				m.interferes[a*n+b] = true
+				m.interferes[b*n+a] = true
+			}
+		}
+	}
+	return m
 }
 
 // SetTracer attaches a structured event log; nil detaches it.
@@ -217,42 +236,42 @@ func (m *Medium) Send(msg *Message) {
 	if msg.Bytes <= 0 {
 		msg.Bytes = 1
 	}
-	m.attempt(msg, 1)
+	msg.medium = m
+	msg.try = 1
+	m.attempt(msg)
 }
 
-func (m *Medium) attempt(msg *Message, try int) {
-	now := m.engine.Now()
-	start := now
+// attempt reserves the sender's radio for the message's next try.
+func (m *Medium) attempt(msg *Message) {
+	start := m.engine.Now()
 	if m.busyUntil[msg.Src] > start {
 		start = m.busyUntil[msg.Src]
 	}
-	air := m.Airtime(msg.Bytes)
-	end := start + air
-	m.busyUntil[msg.Src] = end
-
-	m.engine.Schedule(start, func() {
-		m.transmit(msg, try, air)
-	})
+	msg.air = m.Airtime(msg.Bytes)
+	m.busyUntil[msg.Src] = start + msg.air
+	m.engine.ScheduleAction(start, (*txStart)(msg))
 }
 
 // transmit puts the message on the air: accrues airtime, decides collision,
 // and either schedules delivery or a retry.
-func (m *Medium) transmit(msg *Message, try int, air time.Duration) {
+func (m *Medium) transmit(msg *Message) {
 	now := m.engine.Now()
-	end := now + air
+	end := now + msg.air
 
 	contenders := m.contention(msg.Src, now, end)
 	m.pruneActive(now)
 	m.active = append(m.active, activeTx{src: msg.Src, start: now, end: end})
 
 	// Every attempt costs airtime and is counted (§4.1).
-	m.coll.AddTxTime(msg.Src, air)
-	m.coll.CountMessage(msg.Kind.String(), msg.Src, msg.Bytes)
-	m.tracer.Emitf(now, trace.KindTx, msg.Src, "%s %dB try=%d dests=%v",
-		msg.Kind, msg.Bytes, try, msg.Dests)
+	m.coll.AddTxTime(msg.Src, msg.air)
+	m.coll.CountMessage(msg.Kind, msg.Src, msg.Bytes)
+	if m.tracer != nil {
+		m.tracer.Emitf(now, trace.KindTx, msg.Src, "%s %dB try=%d dests=%v",
+			msg.Kind, msg.Bytes, msg.try, msg.Dests)
+	}
 
 	collided := false
-	if try <= m.cfg.MaxRetries {
+	if msg.try <= m.cfg.MaxRetries {
 		pOK := 1 - m.cfg.LossRate
 		for i := 0; i < contenders; i++ {
 			pOK *= 1 - m.cfg.CollisionFactor
@@ -264,49 +283,52 @@ func (m *Medium) transmit(msg *Message, try int, air time.Duration) {
 
 	if collided {
 		m.coll.CountRetransmission()
-		m.tracer.Emitf(now, trace.KindRetry, msg.Src, "%s contenders=%d try=%d",
-			msg.Kind, contenders, try)
-		backoff := time.Duration(try)*m.cfg.BackoffBase +
+		if m.tracer != nil {
+			m.tracer.Emitf(now, trace.KindRetry, msg.Src, "%s contenders=%d try=%d",
+				msg.Kind, contenders, msg.try)
+		}
+		backoff := time.Duration(msg.try)*m.cfg.BackoffBase +
 			time.Duration(m.rng.Float64()*float64(m.cfg.BackoffBase))
-		m.engine.Schedule(end+sim.Time(backoff), func() {
-			m.attempt(msg, try+1)
-		})
+		m.engine.ScheduleAction(end+sim.Time(backoff), (*txRetry)(msg))
 		return
 	}
+	m.engine.ScheduleAction(end, (*txEnd)(msg))
+}
 
-	m.engine.Schedule(end, func() {
-		for _, nb := range m.topo.Neighbors(msg.Src) {
-			h := m.handlers[nb]
-			if h == nil {
-				continue // radio off (failed node)
-			}
-			// Every powered radio in range spends the airtime receiving,
-			// addressed or merely overhearing.
-			m.coll.AddRxTime(nb, air)
-			h(Delivery{To: nb, Addressed: msg.addressedTo(nb), Msg: msg})
+// deliver hands a completed transmission to every powered radio in range
+// and reports addressed destinations that could not hear it.
+func (m *Medium) deliver(msg *Message) {
+	air := msg.air
+	for _, nb := range m.topo.Neighbors(msg.Src) {
+		h := m.handlers[nb]
+		if h == nil {
+			continue // radio off (failed node)
 		}
-		if msg.Undeliverable == nil || msg.Dests == nil {
-			return
+		// Every powered radio in range spends the airtime receiving,
+		// addressed or merely overhearing.
+		m.coll.AddRxTime(nb, air)
+		h(Delivery{To: nb, Addressed: msg.addressedTo(nb), Msg: msg})
+	}
+	if msg.Undeliverable == nil || msg.Dests == nil {
+		return
+	}
+	for _, dest := range msg.Dests {
+		if m.handlers[dest] == nil || !m.topo.InRange(msg.Src, dest) {
+			msg.Undeliverable(msg, dest)
 		}
-		for _, dest := range msg.Dests {
-			if m.handlers[dest] == nil || !m.topo.InRange(msg.Src, dest) {
-				msg.Undeliverable(dest)
-			}
-		}
-	})
+	}
 }
 
 // contention counts in-flight transmissions overlapping [start, end] from
 // senders within interference range (twice the radio range) of src.
 func (m *Medium) contention(src topology.NodeID, start, end sim.Time) int {
-	interfere := 2 * m.topo.RadioRange()
-	pos := m.topo.Position(src)
+	row := m.interferes[int(src)*len(m.handlers):]
 	n := 0
 	for _, tx := range m.active {
 		if tx.end <= start || tx.start >= end || tx.src == src {
 			continue
 		}
-		if pos.Dist(m.topo.Position(tx.src)) <= interfere {
+		if row[tx.src] {
 			n++
 		}
 	}

@@ -236,3 +236,37 @@ func TestZeroByteMessageClamped(t *testing.T) {
 		t.Fatalf("bytes = %d, want clamped to 1", h.coll.Bytes())
 	}
 }
+
+// The link-layer "no ACK" signal: one call per addressed destination whose
+// radio is off or out of range when the transmission completes, handed the
+// message itself so a sender needs one func for all its traffic — and a
+// retried message keeps its identity across attempts.
+func TestUndeliverableNamesMessageAndDestination(t *testing.T) {
+	h := newHarness(t, Config{CollisionFactor: 0.9, MaxRetries: 3})
+	h.medium.SetHandler(0, func(Delivery) {}) // node 0 up, node 2 down
+	type noAck struct {
+		msg *Message
+		to  topology.NodeID
+	}
+	var got []noAck
+	report := func(msg *Message, to topology.NodeID) { got = append(got, noAck{msg, to}) }
+	a := &Message{Kind: KindResult, Src: 1, Dests: []topology.NodeID{0, 2}, Bytes: 10, Undeliverable: report}
+	b := &Message{Kind: KindResult, Src: 1, Dests: []topology.NodeID{0}, Bytes: 10, Undeliverable: report}
+	c := &Message{Kind: KindResult, Src: 0, Dests: []topology.NodeID{2}, Bytes: 10, Undeliverable: report}
+	h.medium.Send(a)
+	h.medium.Send(b)
+	h.medium.Send(c) // contends with a and b: collisions and retries
+	h.engine.RunAll()
+	if h.coll.Retransmissions() == 0 {
+		t.Fatal("the scenario must exercise retries")
+	}
+	want := map[noAck]bool{{a, 2}: true, {c, 2}: true}
+	if len(got) != len(want) {
+		t.Fatalf("undeliverable reports = %+v, want a→2 and c→2", got)
+	}
+	for _, g := range got {
+		if !want[g] {
+			t.Fatalf("unexpected undeliverable report: message from %d to %d", g.msg.Src, g.to)
+		}
+	}
+}

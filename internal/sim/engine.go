@@ -8,7 +8,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"time"
 )
@@ -18,47 +17,72 @@ import (
 // standard time units without tying the simulation to the wall clock.
 type Time = time.Duration
 
-// Event is a scheduled callback. The zero value is invalid; events are
-// created through Engine.Schedule and Engine.After.
+// Action is the target of a scheduled event. A long-lived value that
+// implements it — a message in flight, a mote's clock — is scheduled
+// without allocating; Schedule and After adapt plain funcs.
+type Action interface{ Fire() }
+
+// funcAction adapts a func to an Action.
+type funcAction func()
+
+func (f funcAction) Fire() { f() }
+
+// event is the mutable record a Handle and a queue entry share. Records are
+// recycled: gen advances every time one leaves the queue, so a Handle taken
+// for an earlier occupant can neither observe nor cancel the next one.
 type event struct {
+	act Action
+	e   *Engine
+	gen uint64
+	// cancelled events stay in the queue and are skipped when popped.
+	cancelled bool
+}
+
+// entry is one queue slot. The ordering key lives in the slot itself so
+// sifting compares without chasing the record pointer.
+type entry struct {
 	at  Time
 	seq uint64 // tie-breaker: FIFO among events at the same instant
-	fn  func()
-	// index is maintained by the heap implementation; -1 once popped.
-	index int
-	// cancelled events stay in the heap but are skipped when popped.
-	cancelled bool
+	ev  *event
+}
+
+func (a *entry) before(b *entry) bool {
+	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
 }
 
 // Handle identifies a scheduled event so that it can be cancelled.
 type Handle struct {
-	ev *event
-	e  *Engine
+	ev  *event
+	gen uint64
 }
 
 // Cancel prevents the event from firing. Cancelling an already-fired or
 // already-cancelled event is a no-op. Cancel reports whether the event was
 // still pending.
 func (h Handle) Cancel() bool {
-	if h.ev == nil || h.ev.cancelled || h.ev.index < 0 {
+	if !h.Pending() {
 		return false
 	}
 	h.ev.cancelled = true
-	h.e.pending--
+	h.ev.act = nil
+	h.ev.e.pending--
 	return true
 }
 
 // Pending reports whether the event is still waiting to fire.
 func (h Handle) Pending() bool {
-	return h.ev != nil && !h.ev.cancelled && h.ev.index >= 0
+	return h.ev != nil && h.ev.gen == h.gen && !h.ev.cancelled
 }
 
 // Engine is a single-threaded discrete-event scheduler. It is not safe for
 // concurrent use; all interaction with a running simulation happens from
 // within event callbacks, which the engine serialises.
 type Engine struct {
-	now     Time
-	queue   eventHeap
+	now Time
+	// queue is a 4-ary min-heap on (at, seq): half the depth of a binary
+	// heap, and the four children of a slot share a cache line or two.
+	queue   []entry
+	free    []*event // recycled records
 	seq     uint64
 	fired   uint64
 	pending int // non-cancelled events in the queue, kept in O(1)
@@ -85,17 +109,32 @@ func (e *Engine) Fired() uint64 { return e.fired }
 // the past (at < Now) is a programming error and panics: allowing it would
 // silently reorder causality.
 func (e *Engine) Schedule(at Time, fn func()) Handle {
-	if at < e.now {
-		panic(fmt.Sprintf("sim: schedule at %v before now %v", at, e.now))
-	}
 	if fn == nil {
 		panic("sim: schedule nil func")
 	}
-	ev := &event{at: at, seq: e.seq, fn: fn}
+	return e.ScheduleAction(at, funcAction(fn))
+}
+
+// ScheduleAction is Schedule for a pre-built Action.
+func (e *Engine) ScheduleAction(at Time, a Action) Handle {
+	if at < e.now {
+		panic(fmt.Sprintf("sim: schedule at %v before now %v", at, e.now))
+	}
+	if a == nil {
+		panic("sim: schedule nil action")
+	}
+	var ev *event
+	if n := len(e.free); n > 0 {
+		ev = e.free[n-1]
+		e.free = e.free[:n-1]
+	} else {
+		ev = &event{e: e}
+	}
+	ev.act = a
+	e.push(entry{at: at, seq: e.seq, ev: ev})
 	e.seq++
 	e.pending++
-	heap.Push(&e.queue, ev)
-	return Handle{ev: ev, e: e}
+	return Handle{ev: ev, gen: ev.gen}
 }
 
 // After enqueues fn to run d after the current virtual time.
@@ -109,16 +148,14 @@ func (e *Engine) After(d time.Duration, fn func()) Handle {
 // Step executes the next pending event, advancing the clock to its
 // timestamp. It reports false when the queue is empty.
 func (e *Engine) Step() bool {
-	for e.queue.Len() > 0 {
-		ev := heap.Pop(&e.queue).(*event)
-		if ev.cancelled {
-			continue
+	for len(e.queue) > 0 {
+		if at, act := e.pop(); act != nil {
+			e.pending--
+			e.now = at
+			e.fired++
+			act.Fire()
+			return true
 		}
-		e.pending--
-		e.now = ev.at
-		e.fired++
-		ev.fn()
-		return true
 	}
 	return false
 }
@@ -128,10 +165,10 @@ func (e *Engine) Step() bool {
 // events at exactly until do fire.
 func (e *Engine) Run(until Time) {
 	e.halted = false
-	for !e.halted && e.queue.Len() > 0 {
-		next := e.queue[0]
-		if next.cancelled {
-			heap.Pop(&e.queue)
+	for !e.halted && len(e.queue) > 0 {
+		next := &e.queue[0]
+		if next.ev.cancelled {
+			e.pop()
 			continue
 		}
 		if next.at > until {
@@ -156,36 +193,59 @@ func (e *Engine) RunAll() {
 // terminating a simulation early from inside a callback.
 func (e *Engine) Halt() { e.halted = true }
 
-// eventHeap orders events by (time, sequence).
-type eventHeap []*event
-
-func (h eventHeap) Len() int { return len(h) }
-
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+func (e *Engine) push(en entry) {
+	q := append(e.queue, en)
+	i := len(q) - 1
+	for i > 0 {
+		parent := (i - 1) / 4
+		if !en.before(&q[parent]) {
+			break
+		}
+		q[i] = q[parent]
+		i = parent
 	}
-	return h[i].seq < h[j].seq
+	q[i] = en
+	e.queue = q
 }
 
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
+// pop removes the head of the queue and recycles its record, returning the
+// event's time and action; the action is nil if the event was cancelled.
+// The record is released before the action runs, so the action may schedule
+// into it — the bumped generation keeps the old Handle dead.
+func (e *Engine) pop() (Time, Action) {
+	q := e.queue
+	head := q[0]
+	n := len(q) - 1
+	last := q[n]
+	q[n].ev = nil
+	q = q[:n]
+	i := 0
+	for {
+		min := 4*i + 1
+		if min >= n {
+			break
+		}
+		for c, end := min+1, min+4; c < end && c < n; c++ {
+			if q[c].before(&q[min]) {
+				min = c
+			}
+		}
+		if !q[min].before(&last) {
+			break
+		}
+		q[i] = q[min]
+		i = min
+	}
+	if n > 0 {
+		q[i] = last
+	}
+	e.queue = q
 
-func (h *eventHeap) Push(x any) {
-	ev := x.(*event)
-	ev.index = len(*h)
-	*h = append(*h, ev)
-}
-
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	ev.index = -1
-	*h = old[:n-1]
-	return ev
+	ev := head.ev
+	act := ev.act
+	ev.act = nil
+	ev.cancelled = false
+	ev.gen++
+	e.free = append(e.free, ev)
+	return head.at, act
 }

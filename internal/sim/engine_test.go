@@ -329,8 +329,8 @@ func TestEngineLenCounterInvariant(t *testing.T) {
 	rng := NewRand(7)
 	scan := func() int {
 		n := 0
-		for _, ev := range e.queue {
-			if !ev.cancelled {
+		for _, en := range e.queue {
+			if !en.ev.cancelled {
 				n++
 			}
 		}

@@ -291,8 +291,12 @@ func (t *Topology) Quality(a, b NodeID) float64 { return t.quality[linkKey(a, b)
 
 // InRange reports whether a and b can communicate directly.
 func (t *Topology) InRange(a, b NodeID) bool {
-	_, ok := t.quality[linkKey(a, b)]
-	return ok || a == b
+	if a == b {
+		return true
+	}
+	nbs := t.neighbors[a]
+	i := sort.Search(len(nbs), func(i int) bool { return nbs[i] >= b })
+	return i < len(nbs) && nbs[i] == b
 }
 
 // TreeParent returns the TinyDB routing-tree parent of id: the upper-level
