@@ -121,6 +121,58 @@ func TestDesignListsEveryInternalPackage(t *testing.T) {
 	}
 }
 
+// TestDocsCoverConnectionWriter: DESIGN.md §2's gateway row must describe
+// the connection writer as built — one reader and one writer goroutine per
+// connection, the ready signal, the body cache with its identity key, the
+// deadline armed at the socket write — §5 must carry the wire-ordering
+// invariant with the tests that pin it, and the README's wire-protocol
+// section must state the ordering clients may rely on.
+func TestDocsCoverConnectionWriter(t *testing.T) {
+	design := readDoc(t, "DESIGN.md")
+	row := ""
+	for _, line := range strings.Split(design, "\n") {
+		if strings.HasPrefix(line, "| `internal/gateway` |") {
+			row = line
+		}
+	}
+	for _, want := range []string{
+		"One reader + one writer goroutine per connection", "ready signal", "ServerSession.Ready",
+		"identity key", "backing pointer", "write deadline is armed at the socket write",
+	} {
+		if !strings.Contains(row, want) {
+			t.Errorf("DESIGN.md §2 gateway row does not mention %q", want)
+		}
+	}
+	invariants := design[strings.Index(design, "## 5. Key invariants"):]
+	for _, want := range []string{
+		"Wire ordering", "ack ≺ first", "precedes the `closed` notice", "No order\n   is promised across subscriptions",
+		"TestWireOrdering", "TestAckPrecedesReplayedFrames", "TestStageMatchesUpdateFrame",
+	} {
+		if !strings.Contains(invariants, want) {
+			t.Errorf("DESIGN.md §5 wire-ordering invariant does not mention %q", want)
+		}
+	}
+	readme := readDoc(t, "README.md")
+	wire := readme[strings.Index(readme, "### Wire protocol"):strings.Index(readme, "### Benchmark gate")]
+	for _, want := range []string{"Ordering on the wire", "precedes the subscription's first frame", "`closed` notice follows the last", "*across* subscriptions"} {
+		if !strings.Contains(wire, want) {
+			t.Errorf("README.md wire-protocol section does not state %q", want)
+		}
+	}
+	// The pinned tests must exist under the names the docs cite.
+	for file, names := range map[string][]string{
+		"internal/gateway/writer_test.go":  {"func TestWireOrdering(", "func TestStageMatchesUpdateFrame("},
+		"internal/share/wireorder_test.go": {"func TestAckPrecedesReplayedFrames("},
+	} {
+		src := readDoc(t, file)
+		for _, name := range names {
+			if !strings.Contains(src, name) {
+				t.Errorf("%s does not define %s", file, name)
+			}
+		}
+	}
+}
+
 // TestDocsFlagsExist: any "-flag" on a doc line that names a command must
 // be declared by one of the commands named on that line; a "-flag" on a
 // line naming no command must at least be declared by some command.

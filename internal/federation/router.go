@@ -164,7 +164,7 @@ type shard struct {
 	// original session token re-attaches to the rebuilt gateway.
 	token string
 	sess  *gateway.Session
-	ups   map[gateway.SubID]*upstream
+	ups   *tier.Sorted[gateway.SubID, *upstream]
 	// alive: the gateway process is up. reachable: the router's upstream
 	// session is attached (false during a simulated network partition —
 	// the shard keeps advancing, its updates park in resume rings).
@@ -258,7 +258,7 @@ type Router struct {
 
 	mu     sync.Mutex
 	shards []*shard
-	trees  map[string]*tree
+	trees  *tier.Sorted[string, *tree]
 	// mirrors holds each downstream session's durable twin on its home
 	// shard's gateway; its WAL entry is what makes the session token
 	// survive a shard crash.
@@ -287,7 +287,7 @@ func New(cfg Config) (*Router, error) {
 		cfg:     cfg,
 		ring:    newRing(cfg.Shards, cfg.Replicas),
 		spn:     topo.Size() - 1,
-		trees:   make(map[string]*tree),
+		trees:   tier.NewSorted[string, *tree](),
 		mirrors: make(map[string]*gateway.Session),
 		quantum: defaultCatchUpStep,
 	}
@@ -302,7 +302,7 @@ func New(cfg Config) (*Router, error) {
 		NowMS:           r.nowMS,
 		Token:           r.mintMirrorLocked,
 		ApplySubscribe:  r.applySubscribeLocked,
-		ReleaseGroup:    func(g *tier.Group) { r.teardownTreeLocked(r.trees[g.Key]) },
+		ReleaseGroup:    func(g *tier.Group) { r.teardownTreeLocked(r.trees.Get(g.Key)) },
 		CloseSession:    r.closeMirrorLocked,
 	})
 	for i := 0; i < cfg.Shards; i++ {
@@ -386,7 +386,7 @@ func (r *Router) buildShard(i int) (*shard, error) {
 		name:      name,
 		token:     sess.Token(),
 		sess:      sess,
-		ups:       make(map[gateway.SubID]*upstream),
+		ups:       tier.NewSorted[gateway.SubID, *upstream](),
 		alive:     true,
 		reachable: true,
 		brk:       resilience.NewBreaker(r.cfg.Breaker),
@@ -471,12 +471,12 @@ func (r *Router) statsLocked() Stats {
 		if sh.stalled {
 			st.StalledShards++
 		}
-		st.UpstreamSubs += len(sh.ups)
+		st.UpstreamSubs += sh.ups.Len()
 		st.BreakerTrips += sh.brk.Trips
 		st.BreakerProbes += sh.brk.Probes
 		st.BreakerRecoveries += sh.brk.Recoveries
 	}
-	st.Trees = len(r.trees)
+	st.Trees = r.trees.Len()
 	return st
 }
 
@@ -508,7 +508,7 @@ func (r *Router) UpstreamSubsOn(i int) int {
 	if i < 0 || i >= len(r.shards) {
 		return 0
 	}
-	return len(r.shards[i].ups)
+	return r.shards[i].ups.Len()
 }
 
 // ShardAlive reports whether shard i's gateway is up.
@@ -691,8 +691,8 @@ func (r *Router) Advance(d time.Duration) (int, error) {
 			sh.reachable = false
 			sh.frozen = sh.vnow
 			sh.sess = nil
-			for _, up := range sh.ups {
-				up.sub = nil
+			for _, id := range sh.ups.Keys() {
+				sh.ups.Get(id).sub = nil
 			}
 			if firstErr == nil {
 				firstErr = fmt.Errorf("federation: shard %d advance: %w", sh.idx, err)
@@ -743,7 +743,7 @@ func (r *Router) applySubscribeLocked(a tier.Admission) (*tier.Group, error) {
 		return nil, fmt.Errorf("federation: LIFETIME is not supported for subscriptions")
 	}
 	key := gateway.CanonicalKey(q)
-	if tr := r.trees[key]; tr != nil {
+	if tr := r.trees.Get(key); tr != nil {
 		if r.cfg.Tracer != nil {
 			r.cfg.Tracer.Record(tracing.Span{
 				Trace:  a.Trace,
@@ -794,14 +794,14 @@ func (r *Router) applySubscribeLocked(a tier.Admission) (*tier.Group, error) {
 		tr.ups = append(tr.ups, up)
 		r.pendingUps = append(r.pendingUps, pendingUp{up: up, tk: tk})
 	}
-	r.trees[key] = tr
+	r.trees.Set(key, tr)
 	return &tr.Group, nil
 }
 
 func (r *Router) teardownTreeLocked(tr *tree) {
 	for _, up := range tr.ups {
 		if up.sub != nil {
-			delete(up.sh.ups, up.id)
+			up.sh.ups.Delete(up.id)
 			if up.sh.alive && up.sh.reachable && up.sh.sess != nil {
 				if tk, err := up.sh.sess.UnsubscribeAsync(up.id); err == nil {
 					go func() { _, _ = tk.Wait() }()
@@ -810,7 +810,7 @@ func (r *Router) teardownTreeLocked(tr *tree) {
 			up.sub = nil
 		}
 	}
-	delete(r.trees, tr.Key)
+	r.trees.Delete(tr.Key)
 }
 
 // resolveUpstreamsLocked collects the shard tickets staged at commit
@@ -830,7 +830,7 @@ func (r *Router) resolveUpstreamsLocked() {
 		up.sub = sub
 		up.id = sub.ID()
 		up.lastSeq = 0
-		up.sh.ups[up.id] = up
+		up.sh.ups.Set(up.id, up)
 		if up.slice == 0 {
 			up.tr.QID = sub.QueryID()
 		}
@@ -840,8 +840,8 @@ func (r *Router) resolveUpstreamsLocked() {
 // drainShardLocked empties every upstream channel of one shard into the
 // pending epoch accumulators.
 func (r *Router) drainShardLocked(sh *shard) {
-	for _, id := range tier.SortedKeys(sh.ups) {
-		up := sh.ups[id]
+	for _, id := range sh.ups.Keys() {
+		up := sh.ups.Get(id)
 		if up.sub == nil {
 			continue
 		}
@@ -890,8 +890,8 @@ func (r *Router) mergePartialLocked(up *upstream, u gateway.Update) {
 // watermark) downstream in virtual-time order. MaxPending overflow
 // force-releases the oldest epochs without the stalled shard's partials.
 func (r *Router) releaseLocked() {
-	for _, key := range tier.SortedKeys(r.trees) {
-		tr := r.trees[key]
+	for _, key := range r.trees.Keys() {
+		tr := r.trees.Get(key)
 		if len(tr.pending) == 0 {
 			continue
 		}
@@ -1013,8 +1013,8 @@ func (r *Router) CrashShard(i int) error {
 	sh.reachable = false
 	sh.frozen = sh.vnow
 	sh.sess = nil
-	for _, up := range sh.ups {
-		up.sub = nil // channels closed with ReasonCrashed
+	for _, id := range sh.ups.Keys() {
+		sh.ups.Get(id).sub = nil // channels closed with ReasonCrashed
 	}
 	r.stats.ShardCrashes++
 	return nil
@@ -1074,8 +1074,8 @@ func (r *Router) PartitionShard(i int) error {
 	}
 	sh.reachable = false
 	sh.frozen = sh.vnow
-	for _, up := range sh.ups {
-		up.sub = nil // channels closed with ReasonDetached
+	for _, id := range sh.ups.Keys() {
+		sh.ups.Get(id).sub = nil // channels closed with ReasonDetached
 	}
 	r.stats.Partitions++
 	return nil
@@ -1164,17 +1164,17 @@ func (r *Router) reattachLocked(sh *shard) error {
 	for _, in := range infos {
 		known[in.ID] = true
 	}
-	for _, id := range tier.SortedKeys(sh.ups) {
-		up := sh.ups[id]
+	for _, id := range sh.ups.Keys() {
+		up := sh.ups.Get(id)
 		if !known[id] {
 			// The shard no longer carries the stream (e.g. its query was
 			// cancelled before the crash landed in the WAL). Orphan it.
-			delete(sh.ups, id)
+			sh.ups.Delete(id)
 			continue
 		}
 		sub, err := sess.Resume(id, up.lastSeq)
 		if err != nil {
-			delete(sh.ups, id)
+			sh.ups.Delete(id)
 			continue
 		}
 		up.sub = sub
@@ -1183,7 +1183,7 @@ func (r *Router) reattachLocked(sh *shard) error {
 	// Drop any shard-side streams the router no longer wants (their trees
 	// were torn down while the shard was unreachable).
 	for _, in := range infos {
-		if _, want := sh.ups[in.ID]; !want {
+		if sh.ups.Get(in.ID) == nil {
 			if tk, err := sess.UnsubscribeAsync(in.ID); err == nil {
 				go func() { _, _ = tk.Wait() }()
 			}
@@ -1194,7 +1194,7 @@ func (r *Router) reattachLocked(sh *shard) error {
 			Kind:  tracing.KindReattach,
 			Shard: sh.idx,
 			AtMS:  r.nowMS(),
-			Seq:   uint64(len(sh.ups)),
+			Seq:   uint64(sh.ups.Len()),
 		})
 	}
 	return nil

@@ -63,9 +63,26 @@ type ServerSession interface {
 	Detach() error
 	// CloseAsync tears the session down; completion may lag the call.
 	CloseAsync() error
+	// Ready is the connection writer's wake-up: a capacity-1 signal the
+	// backend raises whenever it pushes to, or closes, any of the session's
+	// subscription channels. One receive may stand for many pushes, so the
+	// receiver drains every stream it holds without blocking.
+	Ready() <-chan struct{}
 }
 
-// ServerSub is one update stream as the connection forwarders consume it.
+// Signal is a coalescing wake-up: a capacity-1 channel whose receiver, once
+// woken, looks at everything the wake-up could stand for.
+type Signal chan struct{}
+
+// Raise leaves one wake-up pending, unless one already is. It never blocks.
+func (s Signal) Raise() {
+	select {
+	case s <- struct{}{}:
+	default:
+	}
+}
+
+// ServerSub is one update stream as the connection writer consumes it.
 type ServerSub interface {
 	ID() SubID
 	QueryID() query.ID

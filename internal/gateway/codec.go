@@ -314,8 +314,12 @@ func beginFrame(buf []byte) []byte {
 // sub-slice of buf, right-aligned so the frame is contiguous. Callers keep
 // the full buf (not the returned view) for pooling, so grown capacity is
 // retained.
-func sealFrame(buf []byte) []byte {
-	payload := len(buf) - frameHeaderMax
+func sealFrame(buf []byte) []byte { return sealFrameHead(buf, 0) }
+
+// sealFrameHead seals a frame whose payload continues for rest more bytes
+// after buf: the caller writes the returned head, then those bytes.
+func sealFrameHead(buf []byte, rest int) []byte {
+	payload := len(buf) - frameHeaderMax + rest
 	var hdr [frameHeaderMax]byte
 	hdr[0] = FrameMagic
 	n := binary.PutUvarint(hdr[1:], uint64(payload))
@@ -552,18 +556,38 @@ func appendResponseFrame(buf []byte, resp *Response) ([]byte, error) {
 // appendUpdateFrame encodes one delivered update directly from its
 // simulation form — the zero-allocation fan-out path. It produces exactly
 // the bytes appendResponseFrame(wireUpdate(u)) would, without building the
-// intermediate Response, its WireRow slice or its string-keyed maps.
+// intermediate Response, its WireRow slice or its string-keyed maps. The
+// frame is head, body, optional trace trailer; the connection writer emits
+// the same three pieces with the body cached per epoch.
 func appendUpdateFrame(buf []byte, u *Update) []byte {
-	b := beginFrame(buf)
+	b := appendUpdateBody(appendUpdateHead(buf, u), u)
+	if u.Trace != 0 {
+		b = appendProvTrailer(b, u.Trace, u.Prov)
+	}
+	return b
+}
+
+// appendUpdateHead begins a frame with the per-subscriber fields: frame
+// kind, subscription id and sequence number.
+func appendUpdateHead(buf []byte, u *Update) []byte {
+	kind := frameRespAgg
 	if u.Rows != nil || u.Aggs == nil {
-		b = append(b, WireVersion, frameRespRows)
-		b = binary.AppendVarint(b, int64(u.Sub))
-		b = binary.AppendUvarint(b, u.Seq)
-		b = binary.AppendVarint(b, int64(u.At.Milliseconds()))
-		b = appendBool(b, u.Degraded)
-		if u.Degraded {
-			b = appendFloat(b, u.Coverage)
-		}
+		kind = frameRespRows
+	}
+	b := append(beginFrame(buf), WireVersion, kind)
+	b = binary.AppendVarint(b, int64(u.Sub))
+	return binary.AppendUvarint(b, u.Seq)
+}
+
+// appendUpdateBody encodes the part of an update frame every subscriber of
+// the query shares: timestamp, degraded/coverage and the rows or aggregates.
+func appendUpdateBody(b []byte, u *Update) []byte {
+	b = binary.AppendVarint(b, int64(u.At.Milliseconds()))
+	b = appendBool(b, u.Degraded)
+	if u.Degraded {
+		b = appendFloat(b, u.Coverage)
+	}
+	if u.Rows != nil || u.Aggs == nil {
 		b = binary.AppendUvarint(b, uint64(len(u.Rows)))
 		for _, row := range u.Rows {
 			b = binary.AppendVarint(b, int64(row.Node))
@@ -575,18 +599,7 @@ func appendUpdateFrame(buf []byte, u *Update) []byte {
 				}
 			}
 		}
-		if u.Trace != 0 {
-			b = appendProvTrailer(b, u.Trace, u.Prov)
-		}
 		return b
-	}
-	b = append(b, WireVersion, frameRespAgg)
-	b = binary.AppendVarint(b, int64(u.Sub))
-	b = binary.AppendUvarint(b, u.Seq)
-	b = binary.AppendVarint(b, int64(u.At.Milliseconds()))
-	b = appendBool(b, u.Degraded)
-	if u.Degraded {
-		b = appendFloat(b, u.Coverage)
 	}
 	b = binary.AppendUvarint(b, uint64(len(u.Aggs)))
 	for _, a := range u.Aggs {
@@ -594,9 +607,6 @@ func appendUpdateFrame(buf []byte, u *Update) []byte {
 		b = binary.AppendVarint(b, a.Group)
 		b = appendFloat(b, a.Value)
 		b = appendBool(b, a.Empty)
-	}
-	if u.Trace != 0 {
-		b = appendProvTrailer(b, u.Trace, u.Prov)
 	}
 	return b
 }

@@ -318,6 +318,10 @@ type Session struct {
 	mu  sync.Mutex
 	seq uint64
 
+	// ready is raised by the loop after every push to, or close of, one of
+	// the session's subscription channels (see ServerSession.Ready).
+	ready Signal
+
 	// Loop-owned state; never touched by client goroutines.
 	live      map[SubID]*Subscription
 	tokens    float64
@@ -333,6 +337,10 @@ func (s *Session) Name() string { return s.name }
 // Token returns the session's resume token, quoted back in Gateway.Attach
 // to re-claim the session after a disconnect or gateway crash.
 func (s *Session) Token() string { return s.token }
+
+// Ready implements ServerSession: a coalescing signal that some subscription
+// of the session has updates to drain or has closed.
+func (s *Session) Ready() <-chan struct{} { return s.ready }
 
 func (s *Session) nextSeq() uint64 {
 	s.mu.Lock()
@@ -1007,10 +1015,10 @@ func (g *Gateway) Crash() error {
 	if err := g.send(req); err != nil {
 		return err
 	}
-	select {
-	case <-req.reply:
-	case <-g.done:
-	}
+	// An accepted request is answered by the loop's crash or, if a close
+	// raced in, by the seal drain — either way after the mailbox is sealed,
+	// so a command sent once Crash has returned fails with ErrClosed.
+	<-req.reply
 	return nil
 }
 
@@ -1333,6 +1341,7 @@ func (g *Gateway) register(name string) result2[*Session] {
 		token:     g.newToken(name),
 		live:      make(map[SubID]*Subscription, g.cfg.SessionQuota),
 		tokens:    g.cfg.Burst,
+		ready:     make(Signal, 1),
 		attached:  true,
 		idleSince: now,
 	}
@@ -1392,6 +1401,7 @@ func (g *Gateway) applyDetach(s *Session) error {
 		close(sub.ch)
 		sub.detached = true
 	}
+	s.ready.Raise()
 	return nil
 }
 
@@ -1717,6 +1727,7 @@ func (g *Gateway) removeSub(sub *Subscription, reason CloseReason) {
 	sub.reason = reason
 	if !sub.detached {
 		close(sub.ch)
+		s.ready.Raise()
 	}
 	sub.ring = nil
 	g.stats.ActiveSubscriptions--
@@ -1774,7 +1785,8 @@ func (g *Gateway) refill(d time.Duration) {
 }
 
 // onRows and onAggs run on the loop goroutine, inside sim.Run, as the
-// simulation delivers user result epochs.
+// simulation delivers user result epochs. They range over sh.subs in place:
+// push never mutates it (eviction is deferred to sweepEvicted).
 func (g *Gateway) onRows(ur core.UserRows) {
 	sh := g.byQID[ur.QueryID]
 	if sh == nil {
@@ -1782,7 +1794,7 @@ func (g *Gateway) onRows(ur core.UserRows) {
 	}
 	g.stats.Epochs++
 	now := time.Now()
-	for _, sub := range append([]*Subscription(nil), sh.subs...) {
+	for _, sub := range sh.subs {
 		g.push(sub, Update{
 			Sub:      sub.id,
 			QueryID:  ur.QueryID,
@@ -1800,7 +1812,7 @@ func (g *Gateway) onAggs(ua core.UserAgg) {
 	}
 	g.stats.Epochs++
 	now := time.Now()
-	for _, sub := range append([]*Subscription(nil), sh.subs...) {
+	for _, sub := range sh.subs {
 		g.push(sub, Update{
 			Sub:      sub.id,
 			QueryID:  ua.QueryID,
@@ -1851,6 +1863,7 @@ func (g *Gateway) push(sub *Subscription, u Update) {
 	select {
 	case sub.ch <- u:
 		g.stats.Updates++
+		sub.sess.ready.Raise()
 	default:
 		g.stats.Dropped++
 		sub.sess.dropped++
@@ -2035,6 +2048,7 @@ func (g *Gateway) crash() {
 				sub.detached = true
 			}
 		}
+		s.ready.Raise()
 	}
 
 	g.finalMu.Lock()

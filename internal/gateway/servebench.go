@@ -39,8 +39,12 @@ const fanSubs = 8
 
 // burstN is the same-round burst the flush-batching benchmark models: a
 // quantum spanning burstN epochs delivers that many updates per
-// subscription per Advance, which the forwarder must flush as one write.
+// subscription per Advance, which the writer must flush as one write.
 const burstN = 4
+
+// roundSubs is the multi-subscription round the same gate models: one epoch
+// delivered to this many subscriptions of one connection.
+const roundSubs = 64
 
 // countingWriter counts underlying writes — each one models a syscall on a
 // real connection.
@@ -72,10 +76,11 @@ type ServeBenchReport struct {
 	// binary fan-out path.
 	AllocsPerMessage float64 `json:"allocs_per_message"`
 	// FlushesPerBurst is the number of underlying connection writes one
-	// fan-out round of burstN same-round updates costs on the batched
-	// write path — the syscall count the per-round flush batching exists
-	// to bound. Gated absolutely at <= 1.5 (one write per round plus
-	// measurement slack); the pre-batching path cost burstN.
+	// fan-out round costs — the worse of burstN same-round updates on one
+	// subscription and one update on each of roundSubs subscriptions — the
+	// syscall count the connection writer exists to bound. Gated absolutely
+	// at <= 1.5 (one write per round plus measurement slack); a writer per
+	// subscription cost roundSubs.
 	FlushesPerBurst float64 `json:"flushes_per_burst"`
 	// Sharing-tier gauges, filled by share.BenchServe (the share package
 	// sits above this one, so the suite's sharing scenario lives there)
@@ -178,30 +183,48 @@ func RunServeBench(cfg ServeBenchConfig) (*ServeBenchReport, error) {
 	})
 	rep.Rows = append(rep.Rows, row("encode/json", encJSON, 0))
 
-	// fanout: one update through connWriter.writeUpdate to fanSubs
-	// connections (discard-backed) — encode, copy, flush per delivery.
-	// This is exactly what Server.handle's forwarders execute per epoch.
-	mkWriters := func(binary bool) []*connWriter {
-		ws := make([]*connWriter, fanSubs)
-		for i := range ws {
-			ws[i] = newConnWriter(io.Discard)
-			if binary {
-				ws[i].setBinary()
+	// fanout: one update to each of fanSubs connections (discard-backed),
+	// through the connection writer's own pump — channel receive, encode,
+	// stage, flush. This is exactly what Server.handle's writer goroutine
+	// executes per epoch.
+	type benchConn struct {
+		w   *connWriter
+		chs []chan Update // one per subscription stream
+	}
+	mkConn := func(out io.Writer, binary bool, streams, buffer int) benchConn {
+		c := benchConn{w: newConnWriter(out)}
+		c.w.binary = binary
+		for i := 0; i < streams; i++ {
+			ch := make(chan Update, buffer)
+			c.chs = append(c.chs, ch)
+			c.w.streams = append(c.w.streams, stream{&Subscription{id: SubID(i + 1)}, ch})
+		}
+		return c
+	}
+	// deliver is one round: per updates pushed to every stream, then each
+	// connection pumped once.
+	deliver := func(b *testing.B, conns []benchConn, upd *Update, per int) {
+		for _, c := range conns {
+			for _, ch := range c.chs {
+				for j := 0; j < per; j++ {
+					ch <- *upd
+				}
+			}
+			if err := c.w.pump(); err != nil {
+				b.Fatal(err)
 			}
 		}
-		return ws
 	}
 	fanout := func(upd *Update, binary bool) func(b *testing.B) {
 		return func(b *testing.B) {
 			b.ReportAllocs()
-			ws := mkWriters(binary)
+			conns := make([]benchConn, fanSubs)
+			for i := range conns {
+				conns[i] = mkConn(io.Discard, binary, 1, 1)
+			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				for _, w := range ws {
-					if err := w.writeUpdate(upd); err != nil {
-						b.Fatal(err)
-					}
-				}
+				deliver(b, conns, upd, 1)
 			}
 		}
 	}
@@ -236,38 +259,34 @@ func RunServeBench(cfg ServeBenchConfig) (*ServeBenchReport, error) {
 	// fanout/traced: the same binary fan-out with every frame carrying the
 	// causal-trace trailer — trace ID plus a full provenance stamp (shard
 	// mask, fragment and reuse counts, cache bit, brownout rung). The
-	// trailer rides the reused frame buffer, so the traced path must stay
+	// trailer rides a reused scratch buffer, so the traced path must stay
 	// allocation-free and within 5% of untraced throughput. Measured
 	// interleaved with fanout/binary above.
 	rep.Rows = append(rep.Rows, row("fanout/traced", fanTraced, fanSubs))
 
-	// fanout/burst: one round of burstN same-round updates staged through
-	// the buffered write path and flushed once — the forwarder's per-round
-	// shape after flush batching. The counting writer measures the actual
-	// underlying writes (syscalls) per round.
-	cw := &countingWriter{}
-	burstWriter := newConnWriter(cw)
-	burstWriter.setBinary()
-	var burstWrites float64
-	burst := testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		cw.writes = 0
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			for j := 0; j < burstN; j++ {
-				if err := burstWriter.writeUpdateBuffered(&u); err != nil {
-					b.Fatal(err)
-				}
+	// fanout/burst and fanout/round: one round pumped onto one connection —
+	// burstN same-round updates of one subscription, and one update for
+	// each of roundSubs subscriptions of one query. The counting writer
+	// measures the actual underlying writes (syscalls) per round; either
+	// shape must cost ~one.
+	round := func(name string, streams, per int) float64 {
+		cw := &countingWriter{}
+		conns := []benchConn{mkConn(cw, true, streams, per)}
+		var writes float64
+		r := testing.Benchmark(func(b *testing.B) {
+			b.ReportAllocs()
+			cw.writes = 0
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				deliver(b, conns, &u, per)
 			}
-			if err := burstWriter.flush(); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.StopTimer()
-		burstWrites = float64(cw.writes) / float64(b.N)
-	})
-	rep.Rows = append(rep.Rows, row("fanout/burst", burst, burstN))
-	rep.FlushesPerBurst = burstWrites
+			b.StopTimer()
+			writes = float64(cw.writes) / float64(b.N)
+		})
+		rep.Rows = append(rep.Rows, row(name, r, streams*per))
+		return writes
+	}
+	rep.FlushesPerBurst = max(round("fanout/burst", 1, burstN), round("fanout/round", roundSubs, 1))
 
 	// wal: append one lifecycle record through the reused frame buffer vs
 	// the JSON marshalling it replaced.
@@ -407,7 +426,7 @@ func (r *ServeBenchReport) String() string {
 		fmt.Fprintf(&sb, "allocs per delivered message (traced): %.2f\n", r.TracedAllocsPerMessage)
 	}
 	if r.FlushesPerBurst > 0 {
-		fmt.Fprintf(&sb, "connection writes per %d-update round (batched): %.2f\n", burstN, r.FlushesPerBurst)
+		fmt.Fprintf(&sb, "connection writes per round (%d-update burst, %d-subscription round): %.2f\n", burstN, roundSubs, r.FlushesPerBurst)
 	}
 	if r.WarmReplaySpeedup > 0 {
 		fmt.Fprintf(&sb, "fragment reuse ratio (share scenario): %.2f\n", r.FragmentReuseRatio)

@@ -18,7 +18,7 @@ func TestServeBenchReportShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := []string{"encode/binary", "encode/json", "fanout/binary", "fanout/json",
-		"fanout/traced", "fanout/burst", "wal/binary", "wal/json", "dedup/interned",
+		"fanout/traced", "fanout/burst", "fanout/round", "wal/binary", "wal/json", "dedup/interned",
 		"dedup/string", "overload/first-result-unloaded", "overload/p99-under-herd"}
 	if len(rep.Rows) != len(want) {
 		t.Fatalf("rows = %d, want %d", len(rep.Rows), len(want))

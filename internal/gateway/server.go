@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/query"
 	"repro/internal/resilience"
+	"repro/internal/sim"
 	"repro/internal/tracing"
 )
 
@@ -21,7 +22,7 @@ const DefaultReadTimeout = 75 * time.Second
 
 // DefaultWriteTimeout is the default per-write deadline: a slow-loris
 // subscriber that stops reading long enough to fill its socket buffers
-// is dropped instead of wedging its forwarder goroutines.
+// is dropped instead of wedging its connection writer.
 const DefaultWriteTimeout = 30 * time.Second
 
 // ServerConfig parametrizes Serve.
@@ -43,10 +44,10 @@ type ServerConfig struct {
 	// DefaultReadTimeout if zero; negative disables the deadline.
 	ReadTimeout time.Duration
 	// WriteTimeout is the server-side write deadline, armed before every
-	// response write: a client that stops reading (slow loris) fills its
+	// socket write: a client that stops reading (slow loris) fills its
 	// socket buffers, the write expires, and the connection drops — its
 	// named session detaches and its subscriptions park in resume rings
-	// rather than wedging forwarder goroutines. DefaultWriteTimeout if
+	// rather than wedging the connection's writer. DefaultWriteTimeout if
 	// zero; negative disables the deadline.
 	WriteTimeout time.Duration
 	// ForceJSON pins every response to the NDJSON encoding, ignoring binary
@@ -123,8 +124,8 @@ func (s *Server) Close() error {
 // When the backend's brownout ladder reaches LevelBatching, the pacer
 // coalesces pairs of ticks into one double-quantum Advance: virtual time
 // progresses at the same rate, but each fan-out round carries twice the
-// epochs, so the per-burst flush batching amortizes twice as many writes
-// per syscall while the tier is hot.
+// epochs, so each connection's one flush per round carries twice as many
+// frames per syscall while the tier is hot.
 func (s *Server) pace() {
 	defer s.wg.Done()
 	t := time.NewTicker(s.cfg.TickEvery)
@@ -163,43 +164,71 @@ func (s *Server) accept() {
 	}
 }
 
-// connWriter serializes responses from the request handler and the
-// per-subscription forwarders onto one connection. All encodings go
-// through one per-connection bufio.Writer — a response is built into a
-// pooled frame buffer (binary) or the encoder's internal buffer (JSON),
-// copied into the buffered writer and flushed once, so the steady-state
-// fan-out path performs zero allocations and one syscall per response
-// instead of allocating an encoder buffer each time.
+// connWriter is the one write side of a connection. The request handler
+// only stages control responses into it; the connection's single writer
+// goroutine pumps every subscription stream through it and does the
+// flushing. All encodings stage into one bufio.Writer, so a round of
+// results — however many subscriptions it touches — costs one wake-up and
+// one socket write, and the steady-state fan-out path allocates nothing.
 type connWriter struct {
 	mu     sync.Mutex
 	bw     *bufio.Writer
 	enc    *json.Encoder // writes through bw
 	binary bool          // outbound framing: binary frames vs NDJSON
-	// dl arms the write deadline before each write when the underlying
-	// writer is a real connection and timeout is positive; a stalled
-	// reader then errors the write instead of wedging the forwarders.
-	dl      writeDeadliner
+	// streams are the subscriptions this connection delivers, each
+	// registered only after its subscribed reply was staged.
+	streams []stream
+	// kick asks the writer goroutine to flush what the handler staged.
+	kick Signal
+
+	// The body of an update frame (timestamp, degraded/coverage, rows or
+	// aggregates) is the same for every subscriber of a query, so between
+	// two flushes each distinct payload is encoded once into arena and
+	// replayed from bodies; head and tail are the per-subscriber scratch.
+	bodies     map[bodyKey][2]int // payload identity → [start, end) in arena
+	arena      []byte
+	head, tail []byte
+}
+
+// stream is one subscription's channel as captured at registration (a
+// resumed tier stream gets a fresh channel under the same ServerSub).
+type stream struct {
+	sub ServerSub
+	ch  <-chan Update
+}
+
+// bodyKey is the exact identity of an update's shared payload. The backing
+// pointers matter: a cache replay can carry the same (QueryID, At) as the
+// live epoch yet differ from it in the last ulp, and holding the pointers
+// keeps the arrays alive, so an address cannot be reused under a live key.
+type bodyKey struct {
+	qid          query.ID
+	at           sim.Time
+	rows         *query.Row
+	aggs         *query.AggResult
+	nrows, naggs int
+	degraded     bool
+	coverage     float64
+}
+
+// deadlineWriter arms the write deadline where the socket write happens —
+// once per flushed buffer, not once per staged frame — so a stalled reader
+// errors the write instead of wedging the connection's writer.
+type deadlineWriter struct {
+	conn    net.Conn
 	timeout time.Duration
 }
 
-// writeDeadliner is the slice of net.Conn the write-timeout path needs;
-// non-socket writers (benchmarks) simply don't implement it.
-type writeDeadliner interface{ SetWriteDeadline(time.Time) error }
+func (d deadlineWriter) Write(p []byte) (int, error) {
+	if d.timeout > 0 {
+		_ = d.conn.SetWriteDeadline(time.Now().Add(d.timeout))
+	}
+	return d.conn.Write(p)
+}
 
 func newConnWriter(conn io.Writer) *connWriter {
 	bw := bufio.NewWriterSize(conn, 32*1024)
-	w := &connWriter{bw: bw, enc: json.NewEncoder(bw)}
-	if d, ok := conn.(writeDeadliner); ok {
-		w.dl = d
-	}
-	return w
-}
-
-// arm refreshes the write deadline; callers hold w.mu.
-func (w *connWriter) arm() {
-	if w.dl != nil && w.timeout > 0 {
-		_ = w.dl.SetWriteDeadline(time.Now().Add(w.timeout))
-	}
+	return &connWriter{bw: bw, enc: json.NewEncoder(bw), kick: make(Signal, 1), bodies: make(map[bodyKey][2]int)}
 }
 
 // setBinary switches outbound framing to binary frames; responses written
@@ -211,84 +240,140 @@ func (w *connWriter) setBinary() {
 	w.mu.Unlock()
 }
 
+// write stages one control response and asks the writer to flush it.
 func (w *connWriter) write(r Response) error {
 	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.arm()
-	if w.binary {
-		bp := getFrameBuf()
-		b, err := appendResponseFrame(*bp, &r)
-		if err != nil {
-			putFrameBuf(bp)
-			return err
-		}
-		*bp = b
-		_, err = w.bw.Write(sealFrame(b))
-		putFrameBuf(bp)
-		if err != nil {
-			return err
-		}
-		return w.bw.Flush()
-	}
-	if err := w.enc.Encode(r); err != nil {
-		return err
-	}
-	return w.bw.Flush()
+	err := w.stageResponse(&r)
+	w.mu.Unlock()
+	w.kick.Raise()
+	return err
 }
 
-// writeUpdate is the fan-out hot path: in binary mode the update encodes
-// straight from its simulation form into a pooled buffer — no intermediate
-// Response, no string-keyed maps, no per-message allocation.
-func (w *connWriter) writeUpdate(u *Update) error {
-	if err := w.writeUpdateBuffered(u); err != nil {
-		return err
+// open stages a stream's subscribed reply, then whatever the stream already
+// holds (a resumed tail, a cache replay), and registers it, all under one
+// lock: on the wire the ack precedes the stream's first frame. A stream
+// whose ack could not be staged is not registered; the caller severs the
+// connection, and the session's teardown collects the stream.
+func (w *connWriter) open(ack Response, sub ServerSub) error {
+	w.mu.Lock()
+	err := w.stageResponse(&ack)
+	if st := (stream{sub, sub.Updates()}); err == nil && w.drain(st) {
+		w.streams = append(w.streams, st)
 	}
+	w.mu.Unlock()
+	w.kick.Raise()
+	return err
+}
+
+// sync flushes what the handler staged.
+func (w *connWriter) sync() error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
 	return w.flush()
 }
 
-// writeUpdateBuffered stages one update in the connection's write buffer
-// without flushing, so a same-round burst of updates costs one syscall
-// when the caller flushes once at the end of the burst.
-func (w *connWriter) writeUpdateBuffered(u *Update) error {
+// pump drains every stream without blocking, stages the frames (and the
+// closed notice of a stream that ended, after its last frame) and flushes
+// once.
+func (w *connWriter) pump() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	w.arm()
-	if w.binary {
-		bp := getFrameBuf()
-		b := appendUpdateFrame(*bp, u)
-		*bp = b
-		_, err := w.bw.Write(sealFrame(b))
-		putFrameBuf(bp)
-		return err
+	live := w.streams[:0]
+	for _, st := range w.streams {
+		if w.drain(st) {
+			live = append(live, st)
+		}
 	}
-	return w.enc.Encode(wireUpdate(*u))
+	clear(w.streams[len(live):])
+	w.streams = live
+	return w.flush()
 }
 
-// flush drains the write buffer to the connection.
+// drain stages what st holds right now and reports whether it is still
+// open. Staging errors are sticky in bw and surface at the flush.
+func (w *connWriter) drain(st stream) bool {
+	for {
+		select {
+		case u, ok := <-st.ch:
+			if !ok {
+				_ = w.stageResponse(&Response{Type: TypeClosed, Sub: st.sub.ID(), Reason: st.sub.Reason().String()})
+				return false
+			}
+			_ = w.stage(&u)
+		default:
+			return true
+		}
+	}
+}
+
+// stageResponse stages one control response; callers hold w.mu.
+func (w *connWriter) stageResponse(r *Response) error {
+	if !w.binary {
+		return w.enc.Encode(r)
+	}
+	bp := getFrameBuf()
+	b, err := appendResponseFrame(*bp, r)
+	if err == nil {
+		*bp = b
+		_, err = w.bw.Write(sealFrame(b))
+	}
+	putFrameBuf(bp)
+	return err
+}
+
+// stage stages one update frame; callers hold w.mu. In binary mode the
+// frame is emitted as per-subscriber head, shared body, optional trace
+// trailer — byte for byte what appendUpdateFrame produces — straight from
+// the update's simulation form: no intermediate Response, no string-keyed
+// maps, no per-message allocation.
+func (w *connWriter) stage(u *Update) error {
+	if !w.binary {
+		return w.enc.Encode(wireUpdate(*u))
+	}
+	k := bodyKey{qid: u.QueryID, at: u.At, nrows: len(u.Rows), naggs: len(u.Aggs), degraded: u.Degraded, coverage: u.Coverage}
+	if len(u.Rows) > 0 {
+		k.rows = &u.Rows[0]
+	}
+	if len(u.Aggs) > 0 {
+		k.aggs = &u.Aggs[0]
+	}
+	span, ok := w.bodies[k]
+	if !ok {
+		span[0] = len(w.arena)
+		w.arena = appendUpdateBody(w.arena, u)
+		span[1] = len(w.arena)
+		w.bodies[k] = span
+	}
+	body := w.arena[span[0]:span[1]]
+	w.tail = w.tail[:0]
+	if u.Trace != 0 {
+		w.tail = appendProvTrailer(w.tail, u.Trace, u.Prov)
+	}
+	w.head = appendUpdateHead(w.head[:0], u)
+	_, _ = w.bw.Write(sealFrameHead(w.head, len(body)+len(w.tail)))
+	_, _ = w.bw.Write(body)
+	_, err := w.bw.Write(w.tail) // bw's error is sticky: the last one tells
+	return err
+}
+
+// flush drains the write buffer to the connection and ends the lifetime of
+// the cached bodies; callers hold w.mu.
 func (w *connWriter) flush() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.arm()
+	clear(w.bodies)
+	w.arena = w.arena[:0]
 	return w.bw.Flush()
 }
 
 func (s *Server) handle(conn net.Conn) {
 	defer s.wg.Done()
-	defer conn.Close()
 
 	s.mu.Lock()
 	s.nextConn++
 	id := s.nextConn
 	s.conns[conn] = struct{}{}
 	s.mu.Unlock()
-	defer func() {
-		s.mu.Lock()
-		delete(s.conns, conn)
-		s.mu.Unlock()
-	}()
 
-	w := newConnWriter(conn)
-	w.timeout = s.cfg.WriteTimeout
+	w := newConnWriter(deadlineWriter{conn, s.cfg.WriteTimeout})
 	// The reader's buffer bounds a JSON request line the way the old
 	// Scanner cap did; binary frames are bounded by maxFramePayload.
 	br := bufio.NewReaderSize(conn, 1<<20)
@@ -299,6 +384,39 @@ func (s *Server) handle(conn net.Conn) {
 	// hello: named sessions detach (stay resumable) on disconnect, while
 	// anonymous auto-registered ones are torn down.
 	var named bool
+	// The connection's one writer goroutine: it flushes what the handler
+	// staged when kicked and, once the connection's one session is bound,
+	// wakes on its ready signal and pumps every stream. A failed write severs
+	// the connection — a client whose socket is full must not sit on a
+	// silent stream until the read timeout.
+	done := make(chan struct{})
+	bound := make(chan (<-chan struct{}), 1)
+	bind := func(se ServerSession) { sess = se; bound <- se.Ready() }
+	var writer sync.WaitGroup
+	writer.Add(1)
+	go func() {
+		defer writer.Done()
+		var ready <-chan struct{} // nil until the session is bound
+		for {
+			var err error
+			select {
+			case ready = <-bound:
+			case <-ready:
+				err = w.pump()
+			case <-w.kick:
+				err = w.sync()
+			case <-done:
+				// A reply staged just before the read side ended still goes
+				// out, under the write deadline like any other write.
+				_ = w.sync()
+				return
+			}
+			if err != nil {
+				conn.Close()
+				return
+			}
+		}
+	}()
 	// ensure registers lazily so a HELLO can pick the session name first.
 	ensure := func(name string) error {
 		if sess != nil {
@@ -307,11 +425,22 @@ func (s *Server) handle(conn net.Conn) {
 		if name == "" {
 			name = fmt.Sprintf("conn-%d", id)
 		}
-		var err error
-		sess, err = s.gw.RegisterSession(name)
+		se, err := s.gw.RegisterSession(name)
+		if err == nil {
+			bind(se)
+		}
 		return err
 	}
 	defer func() {
+		// Stop the writer — its last act is to flush what is staged — before
+		// releasing the session, so a re-attach on another connection never
+		// shares the ready signal with this one.
+		close(done)
+		writer.Wait()
+		conn.Close()
+		s.mu.Lock()
+		delete(s.conns, conn)
+		s.mu.Unlock()
 		if sess == nil {
 			return
 		}
@@ -321,48 +450,9 @@ func (s *Server) handle(conn net.Conn) {
 			_ = sess.Detach()
 			return
 		}
-		// Tear the session down at the next tick; the forwarders end
-		// when their subscriptions close.
+		// Tear the session down at the next tick.
 		_ = sess.CloseAsync()
 	}()
-
-	// forward pumps one subscription's updates to the connection until it
-	// closes, then reports the reason. An Advance delivers a whole round of
-	// epochs at once, so the ready burst is staged into the write buffer
-	// and flushed with one syscall instead of one per message.
-	forward := func(sub ServerSub) {
-		defer s.wg.Done()
-		ch := sub.Updates()
-		for u := range ch {
-			for more := true; more; {
-				if w.writeUpdateBuffered(&u) != nil {
-					conn.Close()
-					return
-				}
-				select {
-				case next, ok := <-ch:
-					if !ok {
-						more = false
-					} else {
-						u = next
-					}
-				default:
-					more = false
-				}
-			}
-			if w.flush() != nil {
-				conn.Close()
-				return
-			}
-		}
-		// The closed notice must reach the client or the connection is
-		// useless: an evicted slow consumer whose socket is already full
-		// times this write out too, and leaving the conn open would park
-		// the client on a silent stream until the read timeout. Sever it.
-		if w.write(Response{Type: TypeClosed, Sub: sub.ID(), Reason: sub.Reason().String()}) != nil {
-			conn.Close()
-		}
-	}
 
 	for {
 		// Refresh the read deadline per request; a silent client is cut
@@ -440,7 +530,8 @@ func (s *Server) handle(conn net.Conn) {
 					fail(err)
 					continue
 				}
-				sess, named = se, true
+				bind(se)
+				named = true
 				subs := make([]WireResumeInfo, 0, len(infos))
 				for _, in := range infos {
 					subs = append(subs, WireResumeInfo{
@@ -475,18 +566,9 @@ func (s *Server) handle(conn net.Conn) {
 				fail(err)
 				continue
 			}
-			s.wg.Add(1)
-			go forward(sub)
-			_ = w.write(Response{
-				Type:      TypeSubscribed,
-				Tag:       req.Tag,
-				Sub:       sub.ID(),
-				QueryID:   sub.QueryID(),
-				Shared:    sub.Shared(),
-				Canonical: sub.Key(),
-				Resumed:   true,
-				TraceID:   sub.TraceID(),
-			})
+			if w.open(subscribed(req.Tag, sub, true), sub) != nil {
+				return
+			}
 		case OpPing:
 			_ = w.write(Response{Type: TypePong, Tag: req.Tag})
 		case OpSubscribe:
@@ -515,17 +597,9 @@ func (s *Server) handle(conn net.Conn) {
 				fail(err)
 				continue
 			}
-			s.wg.Add(1)
-			go forward(sub)
-			_ = w.write(Response{
-				Type:      TypeSubscribed,
-				Tag:       req.Tag,
-				Sub:       sub.ID(),
-				QueryID:   sub.QueryID(),
-				Shared:    sub.Shared(),
-				Canonical: sub.Key(),
-				TraceID:   sub.TraceID(),
-			})
+			if w.open(subscribed(req.Tag, sub, false), sub) != nil {
+				return
+			}
 		case OpUnsubscribe:
 			if sess == nil {
 				fail(fmt.Errorf("no session"))
@@ -535,7 +609,7 @@ func (s *Server) handle(conn net.Conn) {
 				fail(err)
 				continue
 			}
-			// The forwarder emits the TypeClosed line when the channel
+			// The writer emits the TypeClosed line when the channel
 			// drains; nothing more to say here.
 		case OpStats:
 			st, now, err := s.gw.ServeStats()
@@ -553,5 +627,19 @@ func (s *Server) handle(conn net.Conn) {
 		default:
 			fail(fmt.Errorf("unknown op %q", req.Op))
 		}
+	}
+}
+
+// subscribed is the ack of a new or resumed stream.
+func subscribed(tag string, sub ServerSub, resumed bool) Response {
+	return Response{
+		Type:      TypeSubscribed,
+		Tag:       tag,
+		Sub:       sub.ID(),
+		QueryID:   sub.QueryID(),
+		Shared:    sub.Shared(),
+		Canonical: sub.Key(),
+		Resumed:   resumed,
+		TraceID:   sub.TraceID(),
 	}
 }

@@ -328,6 +328,7 @@ func (g *Gateway) replay(r walRecord) error {
 			token:  r.Token,
 			live:   make(map[SubID]*Subscription, g.cfg.SessionQuota),
 			tokens: g.cfg.Burst,
+			ready:  make(Signal, 1),
 		}
 		g.sessions[r.Sess] = s
 		g.stats.Sessions++

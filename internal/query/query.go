@@ -89,8 +89,30 @@ type Agg struct {
 	Attr field.Attr
 }
 
-// String returns e.g. "MAX(light)".
-func (a Agg) String() string { return fmt.Sprintf("%s(%s)", a.Op, a.Attr) }
+// String returns e.g. "MAX(light)". Every frame a client decodes and every
+// JSON update renders one per aggregate, so the operator × attribute names
+// are built once.
+func (a Agg) String() string {
+	if int(a.Op) < len(aggNames) && int(a.Attr) < len(aggNames[a.Op]) {
+		return aggNames[a.Op][a.Attr]
+	}
+	return a.format()
+}
+
+func (a Agg) format() string { return fmt.Sprintf("%s(%s)", a.Op, a.Attr) }
+
+// aggNames[op][attr] is format() of every declared pair (and the zero
+// values), indexed by the enums' small codes.
+var aggNames = func() [][]string {
+	names := make([][]string, Avg+1)
+	for op := range names {
+		names[op] = make([]string, len(field.AllAttrs())+1)
+		for attr := range names[op] {
+			names[op][attr] = Agg{AggOp(op), field.Attr(attr)}.format()
+		}
+	}
+	return names
+}()
 
 // Predicate is a closed value range on one attribute: Min ≤ value ≤ Max.
 // Open-ended sides use ±Inf. Strict comparisons are represented by nudging

@@ -1,6 +1,7 @@
 package query
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"time"
@@ -244,5 +245,33 @@ func TestPredicateBasics(t *testing.T) {
 	u := p.Union(Predicate{field.AttrLight, 15, 30})
 	if u.Min != 10 || u.Max != 30 {
 		t.Fatalf("union = %v", u)
+	}
+}
+
+// TestAggStringTable: the precomputed operator × attribute names equal the
+// formatted spelling for every pair — declared, zero and out of range — and
+// the declared ones cost no allocation.
+func TestAggStringTable(t *testing.T) {
+	for op := 0; op <= int(Avg)+2; op++ {
+		for attr := 0; attr <= len(field.AllAttrs())+2; attr++ {
+			a := Agg{AggOp(op), field.Attr(attr)}
+			if got, want := a.String(), fmt.Sprintf("%s(%s)", a.Op, a.Attr); got != want {
+				t.Errorf("Agg{%d,%d}.String() = %q, want %q", op, attr, got, want)
+			}
+		}
+	}
+	if got := (Agg{Max, field.AttrLight}).String(); got != "MAX(light)" {
+		t.Errorf("MAX(light) renders as %q", got)
+	}
+	var sink string
+	allocs := testing.AllocsPerRun(100, func() {
+		for op := Max; op <= Avg; op++ {
+			for _, attr := range field.AllAttrs() {
+				sink = Agg{op, attr}.String()
+			}
+		}
+	})
+	if allocs != 0 || sink == "" {
+		t.Errorf("Agg.String allocates %.1f objects per sweep, want 0", allocs)
 	}
 }

@@ -251,8 +251,8 @@ type Coordinator struct {
 	upLoad  []int // live fragments per upstream session
 	nextTok uint64
 
-	frags   map[string]*fragment
-	trees   map[string]*shareTree
+	frags   *tier.Sorted[string, *fragment]
+	trees   *tier.Sorted[string, *shareTree]
 	resolve []*fragment // fragments with pending tickets
 	stats   Stats
 }
@@ -270,8 +270,8 @@ func New(cfg Config) (*Coordinator, error) {
 	c := &Coordinator{
 		cfg:   cfg,
 		up:    cfg.Upstream,
-		frags: make(map[string]*fragment),
-		trees: make(map[string]*shareTree),
+		frags: tier.NewSorted[string, *fragment](),
+		trees: tier.NewSorted[string, *shareTree](),
 	}
 	c.k = tier.New(tier.Config{
 		Name:            "share",
@@ -284,7 +284,7 @@ func New(cfg Config) (*Coordinator, error) {
 		NowMS:           c.nowMS,
 		Token:           c.mintToken,
 		ApplySubscribe:  c.applySubscribeLocked,
-		ReleaseGroup:    func(g *tier.Group) { c.teardownTreeLocked(c.trees[g.Key]) },
+		ReleaseGroup:    func(g *tier.Group) { c.teardownTreeLocked(c.trees.Get(g.Key)) },
 	})
 	return c, nil
 }
@@ -313,8 +313,8 @@ func (c *Coordinator) ShareStats() Stats {
 func (c *Coordinator) statsLocked() Stats {
 	st := c.stats
 	st.Stats = c.k.StatsLocked()
-	st.Trees = len(c.trees)
-	st.FragmentsActive = len(c.frags)
+	st.Trees = c.trees.Len()
+	st.FragmentsActive = c.frags.Len()
 	st.UpstreamSessions = len(c.upSess)
 	return st
 }
@@ -391,7 +391,7 @@ func (c *Coordinator) applySubscribeLocked(a tier.Admission) (*tier.Group, error
 	if err != nil {
 		return nil, err
 	}
-	if tr := c.trees[p.key]; tr != nil {
+	if tr := c.trees.Get(p.key); tr != nil {
 		if c.cfg.Tracer != nil {
 			c.cfg.Tracer.Record(tracing.Span{
 				Trace:  a.Trace,
@@ -408,7 +408,7 @@ func (c *Coordinator) applySubscribeLocked(a tier.Admission) (*tier.Group, error
 	}
 	tr := &shareTree{Group: tier.Group{Key: p.key}, p: p}
 	for i, fq := range p.frags {
-		fr := c.frags[fq.key]
+		fr := c.frags.Get(fq.key)
 		if fr == nil {
 			fctx := c.traceFragLocked(a.Trace, a.Span, tracing.KindResidualAdmit, fq.key)
 			fr, err = c.materializeLocked(fq, fctx)
@@ -430,7 +430,7 @@ func (c *Coordinator) applySubscribeLocked(a tier.Admission) (*tier.Group, error
 		fr.trees = append(fr.trees, fragRef{tr: tr, idx: i})
 		tr.frags = append(tr.frags, fr)
 	}
-	c.trees[p.key] = tr
+	c.trees.Set(p.key, tr)
 	return &tr.Group, nil
 }
 
@@ -496,7 +496,7 @@ func (c *Coordinator) materializeLocked(fq fragQuery, fctx tracing.Context) (*fr
 		return nil, fmt.Errorf("share: fragment subscribe: %w", err)
 	}
 	fr := &fragment{key: fq.key, q: fq.q, sess: c.upSess[idx], sessIdx: idx, tk: tk}
-	c.frags[fq.key] = fr
+	c.frags.Set(fq.key, fr)
 	c.upLoad[idx]++
 	c.resolve = append(c.resolve, fr)
 	return fr, nil
@@ -517,7 +517,7 @@ func (c *Coordinator) decrefLocked(fr *fragment, tr *shareTree) {
 	if fr.refs > 0 {
 		return
 	}
-	delete(c.frags, fr.key)
+	c.frags.Delete(fr.key)
 	c.upLoad[fr.sessIdx]--
 	if fr.sub != nil {
 		if err := fr.sess.UnsubscribeAsync(fr.id); err == nil {
@@ -536,7 +536,7 @@ func (c *Coordinator) teardownTreeLocked(tr *shareTree) {
 		c.decrefLocked(fr, tr)
 	}
 	tr.frags = nil
-	delete(c.trees, tr.Key)
+	c.trees.Delete(tr.Key)
 }
 
 // resolveFragsLocked collects the fragment tickets staged at commit (the
@@ -581,7 +581,7 @@ func (c *Coordinator) replayLocked(acks []tier.Ack) {
 	// without history instead of costing a window of pushes each.
 	shed := c.BrownoutLevel() >= resilience.LevelNoReplay
 	for _, a := range acks {
-		tr := c.trees[a.Sub.Key()]
+		tr := c.trees.Get(a.Sub.Key())
 		if tr == nil || &tr.Group != a.Sub.Group() || tr.Broken != nil {
 			continue // left in the commit that admitted it, or broken
 		}
@@ -662,8 +662,8 @@ func (c *Coordinator) synthesizeLocked(tr *shareTree) {
 // drainLocked empties every live fragment stream into the referencing
 // trees' epoch accumulators and the fragment's cache ring.
 func (c *Coordinator) drainLocked() {
-	for _, key := range tier.SortedKeys(c.frags) {
-		fr := c.frags[key]
+	for _, key := range c.frags.Keys() {
+		fr := c.frags.Get(key)
 		if fr.sub == nil {
 			continue
 		}
@@ -709,8 +709,8 @@ func (c *Coordinator) mergeLocked(fr *fragment, u gateway.Update) {
 // epochs: a fragment that skipped it will not revisit it) and is dropped
 // rather than delivered with wrong partial values.
 func (c *Coordinator) releaseLocked() {
-	for _, key := range tier.SortedKeys(c.trees) {
-		tr := c.trees[key]
+	for _, key := range c.trees.Keys() {
+		tr := c.trees.Get(key)
 		if len(tr.pending) == 0 {
 			continue
 		}
@@ -819,8 +819,8 @@ func (c *Coordinator) Reattach(up Upstream) error {
 	c.up = up
 	c.upSess = fresh
 	c.stats.Reattaches++
-	for _, key := range tier.SortedKeys(c.frags) {
-		fr := c.frags[key]
+	for _, key := range c.frags.Keys() {
+		fr := c.frags.Get(key)
 		fr.sess = fresh[fr.sessIdx]
 		if fr.id == 0 {
 			continue // never resolved before the crash

@@ -168,6 +168,7 @@ func (g *Group) Deliver(u *gateway.Update) {
 		delete(sub.sess.live, sub.id)
 		sub.reason = gateway.ReasonEvicted
 		close(sub.ch)
+		sub.sess.ready.Raise()
 		g.remove(sub)
 	}
 }
@@ -178,6 +179,9 @@ type Session struct {
 	k     *Kernel
 	name  string
 	token string
+	// ready holds at most one pending wake-up for the connection writer,
+	// raised after every push to, or close of, one of the session's streams.
+	ready gateway.Signal
 
 	// Guarded by the tier's lock.
 	seq      uint64 // staging order tiebreaker
@@ -191,6 +195,10 @@ func (s *Session) Name() string { return s.name }
 
 // Token returns the resume token for Attach after a disconnect.
 func (s *Session) Token() string { return s.token }
+
+// Ready implements gateway.ServerSession: a coalescing signal that some
+// stream of the session has updates to drain or has closed.
+func (s *Session) Ready() <-chan struct{} { return s.ready }
 
 // Sub is one downstream subscription. It satisfies gateway.ServerSub.
 type Sub struct {
@@ -265,6 +273,7 @@ func (s *Sub) Push(u *gateway.Update) bool {
 	default:
 		select {
 		case s.ch <- *u:
+			s.sess.ready.Raise()
 		default:
 			return false
 		}
@@ -304,7 +313,7 @@ func (k *Kernel) Register(name string) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Session{k: k, name: name, token: token, live: make(map[gateway.SubID]*Sub), attached: true}
+	s := &Session{k: k, name: name, token: token, ready: make(gateway.Signal, 1), live: make(map[gateway.SubID]*Sub), attached: true}
 	k.sessions[name] = s
 	k.stats.Sessions++
 	return s, nil
@@ -496,6 +505,7 @@ func (s *Session) Detach() error {
 			sub.pushRing(u)
 		}
 	}
+	s.ready.Raise()
 	return nil
 }
 
@@ -675,6 +685,7 @@ func (k *Kernel) drop(sub *Sub, reason gateway.CloseReason) {
 	} else if sub.reason == gateway.ReasonNone {
 		sub.reason = reason
 		close(sub.ch)
+		sub.sess.ready.Raise()
 	}
 	sub.g.remove(sub)
 	if sub.g.Empty() {
@@ -736,4 +747,45 @@ func SortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
 	}
 	slices.Sort(keys)
 	return keys
+}
+
+// Sorted is a map that remembers its ascending key list between mutations:
+// the tiers walk their tables in key order every round but change them only
+// at commit. Keys returns a snapshot a mutation does not disturb.
+type Sorted[K cmp.Ordered, V any] struct {
+	m    map[K]V
+	keys []K // nil when stale
+}
+
+// NewSorted returns an empty table.
+func NewSorted[K cmp.Ordered, V any]() *Sorted[K, V] { return &Sorted[K, V]{m: make(map[K]V)} }
+
+// Get returns k's value, or the zero value.
+func (s *Sorted[K, V]) Get(k K) V { return s.m[k] }
+
+// Len is the number of entries.
+func (s *Sorted[K, V]) Len() int { return len(s.m) }
+
+// Set inserts or replaces k's value.
+func (s *Sorted[K, V]) Set(k K, v V) {
+	if _, ok := s.m[k]; !ok {
+		s.keys = nil
+	}
+	s.m[k] = v
+}
+
+// Delete removes k.
+func (s *Sorted[K, V]) Delete(k K) {
+	if _, ok := s.m[k]; ok {
+		s.keys = nil
+		delete(s.m, k)
+	}
+}
+
+// Keys returns the keys in ascending order; callers must not modify it.
+func (s *Sorted[K, V]) Keys() []K {
+	if s.keys == nil && len(s.m) > 0 {
+		s.keys = SortedKeys(s.m)
+	}
+	return s.keys
 }

@@ -283,6 +283,48 @@ func TestKernelLifecycle(t *testing.T) {
 				t.Fatalf("stats %+v, want 2 detaches, 2 attaches, 2 resumes, 1 gap", st)
 			}
 		}},
+		{"ready signal", Config{Buffer: 2}, func(t *testing.T, f *fakeTier) {
+			s := mustRegister(t, f, "s")
+			raised := func() bool {
+				select {
+				case <-s.Ready():
+					return true
+				default:
+					return false
+				}
+			}
+			a, b := mustSub(t, f, s, qLight), mustSub(t, f, s, qTemp)
+			if raised() {
+				t.Fatal("ready raised with nothing pushed")
+			}
+			// Pushes to two streams coalesce into one pending wake-up.
+			f.deliver(qLight, 2)
+			f.deliver(qTemp, 1)
+			if !raised() || raised() {
+				t.Fatal("want exactly one pending wake-up after a round of pushes")
+			}
+			if got := fmt.Sprint(seqs(a.Updates()), seqs(b.Updates())); got != "[1 2] [1]" {
+				t.Fatalf("streams hold %s, want [1 2] [1]", got)
+			}
+			// A close raises it too: by unsubscribe, and by eviction.
+			tk, err := s.UnsubscribeAsync(b.ID())
+			if err != nil {
+				t.Fatal(err)
+			}
+			f.advance()
+			if _, err := tk.Wait(); err != nil {
+				t.Fatal(err)
+			}
+			if !raised() || b.Reason() != gateway.ReasonUnsubscribed {
+				t.Fatalf("unsubscribe: raised/reason %v", b.Reason())
+			}
+			f.deliver(qLight, 2)
+			raised()
+			f.deliver(qLight, 1) // overflows the 2-slot buffer
+			if !raised() || a.Reason() != gateway.ReasonEvicted {
+				t.Fatalf("eviction: reason %v", a.Reason())
+			}
+		}},
 		{"eviction on a full buffer", Config{Buffer: 2}, func(t *testing.T, f *fakeTier) {
 			slow, fast := mustRegister(t, f, "slow"), mustRegister(t, f, "fast")
 			ss, fs := mustSub(t, f, slow, qLight), mustSub(t, f, fast, qLight)
@@ -442,5 +484,34 @@ func TestStatsOverlay(t *testing.T) {
 	}
 	if up != want {
 		t.Fatalf("overlay = %+v\nwant      %+v", up, want)
+	}
+}
+
+// TestSorted: the table hands out its keys in ascending order, reuses the
+// list between mutations, and a list already handed out is a snapshot.
+func TestSorted(t *testing.T) {
+	s := NewSorted[string, int]()
+	if s.Len() != 0 || len(s.Keys()) != 0 || s.Get("x") != 0 {
+		t.Fatal("empty table is not empty")
+	}
+	for i, k := range []string{"m", "c", "x", "a"} {
+		s.Set(k, i+1)
+	}
+	keys := s.Keys()
+	if got := fmt.Sprint(keys); got != "[a c m x]" || s.Len() != 4 || s.Get("x") != 3 {
+		t.Fatalf("keys %s len %d", got, s.Len())
+	}
+	s.Set("c", 9) // replacing a value is not a mutation of the key set
+	if again := s.Keys(); &again[0] != &keys[0] || s.Get("c") != 9 {
+		t.Fatal("key list rebuilt although no key changed")
+	}
+	s.Delete("m")
+	s.Delete("never-there")
+	s.Set("b", 5)
+	if got := fmt.Sprint(s.Keys()); got != "[a b c x]" {
+		t.Fatalf("keys after delete+insert %s", got)
+	}
+	if got := fmt.Sprint(keys); got != "[a c m x]" {
+		t.Fatalf("snapshot disturbed by later mutations: %s", got)
 	}
 }
