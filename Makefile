@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet bench bench-parallel bench-check bench-baseline bench-smoke serve-soak chaos-soak admin-smoke trace-smoke fuzz loc clean
+.PHONY: build test race vet bench bench-parallel bench-smoke serve-soak chaos-soak admin-smoke trace-smoke fuzz loc clean
 
 build:
 	$(GO) build ./...
@@ -14,27 +14,17 @@ race:
 vet:
 	$(GO) vet ./...
 
+# The Go benchmarks: the figure harnesses, parser, optimizer and simulator
+# at the root, and the serving hot path's micro view (one frame encode, one
+# 64-subscription round) in internal/gateway. Trajectory only; the
+# end-to-end benchmark is `bash bench/run.sh`.
 bench:
-	$(GO) test -run '^$$' -bench . -benchmem .
+	$(GO) test -run '^$$' -bench . -benchmem . ./internal/gateway
 
 # The parallel-runner benchmarks: the figure sweep at 1 worker vs one per
 # CPU, and the field generator's hot path.
 bench-parallel:
 	$(GO) test -run '^$$' -bench 'Figure3Parallel|FieldReading' -benchmem .
-
-# The serving hot-path regression gate: run the serve benchmark suite
-# (binary vs JSON encode, fan-out, WAL append, dedup lookup) and compare
-# against the committed baseline in BENCH_serve.json. Only the
-# machine-independent gauges are gated — the binary/JSON speedup ratio and
-# allocations per delivered message — so the check is stable across CI
-# runners; a >10% regression of either exits non-zero.
-bench-check:
-	$(GO) run ./cmd/ttmqo-bench -benchcheck BENCH_serve.json
-
-# Refresh the committed serve-suite baseline after intentional hot-path
-# changes (commit the regenerated BENCH_serve.json with the change).
-bench-baseline:
-	$(GO) run ./cmd/ttmqo-bench -benchout BENCH_serve.json
 
 # A short gateway soak under the race detector: 120 concurrent clients
 # churning subscriptions through the serving tier, with the admin plane

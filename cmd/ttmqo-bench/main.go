@@ -3,9 +3,9 @@
 //
 // Usage:
 //
-//	ttmqo-bench [-fig 2|3|4a|4b|4c|5|ablation|reliability|chaos|lifetime|scaling|federation|share|serve|all]
+//	ttmqo-bench [-fig 2|3|4a|4b|4c|5|ablation|reliability|chaos|lifetime|scaling|federation|share|all]
 //	            [-seed N] [-minutes M] [-runs R] [-parallel P] [-md report.md]
-//	            [-json out.json] [-benchout BENCH_serve.json] [-benchcheck BENCH_serve.json]
+//	            [-json out.json]
 //	            [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
 //
 // The -minutes flag sets the simulated duration of packet-level runs;
@@ -17,18 +17,12 @@
 // (byte-identical at any -parallel setting); -cpuprofile/-memprofile write
 // pprof profiles of the sweep for performance work.
 //
-// -fig serve runs the serving hot-path benchmark suite (binary vs JSON
-// encode, fan-out, WAL append, dedup lookup) instead of a figure; it takes
-// tens of seconds and is excluded from -fig all. -benchout writes the
-// suite's report as JSON (the committed baseline lives in
-// BENCH_serve.json); -benchcheck compares the fresh run against a baseline
-// file and exits non-zero on a >10% regression of the machine-independent
-// gauges (binary speedup ratio and allocations per delivered message).
-// Both imply -fig serve.
+// The serving stack's performance is not measured here: `bash bench/run.sh`
+// (declared in BENCHMARK.json) is the one end-to-end benchmark, and
+// `make bench` prints the Go micro-benchmarks.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -37,8 +31,6 @@ import (
 	"time"
 
 	ttmqo "repro"
-	"repro/internal/gateway"
-	"repro/internal/share"
 )
 
 func main() {
@@ -46,15 +38,13 @@ func main() {
 }
 
 func run() int {
-	fig := flag.String("fig", "all", "figure to regenerate: 2, 3, 4a, 4b, 4c, 5, ablation, reliability, chaos, lifetime, scaling, federation, share, serve or all")
+	fig := flag.String("fig", "all", "figure to regenerate: 2, 3, 4a, 4b, 4c, 5, ablation, reliability, chaos, lifetime, scaling, federation, share or all")
 	seed := flag.Int64("seed", 1, "random seed")
 	minutes := flag.Int("minutes", 10, "simulated minutes per packet-level run")
 	runs := flag.Int("runs", 3, "workload seeds averaged per stochastic point")
 	parallel := flag.Int("parallel", 0, "worker pool size for sweeps (0 = one worker per CPU)")
 	mdOut := flag.String("md", "", "write a full markdown report to this file (runs everything)")
 	jsonOut := flag.String("json", "", "export the selected studies' rows + manifest as JSON to this file")
-	benchOut := flag.String("benchout", "", "write the serve-suite benchmark report as JSON to this file (implies -fig serve)")
-	benchCheck := flag.String("benchcheck", "", "compare the serve suite against this baseline JSON; exit non-zero on >10% regression (implies -fig serve)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	flag.Parse()
@@ -85,13 +75,6 @@ func run() int {
 				fmt.Fprintln(os.Stderr, "memprofile:", err)
 			}
 		}()
-	}
-
-	// The serve suite is a host-machine micro-benchmark, not a simulation
-	// figure: it self-tunes with testing.Benchmark and takes tens of
-	// seconds, so it only runs when asked for by name (never under "all").
-	if *fig == "serve" || *benchOut != "" || *benchCheck != "" {
-		return runServeSuite(*benchOut, *benchCheck)
 	}
 
 	if *mdOut != "" {
@@ -324,52 +307,6 @@ func run() int {
 			return 1
 		}
 		fmt.Printf("wrote %s\n", *jsonOut)
-	}
-	return 0
-}
-
-// runServeSuite runs the serving hot-path benchmarks, optionally persists
-// the report (-benchout) and gates it against a committed baseline
-// (-benchcheck).
-func runServeSuite(outPath, checkPath string) int {
-	fmt.Println("=== serve: serving hot-path benchmarks ===")
-	rep, err := gateway.RunServeBench(gateway.ServeBenchConfig{})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "serve bench:", err)
-		return 1
-	}
-	if err := share.BenchServe(rep); err != nil {
-		fmt.Fprintln(os.Stderr, "serve bench (share rows):", err)
-		return 1
-	}
-	fmt.Print(rep.String())
-	if outPath != "" {
-		if err := writeJSONFile(outPath, rep); err != nil {
-			fmt.Fprintln(os.Stderr, "benchout:", err)
-			return 1
-		}
-		fmt.Printf("wrote %s\n", outPath)
-	}
-	if checkPath != "" {
-		raw, err := os.ReadFile(checkPath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchcheck:", err)
-			return 1
-		}
-		var baseline gateway.ServeBenchReport
-		if err := json.Unmarshal(raw, &baseline); err != nil {
-			fmt.Fprintf(os.Stderr, "benchcheck: parse %s: %v\n", checkPath, err)
-			return 1
-		}
-		if bad := gateway.CompareServeBench(&baseline, rep, 0.10); len(bad) != 0 {
-			fmt.Fprintf(os.Stderr, "benchcheck: regression against %s:\n", checkPath)
-			for _, v := range bad {
-				fmt.Fprintln(os.Stderr, "  -", v)
-			}
-			return 1
-		}
-		fmt.Printf("benchcheck: ok against %s (speedup %.1fx vs baseline %.1fx)\n",
-			checkPath, rep.BinarySpeedup, baseline.BinarySpeedup)
 	}
 	return 0
 }

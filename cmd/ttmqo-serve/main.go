@@ -1,7 +1,7 @@
 // Command ttmqo-serve runs the concurrent query-serving gateway in front
 // of a simulated sensor network, speaking a length-prefixed binary wire
 // protocol (with a JSON debug fallback) over TCP, or drives it with the
-// built-in load generators.
+// built-in load generator.
 //
 // Usage:
 //
@@ -11,18 +11,20 @@
 //	            [-readtimeout 75s] [-write-timeout 30s]
 //	            [-max-staged N] [-mailbox-deadline D] [-max-live-subs N]
 //	            [-crash-after D] [-crash-outage D]
-//	            [-admin 127.0.0.1:9090] [-wire binary]
+//	            [-admin 127.0.0.1:9090] [-wire binary] [-trace-dump t.json]
+//	            [-share [-cache-window W]]
 //	            [-json out.json] [-series out.csv] [-sample 30s]
 //	ttmqo-serve -shards K [-waldir DIR] [-addr :7443] [-side N] [-scheme S]
 //	            [-seed S] [-alpha A] [-tick 250ms] [-quantum 2048ms]
 //	            [-buffer B] [-quota Q] [-rate R] [-burst K] [-mtbf D] [-mttr D]
-//	            [-admin 127.0.0.1:9090] [-wire binary]
+//	            [-readtimeout 75s] [-write-timeout 30s]
+//	            [-max-staged N] [-mailbox-deadline D] [-max-live-subs N]
+//	            [-admin 127.0.0.1:9090] [-wire binary] [-trace-dump t.json]
+//	            [-share [-cache-window W]]
 //	ttmqo-serve -loadgen [-clients 100] [-rounds 24] [-pool 12] [-churn 0.35]
 //	            [-maxsubs 2] [-crashround R] [-wal gw.wal] [-seed S]
-//	            [-side N] [-scheme ttmqo] [-buffer B] [-admin 127.0.0.1:0]
-//	            [-json out.json]
-//	ttmqo-serve -loadgen -net [-for 3s] [-clients C] [-maxsubs M] [-pool P]
-//	            [-side N] [-seed S] [-wire binary]
+//	            [-side N] [-scheme ttmqo] [-quantum 2048ms] [-buffer B]
+//	            [-admin 127.0.0.1:0] [-json out.json]
 //
 // Serving mode: clients connect over TCP and send one JSON request per
 // line — {"op":"subscribe","query":"SELECT ..."}, {"op":"unsubscribe",
@@ -60,7 +62,8 @@
 // (requires -wal) kills the gateway abruptly after that wall-clock delay,
 // then recovers it and re-serves on the same address: a built-in
 // crash/recovery drill. -crash-outage holds the gateway down for that long
-// before recovery starts, so readiness probes can observe the outage.
+// before recovery starts, so readiness probes can observe the outage
+// (requires -crash-after).
 //
 // Federation: -shards K (K > 1) shards the deployment into K
 // region-partitioned simulations, each behind its own gateway, fronted by
@@ -71,9 +74,18 @@
 // so K shards simulate K*(side²-1) sensors with global ids 1..K*(side²-1).
 // -waldir gives every shard a write-ahead log (DIR/shard-<i>.wal) so a
 // crashed shard can be rebuilt and its canonical upstream streams resumed
-// in place. Sharded serving is incompatible with -loadgen, -wal,
-// -crash-after, -json and -series. The admin plane exposes per-shard
-// ttmqo_shard_* families and the router merge-latency histogram.
+// in place; it requires -shards (a single gateway logs to -wal). Sharded
+// serving is incompatible with -loadgen, -wal, -crash-after, -json and
+// -series. The admin plane exposes per-shard ttmqo_shard_* families and the
+// router merge-latency histogram.
+//
+// Sharing: -share fronts the stack — the single gateway, or with -shards the
+// router — with the cross-query sharing coordinator: partial-aggregate CSE
+// over grid-cell fragments plus a windowed result cache that replays
+// -cache-window epochs to late subscribers (0 keeps the default, negative
+// disables replay). It is incompatible with -loadgen, -crash-after, -json
+// and -series. On SIGINT the coordinator drains first, then the tier
+// beneath it, then the listener.
 //
 // Admin plane: -admin mounts an HTTP server (use 127.0.0.1:0 for an
 // ephemeral port; the bound address is printed) exposing /metrics
@@ -85,12 +97,6 @@
 // per-node energy, and a time-to-first-result histogram fed by per-query
 // lifecycle spans. The admin plane works in both serving and loadgen mode.
 //
-// Over-the-wire load generator (-loadgen -net): stands up a real TCP
-// server and -clients concurrent socket clients that subscribe to queries
-// from a -pool and count delivered result frames for -for of wall clock,
-// then print the delivered-message throughput. -wire selects the encoding
-// under test (binary by default, json for the comparison run).
-//
 // Load-generator mode (-loadgen): -clients concurrent goroutines churn
 // subscriptions drawn from a -pool of distinct queries for -rounds phased
 // ticks, then print admission/dedup counters, fan-out throughput and
@@ -100,7 +106,11 @@
 // deterministic for a given seed regardless of goroutine scheduling. With
 // -admin, the load generator scrapes its own /metrics endpoint at the end
 // of the soak, validates the exposition with the decoder-side parser, and
-// prints a one-line summary — a malformed exposition fails the run.
+// prints a one-line summary — a malformed exposition fails the run. The
+// serving stack's end-to-end benchmark over real sockets is bench/run.sh.
+//
+// -trace-dump writes the causal-trace flight-recorder export as JSON on exit,
+// and immediately after a -crash-after drill's crash.
 package main
 
 import (
@@ -126,299 +136,460 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "ttmqo-serve:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
-	addr := flag.String("addr", ":7443", "TCP listen address")
-	side := flag.Int("side", 4, "grid side length (side² nodes)")
-	schemeName := flag.String("scheme", "ttmqo", "baseline, base-station, in-network or ttmqo")
-	seed := flag.Int64("seed", 1, "random seed")
-	alpha := flag.Float64("alpha", ttmqo.DefaultAlpha, "termination parameter α")
-	tick := flag.Duration("tick", 250*time.Millisecond, "wall-clock pacer period")
-	quantum := flag.Duration("quantum", 2048*time.Millisecond, "virtual time simulated per tick")
-	buffer := flag.Int("buffer", gateway.DefaultBuffer, "per-subscriber result buffer bound")
-	quota := flag.Int("quota", gateway.DefaultSessionQuota, "max live subscriptions per session")
-	rate := flag.Float64("rate", gateway.DefaultRate, "subscribe tokens per simulated second")
-	burst := flag.Float64("burst", gateway.DefaultBurst, "token bucket burst")
-	mtbf := flag.Duration("mtbf", 0, "mean time between node failures (0 disables)")
-	mttr := flag.Duration("mttr", 0, "mean node down-time per failure (default 30s when -mtbf is set)")
-	wal := flag.String("wal", "", "write-ahead log path; a restart over a non-empty log recovers the previous run")
-	readTimeout := flag.Duration("readtimeout", 0, "per-connection read deadline (0 = 75s default, negative disables)")
-	crashAfter := flag.Duration("crash-after", 0, "crash the gateway after this wall-clock delay, then recover it (requires -wal)")
-	crashOutage := flag.Duration("crash-outage", 0, "hold the crashed gateway down this long before recovery so /readyz probes observe the outage")
-	admin := flag.String("admin", "", "admin HTTP address for /metrics, /healthz, /readyz, /statusz, /tracez and /debug/pprof (empty disables; 127.0.0.1:0 picks a port)")
-	jsonOut := flag.String("json", "", "write the obs run export (with gateway counters) as JSON to this file on exit")
-	seriesOut := flag.String("series", "", "write the sampled time series as CSV to this file on exit")
-	sample := flag.Duration("sample", 0, "virtual-time sampling interval (default 30s when -series/-json is set)")
-	loadgen := flag.Bool("loadgen", false, "run the built-in load generator instead of serving TCP")
-	clients := flag.Int("clients", 100, "loadgen: concurrent clients")
-	rounds := flag.Int("rounds", 24, "loadgen: churn rounds (one quantum each)")
-	pool := flag.Int("pool", 12, "loadgen: distinct queries in the shared pool")
-	churn := flag.Float64("churn", 0.35, "loadgen: per-round per-client churn probability")
-	maxsubs := flag.Int("maxsubs", 2, "loadgen: max live subscriptions per client")
-	crashround := flag.Int("crashround", 0, "loadgen: crash and recover the gateway at the start of this round (requires -wal)")
-	wire := flag.String("wire", "binary", "wire encoding: binary (default; JSON handshake upgrades to binary frames) or json (pin newline-delimited JSON, debug mode)")
-	netload := flag.Bool("net", false, "loadgen: drive a real TCP server with socket clients instead of the in-process churn loadgen")
-	forDur := flag.Duration("for", 3*time.Second, "netload: wall-clock duration of the -loadgen -net run")
-	shards := flag.Int("shards", 1, "shard the deployment into K region partitions behind a federation router (1 = single gateway)")
-	waldir := flag.String("waldir", "", "federation: per-shard write-ahead-log directory (DIR/shard-<i>.wal), enables shard crash recovery")
-	shareOn := flag.Bool("share", false, "front the serving tier with the cross-query sharing coordinator (partial-aggregate CSE + windowed result cache)")
-	cacheWindow := flag.Int("cache-window", 0, "share: result-cache depth in epochs (0 = default, negative disables cached replay; requires -share)")
-	maxStaged := flag.Int("max-staged", 0, "admission control: shed new subscribes once this many commands are staged in the group-commit mailbox (0 disables; also arms the brownout ladder)")
-	mailboxDeadline := flag.Duration("mailbox-deadline", 0, "admission control: default mailbox sojourn budget for subscribes; a per-request deadline_ms overrides (0 disables)")
-	maxLiveSubs := flag.Int("max-live-subs", 0, "admission control: global cap on concurrently live subscriptions (0 disables)")
-	writeTimeout := flag.Duration("write-timeout", 0, "per-connection write deadline guarding against non-reading subscribers (0 = 30s default, negative disables)")
-	traceDump := flag.String("trace-dump", "", "write the causal-trace flight-recorder export as JSON to this file on exit (and immediately after a -crash-after drill's crash)")
-	flag.Parse()
-
-	switch *wire {
-	case "binary", "json":
-	default:
-		return fmt.Errorf("-wire must be binary or json, got %q", *wire)
-	}
-
-	scheme, err := network.ParseScheme(*schemeName)
+func run(args []string) error {
+	o, err := parseFlags(args)
 	if err != nil {
 		return err
 	}
+	if o.loadgen {
+		return runLoadgen(o)
+	}
+	st, err := buildStack(o)
+	if err != nil {
+		return err
+	}
+	return serve(st, o)
+}
 
-	if *cacheWindow != 0 && !*shareOn {
+// options are the parsed flags.
+type options struct {
+	addr, schemeName, wal, admin, jsonOut, seriesOut, wire, waldir, traceDump string
+
+	side, buffer, quota, clients, rounds, pool, maxsubs, crashround int
+	shards, cacheWindow, maxStaged, maxLiveSubs                     int
+
+	seed                      int64
+	alpha, rate, burst, churn float64
+
+	tick, quantum, mtbf, mttr, sample, readTimeout, writeTimeout time.Duration
+	crashAfter, crashOutage, mailboxDeadline                     time.Duration
+
+	loadgen, share bool
+
+	scheme network.Scheme // -scheme, parsed
+}
+
+// parseFlags parses and validates the command line.
+func parseFlags(args []string) (*options, error) {
+	o := &options{}
+	fs := flag.NewFlagSet("ttmqo-serve", flag.ExitOnError)
+	fs.StringVar(&o.addr, "addr", ":7443", "TCP listen address")
+	fs.IntVar(&o.side, "side", 4, "grid side length (side² nodes)")
+	fs.StringVar(&o.schemeName, "scheme", "ttmqo", "baseline, base-station, in-network or ttmqo")
+	fs.Int64Var(&o.seed, "seed", 1, "random seed")
+	fs.Float64Var(&o.alpha, "alpha", ttmqo.DefaultAlpha, "termination parameter α")
+	fs.DurationVar(&o.tick, "tick", 250*time.Millisecond, "wall-clock pacer period")
+	fs.DurationVar(&o.quantum, "quantum", 2048*time.Millisecond, "virtual time simulated per tick")
+	fs.IntVar(&o.buffer, "buffer", gateway.DefaultBuffer, "per-subscriber result buffer bound")
+	fs.IntVar(&o.quota, "quota", gateway.DefaultSessionQuota, "max live subscriptions per session")
+	fs.Float64Var(&o.rate, "rate", gateway.DefaultRate, "subscribe tokens per simulated second")
+	fs.Float64Var(&o.burst, "burst", gateway.DefaultBurst, "token bucket burst")
+	fs.DurationVar(&o.mtbf, "mtbf", 0, "mean time between node failures (0 disables)")
+	fs.DurationVar(&o.mttr, "mttr", 0, "mean node down-time per failure (default 30s when -mtbf is set)")
+	fs.StringVar(&o.wal, "wal", "", "write-ahead log path; a restart over a non-empty log recovers the previous run")
+	fs.DurationVar(&o.readTimeout, "readtimeout", 0, "per-connection read deadline (0 = 75s default, negative disables)")
+	fs.DurationVar(&o.crashAfter, "crash-after", 0, "crash the gateway after this wall-clock delay, then recover it (requires -wal)")
+	fs.DurationVar(&o.crashOutage, "crash-outage", 0, "hold the crashed gateway down this long before recovery so /readyz probes observe the outage (requires -crash-after)")
+	fs.StringVar(&o.admin, "admin", "", "admin HTTP address for /metrics, /healthz, /readyz, /statusz, /tracez and /debug/pprof (empty disables; 127.0.0.1:0 picks a port)")
+	fs.StringVar(&o.jsonOut, "json", "", "write the obs run export (with gateway counters) as JSON to this file on exit")
+	fs.StringVar(&o.seriesOut, "series", "", "write the sampled time series as CSV to this file on exit")
+	fs.DurationVar(&o.sample, "sample", 0, "virtual-time sampling interval (default 30s when -series/-json is set)")
+	fs.BoolVar(&o.loadgen, "loadgen", false, "run the built-in load generator instead of serving TCP")
+	fs.IntVar(&o.clients, "clients", 100, "loadgen: concurrent clients")
+	fs.IntVar(&o.rounds, "rounds", 24, "loadgen: churn rounds (one quantum each)")
+	fs.IntVar(&o.pool, "pool", 12, "loadgen: distinct queries in the shared pool")
+	fs.Float64Var(&o.churn, "churn", 0.35, "loadgen: per-round per-client churn probability")
+	fs.IntVar(&o.maxsubs, "maxsubs", 2, "loadgen: max live subscriptions per client")
+	fs.IntVar(&o.crashround, "crashround", 0, "loadgen: crash and recover the gateway at the start of this round (requires -wal)")
+	fs.StringVar(&o.wire, "wire", "binary", "wire encoding: binary (default; JSON handshake upgrades to binary frames) or json (pin newline-delimited JSON, debug mode)")
+	fs.IntVar(&o.shards, "shards", 1, "shard the deployment into K region partitions behind a federation router (1 = single gateway)")
+	fs.StringVar(&o.waldir, "waldir", "", "federation: per-shard write-ahead-log directory (DIR/shard-<i>.wal), enables shard crash recovery (requires -shards K > 1)")
+	fs.BoolVar(&o.share, "share", false, "front the serving tier with the cross-query sharing coordinator (partial-aggregate CSE + windowed result cache)")
+	fs.IntVar(&o.cacheWindow, "cache-window", 0, "share: result-cache depth in epochs (0 = default, negative disables cached replay; requires -share)")
+	fs.IntVar(&o.maxStaged, "max-staged", 0, "admission control: shed new subscribes once this many commands are staged in the group-commit mailbox (0 disables; also arms the brownout ladder)")
+	fs.DurationVar(&o.mailboxDeadline, "mailbox-deadline", 0, "admission control: default mailbox sojourn budget for subscribes; a per-request deadline_ms overrides (0 disables)")
+	fs.IntVar(&o.maxLiveSubs, "max-live-subs", 0, "admission control: global cap on concurrently live subscriptions (0 disables)")
+	fs.DurationVar(&o.writeTimeout, "write-timeout", 0, "per-connection write deadline guarding against non-reading subscribers (0 = 30s default, negative disables)")
+	fs.StringVar(&o.traceDump, "trace-dump", "", "write the causal-trace flight-recorder export as JSON to this file on exit (and immediately after a -crash-after drill's crash)")
+	_ = fs.Parse(args) // ExitOnError: Parse reports a bad flag itself and exits
+	return o, o.validate()
+}
+
+// validate rejects the flag combinations no stack shape can honour — every
+// one is an error, never a silently ignored flag.
+func (o *options) validate() error {
+	if o.wire != "binary" && o.wire != "json" {
+		return fmt.Errorf("-wire must be binary or json, got %q", o.wire)
+	}
+	var err error
+	if o.scheme, err = network.ParseScheme(o.schemeName); err != nil {
+		return err
+	}
+	exports := o.jsonOut != "" || o.seriesOut != ""
+	switch {
+	case o.cacheWindow != 0 && !o.share:
 		return fmt.Errorf("-cache-window requires -share")
+	case o.share && o.loadgen:
+		return fmt.Errorf("-share is incompatible with -loadgen")
+	case o.share && o.crashAfter > 0:
+		return fmt.Errorf("-share does not compose with the -crash-after drill")
+	case o.share && exports:
+		return fmt.Errorf("-json/-series support only gateway-direct serving")
+	case o.shards > 1 && o.loadgen:
+		return fmt.Errorf("-shards is incompatible with -loadgen")
+	case o.shards > 1 && o.wal != "":
+		return fmt.Errorf("-shards uses per-shard logs; set -waldir instead of -wal")
+	case o.shards > 1 && o.crashAfter > 0:
+		return fmt.Errorf("-crash-after supports only single-gateway serving")
+	case o.shards > 1 && exports:
+		return fmt.Errorf("-json/-series support only single-gateway serving")
+	case o.crashAfter > 0 && o.wal == "" && !o.loadgen:
+		return fmt.Errorf("-crash-after requires -wal")
+	case o.waldir != "" && o.shards <= 1:
+		return fmt.Errorf("-waldir requires -shards K > 1; a single gateway logs to -wal")
+	case o.crashOutage > 0 && o.crashAfter <= 0:
+		return fmt.Errorf("-crash-outage requires -crash-after")
 	}
-	if *shareOn {
-		switch {
-		case *loadgen:
-			return fmt.Errorf("-share is incompatible with -loadgen")
-		case *crashAfter > 0:
-			return fmt.Errorf("-share does not compose with the -crash-after drill")
-		case *jsonOut != "" || *seriesOut != "":
-			return fmt.Errorf("-json/-series support only gateway-direct serving")
-		}
-	}
+	return nil
+}
 
-	if *shards > 1 {
-		switch {
-		case *loadgen:
-			return fmt.Errorf("-shards is incompatible with -loadgen")
-		case *wal != "":
-			return fmt.Errorf("-shards uses per-shard logs; set -waldir instead of -wal")
-		case *crashAfter > 0:
-			return fmt.Errorf("-crash-after supports only single-gateway serving")
-		case *jsonOut != "" || *seriesOut != "":
-			return fmt.Errorf("-json/-series support only single-gateway serving")
-		}
-		return serveFederated(federation.Config{
-			Shards:          *shards,
-			Side:            *side,
-			Seed:            *seed,
-			Scheme:          scheme,
-			Alpha:           *alpha,
-			Buffer:          *buffer,
-			SessionQuota:    *quota,
-			Rate:            *rate,
-			Burst:           *burst,
-			WALDir:          *waldir,
-			Failures:        network.FailureConfig{MTBF: *mtbf, MTTR: *mttr},
-			MailboxDeadline: *mailboxDeadline,
-			MaxStaged:       *maxStaged,
-			MaxLiveSubs:     *maxLiveSubs,
-		}, gateway.ServerConfig{
-			Addr:         *addr,
-			TickEvery:    *tick,
-			Quantum:      *quantum,
-			ReadTimeout:  *readTimeout,
-			WriteTimeout: *writeTimeout,
-			ForceJSON:    *wire == "json",
-		}, *admin, *shareOn, *cacheWindow, *traceDump)
-	}
+// stack is one serving deployment, whatever its shape — a gateway, a
+// router over -shards K gateways, or -share on top of either: the backend
+// the TCP server fronts and everything the serve loop and the admin plane
+// need from the tiers beneath it.
+type stack struct {
+	backend gateway.Backend
+	// closers drain the tiers top-down — coordinator, then the tier beneath
+	// it — so staged commands fail and connection handlers unblock before
+	// the listener closes.
+	closers []func() error
+	// register and status mount each tier's metric families and fill its
+	// /statusz sections; ready backs /readyz.
+	register []func(*telemetry.Registry)
+	status   []func(*telemetry.StatusSections)
+	ready    func() bool
+	// The banner reads "ttmqo-serve: <role> on <addr> (<detail>)"; summary
+	// is the line printed after the drain.
+	role, detail string
+	summary      func() string
 
-	if *loadgen && *netload {
-		rep, err := gateway.RunNetLoadgen(gateway.NetLoadConfig{
-			Clients:       *clients,
-			SubsPerClient: *maxsubs,
-			Duration:      *forDur,
-			Pool:          *pool,
-			Side:          *side,
-			Seed:          *seed,
-			JSON:          *wire == "json",
+	// traces owns the causal-trace flight recorders (nil in loadgen mode);
+	// simTrace is the simulation event ring behind /tracez.
+	traces   *traceSet
+	simTrace *trace.Buffer
+
+	// gw is the single gateway under the stack, nil when sharded. The
+	// crash drill swaps it, so every hook reads through the pointer; gwCfg
+	// is what gateway.Recover rebuilds it from.
+	gw    atomic.Pointer[gateway.Gateway]
+	gwCfg gateway.Config
+}
+
+// buildStack assembles the deployment the flags describe.
+func buildStack(o *options) (*stack, error) {
+	// Causal tracing mounts unconditionally: the flight recorders are
+	// bounded rings owned here, so they survive crash/recovery swaps and
+	// are dumpable (-trace-dump) even without -admin.
+	st := &stack{traces: newTraceSet()}
+	failures := network.FailureConfig{MTBF: o.mtbf, MTTR: o.mttr}
+	var upstream share.Upstream
+	var sensors int
+	if o.shards > 1 {
+		rt, err := federation.New(federation.Config{
+			Shards:          o.shards,
+			Side:            o.side,
+			Seed:            o.seed,
+			Scheme:          o.scheme,
+			Alpha:           o.alpha,
+			Buffer:          o.buffer,
+			SessionQuota:    o.quota,
+			Rate:            o.rate,
+			Burst:           o.burst,
+			WALDir:          o.waldir,
+			Failures:        failures,
+			MailboxDeadline: o.mailboxDeadline,
+			MaxStaged:       o.maxStaged,
+			MaxLiveSubs:     o.maxLiveSubs,
+			Tracer:          st.traces.rec(tracing.TierRouter),
+			ShardTracer:     st.traces.shardRec(),
 		})
 		if err != nil {
-			return err
+			return nil, err
 		}
-		fmt.Print(rep.String())
+		upstream, sensors = share.OverRouter(rt), o.shards*(o.side*o.side-1)
+		st.backend, st.ready = rt, rt.Alive
+		st.closers = append(st.closers, rt.Close)
+		st.register = append(st.register, func(reg *telemetry.Registry) {
+			federation.RegisterMetrics(reg, func() *federation.Router { return rt })
+		})
+		st.status = append(st.status, func(doc *telemetry.StatusSections) {
+			s := rt.FedStats()
+			doc.Federation, doc.Resilience = s, fedResilienceSection(s)
+		})
+		st.role = "router"
+		st.detail = fmt.Sprintf("%d shards × side %d = %d sensors, scheme=%s", o.shards, o.side, sensors, o.scheme)
+		st.summary = func() string {
+			s := rt.FedStats()
+			return fmt.Sprintf("shards=%d sessions=%d subscribes=%d dedup_hits=%d trees=%d merged_epochs=%d updates=%d merge_latency=%v",
+				s.Shards, s.Sessions, s.Subscribes, s.DedupHits, s.Trees, s.MergedEpochs, s.Updates, rt.MergeLatency())
+		}
+	} else {
+		topo, err := ttmqo.PaperGrid(o.side)
+		if err != nil {
+			return nil, err
+		}
+		sample := o.sample
+		if sample <= 0 && (o.seriesOut != "" || o.jsonOut != "") {
+			sample = ttmqo.DefaultSampleInterval
+		}
+		if o.admin != "" {
+			// Snapshot is safe against the engine goroutine's concurrent Emits.
+			st.simTrace = &trace.Buffer{Max: 2048}
+		}
+		st.gwCfg = gateway.Config{
+			Sim: network.Config{
+				Topo:     topo,
+				Scheme:   o.scheme,
+				Seed:     o.seed,
+				Alpha:    o.alpha,
+				Failures: failures,
+				Trace:    st.simTrace,
+			},
+			Buffer:          o.buffer,
+			SessionQuota:    o.quota,
+			Rate:            o.rate,
+			Burst:           o.burst,
+			Sample:          sample,
+			WALPath:         o.wal,
+			MaxStaged:       o.maxStaged,
+			MailboxDeadline: o.mailboxDeadline,
+			MaxLiveSubs:     o.maxLiveSubs,
+			Tracer:          st.traces.rec(tracing.TierGateway),
+		}
+		gw, err := openGateway(st.gwCfg)
+		if err != nil {
+			return nil, err
+		}
+		upstream, sensors = share.OverGateway(gw), topo.Size()-1
+		st.backend = gw
+		st.mountGateway(gw)
+		st.closers = append(st.closers, func() error { return st.gw.Load().Close() })
+		st.role = "listening"
+		st.detail = fmt.Sprintf("scheme=%s nodes=%d tick=%v quantum=%v", o.scheme, topo.Size(), o.tick, o.quantum)
+		st.summary = func() string {
+			s, _ := st.gw.Load().Stats()
+			return fmt.Sprintf("sessions=%d subscribes=%d dedup_hits=%d admitted=%d dedup_ratio=%.2f updates=%d evicted=%d recoveries=%d",
+				s.Sessions, s.Subscribes, s.DedupHits, s.Admitted, s.DedupRatio(), s.Updates, s.Evicted, s.Recoveries)
+		}
+	}
+	if !o.share {
+		return st, nil
+	}
+
+	coord, err := share.New(share.Config{
+		Upstream:     upstream,
+		Sensors:      sensors,
+		Window:       o.cacheWindow,
+		Buffer:       o.buffer,
+		SessionQuota: o.quota,
+		Tracer:       st.traces.rec(tracing.TierShare),
+	})
+	if err != nil {
+		_ = st.close()
+		return nil, err
+	}
+	st.backend, st.ready = coord, coord.Alive
+	st.closers = append([]func() error{coord.Close}, st.closers...)
+	st.register = append(st.register, func(reg *telemetry.Registry) {
+		share.RegisterMetrics(reg, func() *share.Coordinator { return coord })
+	})
+	st.status = append(st.status, func(doc *telemetry.StatusSections) { doc.Share = coord.ShareStats() })
+	window := o.cacheWindow
+	switch {
+	case window == 0:
+		window = share.DefaultWindow
+	case window < 0:
+		window = 0
+	}
+	st.role = "sharing coordinator"
+	st.detail = fmt.Sprintf("cell=%d cache-window=%d; %s", share.DefaultCell, window, st.detail)
+	st.summary = func() string {
+		s := coord.ShareStats()
+		return fmt.Sprintf("sessions=%d subscribes=%d dedup_hits=%d fragments_created=%d fragments_reused=%d reuse_ratio=%.2f cache_hits=%d replayed_epochs=%d updates=%d",
+			s.Sessions, s.Subscribes, s.DedupHits, s.FragmentsCreated, s.FragmentsReused,
+			s.FragmentReuseRatio(), s.CacheHits, s.ReplayedEpochs, s.Updates)
+	}
+	return st, nil
+}
+
+// openGateway starts the single gateway. A non-empty log from a previous
+// run means a crashed (or killed) server: recover it by replay instead of
+// starting fresh.
+func openGateway(cfg gateway.Config) (*gateway.Gateway, error) {
+	if cfg.WALPath == "" {
+		return gateway.New(cfg)
+	}
+	if fi, err := os.Stat(cfg.WALPath); err != nil || fi.Size() == 0 {
+		return gateway.New(cfg)
+	}
+	gw, err := gateway.Recover(cfg)
+	if err != nil {
+		return nil, fmt.Errorf("recover %s: %w", cfg.WALPath, err)
+	}
+	gs, _ := gw.Stats()
+	fmt.Printf("ttmqo-serve: recovered %d session(s), %d subscription(s) from %s\n",
+		gs.ActiveSessions, gs.ActiveSubscriptions, cfg.WALPath)
+	return gw, nil
+}
+
+// mountGateway points the admin plane at the single gateway behind st.gw
+// (gw may be nil until a load generator creates it): metrics, readiness
+// bound to the current gateway's actor loop, and the gateway and
+// resilience /statusz sections — all surviving crash/recovery swaps.
+func (st *stack) mountGateway(gw *gateway.Gateway) {
+	st.gw.Store(gw)
+	st.register = append(st.register, func(reg *telemetry.Registry) { gateway.RegisterMetrics(reg, st.gw.Load) })
+	st.ready = func() bool {
+		g := st.gw.Load()
+		return g != nil && g.Alive()
+	}
+	st.status = append(st.status, func(doc *telemetry.StatusSections) {
+		g := st.gw.Load()
+		if g == nil {
+			return
+		}
+		if s, err := g.Status(); err == nil {
+			doc.Gateway = s
+		}
+		if gs, err := g.Stats(); err == nil {
+			doc.Resilience = resilienceSection(gs)
+		}
+	})
+}
+
+// close drains the tiers in order and returns the first error.
+func (st *stack) close() error {
+	var first error
+	for _, c := range st.closers {
+		if err := c(); err != nil && first == nil {
+			first = err
+		}
+	}
+	return first
+}
+
+// dumpTraces writes the -trace-dump post-mortem and reports it under prefix.
+func (st *stack) dumpTraces(path, prefix string) error {
+	if path == "" {
 		return nil
 	}
-	if *loadgen {
-		return runLoadgen(gateway.LoadgenConfig{
-			Clients:    *clients,
-			Rounds:     *rounds,
-			Quantum:    *quantum * 4, // loadgen rounds default to coarser ticks
-			Pool:       *pool,
-			Churn:      *churn,
-			MaxSubs:    *maxsubs,
-			Seed:       *seed,
-			Side:       *side,
-			Scheme:     scheme,
-			Buffer:     *buffer,
-			CrashRound: *crashround,
-			WALPath:    *wal,
-		}, *admin, *jsonOut)
-	}
-	if *crashAfter > 0 && *wal == "" {
-		return fmt.Errorf("-crash-after requires -wal")
-	}
-
-	topo, err := ttmqo.PaperGrid(*side)
-	if err != nil {
+	if err := st.traces.dump(path); err != nil {
 		return err
 	}
-	sm := *sample
-	if sm <= 0 && (*seriesOut != "" || *jsonOut != "") {
-		sm = ttmqo.DefaultSampleInterval
-	}
-	// The trace ring feeds the admin /tracez endpoint; its Snapshot
-	// accessor is safe against the engine goroutine's concurrent Emits.
-	var traceBuf *trace.Buffer
-	if *admin != "" {
-		traceBuf = &trace.Buffer{Max: 2048}
-	}
-	// Causal tracing mounts unconditionally: the flight recorder is a
-	// bounded ring owned here, so it survives crash/recovery swaps and is
-	// dumpable (-trace-dump) or exportable (-json) even without -admin.
-	ts := newTraceSet()
-	gwCfg := gateway.Config{
-		Sim: network.Config{
-			Topo:     topo,
-			Scheme:   scheme,
-			Seed:     *seed,
-			Alpha:    *alpha,
-			Failures: network.FailureConfig{MTBF: *mtbf, MTTR: *mttr},
-			Trace:    traceBuf,
-		},
-		Buffer:          *buffer,
-		SessionQuota:    *quota,
-		Rate:            *rate,
-		Burst:           *burst,
-		Sample:          sm,
-		WALPath:         *wal,
-		MaxStaged:       *maxStaged,
-		MailboxDeadline: *mailboxDeadline,
-		MaxLiveSubs:     *maxLiveSubs,
-		Tracer:          ts.rec(tracing.TierGateway),
-	}
-	srvCfg := gateway.ServerConfig{
-		Addr:         *addr,
-		TickEvery:    *tick,
-		Quantum:      *quantum,
-		ReadTimeout:  *readTimeout,
-		WriteTimeout: *writeTimeout,
-		ForceJSON:    *wire == "json",
-	}
+	fmt.Printf("%strace dump: %s\n", prefix, path)
+	return nil
+}
 
-	// A non-empty log from a previous run means a crashed (or killed)
-	// server: recover it by replay instead of starting fresh.
-	var gw *gateway.Gateway
-	if *wal != "" {
-		if st, err := os.Stat(*wal); err == nil && st.Size() > 0 {
-			gw, err = gateway.Recover(gwCfg)
-			if err != nil {
-				return fmt.Errorf("recover %s: %w", *wal, err)
+// startAdmin mounts the admin plane over the stack's hooks.
+func startAdmin(addr string, st *stack) (*telemetry.Admin, error) {
+	reg := telemetry.NewRegistry()
+	for _, register := range st.register {
+		register(reg)
+	}
+	cfg := telemetry.AdminConfig{
+		Registry: reg,
+		Ready:    st.ready,
+		Status: func() any {
+			doc := telemetry.StatusSections{}
+			if st.traces != nil {
+				doc.Tracing = st.traces.summary()
 			}
-			gst, _ := gw.Stats()
-			fmt.Printf("ttmqo-serve: recovered %d session(s), %d subscription(s) from %s\n",
-				gst.ActiveSessions, gst.ActiveSubscriptions, *wal)
-		}
+			for _, fill := range st.status {
+				fill(&doc)
+			}
+			return doc
+		},
 	}
-	if gw == nil {
-		gw, err = gateway.New(gwCfg)
-		if err != nil {
-			return err
-		}
-	}
-	if *shareOn {
-		return serveShared(shareServeOpts{
-			coord: share.Config{
-				Upstream:     share.OverGateway(gw),
-				Sensors:      topo.Size() - 1,
-				Window:       *cacheWindow,
-				Buffer:       *buffer,
-				SessionQuota: *quota,
-			},
-			srv:       srvCfg,
-			admin:     *admin,
-			trace:     traceBuf,
-			traces:    ts,
-			traceDump: *traceDump,
-			closeUp:   gw.Close,
-			register: func(reg *telemetry.Registry) {
-				gateway.RegisterMetrics(reg, func() *gateway.Gateway { return gw })
-			},
-			status: func(doc *telemetry.StatusSections) {
-				if st, err := gw.Status(); err == nil {
-					doc.Gateway = st
+	if st.traces != nil {
+		tracing.RegisterMetrics(reg, st.traces.recorders)
+		// /tracez: the cross-tier span trees, then the simulation ring.
+		cfg.Trace = func(w io.Writer) {
+			st.traces.renderTrees(w)
+			if st.simTrace != nil {
+				fmt.Fprintln(w, "\nsimulation events:")
+				for _, e := range st.simTrace.Snapshot() {
+					fmt.Fprintln(w, e)
 				}
-				if st, err := gw.Stats(); err == nil {
-					doc.Resilience = resilienceSection(st)
-				}
-			},
-			banner: fmt.Sprintf("scheme=%s nodes=%d tick=%v quantum=%v", scheme, topo.Size(), *tick, *quantum),
-		})
+			}
+		}
+		cfg.TraceJSON = st.traces.traceJSON
 	}
-	srv, err := gateway.NewServer(gw, srvCfg)
+	adm := telemetry.NewAdmin(cfg)
+	bound, err := adm.Start(addr)
 	if err != nil {
-		gw.Close()
+		return nil, err
+	}
+	fmt.Printf("ttmqo-serve: admin on http://%s\n", bound)
+	return adm, nil
+}
+
+// serve fronts the stack with the TCP server and the admin plane, waits
+// for SIGINT/SIGTERM, then drains: the stack's tiers top-down, then the
+// listener.
+func serve(st *stack, o *options) error {
+	srvCfg := gateway.ServerConfig{
+		Addr:         o.addr,
+		TickEvery:    o.tick,
+		Quantum:      o.quantum,
+		ReadTimeout:  o.readTimeout,
+		WriteTimeout: o.writeTimeout,
+		ForceJSON:    o.wire == "json",
+	}
+	srv, err := gateway.NewServer(st.backend, srvCfg)
+	if err != nil {
+		_ = st.close()
 		return err
 	}
-	fmt.Printf("ttmqo-serve: listening on %s (scheme=%s nodes=%d tick=%v quantum=%v)\n",
-		srv.Addr(), scheme, topo.Size(), *tick, *quantum)
-
-	// cur tracks the live gateway across crash/recovery swaps; the admin
-	// plane's readiness probe and metric gather hooks read through it.
-	var cur atomic.Pointer[gateway.Gateway]
-	cur.Store(gw)
-	if *admin != "" {
-		adm, err := startAdmin(*admin, &cur, traceBuf, ts)
+	fmt.Printf("ttmqo-serve: %s on %s (%s)\n", st.role, srv.Addr(), st.detail)
+	if o.admin != "" {
+		adm, err := startAdmin(o.admin, st)
 		if err != nil {
-			gw.Close()
+			_ = st.close()
 			srv.Close()
 			return err
 		}
 		defer adm.Close()
 	}
 
-	// live guards the current gateway/server pair: the crash drill swaps
-	// both under the mutex while the signal handler waits to drain them.
+	// mu guards the gateway/server pair: the crash drill swaps both under
+	// it while the signal handler waits to drain them.
 	var mu sync.Mutex
-	if *crashAfter > 0 {
+	if o.crashAfter > 0 {
 		// Pin the recovered server to the originally bound address (":0"
 		// resolves once, clients reconnect to the same port).
 		srvCfg.Addr = srv.Addr().String()
 		go func() {
-			time.Sleep(*crashAfter)
+			time.Sleep(o.crashAfter)
 			mu.Lock()
 			defer mu.Unlock()
 			fmt.Println("ttmqo-serve: injecting crash")
 			srv.Close()
-			gw.Crash()
-			if *traceDump != "" {
-				// The rings are owned up here, not by the crashed gateway,
-				// so the dump carries everything through the crash span.
-				if err := ts.dump(*traceDump); err != nil {
-					fmt.Fprintln(os.Stderr, "ttmqo-serve: trace dump:", err)
-				} else {
-					fmt.Printf("ttmqo-serve: trace dump: %s\n", *traceDump)
-				}
+			st.gw.Load().Crash()
+			// The rings are owned by the stack, not the crashed gateway, so
+			// the dump carries everything through the crash span.
+			if err := st.dumpTraces(o.traceDump, "ttmqo-serve: "); err != nil {
+				fmt.Fprintln(os.Stderr, "ttmqo-serve: trace dump:", err)
 			}
-			if *crashOutage > 0 {
-				// Hold the outage so /readyz probes can observe the 503
-				// window before recovery flips it back.
-				time.Sleep(*crashOutage)
-			}
-			g2, err := gateway.Recover(gwCfg)
+			// Hold the outage so /readyz probes can observe the 503 window
+			// before recovery flips it back.
+			time.Sleep(o.crashOutage)
+			g2, err := gateway.Recover(st.gwCfg)
 			if err != nil {
 				fmt.Fprintln(os.Stderr, "ttmqo-serve: recover:", err)
 				os.Exit(1)
@@ -429,11 +600,11 @@ func run() error {
 				fmt.Fprintln(os.Stderr, "ttmqo-serve: re-serve:", err)
 				os.Exit(1)
 			}
-			gw, srv = g2, s2
-			cur.Store(g2)
-			gst, _ := gw.Stats()
+			st.gw.Store(g2)
+			srv = s2
+			gs, _ := g2.Stats()
 			fmt.Printf("ttmqo-serve: recovered %d session(s) on %s; clients may re-attach\n",
-				gst.ActiveSessions, srv.Addr())
+				gs.ActiveSessions, srv.Addr())
 		}()
 	}
 
@@ -442,126 +613,19 @@ func run() error {
 	<-sig
 	fmt.Println("ttmqo-serve: draining")
 
-	// Drain order matters: closing the gateway first fails pending
-	// commands so connection handlers unblock, then the server stops.
 	mu.Lock()
 	defer mu.Unlock()
-	if err := gw.Close(); err != nil {
+	if err := st.close(); err != nil {
 		return err
 	}
 	if err := srv.Close(); err != nil {
 		return err
 	}
-	st, _ := gw.Stats()
-	fmt.Printf("sessions=%d subscribes=%d dedup_hits=%d admitted=%d dedup_ratio=%.2f updates=%d evicted=%d recoveries=%d\n",
-		st.Sessions, st.Subscribes, st.DedupHits, st.Admitted, st.DedupRatio(), st.Updates, st.Evicted, st.Recoveries)
-	if *traceDump != "" {
-		if err := ts.dump(*traceDump); err != nil {
-			return err
-		}
-		fmt.Printf("trace dump: %s\n", *traceDump)
-	}
-	return writeExports(gw, *jsonOut, *seriesOut)
-}
-
-// serveFederated runs the sharded serving mode: a federation router over
-// K region-partitioned gateway shards behind the same TCP server and
-// wire protocol. With shareOn the router is fronted by the sharing
-// coordinator, so cross-query CSE and cached replay span the whole fleet.
-func serveFederated(cfg federation.Config, srvCfg gateway.ServerConfig, adminAddr string, shareOn bool, cacheWindow int, traceDump string) error {
-	ts := newTraceSet()
-	cfg.Tracer = ts.rec(tracing.TierRouter)
-	cfg.ShardTracer = ts.shardRec()
-	rt, err := federation.New(cfg)
-	if err != nil {
+	fmt.Println(st.summary())
+	if err := st.dumpTraces(o.traceDump, ""); err != nil {
 		return err
 	}
-	if shareOn {
-		return serveShared(shareServeOpts{
-			coord: share.Config{
-				Upstream:     share.OverRouter(rt),
-				Sensors:      cfg.Shards * (cfg.Side*cfg.Side - 1),
-				Window:       cacheWindow,
-				Buffer:       cfg.Buffer,
-				SessionQuota: cfg.SessionQuota,
-			},
-			srv:       srvCfg,
-			admin:     adminAddr,
-			traces:    ts,
-			traceDump: traceDump,
-			closeUp:   rt.Close,
-			register: func(reg *telemetry.Registry) {
-				federation.RegisterMetrics(reg, func() *federation.Router { return rt })
-			},
-			status: func(doc *telemetry.StatusSections) {
-				st := rt.FedStats()
-				doc.Federation = st
-				doc.Resilience = fedResilienceSection(st)
-			},
-			banner: fmt.Sprintf("%d shards × side %d = %d sensors, scheme=%s",
-				cfg.Shards, cfg.Side, cfg.Shards*(cfg.Side*cfg.Side-1), cfg.Scheme),
-		})
-	}
-	srv, err := gateway.NewServer(rt, srvCfg)
-	if err != nil {
-		rt.Close()
-		return err
-	}
-	fmt.Printf("ttmqo-serve: router on %s (%d shards × side %d = %d sensors, scheme=%s)\n",
-		srv.Addr(), cfg.Shards, cfg.Side, cfg.Shards*(cfg.Side*cfg.Side-1), cfg.Scheme)
-
-	if adminAddr != "" {
-		reg := telemetry.NewRegistry()
-		federation.RegisterMetrics(reg, func() *federation.Router { return rt })
-		tracing.RegisterMetrics(reg, ts.recorders)
-		adm := telemetry.NewAdmin(telemetry.AdminConfig{
-			Registry: reg,
-			Ready:    rt.Alive,
-			Status: func() any {
-				st := rt.FedStats()
-				return telemetry.StatusSections{
-					Federation: st,
-					Resilience: fedResilienceSection(st),
-					Tracing:    ts.summary(),
-				}
-			},
-			Trace:     ts.renderTrees,
-			TraceJSON: ts.traceJSON,
-		})
-		bound, err := adm.Start(adminAddr)
-		if err != nil {
-			rt.Close()
-			srv.Close()
-			return err
-		}
-		fmt.Printf("ttmqo-serve: admin on http://%s\n", bound)
-		defer adm.Close()
-	}
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	<-sig
-	fmt.Println("ttmqo-serve: draining")
-
-	// Closing the router first fails staged commands so connection
-	// handlers unblock, then the server stops (the single-gateway drain
-	// order, fleet-wide).
-	if err := rt.Close(); err != nil {
-		return err
-	}
-	if err := srv.Close(); err != nil {
-		return err
-	}
-	st := rt.FedStats()
-	fmt.Printf("shards=%d sessions=%d subscribes=%d dedup_hits=%d trees=%d merged_epochs=%d updates=%d merge_latency=%v\n",
-		st.Shards, st.Sessions, st.Subscribes, st.DedupHits, st.Trees, st.MergedEpochs, st.Updates, rt.MergeLatency())
-	if traceDump != "" {
-		if err := ts.dump(traceDump); err != nil {
-			return err
-		}
-		fmt.Printf("trace dump: %s\n", traceDump)
-	}
-	return nil
+	return writeExports(st.gw.Load(), o.jsonOut, o.seriesOut)
 }
 
 // resilienceSection distills a gateway stats snapshot into the /statusz
@@ -592,196 +656,6 @@ func fedResilienceSection(st federation.Stats) map[string]any {
 		"shard_crashes":      st.ShardCrashes,
 		"shard_recoveries":   st.ShardRecoveries,
 	}
-}
-
-// shareServeOpts parametrizes serveShared: the coordinator's config, the
-// TCP server, the admin plane, and the hooks tying the tier beneath the
-// coordinator into drain order and metric registration.
-type shareServeOpts struct {
-	coord     share.Config
-	srv       gateway.ServerConfig
-	admin     string
-	trace     *trace.Buffer
-	traces    *traceSet
-	traceDump string
-	closeUp   func() error
-	register  func(*telemetry.Registry)
-	// status fills the upstream tier's /statusz sections (gateway or
-	// federation plus resilience); serveShared adds share and tracing.
-	status func(*telemetry.StatusSections)
-	banner string
-}
-
-// serveShared fronts the serving tier (single gateway or federation
-// router) with the cross-query sharing coordinator and serves it over the
-// same TCP wire protocol. On shutdown the coordinator drains first so its
-// staged commands fail and connection handlers unblock, then the tier
-// beneath it, then the listener.
-func serveShared(o shareServeOpts) error {
-	if o.traces != nil {
-		o.coord.Tracer = o.traces.rec(tracing.TierShare)
-	}
-	coord, err := share.New(o.coord)
-	if err != nil {
-		o.closeUp()
-		return err
-	}
-	srv, err := gateway.NewServer(coord, o.srv)
-	if err != nil {
-		coord.Close()
-		o.closeUp()
-		return err
-	}
-	cell, window := o.coord.Cell, o.coord.Window
-	if cell <= 0 {
-		cell = share.DefaultCell
-	}
-	switch {
-	case window == 0:
-		window = share.DefaultWindow
-	case window < 0:
-		window = 0
-	}
-	fmt.Printf("ttmqo-serve: sharing coordinator on %s (cell=%d cache-window=%d; %s)\n",
-		srv.Addr(), cell, window, o.banner)
-
-	if o.admin != "" {
-		reg := telemetry.NewRegistry()
-		o.register(reg)
-		share.RegisterMetrics(reg, func() *share.Coordinator { return coord })
-		if o.traces != nil {
-			tracing.RegisterMetrics(reg, o.traces.recorders)
-		}
-		cfg := telemetry.AdminConfig{
-			Registry: reg,
-			Ready:    coord.Alive,
-			Status: func() any {
-				doc := telemetry.StatusSections{Share: coord.ShareStats()}
-				if o.traces != nil {
-					doc.Tracing = o.traces.summary()
-				}
-				if o.status != nil {
-					o.status(&doc)
-				}
-				return doc
-			},
-		}
-		if o.traces != nil {
-			cfg.Trace = func(w io.Writer) {
-				o.traces.renderTrees(w)
-				if o.trace != nil {
-					fmt.Fprintln(w, "\nsimulation events:")
-					for _, e := range o.trace.Snapshot() {
-						fmt.Fprintln(w, e)
-					}
-				}
-			}
-			cfg.TraceJSON = o.traces.traceJSON
-		} else if o.trace != nil {
-			cfg.Trace = func(w io.Writer) {
-				for _, e := range o.trace.Snapshot() {
-					fmt.Fprintln(w, e)
-				}
-			}
-		}
-		adm := telemetry.NewAdmin(cfg)
-		bound, err := adm.Start(o.admin)
-		if err != nil {
-			coord.Close()
-			o.closeUp()
-			srv.Close()
-			return err
-		}
-		fmt.Printf("ttmqo-serve: admin on http://%s\n", bound)
-		defer adm.Close()
-	}
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	<-sig
-	fmt.Println("ttmqo-serve: draining")
-
-	if err := coord.Close(); err != nil {
-		return err
-	}
-	if err := o.closeUp(); err != nil {
-		return err
-	}
-	if err := srv.Close(); err != nil {
-		return err
-	}
-	st := coord.ShareStats()
-	fmt.Printf("sessions=%d subscribes=%d dedup_hits=%d fragments_created=%d fragments_reused=%d reuse_ratio=%.2f cache_hits=%d replayed_epochs=%d updates=%d\n",
-		st.Sessions, st.Subscribes, st.DedupHits, st.FragmentsCreated, st.FragmentsReused,
-		st.FragmentReuseRatio(), st.CacheHits, st.ReplayedEpochs, st.Updates)
-	if o.traceDump != "" && o.traces != nil {
-		if err := o.traces.dump(o.traceDump); err != nil {
-			return err
-		}
-		fmt.Printf("trace dump: %s\n", o.traceDump)
-	}
-	return nil
-}
-
-// startAdmin mounts the telemetry admin plane: a registry wired to the
-// gateway behind cur (surviving crash/recovery swaps), readiness bound to
-// the current gateway's actor loop, /statusz to its live snapshot and
-// /tracez to the simulation trace ring.
-func startAdmin(addr string, cur *atomic.Pointer[gateway.Gateway], traceBuf *trace.Buffer, ts *traceSet) (*telemetry.Admin, error) {
-	reg := telemetry.NewRegistry()
-	gateway.RegisterMetrics(reg, cur.Load)
-	if ts != nil {
-		tracing.RegisterMetrics(reg, ts.recorders)
-	}
-	cfg := telemetry.AdminConfig{
-		Registry: reg,
-		Ready: func() bool {
-			g := cur.Load()
-			return g != nil && g.Alive()
-		},
-		Status: func() any {
-			doc := telemetry.StatusSections{}
-			if ts != nil {
-				doc.Tracing = ts.summary()
-			}
-			g := cur.Load()
-			if g == nil {
-				return doc
-			}
-			if st, err := g.Status(); err == nil {
-				doc.Gateway = st
-			}
-			if st, err := g.Stats(); err == nil {
-				doc.Resilience = resilienceSection(st)
-			}
-			return doc
-		},
-	}
-	if ts != nil {
-		cfg.Trace = func(w io.Writer) {
-			ts.renderTrees(w)
-			if traceBuf != nil {
-				fmt.Fprintln(w, "\nsimulation events:")
-				for _, e := range traceBuf.Snapshot() {
-					fmt.Fprintln(w, e)
-				}
-			}
-		}
-		cfg.TraceJSON = ts.traceJSON
-	} else if traceBuf != nil {
-		cfg.Trace = func(w io.Writer) {
-			for _, e := range traceBuf.Snapshot() {
-				fmt.Fprintln(w, e)
-			}
-		}
-	}
-	adm := telemetry.NewAdmin(cfg)
-	bound, err := adm.Start(addr)
-	if err != nil {
-		return nil, err
-	}
-	fmt.Printf("ttmqo-serve: admin on http://%s\n", bound)
-	return adm, nil
 }
 
 // scrapeMetrics fetches url, validates the body with the decoder-side
@@ -827,14 +701,30 @@ func scrapeMetrics(url string) error {
 	return nil
 }
 
-func runLoadgen(cfg gateway.LoadgenConfig, adminAddr, jsonOut string) error {
+func runLoadgen(o *options) error {
+	cfg := gateway.LoadgenConfig{
+		Clients:    o.clients,
+		Rounds:     o.rounds,
+		Quantum:    o.quantum * 4, // loadgen rounds default to coarser ticks
+		Pool:       o.pool,
+		Churn:      o.churn,
+		MaxSubs:    o.maxsubs,
+		Seed:       o.seed,
+		Side:       o.side,
+		Scheme:     o.scheme,
+		Buffer:     o.buffer,
+		CrashRound: o.crashround,
+		WALPath:    o.wal,
+	}
 	var adm *telemetry.Admin
-	if adminAddr != "" {
-		var cur atomic.Pointer[gateway.Gateway]
-		cfg.OnGateway = func(g *gateway.Gateway) { cur.Store(g) }
+	if o.admin != "" {
+		// The admin plane mounts before the load generator creates (and, at
+		// -crashround, re-creates) its gateway.
+		st := &stack{}
+		st.mountGateway(nil)
+		cfg.OnGateway = func(g *gateway.Gateway) { st.gw.Store(g) }
 		var err error
-		adm, err = startAdmin(adminAddr, &cur, nil, nil)
-		if err != nil {
+		if adm, err = startAdmin(o.admin, st); err != nil {
 			return err
 		}
 		defer adm.Close()
@@ -849,21 +739,26 @@ func runLoadgen(cfg gateway.LoadgenConfig, adminAddr, jsonOut string) error {
 			return err
 		}
 	}
-	if jsonOut == "" {
+	if o.jsonOut == "" {
 		return nil
 	}
-	f, err := os.Create(jsonOut)
+	return writeJSON(o.jsonOut, rep.Export)
+}
+
+// writeJSON writes v as the -json export.
+func writeJSON(path string, v any) error {
+	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := ttmqo.WriteJSON(f, rep.Export); err != nil {
+	if err := ttmqo.WriteJSON(f, v); err != nil {
 		f.Close()
 		return err
 	}
 	if err := f.Close(); err != nil {
 		return err
 	}
-	fmt.Printf("json: %s\n", jsonOut)
+	fmt.Printf("json: %s\n", path)
 	return nil
 }
 
@@ -873,18 +768,9 @@ func writeExports(gw *gateway.Gateway, jsonOut, seriesOut string) error {
 		if err != nil {
 			return err
 		}
-		f, err := os.Create(jsonOut)
-		if err != nil {
+		if err := writeJSON(jsonOut, exp); err != nil {
 			return err
 		}
-		if err := ttmqo.WriteJSON(f, exp); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Printf("json: %s\n", jsonOut)
 	}
 	if seriesOut != "" {
 		ser := gw.Series()

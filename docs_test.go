@@ -19,9 +19,9 @@ import (
 // command's sources, and every flag a command declares must be documented
 // somewhere. They are the drift check for README.md and doc.go.
 
-// flagDeclRe matches a flag declaration, e.g. flag.String("json", …) or
-// fs.Bool("compare", …).
-var flagDeclRe = regexp.MustCompile(`\.(String|Int|Int64|Bool|Float64|Duration)\("([a-z][a-z0-9-]*)"`)
+// flagDeclRe matches a flag declaration, e.g. flag.String("json", …),
+// fs.Bool("compare", …) or fs.IntVar(&o.side, "side", …).
+var flagDeclRe = regexp.MustCompile(`\.(String|Int|Int64|Bool|Float64|Duration)(?:Var\(&[\w.]+, |\()"([a-z][a-z0-9-]*)"`)
 
 // flagMentionRe matches a "-flag" token in prose or a shell example. The
 // leading boundary excludes hyphenated words ("in-network", "base-station");
@@ -153,7 +153,7 @@ func TestDocsCoverConnectionWriter(t *testing.T) {
 		}
 	}
 	readme := readDoc(t, "README.md")
-	wire := readme[strings.Index(readme, "### Wire protocol"):strings.Index(readme, "### Benchmark gate")]
+	wire := readme[strings.Index(readme, "### Wire protocol"):strings.Index(readme, "### Benchmarks")]
 	for _, want := range []string{"Ordering on the wire", "precedes the subscription's first frame", "`closed` notice follows the last", "*across* subscriptions"} {
 		if !strings.Contains(wire, want) {
 			t.Errorf("README.md wire-protocol section does not state %q", want)
@@ -188,8 +188,8 @@ func TestDocsFlagsExist(t *testing.T) {
 	}
 	for _, path := range []string{"README.md", "doc.go"} {
 		for i, line := range strings.Split(readDoc(t, path), "\n") {
-			if strings.Contains(line, "go test") {
-				continue // go's own flags (-bench, -run, -race, …)
+			if strings.Contains(line, "go test") || strings.Contains(line, "bench/run.sh") {
+				continue // go's own flags (-bench, -run, -race, …); the benchmark's (bench/README.md)
 			}
 			mentions := flagMentionRe.FindAllStringSubmatch(line, -1)
 			if len(mentions) == 0 {
@@ -281,10 +281,10 @@ func TestDocsCoverChaosScenarios(t *testing.T) {
 }
 
 // TestDocsCoverWireFormat: the README's wire-protocol section must state
-// the magic byte and wire version the codec actually uses, name the wire
-// flags and the benchmark-gate workflow, and the benchmark suite the gate
-// runs must be walked through in EXPERIMENTS.md with its committed
-// baseline file. This is the drift check for the serving hot path.
+// the magic byte and wire version the codec actually uses and name the wire
+// flag, and both README.md and EXPERIMENTS.md must name the one benchmark of
+// the serving stack — bench/run.sh, declared in BENCHMARK.json — and its
+// four workloads. This is the drift check for the serving hot path.
 func TestDocsCoverWireFormat(t *testing.T) {
 	readme := readDoc(t, "README.md")
 	experiments := readDoc(t, "EXPERIMENTS.md")
@@ -295,30 +295,25 @@ func TestDocsCoverWireFormat(t *testing.T) {
 	if want := fmt.Sprintf("`%d`", gateway.WireVersion); !strings.Contains(readme, want) {
 		t.Errorf("README.md does not state wire version %d", gateway.WireVersion)
 	}
-	for _, f := range []string{"-wire", "-net", "-for", "-benchout", "-benchcheck"} {
-		if !strings.Contains(readme, f) {
-			t.Errorf("README.md does not mention wire/bench flag %s", f)
+	if !strings.Contains(readme, "-wire") {
+		t.Error("README.md does not mention the -wire flag")
+	}
+	declared := readDoc(t, "BENCHMARK.json")
+	workloads := []string{"sim_heavy", "fanout_heavy", "full_stack", "churn"}
+	for name, doc := range map[string]string{"README.md": readme, "EXPERIMENTS.md": experiments} {
+		for _, want := range append([]string{"bash bench/run.sh", "BENCHMARK.json"}, workloads...) {
+			if !strings.Contains(doc, want) {
+				t.Errorf("%s does not mention %s", name, want)
+			}
 		}
 	}
-	for _, target := range []string{"bench-check", "bench-baseline"} {
-		if !strings.Contains(readme, target) {
-			t.Errorf("README.md does not mention the %s make target", target)
+	for _, w := range workloads {
+		if !strings.Contains(declared, `"name": "`+w+`"`) {
+			t.Errorf("BENCHMARK.json does not declare workload %s", w)
 		}
 	}
-	if !strings.Contains(readme, "BENCH_serve.json") {
-		t.Error("README.md does not mention the committed baseline BENCH_serve.json")
-	}
-	if _, err := os.Stat("BENCH_serve.json"); err != nil {
-		t.Errorf("committed baseline BENCH_serve.json missing: %v", err)
-	}
-	// Every row of the serve suite must be walked through in EXPERIMENTS.md.
-	for _, row := range []string{
-		"encode/binary", "encode/json", "fanout/binary", "fanout/json",
-		"fanout/burst", "wal/binary", "wal/json", "dedup/interned", "dedup/string",
-	} {
-		if !strings.Contains(experiments, row) {
-			t.Errorf("EXPERIMENTS.md does not mention serve benchmark row %q", row)
-		}
+	if !strings.Contains(readme, "bench-smoke") {
+		t.Error("README.md does not mention the bench-smoke make target")
 	}
 }
 
@@ -368,7 +363,7 @@ func TestDocsCoverFederation(t *testing.T) {
 // TestDocsCoverShare: README.md must document the cross-query sharing
 // layer — the serve flags that mount it, the study figure and the chaos
 // drill — and EXPERIMENTS.md must walk through the study, the drill and
-// the sharing rows of the serve bench suite. The metric families the
+// the sharing rows of the benchmark's per-layer ledger. The metric families the
 // docs name must be the registered ones. This is the drift check for
 // the sharing/caching surface.
 func TestDocsCoverShare(t *testing.T) {
@@ -388,11 +383,10 @@ func TestDocsCoverShare(t *testing.T) {
 	if !strings.Contains(experiments, chaos.ShareScenarioName) {
 		t.Errorf("EXPERIMENTS.md does not walk through the sharing drill %q", chaos.ShareScenarioName)
 	}
-	// The sharing rows of the serve bench suite must be walked through
-	// next to the committed baseline they are gated against.
-	for _, row := range []string{"share/ttfr-cold", "share/ttfr-warm"} {
+	// The sharing rows of the benchmark's per-layer ledger must be named.
+	for _, row := range []string{"share.fragment_reuse_ratio", "share.cache_hit_ratio"} {
 		if !strings.Contains(experiments, row) {
-			t.Errorf("EXPERIMENTS.md does not mention serve benchmark row %q", row)
+			t.Errorf("EXPERIMENTS.md does not mention benchmark row %q", row)
 		}
 	}
 	// The metric families the docs walk through must be real registered
@@ -419,9 +413,9 @@ func TestDocsCoverShare(t *testing.T) {
 }
 
 // TestDocsCoverResilience: README.md must document the overload layer —
-// the admission-control flags, the drill names and the bench gate — and
+// the admission-control flags, the drill names and the herd test — and
 // EXPERIMENTS.md must walk through the drills, the resilience metric
-// families and the gated overload rows of the serve suite. This is the
+// families and the virtual-time herd that bounds the tail. This is the
 // drift check for the overload/degraded-mode surface.
 func TestDocsCoverResilience(t *testing.T) {
 	readme := readDoc(t, "README.md")
@@ -439,15 +433,15 @@ func TestDocsCoverResilience(t *testing.T) {
 			t.Errorf("EXPERIMENTS.md does not walk through overload drill %q", n)
 		}
 	}
-	// The gated overload rows and their committed gauge must be walked
-	// through next to the baseline that gates them.
-	for _, row := range []string{"overload/first-result-unloaded", "overload/p99-under-herd"} {
-		if !strings.Contains(experiments, row) {
-			t.Errorf("EXPERIMENTS.md does not mention serve benchmark row %q", row)
+	// The test that bounds the herd's tail must be named where the layer
+	// is walked through, and exist under that name.
+	for name, doc := range map[string]string{"README.md": readme, "EXPERIMENTS.md": experiments} {
+		if !strings.Contains(doc, "TestOverloadBenchDeterministic") {
+			t.Errorf("%s does not name TestOverloadBenchDeterministic", name)
 		}
 	}
-	if !strings.Contains(readme+experiments, "overload_p99_ratio") {
-		t.Error("docs do not mention the gated overload_p99_ratio gauge")
+	if !strings.Contains(readDoc(t, "internal/gateway/overloadbench_test.go"), "func TestOverloadBenchDeterministic(") {
+		t.Error("internal/gateway/overloadbench_test.go does not define TestOverloadBenchDeterministic")
 	}
 	// The resilience metric families the docs walk through must be real
 	// registered names — a rename in any tier's telemetry.go must show up
@@ -525,7 +519,7 @@ func TestDocsCoverAdminPlane(t *testing.T) {
 // surface — the trace-dump flag, the smoke-drill make target, the
 // per-trace JSON export and the wire provenance fields — and both docs
 // must name every span kind a tier can record plus the tracing metric
-// families and the gated bench gauges. This is the drift check for the
+// families and where tracing's cost is read. This is the drift check for the
 // tracing/provenance surface.
 func TestDocsCoverTracing(t *testing.T) {
 	readme := readDoc(t, "README.md")
@@ -576,14 +570,13 @@ func TestDocsCoverTracing(t *testing.T) {
 			t.Errorf("docs do not mention tracing metric family %s", fam)
 		}
 	}
-	// The gated cost gauges and the traced bench row must be walked
-	// through next to the baseline that gates them.
-	if !strings.Contains(experiments, "fanout/traced") {
-		t.Error("EXPERIMENTS.md does not mention the fanout/traced serve benchmark row")
-	}
-	for _, gauge := range []string{"tracing_overhead_ratio", "traced_allocs_per_message"} {
-		if !strings.Contains(readme+experiments, gauge) {
-			t.Errorf("docs do not mention the gated %s gauge", gauge)
+	// Where tracing's cost shows must be named: the benchmark's ledger row
+	// and the traced micro-benchmark.
+	for name, doc := range map[string]string{"README.md": readme, "EXPERIMENTS.md": experiments} {
+		for _, want := range []string{"bench.trace_overhead_pct", "BenchmarkPumpRound"} {
+			if !strings.Contains(doc, want) {
+				t.Errorf("%s does not mention %s", name, want)
+			}
 		}
 	}
 }

@@ -1,0 +1,90 @@
+package gateway
+
+import (
+	"io"
+	"testing"
+	"time"
+
+	"repro/internal/field"
+	"repro/internal/query"
+	"repro/internal/topology"
+	"repro/internal/tracing"
+)
+
+// The micro view of the serving hot path: `make bench` prints ns/op and
+// allocs/op for one frame encode and one 64-subscription round. Trajectory
+// only — the exact properties (zero allocations, one write per round) are
+// asserted by TestAppendUpdateFrameZeroAlloc, TestStageAllocatesNothing and
+// TestWriterRoundCostsOneWrite; the end-to-end numbers are bench/run.sh's.
+
+// benchUpdate builds the canonical workload item: one acquisition epoch of
+// a 16-node grid reading two attributes — the shape the paper's serving
+// experiments fan out every epoch.
+func benchUpdate() Update {
+	rows := make([]query.Row, 16)
+	for i := range rows {
+		rows[i] = query.Row{
+			Node: topology.NodeID(1 + i),
+			Values: map[field.Attr]float64{
+				field.AttrLight: 500 + float64(i)*3.25,
+				field.AttrTemp:  20 + float64(i)*0.5,
+			},
+		}
+	}
+	return Update{Sub: 7, QueryID: 3, Seq: 42, At: 8192 * time.Millisecond, Rows: rows}
+}
+
+// countingWriter counts underlying writes — each one models a syscall on a
+// real connection.
+type countingWriter struct{ writes int64 }
+
+func (c *countingWriter) Write(p []byte) (int, error) {
+	c.writes++
+	return len(p), nil
+}
+
+// BenchmarkEncodeUpdate: build one binary update frame, no I/O.
+func BenchmarkEncodeUpdate(b *testing.B) {
+	u := benchUpdate()
+	buf := make([]byte, 0, 4096)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if len(sealFrame(appendUpdateFrame(buf[:0], &u))) == 0 {
+			b.Fatal("empty frame")
+		}
+	}
+}
+
+// BenchmarkPumpRound: one epoch delivered to each of 64 subscriptions of
+// one connection through the writer's own pump — channel receive, encode
+// once, stage per subscriber, flush — with and without the trace trailer.
+func BenchmarkPumpRound(b *testing.B) {
+	const subs = 64
+	traced := benchUpdate()
+	traced.Trace = 0xC0FFEE
+	traced.Prov = tracing.Prov{Shards: 0b11, Frags: 2, Reused: 1, CacheHit: true, Rung: 1}
+	for _, c := range []struct {
+		name string
+		u    Update
+	}{{"untraced", benchUpdate()}, {"traced", traced}} {
+		b.Run(c.name, func(b *testing.B) {
+			w := newConnWriter(io.Discard)
+			w.binary = true
+			chs := make([]chan Update, subs)
+			for i := range chs {
+				chs[i] = make(chan Update, 1)
+				w.streams = append(w.streams, stream{&Subscription{id: SubID(i + 1)}, chs[i]})
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, ch := range chs {
+					ch <- c.u
+				}
+				if err := w.pump(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -1,7 +1,9 @@
 package gateway
 
 import (
+	"bufio"
 	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -144,5 +146,21 @@ func TestWALInteriorCorruptionRejected(t *testing.T) {
 	}
 	if _, err := readWAL(bad); err == nil {
 		t.Fatal("interior corruption accepted")
+	}
+}
+
+// TestWALAppendZeroAlloc: appending a lifecycle record encodes through the
+// log's reused frame buffer and allocates nothing.
+func TestWALAppendZeroAlloc(t *testing.T) {
+	rec := walRecord{Op: walOpSubscribe, At: 8192 * 1e6, Sess: "client-00042", Sub: 17,
+		Query: "SELECT light, temp WHERE light > 200 EPOCH DURATION 8192ms"}
+	w := &wal{w: bufio.NewWriterSize(io.Discard, 64*1024)}
+	allocs := testing.AllocsPerRun(200, func() {
+		if err := w.append(rec); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("wal.append allocates %.1f objects per record, want 0", allocs)
 	}
 }

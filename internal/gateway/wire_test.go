@@ -297,36 +297,6 @@ func TestServerCrashReattachResumeBinary(t *testing.T) {
 	}
 }
 
-// TestNetLoadgenSmoke exercises the over-the-wire load generator briefly in
-// both encodings; delivery counts, not throughput, are asserted (wall-clock
-// throughput is not deterministic in CI).
-func TestNetLoadgenSmoke(t *testing.T) {
-	for _, json := range []bool{false, true} {
-		rep, err := RunNetLoadgen(NetLoadConfig{
-			Clients:       4,
-			SubsPerClient: 1,
-			Duration:      300 * time.Millisecond,
-			Pool:          4,
-			Seed:          1,
-			JSON:          json,
-			TickEvery:     2 * time.Millisecond,
-		})
-		if err != nil {
-			t.Fatalf("json=%v: %v", json, err)
-		}
-		if rep.Messages == 0 {
-			t.Fatalf("json=%v: no messages delivered:\n%s", json, rep)
-		}
-		wantWire := "binary"
-		if json {
-			wantWire = "json"
-		}
-		if rep.Wire != wantWire {
-			t.Fatalf("wire = %q, want %q", rep.Wire, wantWire)
-		}
-	}
-}
-
 // TestFrameBufPoolReuse: the pooled encode buffer grows once and is reused
 // — the pool must hand back byte slices with retained capacity.
 func TestFrameBufPoolReuse(t *testing.T) {

@@ -180,12 +180,25 @@ func handleCounted(t *testing.T, gw Backend, cfg ServerConfig) (*countingConn, *
 	return cc, c
 }
 
-// TestWriterRoundCostsOneWrite: one connection holding 64 subscriptions of
-// one query receives an epoch on each per round; the round costs at most
-// two socket writes (one, unless the writer woke mid-round), and the
-// handler's goroutines do not grow with its subscriptions.
+// TestWriterRoundCostsOneWrite: a fan-out round costs at most two socket
+// writes (one, unless the writer woke mid-round) in both shapes a round
+// takes — one connection holding 64 subscriptions of one query that each
+// receive an epoch, and one subscription receiving a quantum's burst of four
+// epochs — and the handler's goroutines do not grow with its subscriptions.
 func TestWriterRoundCostsOneWrite(t *testing.T) {
-	const subs, rounds = 64, 16
+	for _, shape := range []struct {
+		name        string
+		subs, burst int
+	}{
+		{"64 subscriptions x 1 update", 64, 1},
+		{"1 subscription x 4 updates", 1, 4},
+	} {
+		t.Run(shape.name, func(t *testing.T) { writerRoundCostsOneWrite(t, shape.subs, shape.burst) })
+	}
+}
+
+func writerRoundCostsOneWrite(t *testing.T, subs, burst int) {
+	const rounds = 16
 	gw := newTestGateway(t, Config{SessionQuota: subs, Rate: 1e9, Burst: 1e9})
 	cc, c := handleCounted(t, gw, ServerConfig{ReadTimeout: -1})
 	if _, err := c.Hello("wide", ""); err != nil {
@@ -228,8 +241,8 @@ func TestWriterRoundCostsOneWrite(t *testing.T) {
 		t.Errorf("%d subscriptions more grew the process by %d goroutines, want 0", subs-1, grown)
 	}
 
-	// Not every quantum releases an epoch: read what each round pushed and
-	// charge the writes to the rounds that delivered.
+	// Not every round releases its full share of epochs: read what each
+	// pushed and charge the writes to the rounds that delivered in full.
 	delivering, writes, lastSeq := 0, int64(0), map[SubID]uint64{}
 	for r := 0; r < rounds; r++ {
 		st0, err := gw.Stats()
@@ -237,11 +250,12 @@ func TestWriterRoundCostsOneWrite(t *testing.T) {
 			t.Fatal(err)
 		}
 		w0 := cc.writes.Load()
-		if _, err := gw.Advance(2048 * time.Millisecond); err != nil {
+		if _, err := gw.Advance(time.Duration(burst) * 2048 * time.Millisecond); err != nil {
 			t.Fatal(err)
 		}
 		st1, _ := gw.Stats()
-		for n := st1.Updates - st0.Updates; n > 0; n-- {
+		pushed := int(st1.Updates - st0.Updates)
+		for n := pushed; n > 0; n-- {
 			resp, err := c.RecvType(TypeRows)
 			if err != nil {
 				t.Fatal(err)
@@ -251,16 +265,16 @@ func TestWriterRoundCostsOneWrite(t *testing.T) {
 			}
 			lastSeq[resp.Sub] = resp.Seq
 		}
-		if st1.Updates > st0.Updates {
+		if pushed == subs*burst {
 			delivering++
 			writes += cc.writes.Load() - w0
 		}
 	}
 	if delivering < rounds/2 || len(lastSeq) != subs {
-		t.Fatalf("%d of %d rounds delivered, to %d of %d subscriptions", delivering, rounds, len(lastSeq), subs)
+		t.Fatalf("%d of %d rounds delivered in full, to %d of %d subscriptions", delivering, rounds, len(lastSeq), subs)
 	}
 	perRound := float64(writes) / float64(delivering)
-	t.Logf("socket writes per %d-subscription round: %.2f", subs, perRound)
+	t.Logf("socket writes per round of %d subscriptions x %d updates: %.2f", subs, burst, perRound)
 	limit := 2.0
 	if raceEnabled {
 		limit = 8 // instrumented pushes are slow enough for the writer to lap them

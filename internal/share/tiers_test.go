@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/federation"
 	"repro/internal/gateway"
@@ -173,6 +174,109 @@ func TestSessionLifecycleCountersAgreeAcrossTiers(t *testing.T) {
 		got := fmt.Sprintf("detaches=%d attaches=%d resumes=%d gaps=%d", st.Detaches, st.Attaches, st.Resumes, st.ResumeGaps)
 		if want := "detaches=2 attaches=2 resumes=2 gaps=1"; got != want {
 			t.Errorf("%s: %s, want %s", name, got, want)
+		}
+	}
+}
+
+// TestResumeBeyondDeliveredRejectedOverTheWire: a client that sends resume
+// with an `after` beyond the stream's last sequence gets the bare gateway's
+// refusal on every stack shape. The composed tiers used to ack it, replay
+// nothing and discard the parked ring without counting a gap; now the same
+// request draws the same error text, and the tail is still there for the
+// honest resume that follows.
+func TestResumeBeyondDeliveredRejectedOverTheWire(t *testing.T) {
+	for name, b := range stacks(t, 8) {
+		// The pacer never fires: the test advances the backend itself, so
+		// nothing moves between the re-attach hello and the resumes.
+		srv, err := gateway.NewServer(b, gateway.ServerConfig{Addr: "127.0.0.1:0", TickEvery: time.Hour})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = srv.Close() })
+		dial := func(token string) (*gateway.Client, gateway.Response) {
+			t.Helper()
+			c, err := gateway.Dial(srv.Addr().String(), gateway.ClientConfig{Binary: true, Timeout: 30 * time.Second})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { c.Close() })
+			hello, err := c.Hello("dana", token)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			return c, hello
+		}
+		// until advances by q until cond holds.
+		until := func(q time.Duration, cond func() bool) {
+			t.Helper()
+			for deadline := time.Now().Add(30 * time.Second); !cond(); {
+				if time.Now().After(deadline) {
+					t.Fatalf("%s: condition never held", name)
+				}
+				if _, err := b.Advance(q); err != nil {
+					t.Fatal(err)
+				}
+				time.Sleep(100 * time.Microsecond)
+			}
+		}
+		stats := func() gateway.Stats {
+			st, _, err := b.ServeStats()
+			if err != nil {
+				t.Fatal(err)
+			}
+			return st
+		}
+
+		c, hello := dial("")
+		if err := c.Send(gateway.Request{Op: gateway.OpSubscribe, Query: "SELECT MAX(light) EPOCH DURATION 2048ms"}); err != nil {
+			t.Fatal(err)
+		}
+		until(0, func() bool { return stats().Subscribes == 1 })
+		sub, err := c.RecvType(gateway.TypeSubscribed)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		until(testQuantum, func() bool { return stats().Updates >= 2 })
+		c.Close()
+		until(0, func() bool { return stats().Detaches == 1 })
+		before := stats().Updates
+		until(testQuantum, func() bool { return stats().Updates >= before+2 }) // parks in the ring
+
+		c, hello = dial(hello.Token)
+		if len(hello.Subs) != 1 || hello.Subs[0].Sub != sub.Sub || hello.Subs[0].LastSeq < 4 {
+			t.Fatalf("%s: re-attach listed %+v", name, hello.Subs)
+		}
+		last := hello.Subs[0].LastSeq
+		if err := c.Send(gateway.Request{Op: gateway.OpResume, Sub: sub.Sub, After: last + 1}); err != nil {
+			t.Fatal(err)
+		}
+		resp, err := c.RecvType(gateway.TypeSubscribed)
+		if err == nil {
+			t.Fatalf("%s: resume after seq %d of %d was acked: %+v", name, last+1, last, resp)
+		}
+		_, text, _ := strings.Cut(resp.Error, ": ") // drop the tier's name
+		if want := fmt.Sprintf("resume after seq %d but only %d delivered", last+1, last); text != want {
+			t.Errorf("%s: refused with %q, want the gateway's %q", name, resp.Error, want)
+		}
+
+		// The refusal cost nothing: the parked tail replays, gap-free.
+		if err := c.Send(gateway.Request{Op: gateway.OpResume, Sub: sub.Sub, After: last - 2}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.RecvType(gateway.TypeSubscribed); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for seq := last - 1; seq <= last; seq++ {
+			u, err := c.RecvType(gateway.TypeAgg)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if u.Seq != seq {
+				t.Fatalf("%s: resumed stream delivered seq %d, want %d", name, u.Seq, seq)
+			}
+		}
+		if st := stats(); st.Resumes != 1 || st.ResumeGaps != 0 {
+			t.Errorf("%s: resumes=%d gaps=%d, want 1 and 0", name, st.Resumes, st.ResumeGaps)
 		}
 	}
 }

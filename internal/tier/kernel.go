@@ -530,6 +530,9 @@ func (s *Session) Resume(id gateway.SubID, after uint64) (gateway.ServerSub, err
 	if !sub.detached {
 		return nil, k.errf("stream %d is already attached", id)
 	}
+	if after > sub.seq {
+		return nil, k.errf("resume after seq %d but only %d delivered", after, sub.seq)
+	}
 	oldest := sub.seq + 1
 	if len(sub.ring) > 0 {
 		oldest = sub.ring[0].Seq

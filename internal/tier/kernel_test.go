@@ -267,6 +267,10 @@ func TestKernelLifecycle(t *testing.T) {
 			if _, _, err := f.Attach("a", s.Token()); err != nil {
 				t.Fatal(err)
 			}
+			// A resume point the stream never reached is refused, and the
+			// parked tail survives the refusal.
+			_, err = s.Resume(sub.ID(), 9)
+			wantErr(t, err, "fake: resume after seq 9 but only 8 delivered")
 			rs, err = s.Resume(sub.ID(), 6)
 			if err != nil {
 				t.Fatal(err)
