@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet bench bench-parallel bench-smoke serve-soak chaos-soak admin-smoke trace-smoke fuzz loc clean
+.PHONY: build test race vet fmt-check bench bench-parallel bench-smoke serve-soak chaos-soak admin-smoke trace-smoke fuzz loc clean
 
 build:
 	$(GO) build ./...
@@ -14,12 +14,18 @@ race:
 vet:
 	$(GO) vet ./...
 
+# Every Go file in the tree is gofmt-formatted: any name printed fails.
+fmt-check:
+	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "not gofmt-formatted:"; echo "$$out"; exit 1; fi
+
 # The Go benchmarks: the figure harnesses, parser, optimizer and simulator
-# at the root, and the serving hot path's micro view (one frame encode, one
-# 64-subscription round) in internal/gateway. Trajectory only; the
-# end-to-end benchmark is `bash bench/run.sh`.
+# at the root, the serving hot path's micro view (one frame encode, one
+# 64-subscription round) in internal/gateway, and the base station's (one
+# epoch mapped to its members in internal/core, one collection window closed
+# in internal/network). Trajectory only; the end-to-end benchmark is
+# `bash bench/run.sh`.
 bench:
-	$(GO) test -run '^$$' -bench . -benchmem . ./internal/gateway
+	$(GO) test -run '^$$' -bench . -benchmem . ./internal/gateway ./internal/core ./internal/network
 
 # The parallel-runner benchmarks: the figure sweep at 1 worker vs one per
 # CPU, and the field generator's hot path.
@@ -71,16 +77,19 @@ chaos-soak:
 # parser's robustness invariants (never panic; accepted input round-trips),
 # the canonical dedup/CSE key's byte-stability under predicate reordering,
 # duplicate entries and whitespace noise, the wire codec (arbitrary bytes
-# never panic the frame decoder; requests round-trip both encodings) and the
+# never panic the frame decoder; requests round-trip both encodings), the
 # partial-aggregate algebra (Finish over any partition equals direct
-# evaluation). The seeded corpora live in the fuzz tests themselves; this
-# budget is sized for CI.
+# evaluation) and the tier-1 optimizer (after any Insert / InsertBatch /
+# Terminate script the bookkeeping, cost and benefit invariants hold and the
+# derived member lists and mapping plans equal a recomputation). The seeded
+# corpora live in the fuzz tests themselves; this budget is sized for CI.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 10s ./internal/query
 	$(GO) test -run '^$$' -fuzz FuzzCanonicalKey -fuzztime 10s ./internal/gateway
 	$(GO) test -run '^$$' -fuzz FuzzDecodeFrame -fuzztime 10s ./internal/gateway
 	$(GO) test -run '^$$' -fuzz FuzzRequestRoundTrip -fuzztime 10s ./internal/gateway
 	$(GO) test -run '^$$' -fuzz FuzzPartition -fuzztime 10s ./internal/tier
+	$(GO) test -run '^$$' -fuzz FuzzOptimizerOps -fuzztime 10s ./internal/core
 
 # The end-to-end benchmark is a module of its own (bench/, `replace repro =>
 # ../`) that root `go test ./...` does not build: vet and test it here so an

@@ -50,8 +50,9 @@ func main() {
 	fmt.Printf("q%d (bright nodes): %d epochs; last epoch:\n", bright, len(rows))
 	last := rows[len(rows)-1]
 	for _, r := range last.Rows {
-		fmt.Printf("  node %2.0f: light %6.1f\n",
-			r.Values[ttmqo.AttrNodeID], r.Values[ttmqo.AttrLight])
+		id, _ := r.Values.Get(ttmqo.AttrNodeID)
+		light, _ := r.Values.Get(ttmqo.AttrLight)
+		fmt.Printf("  node %2.0f: light %6.1f\n", id, light)
 	}
 
 	fmt.Printf("\nq%d (MAX light): ", hottest)

@@ -173,10 +173,9 @@ func RunScenario(cfg RunConfig) (*Report, error) {
 	expect := func(q query.Query, at sim.Time) int64 {
 		var n int64
 		for i := 1; i < topo.Size(); i++ {
-			vals := map[field.Attr]float64{
-				field.AttrLight: src.Reading(topology.NodeID(i), field.AttrLight, at),
-			}
-			if q.MatchesRow(vals) {
+			var vals field.Values
+			vals.Set(field.AttrLight, src.Reading(topology.NodeID(i), field.AttrLight, at))
+			if q.MatchesValues(&vals) {
 				n++
 			}
 		}

@@ -48,16 +48,12 @@ func (o *Optimizer) Explain(qid query.ID) (Explanation, error) {
 		EstSelectivity: o.model.Selectivity(uq.Preds),
 		UserCost:       o.model.Cost(uq),
 	}
-	for id := range s.from {
-		if id != qid {
-			e.SharedWith = append(e.SharedWith, id)
-		}
-	}
-	sortIDs(e.SharedWith)
-
 	var total float64
-	for _, f := range s.from {
-		total += o.model.Cost(f)
+	for _, m := range s.members {
+		if m.ID != qid {
+			e.SharedWith = append(e.SharedWith, m.ID)
+		}
+		total += o.model.Cost(m)
 	}
 	synCost := o.model.Cost(s.q)
 	if total > 0 {
@@ -126,14 +122,6 @@ func attrList(q query.Query) string {
 		parts = append(parts, a.String())
 	}
 	return "[" + strings.Join(parts, ", ") + "]"
-}
-
-func sortIDs(ids []query.ID) {
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && ids[j] < ids[j-1]; j-- {
-			ids[j], ids[j-1] = ids[j-1], ids[j]
-		}
-	}
 }
 
 // String renders the explanation as a small report.

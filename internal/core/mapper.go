@@ -24,46 +24,88 @@ type UserAgg struct {
 	Results []query.AggResult
 }
 
+// memberPlan is what the mapper needs of one contributor of a synthetic
+// query, compiled when the contributor set changes rather than re-derived
+// on every result epoch.
+type memberPlan struct {
+	// every is the member's report period: it receives results at the
+	// instants divisible by it (epochs are aligned, §3.2.1; windowed queries
+	// report every Slide epochs).
+	every sim.Time
+	// resid holds the member's predicates the synthetic query does not
+	// already apply identically in-network; only these are re-applied at
+	// the base station (the rows arrive pre-filtered on the others, and the
+	// attribute may not have been acquired).
+	resid []query.Predicate
+	// keep is the projection mask of an acquisition member's rows.
+	keep field.AttrSet
+	// agg marks a member whose aggregates are calculated from the rows.
+	agg bool
+}
+
+// compilePlan derives the mapping plan of member uq of synthetic query syn.
+func compilePlan(syn, uq query.Query) memberPlan {
+	p := memberPlan{
+		every: sim.Time(uq.ReportEvery()),
+		keep:  field.SetOf(uq.RowAttrs()),
+		agg:   uq.IsAggregation(),
+	}
+	for _, pr := range uq.Preds {
+		if sp, ok := syn.PredFor(pr.Attr); ok && sp == pr {
+			continue
+		}
+		p.resid = append(p.resid, pr)
+	}
+	return p
+}
+
+// fires reports whether the member receives results at t.
+func (p *memberPlan) fires(t sim.Time) bool { return p.every > 0 && t%p.every == 0 }
+
 // MapAcquisition derives user results from one epoch of an acquisition
 // synthetic query's stream ("corresponding results for user queries can be
 // easily obtained through mapping and calculation", §1). For every user
-// query in the synthetic query's from-list whose epoch fires at t (epochs
-// are aligned to multiples of the duration, §3.2.1):
+// query in the synthetic query's from-list whose epoch fires at t:
 //
-//   - an acquisition user query receives the rows re-filtered by its own
-//     predicates and projected to its attribute list;
+//   - an acquisition user query receives the rows re-filtered by its
+//     residual predicates and projected to its attribute list;
 //   - an aggregation user query receives its aggregates computed over the
 //     re-filtered rows.
 //
-// Predicates the synthetic query applies identically in-network are skipped
-// during re-filtering (the rows arrive pre-filtered, and the attribute may
-// not have been acquired).
+// It is one pass over the synthetic query's compiled plan, in ascending
+// member ID, allocating one row slice per acquisition member.
 func (o *Optimizer) MapAcquisition(synID query.ID, t sim.Time, rows []query.Row) (acq []UserRows, agg []UserAgg) {
 	s, ok := o.syn[synID]
 	if !ok {
 		return nil, nil
 	}
-	for _, uq := range sortedQueries(s.from) {
-		if !fires(uq, t) {
+	for i := range s.plan {
+		p := &s.plan[i]
+		if !p.fires(t) {
 			continue
 		}
-		matched := filterRows(s.q, uq, rows)
-		if uq.IsAggregation() {
-			agg = append(agg, UserAgg{QueryID: uq.ID, Time: t, Results: AggregateRows(uq, t, matched)})
+		uq := &s.members[i]
+		if p.agg {
+			agg = append(agg, UserAgg{QueryID: uq.ID, Time: t, Results: aggregateRows(uq, p.resid, t, rows)})
 			continue
 		}
-		rowAttrs := uq.RowAttrs()
-		projected := make([]query.Row, 0, len(matched))
-		for _, r := range matched {
-			vals := make(map[field.Attr]float64, len(rowAttrs))
-			for _, a := range rowAttrs {
-				if v, ok := r.Values[a]; ok {
-					vals[a] = v
+		n := len(rows)
+		if len(p.resid) > 0 {
+			n = 0
+			for j := range rows {
+				if query.MatchAll(p.resid, &rows[j].Values) {
+					n++
 				}
 			}
-			projected = append(projected, query.Row{Node: r.Node, Time: r.Time, Values: vals})
 		}
-		acq = append(acq, UserRows{QueryID: uq.ID, Time: t, Rows: projected})
+		out := make([]query.Row, 0, n)
+		for j := range rows {
+			r := &rows[j]
+			if query.MatchAll(p.resid, &r.Values) {
+				out = append(out, query.Row{Node: r.Node, Time: r.Time, Values: r.Values.Only(p.keep)})
+			}
+		}
+		acq = append(acq, UserRows{QueryID: uq.ID, Time: t, Rows: out})
 	}
 	return acq, agg
 }
@@ -78,10 +120,11 @@ func (o *Optimizer) MapAggregation(synID query.ID, t sim.Time, states []query.Ag
 		return nil
 	}
 	var out []UserAgg
-	for _, uq := range sortedQueries(s.from) {
-		if !fires(uq, t) {
+	for i := range s.plan {
+		if !s.plan[i].fires(t) {
 			continue
 		}
+		uq := s.members[i]
 		out = append(out, UserAgg{QueryID: uq.ID, Time: t, Results: AggregateStates(uq, t, states)})
 	}
 	return out
@@ -119,22 +162,26 @@ func AggregateStates(uq query.Query, t sim.Time, states []query.AggState) []quer
 	return results
 }
 
-// AggregateRows computes a user query's (possibly grouped) aggregates from
-// raw rows — the base-station "calculation" path when an aggregation query
-// is served by an acquisition synthetic query.
-func AggregateRows(uq query.Query, t sim.Time, rows []query.Row) []query.AggResult {
+// aggregateRows computes a user query's (possibly grouped) aggregates from
+// the raw rows satisfying resid — the base-station "calculation" path when
+// an aggregation query is served by an acquisition synthetic query.
+func aggregateRows(uq *query.Query, resid []query.Predicate, t sim.Time, rows []query.Row) []query.AggResult {
 	var states []query.AggState
-	for _, r := range rows {
+	for i := range rows {
+		vals := &rows[i].Values
+		if !query.MatchAll(resid, vals) {
+			continue
+		}
 		var group int64
 		if uq.GroupBy != nil {
-			gv, ok := r.Values[uq.GroupBy.Attr]
+			gv, ok := vals.Get(uq.GroupBy.Attr)
 			if !ok {
 				continue
 			}
 			group = uq.GroupBy.Key(gv)
 		}
 		for _, a := range uq.Aggs {
-			v, ok := r.Values[a.Attr]
+			v, ok := vals.Get(a.Attr)
 			if !ok {
 				continue
 			}
@@ -143,7 +190,7 @@ func AggregateRows(uq query.Query, t sim.Time, rows []query.Row) []query.AggResu
 			states = foldState(states, st)
 		}
 	}
-	return AggregateStates(uq, t, states)
+	return AggregateStates(*uq, t, states)
 }
 
 func foldState(states []query.AggState, st query.AggState) []query.AggState {
@@ -154,34 +201,4 @@ func foldState(states []query.AggState, st query.AggState) []query.AggState {
 		}
 	}
 	return append(states, st)
-}
-
-// fires reports whether a query with aligned epochs produces results at t
-// (windowed queries report every Slide epochs).
-func fires(q query.Query, t sim.Time) bool {
-	re := q.ReportEvery()
-	return re > 0 && t%sim.Time(re) == 0
-}
-
-// filterRows re-applies uq's predicates to the synthetic stream, skipping
-// predicates syn already applies identically in-network.
-func filterRows(syn, uq query.Query, rows []query.Row) []query.Row {
-	var preds []query.Predicate
-	for _, p := range uq.Preds {
-		if sp, ok := syn.PredFor(p.Attr); ok && sp == p {
-			continue
-		}
-		preds = append(preds, p)
-	}
-	if len(preds) == 0 {
-		return rows
-	}
-	filter := query.Query{Preds: preds}
-	out := make([]query.Row, 0, len(rows))
-	for _, r := range rows {
-		if filter.MatchesRow(r.Values) {
-			out = append(out, r)
-		}
-	}
-	return out
 }

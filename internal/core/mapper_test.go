@@ -16,8 +16,8 @@ func TestMapAcquisitionFilterAndProject(t *testing.T) {
 	syn, _ := o.SyntheticFor(1)
 
 	rows := []query.Row{
-		{Node: 3, Values: map[field.Attr]float64{field.AttrLight: 150, field.AttrTemp: 20}},
-		{Node: 4, Values: map[field.Attr]float64{field.AttrLight: 500, field.AttrTemp: 30}},
+		{Node: 3, Values: field.ValuesOf(map[field.Attr]float64{field.AttrLight: 150, field.AttrTemp: 20})},
+		{Node: 4, Values: field.ValuesOf(map[field.Attr]float64{field.AttrLight: 500, field.AttrTemp: 30})},
 	}
 
 	// At t=4096ms both queries fire.
@@ -34,7 +34,7 @@ func TestMapAcquisitionFilterAndProject(t *testing.T) {
 		byID[r.QueryID] = r
 	}
 	// Query 1 sees both rows with both attributes.
-	if got := byID[1]; len(got.Rows) != 2 || len(got.Rows[0].Values) != 2 {
+	if got := byID[1]; len(got.Rows) != 2 || got.Rows[0].Values.Len() != 2 {
 		t.Fatalf("query 1 rows = %+v", got.Rows)
 	}
 	// Query 2 sees only the row with light in [100,300], projected to light.
@@ -42,7 +42,7 @@ func TestMapAcquisitionFilterAndProject(t *testing.T) {
 	if len(q2.Rows) != 1 || q2.Rows[0].Node != 3 {
 		t.Fatalf("query 2 rows = %+v", q2.Rows)
 	}
-	if _, hasTemp := q2.Rows[0].Values[field.AttrTemp]; hasTemp {
+	if _, hasTemp := q2.Rows[0].Values.Get(field.AttrTemp); hasTemp {
 		t.Fatal("query 2 must not see temp")
 	}
 
@@ -64,9 +64,9 @@ func TestMapAcquisitionDerivesAggregation(t *testing.T) {
 	}
 	syn, _ := o.SyntheticFor(2)
 	rows := []query.Row{
-		{Node: 3, Values: map[field.Attr]float64{field.AttrLight: 150, field.AttrTemp: 20}},
-		{Node: 4, Values: map[field.Attr]float64{field.AttrLight: 250, field.AttrTemp: 30}},
-		{Node: 5, Values: map[field.Attr]float64{field.AttrLight: 500, field.AttrTemp: 10}},
+		{Node: 3, Values: field.ValuesOf(map[field.Attr]float64{field.AttrLight: 150, field.AttrTemp: 20})},
+		{Node: 4, Values: field.ValuesOf(map[field.Attr]float64{field.AttrLight: 250, field.AttrTemp: 30})},
+		{Node: 5, Values: field.ValuesOf(map[field.Attr]float64{field.AttrLight: 500, field.AttrTemp: 10})},
 	}
 	_, agg := o.MapAcquisition(syn.ID, sim.Time(4096*time.Millisecond), rows)
 	if len(agg) != 1 || agg[0].QueryID != 2 {
@@ -84,7 +84,7 @@ func TestMapAcquisitionEmptyAggregate(t *testing.T) {
 	mustInsert(t, o, 2, "SELECT MIN(light) WHERE light >= 900 EPOCH DURATION 2048")
 	syn, _ := o.SyntheticFor(2)
 	rows := []query.Row{
-		{Node: 3, Values: map[field.Attr]float64{field.AttrLight: 100}},
+		{Node: 3, Values: field.ValuesOf(map[field.Attr]float64{field.AttrLight: 100})},
 	}
 	_, agg := o.MapAcquisition(syn.ID, 0, rows)
 	if len(agg) != 1 || !agg[0].Results[0].Empty {
@@ -153,11 +153,11 @@ func TestMapUnknownSynthetic(t *testing.T) {
 func TestAggregateRowsGrouped(t *testing.T) {
 	uq := query.MustParse("SELECT MAX(light), COUNT(light) GROUP BY temp BUCKET 10 EPOCH DURATION 4096")
 	rows := []query.Row{
-		{Node: 1, Values: map[field.Attr]float64{field.AttrLight: 100, field.AttrTemp: 5}},
-		{Node: 2, Values: map[field.Attr]float64{field.AttrLight: 300, field.AttrTemp: 9}},
-		{Node: 3, Values: map[field.Attr]float64{field.AttrLight: 200, field.AttrTemp: 25}},
+		{Node: 1, Values: field.ValuesOf(map[field.Attr]float64{field.AttrLight: 100, field.AttrTemp: 5})},
+		{Node: 2, Values: field.ValuesOf(map[field.Attr]float64{field.AttrLight: 300, field.AttrTemp: 9})},
+		{Node: 3, Values: field.ValuesOf(map[field.Attr]float64{field.AttrLight: 200, field.AttrTemp: 25})},
 	}
-	results := AggregateRows(uq, 0, rows)
+	results := aggregateRows(&uq, nil, 0, rows)
 	// Two groups (0 and 2), two aggregates each → 4 tuples.
 	if len(results) != 4 {
 		t.Fatalf("results = %+v", results)
@@ -177,9 +177,9 @@ func TestAggregateRowsGrouped(t *testing.T) {
 func TestAggregateRowsSkipsRowsMissingGroupAttr(t *testing.T) {
 	uq := query.MustParse("SELECT MAX(light) GROUP BY temp EPOCH DURATION 4096")
 	rows := []query.Row{
-		{Node: 1, Values: map[field.Attr]float64{field.AttrLight: 100}}, // no temp
+		{Node: 1, Values: field.ValuesOf(map[field.Attr]float64{field.AttrLight: 100})}, // no temp
 	}
-	if got := AggregateRows(uq, 0, rows); len(got) != 0 {
+	if got := aggregateRows(&uq, nil, 0, rows); len(got) != 0 {
 		t.Fatalf("rows without the group attribute must be skipped: %+v", got)
 	}
 }

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/cost"
@@ -28,7 +30,7 @@ func (c Change) Empty() bool { return len(c.Inject) == 0 && len(c.Abort) == 0 }
 
 // synthetic is one entry of the synthetic query table (§3.1.1). The paper's
 // per-field count annotations are realized by keeping every contributor's
-// original query in from and recomputing the canonical requirement with
+// original query in members and recomputing the canonical requirement with
 // Synthesize; "some count decreased to 0" is then exactly "the canonical
 // requirement shrank" (see DESIGN.md). The paper's flag field tracks
 // in-flight injections; our injection is atomic within an operation, so the
@@ -36,12 +38,41 @@ func (c Change) Empty() bool { return len(c.Inject) == 0 && len(c.Abort) == 0 }
 type synthetic struct {
 	id query.ID
 	q  query.Query
-	// from maps each contributing user query ID to its original query (the
-	// from_list).
-	from map[query.ID]query.Query
+	// members holds the contributing user queries' original queries (the
+	// from_list) in ascending ID, the one order every sum and re-insertion
+	// over them runs in.
+	members []query.Query
+	// plan[i] is how members[i]'s results derive from q's stream; setMembers
+	// keeps the two in step.
+	plan []memberPlan
 	// benefit is Σ cost(user) − cost(q), the gain over running the
 	// contributors individually (§3.1.1(d)).
 	benefit float64
+}
+
+// setMembers replaces the contributor list (ascending ID), recompiles the
+// mapping plan and points every member's userSyn entry at s.
+func (o *Optimizer) setMembers(s *synthetic, members []query.Query) {
+	s.members = members
+	s.plan = make([]memberPlan, len(members))
+	for i, uq := range members {
+		s.plan[i] = compilePlan(s.q, uq)
+		o.userSyn[uq.ID] = s.id
+	}
+	s.benefit = o.benefitOf(s)
+}
+
+// mergeMembers merges two ascending-ID member lists with disjoint IDs.
+func mergeMembers(a, b []query.Query) []query.Query {
+	out := make([]query.Query, 0, len(a)+len(b))
+	for len(a) > 0 && len(b) > 0 {
+		if a[0].ID < b[0].ID {
+			out, a = append(out, a[0]), a[1:]
+		} else {
+			out, b = append(out, b[0]), b[1:]
+		}
+	}
+	return append(append(out, a...), b...)
 }
 
 // Optimizer is the base-station (tier 1) optimizer: it maintains the set of
@@ -106,7 +137,7 @@ func (o *Optimizer) Insert(q query.Query) (Change, error) {
 	}
 	before := o.runningIDs()
 	o.users[q.ID] = q
-	o.insert(map[query.ID]query.Query{q.ID: q}, q)
+	o.insert([]query.Query{q}, q)
 	return o.diff(before), nil
 }
 
@@ -130,7 +161,7 @@ func (o *Optimizer) InsertBatch(qs []query.Query) (Change, error) {
 			return o.diff(before), fmt.Errorf("core: %w", err)
 		}
 		o.users[q.ID] = q
-		o.insert(map[query.ID]query.Query{q.ID: q}, q)
+		o.insert([]query.Query{q}, q)
 	}
 	return o.diff(before), nil
 }
@@ -149,64 +180,57 @@ func (o *Optimizer) Terminate(qid query.ID) (Change, error) {
 
 	delete(o.users, qid)
 	delete(o.userSyn, qid)
-	delete(s.from, qid)
+	rest := make([]query.Query, 0, len(s.members)-1)
+	for _, m := range s.members {
+		if m.ID != qid {
+			rest = append(rest, m)
+		}
+	}
 
-	if len(s.from) == 0 {
+	if len(rest) == 0 {
 		delete(o.syn, synID)
 		return o.diff(before), nil
 	}
 
-	minimal := Synthesize(queriesOf(s.from))
-	if minimal.Equal(s.q) {
-		// No count dropped to 0: the remaining queries still require every
-		// piece of data s requests. Nothing changes in the network.
-		s.benefit = o.benefitOf(s)
-		return o.diff(before), nil
-	}
-
-	// Some data is now requested by no one. Keep the old synthetic query —
-	// hiding the termination from the network — iff the stranded volume is
-	// small relative to the synthetic query's benefit: cost(q) ≤ α·benefit.
-	if o.model.Cost(uq) <= o.alpha*oldBenefit {
-		s.benefit = o.benefitOf(s)
+	// No count dropped to 0 — the remaining queries still require every
+	// piece of data s requests — or some data is now requested by no one
+	// but the stranded volume is small relative to the synthetic query's
+	// benefit, cost(q) ≤ α·benefit: keep the old synthetic query, hiding
+	// the termination from the network.
+	if Synthesize(rest).Equal(s.q) || o.model.Cost(uq) <= o.alpha*oldBenefit {
+		o.setMembers(s, rest)
 		return o.diff(before), nil
 	}
 
 	// Otherwise re-insert the remaining user queries as if newly arrived
 	// (Algorithm 2 lines 6–7).
 	delete(o.syn, synID)
-	for _, rq := range sortedQueries(s.from) {
+	for _, rq := range rest {
 		delete(o.userSyn, rq.ID)
-		o.insert(map[query.ID]query.Query{rq.ID: rq}, rq)
+		o.insert([]query.Query{rq}, rq)
 	}
 	return o.diff(before), nil
 }
 
 // insert implements the greedy loop of Algorithm 1, generalized to carry a
-// from-set so that the "Integrate then Insert(q_id, Q_syn)" recursion (line
-// 14) reuses the same path: the merged synthetic query re-enters insertion
-// as the new query, bringing its contributors along.
-func (o *Optimizer) insert(from map[query.ID]query.Query, q query.Query) {
+// from-list (ascending ID) so that the "Integrate then Insert(q_id, Q_syn)"
+// recursion (line 14) reuses the same path: the merged synthetic query
+// re-enters insertion as the new query, bringing its contributors along.
+func (o *Optimizer) insert(from []query.Query, q query.Query) {
 	for {
 		best, bestRate, covers := o.mostBeneficial(q)
 		switch {
 		case best != nil && covers:
 			// q_id covers q_i: attach; the workload on the network does not
 			// change (Algorithm 1 lines 11–12).
-			for id, uq := range from {
-				best.from[id] = uq
-				o.userSyn[id] = best.id
-			}
-			best.benefit = o.benefitOf(best)
+			o.setMembers(best, mergeMembers(best.members, from))
 			return
 		case best != nil && bestRate > 0:
 			// Integrate(q_id, q_i), then re-insert the merged query against
 			// the remaining synthetic queries (lines 13–14).
 			delete(o.syn, best.id)
-			for id, uq := range best.from {
-				from[id] = uq
-			}
-			q = Synthesize(queriesOf(from))
+			from = mergeMembers(from, best.members)
+			q = Synthesize(from)
 			continue
 		default:
 			// No beneficial rewrite: run q as its own synthetic query
@@ -223,62 +247,54 @@ func (o *Optimizer) insert(from map[query.ID]query.Query, q query.Query) {
 // rate == 1, so a non-covering merge whose benefit happens to equal cost(q)
 // cannot be mistaken for coverage.
 func (o *Optimizer) mostBeneficial(q query.Query) (best *synthetic, bestRate float64, covers bool) {
+	cq := -1.0 // cost(q): evaluated once per scan, by the first candidate that needs it
 	for _, s := range o.sortedSyn() {
-		rate, cov := o.benefitRate(q, s)
-		if cov {
+		if query.Covers(s.q, q) {
 			return s, 1, true
 		}
-		if rate > bestRate {
+		if !query.Rewritable(q, s.q) {
+			continue
+		}
+		if cq < 0 {
+			cq = o.model.Cost(q)
+		}
+		if rate := o.benefitRate(q, cq, s); rate > bestRate {
 			best, bestRate = s, rate
 		}
 	}
 	return best, bestRate, false
 }
 
-// benefitRate is the Beneficial(q_i, q_j) function: (1, true) when s covers
-// q, 0 when the pair is not rewritable, otherwise benefit/cost(q) computed
-// against the exact merged requirement.
-func (o *Optimizer) benefitRate(q query.Query, s *synthetic) (float64, bool) {
-	if query.Covers(s.q, q) {
-		return 1, true
-	}
-	if !query.Rewritable(q, s.q) {
-		return 0, false
-	}
-	cq := o.model.Cost(q)
+// benefitRate is the Beneficial(q_i, q_j) function for a rewritable pair
+// where s does not cover q: benefit/cost(q), computed against the exact
+// merged requirement and clamped to 1. cq is cost(q).
+func (o *Optimizer) benefitRate(q query.Query, cq float64, s *synthetic) float64 {
 	if cq <= 0 {
-		return 0, false
+		return 0
 	}
-	mergedFrom := make([]query.Query, 0, len(s.from)+1)
-	mergedFrom = append(mergedFrom, queriesOf(s.from)...)
-	mergedFrom = append(mergedFrom, q)
+	mergedFrom := make([]query.Query, 0, len(s.members)+1)
+	mergedFrom = append(append(mergedFrom, s.members...), q)
 	merged := Synthesize(mergedFrom)
 	rate := (o.model.Cost(s.q) + cq - o.model.Cost(merged)) / cq
 	if rate > 1 {
 		rate = 1
 	}
-	return rate, false
+	return rate
 }
 
-func (o *Optimizer) addSynthetic(from map[query.ID]query.Query, q query.Query) {
-	s := &synthetic{
-		id:   o.nextSyn,
-		q:    q,
-		from: from,
-	}
+func (o *Optimizer) addSynthetic(from []query.Query, q query.Query) {
+	s := &synthetic{id: o.nextSyn, q: q}
 	s.q.ID = s.id
 	o.nextSyn++
 	o.syn[s.id] = s
-	for id := range from {
-		o.userSyn[id] = s.id
-	}
-	s.benefit = o.benefitOf(s)
+	o.setMembers(s, from)
 }
 
-// benefitOf returns Σ cost(contributors) − cost(synthetic).
+// benefitOf returns Σ cost(contributors) − cost(synthetic), summed in
+// ascending member ID (see sortedIDs for why the order is fixed).
 func (o *Optimizer) benefitOf(s *synthetic) float64 {
 	var sum float64
-	for _, uq := range s.from {
+	for _, uq := range s.members {
 		sum += o.model.Cost(uq)
 	}
 	return sum - o.model.Cost(s.q)
@@ -314,24 +330,7 @@ func (o *Optimizer) sortedSyn() []*synthetic {
 	for _, s := range o.syn {
 		out = append(out, s)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].id < out[j].id })
-	return out
-}
-
-func queriesOf(m map[query.ID]query.Query) []query.Query {
-	out := make([]query.Query, 0, len(m))
-	for _, q := range sortedQueries(m) {
-		out = append(out, q)
-	}
-	return out
-}
-
-func sortedQueries(m map[query.ID]query.Query) []query.Query {
-	out := make([]query.Query, 0, len(m))
-	for _, q := range m {
-		out = append(out, q)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	slices.SortFunc(out, func(a, b *synthetic) int { return cmp.Compare(a.id, b.id) })
 	return out
 }
 
@@ -355,11 +354,11 @@ func (o *Optimizer) UserCount() int { return len(o.users) }
 
 // UserQueries returns the live user queries, sorted by ID.
 func (o *Optimizer) UserQueries() []query.Query {
-	m := make(map[query.ID]query.Query, len(o.users))
-	for id, q := range o.users {
-		m[id] = q
+	out := make([]query.Query, 0, len(o.users))
+	for _, id := range sortedIDs(o.users) {
+		out = append(out, o.users[id])
 	}
-	return sortedQueries(m)
+	return out
 }
 
 // SyntheticFor returns the synthetic query that serves user query qid.
@@ -377,11 +376,10 @@ func (o *Optimizer) FromList(sid query.ID) []query.ID {
 	if !ok {
 		return nil
 	}
-	ids := make([]query.ID, 0, len(s.from))
-	for id := range s.from {
-		ids = append(ids, id)
+	ids := make([]query.ID, 0, len(s.members))
+	for _, uq := range s.members {
+		ids = append(ids, uq.ID)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	return ids
 }
 

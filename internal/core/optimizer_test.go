@@ -532,3 +532,83 @@ func TestIncrementalMatchesRebuildSoak(t *testing.T) {
 		t.Fatalf("user counts differ: %d vs %d", o.UserCount(), fresh.UserCount())
 	}
 }
+
+// Two acquisitions of single (different) nodes on one epoch merge: a point
+// predicate has a cost, so the benefit rate of widening to the pair is
+// evaluated instead of bailing out on cost(q) = 0.
+func TestPointPredicateQueriesMerge(t *testing.T) {
+	o := newTestOptimizer(t, DefaultAlpha)
+	mustInsert(t, o, 1, "SELECT light WHERE nodeid = 5 EPOCH DURATION 8192")
+	ch := mustInsert(t, o, 2, "SELECT light WHERE nodeid = 6 EPOCH DURATION 8192")
+	if o.SyntheticCount() != 1 {
+		t.Fatalf("synthetic queries = %d, want the two point queries merged into 1", o.SyntheticCount())
+	}
+	if len(ch.Abort) != 1 || len(ch.Inject) != 1 {
+		t.Fatalf("merge must replace the first synthetic query: %+v", ch)
+	}
+	syn, _ := o.SyntheticFor(1)
+	if p, ok := syn.PredFor(field.AttrNodeID); !ok || p.Min != 5 || p.Max != 6 {
+		t.Fatalf("merged predicate = %v, want nodeid in [5, 6]", syn.Preds)
+	}
+	checkInvariants(t, o)
+
+	// And a terminated one does not strand its synthetic query for free:
+	// with α = 0 the survivor is re-inserted on its own requirement.
+	strict := newTestOptimizer(t, 1e-9)
+	mustInsert(t, strict, 1, "SELECT light WHERE nodeid = 5 EPOCH DURATION 8192")
+	mustInsert(t, strict, 2, "SELECT light WHERE nodeid = 6 EPOCH DURATION 8192")
+	if ch, err := strict.Terminate(2); err != nil || ch.Empty() {
+		t.Fatalf("Terminate(2) = %+v, %v; want the widened synthetic query replaced", ch, err)
+	}
+}
+
+// The contributor costs behind a synthetic query's benefit — the right-hand
+// side of the α rule — and behind Explain's shares are summed in ascending
+// member ID, so every evaluation yields the same bits (float addition is not
+// associative; in map order the last ulps moved from call to call).
+func TestBenefitSumIsOrderStable(t *testing.T) {
+	o := newTestOptimizer(t, DefaultAlpha)
+	for i, s := range []string{
+		"SELECT light WHERE light >= 101.3 AND light <= 307.7 EPOCH DURATION 8192",
+		"SELECT light WHERE light >= 149.1 AND light <= 511.9 EPOCH DURATION 8192",
+		"SELECT light WHERE light >= 203.7 AND light <= 449.3 EPOCH DURATION 8192",
+		"SELECT light WHERE light >= 120.9 AND light <= 333.1 EPOCH DURATION 8192",
+		"SELECT light WHERE light >= 177.7 AND light <= 470.3 EPOCH DURATION 8192",
+	} {
+		mustInsert(t, o, query.ID(i+1), s)
+	}
+	if o.SyntheticCount() != 1 {
+		t.Fatalf("precondition: %d synthetic queries, want the five merged into 1", o.SyntheticCount())
+	}
+	s := o.syn[o.userSyn[1]]
+	if len(s.members) < 3 {
+		t.Fatalf("precondition: %d contributors, want >= 3", len(s.members))
+	}
+	wantBenefit := math.Float64bits(o.benefitOf(s))
+	if math.Float64bits(s.benefit) != wantBenefit {
+		t.Fatalf("stored benefit %v != recomputed %v", s.benefit, o.benefitOf(s))
+	}
+	e0, err := o.Explain(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 200; i++ {
+		if got := math.Float64bits(o.benefitOf(s)); got != wantBenefit {
+			t.Fatalf("call %d: benefit bits %x, want %x", i, got, wantBenefit)
+		}
+		e, _ := o.Explain(3)
+		if math.Float64bits(e.SyntheticShare) != math.Float64bits(e0.SyntheticShare) ||
+			math.Float64bits(e.GroupSavings) != math.Float64bits(e0.GroupSavings) {
+			t.Fatalf("call %d: Explain shares moved: %v/%v vs %v/%v", i,
+				e.SyntheticShare, e.GroupSavings, e0.SyntheticShare, e0.GroupSavings)
+		}
+	}
+	// The same contributors admitted in another order sum to the same bits.
+	rev := newTestOptimizer(t, DefaultAlpha)
+	if _, err := rev.InsertBatch([]query.Query{s.members[4], s.members[2], s.members[0], s.members[3], s.members[1]}); err != nil {
+		t.Fatal(err)
+	}
+	if got := math.Float64bits(rev.TotalBenefit()); rev.SyntheticCount() != 1 || got != math.Float64bits(o.TotalBenefit()) {
+		t.Fatalf("admission order changed the benefit: %d synthetic, %v vs %v", rev.SyntheticCount(), rev.TotalBenefit(), o.TotalBenefit())
+	}
+}

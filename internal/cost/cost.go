@@ -132,10 +132,15 @@ func (h *Histogram) Observe(v float64) {
 	}
 }
 
-// Selectivity returns the estimated fraction of readings in [min, max].
+// Selectivity returns the estimated fraction of readings in [min, max]. A
+// point predicate on the integer-valued nodeid is integrated over
+// [v−½, v+½] — one node's share — so that it does not read as free.
 func (h *Histogram) Selectivity(min, max float64) float64 {
 	if h.total == 0 || h.hi <= h.lo {
 		return 1
+	}
+	if min == max && h.attr == field.AttrNodeID {
+		min, max = min-0.5, max+0.5
 	}
 	min = math.Max(min, h.lo)
 	max = math.Min(max, h.hi)
@@ -143,13 +148,23 @@ func (h *Histogram) Selectivity(min, max float64) float64 {
 		return 0
 	}
 	width := (h.hi - h.lo) / float64(len(h.buckets))
+	// Only the buckets the range overlaps contribute; one bucket of slack
+	// either side absorbs the rounding of the index computation.
+	first := int((min-h.lo)/width) - 1
+	if first < 0 {
+		first = 0
+	}
+	last := int((max-h.lo)/width) + 1
+	if last >= len(h.buckets) {
+		last = len(h.buckets) - 1
+	}
 	var sum float64
-	for i, w := range h.buckets {
+	for i := first; i <= last; i++ {
 		bLo := h.lo + float64(i)*width
 		bHi := bLo + width
 		overlap := math.Min(max, bHi) - math.Max(min, bLo)
 		if overlap > 0 {
-			sum += w * overlap / width
+			sum += h.buckets[i] * overlap / width
 		}
 	}
 	return sum / h.total
@@ -162,8 +177,8 @@ type Model struct {
 	// levelSizes[k] = |N_k|; levelSizes[0] is the base station and never
 	// generates results.
 	levelSizes []int
-	sensors    int // Σ_{k≥1} |N_k|
-	hist       map[field.Attr]*Histogram
+	sensors    int          // Σ_{k≥1} |N_k|
+	hist       []*Histogram // indexed by field.Attr
 }
 
 // Config parametrizes a Model.
@@ -197,7 +212,7 @@ func NewModel(levelSizes []int, cfg Config) (*Model, error) {
 		cstart:     cfg.Cstart,
 		ctrans:     cfg.Ctrans,
 		levelSizes: append([]int(nil), levelSizes...),
-		hist:       make(map[field.Attr]*Histogram, len(field.AllAttrs())),
+		hist:       make([]*Histogram, len(field.AllAttrs())+1),
 	}
 	total := 0
 	for _, s := range levelSizes {
@@ -214,9 +229,18 @@ func NewModel(levelSizes []int, cfg Config) (*Model, error) {
 // Observe feeds a reading into the attribute's histogram, refining future
 // selectivity estimates.
 func (m *Model) Observe(a field.Attr, v float64) {
-	if h, ok := m.hist[a]; ok {
+	if h := m.histFor(a); h != nil {
 		h.Observe(v)
 	}
+}
+
+// histFor returns the attribute's histogram, or nil for an attribute the
+// model keeps no statistics on.
+func (m *Model) histFor(a field.Attr) *Histogram {
+	if int(a) >= len(m.hist) {
+		return nil
+	}
+	return m.hist[a]
 }
 
 // Selectivity returns sel(q, N): the estimated fraction of nodes whose
@@ -224,11 +248,9 @@ func (m *Model) Observe(a field.Attr, v float64) {
 func (m *Model) Selectivity(preds []query.Predicate) float64 {
 	sel := 1.0
 	for _, p := range preds {
-		h, ok := m.hist[p.Attr]
-		if !ok {
-			continue
+		if h := m.histFor(p.Attr); h != nil {
+			sel *= h.Selectivity(p.Min, p.Max)
 		}
-		sel *= h.Selectivity(p.Min, p.Max)
 	}
 	return sel
 }
@@ -245,14 +267,16 @@ func (m *Model) ResultRate(q query.Query, k int) float64 {
 // Trans returns trans(q) of Eq. (2): transmissions per second. For
 // aggregation queries it returns the lower bound result(q, N) per §3.1.2.
 func (m *Model) Trans(q query.Query) float64 {
+	sel, secs := m.Selectivity(q.Preds), q.Epoch.Seconds()
 	if q.IsAggregation() {
-		return m.Selectivity(q.Preds) * float64(m.sensors) / q.Epoch.Seconds()
+		return sel * float64(m.sensors) / secs
 	}
-	// Acquisition-like queries forward each origin's result hop by hop;
+	// Acquisition-like queries forward each origin's result hop by hop —
+	// Σ_k ResultRate(q, k)·k with the selectivity evaluated once — and
 	// windowed queries do so only at their reporting instants.
 	var sum float64
 	for k := 1; k < len(m.levelSizes); k++ {
-		sum += m.ResultRate(q, k) * float64(k)
+		sum += sel * float64(m.levelSizes[k]) / secs * float64(k)
 	}
 	if q.IsWindowed() {
 		sum /= float64(q.Wins[0].Slide)

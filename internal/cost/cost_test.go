@@ -313,3 +313,96 @@ func TestHistogramDecayTracksDrift(t *testing.T) {
 		t.Fatalf("after drift, stale sel[0,200] = %f, want ≤ 0.2", lo)
 	}
 }
+
+// A point predicate on the integer-valued nodeid selects one node's share of
+// the deployment, not nothing: a free query would never be merged into a
+// non-covering synthetic query, and the α rule would keep whatever it
+// stranded forever.
+func TestPointPredicateHasCost(t *testing.T) {
+	m := fourLevels(t)
+	q := query.MustParse("SELECT light WHERE nodeid = 5")
+	if sel := m.Selectivity(q.Preds); math.Abs(sel-1.0/15) > 1e-12 {
+		t.Fatalf("selectivity of nodeid = 5 is %g, want one node's share 1/15", sel)
+	}
+	if c := m.Cost(q); c <= 0 {
+		t.Fatalf("cost of %v = %g, want > 0", q, c)
+	}
+	// At the edge of the id space half the unit interval lies outside.
+	edge := query.MustParse("SELECT light WHERE nodeid = 15")
+	if sel := m.Selectivity(edge.Preds); math.Abs(sel-0.5/15) > 1e-12 {
+		t.Fatalf("selectivity of nodeid = 15 is %g, want 1/30", sel)
+	}
+	// A point on a continuous attribute still has measure zero, and ranges
+	// are untouched (the closed-range off-by-one is DESIGN.md §3's, not
+	// this fix's).
+	if sel := m.Selectivity(query.MustParse("SELECT light WHERE light = 500").Preds); sel != 0 {
+		t.Fatalf("selectivity of light = 500 is %g, want 0", sel)
+	}
+	if sel := m.Selectivity(query.MustParse("SELECT light WHERE nodeid >= 5 AND nodeid <= 6").Preds); math.Abs(sel-1.0/15) > 1e-12 {
+		t.Fatalf("selectivity of nodeid in [5,6] is %g, want 1/15 as before", sel)
+	}
+}
+
+// Selectivity integrates only the buckets the range overlaps; the terms and
+// their order are those of a scan over every bucket, so the result is the
+// same to the last bit.
+func TestSelectivityMatchesFullScan(t *testing.T) {
+	fullScan := func(h *Histogram, min, max float64) float64 {
+		min = math.Max(min, h.lo)
+		max = math.Min(max, h.hi)
+		if min > max {
+			return 0
+		}
+		width := (h.hi - h.lo) / float64(len(h.buckets))
+		var sum float64
+		for i, w := range h.buckets {
+			bLo := h.lo + float64(i)*width
+			bHi := bLo + width
+			overlap := math.Min(max, bHi) - math.Max(min, bLo)
+			if overlap > 0 {
+				sum += w * overlap / width
+			}
+		}
+		return sum / h.total
+	}
+	f := func(obs []uint16, a, b uint16, buckets uint8, fine bool) bool {
+		h := NewHistogram(field.AttrLight, 0, 1000, 1+int(buckets)%97)
+		for _, o := range obs {
+			h.Observe(float64(o % 1100))
+		}
+		lo, hi := float64(a%1200)-100, float64(b%1200)-100
+		if fine {
+			lo, hi = lo/7, lo/7+hi/13
+		}
+		if lo > hi {
+			lo, hi = hi, lo
+		}
+		return math.Float64bits(h.Selectivity(lo, hi)) == math.Float64bits(fullScan(h, lo, hi))
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 5000}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Trans evaluates the selectivity once per query; the sum is Eq. (2)'s
+// Σ_k result(q, N_k)·k to the last bit.
+func TestTransIsSumOfResultRates(t *testing.T) {
+	m := fourLevels(t)
+	for _, s := range []string{
+		"SELECT light WHERE light > 333 EPOCH DURATION 12288ms",
+		"SELECT nodeid, temp WHERE temp >= 17.3 AND temp <= 61.9 AND light < 777 EPOCH DURATION 6144ms",
+		"SELECT WINAVG(light, 4, 3) WHERE temp >= 10 EPOCH DURATION 2048ms",
+	} {
+		q := query.MustParse(s)
+		var want float64
+		for k := 1; k <= 3; k++ {
+			want += m.ResultRate(q, k) * float64(k)
+		}
+		if q.IsWindowed() {
+			want /= float64(q.Wins[0].Slide)
+		}
+		if got := m.Trans(q); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("%s: Trans = %v, Σ ResultRate·k = %v", s, got, want)
+		}
+	}
+}

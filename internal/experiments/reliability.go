@@ -130,10 +130,9 @@ func RunReliability(cfg ReliabilityConfig) ([]ReliabilityRow, error) {
 			}
 			delivered += len(ur.Rows)
 			for i := 1; i < topo.Size(); i++ {
-				vals := map[field.Attr]float64{
-					field.AttrLight: src.Reading(topology.NodeID(i), field.AttrLight, ur.Time),
-				}
-				if uq.MatchesRow(vals) {
+				var vals field.Values
+				vals.Set(field.AttrLight, src.Reading(topology.NodeID(i), field.AttrLight, ur.Time))
+				if uq.MatchesValues(&vals) {
 					expected++
 				}
 			}

@@ -95,13 +95,8 @@ func translateRows(dst []query.Row, rows []query.Row, shard, spn int) []query.Ro
 	for _, r := range rows {
 		g := r
 		g.Node = r.Node + topology.NodeID(base)
-		if v, ok := r.Values[field.AttrNodeID]; ok {
-			vals := make(map[field.Attr]float64, len(r.Values))
-			for k, val := range r.Values {
-				vals[k] = val
-			}
-			vals[field.AttrNodeID] = v + float64(base)
-			g.Values = vals
+		if v, ok := r.Values.Get(field.AttrNodeID); ok {
+			g.Values.Set(field.AttrNodeID, v+float64(base))
 		}
 		dst = append(dst, g)
 	}

@@ -161,18 +161,22 @@ func TestEpochAccEmptyPartials(t *testing.T) {
 
 func TestTranslateRows(t *testing.T) {
 	rows := []query.Row{
-		{Node: 2, Values: map[field.Attr]float64{field.AttrNodeID: 2}},
-		{Node: 3, Values: map[field.Attr]float64{field.AttrNodeID: 3}},
+		{Node: 2, Values: field.ValuesOf(map[field.Attr]float64{field.AttrNodeID: 2})},
+		{Node: 3, Values: field.ValuesOf(map[field.Attr]float64{field.AttrNodeID: 3})},
 	}
 	out := translateRows(nil, rows, 1, testSPN)
 	if out[0].Node != topology.NodeID(5) || out[1].Node != topology.NodeID(6) {
 		t.Fatalf("shard-1 nodes = %d, %d, want 5, 6", out[0].Node, out[1].Node)
 	}
-	if out[0].Values[field.AttrNodeID] != 5 || out[1].Values[field.AttrNodeID] != 6 {
+	nodeid := func(r query.Row) float64 {
+		v, _ := r.Values.Get(field.AttrNodeID)
+		return v
+	}
+	if nodeid(out[0]) != 5 || nodeid(out[1]) != 6 {
 		t.Fatalf("projected nodeid not translated: %v", out)
 	}
-	// The source rows must be untouched (maps are copied on write).
-	if rows[0].Values[field.AttrNodeID] != 2 {
+	// The source rows must be untouched (rows are copied by assignment).
+	if nodeid(rows[0]) != 2 {
 		t.Fatal("translateRows mutated its input")
 	}
 }

@@ -160,7 +160,7 @@ func TestRouterRoutesRegionPredicate(t *testing.T) {
 			if row.Node < 4 || row.Node > 6 {
 				t.Fatalf("row from node %d, want global ids 4..6", row.Node)
 			}
-			if v := row.Values[field.AttrNodeID]; v < 4 || v > 6 {
+			if v, _ := row.Values.Get(field.AttrNodeID); v < 4 || v > 6 {
 				t.Fatalf("projected nodeid %g not translated to global ids", v)
 			}
 		}

@@ -17,6 +17,8 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"strconv"
+	"strings"
 	"sync/atomic"
 	"time"
 
@@ -63,13 +65,22 @@ func (s AttrSet) Has(a Attr) bool { return s&(1<<a) != 0 }
 func (s AttrSet) Len() int { return bits.OnesCount8(uint8(s)) }
 
 // Values is a set of attribute readings held flat: which attributes are
-// present and one slot per attribute. It is the in-network form of a sample
-// or result row — copied by assignment, built and read without allocating —
-// and converts to the map form user-facing rows carry with Map. The zero
-// value is the empty set.
+// present and one slot per attribute. It is the one form a sample or result
+// row takes from the mote to the socket — copied by assignment, built and
+// read without allocating. The zero value is the empty set.
 type Values struct {
 	has AttrSet
 	v   [numAttrs + 1]float64
+}
+
+// ValuesOf returns the readings held in a map (tests and oracles that
+// build a row by hand).
+func ValuesOf(m map[Attr]float64) Values {
+	var vs Values
+	for a, v := range m {
+		vs.Set(a, v)
+	}
+	return vs
 }
 
 // Set stores the reading of attribute a.
@@ -95,15 +106,30 @@ func (vs Values) Only(keep AttrSet) Values {
 	return vs
 }
 
-// Map returns the readings as a fresh map.
-func (vs *Values) Map() map[Attr]float64 {
-	out := make(map[Attr]float64, vs.Len())
+// Each calls fn for every reading present, in ascending attribute order.
+func (vs *Values) Each(fn func(a Attr, v float64)) {
 	for a := Attr(1); a <= numAttrs; a++ {
 		if vs.has.Has(a) {
-			out[a] = vs.v[a]
+			fn(a, vs.v[a])
 		}
 	}
-	return out
+}
+
+// String renders the readings in ascending attribute order, e.g.
+// "{nodeid:5 light:512.25}".
+func (vs Values) String() string {
+	var sb strings.Builder
+	sb.WriteByte('{')
+	vs.Each(func(a Attr, v float64) {
+		if sb.Len() > 1 {
+			sb.WriteByte(' ')
+		}
+		sb.WriteString(a.String())
+		sb.WriteByte(':')
+		sb.WriteString(strconv.FormatFloat(v, 'g', -1, 64))
+	})
+	sb.WriteByte('}')
+	return sb.String()
 }
 
 // Sample reads the attributes in set at once, modelling the shared

@@ -153,8 +153,8 @@ func TestSampleSharedAcquisition(t *testing.T) {
 		t.Fatal("unsampled attribute reported present")
 	}
 	only := got.Only(SetOf([]Attr{AttrTemp, AttrVoltage}))
-	if m := only.Map(); len(m) != 1 || m[AttrTemp] != f.Reading(5, AttrTemp, time.Minute) {
-		t.Fatalf("Only/Map = %v, want temp alone", m)
+	if v, ok := only.Get(AttrTemp); only.Len() != 1 || !ok || v != f.Reading(5, AttrTemp, time.Minute) {
+		t.Fatalf("Only = %v, want temp alone", only)
 	}
 }
 
@@ -277,5 +277,38 @@ func TestConcurrentReadings(t *testing.T) {
 			ref.Reading(topology.NodeID(i), AttrTemp, time.Second) {
 			t.Fatal("concurrent access corrupted the field")
 		}
+	}
+}
+
+func TestValuesReadAPI(t *testing.T) {
+	vs := ValuesOf(map[Attr]float64{AttrTemp: 20.5, AttrNodeID: 5, AttrVoltage: 0})
+	if vs.Len() != 3 {
+		t.Fatalf("Len = %d, want 3", vs.Len())
+	}
+	var order []Attr
+	vs.Each(func(a Attr, v float64) {
+		if got, ok := vs.Get(a); !ok || got != v {
+			t.Fatalf("Each(%v) = %v, Get = %v, %v", a, v, got, ok)
+		}
+		order = append(order, a)
+	})
+	if len(order) != 3 || order[0] != AttrNodeID || order[1] != AttrTemp || order[2] != AttrVoltage {
+		t.Fatalf("Each order = %v, want ascending attributes", order)
+	}
+	if got, want := vs.String(), "{nodeid:5 temp:20.5 voltage:0}"; got != want {
+		t.Fatalf("String = %q, want %q", got, want)
+	}
+	if got := (Values{}).String(); got != "{}" {
+		t.Fatalf("empty String = %q", got)
+	}
+	// A copy is independent of its source.
+	cp := vs
+	cp.Set(AttrTemp, 99)
+	if v, _ := vs.Get(AttrTemp); v != 20.5 {
+		t.Fatal("assigning Values must copy")
+	}
+	// A dropped attribute does not print, whatever its slot still holds.
+	if got := vs.Only(SetOf([]Attr{AttrTemp})).String(); got != "{temp:20.5}" {
+		t.Fatalf("Only(temp).String = %q", got)
 	}
 }

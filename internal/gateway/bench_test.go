@@ -25,10 +25,10 @@ func benchUpdate() Update {
 	for i := range rows {
 		rows[i] = query.Row{
 			Node: topology.NodeID(1 + i),
-			Values: map[field.Attr]float64{
+			Values: field.ValuesOf(map[field.Attr]float64{
 				field.AttrLight: 500 + float64(i)*3.25,
 				field.AttrTemp:  20 + float64(i)*0.5,
-			},
+			}),
 		}
 	}
 	return Update{Sub: 7, QueryID: 3, Seq: 42, At: 8192 * time.Millisecond, Rows: rows}

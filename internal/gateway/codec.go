@@ -589,11 +589,12 @@ func appendUpdateBody(b []byte, u *Update) []byte {
 	}
 	if u.Rows != nil || u.Aggs == nil {
 		b = binary.AppendUvarint(b, uint64(len(u.Rows)))
-		for _, row := range u.Rows {
+		for i := range u.Rows {
+			row := &u.Rows[i]
 			b = binary.AppendVarint(b, int64(row.Node))
-			b = binary.AppendUvarint(b, uint64(len(row.Values)))
+			b = binary.AppendUvarint(b, uint64(row.Values.Len()))
 			for _, a := range allAttrs {
-				if v, ok := row.Values[a]; ok {
+				if v, ok := row.Values.Get(a); ok {
 					b = append(b, byte(a))
 					b = appendFloat(b, v)
 				}

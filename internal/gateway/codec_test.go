@@ -134,12 +134,12 @@ func TestWALRecordRoundTrip(t *testing.T) {
 func TestUpdateFrameMatchesGenericEncoder(t *testing.T) {
 	updates := []Update{
 		{Sub: 7, QueryID: 3, Seq: 42, At: 6144 * time.Millisecond, Rows: []query.Row{
-			{Node: 5, Values: map[field.Attr]float64{field.AttrLight: 512.25, field.AttrTemp: 20.5}},
-			{Node: 9, Values: map[field.Attr]float64{
+			{Node: 5, Values: field.ValuesOf(map[field.Attr]float64{field.AttrLight: 512.25, field.AttrTemp: 20.5})},
+			{Node: 9, Values: field.ValuesOf(map[field.Attr]float64{
 				field.AttrNodeID: 9, field.AttrLight: 1.5, field.AttrTemp: 2.5,
 				field.AttrHumidity: 3.5, field.AttrVoltage: 4.5,
-			}},
-			{Node: 2, Values: map[field.Attr]float64{}},
+			})},
+			{Node: 2, Values: field.ValuesOf(map[field.Attr]float64{})},
 		}},
 		{Sub: 8, QueryID: 4, Seq: 1, At: 2048 * time.Millisecond, Aggs: []query.AggResult{
 			{Agg: query.Agg{Op: query.Max, Attr: field.AttrLight}, Group: 2, Value: 733.5},
@@ -150,7 +150,7 @@ func TestUpdateFrameMatchesGenericEncoder(t *testing.T) {
 			Trace: 0xDEADBEEF,
 			Prov:  tracing.Prov{Shards: 0b101, Frags: 3, Reused: 2, CacheHit: true, Rung: 1},
 			Rows: []query.Row{
-				{Node: 5, Values: map[field.Attr]float64{field.AttrLight: 512.25}},
+				{Node: 5, Values: field.ValuesOf(map[field.Attr]float64{field.AttrLight: 512.25})},
 			}},
 		{Sub: 10, QueryID: 6, Seq: 4, At: 6144 * time.Millisecond,
 			Trace: 7,
@@ -175,8 +175,8 @@ func TestUpdateFrameMatchesGenericEncoder(t *testing.T) {
 // fanned-out update into a pre-grown buffer allocates nothing.
 func TestAppendUpdateFrameZeroAlloc(t *testing.T) {
 	u := Update{Sub: 7, Seq: 42, At: 6144 * time.Millisecond, Rows: []query.Row{
-		{Node: 5, Values: map[field.Attr]float64{field.AttrLight: 512.25, field.AttrTemp: 20.5}},
-		{Node: 9, Values: map[field.Attr]float64{field.AttrLight: 1.5, field.AttrVoltage: 4.5}},
+		{Node: 5, Values: field.ValuesOf(map[field.Attr]float64{field.AttrLight: 512.25, field.AttrTemp: 20.5})},
+		{Node: 9, Values: field.ValuesOf(map[field.Attr]float64{field.AttrLight: 1.5, field.AttrVoltage: 4.5})},
 	}}
 	buf := make([]byte, 0, 4096)
 	allocs := testing.AllocsPerRun(100, func() {

@@ -1,6 +1,7 @@
 package gateway
 
 import (
+	"repro/internal/field"
 	"repro/internal/obs"
 	"repro/internal/query"
 	"repro/internal/topology"
@@ -207,10 +208,8 @@ func wireUpdate(u Update) Response {
 		r.Type = TypeRows
 		r.Rows = make([]WireRow, 0, len(u.Rows))
 		for _, row := range u.Rows {
-			vals := make(map[string]float64, len(row.Values))
-			for a, v := range row.Values {
-				vals[a.String()] = v
-			}
+			vals := make(map[string]float64, row.Values.Len())
+			row.Values.Each(func(a field.Attr, v float64) { vals[a.String()] = v })
 			r.Rows = append(r.Rows, WireRow{Node: row.Node, Values: vals})
 		}
 		return r

@@ -29,10 +29,10 @@ func randomUpdate(rng *rand.Rand) Update {
 	if rng.Intn(2) == 0 {
 		u.Rows = make([]query.Row, rng.Intn(6))
 		for i := range u.Rows {
-			u.Rows[i] = query.Row{Node: topology.NodeID(1 + i), Values: map[field.Attr]float64{}}
+			u.Rows[i] = query.Row{Node: topology.NodeID(1 + i)}
 			for _, a := range field.AllAttrs() {
 				if rng.Intn(2) == 0 {
-					u.Rows[i].Values[a] = rng.NormFloat64() * 100
+					u.Rows[i].Values.Set(a, rng.NormFloat64()*100)
 				}
 			}
 		}
@@ -94,7 +94,7 @@ func TestStageMatchesUpdateFrame(t *testing.T) {
 			if v.Rows != nil {
 				v.Rows = append([]query.Row(nil), u.Rows...)
 				for i := range v.Rows {
-					v.Rows[i].Values = map[field.Attr]float64{field.AttrVoltage: float64(i) + 0.5}
+					v.Rows[i].Values = field.ValuesOf(map[field.Attr]float64{field.AttrVoltage: float64(i) + 0.5})
 				}
 			} else {
 				v.Aggs = append([]query.AggResult(nil), u.Aggs...)

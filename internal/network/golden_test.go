@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
-	"sort"
 	"testing"
 	"time"
 
@@ -57,15 +56,10 @@ func goldenRun(t *testing.T, scheme Scheme) string {
 	s.Results().OnRows = func(ur core.UserRows) {
 		put(uint64(ur.QueryID), uint64(ur.Time), uint64(len(ur.Rows)))
 		for _, r := range ur.Rows {
-			put(uint64(r.Node), uint64(r.Time), uint64(len(r.Values)))
-			attrs := make([]field.Attr, 0, len(r.Values))
-			for a := range r.Values {
-				attrs = append(attrs, a)
-			}
-			sort.Slice(attrs, func(i, j int) bool { return attrs[i] < attrs[j] })
-			for _, a := range attrs {
-				put(uint64(a), math.Float64bits(r.Values[a]))
-			}
+			put(uint64(r.Node), uint64(r.Time), uint64(r.Values.Len()))
+			r.Values.Each(func(a field.Attr, v float64) {
+				put(uint64(a), math.Float64bits(v))
+			})
 		}
 	}
 	s.Results().OnAggs = func(ua core.UserAgg) {

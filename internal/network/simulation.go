@@ -81,15 +81,11 @@ func (inst *installedQuery) Fire() {
 // epochBuffer accumulates one epoch's worth of arrivals for one query.
 type epochBuffer struct {
 	epochT sim.Time
-	rows   []originRow // ascending by origin, one row per origin
+	// rows holds one row per origin, ascending by origin, each copied out
+	// of its message as it came off the air; the flush hands the slice on
+	// as is.
+	rows   []query.Row
 	states []query.AggState
-}
-
-// originRow is one origin's row as it came off the air, copied out of the
-// message.
-type originRow struct {
-	origin topology.NodeID
-	vals   field.Values
 }
 
 // bufferFor returns the query's buffer for epochT, opening it if need be.
@@ -105,11 +101,11 @@ func (inst *installedQuery) bufferFor(epochT sim.Time) *epochBuffer {
 
 // put stores a row, replacing an earlier one from the same origin.
 func (b *epochBuffer) put(origin topology.NodeID, vals field.Values) {
-	i := sort.Search(len(b.rows), func(i int) bool { return b.rows[i].origin >= origin })
-	if i == len(b.rows) || b.rows[i].origin != origin {
-		b.rows = slices.Insert(b.rows, i, originRow{})
+	i := sort.Search(len(b.rows), func(i int) bool { return b.rows[i].Node >= origin })
+	if i == len(b.rows) || b.rows[i].Node != origin {
+		b.rows = slices.Insert(b.rows, i, query.Row{})
 	}
-	b.rows[i] = originRow{origin, vals}
+	b.rows[i] = query.Row{Node: origin, Time: b.epochT, Values: vals}
 }
 
 // Simulation is a runnable sensor network executing one scheme.
@@ -546,13 +542,7 @@ func (s *Simulation) flush(inst *installedQuery, epochT sim.Time) {
 		case buf.epochT > epochT:
 			kept = append(kept, buf)
 		case buf.epochT == epochT:
-			// The one conversion from the in-network row form to the map
-			// form user-facing rows carry.
-			rows = make([]query.Row, len(buf.rows))
-			for i := range buf.rows {
-				rows[i] = query.Row{Node: buf.rows[i].origin, Time: epochT, Values: buf.rows[i].vals.Map()}
-			}
-			states = buf.states
+			rows, states = buf.rows, buf.states
 		}
 	}
 	inst.open = kept
@@ -561,10 +551,9 @@ func (s *Simulation) flush(inst *installedQuery, epochT sim.Time) {
 		// §3.1.2 statistics maintenance: returned readings refine the
 		// optimizer's per-attribute histograms, so future selectivity
 		// estimates track the live data distribution.
-		for _, r := range rows {
-			for a, v := range r.Values {
-				s.opt.Model().Observe(a, v)
-			}
+		observe := s.opt.Model().Observe
+		for i := range rows {
+			rows[i].Values.Each(observe)
 		}
 		if inst.q.IsAggregation() {
 			for _, ua := range s.opt.MapAggregation(inst.q.ID, epochT, states) {

@@ -126,7 +126,7 @@ func TestBaselineAcquisitionEndToEnd(t *testing.T) {
 			t.Fatalf("epoch %v: %d rows, want %d", ep.Time, len(ep.Rows), topo.Size()-1)
 		}
 		for _, r := range ep.Rows {
-			if r.Values[field.AttrNodeID] != float64(r.Node) {
+			if v, _ := r.Values.Get(field.AttrNodeID); v != float64(r.Node) {
 				t.Fatalf("row node mismatch: %v", r)
 			}
 		}
@@ -262,11 +262,11 @@ func TestSchemeEquivalence(t *testing.T) {
 				if got[i].Node != want[i].Node {
 					t.Fatalf("%v %+v row %d: node %d vs %d", scheme, k, i, got[i].Node, want[i].Node)
 				}
-				for a, v := range want[i].Values {
-					if gv, ok := got[i].Values[a]; !ok || math.Abs(gv-v) > 1e-9 {
+				want[i].Values.Each(func(a field.Attr, v float64) {
+					if gv, ok := got[i].Values.Get(a); !ok || math.Abs(gv-v) > 1e-9 {
 						t.Fatalf("%v %+v row %d attr %v: %f vs %f", scheme, k, i, a, gv, v)
 					}
-				}
+				})
 			}
 		}
 		if len(aggs) != len(baseAggs) {
@@ -631,7 +631,8 @@ func TestPolicyCombinationsPreserveResults(t *testing.T) {
 			qid := query.ID(i + 1)
 			for _, ep := range s.Results().RowsFor(qid) {
 				for _, r := range ep.Rows {
-					fp[fmt.Sprintf("q%d@%v:n%d:%.6f", qid, ep.Time, r.Node, r.Values[field.AttrLight])]++
+					light, _ := r.Values.Get(field.AttrLight)
+					fp[fmt.Sprintf("q%d@%v:n%d:%.6f", qid, ep.Time, r.Node, light)]++
 				}
 			}
 			for _, ep := range s.Results().AggsFor(qid) {
@@ -704,7 +705,7 @@ func TestTraceSourceReplayMatchesLive(t *testing.T) {
 			t.Fatalf("epoch %d differs", i)
 		}
 		for j := range a[i].Rows {
-			if a[i].Rows[j].Values[field.AttrLight] != b[i].Rows[j].Values[field.AttrLight] {
+			if a[i].Rows[j].Values.String() != b[i].Rows[j].Values.String() {
 				t.Fatalf("row value differs at epoch %d row %d", i, j)
 			}
 		}

@@ -38,7 +38,7 @@ func TestWindowedEndToEnd(t *testing.T) {
 				want += s.source.Reading(r.Node, field.AttrLight, at)
 			}
 			want /= 4
-			got := r.Values[field.AttrLight]
+			got, _ := r.Values.Get(field.AttrLight)
 			if math.Abs(got-want) > 1e-9 {
 				t.Fatalf("%v node %d: WINAVG = %f, want %f", scheme, r.Node, got, want)
 			}
@@ -121,10 +121,10 @@ func TestWindowedTier1Merge(t *testing.T) {
 	// q2's rows carry only its own attribute.
 	for _, ep := range s.Results().RowsFor(2) {
 		for _, r := range ep.Rows {
-			if _, ok := r.Values[field.AttrLight]; ok {
+			if _, ok := r.Values.Get(field.AttrLight); ok {
 				t.Fatal("q2 must not see q1's window values")
 			}
-			if _, ok := r.Values[field.AttrHumidity]; !ok {
+			if _, ok := r.Values.Get(field.AttrHumidity); !ok {
 				t.Fatal("q2 missing its window value")
 			}
 		}

@@ -328,21 +328,16 @@ func normalizePreds(preds []Predicate) []Predicate {
 	return out
 }
 
-// MatchesRow reports whether a reading vector satisfies every predicate.
+// MatchesValues reports whether a reading vector satisfies every predicate.
 // Attributes missing from the row fail the corresponding predicate.
-func (q Query) MatchesRow(values map[field.Attr]float64) bool {
-	for _, p := range q.Preds {
-		v, ok := values[p.Attr]
-		if !ok || !p.Matches(v) {
-			return false
-		}
-	}
-	return true
+func (q Query) MatchesValues(values *field.Values) bool {
+	return MatchAll(q.Preds, values)
 }
 
-// MatchesValues is MatchesRow over the flat in-network form of a row.
-func (q Query) MatchesValues(values *field.Values) bool {
-	for _, p := range q.Preds {
+// MatchAll reports whether a reading vector satisfies every predicate of a
+// conjunctive list.
+func MatchAll(preds []Predicate, values *field.Values) bool {
+	for _, p := range preds {
 		v, ok := values.Get(p.Attr)
 		if !ok || !p.Matches(v) {
 			return false
@@ -467,11 +462,13 @@ func (q Query) Equal(o Query) bool {
 	return true
 }
 
-// Row is one tuple of an acquisition query's result stream.
+// Row is one tuple of an acquisition query's result stream. Values is the
+// flat form the mote built (read it with Get, Len, Each or String); a Row is
+// copied by assignment and shares nothing with its source.
 type Row struct {
 	Node   topology.NodeID
 	Time   sim.Time
-	Values map[field.Attr]float64
+	Values field.Values
 }
 
 // AggState is a mergeable partial aggregate, the "partial state record" of

@@ -83,7 +83,8 @@ func TestMatchesRow(t *testing.T) {
 		{map[field.Attr]float64{field.AttrLight: 150}, false},                    // missing attr
 	}
 	for i, c := range cases {
-		if got := q.MatchesRow(c.row); got != c.want {
+		row := field.ValuesOf(c.row)
+		if got := q.MatchesValues(&row); got != c.want {
 			t.Errorf("case %d: got %v, want %v", i, got, c.want)
 		}
 	}

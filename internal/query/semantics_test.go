@@ -296,12 +296,9 @@ func TestUnionPredsSupersetProperty(t *testing.T) {
 		p1 := []Predicate{{attr1, math.Min(lo1, hi1), math.Max(lo1, hi1)}}
 		p2 := []Predicate{{attr2, math.Min(lo2, hi2), math.Max(lo2, hi2)}}
 		u := UnionPreds(p1, p2)
-		row := map[field.Attr]float64{attr1: probe, attr2: probe}
-		q1 := Query{Preds: p1}
-		q2 := Query{Preds: p2}
-		qu := Query{Preds: u}
-		if q1.MatchesRow(row) || q2.MatchesRow(row) {
-			return qu.MatchesRow(row)
+		row := field.ValuesOf(map[field.Attr]float64{attr1: probe, attr2: probe})
+		if MatchAll(p1, &row) || MatchAll(p2, &row) {
+			return MatchAll(u, &row)
 		}
 		return true
 	}
@@ -320,11 +317,11 @@ func TestCoversRowSemantics(t *testing.T) {
 		if !Covers(syn, q) {
 			return true
 		}
-		row := make(map[field.Attr]float64)
+		var row field.Values
 		for _, at := range field.AllAttrs() {
-			row[at] = probe
+			row.Set(at, probe)
 		}
-		if q.MatchesRow(row) && !syn.MatchesRow(row) {
+		if q.MatchesValues(&row) && !syn.MatchesValues(&row) {
 			return false
 		}
 		return true

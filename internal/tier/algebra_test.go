@@ -21,7 +21,7 @@ func evalQuery(q query.Query, at sim.Time, readings []map[field.Attr]float64) []
 	for _, a := range q.Aggs {
 		st := query.NewAggState(a)
 		for _, vals := range readings {
-			if q.MatchesRow(vals) {
+			if flat := field.ValuesOf(vals); q.MatchesValues(&flat) {
 				st.Add(vals[a.Attr])
 			}
 		}

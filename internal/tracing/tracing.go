@@ -39,23 +39,23 @@ const (
 // Hop kinds recorded across the tiers. They are exported so tests and the
 // smoke drill assert on names instead of string literals.
 const (
-	KindSubscribe     = "subscribe"      // a subscription committed at this tier
-	KindAdmit         = "admit"          // gateway posted the query into the network
-	KindDedupHit      = "dedup-hit"      // gateway served the sub from an already-admitted query
-	KindFirstResult   = "first-result"   // first delivery for the subscription
-	KindFanout        = "fanout"         // one Advance round's delivery burst (tier-level)
-	KindShed          = "shed"           // admission shed the subscribe (note says why)
-	KindWALReplay     = "wal-replay"     // recovery replayed the write-ahead log
-	KindCrash         = "crash"          // the tier crashed (flight recorder survives)
-	KindShardFanout   = "shard-fanout"   // router split the plan onto one shard
-	KindMergeRelease  = "merge-release"  // router released an epoch past the watermark barrier
+	KindSubscribe     = "subscribe"        // a subscription committed at this tier
+	KindAdmit         = "admit"            // gateway posted the query into the network
+	KindDedupHit      = "dedup-hit"        // gateway served the sub from an already-admitted query
+	KindFirstResult   = "first-result"     // first delivery for the subscription
+	KindFanout        = "fanout"           // one Advance round's delivery burst (tier-level)
+	KindShed          = "shed"             // admission shed the subscribe (note says why)
+	KindWALReplay     = "wal-replay"       // recovery replayed the write-ahead log
+	KindCrash         = "crash"            // the tier crashed (flight recorder survives)
+	KindShardFanout   = "shard-fanout"     // router split the plan onto one shard
+	KindMergeRelease  = "merge-release"    // router released an epoch past the watermark barrier
 	KindDegraded      = "degraded-release" // epoch released with open breakers excluded
-	KindBreakerOpen   = "breaker-open"   // a shard breaker tripped
-	KindBreakerClose  = "breaker-close"  // a shard breaker recovered
-	KindReattach      = "reattach"       // upstream sessions re-attached after a crash
-	KindCSEHit        = "cse-hit"        // share tree reused an already-live fragment
-	KindResidualAdmit = "residual-admit" // share tree materialized a new fragment upstream
-	KindCacheReplay   = "cache-replay"   // windowed result cache replayed epochs to a late sub
+	KindBreakerOpen   = "breaker-open"     // a shard breaker tripped
+	KindBreakerClose  = "breaker-close"    // a shard breaker recovered
+	KindReattach      = "reattach"         // upstream sessions re-attached after a crash
+	KindCSEHit        = "cse-hit"          // share tree reused an already-live fragment
+	KindResidualAdmit = "residual-admit"   // share tree materialized a new fragment upstream
+	KindCacheReplay   = "cache-replay"     // windowed result cache replayed epochs to a late sub
 )
 
 // NoShard marks a span that is not tied to one shard.

@@ -42,6 +42,10 @@ type (
 	Attr = field.Attr
 	// Row is one tuple of an acquisition result stream.
 	Row = query.Row
+	// Values is a Row's readings, held flat (a presence mask and one slot
+	// per attribute): read one with Get, count them with Len, walk them in
+	// attribute order with Each, print them with String.
+	Values = field.Values
 	// AggResult is one tuple of an aggregation result stream.
 	AggResult = query.AggResult
 )
