@@ -90,7 +90,7 @@
 // Admin plane: -admin mounts an HTTP server (use 127.0.0.1:0 for an
 // ephemeral port; the bound address is printed) exposing /metrics
 // (Prometheus text format), /healthz (process liveness, always 200),
-// /readyz (200 while the gateway actor loop is up, 503 during a crash
+// /readyz (200 while the gateway is serving, 503 during a crash
 // outage), /statusz (JSON gateway snapshot), /tracez (recent simulation
 // trace events) and /debug/pprof. Metrics cover gateway admission and
 // fan-out counters, WAL appends/compactions/size, radio traffic and
@@ -450,7 +450,7 @@ func openGateway(cfg gateway.Config) (*gateway.Gateway, error) {
 
 // mountGateway points the admin plane at the single gateway behind st.gw
 // (gw may be nil until a load generator creates it): metrics, readiness
-// bound to the current gateway's actor loop, and the gateway and
+// bound to the current gateway being alive, and the gateway and
 // resilience /statusz sections — all surviving crash/recovery swaps.
 func (st *stack) mountGateway(gw *gateway.Gateway) {
 	st.gw.Store(gw)

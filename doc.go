@@ -69,5 +69,7 @@
 // The gateway is also a library: NewGateway wraps a Simulation in a
 // goroutine-safe session/subscription front end whose group-commit
 // mailbox keeps concurrent use deterministic, and RunLoadgen drives it
-// with synthetic clients.
+// with synthetic clients. Gateway, federation router and share
+// coordinator run one session machine (internal/tier): GatewaySession,
+// Subscription and the update vocabulary are the same types on all three.
 package ttmqo

@@ -99,7 +99,7 @@ type hclient struct {
 	name       string
 	token      string
 	sess       *gateway.Session
-	subs       map[gateway.SubID]*gateway.Subscription
+	subs       map[gateway.SubID]gateway.ServerSub
 	queries    map[gateway.SubID]query.Query
 	check      *StreamChecker
 	expected   int64
@@ -254,7 +254,7 @@ func RunScenario(cfg RunConfig) (*Report, error) {
 	for i := range clients {
 		c := &hclient{
 			name:    fmt.Sprintf("chaos-%02d", i),
-			subs:    make(map[gateway.SubID]*gateway.Subscription),
+			subs:    make(map[gateway.SubID]gateway.ServerSub),
 			queries: make(map[gateway.SubID]query.Query),
 			check:   NewStreamChecker(),
 			jitter:  sim.NewRand(seed + 3000).Fork(int64(i)),
@@ -501,7 +501,7 @@ func (c *hclient) reconnect(gw *gateway.Gateway) error {
 	}
 	c.sess = sess
 	c.reconnects++
-	subs := make(map[gateway.SubID]*gateway.Subscription, len(infos))
+	subs := make(map[gateway.SubID]gateway.ServerSub, len(infos))
 	for _, in := range infos {
 		sub, rerr := sess.Resume(in.ID, c.check.Last(in.ID))
 		if rerr != nil {

@@ -121,11 +121,11 @@ func RunShareStudy(cfg ShareStudyConfig) ([]ShareStudyRow, error) {
 	return rows, nil
 }
 
-// shareSub abstracts a pending-then-live subscription so one driver
-// serves both the raw gateway and the coordinator.
+// shareSub is a pending-then-live subscription, on the raw gateway or on
+// the coordinator: both serve the kernel's sessions.
 type shareSub struct {
-	wait    func() error
-	updates func() <-chan gateway.Update
+	tk      *gateway.Ticket
+	updates <-chan gateway.Update // nil until the ticket resolved
 	subAt   sim.Time
 	firstAt sim.Time
 	seen    bool
@@ -182,27 +182,11 @@ func runShareCell(cfg ShareStudyConfig, overlap float64, sharing bool) (ShareStu
 		if err != nil {
 			return nil, err
 		}
-		s := &shareSub{subAt: at}
+		register := gw.Register
 		if coord != nil {
-			sess, err := coord.Register(name)
-			if err != nil {
-				return nil, err
-			}
-			tk, err := sess.SubscribeAsync(gateway.SubscribeRequest{Query: q})
-			if err != nil {
-				return nil, err
-			}
-			s.wait = func() error {
-				sub, err := tk.Wait()
-				if err != nil {
-					return err
-				}
-				s.updates = sub.Updates
-				return nil
-			}
-			return s, nil
+			register = coord.Register
 		}
-		sess, err := gw.Register(name)
+		sess, err := register(name)
 		if err != nil {
 			return nil, err
 		}
@@ -210,15 +194,7 @@ func runShareCell(cfg ShareStudyConfig, overlap float64, sharing bool) (ShareStu
 		if err != nil {
 			return nil, err
 		}
-		s.wait = func() error {
-			sub, err := tk.Wait()
-			if err != nil {
-				return err
-			}
-			s.updates = sub.Updates
-			return nil
-		}
-		return s, nil
+		return &shareSub{tk: tk, subAt: at}, nil
 	}
 
 	var subs []*shareSub
@@ -230,13 +206,15 @@ func runShareCell(cfg ShareStudyConfig, overlap float64, sharing bool) (ShareStu
 		}
 		for _, s := range subs {
 			if s.updates == nil {
-				if err := s.wait(); err != nil {
+				sub, err := s.tk.Wait()
+				if err != nil {
 					return err
 				}
+				s.updates = sub.Updates()
 			}
 			for {
 				select {
-				case _, ok := <-s.updates():
+				case _, ok := <-s.updates:
 					if !ok {
 						return fmt.Errorf("subscription closed mid-study")
 					}

@@ -148,7 +148,7 @@ type upstream struct {
 	sh      *shard
 	tr      *tree
 	slice   int // index into tr.plan.slices
-	sub     *gateway.Subscription
+	sub     gateway.ServerSub
 	id      gateway.SubID
 	lastSeq uint64
 }
@@ -291,20 +291,23 @@ func New(cfg Config) (*Router, error) {
 		mirrors: make(map[string]*gateway.Session),
 		quantum: defaultCatchUpStep,
 	}
-	r.k = tier.New(tier.Config{
+	kcfg := tier.Config{
 		Name:            "federation",
 		Mu:              &r.mu,
 		Buffer:          cfg.Buffer,
 		MaxSessions:     cfg.MaxSessions,
 		SessionQuota:    cfg.SessionQuota,
 		MailboxDeadline: cfg.MailboxDeadline,
-		Tracer:          cfg.Tracer,
-		NowMS:           r.nowMS,
+		Now:             func() sim.Time { return r.now },
 		Token:           r.mintMirrorLocked,
 		ApplySubscribe:  r.applySubscribeLocked,
 		ReleaseGroup:    func(g *tier.Group) { r.teardownTreeLocked(r.trees.Get(g.Key)) },
 		CloseSession:    r.closeMirrorLocked,
-	})
+	}
+	if cfg.Tracer != nil {
+		kcfg.Span = cfg.Tracer.Record
+	}
+	r.k = tier.New(kcfg)
 	for i := 0; i < cfg.Shards; i++ {
 		sh, err := r.buildShard(i)
 		if err != nil {
@@ -627,9 +630,7 @@ func (r *Router) closeMirrorLocked(s *Session) {
 	mirror := r.mirrors[s.Name()]
 	delete(r.mirrors, s.Name())
 	if sh := r.shards[r.ring.lookup(s.Name())]; sh.alive && mirror != nil {
-		if tk, err := mirror.CloseAsync(); err == nil {
-			go func() { _, _ = tk.Wait() }()
-		}
+		_ = mirror.CloseAsync()
 	}
 }
 
@@ -651,6 +652,7 @@ func (r *Router) Advance(d time.Duration) (int, error) {
 
 	// Subscribe acks are deferred until upstream resolution.
 	applied, acks := r.k.CommitLocked()
+	r.k.ReapLocked(gateway.DefaultIdleTimeout)
 
 	// Advance alive shards in parallel: each runs its own simulation for
 	// one quantum; this is where shard count buys wall-clock throughput.
@@ -803,9 +805,7 @@ func (r *Router) teardownTreeLocked(tr *tree) {
 		if up.sub != nil {
 			up.sh.ups.Delete(up.id)
 			if up.sh.alive && up.sh.reachable && up.sh.sess != nil {
-				if tk, err := up.sh.sess.UnsubscribeAsync(up.id); err == nil {
-					go func() { _, _ = tk.Wait() }()
-				}
+				_, _ = up.sh.sess.UnsubscribeAsync(up.id)
 			}
 			up.sub = nil
 		}
@@ -1184,9 +1184,7 @@ func (r *Router) reattachLocked(sh *shard) error {
 	// were torn down while the shard was unreachable).
 	for _, in := range infos {
 		if sh.ups.Get(in.ID) == nil {
-			if tk, err := sess.UnsubscribeAsync(in.ID); err == nil {
-				go func() { _, _ = tk.Wait() }()
-			}
+			_, _ = sess.UnsubscribeAsync(in.ID)
 		}
 	}
 	if r.cfg.Tracer != nil {

@@ -22,7 +22,7 @@ var MergeLatencyBounds = []float64{
 // accumulates between scrapes.
 func RegisterMetrics(r *telemetry.Registry, current func() *Router) {
 	routerUp := r.NewGauge("ttmqo_router_up", "1 while the federation router is serving")
-	aliveShards := r.NewGauge("ttmqo_router_alive_shards", "shards whose gateway actor loop is up")
+	aliveShards := r.NewGauge("ttmqo_router_alive_shards", "shards whose gateway is up")
 	trees := r.NewGauge("ttmqo_router_query_trees", "live canonical cross-shard queries")
 	upstreamSubs := r.NewGauge("ttmqo_router_upstream_subscriptions", "live canonical upstream subscriptions across shards")
 
@@ -53,7 +53,7 @@ func RegisterMetrics(r *telemetry.Registry, current func() *Router) {
 		{r.NewCounter("ttmqo_resilience_router_shed_deadline_total", "downstream subscribes shed: router mailbox sojourn exceeded the budget"), func(s Stats) int64 { return s.ShedDeadline }},
 	}
 
-	shardUp := r.NewGauge("ttmqo_shard_up", "1 while the shard's gateway actor loop is up", "shard")
+	shardUp := r.NewGauge("ttmqo_shard_up", "1 while the shard's gateway is up", "shard")
 	shardVTime := r.NewGauge("ttmqo_shard_virtual_time_seconds", "the shard's elapsed virtual time", "shard")
 	shardUpdates := r.NewCounter("ttmqo_shard_updates_total", "result deliveries fanned out by the shard gateway", "shard")
 	shardEpochs := r.NewCounter("ttmqo_shard_epochs_total", "result epochs produced by the shard simulation", "shard")

@@ -58,6 +58,18 @@ func BenchmarkEncodeUpdate(b *testing.B) {
 // BenchmarkPumpRound: one epoch delivered to each of 64 subscriptions of
 // one connection through the writer's own pump — channel receive, encode
 // once, stage per subscriber, flush — with and without the trace trailer.
+//
+// stubSub is a stream the writer only ever asks for its id.
+type stubSub SubID
+
+func (s stubSub) ID() SubID            { return SubID(s) }
+func (stubSub) QueryID() query.ID      { return 0 }
+func (stubSub) Shared() bool           { return false }
+func (stubSub) Key() string            { return "" }
+func (stubSub) Updates() <-chan Update { return nil }
+func (stubSub) Reason() CloseReason    { return ReasonNone }
+func (stubSub) TraceID() uint64        { return 0 }
+
 func BenchmarkPumpRound(b *testing.B) {
 	const subs = 64
 	traced := benchUpdate()
@@ -73,7 +85,7 @@ func BenchmarkPumpRound(b *testing.B) {
 			chs := make([]chan Update, subs)
 			for i := range chs {
 				chs[i] = make(chan Update, 1)
-				w.streams = append(w.streams, stream{&Subscription{id: SubID(i + 1)}, chs[i]})
+				w.streams = append(w.streams, stream{stubSub(i + 1), chs[i]})
 			}
 			b.ReportAllocs()
 			b.ResetTimer()

@@ -9,9 +9,8 @@ package gateway
 // cache becomes a pointer-keyed map (hashing a word, not a string),
 // subscription/shared key equality is pointer equality, and the N
 // subscriptions of a shared query all alias one allocation. The table is
-// loop-owned — only the gateway actor touches it — so it needs no lock,
-// and entries are dropped when their shared query's last subscriber
-// leaves, keeping it bounded by the live query set.
+// guarded by the gateway's lock, and entries are dropped when their shared
+// query's last subscriber leaves, keeping it bounded by the live query set.
 
 // internedKey is one canonical key, allocated once per distinct string.
 // Identity is the pointer: two subscriptions reference the same query iff

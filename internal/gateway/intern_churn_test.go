@@ -43,8 +43,8 @@ func TestInternChurnReSharesAfterLastUnsubscribe(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if subA.key != subB.key {
-			t.Fatalf("round %d: equal canonical queries carry distinct key pointers", i)
+		if subA.Group() != subB.Group() {
+			t.Fatalf("round %d: equal canonical queries joined distinct groups (one interned key each)", i)
 		}
 		if subA.QueryID() != subB.QueryID() {
 			t.Fatalf("round %d: equal canonical queries admitted twice: %d vs %d",
@@ -135,8 +135,8 @@ func TestInternChurnSharesAcrossDetachResume(t *testing.T) {
 		t.Fatal("subscription against a detached session's query not marked shared")
 	}
 
-	// Resume alice: the revived stream must still share the same key
-	// pointer as bob's live subscription.
+	// Resume alice: the revived stream is the old handle, in place, and
+	// still shares bob's group (and with it the one interned key).
 	sess, infos, err := gw.Attach("alice", token)
 	if err != nil {
 		t.Fatal(err)
@@ -148,8 +148,8 @@ func TestInternChurnSharesAcrossDetachResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if revived.key != subB.key {
-		t.Fatal("resumed subscription carries a stale key pointer")
+	if revived != ServerSub(subA) || subA.Group() != subB.Group() {
+		t.Fatal("resumed subscription is not the old handle on the shared group")
 	}
 	if revived.QueryID() != subB.QueryID() {
 		t.Fatalf("resumed stream on a different query: %d vs %d", revived.QueryID(), subB.QueryID())

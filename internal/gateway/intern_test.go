@@ -40,8 +40,8 @@ func TestInternTable(t *testing.T) {
 }
 
 // TestDedupSharesInternedKey: semantically equal queries from different
-// sessions end up with pointer-identical keys — the property that turns
-// key comparisons into pointer compares.
+// sessions end up in one group behind one interned key — the property that
+// turns key comparisons into pointer compares.
 func TestDedupSharesInternedKey(t *testing.T) {
 	gw := newTestGateway(t, Config{})
 	s1, err := gw.Register("alice")
@@ -65,8 +65,8 @@ func TestDedupSharesInternedKey(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sub1.key != sub2.key {
-		t.Fatalf("dedup'd subscriptions carry distinct key pointers: %p vs %p", sub1.key, sub2.key)
+	if sub1.Group() != sub2.Group() {
+		t.Fatalf("dedup'd subscriptions joined distinct groups (one interned key each): %p vs %p", sub1.Group(), sub2.Group())
 	}
 	if sub1.Key() != sub2.Key() {
 		t.Fatalf("canonical text differs: %q vs %q", sub1.Key(), sub2.Key())

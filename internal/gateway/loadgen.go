@@ -141,7 +141,7 @@ type lgClient struct {
 	sess    *Session
 	rng     *sim.Rand
 	jitter  *sim.Rand // backoff jitter; separate so retries never skew churn decisions
-	subs    []*Subscription
+	subs    []ServerSub
 	pending []lgPending
 	// lastSeen is the per-subscription resume cursor: the highest sequence
 	// number this client has processed on each stream.
@@ -153,7 +153,7 @@ type lgClient struct {
 
 type lgPending struct {
 	ticket *Ticket
-	unsub  *Subscription // nil for subscribes
+	unsub  ServerSub // nil for subscribes
 }
 
 // RunLoadgen drives Clients concurrent goroutines of seeded subscription
@@ -354,7 +354,7 @@ func (c *lgClient) reconnect(gw *Gateway) error {
 	}
 	c.sess = sess
 	c.reconnects++
-	subs := make([]*Subscription, 0, len(infos))
+	subs := make([]ServerSub, 0, len(infos))
 	for _, in := range infos {
 		sub, err := sess.Resume(in.ID, c.lastSeen[in.ID])
 		if err != nil {
@@ -439,11 +439,11 @@ func (c *lgClient) resolveAndDrain() {
 	now := time.Now()
 	live := c.subs[:0]
 	for _, sub := range c.subs {
-		open := true
+		open, ch := true, sub.Updates()
 	drain:
 		for {
 			select {
-			case u, ok := <-sub.Updates():
+			case u, ok := <-ch:
 				if !ok {
 					open = false
 					break drain
@@ -461,7 +461,7 @@ func (c *lgClient) resolveAndDrain() {
 	c.subs = live
 }
 
-func (c *lgClient) dropSub(sub *Subscription) {
+func (c *lgClient) dropSub(sub ServerSub) {
 	// Drain whatever was buffered before the unsubscribe committed; the
 	// channel is already closed, so this terminates.
 	for u := range sub.Updates() {

@@ -10,6 +10,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/query"
 	"repro/internal/resilience"
 	"repro/internal/sim"
@@ -617,12 +618,11 @@ func (s *Server) handle(conn net.Conn) {
 				fail(err)
 				continue
 			}
-			gm := st.Metrics()
 			_ = w.write(Response{
 				Type:  TypeStats,
 				Tag:   req.Tag,
 				AtMS:  time.Duration(now).Milliseconds(),
-				Stats: &gm,
+				Stats: &obs.GatewayMetrics{Counters: st, DedupRatio: st.DedupRatio()},
 			})
 		default:
 			fail(fmt.Errorf("unknown op %q", req.Op))

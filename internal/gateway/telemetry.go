@@ -27,7 +27,7 @@ var TTFRBounds = []float64{1, 2, 4, 8, 16, 32, 64, 128}
 // scrapes at a fixed virtual time are identical across client scheduling
 // and experiment parallelism.
 func RegisterMetrics(r *telemetry.Registry, current func() *Gateway) {
-	up := r.NewGauge("ttmqo_gateway_up", "1 while the gateway actor loop is running, 0 during a crash outage")
+	up := r.NewGauge("ttmqo_gateway_up", "1 while the gateway is serving, 0 during a crash outage")
 
 	type cf struct {
 		fam *telemetry.Family

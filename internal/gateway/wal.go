@@ -71,7 +71,7 @@ type walRecord struct {
 	Trace uint64 `json:"trace,omitempty"`
 }
 
-// wal is the append handle. All methods run on the gateway loop goroutine.
+// wal is the append handle. All methods run under the gateway's lock.
 //
 // Records are written as binary frames (see codec.go) through one reused
 // encode buffer: appends between flush points batch in the bufio.Writer
@@ -82,7 +82,7 @@ type wal struct {
 	f    *os.File
 	w    *bufio.Writer
 	size int64  // bytes accepted by the writer (including buffered ones)
-	buf  []byte // reused per-record frame buffer (loop goroutine only)
+	buf  []byte // reused per-record frame buffer
 	// err poisons the log after the first write failure: a WAL that may
 	// have dropped or torn a record mid-file must not accept more appends
 	// (compaction thresholds and recovery would trust a lie), so every
@@ -254,18 +254,22 @@ func Recover(cfg Config) (*Gateway, error) {
 	if err != nil {
 		return nil, err
 	}
+	g.mu.Lock()
+	defer g.mu.Unlock()
 	g.replaying = true
 	var lastNow int64
 	for _, r := range recs {
-		if r.At > lastNow {
-			lastNow = r.At
-		}
+		lastNow = max(lastNow, r.At)
+	}
+	// Everyone comes back detached, with the idle clock starting where the
+	// replay ends and a full bucket.
+	sessions := make(map[string]*Session)
+	for _, r := range recs {
 		if r.Op == walOpAdvance {
 			continue
 		}
-		r := r
 		g.sim.Engine().Schedule(sim.Time(r.At), func() {
-			if err := g.replay(r); err != nil && g.walErr == nil {
+			if err := g.replay(sessions, r, sim.Time(lastNow)); err != nil && g.walErr == nil {
 				g.walErr = fmt.Errorf("gateway: replay %s at %v: %w", r.Op, time.Duration(r.At), err)
 			}
 		})
@@ -275,32 +279,27 @@ func Recover(cfg Config) (*Gateway, error) {
 	if g.walErr != nil {
 		return nil, g.walErr
 	}
-	// Everyone starts detached with a fresh idle clock and a full bucket.
-	now := g.sim.Engine().Now()
-	for _, s := range g.sessions {
-		s.attached = false
-		s.idleSince = now
-		s.tokens = g.cfg.Burst
-	}
 	g.stats.Recoveries++
+	// Ring drops during the replay are not losses: those updates were
+	// delivered live before the crash.
+	g.stats.RingDropped = -g.k.StatsLocked().RingDropped
 	// The recovery hop: one tier-level span saying how much log the
 	// rebuild replayed and how much virtual time it re-derived.
 	g.cfg.Tracer.Record(tracing.Span{
 		Kind:  tracing.KindWALReplay,
 		Shard: g.traceShard(),
-		AtMS:  time.Duration(now).Milliseconds(),
+		AtMS:  g.nowMS(),
 		Seq:   uint64(len(recs)),
 		Note:  fmt.Sprintf("replayed %d records to %v", len(recs), time.Duration(lastNow)),
 	})
 	g.walLog = lifecycleRecords(recs)
-	w, err := rewriteWAL(cfg.WALPath, compactLog(g.walLog, now))
+	w, err := rewriteWAL(cfg.WALPath, compactLog(g.walLog, g.now()))
 	if err != nil {
 		return nil, err
 	}
 	g.wal = w
 	g.stats.WALCompactions++
 	g.stats.WALSizeBytes = w.size
-	go g.loop()
 	return g, nil
 }
 
@@ -314,31 +313,25 @@ func lifecycleRecords(recs []walRecord) []walRecord {
 	return out
 }
 
-// replay applies one lifecycle record on the loop-owned state. It runs
-// inside an engine callback during Recover, before the loop starts.
-func (g *Gateway) replay(r walRecord) error {
-	switch r.Op {
-	case walOpRegister:
-		if _, dup := g.sessions[r.Sess]; dup {
-			return fmt.Errorf("duplicate session %q", r.Sess)
+// replay applies one lifecycle record through the kernel's restore entry
+// points. It runs inside an engine callback during Recover, at the record's
+// original virtual instant; sessions maps the names replayed so far.
+func (g *Gateway) replay(sessions map[string]*Session, r walRecord, end sim.Time) error {
+	if r.Op == walOpRegister {
+		s, err := g.k.RestoreSessionLocked(r.Sess, r.Token, end)
+		if err != nil {
+			return err
 		}
-		s := &Session{
-			g:      g,
-			name:   r.Sess,
-			token:  r.Token,
-			live:   make(map[SubID]*Subscription, g.cfg.SessionQuota),
-			tokens: g.cfg.Burst,
-			ready:  make(Signal, 1),
-		}
-		g.sessions[r.Sess] = s
-		g.stats.Sessions++
-		g.stats.ActiveSessions = len(g.sessions)
+		sessions[r.Sess] = s
+		g.buckets[r.Sess] = g.cfg.Burst
 		return nil
+	}
+	s := sessions[r.Sess]
+	if s == nil {
+		return fmt.Errorf("unknown session %q", r.Sess)
+	}
+	switch r.Op {
 	case walOpSubscribe:
-		s := g.sessions[r.Sess]
-		if s == nil {
-			return fmt.Errorf("unknown session %q", r.Sess)
-		}
 		q, err := query.Parse(r.Query)
 		if err != nil {
 			return fmt.Errorf("canonical query %q: %w", r.Query, err)
@@ -347,49 +340,34 @@ func (g *Gateway) replay(r walRecord) error {
 		if err != nil {
 			return err
 		}
-		if r.Sub >= g.nextSub {
-			g.nextSub = r.Sub + 1
-		}
-		sub, err := g.admitSub(s, r.Sub, n, key, nil)
+		sh, err := g.groupLocked(n, key)
 		if err != nil {
 			return err
 		}
-		// Restore the causal trace context without re-recording admit
-		// spans: the original run already recorded them into the
-		// caller-owned flight recorder, which survived the crash.
-		if g.cfg.Tracer != nil {
-			sub.trace = r.Trace
-			if sub.trace == 0 {
-				sub.trace = tracing.TraceID(s.name, uint64(sub.id))
-			}
-			sub.admitAtMS = time.Duration(r.At).Milliseconds()
-			sub.spanID = tracing.SpanID(sub.trace, g.cfg.Tracer.Tier(), tracing.KindSubscribe, g.traceShard(), sub.admitAtMS)
-		}
+		// The logged trace restores the causal context; the admit spans are
+		// not re-recorded (see recordSpan).
+		g.k.RestoreSubLocked(s, r.Sub, &sh.Group, r.Trace)
 		return nil
 	case walOpUnsubscribe:
-		s := g.sessions[r.Sess]
-		if s == nil {
-			return fmt.Errorf("unknown session %q", r.Sess)
-		}
-		return g.applyUnsubscribe(s, r.Sub, ReasonUnsubscribed)
+		return g.k.UnsubscribeLocked(s, r.Sub)
 	case walOpClose:
-		s := g.sessions[r.Sess]
-		if s == nil {
-			return fmt.Errorf("unknown session %q", r.Sess)
-		}
-		return g.applyCloseSession(s)
+		g.k.CloseSessionLocked(s)
+		delete(sessions, r.Sess)
+		return nil
 	default:
 		return fmt.Errorf("unknown wal op %q", r.Op)
 	}
 }
 
-// walAppend writes one lifecycle record; replay mode and disabled logs are
-// no-ops. Write failures poison the gateway (surfaced by the next Advance)
-// rather than silently dropping durability.
+// walAppend writes one lifecycle record, stamped with the current virtual
+// instant; replay mode and disabled logs are no-ops. Write failures poison
+// the gateway (surfaced by the next Advance) rather than silently dropping
+// durability.
 func (g *Gateway) walAppend(r walRecord) {
 	if g.wal == nil || g.replaying {
 		return
 	}
+	r.At = int64(g.now())
 	g.walLog = append(g.walLog, r)
 	if err := g.wal.append(r); err != nil && g.walErr == nil {
 		g.walErr = err

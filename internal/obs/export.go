@@ -7,6 +7,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/stats"
 	"repro/internal/telemetry"
+	"repro/internal/tier"
 	"repro/internal/topology"
 	"repro/internal/tracing"
 )
@@ -61,47 +62,13 @@ type OptimizerState struct {
 	SyntheticQueries int `json:"synthetic_queries"`
 }
 
-// GatewayMetrics is the serving tier's exported counter set (see
-// internal/gateway): session registrations, admission-control rejections,
-// the semantic-dedup outcome and the fan-out/backpressure accounting.
-// Every field is deterministic under the gateway's group-commit ordering.
+// GatewayMetrics is the serving tier's exported counter set: the counter
+// block every serving tier reports (session registrations,
+// admission-control rejections, the semantic-dedup outcome, the
+// fan-out/backpressure accounting) plus the derived dedup ratio. Every field
+// is deterministic under the gateway's group-commit ordering.
 type GatewayMetrics struct {
-	Sessions            int64 `json:"sessions"`
-	ActiveSessions      int   `json:"active_sessions"`
-	Subscribes          int64 `json:"subscribes"`
-	Unsubscribes        int64 `json:"unsubscribes"`
-	RateLimited         int64 `json:"rate_limited"`
-	QuotaRejected       int64 `json:"quota_rejected"`
-	AdmitErrors         int64 `json:"admit_errors"`
-	DedupHits           int64 `json:"dedup_hits"`
-	Admitted            int64 `json:"admitted"`
-	Cancelled           int64 `json:"cancelled"`
-	ActiveSubscriptions int   `json:"active_subscriptions"`
-	SharedQueries       int   `json:"shared_queries"`
-	Updates             int64 `json:"updates"`
-	Epochs              int64 `json:"epochs"`
-	Dropped             int64 `json:"dropped"`
-	Evicted             int64 `json:"evicted"`
-	// Overload-shedding and brownout accounting (see gateway.Stats).
-	ShedQueue           int64 `json:"shed_queue"`
-	ShedDeadline        int64 `json:"shed_deadline"`
-	ShedSubs            int64 `json:"shed_subs"`
-	ShedBrownout        int64 `json:"shed_brownout"`
-	BrownoutLevel       int   `json:"brownout_level"`
-	BrownoutEscalations int64 `json:"brownout_escalations"`
-	BrownoutRecoveries  int64 `json:"brownout_recoveries"`
-	// Crash-recovery and reconnection counters (see gateway.Stats).
-	Detaches    int64 `json:"detaches"`
-	Attaches    int64 `json:"attaches"`
-	Resumes     int64 `json:"resumes"`
-	ResumeGaps  int64 `json:"resume_gaps"`
-	RingDropped int64 `json:"ring_dropped"`
-	IdleReaped  int64 `json:"idle_reaped"`
-	Recoveries  int64 `json:"recoveries"`
-	// Write-ahead-log accounting (see gateway.Stats).
-	WALAppends     int64 `json:"wal_appends"`
-	WALCompactions int64 `json:"wal_compactions"`
-	WALSizeBytes   int64 `json:"wal_size_bytes"`
+	tier.Counters
 	// DedupRatio is subscriptions per admitted network query (> 1 means
 	// the serving tier shared work).
 	DedupRatio float64 `json:"dedup_ratio"`

@@ -273,19 +273,22 @@ func New(cfg Config) (*Coordinator, error) {
 		frags: tier.NewSorted[string, *fragment](),
 		trees: tier.NewSorted[string, *shareTree](),
 	}
-	c.k = tier.New(tier.Config{
+	kcfg := tier.Config{
 		Name:            "share",
 		Mu:              &c.mu,
 		Buffer:          cfg.Buffer,
 		MaxSessions:     cfg.MaxSessions,
 		SessionQuota:    cfg.SessionQuota,
 		MailboxDeadline: cfg.MailboxDeadline,
-		Tracer:          cfg.Tracer,
-		NowMS:           c.nowMS,
+		Now:             c.now,
 		Token:           c.mintToken,
 		ApplySubscribe:  c.applySubscribeLocked,
 		ReleaseGroup:    func(g *tier.Group) { c.teardownTreeLocked(c.trees.Get(g.Key)) },
-	})
+	}
+	if cfg.Tracer != nil {
+		kcfg.Span = cfg.Tracer.Record
+	}
+	c.k = tier.New(kcfg)
 	return c, nil
 }
 
@@ -372,6 +375,7 @@ func (c *Coordinator) Advance(d time.Duration) (int, error) {
 
 	// Subscribe acks are deferred past fragment resolution and cache replay.
 	applied, acks := c.k.CommitLocked()
+	c.k.ReapLocked(gateway.DefaultIdleTimeout)
 
 	_, upErr := c.up.Advance(d)
 
@@ -452,15 +456,14 @@ func (c *Coordinator) traceFragLocked(trace, parent uint64, kind, key string) tr
 	return tracing.Context{Trace: trace, Span: id}
 }
 
-// nowMS is the coordinator's virtual clock in milliseconds (zero when the
-// upstream is down; spans recorded during an outage still order by Seq).
-func (c *Coordinator) nowMS() int64 {
-	now, err := c.up.Now()
-	if err != nil {
-		return 0
-	}
-	return time.Duration(now).Milliseconds()
+// now is the coordinator's virtual clock: the upstream's (zero when it is
+// down; spans recorded during an outage still order by Seq).
+func (c *Coordinator) now() sim.Time {
+	now, _ := c.up.Now()
+	return now
 }
+
+func (c *Coordinator) nowMS() int64 { return time.Duration(c.now()).Milliseconds() }
 
 // materializeLocked admits one new fragment upstream: it picks (or grows)
 // an upstream session with quota headroom and stages the subscribe; the

@@ -17,52 +17,66 @@ import (
 // stacks builds a bare gateway, a bare router, share over a gateway and
 // share over a router, each with the given subscriber buffer bound.
 func stacks(t *testing.T, buffer int) map[string]gateway.Backend {
+	return stacksWith(t, buffer, 0, 0)
+}
+
+// stacksWith also sets the client-facing tier's admission limits (zero: the
+// defaults). The tiers underneath keep their defaults.
+func stacksWith(t *testing.T, buffer, maxSessions, quota int) map[string]gateway.Backend {
 	t.Helper()
-	newRouter := func() *federation.Router {
-		rt, err := federation.New(federation.Config{Shards: 2, Side: 3, Seed: 1, Buffer: buffer})
+	newRouter := func(maxSessions, quota int) *federation.Router {
+		rt, err := federation.New(federation.Config{Shards: 2, Side: 3, Seed: 1, Buffer: buffer, MaxSessions: maxSessions, SessionQuota: quota})
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { _ = rt.Close() })
 		return rt
 	}
-	overGateway, _ := newTestCoord(t, gateway.Config{}, Config{Buffer: buffer})
-	under := newRouter()
-	overRouter, err := New(Config{Upstream: OverRouter(under), Sensors: 2 * (3*3 - 1), Cell: testCell, Buffer: buffer})
+	overGateway, _ := newTestCoord(t, gateway.Config{}, Config{Buffer: buffer, MaxSessions: maxSessions, SessionQuota: quota})
+	overRouter, err := New(Config{Upstream: OverRouter(newRouter(0, 0)), Sensors: 2 * (3*3 - 1), Cell: testCell,
+		Buffer: buffer, MaxSessions: maxSessions, SessionQuota: quota})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = overRouter.Close() })
 	return map[string]gateway.Backend{
-		"gateway":            newTestGateway(t, gateway.Config{Buffer: buffer}),
-		"router":             newRouter(),
+		"gateway":            newTestGateway(t, gateway.Config{Buffer: buffer, MaxSessions: maxSessions, SessionQuota: quota}),
+		"router":             newRouter(maxSessions, quota),
 		"share over gateway": overGateway,
 		"share over router":  overRouter,
 	}
 }
 
-// subscribeVia runs the blocking subscribe while pumping commits.
-func subscribeVia(t *testing.T, b gateway.Backend, sess gateway.ServerSession, text string) (gateway.ServerSub, error) {
+// pumped runs a blocking session call while pumping commits.
+func pumped[T any](t *testing.T, b gateway.Backend, call func() (T, error)) (T, error) {
 	t.Helper()
 	type res struct {
-		sub gateway.ServerSub
+		v   T
 		err error
 	}
 	done := make(chan res, 1)
 	go func() {
-		sub, err := sess.Subscribe(gateway.SubscribeRequest{Query: query.MustParse(text)})
-		done <- res{sub, err}
+		v, err := call()
+		done <- res{v, err}
 	}()
 	for {
 		select {
 		case r := <-done:
-			return r.sub, r.err
+			return r.v, r.err
 		default:
 			if _, err := b.Advance(0); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
+}
+
+// subscribeVia runs the blocking subscribe while pumping commits.
+func subscribeVia(t *testing.T, b gateway.Backend, sess gateway.ServerSession, text string) (gateway.ServerSub, error) {
+	t.Helper()
+	return pumped(t, b, func() (gateway.ServerSub, error) {
+		return sess.Subscribe(gateway.SubscribeRequest{Query: query.MustParse(text)})
+	})
 }
 
 // TestEmptyRegionRejectedByEveryComposedTier: a region that misses the
@@ -277,6 +291,72 @@ func TestResumeBeyondDeliveredRejectedOverTheWire(t *testing.T) {
 		}
 		if st := stats(); st.Resumes != 1 || st.ResumeGaps != 0 {
 			t.Errorf("%s: resumes=%d gaps=%d, want 1 and 0", name, st.Resumes, st.ResumeGaps)
+		}
+	}
+}
+
+// TestDetachedSessionsAreReapedOnEveryTier: a named client that disconnects
+// and never comes back stops holding a session slot — and its queries their
+// upstream fragments and in-network queries — after gateway.DefaultIdleTimeout
+// of virtual time, on every stack shape; a session a client still holds is
+// never reaped. Only the bare gateway used to reap: behind a router or a
+// coordinator the sessions piled up until MaxSessions refused every hello.
+func TestDetachedSessionsAreReapedOnEveryTier(t *testing.T) {
+	for name, b := range stacks(t, 0) {
+		gone, err := b.RegisterSession("gone")
+		if err != nil {
+			t.Fatal(err)
+		}
+		held, err := b.RegisterSession("held")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := subscribeVia(t, b, gone, "SELECT MAX(light) EPOCH DURATION 2048ms"); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if err := gone.Detach(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		// upstream is what the tier holds for its subscribers further down.
+		upstream := func() int {
+			switch b := b.(type) {
+			case *federation.Router:
+				return b.UpstreamSubsOn(0) + b.UpstreamSubsOn(1)
+			case *Coordinator:
+				return b.ShareStats().FragmentsActive
+			}
+			st, _, _ := b.ServeStats()
+			return st.SharedQueries
+		}
+		advance := func(quanta int) gateway.Stats {
+			for ; quanta > 0; quanta-- {
+				if _, err := b.Advance(testQuantum); err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+			}
+			st, _, err := b.ServeStats()
+			if err != nil {
+				t.Fatal(err)
+			}
+			return st
+		}
+		// The last quantum that ends short of the timeout: still there.
+		short := int((gateway.DefaultIdleTimeout - 1) / testQuantum)
+		if st := advance(short); st.IdleReaped != 0 || st.ActiveSessions != 2 || upstream() == 0 {
+			t.Fatalf("%s: reaped=%d sessions=%d upstream=%d before the timeout", name, st.IdleReaped, st.ActiveSessions, upstream())
+		}
+		// The first Advance that starts past the timeout reaps at its commit
+		// boundary.
+		st := advance(2)
+		if st.IdleReaped != 1 || st.ActiveSessions != 1 || st.ActiveSubscriptions != 0 || st.SharedQueries != 0 || upstream() != 0 {
+			t.Errorf("%s: reaped=%d sessions=%d subs=%d shared=%d upstream=%d, want 1/1/0/0/0",
+				name, st.IdleReaped, st.ActiveSessions, st.ActiveSubscriptions, st.SharedQueries, upstream())
+		}
+		if _, _, err := b.AttachSession("gone", gone.Token()); err == nil || !strings.Contains(err.Error(), `no session "gone"`) {
+			t.Errorf("%s: attach to a reaped session = %v", name, err)
+		}
+		if err := held.Detach(); err != nil {
+			t.Errorf("%s: the held session did not survive: %v", name, err)
 		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"repro/internal/gateway"
 	"repro/internal/query"
 	"repro/internal/sim"
+	"repro/internal/tier"
 	"repro/internal/tracing"
 )
 
@@ -43,7 +44,7 @@ type UpstreamTicket interface {
 // tracedUpstreamSession is the optional UpstreamSession extension for
 // causal tracing: a residual fragment admission carries the coordinator's
 // trace context upstream so the gateway/router spans it causes join the
-// fragment's trace. Both built-in adapters implement it; UpstreamSession
+// fragment's trace. The built-in adapter implements it; UpstreamSession
 // itself keeps the plain signature decorators of this seam wrap.
 type tracedUpstreamSession interface {
 	subscribeTraced(q query.Query, tc tracing.Context) (UpstreamTicket, error)
@@ -57,141 +58,74 @@ type UpstreamSub interface {
 }
 
 // ---------------------------------------------------------------------------
-// Gateway adapter
+// The adapter: the gateway and the router serve the same kernel sessions
 
-type gwUpstream struct{ g *gateway.Gateway }
+// sessionTier is what *gateway.Gateway and *federation.Router have in common.
+type sessionTier interface {
+	Advance(d time.Duration) (int, error)
+	Alive() bool
+	Register(name string) (*tier.Session, error)
+	Attach(name, token string) (*tier.Session, []gateway.ResumeInfo, error)
+	ServeStats() (gateway.Stats, sim.Time, error)
+}
+
+type tierUpstream struct {
+	sessionTier
+	now func() (sim.Time, error)
+}
 
 // OverGateway adapts a single gateway as the coordinator's upstream.
-func OverGateway(g *gateway.Gateway) Upstream { return gwUpstream{g} }
-
-func (u gwUpstream) Advance(d time.Duration) (int, error) { return u.g.Advance(d) }
-func (u gwUpstream) Now() (sim.Time, error)               { return u.g.Now() }
-func (u gwUpstream) Alive() bool                          { return u.g.Alive() }
-func (u gwUpstream) ServeStats() (gateway.Stats, sim.Time, error) {
-	return u.g.ServeStats()
-}
-
-func (u gwUpstream) Register(name string) (UpstreamSession, error) {
-	s, err := u.g.Register(name)
-	if err != nil {
-		return nil, err
-	}
-	return gwUpSession{s}, nil
-}
-
-func (u gwUpstream) Attach(name, token string) (UpstreamSession, []gateway.ResumeInfo, error) {
-	s, infos, err := u.g.Attach(name, token)
-	if err != nil {
-		return nil, nil, err
-	}
-	return gwUpSession{s}, infos, nil
-}
-
-type gwUpSession struct{ s *gateway.Session }
-
-func (s gwUpSession) Name() string  { return s.s.Name() }
-func (s gwUpSession) Token() string { return s.s.Token() }
-
-func (s gwUpSession) SubscribeAsync(q query.Query) (UpstreamTicket, error) {
-	return s.subscribeTraced(q, tracing.Context{})
-}
-
-func (s gwUpSession) subscribeTraced(q query.Query, tc tracing.Context) (UpstreamTicket, error) {
-	tk, err := s.s.SubscribeAsync(gateway.SubscribeRequest{Query: q, Trace: tc})
-	if err != nil {
-		return nil, err
-	}
-	return gwTicket{tk}, nil
-}
-
-func (s gwUpSession) UnsubscribeAsync(id gateway.SubID) error {
-	tk, err := s.s.UnsubscribeAsync(id)
-	if err != nil {
-		return err
-	}
-	go func() { _, _ = tk.Wait() }()
-	return nil
-}
-
-func (s gwUpSession) Resume(id gateway.SubID, after uint64) (UpstreamSub, error) {
-	sub, err := s.s.Resume(id, after)
-	if err != nil {
-		return nil, err
-	}
-	return sub, nil
-}
-
-type gwTicket struct{ tk *gateway.Ticket }
-
-func (t gwTicket) Wait() (UpstreamSub, error) {
-	sub, err := t.tk.Wait()
-	if err != nil {
-		return nil, err
-	}
-	return sub, nil
-}
-
-// ---------------------------------------------------------------------------
-// Federation router adapter
-
-type fedUpstream struct{ r *federation.Router }
+func OverGateway(g *gateway.Gateway) Upstream { return tierUpstream{g, g.Now} }
 
 // OverRouter adapts a federation router fleet as the coordinator's
 // upstream, so cross-query sharing composes with sharded deployments:
 // fragments the coordinator materializes are themselves planned across
 // shards by the router.
-func OverRouter(r *federation.Router) Upstream { return fedUpstream{r} }
-
-func (u fedUpstream) Advance(d time.Duration) (int, error) { return u.r.Advance(d) }
-func (u fedUpstream) Now() (sim.Time, error)               { return u.r.Now(), nil }
-func (u fedUpstream) Alive() bool                          { return u.r.Alive() }
-func (u fedUpstream) ServeStats() (gateway.Stats, sim.Time, error) {
-	return u.r.ServeStats()
+func OverRouter(r *federation.Router) Upstream {
+	return tierUpstream{r, func() (sim.Time, error) { return r.Now(), nil }}
 }
 
-func (u fedUpstream) Register(name string) (UpstreamSession, error) {
-	s, err := u.r.Register(name)
+func (u tierUpstream) Now() (sim.Time, error) { return u.now() }
+
+func (u tierUpstream) Register(name string) (UpstreamSession, error) {
+	s, err := u.sessionTier.Register(name)
 	if err != nil {
 		return nil, err
 	}
-	return fedUpSession{s}, nil
+	return upSession{s}, nil
 }
 
-func (u fedUpstream) Attach(name, token string) (UpstreamSession, []gateway.ResumeInfo, error) {
-	s, infos, err := u.r.Attach(name, token)
+func (u tierUpstream) Attach(name, token string) (UpstreamSession, []gateway.ResumeInfo, error) {
+	s, infos, err := u.sessionTier.Attach(name, token)
 	if err != nil {
 		return nil, nil, err
 	}
-	return fedUpSession{s}, infos, nil
+	return upSession{s}, infos, nil
 }
 
-type fedUpSession struct{ s *federation.Session }
+type upSession struct{ s *tier.Session }
 
-func (s fedUpSession) Name() string  { return s.s.Name() }
-func (s fedUpSession) Token() string { return s.s.Token() }
+func (s upSession) Name() string  { return s.s.Name() }
+func (s upSession) Token() string { return s.s.Token() }
 
-func (s fedUpSession) SubscribeAsync(q query.Query) (UpstreamTicket, error) {
+func (s upSession) SubscribeAsync(q query.Query) (UpstreamTicket, error) {
 	return s.subscribeTraced(q, tracing.Context{})
 }
 
-func (s fedUpSession) subscribeTraced(q query.Query, tc tracing.Context) (UpstreamTicket, error) {
+func (s upSession) subscribeTraced(q query.Query, tc tracing.Context) (UpstreamTicket, error) {
 	tk, err := s.s.SubscribeAsync(gateway.SubscribeRequest{Query: q, Trace: tc})
 	if err != nil {
 		return nil, err
 	}
-	return fedTicket{tk}, nil
+	return upTicket{tk}, nil
 }
 
-func (s fedUpSession) UnsubscribeAsync(id gateway.SubID) error {
-	tk, err := s.s.UnsubscribeAsync(id)
-	if err != nil {
-		return err
-	}
-	go func() { _, _ = tk.Wait() }()
-	return nil
+func (s upSession) UnsubscribeAsync(id gateway.SubID) error {
+	_, err := s.s.UnsubscribeAsync(id)
+	return err
 }
 
-func (s fedUpSession) Resume(id gateway.SubID, after uint64) (UpstreamSub, error) {
+func (s upSession) Resume(id gateway.SubID, after uint64) (UpstreamSub, error) {
 	sub, err := s.s.Resume(id, after)
 	if err != nil {
 		return nil, err
@@ -199,9 +133,9 @@ func (s fedUpSession) Resume(id gateway.SubID, after uint64) (UpstreamSub, error
 	return sub, nil
 }
 
-type fedTicket struct{ tk *federation.Ticket }
+type upTicket struct{ tk *tier.Ticket }
 
-func (t fedTicket) Wait() (UpstreamSub, error) {
+func (t upTicket) Wait() (UpstreamSub, error) {
 	sub, err := t.tk.Wait()
 	if err != nil {
 		return nil, err

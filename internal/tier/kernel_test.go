@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/gateway"
 	"repro/internal/query"
 	"repro/internal/resilience"
 	"repro/internal/sim"
@@ -22,11 +21,13 @@ type fakeTier struct {
 	groups   map[string]*Group
 	released []string // group keys, in release order
 	closed   []string // session names, in close order
+	clock    sim.Time // the tier's virtual clock
 }
 
 func newFakeTier(cfg Config) *fakeTier {
 	f := &fakeTier{groups: make(map[string]*Group)}
 	cfg.Name, cfg.Mu = "fake", &f.mu
+	cfg.Now = func() sim.Time { return f.clock }
 	cfg.Token = func(name string) (string, error) { return "tok-" + name, nil }
 	cfg.ApplySubscribe = func(a Admission) (*Group, error) {
 		key := a.Query.String()
@@ -62,7 +63,7 @@ func (f *fakeTier) deliver(text string, n int) {
 	defer f.mu.Unlock()
 	g := f.groups[query.MustParse(text).String()]
 	for i := 0; i < n; i++ {
-		g.Deliver(&gateway.Update{At: sim.Time(i)})
+		g.Deliver(&Update{At: sim.Time(i)})
 	}
 }
 
@@ -88,7 +89,7 @@ func mustRegister(t *testing.T, f *fakeTier, name string) *Session {
 
 func stage(t *testing.T, s *Session, text string) *Ticket {
 	t.Helper()
-	tk, err := s.SubscribeAsync(gateway.SubscribeRequest{Query: query.MustParse(text)})
+	tk, err := s.SubscribeAsync(SubscribeRequest{Query: query.MustParse(text)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +108,7 @@ func mustSub(t *testing.T, f *fakeTier, s *Session, text string) *Sub {
 	return sub
 }
 
-func seqs(ch <-chan gateway.Update) []uint64 {
+func seqs(ch <-chan Update) []uint64 {
 	var out []uint64
 	for {
 		select {
@@ -163,7 +164,7 @@ func TestKernelLifecycle(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if sub.ID() != gateway.SubID(i+1) {
+				if sub.ID() != SubID(i+1) {
 					t.Errorf("ticket %d got sub id %d, want %d", i, sub.ID(), i+1)
 				}
 				if shared := i == 1; sub.Shared() != shared {
@@ -177,7 +178,7 @@ func TestKernelLifecycle(t *testing.T) {
 		{"deadline shed", Config{MailboxDeadline: time.Millisecond}, func(t *testing.T, f *fakeTier) {
 			s := mustRegister(t, f, "a")
 			late := stage(t, s, qLight)
-			roomy, err := s.SubscribeAsync(gateway.SubscribeRequest{Query: query.MustParse(qTemp), Budget: time.Hour})
+			roomy, err := s.SubscribeAsync(SubscribeRequest{Query: query.MustParse(qTemp), Budget: time.Hour})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -222,7 +223,7 @@ func TestKernelLifecycle(t *testing.T) {
 			if err := s.Detach(); err != nil {
 				t.Fatal(err)
 			}
-			if r := sub.Reason(); r != gateway.ReasonDetached {
+			if r := sub.Reason(); r != ReasonDetached {
 				t.Fatalf("reason after detach = %v", r)
 			}
 			wantErr(t, s.Detach(), "already detached")
@@ -319,13 +320,13 @@ func TestKernelLifecycle(t *testing.T) {
 			if _, err := tk.Wait(); err != nil {
 				t.Fatal(err)
 			}
-			if !raised() || b.Reason() != gateway.ReasonUnsubscribed {
+			if !raised() || b.Reason() != ReasonUnsubscribed {
 				t.Fatalf("unsubscribe: raised/reason %v", b.Reason())
 			}
 			f.deliver(qLight, 2)
 			raised()
 			f.deliver(qLight, 1) // overflows the 2-slot buffer
-			if !raised() || a.Reason() != gateway.ReasonEvicted {
+			if !raised() || a.Reason() != ReasonEvicted {
 				t.Fatalf("eviction: reason %v", a.Reason())
 			}
 		}},
@@ -336,18 +337,106 @@ func TestKernelLifecycle(t *testing.T) {
 				f.deliver(qLight, 1)
 				seqs(fs.Updates()) // fast keeps reading, slow never does
 			}
-			if got := fmt.Sprint(seqs(ss.Updates())); got != "[1 2]" || ss.Reason() != gateway.ReasonEvicted {
+			if got := fmt.Sprint(seqs(ss.Updates())); got != "[1 2]" || ss.Reason() != ReasonEvicted {
 				t.Fatalf("slow stream %s reason %v, want [1 2] evicted", got, ss.Reason())
 			}
-			if fs.Reason() != gateway.ReasonNone {
+			if fs.Reason() != ReasonNone {
 				t.Fatalf("fast reader closed: %v", fs.Reason())
 			}
+			// The delivery that did not fit is counted, not just the eviction.
 			st := f.stats()
-			if st.Evicted != 1 || st.ActiveSubscriptions != 1 || st.Updates != 5 {
-				t.Fatalf("stats %+v, want 1 evicted, 1 live, 5 updates", st)
+			if st.Evicted != 1 || st.Dropped != 1 || st.ActiveSubscriptions != 1 || st.Updates != 5 {
+				t.Fatalf("stats %+v, want 1 evicted, 1 dropped, 1 live, 5 updates", st)
 			}
 			if len(f.released) != 0 {
 				t.Fatalf("eviction released %v while a subscriber remains", f.released)
+			}
+		}},
+		{"idle reap", Config{}, func(t *testing.T, f *fakeTier) {
+			gone, held := mustRegister(t, f, "gone"), mustRegister(t, f, "held")
+			sg, sh := mustSub(t, f, gone, qLight), mustSub(t, f, held, qTemp)
+			reap := func(at, timeout time.Duration) {
+				f.mu.Lock()
+				defer f.mu.Unlock()
+				f.clock = at
+				f.ReapLocked(timeout)
+			}
+			f.clock = time.Minute
+			if err := gone.Detach(); err != nil {
+				t.Fatal(err)
+			}
+			reap(2*time.Minute-1, time.Minute) // not yet
+			reap(time.Hour, 0)                 // no timeout: never
+			if st := f.stats(); st.IdleReaped != 0 || st.ActiveSessions != 2 {
+				t.Fatalf("reaped early: %+v", st)
+			}
+			reap(2*time.Minute, time.Minute)
+			if st := f.stats(); st.IdleReaped != 1 || st.ActiveSessions != 1 || st.ActiveSubscriptions != 1 {
+				t.Fatalf("stats %+v, want 1 reaped, the attached session and its stream left", st)
+			}
+			if fmt.Sprint(f.released) != fmt.Sprint([]string{sg.Key()}) || fmt.Sprint(f.closed) != "[gone]" {
+				t.Fatalf("released %v closed %v", f.released, f.closed)
+			}
+			if sg.Reason() != ReasonShutdown || sh.Reason() != ReasonNone {
+				t.Fatalf("reasons %v / %v", sg.Reason(), sh.Reason())
+			}
+			_, _, err := f.Attach("gone", gone.Token())
+			wantErr(t, err, `fake: no session "gone"`)
+		}},
+		{"restore a logged session and subscription", Config{}, func(t *testing.T, f *fakeTier) {
+			f.mu.Lock()
+			s, err := f.RestoreSessionLocked("a", "logged-token", 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = f.RestoreSessionLocked("a", "other", 0)
+			g := &Group{Key: qLight, QID: 7}
+			f.groups[qLight] = g
+			sub := f.RestoreSubLocked(s, 5, g, 0)
+			f.mu.Unlock()
+			wantErr(t, err, `fake: session "a" already registered`)
+			// Detached from birth: deliveries park, and the client re-attaches
+			// with the token it was given before the crash.
+			f.mu.Lock()
+			g.Deliver(&Update{})
+			f.mu.Unlock()
+			if sub.ID() != 5 || sub.QueryID() != 7 || sub.Reason() != ReasonDetached {
+				t.Fatalf("restored sub id %d qid %d reason %v", sub.ID(), sub.QueryID(), sub.Reason())
+			}
+			s2, infos, err := f.Attach("a", "logged-token")
+			if err != nil || s2 != s || len(infos) != 1 || infos[0].ID != 5 || infos[0].LastSeq != 1 {
+				t.Fatalf("attach = %v %+v", err, infos)
+			}
+			rs, err := s.Resume(5, 0)
+			if err != nil || fmt.Sprint(seqs(rs.Updates())) != "[1]" {
+				t.Fatalf("resume = %v", err)
+			}
+			// Fresh ids continue past the restored one.
+			if next := mustSub(t, f, s, qTemp); next.ID() != 6 {
+				t.Fatalf("next id %d, want 6", next.ID())
+			}
+			if st := f.stats(); st.Sessions != 1 || st.Subscribes != 2 || st.ActiveSubscriptions != 2 {
+				t.Fatalf("stats %+v", st)
+			}
+		}},
+		{"crash", Config{}, func(t *testing.T, f *fakeTier) {
+			a := mustRegister(t, f, "a")
+			sub, pending := mustSub(t, f, a, qLight), stage(t, a, qTemp)
+			f.mu.Lock()
+			f.CrashLocked()
+			f.mu.Unlock()
+			if _, err := pending.Wait(); !errors.Is(err, ErrClosed) {
+				t.Fatalf("staged command at crash = %v, want ErrClosed", err)
+			}
+			if _, open := <-sub.Updates(); open || sub.Reason() != ReasonCrashed {
+				t.Fatalf("stream after crash: open=%v reason %v", open, sub.Reason())
+			}
+			// Nothing drains: no hook ran, the table is as it was.
+			if st := f.stats(); len(f.released)+len(f.closed) != 0 || st.ActiveSessions != 1 || st.ActiveSubscriptions != 1 {
+				t.Fatalf("crash drained: released %v closed %v stats %+v", f.released, f.closed, st)
+			}
+			if _, err := f.Register("b"); !errors.Is(err, ErrClosed) {
+				t.Fatalf("register after crash = %v", err)
 			}
 		}},
 		{"unsubscribe releases the group with its last subscriber", Config{}, func(t *testing.T, f *fakeTier) {
@@ -361,7 +450,7 @@ func TestKernelLifecycle(t *testing.T) {
 			if _, err := tk.Wait(); err != nil {
 				t.Fatal(err)
 			}
-			if sa.Reason() != gateway.ReasonUnsubscribed || len(f.released) != 0 {
+			if sa.Reason() != ReasonUnsubscribed || len(f.released) != 0 {
 				t.Fatalf("reason %v, released %v", sa.Reason(), f.released)
 			}
 			tk, _ = b.UnsubscribeAsync(sa.ID()) // not b's
@@ -388,13 +477,13 @@ func TestKernelLifecycle(t *testing.T) {
 			}
 			f.mu.Lock()
 			_, acks := f.CommitLocked()
-			if len(acks) != 1 || !acks[0].Sub.Push(&gateway.Update{}) {
+			if len(acks) != 1 || !acks[0].Sub.Push(&Update{}) {
 				t.Errorf("acks %v: want one, whose push is dropped quietly", acks)
 			}
 			f.AckLocked(acks)
 			f.mu.Unlock()
 			sub, err := tk.Wait()
-			if err != nil || sub.Reason() != gateway.ReasonShutdown || f.stats().Updates != 0 {
+			if err != nil || sub.Reason() != ReasonShutdown || f.stats().Updates != 0 {
 				t.Fatalf("sub %v err %v updates %d", sub.Reason(), err, f.stats().Updates)
 			}
 		}},
@@ -408,7 +497,7 @@ func TestKernelLifecycle(t *testing.T) {
 				t.Fatal(err)
 			}
 			f.advance()
-			if sa1.Reason() != gateway.ReasonShutdown || sa2.Reason() != gateway.ReasonShutdown {
+			if sa1.Reason() != ReasonShutdown || sa2.Reason() != ReasonShutdown {
 				t.Fatalf("reasons %v %v, want shutdown", sa1.Reason(), sa2.Reason())
 			}
 			if fmt.Sprint(f.released) != fmt.Sprint([]string{sa2.Key()}) || fmt.Sprint(f.closed) != "[a]" {
@@ -417,7 +506,7 @@ func TestKernelLifecycle(t *testing.T) {
 			if err := a.CloseAsync(); err != nil {
 				t.Fatalf("closing a closed session = %v, want nil", err)
 			}
-			_, err := a.SubscribeAsync(gateway.SubscribeRequest{Query: query.MustParse(qLight)})
+			_, err := a.SubscribeAsync(SubscribeRequest{Query: query.MustParse(qLight)})
 			wantErr(t, err, `fake: session "a" is closed`)
 			if _, err := f.Register("a"); err != nil {
 				t.Fatalf("a closed session's name must be free again: %v", err)
@@ -429,16 +518,23 @@ func TestKernelLifecycle(t *testing.T) {
 			f.mu.Lock()
 			f.CloseLocked()
 			f.mu.Unlock()
-			if _, err := pending.Wait(); !errors.Is(err, gateway.ErrClosed) {
-				t.Fatalf("staged command at close = %v, want ErrClosed", err)
+			// The answer is on the ticket's own channel: an accepted command is
+			// replied to, not merely unblocked by Wait's closed-tier fallback.
+			select {
+			case res := <-pending.done:
+				if !errors.Is(res.err, ErrClosed) {
+					t.Fatalf("staged command at close = %v, want ErrClosed", res.err)
+				}
+			default:
+				t.Fatal("staged command dropped at close: no reply on its ticket")
 			}
-			if sb.Reason() != gateway.ReasonShutdown || len(f.released) != 2 {
+			if sb.Reason() != ReasonShutdown || len(f.released) != 2 {
 				t.Fatalf("reason %v released %v", sb.Reason(), f.released)
 			}
 			if _, ok := <-sb.Updates(); ok {
 				t.Fatal("stream still open after close")
 			}
-			_, err = b.SubscribeAsync(gateway.SubscribeRequest{Query: query.MustParse(qLight)})
+			_, err = b.SubscribeAsync(SubscribeRequest{Query: query.MustParse(qLight)})
 			for what, err := range map[string]error{
 				"subscribe": err,
 				"detach":    b.Detach(),
@@ -447,7 +543,7 @@ func TestKernelLifecycle(t *testing.T) {
 				"attach":    func() error { _, _, err := f.Attach("b", b.Token()); return err }(),
 				"resume":    func() error { _, err := b.Resume(sb.ID(), 0); return err }(),
 			} {
-				if !errors.Is(err, gateway.ErrClosed) {
+				if !errors.Is(err, ErrClosed) {
 					t.Errorf("%s after close = %v, want ErrClosed", what, err)
 				}
 			}
@@ -474,17 +570,17 @@ func TestKernelLifecycle(t *testing.T) {
 // the client-facing ones replace the upstream's (whose sessions and
 // subscriptions are the tier's own plumbing), losses add up along the chain.
 func TestStatsOverlay(t *testing.T) {
-	up := gateway.Stats{
+	up := Counters{
 		Sessions: 9, ActiveSessions: 9, Subscribes: 9, Updates: 9, Detaches: 9, Epochs: 7,
-		QuotaRejected: 1, Evicted: 2, RingDropped: 3, ShedDeadline: 4,
+		QuotaRejected: 1, Evicted: 2, RingDropped: 3, ShedDeadline: 4, Dropped: 5, IdleReaped: 6,
 	}
 	Stats{
 		Sessions: 2, ActiveSessions: 1, Subscribes: 5, Updates: 50,
-		QuotaRejected: 10, Evicted: 20, RingDropped: 30, ShedDeadline: 40,
+		QuotaRejected: 10, Evicted: 20, RingDropped: 30, ShedDeadline: 40, Dropped: 50, IdleReaped: 60,
 	}.Overlay(&up)
-	want := gateway.Stats{
+	want := Counters{
 		Sessions: 2, ActiveSessions: 1, Subscribes: 5, Updates: 50, Epochs: 7,
-		QuotaRejected: 11, Evicted: 22, RingDropped: 33, ShedDeadline: 44,
+		QuotaRejected: 11, Evicted: 22, RingDropped: 33, ShedDeadline: 44, Dropped: 55, IdleReaped: 66,
 	}
 	if up != want {
 		t.Fatalf("overlay = %+v\nwant      %+v", up, want)
