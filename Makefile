@@ -22,10 +22,12 @@ fmt-check:
 # at the root, the serving hot path's micro view (one frame encode, one
 # 64-subscription round) in internal/gateway, and the base station's (one
 # epoch mapped to its members in internal/core, one collection window closed
-# in internal/network). Trajectory only; the end-to-end benchmark is
-# `bash bench/run.sh`.
+# in internal/network), and the composed tiers' round without sockets (the
+# router's at two shard sizes in internal/federation; the full_stack shape
+# through coordinator and router in internal/share). Trajectory only; the
+# end-to-end benchmark is `bash bench/run.sh`.
 bench:
-	$(GO) test -run '^$$' -bench . -benchmem . ./internal/gateway ./internal/core ./internal/network
+	$(GO) test -run '^$$' -bench . -benchmem . ./internal/gateway ./internal/core ./internal/network ./internal/federation ./internal/share
 
 # The parallel-runner benchmarks: the figure sweep at 1 worker vs one per
 # CPU, and the field generator's hot path.

@@ -38,16 +38,11 @@ type plan struct {
 	q      query.Query  // normalized downstream query
 	agg    bool         // aggregation (recombine) vs acquisition (concatenate)
 	slices []shardSlice // intersecting shards, ascending shard index
+	shards []int        // slices[i].shard, for the per-epoch release walk
 }
 
-// shards returns the planned shard indices.
-func (p *plan) shardSet() []int {
-	out := make([]int, len(p.slices))
-	for i, s := range p.slices {
-		out[i] = s.shard
-	}
-	return out
-}
+// shardSet returns the planned shard indices; callers must not modify it.
+func (p *plan) shardSet() []int { return p.shards }
 
 // planQuery splits q across K shards of spn sensors each.
 func planQuery(q query.Query, shards, spn int) (*plan, error) {
@@ -83,6 +78,7 @@ func planQuery(q query.Query, shards, spn int) (*plan, error) {
 		s := (r.Lo - 1) / spn
 		local := tier.Range{Lo: r.Lo - s*spn, Hi: r.Hi - s*spn}
 		p.slices = append(p.slices, shardSlice{shard: s, q: tier.Piece(n, upAggs, local, spn)})
+		p.shards = append(p.shards, s)
 	}
 	return p, nil
 }
@@ -104,7 +100,8 @@ func translateRows(dst []query.Row, rows []query.Row, shard, spn int) []query.Ro
 }
 
 // epochAcc accumulates one virtual instant's partial results across shards
-// until the watermark releases it.
+// until the watermark releases it. Released accumulators are recycled; rows
+// is handed to the subscribers, so it starts nil every epoch.
 type epochAcc struct {
 	at   sim.Time
 	rows []query.Row // translated acquisition/window rows, shard order

@@ -3,6 +3,7 @@ package federation
 import (
 	"fmt"
 	"path/filepath"
+	"slices"
 	"sync"
 	"time"
 
@@ -181,6 +182,12 @@ type shard struct {
 	// instead of stalling.
 	stalled bool
 	brk     *resilience.Breaker
+	// One round's scratch, valid from the step loop of an Advance to its end:
+	// whether the shard was stepped, the breaker state before the round, and
+	// the step's outcome.
+	stepped  bool
+	preState resilience.BreakerState
+	stepErr  error
 }
 
 // watermark is the virtual instant this shard's partials are complete
@@ -202,9 +209,9 @@ type tree struct {
 	tier.Group
 	p   *plan
 	ups []*upstream // parallel to p.slices
-	// pending buffers partially merged epochs until the watermark (min
-	// over planned shards) passes them.
-	pending  map[sim.Time]*epochAcc
+	// pending buffers partially merged epochs, ascending by instant, until
+	// the watermark (min over planned shards) passes them.
+	pending  []*epochAcc
 	released sim.Time // newest released epoch instant
 	// trace/spanID are the materializing subscriber's causal context: a
 	// shared tree's fan-out and release spans belong to the trace that
@@ -214,15 +221,25 @@ type tree struct {
 	spanID uint64
 }
 
-func (t *tree) acc(at sim.Time) *epochAcc {
-	a := t.pending[at]
-	if a == nil {
-		a = &epochAcc{at: at}
-		if t.pending == nil {
-			t.pending = make(map[sim.Time]*epochAcc, 4)
-		}
-		t.pending[at] = a
+// accLocked returns tr's accumulator for instant at, inserting a recycled
+// (or new) one in order. Partials mostly arrive for the newest epochs, so
+// the search runs from the back.
+func (r *Router) accLocked(tr *tree, at sim.Time) *epochAcc {
+	i := len(tr.pending)
+	for i > 0 && tr.pending[i-1].at > at {
+		i--
 	}
+	if i > 0 && tr.pending[i-1].at == at {
+		return tr.pending[i-1]
+	}
+	var a *epochAcc
+	if n := len(r.freeAccs); n > 0 {
+		a, r.freeAccs = r.freeAccs[n-1], r.freeAccs[:n-1]
+	} else {
+		a = new(epochAcc)
+	}
+	a.at = at
+	tr.pending = slices.Insert(tr.pending, i, a)
 	return a
 }
 
@@ -267,6 +284,8 @@ type Router struct {
 	now        sim.Time // the router's virtual clock (max of shard clocks)
 	quantum    time.Duration
 	stats      Stats
+	// freeAccs are released epoch accumulators awaiting reuse.
+	freeAccs []*epochAcc
 	// onMerge observes each Advance's merge+release wall-clock latency
 	// (telemetry hook; see SetMergeObserver).
 	onMerge func(time.Duration)
@@ -635,11 +654,15 @@ func (r *Router) closeMirrorLocked(s *Session) {
 }
 
 // ---------------------------------------------------------------------------
-// Advance: group commit, parallel shard advance, drain, merge, release
+// Advance: group commit, shard steps, drain, merge, release
 
-// Advance commits staged downstream commands, advances every alive shard
-// by d in parallel, drains their partial results and releases fully
-// merged epochs up to the watermark. Implements gateway.Backend.
+// Advance commits staged downstream commands, steps every alive shard by d
+// in place and in shard order, drains their partial results and releases
+// fully merged epochs up to the watermark. Shards are independent
+// simulations, but at the sizes measured a goroutine per shard costs more
+// than the overlap it buys (EXPERIMENTS.md, "A round costs its
+// simulations"), so a round executes no go statement. Implements
+// gateway.Backend.
 func (r *Router) Advance(d time.Duration) (int, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -654,47 +677,38 @@ func (r *Router) Advance(d time.Duration) (int, error) {
 	applied, acks := r.k.CommitLocked()
 	r.k.ReapLocked(gateway.DefaultIdleTimeout)
 
-	// Advance alive shards in parallel: each runs its own simulation for
-	// one quantum; this is where shard count buys wall-clock throughput.
+	// Step alive shards: each runs its own simulation for one quantum.
 	// Stalled shards (chaos: wedged but not crashed) and shards behind an
 	// open breaker are held out of the round; their breakers observe the
 	// timeout — a closed breaker counts its failure streak, an open one
 	// ticks its cooldown toward a half-open probe.
-	var wg sync.WaitGroup
-	errs := make([]error, len(r.shards))
-	advanced := make([]bool, len(r.shards))
-	preState := make([]resilience.BreakerState, len(r.shards))
 	for _, sh := range r.shards {
+		sh.stepped = false
 		if !sh.alive {
 			continue
 		}
-		preState[sh.idx] = sh.brk.State()
-		if sh.stalled || preState[sh.idx] == resilience.BreakerOpen {
+		sh.preState = sh.brk.State()
+		if sh.stalled || sh.preState == resilience.BreakerOpen {
 			sh.brk.Observe(false)
-			r.traceBreaker(sh, preState[sh.idx])
+			r.traceBreaker(sh, sh.preState)
 			continue
 		}
-		advanced[sh.idx] = true
-		wg.Add(1)
-		go func(sh *shard) {
-			defer wg.Done()
-			_, errs[sh.idx] = sh.gw.Advance(d)
-		}(sh)
+		sh.stepped = true
+		_, sh.stepErr = sh.gw.Step(d)
 	}
-	wg.Wait()
 	var firstErr error
 	for _, sh := range r.shards {
-		if !sh.alive || !advanced[sh.idx] {
+		if !sh.stepped {
 			continue
 		}
-		if err := errs[sh.idx]; err != nil {
+		if err := sh.stepErr; err != nil {
 			// The shard died under us (e.g. chaos crash): freeze it.
 			sh.alive = false
 			sh.reachable = false
 			sh.frozen = sh.vnow
 			sh.sess = nil
-			for _, id := range sh.ups.Keys() {
-				sh.ups.Get(id).sub = nil
+			for _, up := range sh.ups.Values() {
+				up.sub = nil
 			}
 			if firstErr == nil {
 				firstErr = fmt.Errorf("federation: shard %d advance: %w", sh.idx, err)
@@ -706,8 +720,8 @@ func (r *Router) Advance(d time.Duration) (int, error) {
 			r.now = sh.vnow
 		}
 		sh.brk.Observe(true)
-		r.traceBreaker(sh, preState[sh.idx])
-		if preState[sh.idx] == resilience.BreakerHalfOpen {
+		r.traceBreaker(sh, sh.preState)
+		if sh.preState == resilience.BreakerHalfOpen {
 			// The probe succeeded: the breaker closed, so replay the quanta
 			// the shard sat out while open. Coverage returns to 1.0 once its
 			// watermark passes the other shards' again.
@@ -840,12 +854,10 @@ func (r *Router) resolveUpstreamsLocked() {
 // drainShardLocked empties every upstream channel of one shard into the
 // pending epoch accumulators.
 func (r *Router) drainShardLocked(sh *shard) {
-	for _, id := range sh.ups.Keys() {
-		up := sh.ups.Get(id)
-		if up.sub == nil {
-			continue
+	for _, up := range sh.ups.Values() {
+		if up.sub != nil {
+			r.drainUpstreamLocked(up)
 		}
-		r.drainUpstreamLocked(up)
 	}
 }
 
@@ -877,7 +889,7 @@ func (r *Router) mergePartialLocked(up *upstream, u gateway.Update) {
 		r.stats.LateDropped++
 		return
 	}
-	acc := tr.acc(u.At)
+	acc := r.accLocked(tr, u.At)
 	if len(u.Rows) > 0 {
 		acc.rows = translateRows(acc.rows, u.Rows, up.sh.idx, r.spn)
 	}
@@ -890,8 +902,7 @@ func (r *Router) mergePartialLocked(up *upstream, u gateway.Update) {
 // watermark) downstream in virtual-time order. MaxPending overflow
 // force-releases the oldest epochs without the stalled shard's partials.
 func (r *Router) releaseLocked() {
-	for _, key := range r.trees.Keys() {
-		tr := r.trees.Get(key)
+	for _, tr := range r.trees.Values() {
 		if len(tr.pending) == 0 {
 			continue
 		}
@@ -909,22 +920,23 @@ func (r *Router) releaseLocked() {
 				wm = w
 			}
 		}
-		times := tier.SortedKeys(tr.pending)
-		force := 0
-		if over := len(times) - r.cfg.MaxPending; over > 0 {
-			force = over
-		}
-		for i, at := range times {
-			if at >= wm && i >= force {
+		force := max(len(tr.pending)-r.cfg.MaxPending, 0)
+		n := 0
+		for ; n < len(tr.pending); n++ {
+			acc := tr.pending[n]
+			if acc.at >= wm && n >= force {
 				break
 			}
-			if at >= wm {
+			if acc.at >= wm {
 				r.stats.ForcedReleases++
 			}
-			r.releaseEpochLocked(tr, tr.pending[at])
-			delete(tr.pending, at)
-			tr.released = at
+			r.releaseEpochLocked(tr, acc)
+			tr.released = acc.at
+			acc.rows = nil
+			acc.Reset()
 		}
+		r.freeAccs = append(r.freeAccs, tr.pending[:n]...)
+		tr.pending = append(tr.pending[:0], tr.pending[n:]...)
 		// A tree can lose its last subscriber via eviction during release.
 		if tr.Empty() {
 			r.teardownTreeLocked(tr)
@@ -1013,8 +1025,8 @@ func (r *Router) CrashShard(i int) error {
 	sh.reachable = false
 	sh.frozen = sh.vnow
 	sh.sess = nil
-	for _, id := range sh.ups.Keys() {
-		sh.ups.Get(id).sub = nil // channels closed with ReasonCrashed
+	for _, up := range sh.ups.Values() {
+		up.sub = nil // channels closed with ReasonCrashed
 	}
 	r.stats.ShardCrashes++
 	return nil
@@ -1074,8 +1086,8 @@ func (r *Router) PartitionShard(i int) error {
 	}
 	sh.reachable = false
 	sh.frozen = sh.vnow
-	for _, id := range sh.ups.Keys() {
-		sh.ups.Get(id).sub = nil // channels closed with ReasonDetached
+	for _, up := range sh.ups.Values() {
+		up.sub = nil // channels closed with ReasonDetached
 	}
 	r.stats.Partitions++
 	return nil
@@ -1210,7 +1222,7 @@ func (r *Router) catchUpLocked(sh *shard) {
 		if rem := time.Duration(r.now - sh.vnow); rem < d {
 			d = rem
 		}
-		if _, err := sh.gw.Advance(d); err != nil {
+		if _, err := sh.gw.Step(d); err != nil {
 			sh.alive = false
 			sh.reachable = false
 			sh.frozen = sh.vnow

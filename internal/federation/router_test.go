@@ -1,6 +1,7 @@
 package federation
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -554,5 +555,40 @@ func TestRouterServeStatsAggregates(t *testing.T) {
 	}
 	if r.MergeLatency() <= 0 {
 		t.Fatal("merge latency not recorded")
+	}
+}
+
+// TestRouterInPlaceSpawnsNothing: a round steps its shards on the caller's
+// goroutine — no go statement executes, so the goroutine count never rises
+// above where it stood before the first round.
+func TestRouterInPlaceSpawnsNothing(t *testing.T) {
+	r := newTestRouter(t, Config{Shards: 4})
+	sess, err := r.Register("alice")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tk := stageSub(t, sess, "SELECT MAX(light) EPOCH DURATION 8192ms")
+	if _, err := r.Advance(testQuantum); err != nil {
+		t.Fatal(err)
+	}
+	sub, err := tk.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Let goroutines left by earlier tests finish exiting.
+	time.Sleep(20 * time.Millisecond)
+	before := runtime.NumGoroutine()
+	var us []gateway.Update
+	for i := 0; i < 200; i++ {
+		if _, err := r.Advance(testQuantum); err != nil {
+			t.Fatal(err)
+		}
+		drain(sub.Updates(), &us)
+		if n := runtime.NumGoroutine(); n > before {
+			t.Fatalf("round %d: %d goroutines, %d before the first round", i, n, before)
+		}
+	}
+	if len(us) == 0 {
+		t.Fatal("no update delivered")
 	}
 }

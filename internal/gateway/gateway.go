@@ -399,13 +399,18 @@ func (g *Gateway) Advance(d time.Duration) (applied int, err error) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		applied, err = g.advance(d)
+		applied, err = g.Step(d)
 	}()
 	<-done
 	return applied, err
 }
 
-func (g *Gateway) advance(d time.Duration) (int, error) {
+// Step is Advance without the hand-off: the quantum runs on the caller's
+// goroutine. It is for a caller that is itself a tier's Advance — the
+// federation router steps its shards in place under its own lock — where a
+// hop per shard buys nothing.
+// A driver (a Server's pacer, the load generator, a test) calls Advance.
+func (g *Gateway) Step(d time.Duration) (int, error) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if g.k.ClosedLocked() {

@@ -3,7 +3,7 @@ package share
 import (
 	"fmt"
 	"hash/fnv"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -206,8 +206,9 @@ type shareTree struct {
 	p     *sharePlan
 	frags []*fragment // parallel to p.frags
 	fresh bool        // some fragment was created for this tree (no warm cache)
-	// pending buffers epochs until every fragment has contributed.
-	pending  map[sim.Time]*shareAcc
+	// pending buffers epochs, ascending by instant, until every fragment
+	// has contributed.
+	pending  []*shareAcc
 	released sim.Time // newest instant delivered (or seeded by replay)
 	ring     []cachedEpoch
 	// reused counts the fragments satisfied by cross-query sharing when
@@ -215,15 +216,25 @@ type shareTree struct {
 	reused int
 }
 
-func (tr *shareTree) acc(at sim.Time) *shareAcc {
-	a := tr.pending[at]
-	if a == nil {
-		a = newShareAcc(at)
-		if tr.pending == nil {
-			tr.pending = make(map[sim.Time]*shareAcc, 4)
-		}
-		tr.pending[at] = a
+// accLocked returns tr's accumulator for instant at, inserting a recycled
+// (or new) one in order. Fragments mostly report the newest epochs, so the
+// search runs from the back.
+func (c *Coordinator) accLocked(tr *shareTree, at sim.Time) *shareAcc {
+	i := len(tr.pending)
+	for i > 0 && tr.pending[i-1].at > at {
+		i--
 	}
+	if i > 0 && tr.pending[i-1].at == at {
+		return tr.pending[i-1]
+	}
+	var a *shareAcc
+	if n := len(c.freeAccs); n > 0 {
+		a, c.freeAccs = c.freeAccs[n-1], c.freeAccs[:n-1]
+	} else {
+		a = new(shareAcc)
+	}
+	a.reset(at)
+	tr.pending = slices.Insert(tr.pending, i, a)
 	return a
 }
 
@@ -254,7 +265,9 @@ type Coordinator struct {
 	frags   *tier.Sorted[string, *fragment]
 	trees   *tier.Sorted[string, *shareTree]
 	resolve []*fragment // fragments with pending tickets
-	stats   Stats
+	// freeAccs are released or dropped epoch accumulators awaiting reuse.
+	freeAccs []*shareAcc
+	stats    Stats
 }
 
 // New builds a coordinator over cfg.Upstream. The upstream must be fresh:
@@ -639,12 +652,12 @@ func (c *Coordinator) synthesizeLocked(tr *shareTree) {
 			ats = append(ats, at)
 		}
 	}
-	sort.Slice(ats, func(i, j int) bool { return ats[i] < ats[j] })
+	slices.Sort(ats)
 	if len(ats) > c.cfg.Window {
 		ats = ats[len(ats)-c.cfg.Window:]
 	}
 	for _, at := range ats {
-		acc := newShareAcc(at)
+		acc := &shareAcc{at: at, coverage: 1}
 		for i, fr := range tr.frags {
 			for _, e := range fr.ring {
 				if e.at == at {
@@ -665,8 +678,7 @@ func (c *Coordinator) synthesizeLocked(tr *shareTree) {
 // drainLocked empties every live fragment stream into the referencing
 // trees' epoch accumulators and the fragment's cache ring.
 func (c *Coordinator) drainLocked() {
-	for _, key := range c.frags.Keys() {
-		fr := c.frags.Get(key)
+	for _, fr := range c.frags.Values() {
 		if fr.sub == nil {
 			continue
 		}
@@ -703,7 +715,7 @@ func (c *Coordinator) mergeLocked(fr *fragment, u gateway.Update) {
 			c.stats.LateDropped++
 			continue
 		}
-		ref.tr.acc(u.At).add(ref.idx, u)
+		c.accLocked(ref.tr, u.At).add(ref.idx, u)
 	}
 }
 
@@ -712,38 +724,36 @@ func (c *Coordinator) mergeLocked(fr *fragment, u gateway.Update) {
 // epochs: a fragment that skipped it will not revisit it) and is dropped
 // rather than delivered with wrong partial values.
 func (c *Coordinator) releaseLocked() {
-	for _, key := range c.trees.Keys() {
-		tr := c.trees.Get(key)
+	for _, tr := range c.trees.Values() {
 		if len(tr.pending) == 0 {
 			continue
 		}
-		for _, at := range tier.SortedKeys(tr.pending) {
-			acc := tr.pending[at]
-			if !acc.complete(len(tr.frags)) {
+		nf := len(tr.frags)
+		for _, acc := range tr.pending {
+			if acc.complete(nf) {
+				c.releaseEpochLocked(tr, acc)
+				tr.released = acc.at
+			}
+		}
+		// Sweep the released epochs and the unreleasable ones: older than
+		// the watermark, or beyond the pending bound (a stalled fragment
+		// must not leak memory).
+		keep := tr.pending[:0]
+		for _, acc := range tr.pending {
+			switch {
+			case acc.complete(nf): // released above
+			case acc.at <= tr.released:
+				c.stats.PartialDropped++
+			default:
+				keep = append(keep, acc)
 				continue
 			}
-			c.releaseEpochLocked(tr, acc)
-			delete(tr.pending, at)
-			tr.released = at
+			c.freeAccs = append(c.freeAccs, acc)
 		}
-		// Sweep unreleasable epochs: older than the watermark, or beyond
-		// the pending bound (a stalled fragment must not leak memory).
-		for at := range tr.pending {
-			if at <= tr.released {
-				delete(tr.pending, at)
-				c.stats.PartialDropped++
-			}
-		}
-		for len(tr.pending) > c.cfg.MaxPending {
-			oldest := sim.Time(1<<63 - 1)
-			for at := range tr.pending {
-				if at < oldest {
-					oldest = at
-				}
-			}
-			delete(tr.pending, oldest)
-			c.stats.PartialDropped++
-		}
+		over := max(len(keep)-c.cfg.MaxPending, 0)
+		c.stats.PartialDropped += int64(over)
+		c.freeAccs = append(c.freeAccs, keep[:over]...)
+		tr.pending = append(keep[:0], keep[over:]...)
 		// A tree can lose its last subscriber via eviction during release.
 		if tr.Empty() {
 			c.teardownTreeLocked(tr)
@@ -822,8 +832,7 @@ func (c *Coordinator) Reattach(up Upstream) error {
 	c.up = up
 	c.upSess = fresh
 	c.stats.Reattaches++
-	for _, key := range c.frags.Keys() {
-		fr := c.frags.Get(key)
+	for _, fr := range c.frags.Values() {
 		fr.sess = fresh[fr.sessIdx]
 		if fr.id == 0 {
 			continue // never resolved before the crash

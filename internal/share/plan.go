@@ -14,7 +14,8 @@
 package share
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"repro/internal/gateway"
 	"repro/internal/query"
@@ -93,10 +94,12 @@ func planShare(q query.Query, sensors, cell int) (*sharePlan, error) {
 }
 
 // shareAcc accumulates one virtual instant's fragment results until every
-// planned fragment has contributed.
+// planned fragment has contributed. Accumulators are recycled (reset), so
+// nothing in one outlives its epoch: finish hands out fresh slices.
 type shareAcc struct {
 	at   sim.Time
-	got  map[int]bool // fragment indices seen this epoch
+	got  []uint64 // bit idx set: fragment idx seen this epoch
+	n    int      // bits set in got
 	rows []query.Row
 	tier.Acc
 	// degraded/coverage propagate partial shard coverage from upstream
@@ -109,12 +112,16 @@ type shareAcc struct {
 	shards uint64
 }
 
-func newShareAcc(at sim.Time) *shareAcc {
-	return &shareAcc{at: at, got: make(map[int]bool, 4), coverage: 1}
+// reset readies the accumulator for instant at, keeping its storage.
+func (a *shareAcc) reset(at sim.Time) {
+	clear(a.got)
+	a.rows = a.rows[:0]
+	a.Reset()
+	a.at, a.n, a.degraded, a.coverage, a.shards = at, 0, false, 1, 0
 }
 
 // complete reports whether all n planned fragments contributed.
-func (a *shareAcc) complete(n int) bool { return len(a.got) >= n }
+func (a *shareAcc) complete(n int) bool { return a.n >= n }
 
 // cov is the composed coverage fraction (1 unless degraded).
 func (a *shareAcc) cov() float64 {
@@ -126,7 +133,14 @@ func (a *shareAcc) cov() float64 {
 
 // add folds one fragment's epoch into the accumulator.
 func (a *shareAcc) add(idx int, u gateway.Update) {
-	a.got[idx] = true
+	w, bit := idx/64, uint64(1)<<(idx%64)
+	for len(a.got) <= w {
+		a.got = append(a.got, 0)
+	}
+	if a.got[w]&bit == 0 {
+		a.got[w] |= bit
+		a.n++
+	}
 	a.shards |= u.Prov.Shards
 	if u.Degraded {
 		a.degraded = true
@@ -147,7 +161,7 @@ func (a *shareAcc) finish(p *sharePlan) ([]query.Row, []query.AggResult) {
 	var rows []query.Row
 	if len(a.rows) > 0 {
 		rows = append([]query.Row(nil), a.rows...)
-		sort.SliceStable(rows, func(i, j int) bool { return rows[i].Node < rows[j].Node })
+		slices.SortStableFunc(rows, func(a, b query.Row) int { return cmp.Compare(a.Node, b.Node) })
 	}
 	if !p.agg {
 		return rows, nil

@@ -3,6 +3,7 @@ package tier
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/field"
 	"repro/internal/query"
@@ -102,35 +103,50 @@ func Piece(q query.Query, aggs []query.Agg, r Range, whole int) query.Query {
 	return p.Normalize()
 }
 
-type accKey struct {
-	agg   query.Agg
-	group int64
-}
-
 // partial folds the pieces' results of one (agg, group).
 type partial struct {
+	agg           query.Agg
+	group         int64
 	sum, min, max float64
 	count         int64 // contributing non-empty partials
 }
 
+// accInline is how many (agg, group) partials an Acc holds without
+// allocating: a region aggregate's basis is two or three, ungrouped.
+const accInline = 4
+
 // Acc accumulates one epoch's partial aggregates across pieces. The zero
 // value is ready; partials fold in the order they are added, which is the
-// order float sums associate in.
+// order float sums associate in. The partials sit in a slice searched
+// linearly — inline up to accInline of them — so an Acc must not be copied
+// once used; Reset empties it for the next epoch.
 type Acc struct {
-	parts map[accKey]*partial
+	parts  []partial
+	inline [accInline]partial
+}
+
+// Reset empties the accumulator, keeping its storage.
+func (a *Acc) Reset() { a.parts = a.parts[:0] }
+
+func (a *Acc) find(ag query.Agg, group int64) *partial {
+	for i := range a.parts {
+		if p := &a.parts[i]; p.agg == ag && p.group == group {
+			return p
+		}
+	}
+	return nil
 }
 
 // Add folds one piece's aggregate results in.
 func (a *Acc) Add(results []query.AggResult) {
 	if a.parts == nil {
-		a.parts = make(map[accKey]*partial, len(results))
+		a.parts = a.inline[:0]
 	}
 	for _, r := range results {
-		k := accKey{r.Agg, r.Group}
-		p := a.parts[k]
+		p := a.find(r.Agg, r.Group)
 		if p == nil {
-			p = &partial{min: math.Inf(1), max: math.Inf(-1)}
-			a.parts[k] = p
+			a.parts = append(a.parts, partial{agg: r.Agg, group: r.Group, min: math.Inf(1), max: math.Inf(-1)})
+			p = &a.parts[len(a.parts)-1]
 		}
 		if r.Empty {
 			continue
@@ -148,21 +164,24 @@ func (a *Acc) Add(results []query.AggResult) {
 // streamed AVG itself (an undivided query, never rewritten by Basis) the
 // fold of that one partial is the identity.
 func (a *Acc) Finish(at sim.Time, want []query.Agg) []query.AggResult {
-	groupSet := make(map[int64]bool, 4)
-	for k := range a.parts {
-		groupSet[k.group] = true
+	var buf [accInline]int64
+	groups := buf[:0]
+	for i := range a.parts {
+		if g := a.parts[i].group; !slices.Contains(groups, g) {
+			groups = append(groups, g)
+		}
 	}
-	groups := SortedKeys(groupSet)
+	slices.Sort(groups)
 
 	out := make([]query.AggResult, 0, len(want)*len(groups))
 	for _, ag := range want {
 		for _, g := range groups {
 			r := query.AggResult{Time: at, Agg: ag, Group: g}
-			pt := a.parts[accKey{ag, g}]
+			pt := a.find(ag, g)
 			switch {
 			case ag.Op == query.Avg && pt == nil:
-				sum := a.parts[accKey{query.Agg{Op: query.Sum, Attr: ag.Attr}, g}]
-				cnt := a.parts[accKey{query.Agg{Op: query.Count, Attr: ag.Attr}, g}]
+				sum := a.find(query.Agg{Op: query.Sum, Attr: ag.Attr}, g)
+				cnt := a.find(query.Agg{Op: query.Count, Attr: ag.Attr}, g)
 				if sum == nil || cnt == nil || cnt.count == 0 || cnt.sum == 0 {
 					r.Empty = true
 				} else {

@@ -33,7 +33,6 @@ import (
 	"fmt"
 	"runtime"
 	"slices"
-	"sort"
 	"sync"
 	"time"
 
@@ -705,13 +704,13 @@ type Ack struct {
 // seq) order and returns how many there were. Unsubscribes and closes reply
 // at once; admitted subscribes reply through AckLocked.
 func (k *Kernel) CommitLocked() (int, []Ack) {
+	if len(k.staged) == 0 {
+		return 0, nil
+	}
 	staged := k.staged
 	k.staged = nil
-	sort.SliceStable(staged, func(i, j int) bool {
-		if staged[i].sess.name != staged[j].sess.name {
-			return staged[i].sess.name < staged[j].sess.name
-		}
-		return staged[i].seq < staged[j].seq
+	slices.SortStableFunc(staged, func(a, b *command) int {
+		return cmp.Or(cmp.Compare(a.sess.name, b.sess.name), cmp.Compare(a.seq, b.seq))
 	})
 	wall := time.Now()
 	var acks []Ack
@@ -953,12 +952,14 @@ func SortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
 	return keys
 }
 
-// Sorted is a map that remembers its ascending key list between mutations:
-// the tiers walk their tables in key order every round but change them only
-// at commit. Keys returns a snapshot a mutation does not disturb.
+// Sorted is a map that remembers its ascending key list, and its values in
+// that order, between mutations: the tiers walk their tables in key order
+// every round but change them only at commit. Keys and Values return
+// snapshots a mutation does not disturb.
 type Sorted[K cmp.Ordered, V any] struct {
 	m    map[K]V
 	keys []K // nil when stale
+	vals []V // nil when stale
 }
 
 // NewSorted returns an empty table.
@@ -975,13 +976,14 @@ func (s *Sorted[K, V]) Set(k K, v V) {
 	if _, ok := s.m[k]; !ok {
 		s.keys = nil
 	}
+	s.vals = nil
 	s.m[k] = v
 }
 
 // Delete removes k.
 func (s *Sorted[K, V]) Delete(k K) {
 	if _, ok := s.m[k]; ok {
-		s.keys = nil
+		s.keys, s.vals = nil, nil
 		delete(s.m, k)
 	}
 }
@@ -992,4 +994,17 @@ func (s *Sorted[K, V]) Keys() []K {
 		s.keys = SortedKeys(s.m)
 	}
 	return s.keys
+}
+
+// Values returns the values in ascending key order — a round's walk over
+// the table, with no key hashed; callers must not modify it.
+func (s *Sorted[K, V]) Values() []V {
+	if s.vals == nil && len(s.m) > 0 {
+		keys := s.Keys()
+		s.vals = make([]V, len(keys))
+		for i, k := range keys {
+			s.vals[i] = s.m[k]
+		}
+	}
+	return s.vals
 }
