@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet fmt-check bench bench-parallel bench-smoke serve-soak chaos-soak admin-smoke trace-smoke fuzz loc clean
+.PHONY: build test race vet fmt-check bench bench-once bench-parallel bench-smoke serve-soak chaos-soak admin-smoke trace-smoke fuzz loc clean
 
 build:
 	$(GO) build ./...
@@ -24,10 +24,20 @@ fmt-check:
 # epoch mapped to its members in internal/core, one collection window closed
 # in internal/network), and the composed tiers' round without sockets (the
 # router's at two shard sizes in internal/federation; the full_stack shape
-# through coordinator and router in internal/share). Trajectory only; the
-# end-to-end benchmark is `bash bench/run.sh`.
+# through coordinator and router in internal/share). The simulator has two
+# rows at the root: BenchmarkSimulationRound144 (the sim_heavy shape,
+# acquisition relays) and BenchmarkSimulationRoundAgg (one full_stack shard,
+# in-network aggregation). Trajectory only; the end-to-end benchmark is
+# `bash bench/run.sh`.
+BENCH_PKGS = . ./internal/gateway ./internal/core ./internal/network ./internal/federation ./internal/share
+
 bench:
-	$(GO) test -run '^$$' -bench . -benchmem . ./internal/gateway ./internal/core ./internal/network ./internal/federation ./internal/share
+	$(GO) test -run '^$$' -bench . -benchmem $(BENCH_PKGS)
+
+# Every benchmark above, one iteration each: `go test ./...` only compiles
+# them, so this is what fails when one panics or stops matching an API.
+bench-once:
+	$(GO) test -run '^$$' -bench . -benchtime 1x $(BENCH_PKGS)
 
 # The parallel-runner benchmarks: the figure sweep at 1 worker vs one per
 # CPU, and the field generator's hot path.

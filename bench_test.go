@@ -284,7 +284,30 @@ func BenchmarkSimulationMinute(b *testing.B) {
 // reports events/s and allocs/round, the numbers the benchmark's ledger
 // prints as network.events_per_s and network.allocs_per_round.
 func BenchmarkSimulationRound144(b *testing.B) {
-	topo, err := ttmqo.PaperGrid(12)
+	var qs []ttmqo.Query
+	for _, w := range ttmqo.RandomWorkload(ttmqo.RandomWorkloadConfig{Seed: 1, NumQueries: 16}) {
+		qs = append(qs, w.Query)
+	}
+	benchSimulationRound(b, 12, qs)
+}
+
+// BenchmarkSimulationRoundAgg is the same round at the shape of one
+// full_stack shard, where in-network aggregation is the work: 16 motes
+// carrying a dozen overlapping region SUM/COUNT/AVG aggregates at
+// 2048/4096/8192 ms, so partial states merge, pack and split at the relays.
+func BenchmarkSimulationRoundAgg(b *testing.B) {
+	var qs []ttmqo.Query
+	for i := 0; i < 12; i++ {
+		lo := 1 + (i*4)%11
+		qs = append(qs, ttmqo.MustParseQuery(fmt.Sprintf(
+			"SELECT SUM(light), COUNT(light), AVG(light) WHERE nodeid >= %d AND nodeid <= %d EPOCH DURATION %d",
+			lo, min(lo+2+3*(i%4), 15), 2048<<(i%3))))
+	}
+	benchSimulationRound(b, 4, qs)
+}
+
+func benchSimulationRound(b *testing.B, side int, qs []ttmqo.Query) {
+	topo, err := ttmqo.PaperGrid(side)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -294,8 +317,8 @@ func BenchmarkSimulationRound144(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, w := range ttmqo.RandomWorkload(ttmqo.RandomWorkloadConfig{Seed: 1, NumQueries: 16}) {
-		if _, err := sim.Post(w.Query); err != nil {
+	for _, q := range qs {
+		if _, err := sim.Post(q); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -304,6 +327,7 @@ func BenchmarkSimulationRound144(b *testing.B) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	fired := sim.Engine().Fired()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sim.Run(round)

@@ -119,7 +119,7 @@ func (o *Optimizer) MapAggregation(synID query.ID, t sim.Time, states []query.Ag
 	if !ok {
 		return nil
 	}
-	var out []UserAgg
+	out := make([]UserAgg, 0, len(s.plan))
 	for i := range s.plan {
 		if !s.plan[i].fires(t) {
 			continue
@@ -138,20 +138,23 @@ func (o *Optimizer) MapAggregation(synID query.ID, t sim.Time, states []query.Ag
 func AggregateStates(uq query.Query, t sim.Time, states []query.AggState) []query.AggResult {
 	results := make([]query.AggResult, 0, len(uq.Aggs))
 	for _, a := range uq.Aggs {
+		if uq.GroupBy == nil {
+			res := query.AggResult{Time: t, Agg: a, Empty: true}
+			for i := range states {
+				if states[i].Agg == a {
+					v, okv := states[i].Result()
+					res.Value, res.Empty = v, !okv
+					break
+				}
+			}
+			results = append(results, res)
+			continue
+		}
 		var matching []query.AggState
 		for _, st := range states {
 			if st.Agg == a {
 				matching = append(matching, st)
 			}
-		}
-		if uq.GroupBy == nil {
-			if len(matching) == 0 {
-				results = append(results, query.AggResult{Time: t, Agg: a, Empty: true})
-				continue
-			}
-			v, okv := matching[0].Result()
-			results = append(results, query.AggResult{Time: t, Agg: a, Value: v, Empty: !okv})
-			continue
 		}
 		sort.Slice(matching, func(i, j int) bool { return matching[i].Group < matching[j].Group })
 		for _, st := range matching {

@@ -62,8 +62,10 @@ type installedQuery struct {
 	flush  sim.Handle
 	flushT sim.Time
 	// open holds the epochs with arrivals not yet flushed — the current
-	// epoch and, when slots overlap the next firing, the one after.
-	open []epochBuffer
+	// epoch and, when slots overlap the next firing, the one after. spare is
+	// the state buffer of the last epoch flushed, for the next one opened.
+	open  []epochBuffer
+	spare []query.AggState
 }
 
 // Fire closes the pending collection window and opens the next.
@@ -95,7 +97,8 @@ func (inst *installedQuery) bufferFor(epochT sim.Time) *epochBuffer {
 			return &inst.open[i]
 		}
 	}
-	inst.open = append(inst.open, epochBuffer{epochT: epochT})
+	inst.open = append(inst.open, epochBuffer{epochT: epochT, states: inst.spare})
+	inst.spare = nil
 	return &inst.open[len(inst.open)-1]
 }
 
@@ -514,10 +517,8 @@ func (s *Simulation) onReceive(d radio.Delivery) {
 		}
 		buf := inst.bufferFor(msg.EpochT)
 		if msg.IsAggregation() {
-			for _, qs := range msg.States {
-				if qs.QID == qid {
-					buf.states = mergeStates(buf.states, qs.State)
-				}
+			for _, st := range msg.States {
+				buf.states = mergeStates(buf.states, st)
 			}
 		} else {
 			buf.put(msg.Origin, msg.Row)
@@ -546,7 +547,15 @@ func (s *Simulation) flush(inst *installedQuery, epochT sim.Time) {
 		}
 	}
 	inst.open = kept
+	s.deliver(inst, epochT, rows, states)
+	if states != nil {
+		inst.spare = states[:0]
+	}
+}
 
+// deliver hands one closed epoch to the users. The rows move on as they are;
+// the states are only read.
+func (s *Simulation) deliver(inst *installedQuery, epochT sim.Time, rows []query.Row, states []query.AggState) {
 	if s.opt != nil {
 		// §3.1.2 statistics maintenance: returned readings refine the
 		// optimizer's per-attribute histograms, so future selectivity

@@ -144,16 +144,16 @@ func TestSendAggStatesClassSplit(t *testing.T) {
 	for _, m := range r.atBS {
 		for _, qid := range m.QIDs {
 			perQID[qid]++
-		}
-		for _, st := range m.States {
-			switch st.QID {
-			case 1:
-				if st.State.Count != 2 {
-					t.Fatalf("q1 count = %d, want 2", st.State.Count)
-				}
-			case 2:
-				if st.State.Count != 1 {
-					t.Fatalf("q2 count = %d, want 1", st.State.Count)
+			for _, st := range m.States {
+				switch qid {
+				case 1:
+					if st.Count != 2 {
+						t.Fatalf("q1 count = %d, want 2", st.Count)
+					}
+				case 2:
+					if st.Count != 1 {
+						t.Fatalf("q2 count = %d, want 1", st.Count)
+					}
 				}
 			}
 		}

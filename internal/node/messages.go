@@ -34,7 +34,13 @@ type AbortMsg struct {
 // (repairing nodes that were down during the flood), and a neighbor that
 // knows a query in the digest was aborted re-floods the abort.
 type BeaconMsg struct {
-	QIDs []query.ID // ascending
+	// QIDs is the digest as of the send, ascending, in a buffer of the
+	// message's own.
+	QIDs []query.ID
+
+	// pkt is the packet the beacon travels in; a mote sends its next beacon
+	// in the record the medium gave back.
+	pkt radio.Message
 }
 
 // WakeMsg is the one-hop broadcast a waking node sends when its data starts
@@ -48,19 +54,28 @@ type WakeMsg struct {
 // ResultMsg carries query results toward the base station. Exactly one of
 // Row / States is set: acquisition messages carry one origin row, and
 // aggregation messages carry partial aggregate states.
+//
+// A result message belongs to the mote that sent it. It and every slice in it
+// are valid for a receiver only during the delivery: once the medium is
+// finished with the message the sender builds its next one in the same
+// memory, so a receiver copies out what it keeps.
 type ResultMsg struct {
 	// EpochT is the network-wide fire time of the epoch the data belongs to.
 	EpochT sim.Time
-	// QIDs lists the (synthetic) queries this message serves. Baseline
-	// (per-query) messages have exactly one entry.
+	// QIDs lists the (synthetic) queries this message serves, in a buffer of
+	// the message's own. Baseline (per-query) messages have exactly one
+	// entry; a packed aggregation message lists the class of queries whose
+	// partial states are States.
 	QIDs []query.ID
 	// Origin is the node whose reading produced Row (acquisition only).
 	Origin topology.NodeID
 	// Row holds the acquired attribute values (acquisition only).
 	Row field.Values
-	// States holds partial aggregates, one per (query, aggregate) pair
-	// (aggregation only).
-	States []QueryAggState
+	// States holds the partial aggregates (aggregation only), one per
+	// (aggregate, GROUP BY bucket), carried once and valid for every query in
+	// QIDs: queries share a message exactly when their partial states are
+	// identical (§3.2.2).
+	States []query.AggState
 	// OwnQIDs lists the queries for which the *sender's own reading*
 	// contributed to this message (as opposed to pure relaying). Neighbors
 	// overhear it to learn who holds data for which queries — the §3.2.2
@@ -76,20 +91,17 @@ type ResultMsg struct {
 
 	// pkt is the packet this message travels in. A result message is put
 	// on the air once, by the node that built it, so the two are one
-	// allocation.
-	pkt radio.Message
+	// allocation. shares and dests back Subsets and the packet's multicast
+	// destination list.
+	pkt    radio.Message
+	shares []Subset
+	dests  []topology.NodeID
 }
 
 // Subset is one destination's share of a multicast result message.
 type Subset struct {
 	Dest topology.NodeID
 	QIDs []query.ID
-}
-
-// QueryAggState ties a partial aggregate to the query it belongs to.
-type QueryAggState struct {
-	QID   query.ID
-	State query.AggState
 }
 
 // IsAggregation reports whether the message carries partial aggregates.
@@ -121,14 +133,14 @@ func queryMsgBytes(q query.Query) int {
 }
 
 // resultMsgBytes sizes a result message: header, origin/epoch fields, the
-// payload (row values or aggregate states — equal-valued aggregate states
-// shared between queries are carried once), per-query tags when the message
+// payload (row values or aggregate states — the states shared between the
+// message's queries are carried once), per-query tags when the message
 // serves several queries, and per-extra-destination addressing for
 // multicast.
 func resultMsgBytes(m *ResultMsg) int {
 	b := cost.HeaderBytes
 	if m.IsAggregation() {
-		b += distinctStateGroups(m.States) * cost.BytesPerAgg
+		b += cost.BytesPerAgg * len(m.States)
 	} else {
 		b += cost.BytesPerAttr * m.Row.Len()
 	}
@@ -139,26 +151,6 @@ func resultMsgBytes(m *ResultMsg) int {
 		b += 2 * (len(m.Subsets) - 1)
 	}
 	return b
-}
-
-// distinctStateGroups counts the aggregate states that must physically
-// appear in the packet: states with the same operator and identical partial
-// value are transmitted once and shared among their queries (§3.2.2).
-func distinctStateGroups(states []QueryAggState) int {
-	n := 0
-	for i := range states {
-		shared := false
-		for j := 0; j < i; j++ {
-			if states[j].State.SameValue(states[i].State) {
-				shared = true
-				break
-			}
-		}
-		if !shared {
-			n++
-		}
-	}
-	return n
 }
 
 func abortMsgBytes() int { return cost.HeaderBytes + 2 }

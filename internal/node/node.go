@@ -146,10 +146,24 @@ type Node struct {
 	suspectAt []sim.Time
 	suspects  int
 
-	// noAck is onUndeliverable as a func value, made once.
-	noAck func(*radio.Message, topology.NodeID)
+	// noAck and finished are onUndeliverable and onFinished as func values,
+	// made once.
+	noAck    func(*radio.Message, topology.NodeID)
+	finished func(*radio.Message)
 	// firing is onTick's scratch list.
 	firing []*installed
+
+	// What the mote sends and aggregates in is recycled: the result messages
+	// and the beacon the medium has handed back, the state buffers of closed
+	// pending entries, the slot records whose events have all fired.
+	freeMsgs   []*ResultMsg
+	freeBeacon *BeaconMsg
+	freeStates [][]query.AggState
+	freeSlots  []*slotWork
+	// perQuery and classes are the scratch of one sendAggStates: nothing
+	// re-enters between building them and route, which only schedules.
+	perQuery []queryStates
+	classes  []*ResultMsg
 }
 
 const notSuspected sim.Time = -1
@@ -182,7 +196,7 @@ func New(cfg Config) *Node {
 		n.slots[i] = i
 		n.suspectAt[i] = notSuspected
 	}
-	n.noAck = n.onUndeliverable
+	n.noAck, n.finished = n.onUndeliverable, n.onFinished
 	cfg.Medium.SetHandler(n.id, n.onReceive)
 	if cfg.MaintenanceInterval > 0 {
 		// Stagger first beacons across the interval by node ID.
@@ -248,7 +262,7 @@ func (n *Node) SetDown(down bool) {
 		n.cfg.Trace.Emitf(n.cfg.Engine.Now(), trace.KindFail, n.id, "")
 		n.cfg.Medium.SetHandler(n.id, nil)
 		// Stale partial aggregates and window histories die with the outage.
-		n.pending = nil
+		n.dropPending(func(*pendBuf) bool { return true })
 		for _, inst := range n.queries {
 			inst.rings = nil
 		}
@@ -405,7 +419,7 @@ func (n *Node) onAbort(am *AbortMsg) {
 		}
 		n.cfg.Trace.Emitf(n.cfg.Engine.Now(), trace.KindAbort, n.id, "q%d", am.QID)
 	}
-	n.pending = slices.DeleteFunc(n.pending, func(b pendBuf) bool { return b.qid == am.QID })
+	n.dropPending(func(b *pendBuf) bool { return b.qid == am.QID })
 	if len(n.queries) == 0 && n.tick.Pending() {
 		n.tick.Cancel()
 	}
@@ -451,7 +465,9 @@ func (n *Node) onResult(d radio.Delivery, msg *ResultMsg) {
 // relayAcquisition forwards an origin row toward the base station, trimmed
 // to the attributes its remaining queries need.
 func (n *Node) relayAcquisition(msg *ResultMsg, mine []query.ID) {
-	out := &ResultMsg{EpochT: msg.EpochT, QIDs: mine, Origin: msg.Origin, Row: n.trimRow(msg.Row, mine)}
+	out := n.newMsg(msg.EpochT)
+	out.QIDs = append(out.QIDs, mine...)
+	out.Origin, out.Row = msg.Origin, n.trimRow(msg.Row, mine)
 	n.route(out)
 }
 
@@ -460,24 +476,19 @@ func (n *Node) relayAcquisition(msg *ResultMsg, mine []query.ID) {
 // arrival, or epochs this node is not running) the states are forwarded
 // unmerged — less aggregation, same answer at the base station.
 func (n *Node) relayAggregation(msg *ResultMsg, mine []query.ID) {
-	var late []queryStates
-	for _, qs := range msg.States {
-		if !slices.Contains(mine, qs.QID) {
-			continue
-		}
-		inst := n.find(qs.QID)
+	late := n.perQuery[:0]
+	for _, qid := range mine {
+		inst := n.find(qid)
 		if inst != nil && n.slotTime(msg.EpochT) > n.cfg.Engine.Now() && n.firesAt(inst, msg.EpochT) {
-			b := n.pendingFor(qs.QID, msg.EpochT)
-			b.states = mergeState(b.states, qs.State)
+			b := n.pendingFor(qid, msg.EpochT)
+			for _, st := range msg.States {
+				b.states = mergeState(b.states, st)
+			}
 			continue
 		}
-		// Group the late states per query, queries ascending.
-		i := sort.Search(len(late), func(i int) bool { return late[i].qid >= qs.QID })
-		if i == len(late) || late[i].qid != qs.QID {
-			late = slices.Insert(late, i, queryStates{qid: qs.QID})
-		}
-		late[i].states = append(late[i].states, qs.State)
+		late = append(late, queryStates{qid: qid, states: msg.States})
 	}
+	n.perQuery = late
 	if len(late) > 0 {
 		n.sendAggStates(msg.EpochT, late)
 	}
@@ -495,9 +506,34 @@ func (n *Node) pendingFor(qid query.ID, epochT sim.Time) *pendBuf {
 		}
 	}
 	stale := n.cfg.Engine.Now() - sim.Time(SlotTime)
-	n.pending = slices.DeleteFunc(n.pending, func(b pendBuf) bool { return n.slotTime(b.epochT) < stale })
-	n.pending = append(n.pending, pendBuf{qid: qid, epochT: epochT})
+	n.dropPending(func(b *pendBuf) bool { return n.slotTime(b.epochT) < stale })
+	states, _ := pop(&n.freeStates)
+	n.pending = append(n.pending, pendBuf{qid: qid, epochT: epochT, states: states})
 	return &n.pending[len(n.pending)-1]
+}
+
+// pop takes the last entry off a free list, if there is one.
+func pop[T any](free *[]T) (v T, ok bool) {
+	if k := len(*free); k > 0 {
+		v, *free = (*free)[k-1], (*free)[:k-1]
+		return v, true
+	}
+	return v, false
+}
+
+// dropPending closes the assembly buffers drop selects; their state buffers
+// go back on the free list.
+func (n *Node) dropPending(drop func(*pendBuf) bool) {
+	kept := n.pending[:0]
+	for i := range n.pending {
+		if b := &n.pending[i]; drop(b) {
+			n.freeStates = append(n.freeStates, b.states[:0])
+		} else {
+			kept = append(kept, *b)
+		}
+	}
+	clear(n.pending[len(kept):])
+	n.pending = kept
 }
 
 // --- Epoch scheduling -----------------------------------------------------
@@ -597,14 +633,15 @@ func (n *Node) firesAt(inst *installed, t sim.Time) bool {
 // the shared sample and the firing queries, each with the kind of result
 // traffic it owes. Acquisition rows, windowed rows and partial aggregates
 // go out as three events at the slot instant, in that order; all three are
-// this one record.
+// this one record, which goes back on the mote's free list when the last of
+// them has fired.
 type slotWork struct {
 	n      *Node
 	t      sim.Time
 	sample field.Values
 	items  []slotItem
-	// room keeps the common few-query firing free of a second allocation.
-	room [4]slotItem
+	// events counts the slot events still to fire.
+	events int
 }
 
 type slotItem struct {
@@ -626,9 +663,15 @@ type (
 	aggSlot slotWork
 )
 
-func (w *acqSlot) Fire() { w.n.sendAcquisition((*slotWork)(w)) }
-func (w *winSlot) Fire() { w.n.sendWindowed((*slotWork)(w)) }
-func (w *aggSlot) Fire() { w.n.finalizeAggregation((*slotWork)(w)) }
+func (w *acqSlot) Fire() { w.n.sendAcquisition((*slotWork)(w)); (*slotWork)(w).fired() }
+func (w *winSlot) Fire() { w.n.sendWindowed((*slotWork)(w)); (*slotWork)(w).fired() }
+func (w *aggSlot) Fire() { w.n.finalizeAggregation((*slotWork)(w)); (*slotWork)(w).fired() }
+
+func (w *slotWork) fired() {
+	if w.events--; w.events == 0 {
+		w.n.freeSlots = append(w.n.freeSlots, w)
+	}
+}
 
 // processFiring samples once for all firing queries and generates result
 // traffic at this node's transmission slot.
@@ -641,8 +684,11 @@ func (n *Node) processFiring(t sim.Time, firing []*installed) {
 	for _, inst := range firing {
 		need |= inst.sampled
 	}
-	w := &slotWork{n: n, t: t, sample: field.Sample(n.cfg.Source, n.id, need, t)}
-	w.items = w.room[:0]
+	w, ok := pop(&n.freeSlots)
+	if !ok {
+		w = &slotWork{n: n}
+	}
+	w.t, w.sample, w.items = t, field.Sample(n.cfg.Source, n.id, need, t), w.items[:0]
 	sample := &w.sample
 	if n.cfg.Metrics != nil {
 		n.cfg.Metrics.CountSamples(n.id, need.Len())
@@ -685,12 +731,12 @@ func (n *Node) processFiring(t sim.Time, firing []*installed) {
 					gv, _ := sample.Get(inst.q.GroupBy.Attr)
 					group = inst.q.GroupBy.Key(gv)
 				}
+				b := n.pendingFor(inst.q.ID, t)
+				b.own = true
 				for _, a := range inst.q.Aggs {
 					st := query.NewGroupedAggState(a, group)
 					v, _ := sample.Get(a.Attr)
 					st.Add(v)
-					b := n.pendingFor(inst.q.ID, t)
-					b.own = true
 					b.states = mergeState(b.states, st)
 				}
 			}
@@ -704,14 +750,21 @@ func (n *Node) processFiring(t sim.Time, firing []*installed) {
 	}
 
 	slot := n.slotTime(t) + sim.Time(n.jitter())
+	w.events = 0
 	if owed[owesAcquisition] {
+		w.events++
 		n.cfg.Engine.ScheduleAction(slot, (*acqSlot)(w))
 	}
 	if owed[owesWindow] {
+		w.events++
 		n.cfg.Engine.ScheduleAction(slot, (*winSlot)(w))
 	}
 	if owed[owesAggregate] {
+		w.events++
 		n.cfg.Engine.ScheduleAction(slot, (*aggSlot)(w))
+	}
+	if w.events == 0 {
+		n.freeSlots = append(n.freeSlots, w)
 	}
 
 	n.updateSleepState(hadOwnData)
@@ -750,8 +803,7 @@ func (n *Node) sendWindowed(w *slotWork) {
 		if row.Len() == 0 {
 			continue
 		}
-		qids := []query.ID{inst.q.ID}
-		n.route(&ResultMsg{EpochT: w.t, QIDs: qids, Origin: n.id, Row: row, OwnQIDs: qids})
+		n.route(n.ownRow(w.t, row, inst.q.ID))
 	}
 }
 
@@ -774,25 +826,32 @@ func (n *Node) jitter() time.Duration {
 // per query otherwise (TinyDB behaviour).
 func (n *Node) sendAcquisition(w *slotWork) {
 	if n.cfg.Policy.SharedMessages {
-		var qids []query.ID
+		msg := n.newMsg(w.t)
 		var attrs field.AttrSet
 		for _, it := range w.items {
 			if it.owes == owesAcquisition {
-				qids = append(qids, it.inst.q.ID)
+				msg.QIDs = append(msg.QIDs, it.inst.q.ID)
 				attrs |= field.SetOf(it.inst.q.Attrs)
 			}
 		}
-		n.route(&ResultMsg{EpochT: w.t, QIDs: qids, Origin: n.id, Row: w.sample.Only(attrs), OwnQIDs: qids})
+		msg.OwnQIDs = append(msg.OwnQIDs, msg.QIDs...)
+		msg.Origin, msg.Row = n.id, w.sample.Only(attrs)
+		n.route(msg)
 		return
 	}
 	for _, it := range w.items {
-		if it.owes != owesAcquisition {
-			continue
+		if it.owes == owesAcquisition {
+			n.route(n.ownRow(w.t, w.sample.Only(field.SetOf(it.inst.q.Attrs)), it.inst.q.ID))
 		}
-		qids := []query.ID{it.inst.q.ID}
-		row := w.sample.Only(field.SetOf(it.inst.q.Attrs))
-		n.route(&ResultMsg{EpochT: w.t, QIDs: qids, Origin: n.id, Row: row, OwnQIDs: qids})
 	}
+}
+
+// ownRow builds the message carrying this node's own row for one query.
+func (n *Node) ownRow(t sim.Time, row field.Values, qid query.ID) *ResultMsg {
+	msg := n.newMsg(t)
+	msg.QIDs, msg.OwnQIDs = append(msg.QIDs, qid), append(msg.OwnQIDs, qid)
+	msg.Origin, msg.Row = n.id, row
+	return msg
 }
 
 // queryStates is the partial-state list of one query on its way out.
@@ -805,9 +864,10 @@ type queryStates struct {
 
 // finalizeAggregation flushes the pending partial aggregates of the firing
 // queries at this node's slot: own reading and child contributions merged
-// into one partial state record per (query, aggregate).
+// into one partial state record per (query, aggregate, bucket). Once the
+// states are in messages their buffers go back on the free list.
 func (n *Node) finalizeAggregation(w *slotWork) {
-	var out []queryStates
+	out := n.perQuery[:0]
 	for _, it := range w.items {
 		if it.owes != owesAggregate {
 			continue
@@ -820,8 +880,12 @@ func (n *Node) finalizeAggregation(w *slotWork) {
 			}
 		}
 	}
+	n.perQuery = out
 	if len(out) > 0 {
 		n.sendAggStates(w.t, out)
+	}
+	for _, pq := range out {
+		n.freeStates = append(n.freeStates, pq.states[:0])
 	}
 }
 
@@ -829,75 +893,47 @@ func (n *Node) finalizeAggregation(w *slotWork) {
 // (ascending by ID). Under SharedMessages, queries whose entire partial
 // states are identical share one message (§3.2.2: "one data message can be
 // packed to share among all of the queries whose partial aggregation value
-// are the same"); queries with different partials — e.g. a node that
-// aggregated extra children for one of them, as node B does in the Figure 2
-// walk-through — go in separate messages. Without SharedMessages every query
-// gets its own message.
+// are the same"), which carries the states once; queries with different
+// partials — e.g. a node that aggregated extra children for one of them, as
+// node B does in the Figure 2 walk-through — go in separate messages. Without
+// SharedMessages every query gets its own message.
 func (n *Node) sendAggStates(t sim.Time, perQuery []queryStates) {
-	if !n.cfg.Policy.SharedMessages {
-		for _, pq := range perQuery {
-			qs := make([]QueryAggState, 0, len(pq.states))
-			for _, st := range pq.states {
-				qs = append(qs, QueryAggState{QID: pq.qid, State: st})
-			}
-			qids := []query.ID{pq.qid}
-			var own []query.ID
-			if pq.own {
-				own = qids
-			}
-			n.route(&ResultMsg{EpochT: t, QIDs: qids, States: qs, OwnQIDs: own})
-		}
-		return
-	}
-	// Partition queries into classes with identical state lists.
-	type class struct {
-		states    []query.AggState
-		qids, own []query.ID
-	}
-	var classes []class
+	classes := n.classes[:0]
 	for _, pq := range perQuery {
-		var c *class
-		for i := range classes {
-			if stateListsEqual(classes[i].states, pq.states) {
-				c = &classes[i]
-				break
+		var c *ResultMsg
+		if n.cfg.Policy.SharedMessages {
+			for _, m := range classes {
+				if stateListsEqual(m.States, pq.states) {
+					c = m
+					break
+				}
 			}
 		}
 		if c == nil {
-			classes = append(classes, class{states: pq.states})
-			c = &classes[len(classes)-1]
+			c = n.newMsg(t)
+			c.States = append(c.States, pq.states...)
+			classes = append(classes, c)
 		}
-		c.qids = append(c.qids, pq.qid)
+		c.QIDs = append(c.QIDs, pq.qid)
 		if pq.own {
-			c.own = append(c.own, pq.qid)
+			c.OwnQIDs = append(c.OwnQIDs, pq.qid)
 		}
 	}
+	n.classes = classes
 	for _, c := range classes {
-		qs := make([]QueryAggState, 0, len(c.qids)*len(c.states))
-		for _, qid := range c.qids {
-			for _, st := range c.states {
-				qs = append(qs, QueryAggState{QID: qid, State: st})
-			}
-		}
-		n.route(&ResultMsg{EpochT: t, QIDs: c.qids, States: qs, OwnQIDs: c.own})
+		n.route(c)
 	}
 }
 
 // stateListsEqual reports whether two partial-state lists are identical
-// (same aggregates, same partial values), i.e. packable into one message.
+// (same aggregates and buckets, same partial values), i.e. packable into one
+// message. A list holds one state per (aggregate, bucket).
 func stateListsEqual(a, b []query.AggState) bool {
 	if len(a) != len(b) {
 		return false
 	}
 	for _, sa := range a {
-		found := false
-		for _, sb := range b {
-			if sa.Agg == sb.Agg {
-				found = sa.SameValue(sb)
-				break
-			}
-		}
-		if !found {
+		if !slices.ContainsFunc(b, sa.SameValue) {
 			return false
 		}
 	}
@@ -966,7 +1002,7 @@ func (n *Node) route(msg *ResultMsg) {
 	// parent; queries nobody has data for ride with the primary parent.
 	// Emission order affects the radio medium's contention, so the parents
 	// are kept in ascending node order.
-	var shares []Subset
+	shares := msg.shares[:0]
 	for i, qid := range msg.QIDs {
 		slot := best
 		if !covered(best, i) {
@@ -980,44 +1016,50 @@ func (n *Node) route(msg *ResultMsg) {
 		dest := n.upper[slot]
 		at := sort.Search(len(shares), func(j int) bool { return shares[j].Dest >= dest })
 		if at == len(shares) || shares[at].Dest != dest {
-			shares = slices.Insert(shares, at, Subset{Dest: dest})
+			// The entry past the end may be a recycled one: rotate it into
+			// place for its id buffer.
+			shares = slices.Grow(shares, 1)[:len(shares)+1]
+			spare := shares[len(shares)-1].QIDs[:0]
+			copy(shares[at+1:], shares[at:])
+			shares[at] = Subset{Dest: dest, QIDs: spare}
 		}
 		shares[at].QIDs = append(shares[at].QIDs, qid)
 	}
+	msg.shares = shares
 	if len(shares) == 1 {
 		n.unicast(msg, best)
 		return
 	}
 	if !n.cfg.Policy.Multicast {
-		// Without multicast: one unicast per parent, each with its subset.
+		// Without multicast: one unicast per parent, each with its subset;
+		// msg itself stays off the air.
 		for _, sh := range shares {
-			n.transmit(n.subsetMsg(msg, sh.QIDs), []topology.NodeID{sh.Dest})
+			n.unicast(n.subsetMsg(msg, sh.QIDs), n.upperSlot(sh.Dest))
 		}
+		n.recycle(msg)
 		return
 	}
 	// One multicast with a per-destination query mapping in the header.
-	dests := make([]topology.NodeID, len(shares))
-	for i, sh := range shares {
-		dests[i] = sh.Dest
+	msg.dests = msg.dests[:0]
+	for _, sh := range shares {
+		msg.dests = append(msg.dests, sh.Dest)
 	}
 	msg.Subsets = shares
-	n.transmit(msg, dests)
+	n.transmit(msg, msg.dests)
 }
 
-// subsetMsg projects a result message onto a subset of its queries.
+// subsetMsg projects a result message onto a non-empty subset of its queries.
 func (n *Node) subsetMsg(msg *ResultMsg, qids []query.ID) *ResultMsg {
-	out := &ResultMsg{EpochT: msg.EpochT, QIDs: qids, Origin: msg.Origin, Reroutes: msg.Reroutes}
+	out := n.newMsg(msg.EpochT)
+	out.QIDs = append(out.QIDs, qids...)
+	out.Origin, out.Reroutes = msg.Origin, msg.Reroutes
 	for _, id := range msg.OwnQIDs {
 		if slices.Contains(qids, id) {
 			out.OwnQIDs = append(out.OwnQIDs, id)
 		}
 	}
 	if msg.IsAggregation() {
-		for _, qs := range msg.States {
-			if slices.Contains(qids, qs.QID) {
-				out.States = append(out.States, qs)
-			}
-		}
+		out.States = append(out.States, msg.States...)
 	} else {
 		out.Row = n.trimRow(msg.Row, qids)
 	}
@@ -1087,8 +1129,34 @@ func (n *Node) transmit(msg *ResultMsg, dests []topology.NodeID) {
 		Bytes:         resultMsgBytes(msg),
 		Payload:       msg,
 		Undeliverable: n.noAck,
+		Finished:      n.finished,
 	}
 	n.cfg.Medium.Send(&msg.pkt)
+}
+
+// newMsg returns an empty result message for epochT: one the medium handed
+// back, its buffers kept, when there is one. Every result message this mote
+// sends is built here.
+func (n *Node) newMsg(epochT sim.Time) *ResultMsg {
+	m, ok := pop(&n.freeMsgs)
+	if !ok {
+		return &ResultMsg{EpochT: epochT}
+	}
+	*m = ResultMsg{EpochT: epochT, QIDs: m.QIDs[:0], OwnQIDs: m.OwnQIDs[:0], States: m.States[:0], shares: m.shares, dests: m.dests}
+	return m
+}
+
+// recycle is where a result message ends: delivered, or never sent.
+func (n *Node) recycle(msg *ResultMsg) { n.freeMsgs = append(n.freeMsgs, msg) }
+
+// onFinished takes back what the medium is done with (radio.Message.Finished).
+func (n *Node) onFinished(pkt *radio.Message) {
+	switch m := pkt.Payload.(type) {
+	case *ResultMsg:
+		n.recycle(m)
+	case *BeaconMsg:
+		n.freeBeacon = m
+	}
 }
 
 // onUndeliverable is the link-layer "no ACK" signal: the destination's
@@ -1113,11 +1181,12 @@ func (n *Node) onUndeliverable(pkt *radio.Message, dest topology.NodeID) {
 			"q%v epoch=%v reroutes=%d dest=%d", msg.QIDs, time.Duration(msg.EpochT), msg.Reroutes, dest)
 		return
 	}
-	sub := n.subsetMsg(msg, msg.QueriesFor(dest))
-	if len(sub.QIDs) == 0 {
+	qids := msg.QueriesFor(dest)
+	if len(qids) == 0 {
 		return
 	}
-	sub.Reroutes = msg.Reroutes + 1
+	sub := n.subsetMsg(msg, qids)
+	sub.Reroutes++
 	n.route(sub)
 }
 
@@ -1197,13 +1266,23 @@ func (n *Node) beacon() {
 	if n.asleep || n.down {
 		return
 	}
-	qids := n.Queries()
-	n.cfg.Medium.Send(&radio.Message{
-		Kind:    radio.KindBeacon,
-		Src:     n.id,
-		Bytes:   beaconMsgBytes(len(qids)),
-		Payload: &BeaconMsg{QIDs: qids},
-	})
+	bm := n.freeBeacon
+	n.freeBeacon = nil
+	if bm == nil { // the first beacon, or the last one is still on the air
+		bm = &BeaconMsg{}
+	}
+	bm.QIDs = bm.QIDs[:0]
+	for _, inst := range n.queries {
+		bm.QIDs = append(bm.QIDs, inst.q.ID)
+	}
+	bm.pkt = radio.Message{
+		Kind:     radio.KindBeacon,
+		Src:      n.id,
+		Bytes:    beaconMsgBytes(len(bm.QIDs)),
+		Payload:  bm,
+		Finished: n.finished,
+	}
+	n.cfg.Medium.Send(&bm.pkt)
 }
 
 // --- Knowledge --------------------------------------------------------------

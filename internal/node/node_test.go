@@ -1,6 +1,7 @@
 package node
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -14,7 +15,8 @@ import (
 )
 
 // rig is a minimal harness driving Nodes directly (without the network
-// package): a base-station handler that records result messages.
+// package): a base-station handler that records result messages — as copies
+// made at receipt, a message being its sender's again once delivered.
 type rig struct {
 	engine *sim.Engine
 	topo   *topology.Topology
@@ -25,7 +27,7 @@ type rig struct {
 	atBS   []*ResultMsg
 }
 
-func newRig(t *testing.T, topo *topology.Topology, p Policy, src field.Source) *rig {
+func newRig(t *testing.T, topo *topology.Topology, p Policy, src field.Source, tune ...func(*Config)) *rig {
 	t.Helper()
 	engine := sim.NewEngine()
 	coll := metrics.NewCollector(topo.Size())
@@ -35,17 +37,24 @@ func newRig(t *testing.T, topo *topology.Topology, p Policy, src field.Source) *
 		trace: &trace.Buffer{}, nodes: make(map[topology.NodeID]*Node)}
 	for i := 1; i < topo.Size(); i++ {
 		id := topology.NodeID(i)
-		r.nodes[id] = New(Config{
+		cfg := Config{
 			ID: id, Topo: topo, Engine: engine, Medium: medium,
 			Source: src, Policy: p, Rand: rng.Fork(int64(i)), Trace: r.trace,
-		})
+		}
+		for _, f := range tune {
+			f(&cfg)
+		}
+		r.nodes[id] = New(cfg)
 	}
 	medium.SetHandler(topology.BaseStation, func(d radio.Delivery) {
 		if !d.Addressed {
 			return
 		}
 		if m, ok := d.Msg.Payload.(*ResultMsg); ok {
-			r.atBS = append(r.atBS, m)
+			r.atBS = append(r.atBS, &ResultMsg{
+				EpochT: m.EpochT, Origin: m.Origin, Row: m.Row, Reroutes: m.Reroutes,
+				QIDs: slices.Clone(m.QIDs), OwnQIDs: slices.Clone(m.OwnQIDs), States: slices.Clone(m.States),
+			})
 		}
 	})
 	return r
@@ -213,7 +222,7 @@ func TestInNetworkAggregationMergesEnRoute(t *testing.T) {
 	if len(st) != 1 {
 		t.Fatalf("states = %v", st)
 	}
-	v, ok := st[0].State.Result()
+	v, ok := st[0].Result()
 	if !ok {
 		t.Fatal("empty state")
 	}
@@ -221,8 +230,8 @@ func TestInNetworkAggregationMergesEnRoute(t *testing.T) {
 	if v != 1000 {
 		t.Fatalf("MAX = %f, want 1000", v)
 	}
-	if st[0].State.Count != 2 {
-		t.Fatalf("count = %d, want 2 (both sensors)", st[0].State.Count)
+	if st[0].Count != 2 {
+		t.Fatalf("count = %d, want 2 (both sensors)", st[0].Count)
 	}
 }
 
@@ -320,24 +329,6 @@ func TestResultMsgSubsets(t *testing.T) {
 	m.Subsets = nil
 	if got := m.QueriesFor(9); len(got) != 3 {
 		t.Fatalf("nil subsets must mean all queries: %v", got)
-	}
-}
-
-func TestDistinctStateGroups(t *testing.T) {
-	maxAgg := query.Agg{Op: query.Max, Attr: field.AttrLight}
-	s1 := query.NewAggState(maxAgg)
-	s1.Add(7)
-	s2 := query.NewAggState(maxAgg)
-	s2.Add(7)
-	s3 := query.NewAggState(maxAgg)
-	s3.Add(9)
-	states := []QueryAggState{
-		{QID: 1, State: s1},
-		{QID: 2, State: s2}, // same value as s1 → shared
-		{QID: 3, State: s3},
-	}
-	if got := distinctStateGroups(states); got != 2 {
-		t.Fatalf("distinct groups = %d, want 2", got)
 	}
 }
 

@@ -128,7 +128,7 @@ func TestLateAggregateForwardedUnmerged(t *testing.T) {
 	late := &ResultMsg{
 		EpochT: sim.Time(4096 * time.Millisecond),
 		QIDs:   []query.ID{1},
-		States: []QueryAggState{{QID: 1, State: st}},
+		States: []query.AggState{st},
 	}
 	r.engine.After(0, func() {
 		r.medium.Send(&radio.Message{
@@ -144,7 +144,7 @@ func TestLateAggregateForwardedUnmerged(t *testing.T) {
 		t.Fatalf("late partial not forwarded: %d -> %d messages at BS", delivered, len(r.atBS))
 	}
 	got := r.atBS[len(r.atBS)-1]
-	if v, _ := got.States[0].State.Result(); v != 123 {
+	if v, _ := got.States[0].Result(); v != 123 {
 		t.Fatalf("late partial mutated: %v", got.States)
 	}
 }

@@ -61,6 +61,12 @@ type Message struct {
 	// link-layer "no ACK" signal senders use for failover routing. It is
 	// handed the message, so one func serves everything a sender transmits.
 	Undeliverable func(msg *Message, to topology.NodeID)
+	// Finished, if set, is invoked once when the medium is done with the
+	// message: its delivery is over — every receiver's handler and every
+	// Undeliverable call has returned — and nothing will read it again. A
+	// collided attempt is not finished. A sender that sets it may reuse the
+	// message and its payload from then on.
+	Finished func(msg *Message)
 
 	// In-flight state: the attempt number and its airtime. The message is
 	// its own event record — the engine fires it as a txStart, txRetry or
@@ -295,8 +301,9 @@ func (m *Medium) transmit(msg *Message) {
 	m.engine.ScheduleAction(end, (*txEnd)(msg))
 }
 
-// deliver hands a completed transmission to every powered radio in range
-// and reports addressed destinations that could not hear it.
+// deliver hands a completed transmission to every powered radio in range,
+// reports addressed destinations that could not hear it, and gives the
+// message back to its sender.
 func (m *Medium) deliver(msg *Message) {
 	air := msg.air
 	for _, nb := range m.topo.Neighbors(msg.Src) {
@@ -309,13 +316,15 @@ func (m *Medium) deliver(msg *Message) {
 		m.coll.AddRxTime(nb, air)
 		h(Delivery{To: nb, Addressed: msg.addressedTo(nb), Msg: msg})
 	}
-	if msg.Undeliverable == nil || msg.Dests == nil {
-		return
-	}
-	for _, dest := range msg.Dests {
-		if m.handlers[dest] == nil || !m.topo.InRange(msg.Src, dest) {
-			msg.Undeliverable(msg, dest)
+	if msg.Undeliverable != nil {
+		for _, dest := range msg.Dests {
+			if m.handlers[dest] == nil || !m.topo.InRange(msg.Src, dest) {
+				msg.Undeliverable(msg, dest)
+			}
 		}
+	}
+	if msg.Finished != nil {
+		msg.Finished(msg)
 	}
 }
 
