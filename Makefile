@@ -82,8 +82,18 @@ trace-smoke:
 # subscriber that stops reading, and a shard wedged without crashing, with
 # the resilience invariants (bounded mailbox depth, honored retry-after,
 # degraded-not-deadlocked watermarks) asserted on top of the delivery ones.
+#
+# `go test -run` exits 0 when its regex matches nothing, so a renamed soak
+# test would silently drop out: every name below must be listed by the
+# package before anything runs.
+CHAOS_SOAK = TestChaosSoak|TestCrashRecoveryInvariants|TestFederationChaosSoak|TestShareChaosSoak|TestOverloadChaosSoak
+
 chaos-soak:
-	$(GO) test -race -count=1 -v -run 'TestChaosSoak|TestCrashRecoveryInvariants|TestFederationChaosSoak|TestShareChaosSoak|TestOverloadChaosSoak' ./internal/chaos
+	@list="$$($(GO) test -list '$(CHAOS_SOAK)' ./internal/chaos)"; \
+	for t in $(subst |, ,$(CHAOS_SOAK)); do \
+		echo "$$list" | grep -qx "$$t" || { echo "chaos-soak: no test named $$t in ./internal/chaos" >&2; exit 1; }; \
+	done
+	$(GO) test -race -count=1 -v -run '$(CHAOS_SOAK)' ./internal/chaos
 
 # A short fuzz pass over every fuzz target in the repository: the query
 # parser's robustness invariants (never panic; accepted input round-trips),

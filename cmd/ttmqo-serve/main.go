@@ -130,6 +130,7 @@ import (
 	"repro/internal/gateway"
 	"repro/internal/network"
 	"repro/internal/share"
+	"repro/internal/stack"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
 	"repro/internal/tracing"
@@ -259,50 +260,44 @@ func (o *options) validate() error {
 	return nil
 }
 
-// stack is one serving deployment, whatever its shape — a gateway, a
-// router over -shards K gateways, or -share on top of either: the backend
-// the TCP server fronts and everything the serve loop and the admin plane
-// need from the tiers beneath it.
-type stack struct {
-	backend gateway.Backend
-	// closers drain the tiers top-down — coordinator, then the tier beneath
-	// it — so staged commands fail and connection handlers unblock before
-	// the listener closes.
-	closers []func() error
-	// register and status mount each tier's metric families and fill its
-	// /statusz sections; ready backs /readyz.
-	register []func(*telemetry.Registry)
-	status   []func(*telemetry.StatusSections)
-	ready    func() bool
-	// The banner reads "ttmqo-serve: <role> on <addr> (<detail>)"; summary
-	// is the line printed after the drain.
-	role, detail string
-	summary      func() string
+// served is one serving deployment, whatever its shape: the wired tiers
+// plus what only this binary owns — the flight recorders, the simulation
+// event ring and the banner text. The admin hooks, the summary line and the
+// role are derived from which tier handles are non-nil.
+type served struct {
+	*stack.Stack
+	// gw reads the single gateway through crash/recovery swaps (the stack's
+	// own, or the load generator's); nil when sharded.
+	gw func() *gateway.Gateway
 
 	// traces owns the causal-trace flight recorders (nil in loadgen mode);
 	// simTrace is the simulation event ring behind /tracez.
 	traces   *traceSet
 	simTrace *trace.Buffer
 
-	// gw is the single gateway under the stack, nil when sharded. The
-	// crash drill swaps it, so every hook reads through the pointer; gwCfg
-	// is what gateway.Recover rebuilds it from.
-	gw    atomic.Pointer[gateway.Gateway]
-	gwCfg gateway.Config
+	// The banner reads "ttmqo-serve: <role> on <addr> (<detail>)".
+	detail string
 }
 
-// buildStack assembles the deployment the flags describe.
-func buildStack(o *options) (*stack, error) {
+// buildStack turns the flags into a stack.Spec, builds it, and words the
+// banner.
+func buildStack(o *options) (*served, error) {
 	// Causal tracing mounts unconditionally: the flight recorders are
 	// bounded rings owned here, so they survive crash/recovery swaps and
 	// are dumpable (-trace-dump) even without -admin.
-	st := &stack{traces: newTraceSet()}
+	st := &served{traces: newTraceSet()}
 	failures := network.FailureConfig{MTBF: o.mtbf, MTTR: o.mttr}
-	var upstream share.Upstream
-	var sensors int
+	spec := stack.Spec{
+		Share: o.share,
+		Coord: share.Config{
+			Window:       o.cacheWindow,
+			Buffer:       o.buffer,
+			SessionQuota: o.quota,
+		},
+	}
 	if o.shards > 1 {
-		rt, err := federation.New(federation.Config{
-			Shards:          o.shards,
+		spec.Shards = o.shards
+		spec.Router = federation.Config{
 			Side:            o.side,
 			Seed:            o.seed,
 			Scheme:          o.scheme,
@@ -317,27 +312,7 @@ func buildStack(o *options) (*stack, error) {
 			MaxStaged:       o.maxStaged,
 			MaxLiveSubs:     o.maxLiveSubs,
 			Tracer:          st.traces.rec(tracing.TierRouter),
-			ShardTracer:     st.traces.shardRec(),
-		})
-		if err != nil {
-			return nil, err
-		}
-		upstream, sensors = share.OverRouter(rt), o.shards*(o.side*o.side-1)
-		st.backend, st.ready = rt, rt.Alive
-		st.closers = append(st.closers, rt.Close)
-		st.register = append(st.register, func(reg *telemetry.Registry) {
-			federation.RegisterMetrics(reg, func() *federation.Router { return rt })
-		})
-		st.status = append(st.status, func(doc *telemetry.StatusSections) {
-			s := rt.FedStats()
-			doc.Federation, doc.Resilience = s, fedResilienceSection(s)
-		})
-		st.role = "router"
-		st.detail = fmt.Sprintf("%d shards × side %d = %d sensors, scheme=%s", o.shards, o.side, sensors, o.scheme)
-		st.summary = func() string {
-			s := rt.FedStats()
-			return fmt.Sprintf("shards=%d sessions=%d subscribes=%d dedup_hits=%d trees=%d merged_epochs=%d updates=%d merge_latency=%v",
-				s.Shards, s.Sessions, s.Subscribes, s.DedupHits, s.Trees, s.MergedEpochs, s.Updates, rt.MergeLatency())
+			ShardTracer:     st.traces.shardRecs(o.shards),
 		}
 	} else {
 		topo, err := ttmqo.PaperGrid(o.side)
@@ -352,7 +327,7 @@ func buildStack(o *options) (*stack, error) {
 			// Snapshot is safe against the engine goroutine's concurrent Emits.
 			st.simTrace = &trace.Buffer{Max: 2048}
 		}
-		st.gwCfg = gateway.Config{
+		spec.Gateway = gateway.Config{
 			Sim: network.Config{
 				Topo:     topo,
 				Scheme:   o.scheme,
@@ -372,120 +347,120 @@ func buildStack(o *options) (*stack, error) {
 			MaxLiveSubs:     o.maxLiveSubs,
 			Tracer:          st.traces.rec(tracing.TierGateway),
 		}
-		gw, err := openGateway(st.gwCfg)
-		if err != nil {
-			return nil, err
-		}
-		upstream, sensors = share.OverGateway(gw), topo.Size()-1
-		st.backend = gw
-		st.mountGateway(gw)
-		st.closers = append(st.closers, func() error { return st.gw.Load().Close() })
-		st.role = "listening"
-		st.detail = fmt.Sprintf("scheme=%s nodes=%d tick=%v quantum=%v", o.scheme, topo.Size(), o.tick, o.quantum)
-		st.summary = func() string {
-			s, _ := st.gw.Load().Stats()
-			return fmt.Sprintf("sessions=%d subscribes=%d dedup_hits=%d admitted=%d dedup_ratio=%.2f updates=%d evicted=%d recoveries=%d",
-				s.Sessions, s.Subscribes, s.DedupHits, s.Admitted, s.DedupRatio(), s.Updates, s.Evicted, s.Recoveries)
-		}
 	}
-	if !o.share {
-		return st, nil
+	if o.share {
+		spec.Coord.Tracer = st.traces.rec(tracing.TierShare)
 	}
-
-	coord, err := share.New(share.Config{
-		Upstream:     upstream,
-		Sensors:      sensors,
-		Window:       o.cacheWindow,
-		Buffer:       o.buffer,
-		SessionQuota: o.quota,
-		Tracer:       st.traces.rec(tracing.TierShare),
-	})
+	built, err := stack.Build(spec)
 	if err != nil {
-		_ = st.close()
 		return nil, err
 	}
-	st.backend, st.ready = coord, coord.Alive
-	st.closers = append([]func() error{coord.Close}, st.closers...)
-	st.register = append(st.register, func(reg *telemetry.Registry) {
-		share.RegisterMetrics(reg, func() *share.Coordinator { return coord })
-	})
-	st.status = append(st.status, func(doc *telemetry.StatusSections) { doc.Share = coord.ShareStats() })
-	window := o.cacheWindow
-	switch {
-	case window == 0:
-		window = share.DefaultWindow
-	case window < 0:
-		window = 0
+	st.Stack = built
+	if built.Router != nil {
+		st.detail = fmt.Sprintf("%d shards × side %d = %d sensors, scheme=%s", o.shards, o.side, built.Sensors(), o.scheme)
+	} else {
+		st.detail = fmt.Sprintf("scheme=%s nodes=%d tick=%v quantum=%v", o.scheme, built.Sensors()+1, o.tick, o.quantum)
+		st.gw = built.Gateway
+		// A non-empty log from a previous run was a crashed (or killed)
+		// server: the stack recovered it by replay instead of starting fresh.
+		if gs, _ := built.Gateway().Stats(); gs.Recoveries > 0 {
+			fmt.Printf("ttmqo-serve: recovered %d session(s), %d subscription(s) from %s\n",
+				gs.ActiveSessions, gs.ActiveSubscriptions, o.wal)
+		}
 	}
-	st.role = "sharing coordinator"
-	st.detail = fmt.Sprintf("cell=%d cache-window=%d; %s", share.DefaultCell, window, st.detail)
-	st.summary = func() string {
-		s := coord.ShareStats()
-		return fmt.Sprintf("sessions=%d subscribes=%d dedup_hits=%d fragments_created=%d fragments_reused=%d reuse_ratio=%.2f cache_hits=%d replayed_epochs=%d updates=%d",
-			s.Sessions, s.Subscribes, s.DedupHits, s.FragmentsCreated, s.FragmentsReused,
-			s.FragmentReuseRatio(), s.CacheHits, s.ReplayedEpochs, s.Updates)
+	if o.share {
+		window := o.cacheWindow
+		switch {
+		case window == 0:
+			window = share.DefaultWindow
+		case window < 0:
+			window = 0
+		}
+		st.detail = fmt.Sprintf("cell=%d cache-window=%d; %s", share.DefaultCell, window, st.detail)
 	}
 	return st, nil
 }
 
-// openGateway starts the single gateway. A non-empty log from a previous
-// run means a crashed (or killed) server: recover it by replay instead of
-// starting fresh.
-func openGateway(cfg gateway.Config) (*gateway.Gateway, error) {
-	if cfg.WALPath == "" {
-		return gateway.New(cfg)
+// role names the top tier in the banner.
+func (st *served) role() string {
+	switch {
+	case st.Coord != nil:
+		return "sharing coordinator"
+	case st.Router != nil:
+		return "router"
 	}
-	if fi, err := os.Stat(cfg.WALPath); err != nil || fi.Size() == 0 {
-		return gateway.New(cfg)
-	}
-	gw, err := gateway.Recover(cfg)
-	if err != nil {
-		return nil, fmt.Errorf("recover %s: %w", cfg.WALPath, err)
-	}
-	gs, _ := gw.Stats()
-	fmt.Printf("ttmqo-serve: recovered %d session(s), %d subscription(s) from %s\n",
-		gs.ActiveSessions, gs.ActiveSubscriptions, cfg.WALPath)
-	return gw, nil
+	return "listening"
 }
 
-// mountGateway points the admin plane at the single gateway behind st.gw
-// (gw may be nil until a load generator creates it): metrics, readiness
-// bound to the current gateway being alive, and the gateway and
-// resilience /statusz sections — all surviving crash/recovery swaps.
-func (st *stack) mountGateway(gw *gateway.Gateway) {
-	st.gw.Store(gw)
-	st.register = append(st.register, func(reg *telemetry.Registry) { gateway.RegisterMetrics(reg, st.gw.Load) })
-	st.ready = func() bool {
-		g := st.gw.Load()
-		return g != nil && g.Alive()
+// summary is the top tier's line printed after the drain.
+func (st *served) summary() string {
+	switch {
+	case st.Coord != nil:
+		s := st.Coord.ShareStats()
+		return fmt.Sprintf("sessions=%d subscribes=%d dedup_hits=%d fragments_created=%d fragments_reused=%d reuse_ratio=%.2f cache_hits=%d replayed_epochs=%d updates=%d",
+			s.Sessions, s.Subscribes, s.DedupHits, s.FragmentsCreated, s.FragmentsReused,
+			s.FragmentReuseRatio(), s.CacheHits, s.ReplayedEpochs, s.Updates)
+	case st.Router != nil:
+		s := st.Router.FedStats()
+		return fmt.Sprintf("shards=%d sessions=%d subscribes=%d dedup_hits=%d trees=%d merged_epochs=%d updates=%d merge_latency=%v",
+			s.Shards, s.Sessions, s.Subscribes, s.DedupHits, s.Trees, s.MergedEpochs, s.Updates, st.Router.MergeLatency())
 	}
-	st.status = append(st.status, func(doc *telemetry.StatusSections) {
-		g := st.gw.Load()
-		if g == nil {
-			return
-		}
+	s, _ := st.gw().Stats()
+	return fmt.Sprintf("sessions=%d subscribes=%d dedup_hits=%d admitted=%d dedup_ratio=%.2f updates=%d evicted=%d recoveries=%d",
+		s.Sessions, s.Subscribes, s.DedupHits, s.Admitted, s.DedupRatio(), s.Updates, s.Evicted, s.Recoveries)
+}
+
+// ready backs /readyz: the top tier is serving (a load generator's gateway
+// may not exist yet).
+func (st *served) ready() bool {
+	switch {
+	case st.Coord != nil:
+		return st.Coord.Alive()
+	case st.Router != nil:
+		return st.Router.Alive()
+	}
+	g := st.gw()
+	return g != nil && g.Alive()
+}
+
+// register mounts each tier's metric families, bottom-up; every gateway
+// family reads through st.gw, so it survives crash/recovery swaps.
+func (st *served) register(reg *telemetry.Registry) {
+	if st.Router != nil {
+		federation.RegisterMetrics(reg, func() *federation.Router { return st.Router })
+	} else {
+		gateway.RegisterMetrics(reg, st.gw)
+	}
+	if st.Coord != nil {
+		share.RegisterMetrics(reg, func() *share.Coordinator { return st.Coord })
+	}
+}
+
+// status fills the /statusz document, one section per tier.
+func (st *served) status() any {
+	doc := telemetry.StatusSections{}
+	if st.traces != nil {
+		doc.Tracing = st.traces.summary()
+	}
+	if st.Router != nil {
+		s := st.Router.FedStats()
+		doc.Federation, doc.Resilience = s, fedResilienceSection(s)
+	} else if g := st.gw(); g != nil {
 		if s, err := g.Status(); err == nil {
 			doc.Gateway = s
 		}
 		if gs, err := g.Stats(); err == nil {
 			doc.Resilience = resilienceSection(gs)
 		}
-	})
-}
-
-// close drains the tiers in order and returns the first error.
-func (st *stack) close() error {
-	var first error
-	for _, c := range st.closers {
-		if err := c(); err != nil && first == nil {
-			first = err
-		}
 	}
-	return first
+	if st.Coord != nil {
+		doc.Share = st.Coord.ShareStats()
+	}
+	return doc
 }
 
 // dumpTraces writes the -trace-dump post-mortem and reports it under prefix.
-func (st *stack) dumpTraces(path, prefix string) error {
+func (st *served) dumpTraces(path, prefix string) error {
 	if path == "" {
 		return nil
 	}
@@ -496,26 +471,11 @@ func (st *stack) dumpTraces(path, prefix string) error {
 	return nil
 }
 
-// startAdmin mounts the admin plane over the stack's hooks.
-func startAdmin(addr string, st *stack) (*telemetry.Admin, error) {
+// startAdmin mounts the admin plane over the deployment's hooks.
+func startAdmin(addr string, st *served) (*telemetry.Admin, error) {
 	reg := telemetry.NewRegistry()
-	for _, register := range st.register {
-		register(reg)
-	}
-	cfg := telemetry.AdminConfig{
-		Registry: reg,
-		Ready:    st.ready,
-		Status: func() any {
-			doc := telemetry.StatusSections{}
-			if st.traces != nil {
-				doc.Tracing = st.traces.summary()
-			}
-			for _, fill := range st.status {
-				fill(&doc)
-			}
-			return doc
-		},
-	}
+	st.register(reg)
+	cfg := telemetry.AdminConfig{Registry: reg, Ready: st.ready, Status: st.status}
 	if st.traces != nil {
 		tracing.RegisterMetrics(reg, st.traces.recorders)
 		// /tracez: the cross-tier span trees, then the simulation ring.
@@ -542,7 +502,7 @@ func startAdmin(addr string, st *stack) (*telemetry.Admin, error) {
 // serve fronts the stack with the TCP server and the admin plane, waits
 // for SIGINT/SIGTERM, then drains: the stack's tiers top-down, then the
 // listener.
-func serve(st *stack, o *options) error {
+func serve(st *served, o *options) error {
 	srvCfg := gateway.ServerConfig{
 		Addr:         o.addr,
 		TickEvery:    o.tick,
@@ -551,16 +511,16 @@ func serve(st *stack, o *options) error {
 		WriteTimeout: o.writeTimeout,
 		ForceJSON:    o.wire == "json",
 	}
-	srv, err := gateway.NewServer(st.backend, srvCfg)
+	srv, err := gateway.NewServer(st.Top(), srvCfg)
 	if err != nil {
-		_ = st.close()
+		_ = st.Close()
 		return err
 	}
-	fmt.Printf("ttmqo-serve: %s on %s (%s)\n", st.role, srv.Addr(), st.detail)
+	fmt.Printf("ttmqo-serve: %s on %s (%s)\n", st.role(), srv.Addr(), st.detail)
 	if o.admin != "" {
 		adm, err := startAdmin(o.admin, st)
 		if err != nil {
-			_ = st.close()
+			_ = st.Close()
 			srv.Close()
 			return err
 		}
@@ -580,29 +540,27 @@ func serve(st *stack, o *options) error {
 			defer mu.Unlock()
 			fmt.Println("ttmqo-serve: injecting crash")
 			srv.Close()
-			st.gw.Load().Crash()
-			// The rings are owned by the stack, not the crashed gateway, so
-			// the dump carries everything through the crash span.
+			st.Crash(0)
+			// The rings are owned here, not by the crashed gateway, so the
+			// dump carries everything through the crash span.
 			if err := st.dumpTraces(o.traceDump, "ttmqo-serve: "); err != nil {
 				fmt.Fprintln(os.Stderr, "ttmqo-serve: trace dump:", err)
 			}
 			// Hold the outage so /readyz probes can observe the 503 window
 			// before recovery flips it back.
 			time.Sleep(o.crashOutage)
-			g2, err := gateway.Recover(st.gwCfg)
-			if err != nil {
+			if err := st.Recover(0); err != nil {
 				fmt.Fprintln(os.Stderr, "ttmqo-serve: recover:", err)
 				os.Exit(1)
 			}
-			s2, err := gateway.NewServer(g2, srvCfg)
+			s2, err := gateway.NewServer(st.Top(), srvCfg)
 			if err != nil {
-				g2.Close()
+				st.Close()
 				fmt.Fprintln(os.Stderr, "ttmqo-serve: re-serve:", err)
 				os.Exit(1)
 			}
-			st.gw.Store(g2)
 			srv = s2
-			gs, _ := g2.Stats()
+			gs, _ := st.gw().Stats()
 			fmt.Printf("ttmqo-serve: recovered %d session(s) on %s; clients may re-attach\n",
 				gs.ActiveSessions, srv.Addr())
 		}()
@@ -615,7 +573,7 @@ func serve(st *stack, o *options) error {
 
 	mu.Lock()
 	defer mu.Unlock()
-	if err := st.close(); err != nil {
+	if err := st.Close(); err != nil {
 		return err
 	}
 	if err := srv.Close(); err != nil {
@@ -625,7 +583,7 @@ func serve(st *stack, o *options) error {
 	if err := st.dumpTraces(o.traceDump, ""); err != nil {
 		return err
 	}
-	return writeExports(st.gw.Load(), o.jsonOut, o.seriesOut)
+	return writeExports(st.Gateway(), o.jsonOut, o.seriesOut)
 }
 
 // resilienceSection distills a gateway stats snapshot into the /statusz
@@ -720,9 +678,9 @@ func runLoadgen(o *options) error {
 	if o.admin != "" {
 		// The admin plane mounts before the load generator creates (and, at
 		// -crashround, re-creates) its gateway.
-		st := &stack{}
-		st.mountGateway(nil)
-		cfg.OnGateway = func(g *gateway.Gateway) { st.gw.Store(g) }
+		var cur atomic.Pointer[gateway.Gateway]
+		cfg.OnGateway = cur.Store
+		st := &served{Stack: new(stack.Stack), gw: cur.Load}
 		var err error
 		if adm, err = startAdmin(o.admin, st); err != nil {
 			return err

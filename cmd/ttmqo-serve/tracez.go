@@ -32,21 +32,15 @@ func (t *traceSet) rec(tier string) *tracing.Recorder {
 	return r
 }
 
-// shardRec memoizes per-shard gateway recorders, so a shard rebuilt after
-// a crash keeps its flight history instead of starting an empty ring.
-func (t *traceSet) shardRec() func(int) *tracing.Recorder {
-	byShard := map[int]*tracing.Recorder{}
-	var mu sync.Mutex
-	return func(i int) *tracing.Recorder {
-		mu.Lock()
-		defer mu.Unlock()
-		if r, ok := byShard[i]; ok {
-			return r
-		}
-		r := t.rec(tracing.TierGateway)
-		byShard[i] = r
-		return r
+// shardRecs mounts one gateway recorder per shard up front, so a shard
+// rebuilt after a crash keeps its flight history instead of starting an
+// empty ring.
+func (t *traceSet) shardRecs(n int) func(int) *tracing.Recorder {
+	recs := make([]*tracing.Recorder, n)
+	for i := range recs {
+		recs[i] = t.rec(tracing.TierGateway)
 	}
+	return func(i int) *tracing.Recorder { return recs[i] }
 }
 
 func (t *traceSet) recorders() []*tracing.Recorder {

@@ -251,9 +251,10 @@ func TestCommandFlagsDocumented(t *testing.T) {
 }
 
 // TestDocsCoverChaosScenarios: the EXPERIMENTS.md scenario walkthrough
-// must cover every parser directive and every builtin scenario, and the
-// README's chaos section must name the entry-point flags — the drift
-// check for the fault-injection surface.
+// must cover every parser directive and every builtin scenario, both
+// documents must name every drill of chaos.Run's table, and the README's
+// chaos section must name the entry-point flags — the drift check for the
+// fault-injection surface.
 func TestDocsCoverChaosScenarios(t *testing.T) {
 	doc := readDoc(t, "EXPERIMENTS.md")
 	for _, d := range chaos.Directives() {
@@ -268,6 +269,16 @@ func TestDocsCoverChaosScenarios(t *testing.T) {
 		}
 		if !strings.Contains(readme, n) {
 			t.Errorf("README.md does not mention builtin scenario %q", n)
+		}
+	}
+	// The drills that need no script — the router, sharing and overload
+	// ones — are one table behind chaos.Run.
+	for _, n := range chaos.DrillNames() {
+		if !strings.Contains(readme, n) {
+			t.Errorf("README.md does not mention drill %q", n)
+		}
+		if !strings.Contains(doc, n) {
+			t.Errorf("EXPERIMENTS.md does not walk through drill %q", n)
 		}
 	}
 	for _, f := range []string{"-chaos", "-wal", "-crash-after", "-readtimeout", "-crashround"} {
@@ -318,9 +329,10 @@ func TestDocsCoverWireFormat(t *testing.T) {
 }
 
 // TestDocsCoverFederation: README.md must document the sharded router
-// tier — the flags that start it, the federation fault drills and the
-// scaling figure — and EXPERIMENTS.md must walk through the drills and
-// the router metric families. This is the drift check for the federation
+// tier — the flags that start it and the scaling figure — and
+// EXPERIMENTS.md must walk through the router metric families (the
+// federation drills are checked with the rest of the drill table, in
+// TestDocsCoverChaosScenarios). This is the drift check for the federation
 // surface.
 func TestDocsCoverFederation(t *testing.T) {
 	readme := readDoc(t, "README.md")
@@ -332,14 +344,6 @@ func TestDocsCoverFederation(t *testing.T) {
 	}
 	if !strings.Contains(readme, "-fig federation") {
 		t.Error("README.md does not mention the federation scaling figure (-fig federation)")
-	}
-	for _, n := range chaos.FedScenarioNames() {
-		if !strings.Contains(readme, n) {
-			t.Errorf("README.md does not mention federation drill %q", n)
-		}
-		if !strings.Contains(experiments, n) {
-			t.Errorf("EXPERIMENTS.md does not walk through federation drill %q", n)
-		}
 	}
 	// The router metric families the docs walk through must be real
 	// registered names — a rename in federation/telemetry.go must show up
@@ -361,9 +365,9 @@ func TestDocsCoverFederation(t *testing.T) {
 }
 
 // TestDocsCoverShare: README.md must document the cross-query sharing
-// layer — the serve flags that mount it, the study figure and the chaos
-// drill — and EXPERIMENTS.md must walk through the study, the drill and
-// the sharing rows of the benchmark's per-layer ledger. The metric families the
+// layer — the serve flags that mount it and the study figure — and
+// EXPERIMENTS.md must walk through the study and the sharing rows of the
+// benchmark's per-layer ledger (its drill is checked with the drill table). The metric families the
 // docs name must be the registered ones. This is the drift check for
 // the sharing/caching surface.
 func TestDocsCoverShare(t *testing.T) {
@@ -376,12 +380,6 @@ func TestDocsCoverShare(t *testing.T) {
 	}
 	if !strings.Contains(readme, "-fig share") {
 		t.Error("README.md does not mention the sharing study (-fig share)")
-	}
-	if !strings.Contains(readme, chaos.ShareScenarioName) {
-		t.Errorf("README.md does not mention the sharing drill %q", chaos.ShareScenarioName)
-	}
-	if !strings.Contains(experiments, chaos.ShareScenarioName) {
-		t.Errorf("EXPERIMENTS.md does not walk through the sharing drill %q", chaos.ShareScenarioName)
 	}
 	// The sharing rows of the benchmark's per-layer ledger must be named.
 	for _, row := range []string{"share.fragment_reuse_ratio", "share.cache_hit_ratio"} {
@@ -413,9 +411,9 @@ func TestDocsCoverShare(t *testing.T) {
 }
 
 // TestDocsCoverResilience: README.md must document the overload layer —
-// the admission-control flags, the drill names and the herd test — and
-// EXPERIMENTS.md must walk through the drills, the resilience metric
-// families and the virtual-time herd that bounds the tail. This is the
+// the admission-control flags and the herd test — and EXPERIMENTS.md must
+// walk through the resilience metric families and the virtual-time herd
+// that bounds the tail (its drills are checked with the drill table). This is the
 // drift check for the overload/degraded-mode surface.
 func TestDocsCoverResilience(t *testing.T) {
 	readme := readDoc(t, "README.md")
@@ -423,14 +421,6 @@ func TestDocsCoverResilience(t *testing.T) {
 	for _, f := range []string{"-max-staged", "-mailbox-deadline", "-max-live-subs", "-write-timeout"} {
 		if !strings.Contains(readme, f) {
 			t.Errorf("README.md does not mention admission-control flag %s", f)
-		}
-	}
-	for _, n := range chaos.OverloadScenarioNames() {
-		if !strings.Contains(readme, n) {
-			t.Errorf("README.md does not mention overload drill %q", n)
-		}
-		if !strings.Contains(experiments, n) {
-			t.Errorf("EXPERIMENTS.md does not walk through overload drill %q", n)
 		}
 	}
 	// The test that bounds the herd's tail must be named where the layer

@@ -2,7 +2,6 @@ package chaos
 
 import (
 	"encoding/json"
-	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -95,13 +94,9 @@ func runBuiltin(t *testing.T, name string, seed int64) *Report {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := RunScenario(RunConfig{
-		Scenario: sc,
-		Seed:     seed,
-		WALPath:  filepath.Join(t.TempDir(), name+".wal"),
-	})
+	rep, err := Run(ScriptDrill, Config{Script: sc, Seed: seed, WALDir: t.TempDir()})
 	if err != nil {
-		t.Fatalf("RunScenario(%s): %v", name, err)
+		t.Fatalf("Run(%s): %v", name, err)
 	}
 	return rep
 }
@@ -120,8 +115,8 @@ func TestScenarioNoneIsClean(t *testing.T) {
 	if rep.Crashes != 0 || rep.Reconnects != 0 {
 		t.Fatalf("phantom crash activity: %+v", rep)
 	}
-	if rep.Stats.DedupHits == 0 {
-		t.Fatalf("workload never exercised semantic dedup: %+v", rep.Stats)
+	if rep.Gateway.DedupHits == 0 {
+		t.Fatalf("workload never exercised semantic dedup: %+v", rep.Gateway)
 	}
 }
 
@@ -147,12 +142,12 @@ func TestCrashRecoveryInvariants(t *testing.T) {
 	if want := int64(rep.Clients * rep.Crashes); rep.Reconnects != want {
 		t.Fatalf("reconnects: want %d, got %d", want, rep.Reconnects)
 	}
-	if rep.Stats.Recoveries != 1 {
-		t.Fatalf("final gateway not marked recovered: %+v", rep.Stats)
+	if rep.Gateway.Recoveries != 1 {
+		t.Fatalf("final gateway not marked recovered: %+v", rep.Gateway)
 	}
-	if rep.Stats.Attaches != int64(rep.Clients) || rep.Stats.Resumes != int64(rep.Clients) {
+	if rep.Gateway.Attaches != int64(rep.Clients) || rep.Gateway.Resumes != int64(rep.Clients) {
 		// The final gateway saw the second cycle's re-attachments.
-		t.Fatalf("attach/resume accounting off: %+v", rep.Stats)
+		t.Fatalf("attach/resume accounting off: %+v", rep.Gateway)
 	}
 	if rep.Updates == 0 {
 		t.Fatalf("no deliveries survived the crashes")

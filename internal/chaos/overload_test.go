@@ -9,16 +9,16 @@ import (
 // probe, recovery, epochs released at partial coverage throughout (no
 // watermark deadlock), full coverage restored after the probe.
 func TestOverloadStuckShard(t *testing.T) {
-	rep, err := RunStuckShardScenario(StuckShardConfig{Seed: 7})
+	rep, err := Run("stuck-shard", Config{Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, v := range rep.Violations {
 		t.Errorf("violation: %s", v)
 	}
-	if rep.Stats.BreakerTrips == 0 || rep.Stats.BreakerRecoveries == 0 {
+	if rep.Router.BreakerTrips == 0 || rep.Router.BreakerRecoveries == 0 {
 		t.Fatalf("breaker never cycled: trips=%d recoveries=%d",
-			rep.Stats.BreakerTrips, rep.Stats.BreakerRecoveries)
+			rep.Router.BreakerTrips, rep.Router.BreakerRecoveries)
 	}
 }
 
@@ -26,7 +26,7 @@ func TestOverloadStuckShard(t *testing.T) {
 // and asserts bounded mailbox depth, honored retry-after floors and
 // exactly-once admission through the backoff re-subscribes.
 func TestOverloadHerd(t *testing.T) {
-	rep, err := RunHerdScenario(HerdConfig{Seed: 7})
+	rep, err := Run("thundering-herd", Config{Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +41,7 @@ func TestOverloadHerd(t *testing.T) {
 // TestOverloadSlowLoris opens a subscriber that stops reading and
 // asserts the server drops it while the healthy streams progress.
 func TestOverloadSlowLoris(t *testing.T) {
-	rep, err := RunSlowLorisScenario(LorisConfig{Seed: 7})
+	rep, err := Run("slow-loris", Config{Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestOverloadChaosSoak(t *testing.T) {
 		t.Skip("soak test; skipped in -short mode")
 	}
 	for seed := int64(1); seed <= 3; seed++ {
-		rep, err := RunStuckShardScenario(StuckShardConfig{Seed: seed})
+		rep, err := Run("stuck-shard", Config{Seed: seed})
 		if err != nil {
 			t.Fatalf("stuck-shard seed=%d: %v", seed, err)
 		}
@@ -69,7 +69,7 @@ func TestOverloadChaosSoak(t *testing.T) {
 		}
 	}
 	for seed := int64(1); seed <= 2; seed++ {
-		rep, err := RunHerdScenario(HerdConfig{Seed: seed})
+		rep, err := Run("thundering-herd", Config{Seed: seed})
 		if err != nil {
 			t.Fatalf("thundering-herd seed=%d: %v", seed, err)
 		}
@@ -77,7 +77,7 @@ func TestOverloadChaosSoak(t *testing.T) {
 			t.Errorf("thundering-herd seed=%d violation: %s", seed, v)
 		}
 	}
-	rep, err := RunSlowLorisScenario(LorisConfig{Seed: 2})
+	rep, err := Run("slow-loris", Config{Seed: 2})
 	if err != nil {
 		t.Fatalf("slow-loris: %v", err)
 	}

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
-	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -13,8 +12,18 @@ import (
 // (TestScenarioRunsAreDeterministic), so every virtual-time counter they
 // report can be pinned: a refactor of the harness must reproduce this table
 // exactly. The two wall-clock socket drills are exempt. The lines were
-// recorded before the six harnesses became one runner and have not changed
-// since.
+// recorded before the six harnesses became one runner; two things have
+// changed since, each reproduced on a copy of the old harnesses:
+//
+//   - stuck-shard's client-side counters. Its drain loop left after the
+//     first stream that had nothing more buffered, so only the first of the
+//     eight subscriptions was ever read (updates=15 at_fault=3 at_clear=7
+//     degraded=4). With that loop fixed the old harness reports the numbers
+//     below; the router's Stats digest never moved.
+//   - the share drill's trace digest at seed 7 (was c69538a734a53afb): the
+//     export carries session names, and every drill now names its clients
+//     chaos-00, chaos-01, … as the script drill always did. The old share
+//     harness with only that format changed exports the digest below.
 
 // pinLine renders alternating name/value arguments as "name=value ...".
 func pinLine(kv ...any) string {
@@ -98,66 +107,53 @@ var pinned = map[string][]string{
 		"updates=107 rows=288 dup=0 gaps=0 order=0 at_fault=40 late_replayed=4 value_mismatches=0 violations=0 stats=1ad680e57cdb64bf",
 		"updates=107 rows=288 dup=0 gaps=0 order=0 at_fault=40 late_replayed=4 value_mismatches=0 violations=0 stats=1ad680e57cdb64bf",
 		"updates=107 rows=288 dup=0 gaps=0 order=0 at_fault=40 late_replayed=4 value_mismatches=0 violations=0 stats=1ad680e57cdb64bf",
-		"updates=107 rows=288 dup=0 gaps=0 order=0 at_fault=40 late_replayed=4 value_mismatches=0 violations=0 stats=1ad680e57cdb64bf traces=c69538a734a53afb",
+		"updates=107 rows=288 dup=0 gaps=0 order=0 at_fault=40 late_replayed=4 value_mismatches=0 violations=0 stats=1ad680e57cdb64bf traces=9860d6b85c6ebab2",
 	},
 	"stuck-shard": {
-		"updates=15 dup=0 gaps=0 order=0 at_fault=3 at_clear=7 degraded=4 min_coverage=0.5 violations=0 stats=1ab74cb4cc6e93b5",
-		"updates=15 dup=0 gaps=0 order=0 at_fault=3 at_clear=7 degraded=4 min_coverage=0.5 violations=0 stats=1ab74cb4cc6e93b5",
-		"updates=15 dup=0 gaps=0 order=0 at_fault=3 at_clear=7 degraded=4 min_coverage=0.5 violations=0 stats=1ab74cb4cc6e93b5",
-		"updates=15 dup=0 gaps=0 order=0 at_fault=3 at_clear=7 degraded=4 min_coverage=0.5 violations=0 stats=1ab74cb4cc6e93b5",
+		"updates=152 dup=0 gaps=0 order=0 at_fault=32 at_clear=72 degraded=40 min_coverage=0.5 violations=0 stats=1ab74cb4cc6e93b5",
+		"updates=152 dup=0 gaps=0 order=0 at_fault=32 at_clear=72 degraded=40 min_coverage=0.5 violations=0 stats=1ab74cb4cc6e93b5",
+		"updates=152 dup=0 gaps=0 order=0 at_fault=32 at_clear=72 degraded=40 min_coverage=0.5 violations=0 stats=1ab74cb4cc6e93b5",
+		"updates=152 dup=0 gaps=0 order=0 at_fault=32 at_clear=72 degraded=40 min_coverage=0.5 violations=0 stats=1ab74cb4cc6e93b5",
 	},
 }
 
-// pinRun runs one drill at one seed and renders its counters.
-func pinRun(t *testing.T, drill string, seed int64) string {
+// pinRun runs one drill at one seed and renders the counters that drill
+// reports.
+func pinRun(t *testing.T, name string, seed int64) string {
 	t.Helper()
-	switch drill {
+	drill, cfg := name, Config{Seed: seed, WALDir: t.TempDir()}
+	if sc, err := Builtin(name); err == nil {
+		drill, cfg.Script = ScriptDrill, sc
+	}
+	rep, err := Run(drill, cfg)
+	if err != nil {
+		t.Fatalf("%s seed=%d: %v", name, seed, err)
+	}
+	switch name {
 	case "kill-a-shard", "partition-the-router":
-		rep, err := RunFederationScenario(FedRunConfig{Scenario: drill, Seed: seed, WALDir: t.TempDir()})
-		if err != nil {
-			t.Fatalf("%s seed=%d: %v", drill, seed, err)
-		}
 		return pinLine("updates", rep.Updates, "rows", rep.Rows, "dup", rep.Duplicates, "gaps", rep.Gaps,
 			"order", rep.OrderViolations, "at_fault", rep.UpdatesAtFault,
-			"violations", len(rep.Violations), "stats", pinDigest(rep.Stats))
+			"violations", len(rep.Violations), "stats", pinDigest(rep.Router))
 	case "crash-under-the-cache":
-		rep, err := RunShareScenario(ShareRunConfig{Seed: seed, WALDir: t.TempDir()})
-		if err != nil {
-			t.Fatalf("%s seed=%d: %v", drill, seed, err)
-		}
 		line := pinLine("updates", rep.Updates, "rows", rep.Rows, "dup", rep.Duplicates, "gaps", rep.Gaps,
 			"order", rep.OrderViolations, "at_fault", rep.UpdatesAtFault, "late_replayed", rep.LateReplayed,
 			"value_mismatches", rep.ValueMismatches,
-			"violations", len(rep.Violations), "stats", pinDigest(rep.Stats))
+			"violations", len(rep.Violations), "stats", pinDigest(rep.Share))
 		if seed == 7 {
 			line += " traces=" + pinDigest([]byte(rep.Traces))
 		}
 		return line
 	case "stuck-shard":
-		rep, err := RunStuckShardScenario(StuckShardConfig{Seed: seed})
-		if err != nil {
-			t.Fatalf("%s seed=%d: %v", drill, seed, err)
-		}
 		return pinLine("updates", rep.Updates, "dup", rep.Duplicates, "gaps", rep.Gaps,
 			"order", rep.OrderViolations, "at_fault", rep.UpdatesAtFault, "at_clear", rep.UpdatesAtClear,
 			"degraded", rep.DegradedUpdates, "min_coverage", rep.MinCoverage,
-			"violations", len(rep.Violations), "stats", pinDigest(rep.Stats))
+			"violations", len(rep.Violations), "stats", pinDigest(rep.Router))
 	}
-	sc, err := Builtin(drill)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := RunScenario(RunConfig{Scenario: sc, Seed: seed, WALPath: filepath.Join(t.TempDir(), drill+".wal")})
-	if err != nil {
-		t.Fatalf("%s seed=%d: %v", drill, seed, err)
-	}
-	// value_mismatches: the by-value row check lands with the unified
-	// runner; sized at 0 on every builtin script before it did.
 	return pinLine("faults", rep.FaultEvents, "crashes", rep.Crashes, "reconnects", rep.Reconnects,
 		"probes", rep.ReadyProbes, "updates", rep.Updates, "rows", rep.Rows, "expected", rep.ExpectedRows,
 		"completeness", rep.Completeness, "dup", rep.Duplicates, "gaps", rep.Gaps, "order", rep.OrderViolations,
-		"value_mismatches", 0,
-		"violations", len(rep.Violations), "stats", pinDigest(rep.Stats))
+		"value_mismatches", rep.ValueMismatches,
+		"violations", len(rep.Violations), "stats", pinDigest(rep.Gateway))
 }
 
 // TestPinnedDrillCounters replays every builtin script and every

@@ -11,10 +11,11 @@ import (
 
 // TestShareScenarioValidation covers the config guard rails.
 func TestShareScenarioValidation(t *testing.T) {
-	if _, err := RunShareScenario(ShareRunConfig{}); err == nil {
+	if _, err := Run("crash-under-the-cache", Config{}); err == nil {
 		t.Fatal("share drill ran without a WAL directory")
 	}
-	if _, err := RunShareScenario(ShareRunConfig{WALDir: t.TempDir(), Rounds: shareClearRound + 1}); err == nil {
+	// The drill recovers at round 9 and needs two more rounds after it.
+	if _, err := Run("crash-under-the-cache", Config{WALDir: t.TempDir(), Rounds: 10}); err == nil {
 		t.Fatal("share drill accepted a round budget too short to observe recovery")
 	}
 }
@@ -25,10 +26,7 @@ func TestShareScenarioValidation(t *testing.T) {
 // delivery invariant — including value agreement between cached replay
 // and live delivery — held across the crash.
 func TestShareCrashUnderTheCache(t *testing.T) {
-	rep, err := RunShareScenario(ShareRunConfig{
-		Seed:   7,
-		WALDir: t.TempDir(),
-	})
+	rep, err := Run("crash-under-the-cache", Config{Seed: 7, WALDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,9 +43,9 @@ func TestShareCrashUnderTheCache(t *testing.T) {
 		t.Fatalf("delivery invariants broken: dup=%d gaps=%d order=%d values=%d",
 			rep.Duplicates, rep.Gaps, rep.OrderViolations, rep.ValueMismatches)
 	}
-	if rep.Stats.Reattaches != 1 || rep.Stats.UpstreamResumes == 0 {
+	if rep.Share.Reattaches != 1 || rep.Share.UpstreamResumes == 0 {
 		t.Fatalf("failover accounting: reattaches=%d resumes=%d",
-			rep.Stats.Reattaches, rep.Stats.UpstreamResumes)
+			rep.Share.Reattaches, rep.Share.UpstreamResumes)
 	}
 }
 
@@ -60,8 +58,8 @@ func TestShareCrashUnderTheCache(t *testing.T) {
 // seed produce byte-identical exports, regardless of -parallel level or
 // what else the test binary is running.
 func TestShareTraceCausalPath(t *testing.T) {
-	run := func() *ShareReport {
-		rep, err := RunShareScenario(ShareRunConfig{Seed: 7, WALDir: t.TempDir()})
+	run := func() *Report {
+		rep, err := Run("crash-under-the-cache", Config{Seed: 7, WALDir: t.TempDir()})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -154,11 +152,7 @@ func TestShareChaosSoak(t *testing.T) {
 	}
 	for _, window := range []int{0, 2, 4} {
 		for seed := int64(1); seed <= 3; seed++ {
-			rep, err := RunShareScenario(ShareRunConfig{
-				Seed:   seed,
-				WALDir: t.TempDir(),
-				Window: window,
-			})
+			rep, err := Run("crash-under-the-cache", Config{Seed: seed, WALDir: t.TempDir(), Window: window})
 			if err != nil {
 				t.Fatalf("window=%d seed=%d: %v", window, seed, err)
 			}

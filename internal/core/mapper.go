@@ -190,18 +190,8 @@ func aggregateRows(uq *query.Query, resid []query.Predicate, t sim.Time, rows []
 			}
 			st := query.NewGroupedAggState(a, group)
 			st.Add(v)
-			states = foldState(states, st)
+			states = query.FoldState(states, st)
 		}
 	}
 	return AggregateStates(*uq, t, states)
-}
-
-func foldState(states []query.AggState, st query.AggState) []query.AggState {
-	for i := range states {
-		if states[i].Agg == st.Agg && states[i].Group == st.Group {
-			states[i].Merge(st)
-			return states
-		}
-	}
-	return append(states, st)
 }

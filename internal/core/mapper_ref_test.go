@@ -106,7 +106,7 @@ func refAggregateRows(uq query.Query, t sim.Time, rows []refRow) []query.AggResu
 			}
 			st := query.NewGroupedAggState(a, group)
 			st.Add(v)
-			states = foldState(states, st)
+			states = query.FoldState(states, st)
 		}
 	}
 	return AggregateStates(uq, t, states)

@@ -22,15 +22,15 @@ import (
 // stranded in flight.
 type ChaosConfig struct {
 	Seed int64
-	// Side of the grid (chaos.DefaultSide if zero).
+	// Side of the grid (4 if zero).
 	Side int
 	// Clients is the number of subscriber sessions per scenario
-	// (chaos.DefaultClients if zero).
+	// (4 if zero).
 	Clients int
 	// Scenarios lists the runs: builtin names (chaos.BuiltinNames) or whole
 	// scenario files read into text form. Default: every builtin.
 	Scenarios []string
-	// WALDir holds the per-scenario WAL files (a private temp directory,
+	// WALDir holds the per-scenario WAL directories (a private temp directory,
 	// removed afterwards, if empty).
 	WALDir string
 	// Parallelism caps the worker pool running independent scenarios (<= 0:
@@ -92,12 +92,12 @@ func RunChaos(cfg ChaosConfig) ([]ChaosRow, error) {
 		if err != nil {
 			return ChaosRow{}, err
 		}
-		rep, err := chaos.RunScenario(chaos.RunConfig{
-			Scenario: sc,
-			Seed:     cfg.Seed,
-			Side:     cfg.Side,
-			Clients:  cfg.Clients,
-			WALPath:  filepath.Join(dir, fmt.Sprintf("cell-%02d.wal", c.i)),
+		rep, err := chaos.Run(chaos.ScriptDrill, chaos.Config{
+			Script:  sc,
+			Seed:    cfg.Seed,
+			Side:    cfg.Side,
+			Clients: cfg.Clients,
+			WALDir:  filepath.Join(dir, fmt.Sprintf("cell-%02d", c.i)),
 		})
 		if err != nil {
 			return ChaosRow{}, fmt.Errorf("scenario %q: %w", sc.Name, err)
@@ -107,7 +107,7 @@ func RunChaos(cfg ChaosConfig) ([]ChaosRow, error) {
 			FaultEvents:  rep.FaultEvents,
 			Crashes:      rep.Crashes,
 			Reconnects:   rep.Reconnects,
-			Resumes:      rep.Stats.Resumes,
+			Resumes:      rep.Gateway.Resumes,
 			Updates:      rep.Updates,
 			Completeness: rep.Completeness,
 			Duplicates:   rep.Duplicates,

@@ -7,6 +7,7 @@ import (
 	"repro/internal/federation"
 	"repro/internal/gateway"
 	"repro/internal/query"
+	"repro/internal/stack"
 )
 
 // FederationScalingConfig parametrizes the shard-count scaling study: a
@@ -98,17 +99,14 @@ func RunFederationScaling(cfg FederationScalingConfig) ([]FederationScalingRow, 
 }
 
 func runFederationCell(cfg FederationScalingConfig, shards int) (FederationScalingRow, error) {
-	rt, err := federation.New(federation.Config{
-		Shards: shards,
-		Side:   cfg.Side,
-		Seed:   cfg.Seed,
-	})
+	built, err := stack.Build(stack.Spec{Shards: shards, Router: federation.Config{Side: cfg.Side, Seed: cfg.Seed}})
 	if err != nil {
 		return FederationScalingRow{}, err
 	}
-	defer rt.Close()
+	defer built.Close()
+	rt := built.Router
 
-	spn := cfg.Side*cfg.Side - 1
+	spn := built.Sensors() / shards
 	epochMS := int64(cfg.Quantum / time.Millisecond)
 	agg := query.MustParse(fmt.Sprintf("SELECT MAX(light), AVG(light) EPOCH DURATION %d", epochMS))
 	var tickets []*federation.Ticket
@@ -167,7 +165,7 @@ func runFederationCell(cfg FederationScalingConfig, shards int) (FederationScali
 	st := rt.FedStats()
 	row := FederationScalingRow{
 		Shards:         shards,
-		Sensors:        shards * spn,
+		Sensors:        built.Sensors(),
 		Sessions:       shards * cfg.SubsPerShard,
 		Subs:           len(subs),
 		Trees:          st.Trees,

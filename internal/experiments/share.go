@@ -11,6 +11,7 @@ import (
 	"repro/internal/query"
 	"repro/internal/share"
 	"repro/internal/sim"
+	"repro/internal/stack"
 	"repro/internal/topology"
 )
 
@@ -136,57 +137,29 @@ func runShareCell(cfg ShareStudyConfig, overlap float64, sharing bool) (ShareStu
 	if err != nil {
 		return ShareStudyRow{}, err
 	}
-	gw, err := gateway.New(gateway.Config{
-		Sim: network.Config{Topo: topo, Scheme: network.TTMQO, Seed: cfg.Seed},
+	st, err := stack.Build(stack.Spec{
+		Share:   sharing,
+		Gateway: gateway.Config{Sim: network.Config{Topo: topo, Scheme: network.TTMQO, Seed: cfg.Seed}},
+		Coord:   share.Config{Cell: cfg.Cell},
 	})
 	if err != nil {
 		return ShareStudyRow{}, err
 	}
-	defer gw.Close()
-
-	sensors := cfg.Side*cfg.Side - 1
-	var coord *share.Coordinator
-	if sharing {
-		coord, err = share.New(share.Config{
-			Upstream: share.OverGateway(gw),
-			Sensors:  sensors,
-			Cell:     cfg.Cell,
-		})
-		if err != nil {
-			return ShareStudyRow{}, err
-		}
-		defer coord.Close()
-	}
-	advance := func(d time.Duration) error {
-		if coord != nil {
-			_, err := coord.Advance(d)
-			return err
-		}
-		_, err := gw.Advance(d)
-		return err
-	}
-	now := func() (sim.Time, error) {
-		if coord != nil {
-			return coord.Now()
-		}
-		return gw.Now()
-	}
+	defer st.Close()
+	gw, top := st.Gateway(), st.Top()
+	now := gw.Now // the coordinator's clock is its upstream's
 
 	// The subscriber population: cell-aligned regions whose width grows
 	// with the overlap factor. The same list serves both modes, and late
 	// joiner j re-issues query j's text verbatim.
-	texts := shareQuerySet(cfg, overlap, sensors)
+	texts := shareQuerySet(cfg, overlap, st.Sensors())
 	subscribe := func(name string, i int) (*shareSub, error) {
 		q := query.MustParse(texts[i%len(texts)])
 		at, err := now()
 		if err != nil {
 			return nil, err
 		}
-		register := gw.Register
-		if coord != nil {
-			register = coord.Register
-		}
-		sess, err := register(name)
+		sess, err := top.Register(name)
 		if err != nil {
 			return nil, err
 		}
@@ -232,7 +205,7 @@ func runShareCell(cfg ShareStudyConfig, overlap float64, sharing bool) (ShareStu
 		return nil
 	}
 	step := func() error {
-		if err := advance(cfg.Quantum); err != nil {
+		if _, err := top.Advance(cfg.Quantum); err != nil {
 			return err
 		}
 		return drain()
@@ -295,10 +268,10 @@ func runShareCell(cfg ShareStudyConfig, overlap float64, sharing bool) (ShareStu
 	}
 	row.ColdTTFR50MS, row.ColdTTFR95MS = ttfrPercentiles(cold)
 	row.LateTTFR50MS, row.LateTTFR95MS = ttfrPercentiles(late)
-	if coord != nil {
-		st := coord.ShareStats()
-		row.FragmentReuse = st.FragmentReuseRatio()
-		row.CacheHitRatio = st.CacheHitRatio()
+	if st.Coord != nil {
+		s := st.Coord.ShareStats()
+		row.FragmentReuse = s.FragmentReuseRatio()
+		row.CacheHitRatio = s.CacheHitRatio()
 	}
 	return row, nil
 }

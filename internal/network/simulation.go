@@ -518,7 +518,7 @@ func (s *Simulation) onReceive(d radio.Delivery) {
 		buf := inst.bufferFor(msg.EpochT)
 		if msg.IsAggregation() {
 			for _, st := range msg.States {
-				buf.states = mergeStates(buf.states, st)
+				buf.states = query.FoldState(buf.states, st)
 			}
 		} else {
 			buf.put(msg.Origin, msg.Row)
@@ -606,16 +606,6 @@ func (s *Simulation) deliver(inst *installedQuery, epochT sim.Time, rows []query
 	if len(rows) > 0 {
 		s.spans.FirstResult(int(uq.ID), time.Duration(s.engine.Now()))
 	}
-}
-
-func mergeStates(states []query.AggState, st query.AggState) []query.AggState {
-	for i := range states {
-		if states[i].Agg == st.Agg && states[i].Group == st.Group {
-			states[i].Merge(st)
-			return states
-		}
-	}
-	return append(states, st)
 }
 
 func queryBytes(q query.Query) int {

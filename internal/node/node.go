@@ -482,7 +482,7 @@ func (n *Node) relayAggregation(msg *ResultMsg, mine []query.ID) {
 		if inst != nil && n.slotTime(msg.EpochT) > n.cfg.Engine.Now() && n.firesAt(inst, msg.EpochT) {
 			b := n.pendingFor(qid, msg.EpochT)
 			for _, st := range msg.States {
-				b.states = mergeState(b.states, st)
+				b.states = query.FoldState(b.states, st)
 			}
 			continue
 		}
@@ -737,7 +737,7 @@ func (n *Node) processFiring(t sim.Time, firing []*installed) {
 					st := query.NewGroupedAggState(a, group)
 					v, _ := sample.Get(a.Attr)
 					st.Add(v)
-					b.states = mergeState(b.states, st)
+					b.states = query.FoldState(b.states, st)
 				}
 			}
 			continue
@@ -1318,16 +1318,4 @@ next:
 		known = append(known, sighting{qid, now})
 	}
 	n.knows[slot] = known
-}
-
-// mergeState folds one partial into a state list; partials combine only
-// within the same aggregate AND the same GROUP BY bucket.
-func mergeState(states []query.AggState, st query.AggState) []query.AggState {
-	for i := range states {
-		if states[i].Agg == st.Agg && states[i].Group == st.Group {
-			states[i].Merge(st)
-			return states
-		}
-	}
-	return append(states, st)
 }

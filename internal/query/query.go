@@ -514,6 +514,18 @@ func (s *AggState) Merge(o AggState) {
 	s.MaxV = math.Max(s.MaxV, o.MaxV)
 }
 
+// FoldState folds one partial into a state list; partials combine only
+// within the same aggregate AND the same GROUP BY bucket.
+func FoldState(states []AggState, st AggState) []AggState {
+	for i := range states {
+		if states[i].Agg == st.Agg && states[i].Group == st.Group {
+			states[i].Merge(st)
+			return states
+		}
+	}
+	return append(states, st)
+}
+
 // Valid reports whether any reading has been folded in.
 func (s AggState) Valid() bool { return s.Count > 0 }
 
