@@ -97,21 +97,28 @@ chaos-soak:
 
 # A short fuzz pass over every fuzz target in the repository: the query
 # parser's robustness invariants (never panic; accepted input round-trips),
-# the canonical dedup/CSE key's byte-stability under predicate reordering,
-# duplicate entries and whitespace noise, the wire codec (arbitrary bytes
-# never panic the frame decoder; requests round-trip both encodings), the
-# partial-aggregate algebra (Finish over any partition equals direct
-# evaluation) and the tier-1 optimizer (after any Insert / InsertBatch /
-# Terminate script the bookkeeping, cost and benefit invariants hold and the
-# derived member lists and mapping plans equal a recomputation). The seeded
-# corpora live in the fuzz tests themselves; this budget is sized for CI.
+# query canonicalization (Normalize equals its map-and-sort reference on
+# arbitrary lists, is idempotent, and renders one text however they were
+# ordered), the canonical dedup/CSE key's byte-stability under predicate
+# reordering, duplicate entries and whitespace noise, the wire codec
+# (arbitrary bytes never panic the frame decoder; requests round-trip both
+# encodings), the partial-aggregate algebra (Finish over any partition equals
+# direct evaluation) and the tier-1 optimizer (after any Insert / InsertBatch
+# / Terminate script, with the histograms moving in between, the optimizer
+# and the reference optimizer agree on every Change, table entry and float,
+# and the bookkeeping, cost and benefit invariants hold). The seeded corpora
+# live in the fuzz tests themselves; this budget is sized for CI.
+#
+# The targets are not named here: the recipe runs whatever `go test -list`
+# finds, so a new Fuzz function cannot be left out.
 fuzz:
-	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 10s ./internal/query
-	$(GO) test -run '^$$' -fuzz FuzzCanonicalKey -fuzztime 10s ./internal/gateway
-	$(GO) test -run '^$$' -fuzz FuzzDecodeFrame -fuzztime 10s ./internal/gateway
-	$(GO) test -run '^$$' -fuzz FuzzRequestRoundTrip -fuzztime 10s ./internal/gateway
-	$(GO) test -run '^$$' -fuzz FuzzPartition -fuzztime 10s ./internal/tier
-	$(GO) test -run '^$$' -fuzz FuzzOptimizerOps -fuzztime 10s ./internal/core
+	@list="$$($(GO) test -list '^Fuzz' ./...)" || { echo "$$list" >&2; exit 1; }; \
+	echo "$$list" \
+		| awk '/^Fuzz/ { f[++n] = $$1 } /^ok/ { for (i = 1; i <= n; i++) print $$2, f[i]; n = 0 }' \
+		| while read pkg f; do \
+			echo "$(GO) test -run '^\$$' -fuzz '^$$f\$$' -fuzztime 10s $$pkg"; \
+			$(GO) test -run '^$$' -fuzz "^$$f\$$" -fuzztime 10s $$pkg || exit 1; \
+		done
 
 # The end-to-end benchmark is a module of its own (bench/, `replace repro =>
 # ../`) that root `go test ./...` does not build: vet and test it here so an

@@ -36,26 +36,26 @@ type Explanation struct {
 
 // Explain reports how user query qid is currently being served.
 func (o *Optimizer) Explain(qid query.ID) (Explanation, error) {
-	uq, ok := o.users[qid]
+	u, ok := o.users[qid]
 	if !ok {
 		return Explanation{}, fmt.Errorf("core: unknown user query %d", qid)
 	}
-	s := o.syn[o.userSyn[qid]]
+	uq, s := u.q, u.syn
 
 	e := Explanation{
 		UserQuery:      uq.Clone(),
 		Synthetic:      s.q.Clone(),
 		EstSelectivity: o.model.Selectivity(uq.Preds),
-		UserCost:       o.model.Cost(uq),
+		UserCost:       o.cost(&u.priced),
 	}
 	var total float64
 	for _, m := range s.members {
-		if m.ID != qid {
-			e.SharedWith = append(e.SharedWith, m.ID)
+		if m != u {
+			e.SharedWith = append(e.SharedWith, m.q.ID)
 		}
-		total += o.model.Cost(m)
+		total += o.cost(&m.priced)
 	}
-	synCost := o.model.Cost(s.q)
+	synCost := o.cost(&s.priced)
 	if total > 0 {
 		e.SyntheticShare = synCost * e.UserCost / total
 		e.GroupSavings = 1 - synCost/total

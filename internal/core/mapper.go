@@ -72,19 +72,18 @@ func (p *memberPlan) fires(t sim.Time) bool { return p.every > 0 && t%p.every ==
 //   - an aggregation user query receives its aggregates computed over the
 //     re-filtered rows.
 //
-// It is one pass over the synthetic query's compiled plan, in ascending
-// member ID, allocating one row slice per acquisition member.
+// It is one pass over the members' compiled plans, in ascending member ID,
+// allocating one row slice per acquisition member.
 func (o *Optimizer) MapAcquisition(synID query.ID, t sim.Time, rows []query.Row) (acq []UserRows, agg []UserAgg) {
-	s, ok := o.syn[synID]
-	if !ok {
+	s := o.find(synID)
+	if s == nil {
 		return nil, nil
 	}
-	for i := range s.plan {
-		p := &s.plan[i]
+	for _, u := range s.members {
+		p, uq := &u.plan, &u.q
 		if !p.fires(t) {
 			continue
 		}
-		uq := &s.members[i]
 		if p.agg {
 			agg = append(agg, UserAgg{QueryID: uq.ID, Time: t, Results: aggregateRows(uq, p.resid, t, rows)})
 			continue
@@ -115,17 +114,16 @@ func (o *Optimizer) MapAcquisition(synID query.ID, t sim.Time, rows []query.Row)
 // predicates (a §3.1.2 correctness constraint), so mapping is a projection
 // of the requested aggregates.
 func (o *Optimizer) MapAggregation(synID query.ID, t sim.Time, states []query.AggState) []UserAgg {
-	s, ok := o.syn[synID]
-	if !ok {
+	s := o.find(synID)
+	if s == nil {
 		return nil
 	}
-	out := make([]UserAgg, 0, len(s.plan))
-	for i := range s.plan {
-		if !s.plan[i].fires(t) {
+	out := make([]UserAgg, 0, len(s.members))
+	for _, u := range s.members {
+		if !u.plan.fires(t) {
 			continue
 		}
-		uq := s.members[i]
-		out = append(out, UserAgg{QueryID: uq.ID, Time: t, Results: AggregateStates(uq, t, states)})
+		out = append(out, UserAgg{QueryID: u.q.ID, Time: t, Results: AggregateStates(u.q, t, states)})
 	}
 	return out
 }

@@ -181,7 +181,7 @@ func checkMapperAgainstReference(t *testing.T, o *Optimizer, rng *sim.Rand) {
 		}
 		from := map[query.ID]query.Query{}
 		for _, id := range o.FromList(syn.ID) {
-			from[id] = o.users[id]
+			from[id] = o.users[id].q
 		}
 		for k := 1; k <= 6; k++ {
 			at := sim.Time(k) * sim.Time(query.MinEpoch)
@@ -223,17 +223,17 @@ func TestCompiledMapperMatchesReference(t *testing.T) {
 	var stale, groupedFromRows, sharedWindows, refiltered int
 	census := func(o *Optimizer) {
 		for _, s := range o.syn {
-			if !Synthesize(s.members).Equal(s.q) {
+			if !Synthesize(o.queries(s.members)).Equal(s.q) {
 				stale++
 			}
-			for i, m := range s.members {
-				if !s.q.IsAggregation() && m.GroupBy != nil {
+			for _, m := range s.members {
+				if !s.q.IsAggregation() && m.q.GroupBy != nil {
 					groupedFromRows++
 				}
-				if m.IsWindowed() && len(s.members) > 1 {
+				if m.q.IsWindowed() && len(s.members) > 1 {
 					sharedWindows++
 				}
-				if len(s.plan[i].resid) > 0 {
+				if len(m.plan.resid) > 0 {
 					refiltered++
 				}
 			}

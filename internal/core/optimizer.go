@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 
 	"repro/internal/cost"
 	"repro/internal/query"
@@ -28,45 +27,69 @@ type Change struct {
 // without affecting the sensor network").
 func (c Change) Empty() bool { return len(c.Inject) == 0 && len(c.Abort) == 0 }
 
-// synthetic is one entry of the synthetic query table (§3.1.1). The paper's
-// per-field count annotations are realized by keeping every contributor's
-// original query in members and recomputing the canonical requirement with
+// priced is a query with its estimated cost, evaluated at most once per
+// generation of the model's histograms (Optimizer.cost).
+type priced struct {
+	q    query.Query
+	cost float64
+	at   uint64 // generation of cost, plus one; zero before the first evaluation
+}
+
+// user is one entry of the user query table.
+type user struct {
+	priced
+	// syn is the synthetic query serving the user query and plan how its
+	// results derive from syn's stream; setMembers keeps the two in step.
+	syn  *synthetic
+	plan memberPlan
+}
+
+// synthetic is one entry of the synthetic query table (§3.1.1); its q carries
+// id. The paper's per-field count annotations are realized by keeping every
+// contributor in members and recomputing the canonical requirement with
 // Synthesize; "some count decreased to 0" is then exactly "the canonical
 // requirement shrank" (see DESIGN.md). The paper's flag field tracks
 // in-flight injections; our injection is atomic within an operation, so the
 // running set itself plays that role.
 type synthetic struct {
+	priced
 	id query.ID
-	q  query.Query
-	// members holds the contributing user queries' original queries (the
-	// from_list) in ascending ID, the one order every sum and re-insertion
-	// over them runs in.
-	members []query.Query
-	// plan[i] is how members[i]'s results derive from q's stream; setMembers
-	// keeps the two in step.
-	plan []memberPlan
+	// members holds the contributing user queries (the from_list) in
+	// ascending ID, the one order every sum and re-insertion over them runs
+	// in.
+	members []*user
 	// benefit is Σ cost(user) − cost(q), the gain over running the
-	// contributors individually (§3.1.1(d)).
+	// contributors individually (§3.1.1(d)), priced at the histograms of the
+	// last setMembers.
 	benefit float64
 }
 
-// setMembers replaces the contributor list (ascending ID), recompiles the
-// mapping plan and points every member's userSyn entry at s.
-func (o *Optimizer) setMembers(s *synthetic, members []query.Query) {
+// cost returns cost(p.q) at the model's current histograms.
+func (o *Optimizer) cost(p *priced) float64 {
+	if at := o.model.Generation() + 1; p.at != at {
+		p.cost, p.at = o.model.Cost(p.q), at
+	}
+	return p.cost
+}
+
+// setMembers replaces the contributor list (ascending ID) and reprices the
+// benefit. A member new to s has its mapping plan compiled; the others keep
+// theirs, because a synthetic query's requirement never changes while it runs.
+func (o *Optimizer) setMembers(s *synthetic, members []*user) {
 	s.members = members
-	s.plan = make([]memberPlan, len(members))
-	for i, uq := range members {
-		s.plan[i] = compilePlan(s.q, uq)
-		o.userSyn[uq.ID] = s.id
+	for _, u := range members {
+		if u.syn != s {
+			u.syn, u.plan = s, compilePlan(s.q, u.q)
+		}
 	}
 	s.benefit = o.benefitOf(s)
 }
 
 // mergeMembers merges two ascending-ID member lists with disjoint IDs.
-func mergeMembers(a, b []query.Query) []query.Query {
-	out := make([]query.Query, 0, len(a)+len(b))
+func mergeMembers(a, b []*user) []*user {
+	out := make([]*user, 0, len(a)+len(b))
 	for len(a) > 0 && len(b) > 0 {
-		if a[0].ID < b[0].ID {
+		if a[0].q.ID < b[0].q.ID {
 			out, a = append(out, a[0]), a[1:]
 		} else {
 			out, b = append(out, b[0]), b[1:]
@@ -83,10 +106,14 @@ func mergeMembers(a, b []query.Query) []query.Query {
 type Optimizer struct {
 	model   *cost.Model
 	alpha   float64
-	syn     map[query.ID]*synthetic
-	userSyn map[query.ID]query.ID    // user query ID → synthetic query ID
-	users   map[query.ID]query.Query // user query ID → original query
+	syn     []*synthetic // ascending ID, which is creation order
+	users   map[query.ID]*user
 	nextSyn query.ID
+	// The operation in progress: synthetic queries numbered from first on
+	// are the ones it created, aborted the older ones it removed.
+	first   query.ID
+	aborted []query.ID
+	scratch []query.Query // what queries returns, reused
 }
 
 // Options configures an Optimizer.
@@ -108,9 +135,7 @@ func NewOptimizer(model *cost.Model, opts Options) *Optimizer {
 	return &Optimizer{
 		model:   model,
 		alpha:   opts.Alpha,
-		syn:     make(map[query.ID]*synthetic),
-		userSyn: make(map[query.ID]query.ID),
-		users:   make(map[query.ID]query.Query),
+		users:   make(map[query.ID]*user),
 		nextSyn: SyntheticIDBase,
 	}
 }
@@ -125,20 +150,11 @@ func (o *Optimizer) Model() *cost.Model { return o.model }
 // network change. The query must carry a unique positive ID below
 // SyntheticIDBase.
 func (o *Optimizer) Insert(q query.Query) (Change, error) {
-	if q.ID <= 0 || q.ID >= SyntheticIDBase {
-		return Change{}, fmt.Errorf("core: user query ID %d out of range", q.ID)
+	o.begin()
+	if err := o.admit(q); err != nil {
+		return Change{}, err
 	}
-	if _, dup := o.users[q.ID]; dup {
-		return Change{}, fmt.Errorf("core: duplicate user query ID %d", q.ID)
-	}
-	q = q.Normalize()
-	if err := q.Validate(); err != nil {
-		return Change{}, fmt.Errorf("core: %w", err)
-	}
-	before := o.runningIDs()
-	o.users[q.ID] = q
-	o.insert([]query.Query{q}, q)
-	return o.diff(before), nil
+	return o.end(), nil
 }
 
 // InsertBatch admits several user queries as one operation, returning the
@@ -148,48 +164,55 @@ func (o *Optimizer) Insert(q query.Query) (Change, error) {
 // only the final synthetic set. On error, queries admitted before the
 // failure stay admitted and the change reflects them.
 func (o *Optimizer) InsertBatch(qs []query.Query) (Change, error) {
-	before := o.runningIDs()
+	o.begin()
 	for _, q := range qs {
-		if q.ID <= 0 || q.ID >= SyntheticIDBase {
-			return o.diff(before), fmt.Errorf("core: user query ID %d out of range", q.ID)
+		if err := o.admit(q); err != nil {
+			return o.end(), err
 		}
-		if _, dup := o.users[q.ID]; dup {
-			return o.diff(before), fmt.Errorf("core: duplicate user query ID %d", q.ID)
-		}
-		q = q.Normalize()
-		if err := q.Validate(); err != nil {
-			return o.diff(before), fmt.Errorf("core: %w", err)
-		}
-		o.users[q.ID] = q
-		o.insert([]query.Query{q}, q)
 	}
-	return o.diff(before), nil
+	return o.end(), nil
+}
+
+// admit validates one user query and runs Algorithm 1 on it.
+func (o *Optimizer) admit(q query.Query) error {
+	if q.ID <= 0 || q.ID >= SyntheticIDBase {
+		return fmt.Errorf("core: user query ID %d out of range", q.ID)
+	}
+	if _, dup := o.users[q.ID]; dup {
+		return fmt.Errorf("core: duplicate user query ID %d", q.ID)
+	}
+	q = q.Normalize()
+	if err := q.Validate(); err != nil {
+		return fmt.Errorf("core: %w", err)
+	}
+	u := &user{priced: priced{q: q}}
+	o.users[q.ID] = u
+	o.insert([]*user{u}, &u.priced)
+	return nil
 }
 
 // Terminate removes a user query (Algorithm 2) and returns the resulting
 // network change.
 func (o *Optimizer) Terminate(qid query.ID) (Change, error) {
-	uq, ok := o.users[qid]
+	u, ok := o.users[qid]
 	if !ok {
 		return Change{}, fmt.Errorf("core: unknown user query ID %d", qid)
 	}
-	before := o.runningIDs()
-	synID := o.userSyn[qid]
-	s := o.syn[synID]
+	o.begin()
+	s := u.syn
 	oldBenefit := s.benefit
 
 	delete(o.users, qid)
-	delete(o.userSyn, qid)
-	rest := make([]query.Query, 0, len(s.members)-1)
+	rest := make([]*user, 0, len(s.members)-1)
 	for _, m := range s.members {
-		if m.ID != qid {
+		if m != u {
 			rest = append(rest, m)
 		}
 	}
 
 	if len(rest) == 0 {
-		delete(o.syn, synID)
-		return o.diff(before), nil
+		o.remove(s)
+		return o.end(), nil
 	}
 
 	// No count dropped to 0 — the remaining queries still require every
@@ -197,26 +220,26 @@ func (o *Optimizer) Terminate(qid query.ID) (Change, error) {
 	// but the stranded volume is small relative to the synthetic query's
 	// benefit, cost(q) ≤ α·benefit: keep the old synthetic query, hiding
 	// the termination from the network.
-	if Synthesize(rest).Equal(s.q) || o.model.Cost(uq) <= o.alpha*oldBenefit {
+	var r requirement
+	if r.of(o.queries(rest)).Equal(s.q) || o.cost(&u.priced) <= o.alpha*oldBenefit {
 		o.setMembers(s, rest)
-		return o.diff(before), nil
+		return o.end(), nil
 	}
 
 	// Otherwise re-insert the remaining user queries as if newly arrived
 	// (Algorithm 2 lines 6–7).
-	delete(o.syn, synID)
-	for _, rq := range rest {
-		delete(o.userSyn, rq.ID)
-		o.insert([]query.Query{rq}, rq)
+	o.remove(s)
+	for _, m := range rest {
+		o.insert([]*user{m}, &m.priced)
 	}
-	return o.diff(before), nil
+	return o.end(), nil
 }
 
 // insert implements the greedy loop of Algorithm 1, generalized to carry a
 // from-list (ascending ID) so that the "Integrate then Insert(q_id, Q_syn)"
 // recursion (line 14) reuses the same path: the merged synthetic query
 // re-enters insertion as the new query, bringing its contributors along.
-func (o *Optimizer) insert(from []query.Query, q query.Query) {
+func (o *Optimizer) insert(from []*user, q *priced) {
 	for {
 		best, bestRate, covers := o.mostBeneficial(q)
 		switch {
@@ -228,37 +251,38 @@ func (o *Optimizer) insert(from []query.Query, q query.Query) {
 		case best != nil && bestRate > 0:
 			// Integrate(q_id, q_i), then re-insert the merged query against
 			// the remaining synthetic queries (lines 13–14).
-			delete(o.syn, best.id)
+			o.remove(best)
 			from = mergeMembers(from, best.members)
-			q = Synthesize(from)
+			q = &priced{q: Synthesize(o.queries(from))}
 			continue
 		default:
 			// No beneficial rewrite: run q as its own synthetic query
-			// (lines 15–16, and lines 1–2 when the table is empty).
-			o.addSynthetic(from, q)
+			// (lines 15–16, and lines 1–2 when the table is empty). It keeps
+			// q's cost along with q.
+			s := &synthetic{priced: *q, id: o.nextSyn}
+			s.q.ID = s.id
+			o.nextSyn++
+			o.syn = append(o.syn, s)
+			o.setMembers(s, from)
 			return
 		}
 	}
 }
 
-// mostBeneficial scans the synthetic query table for the entry with the
-// highest benefit rate against q (Algorithm 1 lines 4–10), short-circuiting
-// on a covering entry. Coverage is reported as a distinct flag rather than
-// rate == 1, so a non-covering merge whose benefit happens to equal cost(q)
-// cannot be mistaken for coverage.
-func (o *Optimizer) mostBeneficial(q query.Query) (best *synthetic, bestRate float64, covers bool) {
-	cq := -1.0 // cost(q): evaluated once per scan, by the first candidate that needs it
-	for _, s := range o.sortedSyn() {
-		if query.Covers(s.q, q) {
+// mostBeneficial scans the synthetic query table, in ID order, for the entry
+// with the highest benefit rate against q (Algorithm 1 lines 4–10),
+// short-circuiting on a covering entry. Coverage is reported as a distinct
+// flag rather than rate == 1, so a non-covering merge whose benefit happens
+// to equal cost(q) cannot be mistaken for coverage.
+func (o *Optimizer) mostBeneficial(q *priced) (best *synthetic, bestRate float64, covers bool) {
+	for _, s := range o.syn {
+		if query.Covers(s.q, q.q) {
 			return s, 1, true
 		}
-		if !query.Rewritable(q, s.q) {
+		if !query.Rewritable(q.q, s.q) {
 			continue
 		}
-		if cq < 0 {
-			cq = o.model.Cost(q)
-		}
-		if rate := o.benefitRate(q, cq, s); rate > bestRate {
+		if rate := o.benefitRate(q, s); rate > bestRate {
 			best, bestRate = s, rate
 		}
 	}
@@ -267,71 +291,78 @@ func (o *Optimizer) mostBeneficial(q query.Query) (best *synthetic, bestRate flo
 
 // benefitRate is the Beneficial(q_i, q_j) function for a rewritable pair
 // where s does not cover q: benefit/cost(q), computed against the exact
-// merged requirement and clamped to 1. cq is cost(q).
-func (o *Optimizer) benefitRate(q query.Query, cq float64, s *synthetic) float64 {
+// merged requirement and clamped to 1.
+func (o *Optimizer) benefitRate(q *priced, s *synthetic) float64 {
+	cq := o.cost(q)
 	if cq <= 0 {
 		return 0
 	}
-	mergedFrom := make([]query.Query, 0, len(s.members)+1)
-	mergedFrom = append(append(mergedFrom, s.members...), q)
-	merged := Synthesize(mergedFrom)
-	rate := (o.model.Cost(s.q) + cq - o.model.Cost(merged)) / cq
+	var r requirement
+	merged := r.of(append(o.queries(s.members), q.q))
+	rate := (o.cost(&s.priced) + cq - o.model.Cost(merged)) / cq
 	if rate > 1 {
 		rate = 1
 	}
 	return rate
 }
 
-func (o *Optimizer) addSynthetic(from []query.Query, q query.Query) {
-	s := &synthetic{id: o.nextSyn, q: q}
-	s.q.ID = s.id
-	o.nextSyn++
-	o.syn[s.id] = s
-	o.setMembers(s, from)
-}
-
 // benefitOf returns Σ cost(contributors) − cost(synthetic), summed in
 // ascending member ID (see sortedIDs for why the order is fixed).
 func (o *Optimizer) benefitOf(s *synthetic) float64 {
 	var sum float64
-	for _, uq := range s.members {
-		sum += o.model.Cost(uq)
+	for _, u := range s.members {
+		sum += o.cost(&u.priced)
 	}
-	return sum - o.model.Cost(s.q)
+	return sum - o.cost(&s.priced)
 }
 
-func (o *Optimizer) runningIDs() map[query.ID]bool {
-	ids := make(map[query.ID]bool, len(o.syn))
-	for id := range o.syn {
-		ids[id] = true
+// queries lists the members' queries in a buffer the next call reuses, with
+// room for one more.
+func (o *Optimizer) queries(members []*user) []query.Query {
+	o.scratch = slices.Grow(o.scratch[:0], len(members)+1)
+	for _, u := range members {
+		o.scratch = append(o.scratch, u.q)
 	}
-	return ids
+	return o.scratch
 }
 
-func (o *Optimizer) diff(before map[query.ID]bool) Change {
-	var ch Change
-	for id := range before {
-		if _, still := o.syn[id]; !still {
-			ch.Abort = append(ch.Abort, id)
-		}
+// find returns the running synthetic query numbered id, or nil.
+func (o *Optimizer) find(id query.ID) *synthetic {
+	i, ok := slices.BinarySearchFunc(o.syn, id, func(s *synthetic, id query.ID) int { return cmp.Compare(s.id, id) })
+	if !ok {
+		return nil
 	}
-	for id, s := range o.syn {
-		if !before[id] {
-			ch.Inject = append(ch.Inject, s.q.Clone())
-		}
+	return o.syn[i]
+}
+
+// begin opens an operation, whose net effect on the network end reports.
+func (o *Optimizer) begin() { o.first = o.nextSyn }
+
+// remove takes s out of the table. It is an abortion only if s ran before the
+// operation began: one created and superseded within it never reached the
+// network.
+func (o *Optimizer) remove(s *synthetic) {
+	i := slices.Index(o.syn, s)
+	o.syn = slices.Delete(o.syn, i, i+1)
+	if s.id < o.first {
+		o.aborted = append(o.aborted, s.id)
 	}
-	sort.Slice(ch.Abort, func(i, j int) bool { return ch.Abort[i] < ch.Abort[j] })
-	sort.Slice(ch.Inject, func(i, j int) bool { return ch.Inject[i].ID < ch.Inject[j].ID })
+}
+
+// end closes the operation: the abortions recorded, and as injections the
+// entries it created that still run — the tail of the table.
+func (o *Optimizer) end() Change {
+	ch := Change{Abort: o.aborted}
+	slices.Sort(ch.Abort)
+	o.aborted = nil
+	i := len(o.syn)
+	for i > 0 && o.syn[i-1].id >= o.first {
+		i--
+	}
+	for _, s := range o.syn[i:] {
+		ch.Inject = append(ch.Inject, s.q.Clone())
+	}
 	return ch
-}
-
-func (o *Optimizer) sortedSyn() []*synthetic {
-	out := make([]*synthetic, 0, len(o.syn))
-	for _, s := range o.syn {
-		out = append(out, s)
-	}
-	slices.SortFunc(out, func(a, b *synthetic) int { return cmp.Compare(a.id, b.id) })
-	return out
 }
 
 // --- Introspection (used by the experiment harnesses and the shell) ---
@@ -339,7 +370,7 @@ func (o *Optimizer) sortedSyn() []*synthetic {
 // SyntheticQueries returns the running synthetic queries, sorted by ID.
 func (o *Optimizer) SyntheticQueries() []query.Query {
 	out := make([]query.Query, 0, len(o.syn))
-	for _, s := range o.sortedSyn() {
+	for _, s := range o.syn {
 		out = append(out, s.q.Clone())
 	}
 	return out
@@ -356,29 +387,29 @@ func (o *Optimizer) UserCount() int { return len(o.users) }
 func (o *Optimizer) UserQueries() []query.Query {
 	out := make([]query.Query, 0, len(o.users))
 	for _, id := range sortedIDs(o.users) {
-		out = append(out, o.users[id])
+		out = append(out, o.users[id].q)
 	}
 	return out
 }
 
 // SyntheticFor returns the synthetic query that serves user query qid.
 func (o *Optimizer) SyntheticFor(qid query.ID) (query.Query, bool) {
-	sid, ok := o.userSyn[qid]
+	u, ok := o.users[qid]
 	if !ok {
 		return query.Query{}, false
 	}
-	return o.syn[sid].q.Clone(), true
+	return u.syn.q.Clone(), true
 }
 
 // FromList returns the user query IDs served by synthetic query sid, sorted.
 func (o *Optimizer) FromList(sid query.ID) []query.ID {
-	s, ok := o.syn[sid]
-	if !ok {
+	s := o.find(sid)
+	if s == nil {
 		return nil
 	}
 	ids := make([]query.ID, 0, len(s.members))
-	for _, uq := range s.members {
-		ids = append(ids, uq.ID)
+	for _, u := range s.members {
+		ids = append(ids, u.q.ID)
 	}
 	return ids
 }
@@ -393,7 +424,7 @@ func sortedIDs[V any](m map[query.ID]V) []query.ID {
 	for id := range m {
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	return ids
 }
 
@@ -402,7 +433,7 @@ func sortedIDs[V any](m map[query.ID]V) []query.ID {
 func (o *Optimizer) TotalUserCost() float64 {
 	var sum float64
 	for _, id := range sortedIDs(o.users) {
-		sum += o.model.Cost(o.users[id])
+		sum += o.cost(&o.users[id].priced)
 	}
 	return sum
 }
@@ -410,8 +441,8 @@ func (o *Optimizer) TotalUserCost() float64 {
 // TotalSyntheticCost returns Σ cost(s) over running synthetic queries.
 func (o *Optimizer) TotalSyntheticCost() float64 {
 	var sum float64
-	for _, id := range sortedIDs(o.syn) {
-		sum += o.model.Cost(o.syn[id].q)
+	for _, s := range o.syn {
+		sum += o.cost(&s.priced)
 	}
 	return sum
 }
@@ -420,8 +451,8 @@ func (o *Optimizer) TotalSyntheticCost() float64 {
 // construction it equals TotalUserCost() − TotalSyntheticCost().
 func (o *Optimizer) TotalBenefit() float64 {
 	var sum float64
-	for _, id := range sortedIDs(o.syn) {
-		sum += o.syn[id].benefit
+	for _, s := range o.syn {
+		sum += s.benefit
 	}
 	return sum
 }

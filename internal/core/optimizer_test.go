@@ -180,6 +180,21 @@ func TestInsertErrors(t *testing.T) {
 	if _, err := o.Insert(bad); err == nil {
 		t.Fatal("invalid query must error")
 	}
+	// A code the enums do not declare is refused at admission: synthesis
+	// indexes per-attribute arrays sized for the declared ones.
+	for _, bad := range []query.Query{
+		{ID: 10, Attrs: []field.Attr{attrSlots}, Epoch: query.MinEpoch},
+		{ID: 11, Aggs: []query.Agg{{Op: query.Avg + 1, Attr: field.AttrLight}}, Epoch: query.MinEpoch},
+		{ID: 12, Attrs: []field.Attr{field.AttrLight}, Epoch: query.MinEpoch,
+			Preds: []query.Predicate{{Attr: 200, Min: 0, Max: 1}}},
+	} {
+		if _, err := o.Insert(bad); err == nil {
+			t.Fatalf("query %d: undeclared code must error", bad.ID)
+		}
+	}
+	if n := o.UserCount(); n != 1 {
+		t.Fatalf("%d user queries after rejected inserts, want 1", n)
+	}
 }
 
 func TestTerminateLastQueryAborts(t *testing.T) {
@@ -580,7 +595,7 @@ func TestBenefitSumIsOrderStable(t *testing.T) {
 	if o.SyntheticCount() != 1 {
 		t.Fatalf("precondition: %d synthetic queries, want the five merged into 1", o.SyntheticCount())
 	}
-	s := o.syn[o.userSyn[1]]
+	s := o.users[1].syn
 	if len(s.members) < 3 {
 		t.Fatalf("precondition: %d contributors, want >= 3", len(s.members))
 	}
@@ -605,10 +620,64 @@ func TestBenefitSumIsOrderStable(t *testing.T) {
 	}
 	// The same contributors admitted in another order sum to the same bits.
 	rev := newTestOptimizer(t, DefaultAlpha)
-	if _, err := rev.InsertBatch([]query.Query{s.members[4], s.members[2], s.members[0], s.members[3], s.members[1]}); err != nil {
+	if _, err := rev.InsertBatch([]query.Query{s.members[4].q, s.members[2].q, s.members[0].q, s.members[3].q, s.members[1].q}); err != nil {
 		t.Fatal(err)
 	}
 	if got := math.Float64bits(rev.TotalBenefit()); rev.SyntheticCount() != 1 || got != math.Float64bits(o.TotalBenefit()) {
 		t.Fatalf("admission order changed the benefit: %d synthetic, %v vs %v", rev.SyntheticCount(), rev.TotalBenefit(), o.TotalBenefit())
+	}
+}
+
+// scan admits syn as the only running synthetic query and returns what the
+// Algorithm 1 scan makes of q against it.
+func scan(t testing.TB, syn, q query.Query) (best *synthetic, rate float64, covers bool) {
+	t.Helper()
+	o := newTestOptimizerQuick(DefaultAlpha)
+	syn.ID = 1
+	if _, err := o.Insert(syn); err != nil {
+		t.Fatal(err)
+	}
+	return o.mostBeneficial(&priced{q: q.Normalize()})
+}
+
+// A synthetic query that covers the new one is the scan's answer at a rate of
+// exactly 1, flagged as coverage: the new query adds no work to the network.
+func TestBenefitRateCoverageIsOne(t *testing.T) {
+	syn := query.MustParse("SELECT light, temp WHERE light >= 0 AND light <= 600 EPOCH DURATION 2048")
+	q := query.MustParse("SELECT light WHERE light >= 100 AND light <= 300 EPOCH DURATION 4096")
+	if best, rate, covers := scan(t, syn, q); best == nil || rate != 1 || !covers {
+		t.Fatalf("scan = %v, %v, %v; want the covering entry at exactly 1", best, rate, covers)
+	}
+}
+
+// Two aggregations over different row sets cannot be integrated: no rate, no
+// candidate.
+func TestBenefitRateNonRewritable(t *testing.T) {
+	a := query.MustParse("SELECT MAX(light) WHERE temp > 20")
+	b := query.MustParse("SELECT MAX(light) WHERE temp > 30")
+	if best, rate, covers := scan(t, b, a); best != nil || rate != 0 || covers {
+		t.Fatalf("scan = %v, %v, %v; want nothing for a non-rewritable pair", best, rate, covers)
+	}
+}
+
+// Property: a benefit rate never exceeds 1 (it is clamped against
+// floating-point drift), and coverage always reads as exactly 1 with the flag.
+func TestBenefitRateBounds(t *testing.T) {
+	f := func(lo1, hi1, lo2, hi2 float64, e1, e2 uint8) bool {
+		mk := func(lo, hi float64, e uint8) query.Query {
+			lo = math.Mod(math.Abs(lo), 1000)
+			hi = lo + math.Mod(math.Abs(hi), 1000-lo+1)
+			return query.Query{
+				Attrs: []field.Attr{field.AttrLight},
+				Preds: []query.Predicate{{Attr: field.AttrLight, Min: lo, Max: hi}},
+				Epoch: time.Duration(1+int(e)%12) * query.MinEpoch,
+			}.Normalize()
+		}
+		qi, qj := mk(lo1, hi1, e1), mk(lo2, hi2, e2)
+		_, rate, covers := scan(t, qj, qi)
+		return rate <= 1 && covers == query.Covers(qj, qi) && (!covers || rate == 1)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
 	}
 }

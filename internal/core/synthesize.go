@@ -8,15 +8,14 @@
 package core
 
 import (
-	"sort"
-
 	"repro/internal/field"
 	"repro/internal/query"
 )
 
 // Synthesize returns the canonical synthetic query serving a set of user
-// queries: the exact data requirement of the set, independent of the order
-// in which the set was assembled.
+// queries in canonical form (query.Normalize, as the optimizer admits them):
+// the exact data requirement of the set, independent of the order in which
+// the set was assembled.
 //
 // If every query is an aggregation query (they then share identical
 // predicates, enforced by query.Rewritable), the result aggregates the union
@@ -34,16 +33,37 @@ import (
 // the paper's count fields (§3.1.1) are realized by recomputing this
 // canonical form from the surviving contributors (see DESIGN.md).
 func Synthesize(qs []query.Query) query.Query {
+	var r requirement
+	return r.of(qs).Clone()
+}
+
+// attrSlots bounds the attribute and operator codes a requirement is built
+// over. The declared ones are well inside it (a field.AttrSet has one bit per
+// attribute and a field.Values one slot per declared one), and admission
+// refuses any other: query.Validate rejects an undeclared code.
+const attrSlots = 8
+
+// requirement is what a synthesis builds its lists in. The query of returns
+// lives in it, so a requirement that is only priced or compared (benefitRate,
+// Terminate's shrink test) is never allocated.
+type requirement struct {
+	attrs [attrSlots]field.Attr
+	preds [attrSlots]query.Predicate
+	aggs  [attrSlots * attrSlots]query.Agg
+}
+
+// of is Synthesize into r.
+func (r *requirement) of(qs []query.Query) query.Query {
 	if len(qs) == 0 {
 		return query.Query{}
 	}
 	allWin := true
 	allAgg := true
-	for _, q := range qs {
-		if !q.IsAggregation() {
+	for i := range qs {
+		if !qs[i].IsAggregation() {
 			allAgg = false
 		}
-		if !q.IsWindowed() {
+		if !qs[i].IsWindowed() {
 			allWin = false
 		}
 	}
@@ -54,13 +74,8 @@ func Synthesize(qs []query.Query) query.Query {
 	// synthetic whose acquisition members terminated while α kept it alive.
 	// Recombining those members must NOT silently adopt the first member's
 	// predicates; fall back to the acquisition form, which covers any mix.
-	if allAgg {
-		for _, q := range qs[1:] {
-			if !query.PredsEqual(qs[0].Preds, q.Preds) || !qs[0].GroupBy.Equal(q.GroupBy) {
-				allAgg = false
-				break
-			}
-		}
+	for i := 1; i < len(qs) && allAgg; i++ {
+		allAgg = query.PredsEqual(qs[0].Preds, qs[i].Preds) && qs[0].GroupBy.Equal(qs[i].GroupBy)
 	}
 	if allWin {
 		// Windowed queries only ever merge with compatible windowed queries
@@ -81,16 +96,27 @@ func Synthesize(qs []query.Query) query.Query {
 		return merged.Normalize()
 	}
 	epoch := qs[0].Epoch
-	for _, q := range qs[1:] {
-		epoch = query.EpochGCD(epoch, q.Epoch)
+	for i := 1; i < len(qs); i++ {
+		epoch = query.EpochGCD(epoch, qs[i].Epoch)
 	}
 	if allAgg {
-		var aggs []query.Agg
-		for _, q := range qs {
-			aggs = append(aggs, q.Aggs...)
+		var ops [attrSlots]uint8 // per attribute, one bit per requested operator
+		for i := range qs {
+			for _, a := range qs[i].Aggs {
+				ops[a.Attr] |= 1 << a.Op
+			}
+		}
+		n := 0
+		for attr, set := range ops {
+			for op := 0; set != 0; op, set = op+1, set>>1 {
+				if set&1 != 0 {
+					r.aggs[n] = query.Agg{Op: query.AggOp(op), Attr: field.Attr(attr)}
+					n++
+				}
+			}
 		}
 		return query.Query{
-			Aggs:    aggs,
+			Aggs:    r.aggs[:n],
 			Preds:   qs[0].Preds,
 			Epoch:   epoch,
 			GroupBy: qs[0].GroupBy, // identical across the set (Rewritable)
@@ -99,44 +125,46 @@ func Synthesize(qs []query.Query) query.Query {
 
 	// Merged predicates: attribute constrained iff constrained in every
 	// query, with the widened range.
-	merged := qs[0].Preds
-	for _, q := range qs[1:] {
-		merged = query.UnionPreds(merged, q.Preds)
-	}
-	mergedFor := make(map[field.Attr]query.Predicate, len(merged))
-	for _, p := range merged {
-		mergedFor[p.Attr] = p
-	}
-
-	attrSet := make(map[field.Attr]bool)
-	for _, q := range qs {
-		for _, a := range q.Attrs {
-			attrSet[a] = true
+	var merged [attrSlots]query.Predicate
+	var constrain [attrSlots]int // queries with a predicate on the attribute
+	for i := range qs {
+		for _, p := range qs[i].Preds {
+			if constrain[p.Attr]++; constrain[p.Attr] > 1 {
+				p = merged[p.Attr].Union(p)
+			}
+			merged[p.Attr] = p
 		}
-		for _, a := range q.AggAttrs() {
-			attrSet[a] = true
+	}
+	var acquire field.AttrSet
+	for i := range qs {
+		q := &qs[i]
+		acquire |= field.SetOf(q.Attrs)
+		for _, a := range q.Aggs {
+			acquire |= 1 << a.Attr
 		}
 		if q.GroupBy != nil {
-			attrSet[q.GroupBy.Attr] = true
+			acquire |= 1 << q.GroupBy.Attr
 		}
 		for _, p := range q.Preds {
-			if mp, ok := mergedFor[p.Attr]; ok && mp == p {
+			if constrain[p.Attr] == len(qs) && merged[p.Attr] == p {
 				continue // filtered identically in-network; no raw value needed
 			}
-			attrSet[p.Attr] = true
+			acquire |= 1 << p.Attr
 		}
 	}
-	attrs := make([]field.Attr, 0, len(attrSet))
-	for a := range attrSet {
-		attrs = append(attrs, a)
+	na, np := 0, 0
+	for a := field.Attr(0); a < attrSlots; a++ {
+		if acquire.Has(a) {
+			r.attrs[na] = a
+			na++
+		}
+		if constrain[a] == len(qs) {
+			r.preds[np] = merged[a]
+			np++
+		}
 	}
-	sort.Slice(attrs, func(i, j int) bool { return attrs[i] < attrs[j] })
-
-	return query.Query{
-		Attrs: attrs,
-		Preds: merged,
-		Epoch: epoch,
-	}.Normalize()
+	// Normalize drops a predicate the widening left unbounded on both sides.
+	return query.Query{Attrs: r.attrs[:na], Preds: r.preds[:np], Epoch: epoch}.Normalize()
 }
 
 // gcdSlides is the GCD of two reporting slides.

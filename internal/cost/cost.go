@@ -30,7 +30,6 @@ package cost
 
 import (
 	"fmt"
-	"math"
 	"time"
 
 	"repro/internal/field"
@@ -132,29 +131,28 @@ func (h *Histogram) Observe(v float64) {
 	}
 }
 
-// Selectivity returns the estimated fraction of readings in [min, max]. A
+// Selectivity returns the estimated fraction of readings in [lo, hi]. A
 // point predicate on the integer-valued nodeid is integrated over
 // [v−½, v+½] — one node's share — so that it does not read as free.
-func (h *Histogram) Selectivity(min, max float64) float64 {
+func (h *Histogram) Selectivity(lo, hi float64) float64 {
 	if h.total == 0 || h.hi <= h.lo {
 		return 1
 	}
-	if min == max && h.attr == field.AttrNodeID {
-		min, max = min-0.5, max+0.5
+	if lo == hi && h.attr == field.AttrNodeID {
+		lo, hi = lo-0.5, hi+0.5
 	}
-	min = math.Max(min, h.lo)
-	max = math.Min(max, h.hi)
-	if min > max {
+	lo, hi = max(lo, h.lo), min(hi, h.hi)
+	if lo > hi {
 		return 0
 	}
 	width := (h.hi - h.lo) / float64(len(h.buckets))
 	// Only the buckets the range overlaps contribute; one bucket of slack
 	// either side absorbs the rounding of the index computation.
-	first := int((min-h.lo)/width) - 1
+	first := int((lo-h.lo)/width) - 1
 	if first < 0 {
 		first = 0
 	}
-	last := int((max-h.lo)/width) + 1
+	last := int((hi-h.lo)/width) + 1
 	if last >= len(h.buckets) {
 		last = len(h.buckets) - 1
 	}
@@ -162,7 +160,7 @@ func (h *Histogram) Selectivity(min, max float64) float64 {
 	for i := first; i <= last; i++ {
 		bLo := h.lo + float64(i)*width
 		bHi := bLo + width
-		overlap := math.Min(max, bHi) - math.Max(min, bLo)
+		overlap := min(hi, bHi) - max(lo, bLo)
 		if overlap > 0 {
 			sum += h.buckets[i] * overlap / width
 		}
@@ -179,6 +177,7 @@ type Model struct {
 	levelSizes []int
 	sensors    int          // Σ_{k≥1} |N_k|
 	hist       []*Histogram // indexed by field.Attr
+	gen        uint64       // observations folded in so far
 }
 
 // Config parametrizes a Model.
@@ -231,8 +230,15 @@ func NewModel(levelSizes []int, cfg Config) (*Model, error) {
 func (m *Model) Observe(a field.Attr, v float64) {
 	if h := m.histFor(a); h != nil {
 		h.Observe(v)
+		m.gen++
 	}
 }
+
+// Generation counts the observations folded into the histograms. Every
+// estimate — Selectivity, Trans, Cost — is a pure function of its argument
+// between two generations, so a caller may keep one for as long as the
+// generation stands.
+func (m *Model) Generation() uint64 { return m.gen }
 
 // histFor returns the attribute's histogram, or nil for an attribute the
 // model keeps no statistics on.
@@ -293,37 +299,6 @@ func (m *Model) PerMessage(q query.Query) float64 {
 // spends transmitting q's results.
 func (m *Model) Cost(q query.Query) float64 {
 	return m.Trans(q) * m.PerMessage(q)
-}
-
-// Benefit returns benefit(q1, q2) = cost(q1) + cost(q2) − cost(q12) for the
-// integrated query q12 (§3.1.2). It does not check rewritability; callers
-// gate on query.Rewritable.
-func (m *Model) Benefit(q1, q2 query.Query) float64 {
-	merged := query.Integrate(q1, q2)
-	return m.Cost(q1) + m.Cost(q2) - m.Cost(merged)
-}
-
-// BenefitRate implements the Beneficial(q_i, q_j) function of Algorithm 1:
-// the benefit of integrating new query qi into synthetic query qj, divided
-// by cost(qi). A rate of exactly 1 means qj covers qi — the new query adds
-// no work to the network. Non-rewritable pairs return 0 (no benefit
-// possible). Rates are clamped to 1 against floating-point drift.
-func (m *Model) BenefitRate(qi, qj query.Query) float64 {
-	if query.Covers(qj, qi) {
-		return 1
-	}
-	if !query.Rewritable(qi, qj) {
-		return 0
-	}
-	ci := m.Cost(qi)
-	if ci <= 0 {
-		return 0
-	}
-	rate := m.Benefit(qj, qi) / ci
-	if rate > 1 {
-		rate = 1
-	}
-	return rate
 }
 
 // AvgDepth returns d = Σ_k k·|N_k| / |N|, the average depth used in the

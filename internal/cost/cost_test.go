@@ -166,30 +166,20 @@ func TestCostMonotonicity(t *testing.T) {
 	}
 }
 
+// pairBenefit is the paper's pairwise benefit (§3.1.2) spelled out over
+// query.Integrate: benefit(q1, q2) = cost(q1) + cost(q2) − cost(q12). The
+// optimizer prices merges against core.Synthesize instead (the exact n-ary
+// requirement); this is the textbook pair the worked example is about.
+func pairBenefit(m *Model, q1, q2 query.Query) float64 {
+	return m.Cost(q1) + m.Cost(q2) - m.Cost(query.Integrate(q1, q2))
+}
+
 func TestBenefitSymmetric(t *testing.T) {
 	m := fourLevels(t)
 	q1 := query.MustParse("SELECT light WHERE light >= 100 AND light <= 300 EPOCH DURATION 4096")
 	q2 := query.MustParse("SELECT light WHERE light >= 200 AND light <= 600 EPOCH DURATION 4096")
-	if math.Abs(m.Benefit(q1, q2)-m.Benefit(q2, q1)) > 1e-12 {
+	if math.Abs(pairBenefit(m, q1, q2)-pairBenefit(m, q2, q1)) > 1e-12 {
 		t.Fatal("benefit should be symmetric")
-	}
-}
-
-func TestBenefitRateCoverageIsOne(t *testing.T) {
-	m := fourLevels(t)
-	syn := query.MustParse("SELECT light, temp WHERE light >= 0 AND light <= 600 EPOCH DURATION 2048")
-	q := query.MustParse("SELECT light WHERE light >= 100 AND light <= 300 EPOCH DURATION 4096")
-	if got := m.BenefitRate(q, syn); got != 1 {
-		t.Fatalf("rate = %f, want exactly 1 for coverage", got)
-	}
-}
-
-func TestBenefitRateNonRewritable(t *testing.T) {
-	m := fourLevels(t)
-	a := query.MustParse("SELECT MAX(light) WHERE temp > 20")
-	b := query.MustParse("SELECT MAX(light) WHERE temp > 30")
-	if got := m.BenefitRate(a, b); got != 0 {
-		t.Fatalf("rate = %f, want 0 for non-rewritable pair", got)
 	}
 }
 
@@ -202,11 +192,14 @@ func TestPaperRewritingExample(t *testing.T) {
 	q1 := query.MustParse("select light where 280<light<600 epoch duration 4096")
 	q2 := query.MustParse("select light where 100<light<300 epoch duration 8192")
 	q3 := query.MustParse("select light where 150<light<500 epoch duration 8192")
+	benefit := func(a, b query.Query) float64 { return pairBenefit(m, a, b) }
+	// The Beneficial rate of §3.1.3: rate(qi, qj) = benefit(qj, qi) / cost(qi).
+	rate := func(qi, qj query.Query) float64 { return benefit(qj, qi) / m.Cost(qi) }
 
-	if b := m.Benefit(q1, q2); b >= 0 {
+	if b := benefit(q1, q2); b >= 0 {
 		t.Fatalf("benefit(q1,q2) = %f, want < 0 (paper: 320/2+200/4-500/2 < 0)", b)
 	}
-	if b := m.Benefit(q2, q3); b <= 0 {
+	if b := benefit(q2, q3); b <= 0 {
 		t.Fatalf("benefit(q2,q3) = %f, want > 0 (paper: 200/4+350/4-400/4 > 0)", b)
 	}
 	// The paper claims benefit(q1',q3) < 0, but its own formula gives
@@ -214,12 +207,11 @@ func TestPaperRewritingExample(t *testing.T) {
 	// (150,500) is (150,600), width 450 — the paper's "350/2" is a typo).
 	// The greedy outcome is unchanged because the benefit *rate* against q2'
 	// (37.5/87.5) beats q1' (22.5/87.5), so q3 still merges with q2'.
-	if m.BenefitRate(q3, q1) >= m.BenefitRate(q3, q2) {
-		t.Fatalf("greedy must prefer q2': rate(q3,q1)=%f, rate(q3,q2)=%f",
-			m.BenefitRate(q3, q1), m.BenefitRate(q3, q2))
+	if rate(q3, q1) >= rate(q3, q2) {
+		t.Fatalf("greedy must prefer q2': rate(q3,q1)=%f, rate(q3,q2)=%f", rate(q3, q1), rate(q3, q2))
 	}
 	q23 := query.Integrate(q2, q3)
-	if b := m.Benefit(q1, q23); b <= 0 {
+	if b := benefit(q1, q23); b <= 0 {
 		t.Fatalf("benefit(q1,q2'') = %f, want > 0 (paper: 320/2+400/4-500/2 > 0)", b)
 	}
 	final := query.Integrate(q1, q23)
@@ -233,36 +225,6 @@ func TestPaperRewritingExample(t *testing.T) {
 	}
 	if final.Epoch != 4096*time.Millisecond {
 		t.Fatalf("final epoch = %v, want 4096ms", final.Epoch)
-	}
-}
-
-// Property: integrating never yields benefit rate above 1 and coverage
-// always yields exactly 1.
-func TestBenefitRateBounds(t *testing.T) {
-	m := fourLevels(t)
-	f := func(lo1, hi1, lo2, hi2 float64, e1, e2 uint8) bool {
-		mk := func(lo, hi float64, e uint8) query.Query {
-			lo = math.Mod(math.Abs(lo), 1000)
-			hi = lo + math.Mod(math.Abs(hi), 1000-lo+1)
-			return query.Query{
-				Attrs: []field.Attr{field.AttrLight},
-				Preds: []query.Predicate{{Attr: field.AttrLight, Min: lo, Max: hi}},
-				Epoch: time.Duration(1+int(e)%12) * query.MinEpoch,
-			}.Normalize()
-		}
-		qi := mk(lo1, hi1, e1)
-		qj := mk(lo2, hi2, e2)
-		rate := m.BenefitRate(qi, qj)
-		if rate > 1 {
-			return false
-		}
-		if query.Covers(qj, qi) && rate != 1 {
-			return false
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Fatal(err)
 	}
 }
 

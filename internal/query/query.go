@@ -16,9 +16,10 @@
 package query
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strings"
 	"time"
 
@@ -236,22 +237,58 @@ func (q Query) Validate() error {
 			return fmt.Errorf("query %d: non-positive GROUP BY bucket %g", q.ID, q.GroupBy.Width)
 		}
 	}
-	seen := make(map[field.Attr]bool, len(q.Preds))
+	if err := q.validateCodes(); err != nil {
+		return err
+	}
+	var seen field.AttrSet
 	for _, p := range q.Preds {
 		if p.Empty() {
 			return fmt.Errorf("query %d: unsatisfiable predicate on %s", q.ID, p.Attr)
 		}
-		if seen[p.Attr] {
+		if seen.Has(p.Attr) {
 			return fmt.Errorf("query %d: duplicate predicate attribute %s", q.ID, p.Attr)
 		}
-		seen[p.Attr] = true
+		seen |= 1 << p.Attr
 	}
 	return nil
 }
 
-// Normalize sorts the attribute, aggregate and predicate lists, removes
-// duplicates and intersects multiple predicates on the same attribute. It
-// returns a new Query; the receiver is unchanged.
+// validateCodes rejects an attribute or operator code the enums do not
+// declare. The parser cannot produce one, but a Query built in code can, and
+// everything downstream — a field.AttrSet bit, a field.Values slot, the
+// optimizer's per-attribute arrays — is sized for the declared codes only.
+func (q Query) validateCodes() error {
+	declared := func(op AggOp, a field.Attr) bool {
+		return op >= Max && op <= Avg && a >= field.AttrNodeID && a <= field.AttrVoltage
+	}
+	ok := q.GroupBy == nil || declared(Max, q.GroupBy.Attr)
+	for _, a := range q.Attrs {
+		ok = ok && declared(Max, a)
+	}
+	for _, a := range q.Aggs {
+		ok = ok && declared(a.Op, a.Attr)
+	}
+	for _, w := range q.Wins {
+		ok = ok && declared(w.Op, w.Attr)
+	}
+	for _, p := range q.Preds {
+		ok = ok && declared(Max, p.Attr)
+	}
+	if !ok {
+		return fmt.Errorf("query %d: attribute or operator code not declared", q.ID)
+	}
+	return nil
+}
+
+// Normalize returns the query's canonical form: the attribute, aggregate,
+// window and predicate lists ascending and free of duplicates, multiple
+// predicates on one attribute intersected, tautologies dropped, an empty list
+// nil. The receiver is unchanged. A list that is already canonical is
+// returned as it is, not copied — so a normalized query, the optimizer's
+// member entry for it and the synthetic query built from it may share one
+// backing array, and nothing may write through a Query's lists: code that
+// edits one works on a Clone (gateway's loadgen variants, tier.Piece,
+// Synthesize's windowed merge).
 func (q Query) Normalize() Query {
 	out := q
 	out.Attrs = dedupAttrs(q.Attrs)
@@ -261,70 +298,77 @@ func (q Query) Normalize() Query {
 	return out
 }
 
-func dedupAttrs(attrs []field.Attr) []field.Attr {
-	if len(attrs) == 0 {
+// sortedSet returns xs ascending under less with exact duplicates removed:
+// xs itself when it is strictly ascending already, otherwise a copy built by
+// stable insertion (a query's lists hold a handful of entries).
+func sortedSet[T comparable](xs []T, less func(a, b T) bool) []T {
+	if len(xs) == 0 {
 		return nil
 	}
-	out := make([]field.Attr, 0, len(attrs))
-	seen := make(map[field.Attr]bool, len(attrs))
-	for _, a := range attrs {
-		if !seen[a] {
-			seen[a] = true
-			out = append(out, a)
-		}
+	canonical := true
+	for i := 1; i < len(xs) && canonical; i++ {
+		canonical = less(xs[i-1], xs[i])
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	if canonical {
+		return xs
+	}
+	out := make([]T, 0, len(xs))
+	for _, x := range xs {
+		if slices.Contains(out, x) {
+			continue
+		}
+		i := len(out)
+		for i > 0 && less(x, out[i-1]) {
+			i--
+		}
+		out = slices.Insert(out, i, x)
+	}
 	return out
 }
 
+func dedupAttrs(attrs []field.Attr) []field.Attr { return sortedSet(attrs, cmp.Less[field.Attr]) }
+
 func dedupAggs(aggs []Agg) []Agg {
-	if len(aggs) == 0 {
-		return nil
-	}
-	out := make([]Agg, 0, len(aggs))
-	seen := make(map[Agg]bool, len(aggs))
-	for _, a := range aggs {
-		if !seen[a] {
-			seen[a] = true
-			out = append(out, a)
+	return sortedSet(aggs, func(a, b Agg) bool {
+		if a.Attr != b.Attr {
+			return a.Attr < b.Attr
 		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Attr != out[j].Attr {
-			return out[i].Attr < out[j].Attr
-		}
-		return out[i].Op < out[j].Op
+		return a.Op < b.Op
 	})
-	return out
 }
+
+// tautology reports a predicate unbounded on both sides: it constrains
+// nothing and would otherwise leak ±Inf into the printed form.
+func (p Predicate) tautology() bool { return math.IsInf(p.Min, -1) && math.IsInf(p.Max, 1) }
 
 func normalizePreds(preds []Predicate) []Predicate {
 	if len(preds) == 0 {
 		return nil
 	}
-	byAttr := make(map[field.Attr]Predicate, len(preds))
-	for _, p := range preds {
-		if cur, ok := byAttr[p.Attr]; ok {
-			// Conjunction of two ranges on the same attribute: intersect.
-			byAttr[p.Attr] = Predicate{
-				Attr: p.Attr,
-				Min:  math.Max(cur.Min, p.Min),
-				Max:  math.Min(cur.Max, p.Max),
-			}
-		} else {
-			byAttr[p.Attr] = p
-		}
+	canonical := !preds[0].tautology()
+	for i := 1; i < len(preds) && canonical; i++ {
+		canonical = preds[i-1].Attr < preds[i].Attr && !preds[i].tautology()
 	}
-	out := make([]Predicate, 0, len(byAttr))
-	for _, p := range byAttr {
-		// Drop tautologies (both sides unbounded): they constrain nothing
-		// and would otherwise leak ±Inf into the printed form.
-		if math.IsInf(p.Min, -1) && math.IsInf(p.Max, 1) {
+	if canonical {
+		return preds
+	}
+	out := make([]Predicate, 0, len(preds))
+	for _, p := range preds {
+		i := len(out)
+		for i > 0 && p.Attr < out[i-1].Attr {
+			i--
+		}
+		if i > 0 && out[i-1].Attr == p.Attr {
+			// Conjunction of two ranges on the same attribute: intersect.
+			out[i-1].Min, out[i-1].Max = math.Max(out[i-1].Min, p.Min), math.Min(out[i-1].Max, p.Max)
 			continue
 		}
-		out = append(out, p)
+		out = slices.Insert(out, i, p)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Attr < out[j].Attr })
+	out = slices.DeleteFunc(out, Predicate.tautology)
+	if len(out) == 0 {
+		return nil
+	}
 	return out
 }
 

@@ -26,6 +26,17 @@ func TestValidate(t *testing.T) {
 			Preds: []Predicate{{field.AttrLight, 10, 5}}}},
 		{"dup pred attr", Query{Attrs: []field.Attr{field.AttrLight}, Epoch: MinEpoch,
 			Preds: []Predicate{{field.AttrLight, 0, 5}, {field.AttrLight, 1, 6}}}},
+		// Codes the enums do not declare: everything downstream indexes
+		// per-attribute arrays and bit sets sized for the declared ones.
+		{"undeclared attr", Query{Attrs: []field.Attr{9}, Epoch: MinEpoch}},
+		{"zero attr", Query{Attrs: []field.Attr{0}, Epoch: MinEpoch}},
+		{"undeclared agg attr", Query{Aggs: []Agg{{Max, 200}}, Epoch: MinEpoch}},
+		{"undeclared agg op", Query{Aggs: []Agg{{Avg + 1, field.AttrLight}}, Epoch: MinEpoch}},
+		{"undeclared win op", Query{Wins: []Win{{Op: 0, Attr: field.AttrLight, Window: 4, Slide: 1}}, Epoch: MinEpoch}},
+		{"undeclared pred attr", Query{Attrs: []field.Attr{field.AttrLight}, Epoch: MinEpoch,
+			Preds: []Predicate{{64, 0, 5}}}},
+		{"undeclared group attr", Query{Aggs: []Agg{{Max, field.AttrLight}}, Epoch: MinEpoch,
+			GroupBy: &GroupBy{Attr: 8, Width: 1}}},
 	}
 	for _, c := range cases {
 		if err := c.q.Validate(); err == nil {

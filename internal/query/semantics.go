@@ -50,7 +50,10 @@ func EpochDivides(inner, outer time.Duration) bool {
 	return inner > 0 && outer%inner == 0
 }
 
-// PredsEqual reports whether two normalized predicate lists are identical.
+// PredsEqual reports whether two predicate lists are identical once
+// normalized. Like PredsCover, UnionPreds, Covers, Rewritable and Query.Equal
+// it allocates nothing on canonical operands (Normalize returns them as they
+// are), which is what tier 1 passes.
 func PredsEqual(a, b []Predicate) bool {
 	a, b = normalizePreds(a), normalizePreds(b)
 	if len(a) != len(b) {
@@ -216,8 +219,10 @@ func Covers(syn, q Query) bool {
 		return false
 	}
 	if q.IsAggregation() {
-		if !attrSubset(q.AggAttrs(), syn.Attrs) {
-			return false
+		for _, a := range q.Aggs {
+			if !syn.HasAttr(a.Attr) {
+				return false
+			}
 		}
 		// A grouped aggregate needs the grouping attribute's raw value.
 		if q.GroupBy != nil && !syn.HasAttr(q.GroupBy.Attr) {
@@ -259,7 +264,9 @@ func Rewritable(a, b Query) bool {
 // remains derivable at the base station after the predicate widening.
 //
 // The returned query carries no ID; callers assign one. Integrate panics if
-// the pair is not Rewritable — the optimizer checks first.
+// the pair is not Rewritable. It is the paper's pairwise definition, kept for
+// its semantics; the optimizer does not call it — it decides with
+// core.Synthesize, the exact n-ary requirement.
 func Integrate(a, b Query) Query {
 	if !Rewritable(a, b) {
 		panic("query: Integrate on non-rewritable pair")

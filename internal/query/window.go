@@ -129,26 +129,9 @@ func (q Query) RowAttrs() []field.Attr {
 	return dedupAttrs(attrs)
 }
 
-func dedupWins(wins []Win) []Win {
-	if len(wins) == 0 {
-		return nil
-	}
-	out := make([]Win, 0, len(wins))
-	seen := make(map[Win]bool, len(wins))
-	for _, w := range wins {
-		if !seen[w] {
-			seen[w] = true
-			out = append(out, w)
-		}
-	}
-	// Insertion sort by attribute then op for a canonical order.
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && winLess(out[j], out[j-1]); j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
-}
+// dedupWins orders a window list by attribute, operator, window size and
+// slide.
+func dedupWins(wins []Win) []Win { return sortedSet(wins, winLess) }
 
 func winLess(a, b Win) bool {
 	if a.Attr != b.Attr {
@@ -157,7 +140,10 @@ func winLess(a, b Win) bool {
 	if a.Op != b.Op {
 		return a.Op < b.Op
 	}
-	return a.Window < b.Window
+	if a.Window != b.Window {
+		return a.Window < b.Window
+	}
+	return a.Slide < b.Slide
 }
 
 // validateWins checks the windowed-query invariants.
@@ -172,8 +158,7 @@ func (q Query) validateWins() error {
 		return fmt.Errorf("query %d: GROUP BY does not apply to windowed aggregates", q.ID)
 	}
 	slide := q.Wins[0].Slide
-	seen := make(map[field.Attr]Win, len(q.Wins))
-	for _, w := range q.Wins {
+	for i, w := range q.Wins {
 		if w.Window < 1 || w.Window > 1024 {
 			return fmt.Errorf("query %d: window size %d out of range", q.ID, w.Window)
 		}
@@ -183,10 +168,11 @@ func (q Query) validateWins() error {
 		if w.Slide != slide {
 			return fmt.Errorf("query %d: all windowed aggregates must share one slide", q.ID)
 		}
-		if prev, dup := seen[w.Attr]; dup && prev != w {
-			return fmt.Errorf("query %d: conflicting window specs on %s", q.ID, w.Attr)
+		for _, prev := range q.Wins[:i] {
+			if prev.Attr == w.Attr && prev != w {
+				return fmt.Errorf("query %d: conflicting window specs on %s", q.ID, w.Attr)
+			}
 		}
-		seen[w.Attr] = w
 	}
 	if math.MaxInt64/int64(slide) < int64(q.Epoch) {
 		return fmt.Errorf("query %d: slide overflows", q.ID)

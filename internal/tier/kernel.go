@@ -952,59 +952,56 @@ func SortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
 	return keys
 }
 
-// Sorted is a map that remembers its ascending key list, and its values in
-// that order, between mutations: the tiers walk their tables in key order
-// every round but change them only at commit. Keys and Values return
-// snapshots a mutation does not disturb.
+// Sorted is a table kept in ascending key order: the tiers walk theirs in
+// key order every round and change them only at commit. It is copy-on-write —
+// Set and Delete place the key by binary search into fresh lists — so Keys and
+// Values return snapshots a mutation does not disturb (a teardown deletes
+// entries while it ranges over Values).
 type Sorted[K cmp.Ordered, V any] struct {
-	m    map[K]V
-	keys []K // nil when stale
-	vals []V // nil when stale
+	keys []K
+	vals []V // vals[i] is keys[i]'s
 }
 
 // NewSorted returns an empty table.
-func NewSorted[K cmp.Ordered, V any]() *Sorted[K, V] { return &Sorted[K, V]{m: make(map[K]V)} }
+func NewSorted[K cmp.Ordered, V any]() *Sorted[K, V] { return &Sorted[K, V]{} }
 
 // Get returns k's value, or the zero value.
-func (s *Sorted[K, V]) Get(k K) V { return s.m[k] }
+func (s *Sorted[K, V]) Get(k K) (v V) {
+	if i, ok := slices.BinarySearch(s.keys, k); ok {
+		v = s.vals[i]
+	}
+	return v
+}
 
 // Len is the number of entries.
-func (s *Sorted[K, V]) Len() int { return len(s.m) }
+func (s *Sorted[K, V]) Len() int { return len(s.keys) }
 
-// Set inserts or replaces k's value.
+// Set inserts or replaces k's value; replacing leaves the key list as it is.
 func (s *Sorted[K, V]) Set(k K, v V) {
-	if _, ok := s.m[k]; !ok {
-		s.keys = nil
+	i, ok := slices.BinarySearch(s.keys, k)
+	if ok {
+		s.vals = spliced(s.vals, i, i+1, v)
+		return
 	}
-	s.vals = nil
-	s.m[k] = v
+	s.keys, s.vals = spliced(s.keys, i, i, k), spliced(s.vals, i, i, v)
 }
 
 // Delete removes k.
 func (s *Sorted[K, V]) Delete(k K) {
-	if _, ok := s.m[k]; ok {
-		s.keys, s.vals = nil, nil
-		delete(s.m, k)
+	if i, ok := slices.BinarySearch(s.keys, k); ok {
+		s.keys, s.vals = spliced(s.keys, i, i+1), spliced(s.vals, i, i+1)
 	}
+}
+
+// spliced returns xs with xs[i:j] replaced by mid, in a list of its own.
+func spliced[T any](xs []T, i, j int, mid ...T) []T {
+	out := make([]T, 0, i+len(mid)+len(xs)-j)
+	return append(append(append(out, xs[:i]...), mid...), xs[j:]...)
 }
 
 // Keys returns the keys in ascending order; callers must not modify it.
-func (s *Sorted[K, V]) Keys() []K {
-	if s.keys == nil && len(s.m) > 0 {
-		s.keys = SortedKeys(s.m)
-	}
-	return s.keys
-}
+func (s *Sorted[K, V]) Keys() []K { return s.keys }
 
 // Values returns the values in ascending key order — a round's walk over
 // the table, with no key hashed; callers must not modify it.
-func (s *Sorted[K, V]) Values() []V {
-	if s.vals == nil && len(s.m) > 0 {
-		keys := s.Keys()
-		s.vals = make([]V, len(keys))
-		for i, k := range keys {
-			s.vals[i] = s.m[k]
-		}
-	}
-	return s.vals
-}
+func (s *Sorted[K, V]) Values() []V { return s.vals }

@@ -3,9 +3,11 @@ package tier
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
+	"testing/quick"
 	"time"
 
 	"repro/internal/query"
@@ -613,5 +615,60 @@ func TestSorted(t *testing.T) {
 	}
 	if got := fmt.Sprint(keys); got != "[a c m x]" {
 		t.Fatalf("snapshot disturbed by later mutations: %s", got)
+	}
+}
+
+// TestSortedSnapshotSurvivesMutation: a teardown deletes entries while it
+// ranges over Values (Router.releaseLocked → teardownTreeLocked), and a
+// replaced value must not show through a list handed out before.
+func TestSortedSnapshotSurvivesMutation(t *testing.T) {
+	s := NewSorted[string, int]()
+	for i, k := range []string{"a", "b", "c", "d"} {
+		s.Set(k, i)
+	}
+	keys, vals := s.Keys(), s.Values()
+	for i, k := range keys {
+		s.Delete(k)
+		s.Set("z"+k, -i)
+		s.Set("zz", i)
+	}
+	if fmt.Sprint(keys, vals) != "[a b c d] [0 1 2 3]" {
+		t.Fatalf("snapshot disturbed: %v %v", keys, vals)
+	}
+	if got := fmt.Sprint(s.Keys(), s.Values()); got != "[za zb zc zd zz] [0 -1 -2 -3 3]" {
+		t.Fatalf("table after the walk: %s", got)
+	}
+}
+
+// TestSortedMatchesMap: after any Set / replace / Delete sequence the table
+// holds what a map holds, in SortedKeys order.
+func TestSortedMatchesMap(t *testing.T) {
+	f := func(ops []uint16) bool {
+		s, m := NewSorted[int, uint16](), map[int]uint16{}
+		for _, op := range ops {
+			if k := int(op % 13); op%3 == 0 {
+				s.Delete(k)
+				delete(m, k)
+			} else {
+				s.Set(k, op)
+				m[k] = op
+			}
+			keys := SortedKeys(m)
+			if s.Len() != len(m) || !slices.Equal(s.Keys(), keys) || len(s.Values()) != len(keys) {
+				return false
+			}
+			for i, k := range keys {
+				if s.Values()[i] != m[k] || s.Get(k) != m[k] {
+					return false
+				}
+			}
+			if s.Get(13) != 0 {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
 	}
 }
