@@ -27,9 +27,13 @@ fmt-check:
 # through coordinator and router in internal/share). The simulator has two
 # rows at the root: BenchmarkSimulationRound144 (the sim_heavy shape,
 # acquisition relays) and BenchmarkSimulationRoundAgg (one full_stack shard,
-# in-network aggregation). Trajectory only; the end-to-end benchmark is
-# `bash bench/run.sh`.
-BENCH_PKGS = . ./internal/gateway ./internal/core ./internal/network ./internal/federation ./internal/share
+# in-network aggregation), each also reporting radio handler calls per
+# delivered transmission (calls/tx); below them, the medium's one
+# transmission (BenchmarkDeliver: a relay unicast and a broadcast, with
+# calls/op) in internal/radio and the event queue under sim_heavy's event
+# mix (BenchmarkEngine) in internal/sim. Trajectory only; the end-to-end
+# benchmark is `bash bench/run.sh`.
+BENCH_PKGS = . ./internal/gateway ./internal/core ./internal/network ./internal/radio ./internal/sim ./internal/federation ./internal/share
 
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem $(BENCH_PKGS)

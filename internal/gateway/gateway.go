@@ -770,11 +770,13 @@ func (g *Gateway) sweepEvictedLocked() {
 }
 
 // refill tops up every session's token bucket for d of elapsed virtual
-// time.
+// time. A full bucket stays full, so only those below Burst are written.
 func (g *Gateway) refill(d time.Duration) {
 	add := g.cfg.Rate * d.Seconds()
 	for name, tokens := range g.buckets {
-		g.buckets[name] = min(tokens+add, g.cfg.Burst)
+		if tokens < g.cfg.Burst {
+			g.buckets[name] = min(tokens+add, g.cfg.Burst)
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package gateway
 import (
 	"bytes"
 	"errors"
+	"maps"
 	"testing"
 	"time"
 
@@ -343,6 +344,46 @@ func TestGatewayRateLimit(t *testing.T) {
 	}
 	if _, err := t3.Wait(); err != nil {
 		t.Fatalf("refilled subscribe rejected: %v", err)
+	}
+}
+
+// TestRefillTopsUpOnlyWhatIsBelowBurst: refill, which writes only the buckets
+// below Burst, leaves every bucket — drained, part-full, full — holding, bit
+// for bit, what topping up all of them with min(tokens+add, Burst) would,
+// over steps of varying length.
+func TestRefillTopsUpOnlyWhatIsBelowBurst(t *testing.T) {
+	const rate, burst = 0.7, 3.0
+	gw := newTestGateway(t, Config{Rate: rate, Burst: burst})
+	for _, name := range []string{"drained", "partial", "full"} {
+		if _, err := gw.Register(name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	buckets := func() map[string]float64 {
+		gw.mu.Lock()
+		defer gw.mu.Unlock()
+		return maps.Clone(gw.buckets)
+	}
+	var want map[string]float64
+	for round := 0; round < 2; round++ {
+		gw.mu.Lock()
+		gw.buckets["drained"], gw.buckets["partial"] = 0, 1.3
+		gw.mu.Unlock()
+		want = buckets()
+		for _, d := range []time.Duration{time.Millisecond, 333 * time.Millisecond, 0, 2048 * time.Millisecond, 7 * time.Millisecond, 1500 * time.Millisecond, 10 * time.Second} {
+			if _, err := gw.Step(d); err != nil {
+				t.Fatal(err)
+			}
+			for name, tokens := range want {
+				want[name] = min(tokens+rate*d.Seconds(), burst)
+			}
+			if got := buckets(); !maps.Equal(got, want) {
+				t.Fatalf("after a %v step: buckets %v, want %v", d, got, want)
+			}
+		}
+	}
+	if want["drained"] != burst {
+		t.Fatalf("drained bucket at %v after the steps, want refilled to %v", want["drained"], burst)
 	}
 }
 

@@ -2,6 +2,7 @@ package network
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -14,11 +15,12 @@ import (
 // flushFixture is a TTMQO base station whose one synthetic query serves
 // `members` user queries firing on one epoch — a covering acquisition plus
 // re-filtering acquisitions and aggregates — with one epoch of `rows` rows
-// buffered for it. refill re-buffers the same epoch without allocating, so
-// a flush can be measured repeatedly.
+// buffered for it, from motes 1, 2, … of a deployment with room for 144.
+// refill re-buffers the same epoch without allocating, so a flush can be
+// measured repeatedly.
 func flushFixture(tb testing.TB, members, rows int) (s *Simulation, inst *installedQuery, at sim.Time, refill func()) {
 	tb.Helper()
-	topo, err := topology.PaperGrid(4)
+	topo, err := topology.PaperGrid(13)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -96,5 +98,36 @@ func BenchmarkFlushEpoch(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		refill()
 		s.flush(inst, at)
+	}
+}
+
+// Rows are buffered as they arrive and ordered once, at the flush: what the
+// flush hands on ascends by origin, and an origin put twice keeps its last
+// row.
+func TestEpochBufferFlushesLastRowPerOriginAscending(t *testing.T) {
+	s, inst, at, _ := flushFixture(t, 1, 0)
+	var got []query.Row
+	s.Results().OnRows = func(ur core.UserRows) { got = append(got, ur.Rows...) }
+	row := func(light float64) field.Values {
+		var v field.Values
+		v.Set(field.AttrLight, light)
+		return v
+	}
+	buf := inst.bufferFor(at)
+	for i, origin := range []topology.NodeID{9, 3, 12, 3, 1, 9, 7, 3} {
+		buf.put(origin, row(float64(100*i)))
+	}
+	s.flush(inst, at)
+	want := "1:light=400 3:light=700 7:light=600 9:light=500 12:light=200"
+	var parts []string
+	for _, r := range got {
+		if r.Time != at {
+			t.Fatalf("row of %d stamped %v, want the epoch %v", r.Node, r.Time, at)
+		}
+		light, _ := r.Values.Get(field.AttrLight)
+		parts = append(parts, fmt.Sprintf("%d:light=%g", r.Node, light))
+	}
+	if s := strings.Join(parts, " "); s != want {
+		t.Fatalf("flushed rows %s, want %s", s, want)
 	}
 }

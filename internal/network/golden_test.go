@@ -21,8 +21,8 @@ import (
 // goldenRun executes the pinned scenario under one scheme and returns a
 // one-line digest of everything the simulator is contracted to reproduce
 // bit for bit: every delivered (query, epoch, values) in delivery order,
-// per-kind message counts, retransmissions, bytes, total airtime, and the
-// number of events fired.
+// per-kind message counts, retransmissions, bytes, total airtime, receive
+// airtime (rxDigest), and the number of events fired.
 //
 // The scenario is PaperGrid(12) with 16 seeded §4.3 queries, a grouped and a
 // windowed query (the row paths the random vocabulary does not reach), a
@@ -79,11 +79,25 @@ func goldenRun(t *testing.T, scheme Scheme) string {
 	s.Run(4 * time.Minute)
 
 	m := s.Metrics()
-	return fmt.Sprintf("results=%016x result=%d query=%d abort=%d beacon=%d wake=%d retrans=%d bytes=%d txtime=%d failures=%d fired=%d",
+	return fmt.Sprintf("results=%016x result=%d query=%d abort=%d beacon=%d wake=%d retrans=%d bytes=%d txtime=%d %s failures=%d fired=%d",
 		sum(),
 		m.MessagesOf("result"), m.MessagesOf("query"), m.MessagesOf("abort"),
 		m.MessagesOf("beacon"), m.MessagesOf("wake"),
-		m.Retransmissions(), m.Bytes(), int64(m.TotalTxTime()), s.Failures(), s.Engine().Fired())
+		m.Retransmissions(), m.Bytes(), int64(m.TotalTxTime()), rxDigest(s), s.Failures(), s.Engine().Fired())
+}
+
+// rxDigest pins what every powered in-range radio was charged for receiving:
+// the total and an FNV over each node's RxTime. Receive airtime feeds energy
+// and lifetime, and it is charged whether or not the receiver's handler runs.
+func rxDigest(s *Simulation) string {
+	d := digest{fnv.New64a()}
+	var total time.Duration
+	for id := range s.Topology().Size() {
+		rx := s.Metrics().RxTime(topology.NodeID(id))
+		total += rx
+		d.put(uint64(rx))
+	}
+	return fmt.Sprintf("rxtime=%d rx=%016x", int64(total), d.h.Sum64())
 }
 
 // digest is an FNV-1a hash over a stream of 64-bit words.
@@ -209,30 +223,32 @@ func goldenShardRun(t *testing.T, scheme Scheme) string {
 	s.Run(3 * time.Minute)
 
 	m := s.Metrics()
-	return fmt.Sprintf("results=%016x air=%016x result=%d query=%d abort=%d beacon=%d wake=%d retrans=%d bytes=%d txtime=%d fired=%d",
+	return fmt.Sprintf("results=%016x air=%016x result=%d query=%d abort=%d beacon=%d wake=%d retrans=%d bytes=%d txtime=%d %s fired=%d",
 		sum(), air.h.Sum64(),
 		m.MessagesOf("result"), m.MessagesOf("query"), m.MessagesOf("abort"),
 		m.MessagesOf("beacon"), m.MessagesOf("wake"),
-		m.Retransmissions(), m.Bytes(), int64(m.TotalTxTime()), s.Engine().Fired())
+		m.Retransmissions(), m.Bytes(), int64(m.TotalTxTime()), rxDigest(s), s.Engine().Fired())
 }
 
 // TestSimulationGolden pins the simulator's output bit for bit (DESIGN.md §5
 // invariant 6, made absolute): the digests below were computed before the
 // simulator core was flattened, so any change to event order, RNG draw
 // order, float summation order or on-air sizes shows up here, in tier-1,
-// not only in the end-to-end benchmark's fingerprint.
+// not only in the end-to-end benchmark's fingerprint. The rxtime/rx fields
+// were computed before the medium stopped calling receivers that cannot act
+// (DESIGN.md §5 invariant 14): every in-range radio is still charged.
 func TestSimulationGolden(t *testing.T) {
 	golden := map[Scheme]string{
-		Baseline:      "results=9eb3dd90ff04873a result=63601 query=6482 abort=1610 beacon=1024 wake=0 retrans=12921 bytes=1197041 txtime=394418528000 failures=29 fired=226034",
-		BSOnly:        "results=bcf9ed511f8d8a37 result=52055 query=5908 abort=3646 beacon=1029 wake=0 retrans=15673 bytes=1002265 txtime=333747120000 failures=29 fired=147163",
-		InNetworkOnly: "results=d286c73f567ce9ac result=60145 query=6430 abort=1537 beacon=1024 wake=19 retrans=16951 bytes=1146584 txtime=376799472000 failures=29 fired=162188",
-		TTMQO:         "results=4652c8751bc18e28 result=50047 query=5939 abort=3714 beacon=1010 wake=20 retrans=15033 bytes=974306 txtime=324115648000 failures=29 fired=143342",
+		Baseline:      "results=9eb3dd90ff04873a result=63601 query=6482 abort=1610 beacon=1024 wake=0 retrans=12921 bytes=1197041 txtime=394418528000 rxtime=5200503296000 rx=096e8c22432a1419 failures=29 fired=226034",
+		BSOnly:        "results=bcf9ed511f8d8a37 result=52055 query=5908 abort=3646 beacon=1029 wake=0 retrans=15673 bytes=1002265 txtime=333747120000 rxtime=4129807536000 rx=13a1622d966a6736 failures=29 fired=147163",
+		InNetworkOnly: "results=d286c73f567ce9ac result=60145 query=6430 abort=1537 beacon=1024 wake=19 retrans=16951 bytes=1146584 txtime=376799472000 rxtime=4609251664000 rx=58aaf9e6cbc44640 failures=29 fired=162188",
+		TTMQO:         "results=4652c8751bc18e28 result=50047 query=5939 abort=3714 beacon=1010 wake=20 retrans=15033 bytes=974306 txtime=324115648000 rxtime=4027895664000 rx=6d8dc255ae640a73 failures=29 fired=143342",
 	}
 	shard := map[Scheme]string{
-		Baseline:      "results=024317768f9de948 air=87a74cd08e85fcec result=4609 query=146 abort=46 beacon=76 wake=0 retrans=312 bytes=125682 txtime=35895856000 fired=19024",
-		BSOnly:        "results=b9f305d884399872 air=b2341805363252e3 result=4816 query=148 abort=52 beacon=78 wake=0 retrans=509 bytes=131085 txtime=37453680000 fired=13246",
-		InNetworkOnly: "results=38056fb161984859 air=c4d94919540e25c7 result=2436 query=148 abort=46 beacon=74 wake=0 retrans=173 bytes=72299 txtime=20446192000 fired=8466",
-		TTMQO:         "results=a0aab1fd7ba9f999 air=ab0fe55b7c729146 result=2436 query=148 abort=46 beacon=74 wake=0 retrans=173 bytes=72302 txtime=20446816000 fired=8466",
+		Baseline:      "results=024317768f9de948 air=87a74cd08e85fcec result=4609 query=146 abort=46 beacon=76 wake=0 retrans=312 bytes=125682 txtime=35895856000 rxtime=356646240000 rx=ac25da4a68ba20e3 fired=19024",
+		BSOnly:        "results=b9f305d884399872 air=b2341805363252e3 result=4816 query=148 abort=52 beacon=78 wake=0 retrans=509 bytes=131085 txtime=37453680000 rxtime=358332400000 rx=8d5f19cfb8f0d8a9 fired=13246",
+		InNetworkOnly: "results=38056fb161984859 air=c4d94919540e25c7 result=2436 query=148 abort=46 beacon=74 wake=0 retrans=173 bytes=72299 txtime=20446192000 rxtime=205916848000 rx=5ba3be866a1b9738 fired=8466",
+		TTMQO:         "results=a0aab1fd7ba9f999 air=ab0fe55b7c729146 result=2436 query=148 abort=46 beacon=74 wake=0 retrans=173 bytes=72302 txtime=20446816000 rxtime=205916848000 rx=5ba3be866a1b9738 fired=8466",
 	}
 	for _, scheme := range AllSchemes() {
 		if got := goldenRun(t, scheme); got != golden[scheme] {

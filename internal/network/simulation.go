@@ -2,8 +2,6 @@ package network
 
 import (
 	"fmt"
-	"slices"
-	"sort"
 	"time"
 
 	"repro/internal/core"
@@ -83,9 +81,9 @@ func (inst *installedQuery) Fire() {
 // epochBuffer accumulates one epoch's worth of arrivals for one query.
 type epochBuffer struct {
 	epochT sim.Time
-	// rows holds one row per origin, ascending by origin, each copied out
-	// of its message as it came off the air; the flush hands the slice on
-	// as is.
+	// rows holds the rows in arrival order, each copied out of its message
+	// as it came off the air; the flush orders them (byOrigin) and hands
+	// the slice on.
 	rows   []query.Row
 	states []query.AggState
 }
@@ -102,13 +100,29 @@ func (inst *installedQuery) bufferFor(epochT sim.Time) *epochBuffer {
 	return &inst.open[len(inst.open)-1]
 }
 
-// put stores a row, replacing an earlier one from the same origin.
+// put stores a row as it arrives.
 func (b *epochBuffer) put(origin topology.NodeID, vals field.Values) {
-	i := sort.Search(len(b.rows), func(i int) bool { return b.rows[i].Node >= origin })
-	if i == len(b.rows) || b.rows[i].Node != origin {
-		b.rows = slices.Insert(b.rows, i, query.Row{})
+	b.rows = append(b.rows, query.Row{Node: origin, Time: b.epochT, Values: vals})
+}
+
+// byOrigin orders an epoch's rows ascending by origin, in place, keeping of
+// an origin put more than once only its last arrival. Origins are node ids,
+// so it is a counting pass: lastRow (all zero between calls) records each
+// origin's last row, plus one, and the rows go back in id order through
+// sorted.
+func (s *Simulation) byOrigin(rows []query.Row) []query.Row {
+	for i := range rows {
+		s.lastRow[rows[i].Node] = int32(i + 1)
 	}
-	b.rows[i] = query.Row{Node: origin, Time: b.epochT, Values: vals}
+	sorted := s.sorted[:0]
+	for origin, i := range s.lastRow {
+		if i > 0 {
+			sorted = append(sorted, rows[i-1])
+			s.lastRow[origin] = 0
+		}
+	}
+	s.sorted = sorted
+	return rows[:copy(rows, sorted)]
 }
 
 // Simulation is a runnable sensor network executing one scheme.
@@ -132,6 +146,11 @@ type Simulation struct {
 	spans    *telemetry.SpanLog
 	nextID   query.ID
 	failures int
+
+	// lastRow and sorted are byOrigin's scratch, one slot per node and one
+	// row per origin.
+	lastRow []int32
+	sorted  []query.Row
 }
 
 // New builds a simulation. Queries are admitted with Post/PostAt and the
@@ -179,6 +198,7 @@ func New(cfg Config) (*Simulation, error) {
 		results:   newResults(!cfg.DiscardResults),
 		spans:     telemetry.NewSpanLog(),
 		nextID:    1,
+		lastRow:   make([]int32, cfg.Topo.Size()),
 	}
 	if cfg.Scheme.UsesBaseStationOpt() {
 		model, err := cost.NewModel(cfg.Topo.LevelSizes(), cost.Config{})
@@ -543,7 +563,7 @@ func (s *Simulation) flush(inst *installedQuery, epochT sim.Time) {
 		case buf.epochT > epochT:
 			kept = append(kept, buf)
 		case buf.epochT == epochT:
-			rows, states = buf.rows, buf.states
+			rows, states = s.byOrigin(buf.rows), buf.states
 		}
 	}
 	inst.open = kept

@@ -142,7 +142,8 @@ type Node struct {
 	down bool
 	// suspectAt[i] is when the last unicast to upper[i] went unacknowledged
 	// (notSuspected otherwise); routing avoids such neighbors until they are
-	// heard from again or the suspicion expires. suspects counts them.
+	// heard from again or the suspicion expires. suspects counts them, and
+	// the radio listens to all traffic exactly while it is non-zero.
 	suspectAt []sim.Time
 	suspects  int
 
@@ -288,6 +289,7 @@ func (n *Node) onReceive(d radio.Delivery) {
 		if slot := n.upperSlot(d.Msg.Src); slot >= 0 && n.suspectAt[slot] != notSuspected {
 			n.suspectAt[slot] = notSuspected
 			n.suspects--
+			n.cfg.Medium.SetListening(n.id, n.suspects > 0)
 		}
 	}
 	switch msg := d.Msg.Payload.(type) {
@@ -433,7 +435,9 @@ func (n *Node) onAbort(am *AbortMsg) {
 
 // onResult handles result traffic: addressed messages are relayed (or
 // merged into this node's partial aggregates); overheard messages refresh
-// neighbor knowledge — the broadcast nature of the channel at work.
+// neighbor knowledge — the broadcast nature of the channel at work. Only a
+// lower neighbor of the sender learns anything from overhearing, so that is
+// who a sender declares (transmit); a suspecting node listens to everything.
 func (n *Node) onResult(d radio.Delivery, msg *ResultMsg) {
 	if !d.Addressed {
 		if !n.asleep && n.cfg.Policy.QueryAwareDAG {
@@ -1121,11 +1125,19 @@ func (n *Node) unicast(msg *ResultMsg, slot int) {
 	n.transmit(msg, n.upper[slot:slot+1:slot+1])
 }
 
+// transmit puts a result message on the air. Its overhearers are the lower
+// neighbors when it carries own readings under QueryAwareDAG: the only
+// receivers whose learn can find the sender among their upper neighbors.
 func (n *Node) transmit(msg *ResultMsg, dests []topology.NodeID) {
+	var overhear []topology.NodeID
+	if n.cfg.Policy.QueryAwareDAG && len(msg.OwnQIDs) > 0 {
+		overhear = n.cfg.Topo.LowerNeighbors(n.id)
+	}
 	msg.pkt = radio.Message{
 		Kind:          radio.KindResult,
 		Src:           n.id,
 		Dests:         dests,
+		Overhear:      overhear,
 		Bytes:         resultMsgBytes(msg),
 		Payload:       msg,
 		Undeliverable: n.noAck,
@@ -1170,6 +1182,7 @@ func (n *Node) onUndeliverable(pkt *radio.Message, dest topology.NodeID) {
 	if slot := n.upperSlot(dest); slot >= 0 {
 		if n.suspectAt[slot] == notSuspected {
 			n.suspects++
+			n.cfg.Medium.SetListening(n.id, true)
 		}
 		n.suspectAt[slot] = n.cfg.Engine.Now()
 	}

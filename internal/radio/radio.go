@@ -8,9 +8,12 @@
 // faithfully:
 //
 //   - the *broadcast nature* of the channel: every neighbor hears every
-//     transmission, addressed or not, which is what lets the in-network
-//     optimizer piggyback information and learn which neighbors hold data
-//     for which queries (§3.2.2);
+//     transmission, addressed or not — it is charged the receive airtime —
+//     which is what lets the in-network optimizer piggyback information and
+//     learn which neighbors hold data for which queries (§3.2.2). Only the
+//     radios that can act on a transmission are called with it: its
+//     addressed receivers, the overhearers the sender declares, and radios
+//     marked listening;
 //   - *contention*: the more messages on the air in a neighborhood, the more
 //     collisions and retransmissions, which is why cutting the number of
 //     result messages saves more than proportionally (§4.3's observation
@@ -21,6 +24,7 @@
 package radio
 
 import (
+	"slices"
 	"time"
 
 	"repro/internal/metrics"
@@ -53,9 +57,14 @@ type Message struct {
 	// a unicast, several entries are a multicast (§3.2.2 sends one multicast
 	// when different queries need different parents). The medium only reads
 	// it, so senders may pass a slice of a long-lived list.
-	Dests   []topology.NodeID
-	Bytes   int
-	Payload any
+	Dests []topology.NodeID
+	// Overhear lists the unaddressed in-range radios that can act on the
+	// message; only they, the addressed receivers and the listening radios
+	// are called with it. Every powered radio in range is charged the
+	// receive airtime regardless. Like Dests it is only read.
+	Overhear []topology.NodeID
+	Bytes    int
+	Payload  any
 	// Undeliverable, if set, is invoked once per addressed destination whose
 	// radio is off (failed node) when the transmission completes — the
 	// link-layer "no ACK" signal senders use for failover routing. It is
@@ -101,7 +110,8 @@ func (m *Message) addressedTo(id topology.NodeID) bool {
 }
 
 // Delivery hands a received message to a node. Addressed is false for
-// overheard traffic — delivered anyway because the channel is broadcast.
+// overheard traffic — delivered to a declared overhearer or a listening
+// radio because the channel is broadcast.
 type Delivery struct {
 	To        topology.NodeID
 	Addressed bool
@@ -161,9 +171,12 @@ type Medium struct {
 	coll     *metrics.Collector
 	tracer   *trace.Buffer
 	handlers []Handler
+	// listening marks the radios called with every transmission they hear.
+	listening []bool
 	// busyUntil serializes each node's transmissions (half-duplex radio).
 	busyUntil []sim.Time
-	// active tracks in-flight transmissions for the contention estimate.
+	// active tracks in-flight transmissions for the contention estimate,
+	// when the count can matter (see transmit).
 	active []activeTx
 	// interferes is the n×n matrix, row-major, of node pairs within
 	// interference range (twice the radio range) of each other.
@@ -187,6 +200,7 @@ func New(engine *sim.Engine, topo *topology.Topology, coll *metrics.Collector, r
 		rng:        rng,
 		coll:       coll,
 		handlers:   make([]Handler, n),
+		listening:  make([]bool, n),
 		busyUntil:  make([]sim.Time, n),
 		interferes: make([]bool, n*n),
 	}
@@ -203,7 +217,9 @@ func New(engine *sim.Engine, topo *topology.Topology, coll *metrics.Collector, r
 	return m
 }
 
-// SetTracer attaches a structured event log; nil detaches it.
+// SetTracer attaches a structured event log; nil detaches it. Attach it
+// before the first Send: the retry line's contender count covers only the
+// transmissions seen while a tracer (or collisions) was on.
 func (m *Medium) SetTracer(t *trace.Buffer) { m.tracer = t }
 
 // SetLossRate overrides the per-transmission loss probability at runtime —
@@ -230,14 +246,20 @@ func (m *Medium) SetHandler(id topology.NodeID, h Handler) {
 	m.handlers[id] = h
 }
 
+// SetListening marks a radio to be called with every transmission it hears,
+// addressed or not — for a node that acts on whatever a neighbor sends.
+func (m *Medium) SetListening(id topology.NodeID, on bool) {
+	m.listening[id] = on
+}
+
 // Airtime returns the on-air duration of a message of the given length.
 func (m *Medium) Airtime(bytes int) time.Duration {
 	return m.cfg.Cstart + time.Duration(bytes)*m.cfg.Ctrans
 }
 
 // Send queues msg for transmission from msg.Src. The message is transmitted
-// when the sender's radio is free, may collide and retry, and is delivered
-// to every in-range neighbor (addressed or overhearing) when it completes.
+// when the sender's radio is free, may collide and retry, and is heard by
+// every in-range neighbor when it completes (see deliver).
 func (m *Medium) Send(msg *Message) {
 	if msg.Bytes <= 0 {
 		msg.Bytes = 1
@@ -264,9 +286,14 @@ func (m *Medium) transmit(msg *Message) {
 	now := m.engine.Now()
 	end := now + msg.air
 
-	contenders := m.contention(msg.Src, now, end)
-	m.pruneActive(now)
-	m.active = append(m.active, activeTx{src: msg.Src, start: now, end: end})
+	// The contender count reaches only a collision draw and a trace line;
+	// without either, in-flight transmissions are not tracked.
+	contenders := 0
+	if m.cfg.CollisionFactor != 0 || m.tracer != nil {
+		contenders = m.contention(msg.Src, now, end)
+		m.pruneActive(now)
+		m.active = append(m.active, activeTx{src: msg.Src, start: now, end: end})
+	}
 
 	// Every attempt costs airtime and is counted (§4.1).
 	m.coll.AddTxTime(msg.Src, msg.air)
@@ -301,9 +328,10 @@ func (m *Medium) transmit(msg *Message) {
 	m.engine.ScheduleAction(end, (*txEnd)(msg))
 }
 
-// deliver hands a completed transmission to every powered radio in range,
-// reports addressed destinations that could not hear it, and gives the
-// message back to its sender.
+// deliver charges a completed transmission to every powered radio in range
+// and hands it to those that can act on it — addressed, declared overhearers,
+// listening — reports addressed destinations that could not hear it, and
+// gives the message back to its sender.
 func (m *Medium) deliver(msg *Message) {
 	air := msg.air
 	for _, nb := range m.topo.Neighbors(msg.Src) {
@@ -314,7 +342,10 @@ func (m *Medium) deliver(msg *Message) {
 		// Every powered radio in range spends the airtime receiving,
 		// addressed or merely overhearing.
 		m.coll.AddRxTime(nb, air)
-		h(Delivery{To: nb, Addressed: msg.addressedTo(nb), Msg: msg})
+		addressed := msg.addressedTo(nb)
+		if addressed || m.listening[nb] || slices.Contains(msg.Overhear, nb) {
+			h(Delivery{To: nb, Addressed: addressed, Msg: msg})
+		}
 	}
 	if msg.Undeliverable != nil {
 		for _, dest := range msg.Dests {

@@ -1,6 +1,8 @@
 package radio
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -63,13 +65,13 @@ func TestUnicastOverheard(t *testing.T) {
 	var at0, at2 *Delivery
 	h.medium.SetHandler(0, func(d Delivery) { at0 = &d })
 	h.medium.SetHandler(2, func(d Delivery) { at2 = &d })
-	h.medium.Send(&Message{Kind: KindResult, Src: 1, Dests: []topology.NodeID{0}, Bytes: 10})
+	h.medium.Send(&Message{Kind: KindResult, Src: 1, Dests: []topology.NodeID{0}, Overhear: []topology.NodeID{2}, Bytes: 10})
 	h.engine.RunAll()
 	if at0 == nil || !at0.Addressed {
 		t.Fatal("addressed receiver must get an addressed delivery")
 	}
 	if at2 == nil || at2.Addressed {
-		t.Fatal("neighbor must overhear the unicast (broadcast nature of the channel)")
+		t.Fatal("a declared overhearer must overhear the unicast (broadcast nature of the channel)")
 	}
 }
 
@@ -268,5 +270,139 @@ func TestUndeliverableNamesMessageAndDestination(t *testing.T) {
 		if !want[g] {
 			t.Fatalf("unexpected undeliverable report: message from %d to %d", g.msg.Src, g.to)
 		}
+	}
+}
+
+// star is node 1 with five neighbors — 0, 2, 3, 4 and 6 — and node 5 two
+// hops out, behind 2.
+func star(t testing.TB) *topology.Topology {
+	t.Helper()
+	topo, err := topology.New([]topology.Point{
+		{X: 0}, {X: 40}, {X: 80}, {X: 40, Y: 40}, {X: 40, Y: -40}, {X: 120}, {X: 20, Y: 30},
+	}, 50)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return topo
+}
+
+// A transmission calls only the radios that can act on it — its addressed
+// receivers, its declared overhearers, the listening radios; never one that
+// is off — in neighbor order, then reports the unreachable destinations and
+// finishes, exactly once. Receive airtime is charged to every powered radio
+// in range, called or not.
+func TestDispatchCallsOnlyThoseWhoCanAct(t *testing.T) {
+	ids := func(ids ...topology.NodeID) []topology.NodeID { return ids }
+	cases := []struct {
+		name            string
+		dests, overhear []topology.NodeID
+		want            string
+	}{
+		{"unicast", ids(0), ids(2, 3), "0A 2 4 fin"},
+		{"multicast", ids(0, 3), nil, "0A 4 nak3 fin"},
+		{"broadcast", nil, ids(2), "0A 2A 4A 6A fin"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			topo := star(t)
+			engine := sim.NewEngine()
+			coll := metrics.NewCollector(topo.Size())
+			med := New(engine, topo, coll, sim.NewRand(1), Config{})
+			var log []string
+			for i := range topo.Size() {
+				id := topology.NodeID(i)
+				med.SetHandler(id, func(d Delivery) {
+					if d.To != id {
+						t.Errorf("handler of %d handed a delivery to %d", id, d.To)
+					}
+					if d.Addressed {
+						log = append(log, fmt.Sprintf("%dA", id))
+					} else {
+						log = append(log, fmt.Sprint(id))
+					}
+				})
+			}
+			med.SetHandler(3, nil) // down: neither called nor charged, even listening
+			med.SetListening(3, true)
+			med.SetListening(4, true)
+			msg := &Message{
+				Kind: KindResult, Src: 1, Dests: c.dests, Overhear: c.overhear, Bytes: 10,
+				Undeliverable: func(_ *Message, to topology.NodeID) { log = append(log, fmt.Sprintf("nak%d", to)) },
+				Finished:      func(*Message) { log = append(log, "fin") },
+			}
+			med.Send(msg)
+			engine.RunAll()
+			if got := strings.Join(log, " "); got != c.want {
+				t.Fatalf("calls = %q, want %q", got, c.want)
+			}
+			air := med.Airtime(10)
+			for i := range topo.Size() {
+				want := time.Duration(0)
+				if id := topology.NodeID(i); id != 3 && topo.InRange(1, id) && id != 1 {
+					want = air
+				}
+				if got := coll.RxTime(topology.NodeID(i)); got != want {
+					t.Errorf("node %d rx time = %v, want %v", i, got, want)
+				}
+			}
+		})
+	}
+}
+
+// Clearing the mark stops the unaddressed calls; the airtime is still charged.
+func TestListeningMarkIsPerRadio(t *testing.T) {
+	h := newHarness(t, Config{})
+	heard := 0
+	h.medium.SetHandler(2, func(Delivery) { heard++ })
+	send := func() {
+		h.medium.Send(&Message{Kind: KindResult, Src: 1, Dests: []topology.NodeID{0}, Bytes: 10})
+		h.engine.RunAll()
+	}
+	send()
+	h.medium.SetListening(2, true)
+	send()
+	h.medium.SetListening(2, false)
+	send()
+	if heard != 1 {
+		t.Fatalf("unaddressed neighbor called %d times, want 1 (only while listening)", heard)
+	}
+	if got, want := h.coll.RxTime(2), 3*h.medium.Airtime(10); got != want {
+		t.Fatalf("rx time = %v, want %v: every transmission heard is charged", got, want)
+	}
+}
+
+// BenchmarkDeliver is one transmission from an interior PaperGrid(12) mote,
+// sent and delivered, with every radio powered: a relay unicast to its best
+// upper neighbor (nobody else can act on it) and a broadcast (everybody
+// can). It reports handler calls per transmission beside ns/op.
+func BenchmarkDeliver(b *testing.B) {
+	topo, err := topology.PaperGrid(12)
+	if err != nil {
+		b.Fatal(err)
+	}
+	const src = topology.NodeID(6*12 + 6)
+	for _, c := range []struct {
+		name  string
+		dests []topology.NodeID
+	}{
+		{"unicast", topo.UpperNeighbors(src)[:1]},
+		{"broadcast", nil},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			engine := sim.NewEngine()
+			med := New(engine, topo, metrics.NewCollector(topo.Size()), sim.NewRand(1), Config{})
+			calls := 0
+			for i := range topo.Size() {
+				med.SetHandler(topology.NodeID(i), func(Delivery) { calls++ })
+			}
+			msg := &Message{Kind: KindResult, Src: src, Dests: c.dests, Bytes: 20}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				med.Send(msg)
+				engine.RunAll()
+			}
+			b.ReportMetric(float64(calls)/float64(b.N), "calls/op")
+		})
 	}
 }

@@ -1,7 +1,7 @@
 // Package sim provides the discrete-event simulation engine that underpins
 // the packet-level sensor-network simulator.
 //
-// The engine keeps a virtual clock and an ordered heap of scheduled events.
+// The engine keeps a virtual clock and an ordered queue of scheduled events.
 // Events scheduled for the same instant fire in scheduling order, which —
 // together with explicitly seeded randomness (see Rand) — makes every
 // simulation in this repository fully deterministic.
@@ -81,12 +81,17 @@ type Engine struct {
 	now Time
 	// queue is a 4-ary min-heap on (at, seq): half the depth of a binary
 	// heap, and the four children of a slot share a cache line or two.
-	queue   []entry
+	queue []entry
+	// lane[head:] holds the events scheduled for the instant that was now
+	// when they were scheduled, in seq order: a FIFO in front of the heap.
+	// The clock cannot pass them while they wait (Step takes the smaller of
+	// lane head and heap top on (at, seq)), so the order is the heap's.
+	lane    []entry
+	head    int
 	free    []*event // recycled records
 	seq     uint64
 	fired   uint64
-	pending int // non-cancelled events in the queue, kept in O(1)
-	halted  bool
+	pending int // non-cancelled events queued, kept in O(1)
 }
 
 // NewEngine returns an engine with the clock at zero and an empty queue.
@@ -131,7 +136,11 @@ func (e *Engine) ScheduleAction(at Time, a Action) Handle {
 		ev = &event{e: e}
 	}
 	ev.act = a
-	e.push(entry{at: at, seq: e.seq, ev: ev})
+	if en := (entry{at: at, seq: e.seq, ev: ev}); at == e.now {
+		e.lane = append(e.lane, en)
+	} else {
+		e.push(en)
+	}
 	e.seq++
 	e.pending++
 	return Handle{ev: ev, gen: ev.gen}
@@ -148,7 +157,7 @@ func (e *Engine) After(d time.Duration, fn func()) Handle {
 // Step executes the next pending event, advancing the clock to its
 // timestamp. It reports false when the queue is empty.
 func (e *Engine) Step() bool {
-	for len(e.queue) > 0 {
+	for e.next() != nil {
 		if at, act := e.pop(); act != nil {
 			e.pending--
 			e.now = at
@@ -160,19 +169,13 @@ func (e *Engine) Step() bool {
 	return false
 }
 
-// Run executes events until the queue is empty or the next event lies
-// strictly beyond until. The clock is left at min(until, last event time);
-// events at exactly until do fire.
+// Run executes every event due at or before until — events at exactly until
+// do fire — and leaves the clock at until (or where it was, if later).
 func (e *Engine) Run(until Time) {
-	e.halted = false
-	for !e.halted && len(e.queue) > 0 {
-		next := &e.queue[0]
+	for next := e.next(); next != nil && next.at <= until; next = e.next() {
 		if next.ev.cancelled {
 			e.pop()
 			continue
-		}
-		if next.at > until {
-			break
 		}
 		e.Step()
 	}
@@ -184,14 +187,22 @@ func (e *Engine) Run(until Time) {
 // RunAll executes events until the queue drains. Intended for tests; a
 // simulation with periodic maintenance never drains, so prefer Run.
 func (e *Engine) RunAll() {
-	e.halted = false
-	for !e.halted && e.Step() {
+	for e.Step() {
 	}
 }
 
-// Halt stops Run/RunAll after the current event returns. Useful for
-// terminating a simulation early from inside a callback.
-func (e *Engine) Halt() { e.halted = true }
+// next returns the earliest queued entry, cancelled or not, or nil: the
+// heap top or the lane head, whichever is first on (at, seq).
+func (e *Engine) next() *entry {
+	var first *entry
+	if len(e.queue) > 0 {
+		first = &e.queue[0]
+	}
+	if e.head < len(e.lane) && (first == nil || e.lane[e.head].before(first)) {
+		first = &e.lane[e.head]
+	}
+	return first
+}
 
 func (e *Engine) push(en entry) {
 	q := append(e.queue, en)
@@ -208,11 +219,31 @@ func (e *Engine) push(en entry) {
 	e.queue = q
 }
 
-// pop removes the head of the queue and recycles its record, returning the
+// pop removes the entry next returns and recycles its record, returning the
 // event's time and action; the action is nil if the event was cancelled.
 // The record is released before the action runs, so the action may schedule
 // into it — the bumped generation keeps the old Handle dead.
 func (e *Engine) pop() (Time, Action) {
+	var head entry
+	if next := e.next(); e.head < len(e.lane) && next == &e.lane[e.head] {
+		head, *next = *next, entry{}
+		if e.head++; e.head == len(e.lane) {
+			e.lane, e.head = e.lane[:0], 0
+		}
+	} else {
+		head = e.popHeap()
+	}
+	ev := head.ev
+	act := ev.act
+	ev.act = nil
+	ev.cancelled = false
+	ev.gen++
+	e.free = append(e.free, ev)
+	return head.at, act
+}
+
+// popHeap removes and returns the heap's top entry.
+func (e *Engine) popHeap() entry {
 	q := e.queue
 	head := q[0]
 	n := len(q) - 1
@@ -240,12 +271,5 @@ func (e *Engine) pop() (Time, Action) {
 		q[i] = last
 	}
 	e.queue = q
-
-	ev := head.ev
-	act := ev.act
-	ev.act = nil
-	ev.cancelled = false
-	ev.gen++
-	e.free = append(e.free, ev)
-	return head.at, act
+	return head
 }

@@ -128,22 +128,6 @@ func TestEngineScheduleNilPanics(t *testing.T) {
 	e.Schedule(time.Second, nil)
 }
 
-func TestEngineHalt(t *testing.T) {
-	e := NewEngine()
-	fired := 0
-	e.Schedule(time.Second, func() { fired++; e.Halt() })
-	e.Schedule(2*time.Second, func() { fired++ })
-	e.RunAll()
-	if fired != 1 {
-		t.Fatalf("fired = %d, want 1 after Halt", fired)
-	}
-	// A subsequent Run resumes.
-	e.Run(3 * time.Second)
-	if fired != 2 {
-		t.Fatalf("fired = %d, want 2 after resume", fired)
-	}
-}
-
 func TestEngineLenAndFired(t *testing.T) {
 	e := NewEngine()
 	h := e.Schedule(time.Second, func() {})
@@ -327,15 +311,7 @@ func TestRandCoversDistributions(t *testing.T) {
 func TestEngineLenCounterInvariant(t *testing.T) {
 	e := NewEngine()
 	rng := NewRand(7)
-	scan := func() int {
-		n := 0
-		for _, en := range e.queue {
-			if !en.ev.cancelled {
-				n++
-			}
-		}
-		return n
-	}
+	scan := func() int { return (&realEngine{e: e}).scan() }
 	var handles []Handle
 	for step := 0; step < 500; step++ {
 		switch rng.Intn(4) {
@@ -357,5 +333,37 @@ func TestEngineLenCounterInvariant(t *testing.T) {
 	e.RunAll()
 	if e.Len() != 0 {
 		t.Fatalf("Len = %d after drain, want 0", e.Len())
+	}
+}
+
+// rechain is a timer that re-arms itself when it fires: a third of the time
+// at the current instant — a transmission whose radio is free, a slot's
+// second event — and otherwise up to one 2048 ms round ahead.
+type rechain struct {
+	e   *Engine
+	rng *Rand
+}
+
+func (r *rechain) Fire() {
+	at := r.e.Now()
+	if r.rng.Intn(3) != 0 {
+		at += Time(r.rng.Intn(2048)) * time.Millisecond
+	}
+	r.e.ScheduleAction(at, r)
+}
+
+// BenchmarkEngine is the event queue under sim_heavy's mix of current-instant
+// and future events, over a standing queue of 1 000 timers: one op is one
+// event fired and one scheduled.
+func BenchmarkEngine(b *testing.B) {
+	e := NewEngine()
+	rng := NewRand(1)
+	for i := 0; i < 1000; i++ {
+		e.ScheduleAction(Time(rng.Intn(2048))*time.Millisecond, &rechain{e, rng})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.Step()
 	}
 }

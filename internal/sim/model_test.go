@@ -9,9 +9,9 @@ import (
 // The event queue is checked against a reference kept here: container/heap
 // over freshly allocated records, the layout the engine had before its
 // queue became a typed 4-ary heap over recycled records. Both are driven by
-// the same seeded script of Schedule/After/Cancel/Run/Halt, including
-// scheduling, cancelling and halting from inside callbacks, and must fire
-// the same events in the same order at the same times.
+// the same seeded script of Schedule/After/Cancel/Run, including scheduling
+// and cancelling from inside callbacks and at the current instant, and must
+// fire the same events in the same order at the same times.
 
 // scripted is what the script needs of a queue; events are named by id.
 type scripted interface {
@@ -20,7 +20,6 @@ type scripted interface {
 	cancel(id int) bool
 	isPending(id int) bool
 	run(until Time)
-	halt()
 	size() int
 	clock() Time
 }
@@ -53,11 +52,10 @@ func (h *refHeap) Pop() any {
 }
 
 type refEngine struct {
-	now    Time
-	queue  refHeap
-	seq    uint64
-	halted bool
-	byID   map[int]*refEvent
+	now   Time
+	queue refHeap
+	seq   uint64
+	byID  map[int]*refEvent
 }
 
 func (r *refEngine) schedule(at Time, id int, fire func()) {
@@ -84,8 +82,7 @@ func (r *refEngine) cancel(id int) bool {
 	return true
 }
 func (r *refEngine) run(until Time) {
-	r.halted = false
-	for !r.halted && len(r.queue) > 0 {
+	for len(r.queue) > 0 {
 		if next := r.queue[0]; next.cancelled {
 			heap.Pop(&r.queue)
 			continue
@@ -100,7 +97,6 @@ func (r *refEngine) run(until Time) {
 		r.now = until
 	}
 }
-func (r *refEngine) halt() { r.halted = true }
 func (r *refEngine) size() int {
 	n := 0
 	for _, ev := range r.queue {
@@ -127,16 +123,17 @@ func (r *realEngine) after(d time.Duration, id int, fire func()) {
 func (r *realEngine) cancel(id int) bool    { return r.handles[id].Cancel() }
 func (r *realEngine) isPending(id int) bool { return r.handles[id].Pending() }
 func (r *realEngine) run(until Time)        { r.e.Run(until) }
-func (r *realEngine) halt()                 { r.e.Halt() }
 func (r *realEngine) size() int             { return r.e.Len() }
 func (r *realEngine) clock() Time           { return r.e.Now() }
 
-// scan counts the live entries of the engine's queue the slow way.
+// scan counts the live entries of the engine's heap and lane the slow way.
 func (r *realEngine) scan() int {
 	n := 0
-	for _, en := range r.e.queue {
-		if !en.ev.cancelled {
-			n++
+	for _, entries := range [][]entry{r.e.queue, r.e.lane[r.e.head:]} {
+		for _, en := range entries {
+			if !en.ev.cancelled {
+				n++
+			}
 		}
 	}
 	return n
@@ -172,10 +169,9 @@ func runScript(q scripted, seed int64, check func()) (log []firing, obs []int) {
 				obs = append(obs, id, b2i(was), b2i(got), b2i(again), b2i(q.isPending(id)))
 			}
 		case r < 9:
+			// Run does not nest: inside a callback this op is a no-op.
 			if depth == 0 {
 				q.run(q.clock() + Time(rng.Intn(40))*time.Millisecond)
-			} else {
-				q.halt()
 			}
 		default:
 			obs = append(obs, q.size())
