@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet fmt-check bench bench-once bench-parallel bench-smoke serve-soak chaos-soak admin-smoke trace-smoke fuzz loc clean
+.PHONY: build test race vet fmt-check bench bench-once bench-parallel bench-smoke chaos-soak admin-smoke trace-smoke fuzz loc clean
 
 build:
 	$(GO) build ./...
@@ -48,16 +48,6 @@ bench-once:
 bench-parallel:
 	$(GO) test -run '^$$' -bench 'Figure3Parallel|FieldReading' -benchmem .
 
-# A short gateway soak under the race detector: 120 concurrent clients
-# churning subscriptions through the serving tier, with the admin plane
-# mounted. At the end of the soak the load generator scrapes its own
-# /metrics endpoint and validates the Prometheus exposition with the
-# decoder-side parser — a malformed exposition (or any data race) exits
-# non-zero. The printed report includes dedup ratio, latency percentiles
-# and the one-line metrics summary.
-serve-soak:
-	$(GO) run -race ./cmd/ttmqo-serve -loadgen -clients 120 -rounds 16 -pool 10 -seed 1 -admin 127.0.0.1:0
-
 # The admin-plane smoke drill: build the real ttmqo-serve binary, boot it
 # with -admin and the built-in crash drill, curl every endpoint, and assert
 # the readiness transition (200 -> 503 during the outage -> 200 after WAL
@@ -81,16 +71,20 @@ trace-smoke:
 # federation soak reruns the router-tier drills (kill-a-shard,
 # partition-the-router) across seeds under the same invariants, and the
 # share soak crashes the gateway underneath the sharing coordinator while
-# cached replay and live delivery interleave. The overload soak swaps fault
-# injection for demand: thundering-herd admission storms, a slow-loris
-# subscriber that stops reading, and a shard wedged without crashing, with
+# cached replay and live delivery interleave. The session-churn soak has 32
+# sessions stage subscribes and unsubscribes from goroutines of their own
+# against one gateway, crashes it mid-run, checks the readiness probes and
+# the final /metrics exposition, and requires two same-seed runs to report
+# byte-identical results. The overload soak swaps fault injection for
+# demand: thundering-herd admission storms, a slow-loris subscriber that
+# stops reading, and a shard wedged without crashing, with
 # the resilience invariants (bounded mailbox depth, honored retry-after,
 # degraded-not-deadlocked watermarks) asserted on top of the delivery ones.
 #
 # `go test -run` exits 0 when its regex matches nothing, so a renamed soak
 # test would silently drop out: every name below must be listed by the
 # package before anything runs.
-CHAOS_SOAK = TestChaosSoak|TestCrashRecoveryInvariants|TestFederationChaosSoak|TestShareChaosSoak|TestOverloadChaosSoak
+CHAOS_SOAK = TestChaosSoak|TestCrashRecoveryInvariants|TestSessionChurnChaosSoak|TestFederationChaosSoak|TestShareChaosSoak|TestOverloadChaosSoak
 
 chaos-soak:
 	@list="$$($(GO) test -list '$(CHAOS_SOAK)' ./internal/chaos)"; \

@@ -1,7 +1,7 @@
 // Command ttmqo-serve runs the concurrent query-serving gateway in front
-// of a simulated sensor network, speaking a length-prefixed binary wire
-// protocol (with a JSON debug fallback) over TCP, or drives it with the
-// built-in load generator.
+// of a simulated sensor network over TCP, speaking a length-prefixed binary
+// wire protocol to clients that negotiate it and newline-delimited JSON to
+// those that do not.
 //
 // Usage:
 //
@@ -11,7 +11,7 @@
 //	            [-readtimeout 75s] [-write-timeout 30s]
 //	            [-max-staged N] [-mailbox-deadline D] [-max-live-subs N]
 //	            [-crash-after D] [-crash-outage D]
-//	            [-admin 127.0.0.1:9090] [-wire binary] [-trace-dump t.json]
+//	            [-admin 127.0.0.1:9090] [-trace-dump t.json]
 //	            [-share [-cache-window W]]
 //	            [-json out.json] [-series out.csv] [-sample 30s]
 //	ttmqo-serve -shards K [-waldir DIR] [-addr :7443] [-side N] [-scheme S]
@@ -19,22 +19,18 @@
 //	            [-buffer B] [-quota Q] [-rate R] [-burst K] [-mtbf D] [-mttr D]
 //	            [-readtimeout 75s] [-write-timeout 30s]
 //	            [-max-staged N] [-mailbox-deadline D] [-max-live-subs N]
-//	            [-admin 127.0.0.1:9090] [-wire binary] [-trace-dump t.json]
+//	            [-admin 127.0.0.1:9090] [-trace-dump t.json]
 //	            [-share [-cache-window W]]
-//	ttmqo-serve -loadgen [-clients 100] [-rounds 24] [-pool 12] [-churn 0.35]
-//	            [-maxsubs 2] [-crashround R] [-wal gw.wal] [-seed S]
-//	            [-side N] [-scheme ttmqo] [-quantum 2048ms] [-buffer B]
-//	            [-admin 127.0.0.1:0] [-json out.json]
 //
-// Serving mode: clients connect over TCP and send one JSON request per
-// line — {"op":"subscribe","query":"SELECT ..."}, {"op":"unsubscribe",
-// "sub":N}, {"op":"stats"}, {"op":"ping"} heartbeats, optionally
+// Clients connect over TCP and send one JSON request per line —
+// {"op":"subscribe","query":"SELECT ..."}, {"op":"unsubscribe","sub":N},
+// {"op":"stats"}, {"op":"ping"} heartbeats, optionally
 // {"op":"hello","client":"name"} first — and receive result epochs as they
 // are produced. A hello carrying "wire":"binary" (or any request sent as a
-// binary frame) switches the response stream to the binary codec; -wire
-// json pins the server to newline-delimited JSON for debugging with nc or
-// scripts, ignoring such upgrades. A wall-clock pacer advances the
-// simulation by -quantum of virtual time every -tick. Semantically equal
+// binary frame) switches the response stream to the binary codec; a client
+// that never asks — nc, a script — is answered in newline-delimited JSON
+// throughout. A wall-clock pacer advances the simulation by -quantum of
+// virtual time every -tick. Semantically equal
 // subscriptions (after normalization) share one in-network query; a
 // subscriber that stalls -buffer results behind is evicted; a connection
 // silent past -readtimeout is dropped (0 keeps the 75s default; negative
@@ -75,16 +71,16 @@
 // -waldir gives every shard a write-ahead log (DIR/shard-<i>.wal) so a
 // crashed shard can be rebuilt and its canonical upstream streams resumed
 // in place; it requires -shards (a single gateway logs to -wal). Sharded
-// serving is incompatible with -loadgen, -wal, -crash-after, -json and
-// -series. The admin plane exposes per-shard ttmqo_shard_* families and the
-// router merge-latency histogram.
+// serving is incompatible with -wal, -crash-after, -json and -series. The
+// admin plane exposes per-shard ttmqo_shard_* families and the router
+// merge-latency histogram.
 //
 // Sharing: -share fronts the stack — the single gateway, or with -shards the
 // router — with the cross-query sharing coordinator: partial-aggregate CSE
 // over grid-cell fragments plus a windowed result cache that replays
 // -cache-window epochs to late subscribers (0 keeps the default, negative
-// disables replay). It is incompatible with -loadgen, -crash-after, -json
-// and -series. On SIGINT the coordinator drains first, then the tier
+// disables replay). It is incompatible with -crash-after, -json and
+// -series. On SIGINT the coordinator drains first, then the tier
 // beneath it, then the listener.
 //
 // Admin plane: -admin mounts an HTTP server (use 127.0.0.1:0 for an
@@ -95,19 +91,11 @@
 // trace events) and /debug/pprof. Metrics cover gateway admission and
 // fan-out counters, WAL appends/compactions/size, radio traffic and
 // per-node energy, and a time-to-first-result histogram fed by per-query
-// lifecycle spans. The admin plane works in both serving and loadgen mode.
+// lifecycle spans.
 //
-// Load-generator mode (-loadgen): -clients concurrent goroutines churn
-// subscriptions drawn from a -pool of distinct queries for -rounds phased
-// ticks, then print admission/dedup counters, fan-out throughput and
-// client-observed latency percentiles. With -crashround R (requires -wal)
-// the gateway is crashed and recovered at the start of round R and every
-// client reconnects and resumes mid-run. The run's obs export is
-// deterministic for a given seed regardless of goroutine scheduling. With
-// -admin, the load generator scrapes its own /metrics endpoint at the end
-// of the soak, validates the exposition with the decoder-side parser, and
-// prints a one-line summary — a malformed exposition fails the run. The
-// serving stack's end-to-end benchmark over real sockets is bench/run.sh.
+// The serving stack's end-to-end benchmark over real sockets is
+// bench/run.sh; many in-process sessions churning one gateway under a crash
+// is the session-churn chaos drill (make chaos-soak).
 //
 // -trace-dump writes the causal-trace flight-recorder export as JSON on exit,
 // and immediately after a -crash-after drill's crash.
@@ -117,11 +105,9 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"net/http"
 	"os"
 	"os/signal"
 	"sync"
-	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -148,9 +134,6 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	if o.loadgen {
-		return runLoadgen(o)
-	}
 	st, err := buildStack(o)
 	if err != nil {
 		return err
@@ -160,18 +143,17 @@ func run(args []string) error {
 
 // options are the parsed flags.
 type options struct {
-	addr, schemeName, wal, admin, jsonOut, seriesOut, wire, waldir, traceDump string
+	addr, schemeName, wal, admin, jsonOut, seriesOut, waldir, traceDump string
 
-	side, buffer, quota, clients, rounds, pool, maxsubs, crashround int
-	shards, cacheWindow, maxStaged, maxLiveSubs                     int
+	side, buffer, quota, shards, cacheWindow, maxStaged, maxLiveSubs int
 
-	seed                      int64
-	alpha, rate, burst, churn float64
+	seed               int64
+	alpha, rate, burst float64
 
 	tick, quantum, mtbf, mttr, sample, readTimeout, writeTimeout time.Duration
 	crashAfter, crashOutage, mailboxDeadline                     time.Duration
 
-	loadgen, share bool
+	share bool
 
 	scheme network.Scheme // -scheme, parsed
 }
@@ -201,14 +183,6 @@ func parseFlags(args []string) (*options, error) {
 	fs.StringVar(&o.jsonOut, "json", "", "write the obs run export (with gateway counters) as JSON to this file on exit")
 	fs.StringVar(&o.seriesOut, "series", "", "write the sampled time series as CSV to this file on exit")
 	fs.DurationVar(&o.sample, "sample", 0, "virtual-time sampling interval (default 30s when -series/-json is set)")
-	fs.BoolVar(&o.loadgen, "loadgen", false, "run the built-in load generator instead of serving TCP")
-	fs.IntVar(&o.clients, "clients", 100, "loadgen: concurrent clients")
-	fs.IntVar(&o.rounds, "rounds", 24, "loadgen: churn rounds (one quantum each)")
-	fs.IntVar(&o.pool, "pool", 12, "loadgen: distinct queries in the shared pool")
-	fs.Float64Var(&o.churn, "churn", 0.35, "loadgen: per-round per-client churn probability")
-	fs.IntVar(&o.maxsubs, "maxsubs", 2, "loadgen: max live subscriptions per client")
-	fs.IntVar(&o.crashround, "crashround", 0, "loadgen: crash and recover the gateway at the start of this round (requires -wal)")
-	fs.StringVar(&o.wire, "wire", "binary", "wire encoding: binary (default; JSON handshake upgrades to binary frames) or json (pin newline-delimited JSON, debug mode)")
 	fs.IntVar(&o.shards, "shards", 1, "shard the deployment into K region partitions behind a federation router (1 = single gateway)")
 	fs.StringVar(&o.waldir, "waldir", "", "federation: per-shard write-ahead-log directory (DIR/shard-<i>.wal), enables shard crash recovery (requires -shards K > 1)")
 	fs.BoolVar(&o.share, "share", false, "front the serving tier with the cross-query sharing coordinator (partial-aggregate CSE + windowed result cache)")
@@ -225,9 +199,6 @@ func parseFlags(args []string) (*options, error) {
 // validate rejects the flag combinations no stack shape can honour — every
 // one is an error, never a silently ignored flag.
 func (o *options) validate() error {
-	if o.wire != "binary" && o.wire != "json" {
-		return fmt.Errorf("-wire must be binary or json, got %q", o.wire)
-	}
 	var err error
 	if o.scheme, err = network.ParseScheme(o.schemeName); err != nil {
 		return err
@@ -236,21 +207,17 @@ func (o *options) validate() error {
 	switch {
 	case o.cacheWindow != 0 && !o.share:
 		return fmt.Errorf("-cache-window requires -share")
-	case o.share && o.loadgen:
-		return fmt.Errorf("-share is incompatible with -loadgen")
 	case o.share && o.crashAfter > 0:
 		return fmt.Errorf("-share does not compose with the -crash-after drill")
 	case o.share && exports:
 		return fmt.Errorf("-json/-series support only gateway-direct serving")
-	case o.shards > 1 && o.loadgen:
-		return fmt.Errorf("-shards is incompatible with -loadgen")
 	case o.shards > 1 && o.wal != "":
 		return fmt.Errorf("-shards uses per-shard logs; set -waldir instead of -wal")
 	case o.shards > 1 && o.crashAfter > 0:
 		return fmt.Errorf("-crash-after supports only single-gateway serving")
 	case o.shards > 1 && exports:
 		return fmt.Errorf("-json/-series support only single-gateway serving")
-	case o.crashAfter > 0 && o.wal == "" && !o.loadgen:
+	case o.crashAfter > 0 && o.wal == "":
 		return fmt.Errorf("-crash-after requires -wal")
 	case o.waldir != "" && o.shards <= 1:
 		return fmt.Errorf("-waldir requires -shards K > 1; a single gateway logs to -wal")
@@ -266,12 +233,9 @@ func (o *options) validate() error {
 // role are derived from which tier handles are non-nil.
 type served struct {
 	*stack.Stack
-	// gw reads the single gateway through crash/recovery swaps (the stack's
-	// own, or the load generator's); nil when sharded.
-	gw func() *gateway.Gateway
 
-	// traces owns the causal-trace flight recorders (nil in loadgen mode);
-	// simTrace is the simulation event ring behind /tracez.
+	// traces owns the causal-trace flight recorders; simTrace is the
+	// simulation event ring behind /tracez.
 	traces   *traceSet
 	simTrace *trace.Buffer
 
@@ -360,7 +324,6 @@ func buildStack(o *options) (*served, error) {
 		st.detail = fmt.Sprintf("%d shards × side %d = %d sensors, scheme=%s", o.shards, o.side, built.Sensors(), o.scheme)
 	} else {
 		st.detail = fmt.Sprintf("scheme=%s nodes=%d tick=%v quantum=%v", o.scheme, built.Sensors()+1, o.tick, o.quantum)
-		st.gw = built.Gateway
 		// A non-empty log from a previous run was a crashed (or killed)
 		// server: the stack recovered it by replay instead of starting fresh.
 		if gs, _ := built.Gateway().Stats(); gs.Recoveries > 0 {
@@ -405,13 +368,12 @@ func (st *served) summary() string {
 		return fmt.Sprintf("shards=%d sessions=%d subscribes=%d dedup_hits=%d trees=%d merged_epochs=%d updates=%d merge_latency=%v",
 			s.Shards, s.Sessions, s.Subscribes, s.DedupHits, s.Trees, s.MergedEpochs, s.Updates, st.Router.MergeLatency())
 	}
-	s, _ := st.gw().Stats()
+	s, _ := st.Gateway().Stats()
 	return fmt.Sprintf("sessions=%d subscribes=%d dedup_hits=%d admitted=%d dedup_ratio=%.2f updates=%d evicted=%d recoveries=%d",
 		s.Sessions, s.Subscribes, s.DedupHits, s.Admitted, s.DedupRatio(), s.Updates, s.Evicted, s.Recoveries)
 }
 
-// ready backs /readyz: the top tier is serving (a load generator's gateway
-// may not exist yet).
+// ready backs /readyz: the top tier is serving.
 func (st *served) ready() bool {
 	switch {
 	case st.Coord != nil:
@@ -419,17 +381,16 @@ func (st *served) ready() bool {
 	case st.Router != nil:
 		return st.Router.Alive()
 	}
-	g := st.gw()
-	return g != nil && g.Alive()
+	return st.Gateway().Alive()
 }
 
 // register mounts each tier's metric families, bottom-up; every gateway
-// family reads through st.gw, so it survives crash/recovery swaps.
+// family reads through st.Gateway, so it survives crash/recovery swaps.
 func (st *served) register(reg *telemetry.Registry) {
 	if st.Router != nil {
 		federation.RegisterMetrics(reg, func() *federation.Router { return st.Router })
 	} else {
-		gateway.RegisterMetrics(reg, st.gw)
+		gateway.RegisterMetrics(reg, st.Gateway)
 	}
 	if st.Coord != nil {
 		share.RegisterMetrics(reg, func() *share.Coordinator { return st.Coord })
@@ -438,14 +399,12 @@ func (st *served) register(reg *telemetry.Registry) {
 
 // status fills the /statusz document, one section per tier.
 func (st *served) status() any {
-	doc := telemetry.StatusSections{}
-	if st.traces != nil {
-		doc.Tracing = st.traces.summary()
-	}
+	doc := telemetry.StatusSections{Tracing: st.traces.summary()}
 	if st.Router != nil {
 		s := st.Router.FedStats()
 		doc.Federation, doc.Resilience = s, fedResilienceSection(s)
-	} else if g := st.gw(); g != nil {
+	} else {
+		g := st.Gateway()
 		if s, err := g.Status(); err == nil {
 			doc.Gateway = s
 		}
@@ -475,20 +434,17 @@ func (st *served) dumpTraces(path, prefix string) error {
 func startAdmin(addr string, st *served) (*telemetry.Admin, error) {
 	reg := telemetry.NewRegistry()
 	st.register(reg)
-	cfg := telemetry.AdminConfig{Registry: reg, Ready: st.ready, Status: st.status}
-	if st.traces != nil {
-		tracing.RegisterMetrics(reg, st.traces.recorders)
-		// /tracez: the cross-tier span trees, then the simulation ring.
-		cfg.Trace = func(w io.Writer) {
-			st.traces.renderTrees(w)
-			if st.simTrace != nil {
-				fmt.Fprintln(w, "\nsimulation events:")
-				for _, e := range st.simTrace.Snapshot() {
-					fmt.Fprintln(w, e)
-				}
+	tracing.RegisterMetrics(reg, st.traces.recorders)
+	cfg := telemetry.AdminConfig{Registry: reg, Ready: st.ready, Status: st.status, TraceJSON: st.traces.traceJSON}
+	// /tracez: the cross-tier span trees, then the simulation ring.
+	cfg.Trace = func(w io.Writer) {
+		st.traces.renderTrees(w)
+		if st.simTrace != nil {
+			fmt.Fprintln(w, "\nsimulation events:")
+			for _, e := range st.simTrace.Snapshot() {
+				fmt.Fprintln(w, e)
 			}
 		}
-		cfg.TraceJSON = st.traces.traceJSON
 	}
 	adm := telemetry.NewAdmin(cfg)
 	bound, err := adm.Start(addr)
@@ -509,7 +465,6 @@ func serve(st *served, o *options) error {
 		Quantum:      o.quantum,
 		ReadTimeout:  o.readTimeout,
 		WriteTimeout: o.writeTimeout,
-		ForceJSON:    o.wire == "json",
 	}
 	srv, err := gateway.NewServer(st.Top(), srvCfg)
 	if err != nil {
@@ -560,7 +515,7 @@ func serve(st *served, o *options) error {
 				os.Exit(1)
 			}
 			srv = s2
-			gs, _ := st.gw().Stats()
+			gs, _ := st.Gateway().Stats()
 			fmt.Printf("ttmqo-serve: recovered %d session(s) on %s; clients may re-attach\n",
 				gs.ActiveSessions, srv.Addr())
 		}()
@@ -614,93 +569,6 @@ func fedResilienceSection(st federation.Stats) map[string]any {
 		"shard_crashes":      st.ShardCrashes,
 		"shard_recoveries":   st.ShardRecoveries,
 	}
-}
-
-// scrapeMetrics fetches url, validates the body with the decoder-side
-// exposition parser, and prints a one-line summary. Any malformation is an
-// error: the scrape is the load generator's end-of-soak self-check.
-func scrapeMetrics(url string) error {
-	resp, err := http.Get(url)
-	if err != nil {
-		return fmt.Errorf("scrape %s: %w", url, err)
-	}
-	body, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		return fmt.Errorf("scrape %s: %w", url, err)
-	}
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("scrape %s: HTTP %d", url, resp.StatusCode)
-	}
-	samples, err := telemetry.ParseExposition(string(body))
-	if err != nil {
-		return fmt.Errorf("scrape %s: malformed exposition: %w", url, err)
-	}
-	for _, name := range []string{
-		"ttmqo_gateway_admitted_total",
-		"ttmqo_wal_appends_total",
-		"ttmqo_radio_messages_total",
-		"ttmqo_node_energy_joules",
-		"ttmqo_query_time_to_first_result_seconds_count",
-	} {
-		if _, ok := telemetry.FindSample(samples, name); !ok {
-			return fmt.Errorf("scrape %s: exposition lacks %s", url, name)
-		}
-	}
-	names := map[string]bool{}
-	for _, s := range samples {
-		names[s.Name] = true
-	}
-	admitted, _ := telemetry.FindSample(samples, "ttmqo_gateway_admitted_total")
-	ttfr, _ := telemetry.FindSample(samples, "ttmqo_query_time_to_first_result_seconds_count")
-	up, _ := telemetry.FindSample(samples, "ttmqo_gateway_up")
-	fmt.Printf("metrics: %d samples across %d series, up=%g admitted=%g ttfr_count=%g (exposition valid)\n",
-		len(samples), len(names), up.Value, admitted.Value, ttfr.Value)
-	return nil
-}
-
-func runLoadgen(o *options) error {
-	cfg := gateway.LoadgenConfig{
-		Clients:    o.clients,
-		Rounds:     o.rounds,
-		Quantum:    o.quantum * 4, // loadgen rounds default to coarser ticks
-		Pool:       o.pool,
-		Churn:      o.churn,
-		MaxSubs:    o.maxsubs,
-		Seed:       o.seed,
-		Side:       o.side,
-		Scheme:     o.scheme,
-		Buffer:     o.buffer,
-		CrashRound: o.crashround,
-		WALPath:    o.wal,
-	}
-	var adm *telemetry.Admin
-	if o.admin != "" {
-		// The admin plane mounts before the load generator creates (and, at
-		// -crashround, re-creates) its gateway.
-		var cur atomic.Pointer[gateway.Gateway]
-		cfg.OnGateway = cur.Store
-		st := &served{Stack: new(stack.Stack), gw: cur.Load}
-		var err error
-		if adm, err = startAdmin(o.admin, st); err != nil {
-			return err
-		}
-		defer adm.Close()
-	}
-	rep, err := gateway.RunLoadgen(cfg)
-	if err != nil {
-		return err
-	}
-	fmt.Print(rep.String())
-	if adm != nil {
-		if err := scrapeMetrics("http://" + adm.Addr() + "/metrics"); err != nil {
-			return err
-		}
-	}
-	if o.jsonOut == "" {
-		return nil
-	}
-	return writeJSON(o.jsonOut, rep.Export)
 }
 
 // writeJSON writes v as the -json export.

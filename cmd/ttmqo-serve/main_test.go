@@ -185,13 +185,10 @@ func TestFlagValidation(t *testing.T) {
 		want string // error substring; empty = accepted
 	}{
 		{"", ""},
-		{"-wire json", ""},
-		{"-wire xml", `-wire must be binary or json, got "xml"`},
 		{"-scheme nope", `unknown scheme "nope"`},
 		{"-cache-window 3", "-cache-window requires -share"},
 		{"-share -cache-window 3", ""},
 		{"-share -wal gw.wal", ""},
-		{"-share -loadgen", "-share is incompatible with -loadgen"},
 		{"-share -crash-after 1s -wal gw.wal", "-share does not compose with the -crash-after drill"},
 		{"-share -json o.json", "-json/-series support only gateway-direct serving"},
 		{"-share -series o.csv", "-json/-series support only gateway-direct serving"},
@@ -199,8 +196,6 @@ func TestFlagValidation(t *testing.T) {
 		{"-shards 2 -waldir d", ""},
 		{"-shards 2 -share", ""},
 		{"-shards 2 -share -waldir d -cache-window -1", ""},
-		{"-shards 2 -loadgen", "-shards is incompatible with -loadgen"},
-		{"-shards 2 -share -loadgen", "-share is incompatible with -loadgen"},
 		{"-shards 2 -wal gw.wal", "-shards uses per-shard logs; set -waldir instead of -wal"},
 		{"-shards 2 -crash-after 1s", "-crash-after supports only single-gateway serving"},
 		{"-shards 2 -json o.json", "-json/-series support only single-gateway serving"},
@@ -210,14 +205,10 @@ func TestFlagValidation(t *testing.T) {
 		{"-crash-after 1s", "-crash-after requires -wal"},
 		{"-crash-after 1s -wal gw.wal", ""},
 		{"-crash-after 1s -crash-outage 1s -wal gw.wal", ""},
-		{"-loadgen", ""},
-		{"-loadgen -wal gw.wal -crashround 3 -json o.json -admin 127.0.0.1:0", ""},
-		{"-loadgen -crash-after 1s", ""}, // the load generator has its own drill, -crashround
 		// Durability flags that used to be silently dropped.
 		{"-waldir d", "-waldir requires -shards K > 1"},
 		{"-shards 1 -waldir d", "-waldir requires -shards K > 1"},
 		{"-share -waldir d", "-waldir requires -shards K > 1"},
-		{"-loadgen -waldir d", "-waldir requires -shards K > 1"},
 		{"-crash-outage 1s", "-crash-outage requires -crash-after"},
 		{"-wal gw.wal -crash-outage 1s", "-crash-outage requires -crash-after"},
 		{"-shards 2 -crash-outage 1s", "-crash-outage requires -crash-after"},

@@ -57,19 +57,20 @@
 //     (gen/show/run subcommands; -kind, -out, -seed, -queries,
 //     -concurrency, -minutes, -side, -scheme, -compare, -parallel, -json).
 //   - ttmqo-shell is an interactive console over a live simulation.
-//   - ttmqo-serve is the multi-client serving gateway: TCP
-//     newline-delimited JSON with semantic dedup, rate limiting and
-//     bounded fan-out (-addr, -side, -scheme, -seed, -alpha, -tick,
-//     -quantum, -buffer, -quota, -rate, -burst, -mtbf, -mttr, -json,
-//     -series, -sample), plus a load-generator mode (-loadgen, -clients,
-//     -rounds, -pool, -churn, -maxsubs) and a sharded federation mode
-//     (-shards, -waldir) fronting several region-partitioned gateways
-//     with a consistent-hash, aggregate-recombining router.
+//   - ttmqo-serve is the multi-client serving gateway over TCP (binary
+//     frames to clients that negotiate them, newline-delimited JSON to
+//     the rest) with semantic dedup, rate limiting and bounded fan-out
+//     (-addr, -side, -scheme, -seed, -alpha, -tick, -quantum, -buffer,
+//     -quota, -rate, -burst, -mtbf, -mttr, -json, -series, -sample), plus
+//     a sharded federation mode (-shards, -waldir) fronting several
+//     region-partitioned gateways with a consistent-hash,
+//     aggregate-recombining router.
 //
 // The gateway is also a library: NewGateway wraps a Simulation in a
 // goroutine-safe session/subscription front end whose group-commit
-// mailbox keeps concurrent use deterministic, and RunLoadgen drives it
-// with synthetic clients. Gateway, federation router and share
+// mailbox keeps concurrent use deterministic — the session-churn chaos
+// drill stages many sessions' commands from goroutines of their own and
+// pins the outcome per seed. Gateway, federation router and share
 // coordinator run one session machine (internal/tier): GatewaySession,
 // Subscription and the update vocabulary are the same types on all three.
 package ttmqo

@@ -281,7 +281,7 @@ func TestDocsCoverChaosScenarios(t *testing.T) {
 			t.Errorf("EXPERIMENTS.md does not walk through drill %q", n)
 		}
 	}
-	for _, f := range []string{"-chaos", "-wal", "-crash-after", "-readtimeout", "-crashround"} {
+	for _, f := range []string{"-chaos", "-wal", "-crash-after", "-readtimeout"} {
 		if !strings.Contains(readme, f) {
 			t.Errorf("README.md does not mention chaos/recovery flag %s", f)
 		}
@@ -292,8 +292,8 @@ func TestDocsCoverChaosScenarios(t *testing.T) {
 }
 
 // TestDocsCoverWireFormat: the README's wire-protocol section must state
-// the magic byte and wire version the codec actually uses and name the wire
-// flag, and both README.md and EXPERIMENTS.md must name the one benchmark of
+// the magic byte and wire version the codec actually uses and how a client
+// negotiates binary, and both README.md and EXPERIMENTS.md must name the one benchmark of
 // the serving stack — bench/run.sh, declared in BENCHMARK.json — and its
 // four workloads. This is the drift check for the serving hot path.
 func TestDocsCoverWireFormat(t *testing.T) {
@@ -306,8 +306,8 @@ func TestDocsCoverWireFormat(t *testing.T) {
 	if want := fmt.Sprintf("`%d`", gateway.WireVersion); !strings.Contains(readme, want) {
 		t.Errorf("README.md does not state wire version %d", gateway.WireVersion)
 	}
-	if !strings.Contains(readme, "-wire") {
-		t.Error("README.md does not mention the -wire flag")
+	if !strings.Contains(readme, `"wire":"binary"`) {
+		t.Error(`README.md does not name the hello's "wire":"binary" negotiation`)
 	}
 	declared := readDoc(t, "BENCHMARK.json")
 	workloads := []string{"sim_heavy", "fanout_heavy", "full_stack", "churn"}
@@ -464,7 +464,8 @@ func TestDocsCoverResilience(t *testing.T) {
 
 // TestDocsCoverAdminPlane: README.md must document every admin HTTP
 // endpoint the server actually serves, the flags that mount it, and the
-// smoke-drill make target; EXPERIMENTS.md must show the readiness drill.
+// make targets of the drills that probe it (the smoke drill and the chaos
+// soak); EXPERIMENTS.md must show the readiness drill.
 // This is the drift check for the telemetry surface.
 func TestDocsCoverAdminPlane(t *testing.T) {
 	readme := readDoc(t, "README.md")
@@ -482,7 +483,7 @@ func TestDocsCoverAdminPlane(t *testing.T) {
 			t.Errorf("README.md does not mention admin-plane flag %s", f)
 		}
 	}
-	for _, target := range []string{"admin-smoke", "serve-soak"} {
+	for _, target := range []string{"admin-smoke", "chaos-soak"} {
 		if !strings.Contains(readme, target) {
 			t.Errorf("README.md does not mention the %s make target", target)
 		}

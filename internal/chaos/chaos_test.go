@@ -188,3 +188,34 @@ func TestChaosSoak(t *testing.T) {
 		t.Fatalf("readiness probes: want %d, got %d", want, rep.ReadyProbes)
 	}
 }
+
+// TestSessionChurnChaosSoak runs the session-churn drill — every client
+// staging its subscribe or unsubscribe from its own goroutine, a crash and
+// recovery mid-run — twice per seed: the reports must be byte-identical
+// however the goroutines interleaved, with no violation, at least one
+// unsubscribe and the readiness probes of one crash/recover cycle. It
+// rides `make chaos-soak` under the race detector.
+func TestSessionChurnChaosSoak(t *testing.T) {
+	for seed := int64(1); seed <= 3; seed++ {
+		var first []byte
+		for i := 0; i < 2; i++ {
+			rep, err := Run("session-churn", Config{Seed: seed, WALDir: t.TempDir()})
+			if err != nil {
+				t.Fatalf("seed=%d: %v", seed, err)
+			}
+			for _, v := range rep.Violations {
+				t.Errorf("seed=%d violation: %s", seed, v)
+			}
+			if rep.Gateway.Unsubscribes == 0 || rep.Crashes != 1 || rep.ReadyProbes != 3 {
+				t.Errorf("seed=%d: unsubscribes=%d crashes=%d probes=%d, want > 0, 1, 3",
+					seed, rep.Gateway.Unsubscribes, rep.Crashes, rep.ReadyProbes)
+			}
+			got, _ := json.Marshal(rep)
+			if i == 0 {
+				first = got
+			} else if string(got) != string(first) {
+				t.Fatalf("seed=%d: same seed, different reports:\n%s\n%s", seed, first, got)
+			}
+		}
+	}
+}

@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -17,6 +18,7 @@ import (
 	"repro/internal/tier"
 	"repro/internal/topology"
 	"repro/internal/tracing"
+	"repro/internal/workload"
 )
 
 // drill is one table entry: the stack it runs on, the workload it populates
@@ -33,6 +35,9 @@ type drill struct {
 	// round-robin, so semantic dedup is always in play.
 	pool      func(st *stack.Stack) []query.Query
 	perClient int
+	// stage, when set, stages the drill's own commands every round, after
+	// the actions and before the Advance that commits them.
+	stage func(r *run, pool []query.Query) error
 	// actions fire at the start of their round, before its Advance; settle
 	// is how many rounds past the last one the drill needs to see recovery.
 	actions []action
@@ -99,6 +104,25 @@ var drills = []*drill{
 		// every delivered row is checked against the deterministic field.
 		name: ScriptDrill, side: 4, clients: defaultClients,
 		spec: scriptSpec, pool: scriptPool, perClient: 1, observe: observeRows,
+	},
+	{
+		// Many sessions churn one gateway at once: every round each client
+		// stages a seeded subscribe or unsubscribe from its own goroutine and
+		// one Advance commits them all. A crash mid-run brings the admin
+		// plane's readiness probes and final /metrics validation along.
+		name: "session-churn", side: 4, clients: 32,
+		spec: func(r *run) (stack.Spec, error) {
+			cfg, err := r.gatewayConfig()
+			return stack.Spec{Gateway: cfg}, err
+		},
+		pool: churnPool, perClient: 1, stage: churn,
+		actions: []action{{8, actBounce}},
+		check: func(r *run) {
+			s, err := r.st.Gateway().Stats()
+			if err != nil || s.Unsubscribes == 0 || s.Recoveries != 1 {
+				r.violate("churn: unsubscribes=%d recoveries=%d (%v), want > 0 and 1", s.Unsubscribes, s.Recoveries, err)
+			}
+		},
 	},
 	{
 		// Crash one shard's gateway mid-stream, run degraded (cross-shard
@@ -385,6 +409,66 @@ func observeRows(r *run, s *stream, u tier.Update) {
 
 func (t rowTruth) light(id topology.NodeID, at sim.Time) float64 {
 	return t.src.Reading(id, field.AttrLight, at)
+}
+
+// ---------------------------------------------------------------------------
+// session-churn
+
+// churnRate is the per-round probability that a client changes its set;
+// churnMax caps the streams it holds.
+const (
+	churnRate = 0.35
+	churnMax  = 2
+)
+
+// churnPool is twelve of the §4.3 random queries.
+func churnPool(*stack.Stack) []query.Query {
+	var pool []query.Query
+	for _, tq := range workload.Random(workload.RandomConfig{Seed: 7777, NumQueries: 12}) {
+		pool = append(pool, tq.Query)
+	}
+	return pool
+}
+
+// churn stages every client's seeded move for the round, each from its own
+// goroutine: with probability churnRate a client subscribes to a pool query
+// (always when it holds no stream, on a coin flip below churnMax) or else
+// unsubscribes one of its streams. The Advance commits them in (session
+// name, seq) order, so the run is a function of the seed however the
+// goroutines interleave.
+func churn(r *run, pool []query.Query) error {
+	staged := make([]*stream, len(r.clients))
+	errs := make([]error, len(r.clients))
+	each(len(r.clients), func(i int) {
+		c := r.clients[i]
+		if c.rng.Float64() >= churnRate {
+			return
+		}
+		var mine []*stream
+		for _, s := range r.streams {
+			if s.c == c {
+				mine = append(mine, s)
+			}
+		}
+		if len(mine) == 0 || len(mine) < churnMax && c.rng.Float64() < 0.5 {
+			q := pool[c.rng.Intn(len(pool))]
+			tk, err := c.sess.SubscribeAsync(tier.SubscribeRequest{Query: q})
+			staged[i], errs[i] = &stream{c: c, q: q, ticket: tk}, err
+			return
+		}
+		s := mine[c.rng.Intn(len(mine))]
+		s.ticket, errs[i] = c.sess.UnsubscribeAsync(s.sub.ID())
+		staged[i] = s
+	})
+	if err := errors.Join(errs...); err != nil {
+		return err
+	}
+	for _, s := range staged {
+		if s != nil {
+			r.pending = append(r.pending, s)
+		}
+	}
+	return nil
 }
 
 // ---------------------------------------------------------------------------

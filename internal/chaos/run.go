@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -16,6 +17,7 @@ import (
 	"repro/internal/gateway"
 	"repro/internal/query"
 	"repro/internal/share"
+	"repro/internal/sim"
 	"repro/internal/stack"
 	"repro/internal/telemetry"
 	"repro/internal/tier"
@@ -157,7 +159,7 @@ type run struct {
 	check   *StreamChecker
 	clients []*client
 	streams []*stream
-	pending []*stream // staged subscribes, resolved by the next Advance
+	pending []*stream // staged (un)subscribes, resolved by the next Advance
 	// down holds between a drill's fault and its clear; late is the
 	// subscriber that joined in between.
 	down bool
@@ -176,6 +178,7 @@ type run struct {
 // client is one subscriber session; stream one of its subscriptions.
 type client struct {
 	sess *tier.Session // replaced when the client re-attaches
+	rng  *sim.Rand     // the client's own choices, when its drill makes any
 }
 
 type stream struct {
@@ -305,6 +308,11 @@ func (r *run) drive() error {
 				return fmt.Errorf("chaos: round %d: %w", round, err)
 			}
 		}
+		if r.d.stage != nil {
+			if err := r.d.stage(r, pool); err != nil {
+				return fmt.Errorf("chaos: round %d: %w", round, err)
+			}
+		}
 		// While the stack's one gateway is down the coordinator above it
 		// cannot advance it; commands still commit and cached replay still
 		// flows. Any other round must advance cleanly.
@@ -314,7 +322,11 @@ func (r *run) drive() error {
 		for _, s := range r.pending {
 			sub, err := s.ticket.Wait()
 			if err != nil {
-				return fmt.Errorf("chaos: subscribe round %d: %w", round, err)
+				return fmt.Errorf("chaos: commit round %d: %w", round, err)
+			}
+			if s.sub != nil { // an unsubscribe
+				r.leave(s)
+				continue
 			}
 			s.sub = sub
 			r.streams = append(r.streams, s)
@@ -343,7 +355,7 @@ func (r *run) join(name string, qs ...query.Query) (*stream, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &client{sess: sess}
+	c := &client{sess: sess, rng: sim.NewRand(r.cfg.Seed).Fork(int64(len(r.clients)))}
 	r.clients = append(r.clients, c)
 	var s *stream
 	for _, q := range qs {
@@ -368,6 +380,15 @@ func (r *run) drain() {
 		}
 	}
 	r.streams = live
+}
+
+// leave drains a stream its client unsubscribed to its close and drops it;
+// leaving is not a mid-run closure.
+func (r *run) leave(s *stream) {
+	for u := range s.sub.Updates() {
+		r.observe(s, u)
+	}
+	r.streams = slices.DeleteFunc(r.streams, func(x *stream) bool { return x == s })
 }
 
 func (r *run) drainOne(s *stream) bool {
@@ -397,6 +418,8 @@ func (r *run) observe(s *stream, u tier.Update) {
 // recover it from its WAL, and have every client re-claim its session and
 // resume each stream from its last processed sequence number.
 func (r *run) bounce() error {
+	// The crash is the fault and the recovery its clear, at one cursor.
+	r.rep.UpdatesAtFault, r.rep.UpdatesAtClear = r.check.Updates, r.check.Updates
 	if err := r.st.Crash(0); err != nil {
 		return err
 	}

@@ -249,7 +249,6 @@ func loris(r *run) error {
 		// is its hard backstop: once it expires the handler cuts the
 		// connection loose no matter what the kernel still has queued.
 		ReadTimeout: 2 * time.Second,
-		ForceJSON:   true, // fat frames fill the loris's buffers faster
 	})
 	if err != nil {
 		return err

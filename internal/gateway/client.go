@@ -19,7 +19,7 @@ import (
 // coordination.
 //
 // Client is not safe for concurrent use: it is a protocol endpoint for
-// tests, the load generator and ad-hoc tooling, not a connection pool.
+// tests, the chaos drills and ad-hoc tooling, not a connection pool.
 type Client struct {
 	conn    net.Conn
 	br      *bufio.Reader
@@ -32,8 +32,8 @@ type Client struct {
 
 // ClientConfig parametrizes Dial.
 type ClientConfig struct {
-	// Binary requests the binary wire encoding (the default in
-	// cmd/ttmqo-serve's load generator); zero value speaks NDJSON.
+	// Binary requests the binary wire encoding; the zero value speaks
+	// NDJSON.
 	Binary bool
 	// Timeout bounds each Send/Recv; 0 means no deadline.
 	Timeout time.Duration

@@ -45,7 +45,7 @@ import (
 //
 // The codec carries the serving protocol (Request/Response) and the WAL
 // record format symmetrically; JSON remains first-class for the handshake
-// and as a -wire json debug fallback (the decoder on both ends
+// and for clients that never ask for binary (the decoder on both ends
 // auto-detects per frame).
 
 // WireVersion is the binary frame format version; a frame with a different

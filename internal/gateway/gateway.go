@@ -17,7 +17,7 @@
 // order regardless of goroutine scheduling, and the simulation — including
 // every exported metric — stays byte-for-byte deterministic under
 // arbitrary client concurrency, provided each Advance's command set is
-// submitted before the tick (which the phased load generator and the
+// submitted before the tick (which the round-driven chaos drills and the
 // regression tests guarantee, and which a wall-clock pacer approximates
 // per tick).
 //
@@ -378,8 +378,8 @@ func (g *Gateway) nowMS() int64 { return time.Duration(g.now()).Milliseconds() }
 // Advance commits every staged command in deterministic order, runs the
 // simulation d of virtual time (fanning results out to subscribers), then
 // refills the sessions' token buckets. It returns the number of commands
-// committed. Only one driver should call Advance (a Server's pacer, the
-// load generator, or a test); concurrent calls serialize. With a WAL
+// committed. Only one driver should call Advance (a Server's pacer, a chaos
+// drill, or a test); concurrent calls serialize. With a WAL
 // enabled, a write or compaction failure is reported here — the log is the
 // durability story, so it fails loudly rather than silently degrading.
 //
@@ -409,7 +409,7 @@ func (g *Gateway) Advance(d time.Duration) (applied int, err error) {
 // goroutine. It is for a caller that is itself a tier's Advance — the
 // federation router steps its shards in place under its own lock — where a
 // hop per shard buys nothing.
-// A driver (a Server's pacer, the load generator, a test) calls Advance.
+// A driver (a Server's pacer, a chaos drill, a test) calls Advance.
 func (g *Gateway) Step(d time.Duration) (int, error) {
 	g.mu.Lock()
 	defer g.mu.Unlock()

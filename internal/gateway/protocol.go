@@ -7,9 +7,11 @@ import (
 	"repro/internal/topology"
 )
 
-// Wire protocol of the serving tier (ttmqo-serve): newline-delimited JSON
-// over TCP, one Request per line from the client, one Response per line
-// from the server. Subscribing starts an asynchronous stream of "rows"/
+// Wire protocol of the serving tier (ttmqo-serve), in its newline-delimited
+// JSON spelling: one Request per line from the client, one Response per line
+// from the server. A client that negotiates binary (codec.go) gets the same
+// messages as length-prefixed frames; one that does not — nc, a script —
+// stays on NDJSON. Subscribing starts an asynchronous stream of "rows"/
 // "agg" responses tagged with the subscription id; the stream ends with a
 // single "closed" response carrying the reason.
 

@@ -360,28 +360,3 @@ func TestWALCompactionKeepsRecovery(t *testing.T) {
 		t.Fatalf("stats after compacted recovery: %+v", st)
 	}
 }
-
-// TestLoadgenCrashRound: the load generator's built-in crash drill — every
-// client must reconnect and the run must stay consistent.
-func TestLoadgenCrashRound(t *testing.T) {
-	rep, err := RunLoadgen(LoadgenConfig{
-		Clients:    8,
-		Rounds:     6,
-		Pool:       4,
-		Seed:       1,
-		CrashRound: 3,
-		WALPath:    filepath.Join(t.TempDir(), "gw.wal"),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Reconnects != 8 {
-		t.Fatalf("reconnects = %d, want every client", rep.Reconnects)
-	}
-	if rep.Stats.Recoveries != 1 {
-		t.Fatalf("recoveries = %d", rep.Stats.Recoveries)
-	}
-	if rep.Stats.Updates == 0 {
-		t.Fatal("no updates delivered across the crash")
-	}
-}

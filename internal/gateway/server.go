@@ -51,15 +51,11 @@ type ServerConfig struct {
 	// rather than wedging the connection's writer. DefaultWriteTimeout if
 	// zero; negative disables the deadline.
 	WriteTimeout time.Duration
-	// ForceJSON pins every response to the NDJSON encoding, ignoring binary
-	// wire negotiation (Request.Wire and binary-framed requests). Debug
-	// mode: the stream stays readable with nc/jq at the cost of the
-	// hot-path allocation savings. Inbound binary frames are still decoded.
-	ForceJSON bool
 }
 
-// Server serves the gateway's newline-delimited JSON protocol over TCP and
-// drives the simulation with a wall-clock pacer. It fronts any Backend —
+// Server serves the gateway's wire protocol over TCP — binary frames to a
+// client that negotiates them, newline-delimited JSON to one that does not —
+// and drives the simulation with a wall-clock pacer. It fronts any Backend —
 // a single *Gateway or a federation router.
 type Server struct {
 	gw  Backend
@@ -480,11 +476,8 @@ func (s *Server) handle(conn net.Conn) {
 				_ = w.write(Response{Type: TypeError, Error: fmt.Sprintf("bad request: %v", err)})
 				continue
 			}
-			// A binary-speaking client reads binary; answer in kind unless
-			// the operator pinned JSON for debugging.
-			if !s.cfg.ForceJSON {
-				w.setBinary()
-			}
+			// A binary-speaking client reads binary; answer in kind.
+			w.setBinary()
 		} else {
 			if first == '\n' {
 				continue
@@ -518,7 +511,7 @@ func (s *Server) handle(conn net.Conn) {
 			// Wire negotiation: the hello response goes out in the current
 			// encoding (JSON for a JSON-speaking client — the handshake
 			// stays human-readable), then the stream switches.
-			upgrade := req.Wire == "binary" && !s.cfg.ForceJSON
+			upgrade := req.Wire == "binary"
 			if req.Token != "" {
 				// Re-attach: claim a detached session by name + token and
 				// report the resumable streams with their cursors.

@@ -1,36 +1,63 @@
 package gateway
 
 import (
+	"fmt"
 	"path/filepath"
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
+	"repro/internal/network"
 	"repro/internal/telemetry"
+	"repro/internal/topology"
+	"repro/internal/workload"
 )
 
-// lgMetricsRun drives one load-generator soak with a registry attached and
-// returns the end-of-run exposition text.
-func lgMetricsRun(t *testing.T, cfg LoadgenConfig) string {
-	t.Helper()
+// metricsRun drives a seeded 4x4 gateway with a registry attached through
+// eight rounds of Advance: sixteen sessions subscribe to eight §4.3 random
+// queries in round 0, so semantic dedup is in play. With crash > 0 the
+// gateway is crashed at the start of that round — right after mid saw the
+// exposition of its last live snapshot — and recovered from its WAL. It
+// returns the final exposition.
+func metricsRun(t *testing.T, seed int64, crash int, mid func(string)) string {
+	topo, _ := topology.PaperGrid(4)
+	cfg := Config{Sim: network.Config{Topo: topo, Scheme: network.TTMQO, Seed: seed}, WALPath: filepath.Join(t.TempDir(), "gw.wal")}
 	var cur atomic.Pointer[Gateway]
 	reg := telemetry.NewRegistry()
 	RegisterMetrics(reg, cur.Load)
-	cfg.OnGateway = func(g *Gateway) { cur.Store(g) }
-	if _, err := RunLoadgen(cfg); err != nil {
+	gw, err := New(cfg)
+	cur.Store(gw)
+	pool := workload.Random(workload.RandomConfig{Seed: seed, NumQueries: 8})
+	for i := 0; i < 16 && err == nil; i++ {
+		var sess *Session
+		if sess, err = gw.Register(fmt.Sprintf("c%02d", i)); err == nil {
+			_, err = sess.SubscribeAsync(SubscribeRequest{Query: pool[i%len(pool)].Query})
+		}
+	}
+	for round := 0; round < 8 && err == nil; round++ {
+		if _, err = gw.Advance(8192 * time.Millisecond); err == nil && round+1 == crash {
+			mid(reg.Exposition())
+			if err = gw.Crash(); err == nil {
+				gw, err = Recover(cfg)
+				cur.Store(gw)
+			}
+		}
+	}
+	if err != nil {
 		t.Fatal(err)
 	}
+	defer gw.Close()
 	return reg.Exposition()
 }
 
 // TestRegisterMetricsDeterministic: the full Prometheus exposition of a
-// seeded load-generator run is byte-identical across runs — the registry
-// carries no wall-clock state, so the serving tier's metrics inherit the
-// repository's determinism guarantee.
+// seeded run is byte-identical across runs — the registry carries no
+// wall-clock state, so the serving tier's metrics inherit the repository's
+// determinism guarantee.
 func TestRegisterMetricsDeterministic(t *testing.T) {
-	cfg := LoadgenConfig{Clients: 24, Rounds: 8, Pool: 8, Seed: 42}
-	a := lgMetricsRun(t, cfg)
-	b := lgMetricsRun(t, cfg)
+	a := metricsRun(t, 42, 0, nil)
+	b := metricsRun(t, 42, 0, nil)
 	if a != b {
 		t.Fatalf("same seed, different expositions:\n--- a ---\n%s\n--- b ---\n%s", a, b)
 	}
@@ -77,38 +104,19 @@ func TestRegisterMetricsDeterministic(t *testing.T) {
 // hook follows the swapped gateway, and the mirrored counters never run
 // backwards even though the recovered gateway re-derives its history.
 func TestRegisterMetricsSurvivesCrashRecovery(t *testing.T) {
-	var cur atomic.Pointer[Gateway]
-	reg := telemetry.NewRegistry()
-	RegisterMetrics(reg, cur.Load)
-
 	var midAdmitted float64
 	swaps := 0
-	cfg := LoadgenConfig{
-		Clients: 16, Rounds: 8, Pool: 6, Seed: 7,
-		CrashRound: 4,
-		WALPath:    filepath.Join(t.TempDir(), "gw.wal"),
-		OnGateway: func(g *Gateway) {
-			cur.Store(g)
-			if swaps == 1 {
-				// Recovery swap: gather once against the pre-crash gateway's
-				// final snapshot before the new one takes over.
-				exp := reg.Exposition()
-				s, ok := telemetry.FindSample(mustParse(t, exp), "ttmqo_gateway_admitted_total")
-				if !ok {
-					t.Error("mid-run exposition lacks admitted_total")
-				}
-				midAdmitted = s.Value
-			}
-			swaps++
-		},
+	final := mustParse(t, metricsRun(t, 7, 4, func(exp string) {
+		s, ok := telemetry.FindSample(mustParse(t, exp), "ttmqo_gateway_admitted_total")
+		if !ok {
+			t.Error("mid-run exposition lacks admitted_total")
+		}
+		midAdmitted = s.Value
+		swaps++
+	}))
+	if swaps != 1 {
+		t.Fatalf("crashed and recovered %d times, want 1", swaps)
 	}
-	if _, err := RunLoadgen(cfg); err != nil {
-		t.Fatal(err)
-	}
-	if swaps != 2 {
-		t.Fatalf("OnGateway called %d times, want 2 (initial + recovered)", swaps)
-	}
-	final := mustParse(t, reg.Exposition())
 	if s, ok := telemetry.FindSample(final, "ttmqo_gateway_recoveries_total"); !ok || s.Value != 1 {
 		t.Fatalf("recoveries_total = %+v, want 1", s)
 	}

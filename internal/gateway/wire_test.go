@@ -157,43 +157,6 @@ func TestWireHandshakeCompat(t *testing.T) {
 	}
 }
 
-// TestServerForceJSON: with the -wire json debug mode, a client requesting
-// binary still gets NDJSON for every response.
-func TestServerForceJSON(t *testing.T) {
-	gw := newTestGateway(t, Config{})
-	srv := newWireServer(t, gw, ServerConfig{ForceJSON: true})
-
-	c, err := Dial(srv.Addr().String(), ClientConfig{Binary: true, Timeout: 30 * time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if _, err := c.Hello("debug", ""); err != nil {
-		t.Fatal(err)
-	}
-	// Binary-framed request: the server decodes it but must answer in JSON.
-	if err := c.Send(Request{Op: OpSubscribe, Query: "SELECT light EPOCH DURATION 2048ms"}); err != nil {
-		t.Fatal(err)
-	}
-	raw, err := c.br.Peek(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if raw[0] == FrameMagic {
-		t.Fatal("ForceJSON server emitted a binary frame")
-	}
-	subbed, err := c.RecvType(TypeSubscribed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if subbed.Sub == 0 {
-		t.Fatalf("subscribed response %+v", subbed)
-	}
-	if _, err := c.RecvType(TypeRows); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestServerCrashReattachResumeBinary replays the crash-recovery handshake
 // over the binary codec — the WAL below it is binary too, so this covers
 // exactly-once resume across the full format change.

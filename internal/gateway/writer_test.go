@@ -160,7 +160,7 @@ func handleCounted(t *testing.T, gw Backend, cfg ServerConfig) (*countingConn, *
 		t.Fatal(err)
 	}
 	defer ln.Close()
-	c, err := Dial(ln.Addr().String(), ClientConfig{Binary: !cfg.ForceJSON, Timeout: 30 * time.Second})
+	c, err := Dial(ln.Addr().String(), ClientConfig{Binary: true, Timeout: 30 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,15 +289,15 @@ func writerRoundCostsOneWrite(t *testing.T, subs, burst int) {
 // numbers rise by one, and the closed notice follows the last frame and
 // carries the reason; nothing is promised across subscriptions.
 func TestWireOrdering(t *testing.T) {
-	for _, forceJSON := range []bool{false, true} {
+	for _, binary := range []bool{true, false} {
 		name := "binary"
-		if forceJSON {
+		if !binary {
 			name = "json"
 		}
 		t.Run(name, func(t *testing.T) {
 			gw := newTestGateway(t, Config{})
-			srv := newWireServer(t, gw, ServerConfig{ForceJSON: forceJSON, TickEvery: time.Millisecond})
-			c, err := Dial(srv.Addr().String(), ClientConfig{Binary: !forceJSON, Timeout: 30 * time.Second})
+			srv := newWireServer(t, gw, ServerConfig{TickEvery: time.Millisecond})
+			c, err := Dial(srv.Addr().String(), ClientConfig{Binary: binary, Timeout: 30 * time.Second})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -287,8 +287,7 @@ func (q Query) validateCodes() error {
 // returned as it is, not copied — so a normalized query, the optimizer's
 // member entry for it and the synthetic query built from it may share one
 // backing array, and nothing may write through a Query's lists: code that
-// edits one works on a Clone (gateway's loadgen variants, tier.Piece,
-// Synthesize's windowed merge).
+// edits one works on a Clone (tier.Piece, Synthesize's windowed merge).
 func (q Query) Normalize() Query {
 	out := q
 	out.Attrs = dedupAttrs(q.Attrs)

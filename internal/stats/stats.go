@@ -68,8 +68,8 @@ func (s *Series) String() string {
 
 // Quantiles accumulates observations for exact quantile queries — the
 // latency-percentile companion to Series. It retains every observation
-// (O(n) memory), which suits the load generator's bounded sample sizes;
-// switch to a sketch if a use case ever outgrows it.
+// (O(n) memory), which suits bounded sample sizes; switch to a sketch if a
+// use case ever outgrows it.
 type Quantiles struct {
 	xs     []float64
 	sorted bool

@@ -352,14 +352,11 @@ type (
 	Update = gateway.Update
 	// CloseReason says why a subscription's update stream ended.
 	CloseReason = gateway.CloseReason
-	// GatewayServer serves the newline-delimited JSON protocol over TCP.
+	// GatewayServer serves the gateway's wire protocol over TCP: binary
+	// frames to clients that negotiate them, newline-delimited JSON otherwise.
 	GatewayServer = gateway.Server
 	// GatewayServerConfig parametrizes NewGatewayServer.
 	GatewayServerConfig = gateway.ServerConfig
-	// LoadgenConfig parametrizes RunLoadgen.
-	LoadgenConfig = gateway.LoadgenConfig
-	// LoadReport is a load-generator run's outcome.
-	LoadReport = gateway.LoadReport
 	// GatewayMetrics is the gateway counter block of a RunExport.
 	GatewayMetrics = obs.GatewayMetrics
 	// ShareCoordinator is the tier-2 cross-query sharing layer: fragment
@@ -387,10 +384,6 @@ func NewGatewayServer(gw *Gateway, cfg GatewayServerConfig) (*GatewayServer, err
 // CanonicalQueryKey returns the semantic dedup key of a query: its canonical
 // textual form after normalization, ignoring identity and lifetime.
 func CanonicalQueryKey(q Query) string { return gateway.CanonicalKey(q) }
-
-// RunLoadgen drives a fresh gateway with concurrent synthetic clients and
-// reports admission/dedup counters, throughput and latency percentiles.
-func RunLoadgen(cfg LoadgenConfig) (*LoadReport, error) { return gateway.RunLoadgen(cfg) }
 
 // DefaultSampleInterval is StartSeries's sampling period when none is given.
 const DefaultSampleInterval = network.DefaultSampleInterval
