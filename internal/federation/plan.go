@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/field"
 	"repro/internal/query"
-	"repro/internal/sim"
 	"repro/internal/tier"
 	"repro/internal/topology"
 )
@@ -40,9 +39,6 @@ type plan struct {
 	slices []shardSlice // intersecting shards, ascending shard index
 	shards []int        // slices[i].shard, for the per-epoch release walk
 }
-
-// shardSet returns the planned shard indices; callers must not modify it.
-func (p *plan) shardSet() []int { return p.shards }
 
 // planQuery splits q across K shards of spn sensors each.
 func planQuery(q query.Query, shards, spn int) (*plan, error) {
@@ -97,22 +93,4 @@ func translateRows(dst []query.Row, rows []query.Row, shard, spn int) []query.Ro
 		dst = append(dst, g)
 	}
 	return dst
-}
-
-// epochAcc accumulates one virtual instant's partial results across shards
-// until the watermark releases it. Released accumulators are recycled; rows
-// is handed to the subscribers, so it starts nil every epoch.
-type epochAcc struct {
-	at   sim.Time
-	rows []query.Row // translated acquisition/window rows, shard order
-	tier.Acc
-}
-
-// finish recombines the accumulated partials into the downstream query's
-// aggregate list.
-func (e *epochAcc) finish(p *plan) []query.AggResult {
-	if !p.agg {
-		return nil
-	}
-	return e.Finish(e.at, p.q.Aggs)
 }

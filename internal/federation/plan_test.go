@@ -5,8 +5,10 @@ import (
 	"testing"
 
 	"repro/internal/field"
+	"repro/internal/gateway"
 	"repro/internal/query"
 	"repro/internal/sim"
+	"repro/internal/tier"
 	"repro/internal/topology"
 )
 
@@ -30,7 +32,7 @@ func TestPlanSplitsNodeIDPredicate(t *testing.T) {
 	// Global ids 2..5 intersect both shards: local 2..3 on shard 0,
 	// local 1..2 on shard 1.
 	p := mustPlan(t, "SELECT light WHERE nodeid >= 2 AND nodeid <= 5 EPOCH DURATION 8192ms")
-	if got := p.shardSet(); len(got) != 2 {
+	if got := p.shards; len(got) != 2 {
 		t.Fatalf("planned shards = %v, want both", got)
 	}
 	want := [][2]float64{{2, 3}, {1, 2}}
@@ -49,7 +51,7 @@ func TestPlanDropsShardAndCoveringPredicate(t *testing.T) {
 	// Global ids 4..6 are exactly shard 1; the local predicate covers the
 	// whole shard so it is dropped for canonical dedup.
 	p := mustPlan(t, "SELECT light WHERE nodeid >= 4 EPOCH DURATION 8192ms")
-	if got := p.shardSet(); len(got) != 1 || got[0] != 1 {
+	if got := p.shards; len(got) != 1 || got[0] != 1 {
 		t.Fatalf("planned shards = %v, want [1]", got)
 	}
 	if _, ok := p.slices[0].q.PredFor(field.AttrNodeID); ok {
@@ -101,19 +103,19 @@ func TestEpochAccRecombines(t *testing.T) {
 	mx := query.Agg{Op: query.Max, Attr: light}
 
 	at := sim.Time(8192e6)
-	acc := &epochAcc{at: at}
+	acc := &tier.Epoch{At: at}
 	// Shard 0: sum 30 over 3 readings, min 5, max 15.
-	acc.Add([]query.AggResult{
+	acc.Add(0, &gateway.Update{Aggs: []query.AggResult{
 		{Time: at, Agg: sum, Value: 30}, {Time: at, Agg: cnt, Value: 3},
 		{Time: at, Agg: mn, Value: 5}, {Time: at, Agg: mx, Value: 15},
-	})
+	}})
 	// Shard 1: sum 50 over 2 readings, min 20, max 30.
-	acc.Add([]query.AggResult{
+	acc.Add(1, &gateway.Update{Aggs: []query.AggResult{
 		{Time: at, Agg: sum, Value: 50}, {Time: at, Agg: cnt, Value: 2},
 		{Time: at, Agg: mn, Value: 20}, {Time: at, Agg: mx, Value: 30},
-	})
+	}})
 
-	out := acc.finish(p)
+	out := acc.Finish(at, p.q.Aggs)
 	if len(out) != 4 {
 		t.Fatalf("finish returned %d results, want 4", len(out))
 	}
@@ -139,21 +141,21 @@ func TestEpochAccEmptyPartials(t *testing.T) {
 	sum := query.Agg{Op: query.Sum, Attr: light}
 	cnt := query.Agg{Op: query.Count, Attr: light}
 
-	acc := &epochAcc{}
-	acc.Add([]query.AggResult{
+	acc := &tier.Epoch{}
+	acc.Add(0, &gateway.Update{Aggs: []query.AggResult{
 		{Agg: sum, Empty: true}, {Agg: cnt, Empty: true},
-	})
-	out := acc.finish(p)
+	}})
+	out := acc.Finish(0, p.q.Aggs)
 	if len(out) != 1 || !out[0].Empty {
 		t.Fatalf("all-empty partials must recombine to one empty AVG, got %v", out)
 	}
 
 	// COUNT=0 from every shard also yields an empty AVG (no division).
-	acc2 := &epochAcc{}
-	acc2.Add([]query.AggResult{
+	acc2 := &tier.Epoch{}
+	acc2.Add(0, &gateway.Update{Aggs: []query.AggResult{
 		{Agg: sum, Value: 0}, {Agg: cnt, Value: 0},
-	})
-	out2 := acc2.finish(p)
+	}})
+	out2 := acc2.Finish(0, p.q.Aggs)
 	if len(out2) != 1 || !out2[0].Empty {
 		t.Fatalf("zero-count AVG must be empty, got %v", out2)
 	}

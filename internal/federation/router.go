@@ -3,7 +3,6 @@ package federation
 import (
 	"fmt"
 	"path/filepath"
-	"slices"
 	"sync"
 	"time"
 
@@ -144,14 +143,24 @@ type Stats struct {
 }
 
 // upstream is the router's one canonical subscription to a shard for a
-// query tree.
+// query tree: the stream of one plan slice, held by that tree alone.
 type upstream struct {
-	sh      *shard
-	tr      *tree
-	slice   int // index into tr.plan.slices
-	sub     gateway.ServerSub
-	id      gateway.SubID
-	lastSeq uint64
+	tier.Stream
+	sh    *shard
+	tr    *tree
+	slice int // index into tr.p.slices
+}
+
+// carrier holds the router's streams on its session on a shard.
+type carrier struct{ *gateway.Session }
+
+func (c carrier) UnsubscribeAsync(id gateway.SubID) error {
+	_, err := c.Session.UnsubscribeAsync(id)
+	return err
+}
+
+func (c carrier) Resume(id gateway.SubID, after uint64) (tier.Source, error) {
+	return c.Session.Resume(id, after)
 }
 
 // shard is one region partition: a simulation behind its own gateway,
@@ -211,7 +220,7 @@ type tree struct {
 	ups []*upstream // parallel to p.slices
 	// pending buffers partially merged epochs, ascending by instant, until
 	// the watermark (min over planned shards) passes them.
-	pending  []*epochAcc
+	pending  []*tier.Epoch
 	released sim.Time // newest released epoch instant
 	// trace/spanID are the materializing subscriber's causal context: a
 	// shared tree's fan-out and release spans belong to the trace that
@@ -219,35 +228,6 @@ type tree struct {
 	// their own traces).
 	trace  uint64
 	spanID uint64
-}
-
-// accLocked returns tr's accumulator for instant at, inserting a recycled
-// (or new) one in order. Partials mostly arrive for the newest epochs, so
-// the search runs from the back.
-func (r *Router) accLocked(tr *tree, at sim.Time) *epochAcc {
-	i := len(tr.pending)
-	for i > 0 && tr.pending[i-1].at > at {
-		i--
-	}
-	if i > 0 && tr.pending[i-1].at == at {
-		return tr.pending[i-1]
-	}
-	var a *epochAcc
-	if n := len(r.freeAccs); n > 0 {
-		a, r.freeAccs = r.freeAccs[n-1], r.freeAccs[:n-1]
-	} else {
-		a = new(epochAcc)
-	}
-	a.at = at
-	tr.pending = slices.Insert(tr.pending, i, a)
-	return a
-}
-
-// pendingUp is an upstream subscription staged on a shard this round,
-// resolved after the shard advances.
-type pendingUp struct {
-	up *upstream
-	tk *gateway.Ticket
 }
 
 // Session, Sub and Ticket are the kernel's: a downstream client session, one
@@ -279,13 +259,12 @@ type Router struct {
 	// mirrors holds each downstream session's durable twin on its home
 	// shard's gateway; its WAL entry is what makes the session token
 	// survive a shard crash.
-	mirrors    map[string]*gateway.Session
-	pendingUps []pendingUp
-	now        sim.Time // the router's virtual clock (max of shard clocks)
-	quantum    time.Duration
-	stats      Stats
-	// freeAccs are released epoch accumulators awaiting reuse.
-	freeAccs []*epochAcc
+	mirrors map[string]*gateway.Session
+	staged  []*upstream // upstreams whose subscribes the shards commit this round
+	epochs  tier.EpochPool
+	now     sim.Time      // the router's virtual clock (max of shard clocks)
+	quantum time.Duration // the last positive Advance step: the catch-up replay's
+	stats   Stats
 	// onMerge observes each Advance's merge+release wall-clock latency
 	// (telemetry hook; see SetMergeObserver).
 	onMerge func(time.Duration)
@@ -703,13 +682,7 @@ func (r *Router) Advance(d time.Duration) (int, error) {
 		}
 		if err := sh.stepErr; err != nil {
 			// The shard died under us (e.g. chaos crash): freeze it.
-			sh.alive = false
-			sh.reachable = false
-			sh.frozen = sh.vnow
-			sh.sess = nil
-			for _, up := range sh.ups.Values() {
-				up.sub = nil
-			}
+			r.freezeLocked(sh)
 			if firstErr == nil {
 				firstErr = fmt.Errorf("federation: shard %d advance: %w", sh.idx, err)
 			}
@@ -729,7 +702,20 @@ func (r *Router) Advance(d time.Duration) (int, error) {
 		}
 	}
 
-	r.resolveUpstreamsLocked()
+	// The shards have committed the upstream subscribes staged at commit.
+	for _, up := range r.staged {
+		src, err := up.Resolve()
+		switch {
+		case err != nil && up.tr.Broken == nil:
+			up.tr.Broken = fmt.Errorf("federation: shard %d admission: %w", up.sh.idx, err)
+		case src != nil:
+			up.sh.ups.Set(src.ID(), up)
+			if up.slice == 0 {
+				up.tr.QID = src.QueryID()
+			}
+		}
+	}
+	r.staged = nil
 
 	t0 := time.Now()
 	for _, sh := range r.shards {
@@ -805,96 +791,49 @@ func (r *Router) applySubscribeLocked(a tier.Admission) (*tier.Group, error) {
 		}
 		tk, err := sh.sess.SubscribeAsync(req)
 		if err != nil {
+			for _, staged := range tr.ups {
+				staged.Release() // unsubscribed when it resolves
+			}
 			return nil, fmt.Errorf("federation: shard %d subscribe: %w", sl.shard, err)
 		}
+		up.Stage(carrier{sh.sess}, func() (tier.Source, error) { return tk.Wait() })
 		tr.ups = append(tr.ups, up)
-		r.pendingUps = append(r.pendingUps, pendingUp{up: up, tk: tk})
+		r.staged = append(r.staged, up)
 	}
 	r.trees.Set(key, tr)
 	return &tr.Group, nil
 }
 
+// teardownTreeLocked releases the tree's upstreams. The shard stops carrying
+// each one: at once when it is live, when it resolves if it is still staged,
+// and at the re-attach when the shard is down or cut off.
 func (r *Router) teardownTreeLocked(tr *tree) {
 	for _, up := range tr.ups {
-		if up.sub != nil {
-			up.sh.ups.Delete(up.id)
-			if up.sh.alive && up.sh.reachable && up.sh.sess != nil {
-				_, _ = up.sh.sess.UnsubscribeAsync(up.id)
-			}
-			up.sub = nil
-		}
+		up.Release()
+		up.sh.ups.Delete(up.ID())
 	}
 	r.trees.Delete(tr.Key)
 }
 
-// resolveUpstreamsLocked collects the shard tickets staged at commit
-// (the shard Advance has committed them) and wires the upstream subs.
-func (r *Router) resolveUpstreamsLocked() {
-	pending := r.pendingUps
-	r.pendingUps = nil
-	for _, pu := range pending {
-		up := pu.up
-		sub, err := pu.tk.Wait()
-		if err != nil {
-			if up.tr.Broken == nil {
-				up.tr.Broken = fmt.Errorf("federation: shard %d admission: %w", up.sh.idx, err)
-			}
-			continue
-		}
-		up.sub = sub
-		up.id = sub.ID()
-		up.lastSeq = 0
-		up.sh.ups.Set(up.id, up)
-		if up.slice == 0 {
-			up.tr.QID = sub.QueryID()
-		}
-	}
-}
-
-// drainShardLocked empties every upstream channel of one shard into the
-// pending epoch accumulators.
+// drainShardLocked folds every upstream stream of one shard, in SubID order,
+// into the pending epochs. A stream the shard closed under us (eviction —
+// should not happen at router drain cadence, but a chaos scenario can force
+// it) stalls its tree until teardown.
 func (r *Router) drainShardLocked(sh *shard) {
 	for _, up := range sh.ups.Values() {
-		if up.sub != nil {
-			r.drainUpstreamLocked(up)
-		}
-	}
-}
-
-func (r *Router) drainUpstreamLocked(up *upstream) {
-	ch := up.sub.Updates()
-	for {
-		select {
-		case u, ok := <-ch:
-			if !ok {
-				// The shard closed the stream under us (eviction — should
-				// not happen at router drain cadence, but a chaos scenario
-				// can force it). Orphan the upstream; the tree stalls
-				// until teardown.
-				up.sub = nil
+		up.Drain(func(u gateway.Update) {
+			r.stats.PartialUpdates++
+			tr := up.tr
+			if tr.released > 0 && u.At <= tr.released {
+				r.stats.LateDropped++
 				return
 			}
-			up.lastSeq = u.Seq
-			r.mergePartialLocked(up, u)
-		default:
-			return
-		}
-	}
-}
-
-func (r *Router) mergePartialLocked(up *upstream, u gateway.Update) {
-	r.stats.PartialUpdates++
-	tr := up.tr
-	if tr.released > 0 && u.At <= tr.released {
-		r.stats.LateDropped++
-		return
-	}
-	acc := r.accLocked(tr, u.At)
-	if len(u.Rows) > 0 {
-		acc.rows = translateRows(acc.rows, u.Rows, up.sh.idx, r.spn)
-	}
-	if len(u.Aggs) > 0 {
-		acc.Add(u.Aggs)
+			e := r.epochs.At(&tr.pending, u.At)
+			if len(u.Rows) > 0 {
+				e.Rows = translateRows(e.Rows, u.Rows, sh.idx, r.spn)
+			}
+			e.Add(up.slice, &u)
+		})
 	}
 }
 
@@ -907,7 +846,7 @@ func (r *Router) releaseLocked() {
 			continue
 		}
 		wm := sim.Time(1<<63 - 1)
-		for _, idx := range tr.p.shardSet() {
+		for _, idx := range tr.p.shards {
 			sh := r.shards[idx]
 			if sh.brk.State() != resilience.BreakerClosed {
 				// A tripped (or still-probing) shard must not stall the
@@ -923,20 +862,18 @@ func (r *Router) releaseLocked() {
 		force := max(len(tr.pending)-r.cfg.MaxPending, 0)
 		n := 0
 		for ; n < len(tr.pending); n++ {
-			acc := tr.pending[n]
-			if acc.at >= wm && n >= force {
+			e := tr.pending[n]
+			if e.At >= wm && n >= force {
 				break
 			}
-			if acc.at >= wm {
+			if e.At >= wm {
 				r.stats.ForcedReleases++
 			}
-			r.releaseEpochLocked(tr, acc)
-			tr.released = acc.at
-			acc.rows = nil
-			acc.Reset()
+			r.releaseEpochLocked(tr, e)
+			tr.released = e.At
+			e.Rows = nil // handed to the subscribers
 		}
-		r.freeAccs = append(r.freeAccs, tr.pending[:n]...)
-		tr.pending = append(tr.pending[:0], tr.pending[n:]...)
+		r.epochs.Drop(&tr.pending, n)
 		// A tree can lose its last subscriber via eviction during release.
 		if tr.Empty() {
 			r.teardownTreeLocked(tr)
@@ -944,18 +881,18 @@ func (r *Router) releaseLocked() {
 	}
 }
 
-func (r *Router) releaseEpochLocked(tr *tree, acc *epochAcc) {
+func (r *Router) releaseEpochLocked(tr *tree, e *tier.Epoch) {
 	r.stats.MergedEpochs++
 	// Coverage: a spanned shard has contributed everything it will for
 	// this epoch exactly when its watermark passed the epoch's instant.
 	// Anything released ahead of a shard's watermark (breaker exclusion,
 	// MaxPending force-release) is degraded, with the contributing
 	// fraction on every delivered update.
-	spanned := tr.p.shardSet()
+	spanned := tr.p.shards
 	covered := 0
 	var coveredMask uint64
 	for _, idx := range spanned {
-		if r.shards[idx].watermark() > acc.at {
+		if r.shards[idx].watermark() > e.At {
 			covered++
 			coveredMask |= 1 << uint(idx)
 		}
@@ -975,7 +912,7 @@ func (r *Router) releaseEpochLocked(tr *tree, acc *epochAcc) {
 		if degraded {
 			kind = tracing.KindDegraded
 		}
-		at := time.Duration(acc.at).Milliseconds()
+		at := time.Duration(e.At).Milliseconds()
 		r.cfg.Tracer.Record(tracing.Span{
 			Trace:    tr.trace,
 			Parent:   tr.spanID,
@@ -990,12 +927,14 @@ func (r *Router) releaseEpochLocked(tr *tree, acc *epochAcc) {
 	}
 	u := gateway.Update{
 		QueryID:  tr.QID,
-		At:       acc.at,
-		Rows:     acc.rows,
-		Aggs:     acc.finish(tr.p),
+		At:       e.At,
+		Rows:     e.Rows,
 		Degraded: degraded,
 		Coverage: coverage,
 		Enqueued: time.Now(),
+	}
+	if tr.p.agg {
+		u.Aggs = e.Finish(e.At, tr.p.q.Aggs)
 	}
 	if r.cfg.Tracer != nil {
 		u.Prov = tracing.Prov{Shards: coveredMask}
@@ -1021,15 +960,20 @@ func (r *Router) CrashShard(i int) error {
 	if err := sh.gw.Crash(); err != nil {
 		return err
 	}
-	sh.alive = false
-	sh.reachable = false
-	sh.frozen = sh.vnow
-	sh.sess = nil
-	for _, up := range sh.ups.Values() {
-		up.sub = nil // channels closed with ReasonCrashed
-	}
+	r.freezeLocked(sh)
 	r.stats.ShardCrashes++
 	return nil
+}
+
+// freezeLocked marks a shard dead — crashed, failed under a step, or going
+// down with the router: its watermark freezes at its clock, and the router
+// lets go of its session and upstream channels until RecoverShard
+// re-attaches them.
+func (r *Router) freezeLocked(sh *shard) {
+	sh.alive, sh.reachable, sh.frozen, sh.sess = false, false, sh.vnow, nil
+	for _, up := range sh.ups.Values() {
+		up.Detach()
+	}
 }
 
 // RecoverShard rebuilds a crashed shard from its WAL, re-attaches the
@@ -1087,7 +1031,7 @@ func (r *Router) PartitionShard(i int) error {
 	sh.reachable = false
 	sh.frozen = sh.vnow
 	for _, up := range sh.ups.Values() {
-		up.sub = nil // channels closed with ReasonDetached
+		up.Detach() // channels closed with ReasonDetached
 	}
 	r.stats.Partitions++
 	return nil
@@ -1164,39 +1108,24 @@ func (r *Router) shardLocked(i int) (*shard, error) {
 }
 
 // reattachLocked re-claims the router's upstream session on a shard and
-// resumes every tracked upstream stream from its last delivered
-// sequence number.
+// re-binds its upstream streams (tier.Reattach). A stream the shard no
+// longer carries (e.g. its query was cancelled before the crash landed in
+// the WAL) is orphaned: its tree stalls until teardown.
 func (r *Router) reattachLocked(sh *shard) error {
 	sess, infos, err := sh.gw.Attach(sh.name, sh.token)
 	if err != nil {
 		return fmt.Errorf("federation: shard %d attach: %w", sh.idx, err)
 	}
 	sh.sess = sess
-	known := make(map[gateway.SubID]bool, len(infos))
-	for _, in := range infos {
-		known[in.ID] = true
+	ids, ups := sh.ups.Keys(), sh.ups.Values()
+	held := make([]*tier.Stream, len(ups))
+	for i, up := range ups {
+		held[i] = &up.Stream
 	}
-	for _, id := range sh.ups.Keys() {
-		up := sh.ups.Get(id)
-		if !known[id] {
-			// The shard no longer carries the stream (e.g. its query was
-			// cancelled before the crash landed in the WAL). Orphan it.
-			sh.ups.Delete(id)
-			continue
-		}
-		sub, err := sess.Resume(id, up.lastSeq)
-		if err != nil {
-			sh.ups.Delete(id)
-			continue
-		}
-		up.sub = sub
-		r.stats.UpstreamResumes++
-	}
-	// Drop any shard-side streams the router no longer wants (their trees
-	// were torn down while the shard was unreachable).
-	for _, in := range infos {
-		if sh.ups.Get(in.ID) == nil {
-			_, _ = sess.UnsubscribeAsync(in.ID)
+	r.stats.UpstreamResumes += int64(tier.Reattach(carrier{sess}, infos, held))
+	for i, up := range ups {
+		if up.ID() == 0 {
+			sh.ups.Delete(ids[i])
 		}
 	}
 	if r.cfg.Tracer != nil {
@@ -1213,19 +1142,10 @@ func (r *Router) reattachLocked(sh *shard) error {
 // catchUpLocked replays a recovered shard forward to the router's clock,
 // draining between quantum steps so upstream channels never overflow.
 func (r *Router) catchUpLocked(sh *shard) {
-	step := r.quantum
-	if step <= 0 {
-		step = defaultCatchUpStep
-	}
 	for sh.vnow < r.now {
-		d := step
-		if rem := time.Duration(r.now - sh.vnow); rem < d {
-			d = rem
-		}
+		d := min(r.quantum, time.Duration(r.now-sh.vnow))
 		if _, err := sh.gw.Step(d); err != nil {
-			sh.alive = false
-			sh.reachable = false
-			sh.frozen = sh.vnow
+			r.freezeLocked(sh)
 			return
 		}
 		sh.vnow += sim.Time(d)
@@ -1251,11 +1171,9 @@ func (r *Router) Close() error {
 		if sh.alive {
 			gws = append(gws, sh.gw)
 		}
-		sh.alive = false
-		sh.reachable = false
+		r.freezeLocked(sh)
 	}
 	r.k.CloseLocked()
-	r.pendingUps = nil
 	r.mu.Unlock()
 
 	var firstErr error

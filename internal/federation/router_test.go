@@ -592,3 +592,40 @@ func TestRouterInPlaceSpawnsNothing(t *testing.T) {
 		t.Fatal("no update delivered")
 	}
 }
+
+// TestRouterFailedFanoutReleasesStagedSlices: a tree whose subscribe is
+// refused by one shard after another shard already staged its slice fails
+// as a whole, and the staged slice is unsubscribed when it resolves. It used
+// to resolve into a live upstream for a tree that never existed.
+func TestRouterFailedFanoutReleasesStagedSlices(t *testing.T) {
+	r := newTestRouter(t, Config{MaxStaged: 1})
+	sess, err := r.Register("alice")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Shard 1's mailbox fills with the first query's slice, so the second,
+	// which spans both shards, is shed there after staging on shard 0.
+	first := stageSub(t, sess, "SELECT MAX(light) WHERE nodeid >= 4 AND nodeid <= 6 EPOCH DURATION 8192ms")
+	spanning := stageSub(t, sess, "SELECT SUM(light) WHERE nodeid >= 2 AND nodeid <= 5 EPOCH DURATION 8192ms")
+	for i := 0; i < 3; i++ {
+		if _, err := r.Advance(testQuantum); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := first.Wait(); err != nil {
+		t.Fatalf("the first query: %v", err)
+	}
+	if _, err := spanning.Wait(); err == nil {
+		t.Fatal("a query one of its shards refused was acked")
+	}
+	st, err := r.ShardStats(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := r.UpstreamSubsOn(0); n != 0 || st.ActiveSubscriptions != 0 {
+		t.Errorf("shard 0 carries %d subscriptions, the router holds %d upstreams there; want 0 and 0", st.ActiveSubscriptions, n)
+	}
+	if n := r.UpstreamSubsOn(1); n != 1 {
+		t.Errorf("the router holds %d upstreams on shard 1, want the first query's 1", n)
+	}
+}

@@ -184,17 +184,12 @@ type fragRef struct {
 	idx int
 }
 
-// fragment is one refcounted upstream stream in the registry.
+// fragment is one upstream stream in the registry, held by every tree it
+// composes (the stream's holder count is its refcount).
 type fragment struct {
+	tier.Stream
 	key     string
-	q       query.Query
-	sess    UpstreamSession
 	sessIdx int
-	tk      UpstreamTicket // pending until the next Advance resolves it
-	sub     UpstreamSub
-	id      gateway.SubID
-	lastSeq uint64
-	refs    int
 	trees   []fragRef
 	ring    []cachedEpoch // last Window epochs, oldest first
 }
@@ -208,34 +203,12 @@ type shareTree struct {
 	fresh bool        // some fragment was created for this tree (no warm cache)
 	// pending buffers epochs, ascending by instant, until every fragment
 	// has contributed.
-	pending  []*shareAcc
+	pending  []*tier.Epoch
 	released sim.Time // newest instant delivered (or seeded by replay)
 	ring     []cachedEpoch
 	// reused counts the fragments satisfied by cross-query sharing when
 	// the tree was established (provenance: Prov.Reused on deliveries).
 	reused int
-}
-
-// accLocked returns tr's accumulator for instant at, inserting a recycled
-// (or new) one in order. Fragments mostly report the newest epochs, so the
-// search runs from the back.
-func (c *Coordinator) accLocked(tr *shareTree, at sim.Time) *shareAcc {
-	i := len(tr.pending)
-	for i > 0 && tr.pending[i-1].at > at {
-		i--
-	}
-	if i > 0 && tr.pending[i-1].at == at {
-		return tr.pending[i-1]
-	}
-	var a *shareAcc
-	if n := len(c.freeAccs); n > 0 {
-		a, c.freeAccs = c.freeAccs[n-1], c.freeAccs[:n-1]
-	} else {
-		a = new(shareAcc)
-	}
-	a.reset(at)
-	tr.pending = slices.Insert(tr.pending, i, a)
-	return a
 }
 
 // Session, Sub and Ticket are the kernel's: a registered downstream client,
@@ -262,12 +235,11 @@ type Coordinator struct {
 	upLoad  []int // live fragments per upstream session
 	nextTok uint64
 
-	frags   *tier.Sorted[string, *fragment]
-	trees   *tier.Sorted[string, *shareTree]
-	resolve []*fragment // fragments with pending tickets
-	// freeAccs are released or dropped epoch accumulators awaiting reuse.
-	freeAccs []*shareAcc
-	stats    Stats
+	frags  *tier.Sorted[string, *fragment]
+	trees  *tier.Sorted[string, *shareTree]
+	staged []*fragment // fragments whose subscribes the upstream commits this round
+	epochs tier.EpochPool
+	stats  Stats
 }
 
 // New builds a coordinator over cfg.Upstream. The upstream must be fresh:
@@ -392,9 +364,26 @@ func (c *Coordinator) Advance(d time.Duration) (int, error) {
 
 	_, upErr := c.up.Advance(d)
 
-	c.resolveFragsLocked()
+	// The upstream has committed the fragment subscribes staged at commit.
+	for _, fr := range c.staged {
+		src, err := fr.Resolve()
+		for _, ref := range fr.trees {
+			switch {
+			case err != nil && ref.tr.Broken == nil:
+				ref.tr.Broken = fmt.Errorf("share: fragment admission %q: %w", fr.key, err)
+			case src != nil && ref.idx == 0:
+				ref.tr.QID = src.QueryID()
+			}
+		}
+	}
+	c.staged = nil
 	c.replayLocked(acks)
-	c.drainLocked()
+	// Fragments fold in key order, the order their floats add in. A stream
+	// the upstream closed under us (crash, eviction) stalls its trees until
+	// reattach or teardown.
+	for _, fr := range c.frags.Values() {
+		fr.Drain(func(u gateway.Update) { c.mergeLocked(fr, u) })
+	}
 	c.releaseLocked()
 	c.k.AckLocked(acks)
 	return applied, upErr
@@ -440,10 +429,10 @@ func (c *Coordinator) applySubscribeLocked(a tier.Admission) (*tier.Group, error
 			c.stats.FragmentsCreated++
 		} else {
 			c.traceFragLocked(a.Trace, a.Span, tracing.KindCSEHit, fq.key)
+			fr.Hold()
 			tr.reused++
 			c.stats.FragmentsReused++
 		}
-		fr.refs++
 		fr.trees = append(fr.trees, fragRef{tr: tr, idx: i})
 		tr.frags = append(tr.frags, fr)
 	}
@@ -511,40 +500,28 @@ func (c *Coordinator) materializeLocked(fq fragQuery, fctx tracing.Context) (*fr
 	if err != nil {
 		return nil, fmt.Errorf("share: fragment subscribe: %w", err)
 	}
-	fr := &fragment{key: fq.key, q: fq.q, sess: c.upSess[idx], sessIdx: idx, tk: tk}
+	fr := &fragment{key: fq.key, sessIdx: idx}
+	fr.Stage(carrier{c.upSess[idx]}, func() (tier.Source, error) { return tk.Wait() })
 	c.frags.Set(fq.key, fr)
 	c.upLoad[idx]++
-	c.resolve = append(c.resolve, fr)
+	c.staged = append(c.staged, fr)
 	return fr, nil
 }
 
 // decrefLocked drops one tree's reference on a fragment, cancelling the
-// upstream stream at refcount zero. This runs on every path a subscriber
-// leaves by — unsubscribe, session close, slow-consumer eviction — so an
-// evicted session's fragments are released exactly like a cancelled one's.
+// upstream stream at refcount zero — at once, when it resolves, or at the
+// re-attach of an upstream that is down (tier.Stream) — and counting the
+// cancellation once, here. This runs on every path a subscriber leaves by —
+// unsubscribe, session close, slow-consumer eviction — so an evicted
+// session's fragments are released exactly like a cancelled one's.
 func (c *Coordinator) decrefLocked(fr *fragment, tr *shareTree) {
-	for i, ref := range fr.trees {
-		if ref.tr == tr {
-			fr.trees = append(fr.trees[:i], fr.trees[i+1:]...)
-			break
-		}
-	}
-	fr.refs--
-	if fr.refs > 0 {
+	fr.trees = slices.DeleteFunc(fr.trees, func(ref fragRef) bool { return ref.tr == tr })
+	if !fr.Release() {
 		return
 	}
 	c.frags.Delete(fr.key)
 	c.upLoad[fr.sessIdx]--
-	if fr.sub != nil {
-		if err := fr.sess.UnsubscribeAsync(fr.id); err == nil {
-			c.stats.FragmentsCancelled++
-		}
-	} else {
-		// Never resolved: still count the teardown; the ticket's stream is
-		// dropped when it resolves.
-		c.stats.FragmentsCancelled++
-	}
-	fr.sub = nil
+	c.stats.FragmentsCancelled++
 }
 
 func (c *Coordinator) teardownTreeLocked(tr *shareTree) {
@@ -553,38 +530,6 @@ func (c *Coordinator) teardownTreeLocked(tr *shareTree) {
 	}
 	tr.frags = nil
 	c.trees.Delete(tr.Key)
-}
-
-// resolveFragsLocked collects the fragment tickets staged at commit (the
-// upstream Advance has committed them) and wires the streams.
-func (c *Coordinator) resolveFragsLocked() {
-	pending := c.resolve
-	c.resolve = nil
-	for _, fr := range pending {
-		sub, err := fr.tk.Wait()
-		fr.tk = nil
-		if err != nil {
-			for _, ref := range fr.trees {
-				if ref.tr.Broken == nil {
-					ref.tr.Broken = fmt.Errorf("share: fragment admission %q: %w", fr.key, err)
-				}
-			}
-			continue
-		}
-		if fr.refs == 0 {
-			// Every referencing tree left before resolution: cancel.
-			_ = fr.sess.UnsubscribeAsync(sub.ID())
-			continue
-		}
-		fr.sub = sub
-		fr.id = sub.ID()
-		fr.lastSeq = 0
-		for _, ref := range fr.trees {
-			if ref.idx == 0 {
-				ref.tr.QID = sub.QueryID()
-			}
-		}
-	}
 }
 
 // replayLocked serves the windowed cache to fresh subscribers before any
@@ -657,51 +602,24 @@ func (c *Coordinator) synthesizeLocked(tr *shareTree) {
 		ats = ats[len(ats)-c.cfg.Window:]
 	}
 	for _, at := range ats {
-		acc := &shareAcc{at: at, coverage: 1}
+		acc := tier.Epoch{At: at}
 		for i, fr := range tr.frags {
 			for _, e := range fr.ring {
 				if e.at == at {
-					acc.add(i, gateway.Update{At: at, Rows: e.rows, Aggs: e.aggs,
-						Degraded: e.degraded, Coverage: e.coverage,
+					acc.Rows = append(acc.Rows, e.rows...)
+					acc.Add(i, &gateway.Update{Aggs: e.aggs, Degraded: e.degraded, Coverage: e.coverage,
 						Prov: tracing.Prov{Shards: e.shards}})
 					break
 				}
 			}
 		}
-		rows, aggs := acc.finish(tr.p)
-		tr.ring = append(tr.ring, cachedEpoch{at: at, rows: rows, aggs: aggs,
-			degraded: acc.degraded, coverage: acc.cov(), shards: acc.shards})
+		tr.ring = append(tr.ring, tr.p.finish(&acc))
 		tr.released = at
 	}
 }
 
-// drainLocked empties every live fragment stream into the referencing
-// trees' epoch accumulators and the fragment's cache ring.
-func (c *Coordinator) drainLocked() {
-	for _, fr := range c.frags.Values() {
-		if fr.sub == nil {
-			continue
-		}
-		ch := fr.sub.Updates()
-		for {
-			select {
-			case u, ok := <-ch:
-				if !ok {
-					// The upstream closed the stream under us (crash or
-					// eviction); the tree stalls until reattach/teardown.
-					fr.sub = nil
-					goto next
-				}
-				fr.lastSeq = u.Seq
-				c.mergeLocked(fr, u)
-			default:
-				goto next
-			}
-		}
-	next:
-	}
-}
-
+// mergeLocked folds one fragment update into the fragment's cache ring and
+// the referencing trees' pending epochs.
 func (c *Coordinator) mergeLocked(fr *fragment, u gateway.Update) {
 	if c.cfg.Window > 0 {
 		fr.ring = append(fr.ring, cachedEpoch{at: u.At, rows: u.Rows, aggs: u.Aggs,
@@ -715,7 +633,9 @@ func (c *Coordinator) mergeLocked(fr *fragment, u gateway.Update) {
 			c.stats.LateDropped++
 			continue
 		}
-		c.accLocked(ref.tr, u.At).add(ref.idx, u)
+		e := c.epochs.At(&ref.tr.pending, u.At)
+		e.Rows = append(e.Rows, u.Rows...)
+		e.Add(ref.idx, &u)
 	}
 }
 
@@ -729,31 +649,24 @@ func (c *Coordinator) releaseLocked() {
 			continue
 		}
 		nf := len(tr.frags)
-		for _, acc := range tr.pending {
-			if acc.complete(nf) {
-				c.releaseEpochLocked(tr, acc)
-				tr.released = acc.at
+		for _, e := range tr.pending {
+			if e.Complete(nf) {
+				c.releaseEpochLocked(tr, e)
+				tr.released = e.At
 			}
 		}
-		// Sweep the released epochs and the unreleasable ones: older than
-		// the watermark, or beyond the pending bound (a stalled fragment
-		// must not leak memory).
-		keep := tr.pending[:0]
-		for _, acc := range tr.pending {
-			switch {
-			case acc.complete(nf): // released above
-			case acc.at <= tr.released:
+		// Sweep the released epochs and the unreleasable ones — the
+		// incomplete ones up to the newest released, then the oldest beyond
+		// the pending bound (a stalled fragment must not leak memory).
+		n := 0
+		for ; n < len(tr.pending) && tr.pending[n].At <= tr.released; n++ {
+			if !tr.pending[n].Complete(nf) {
 				c.stats.PartialDropped++
-			default:
-				keep = append(keep, acc)
-				continue
 			}
-			c.freeAccs = append(c.freeAccs, acc)
 		}
-		over := max(len(keep)-c.cfg.MaxPending, 0)
+		over := max(len(tr.pending)-n-c.cfg.MaxPending, 0)
 		c.stats.PartialDropped += int64(over)
-		c.freeAccs = append(c.freeAccs, keep[:over]...)
-		tr.pending = append(keep[:0], keep[over:]...)
+		c.epochs.Drop(&tr.pending, n+over)
 		// A tree can lose its last subscriber via eviction during release.
 		if tr.Empty() {
 			c.teardownTreeLocked(tr)
@@ -761,14 +674,12 @@ func (c *Coordinator) releaseLocked() {
 	}
 }
 
-func (c *Coordinator) releaseEpochLocked(tr *shareTree, acc *shareAcc) {
+func (c *Coordinator) releaseEpochLocked(tr *shareTree, acc *tier.Epoch) {
 	c.stats.MergedEpochs++
-	if acc.degraded {
+	if acc.Degraded {
 		c.stats.DegradedEpochs++
 	}
-	rows, aggs := acc.finish(tr.p)
-	e := cachedEpoch{at: acc.at, rows: rows, aggs: aggs,
-		degraded: acc.degraded, coverage: acc.cov(), shards: acc.shards}
+	e := tr.p.finish(acc)
 	if c.cfg.Window > 0 {
 		tr.ring = append(tr.ring, e)
 		if len(tr.ring) > c.cfg.Window {
@@ -814,7 +725,8 @@ func (c *Coordinator) updateLocked(tr *shareTree, e cachedEpoch, replay bool) ga
 // stream resumes from its last drained sequence number — so downstream
 // subscribers see a pause, never a duplicate or a gap, and the windowed
 // cache (which lives here, not upstream) keeps serving replays across
-// the outage.
+// the outage. A stream the upstream still carries for a fragment torn down
+// during the outage is unsubscribed (tier.Reattach).
 func (c *Coordinator) Reattach(up Upstream) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -822,27 +734,25 @@ func (c *Coordinator) Reattach(up Upstream) error {
 		return gateway.ErrClosed
 	}
 	fresh := make([]UpstreamSession, len(c.upSess))
+	carried := make([][]gateway.ResumeInfo, len(c.upSess))
 	for i, old := range c.upSess {
-		sess, _, err := up.Attach(old.Name(), old.Token())
+		sess, infos, err := up.Attach(old.Name(), old.Token())
 		if err != nil {
 			return fmt.Errorf("share: reattach session %q: %w", old.Name(), err)
 		}
-		fresh[i] = sess
+		fresh[i], carried[i] = sess, infos
 	}
 	c.up = up
 	c.upSess = fresh
 	c.stats.Reattaches++
-	for _, fr := range c.frags.Values() {
-		fr.sess = fresh[fr.sessIdx]
-		if fr.id == 0 {
-			continue // never resolved before the crash
+	for i, sess := range fresh {
+		var held []*tier.Stream
+		for _, fr := range c.frags.Values() {
+			if fr.sessIdx == i {
+				held = append(held, &fr.Stream)
+			}
 		}
-		sub, err := fr.sess.Resume(fr.id, fr.lastSeq)
-		if err != nil {
-			return fmt.Errorf("share: resume fragment %q: %w", fr.key, err)
-		}
-		fr.sub = sub
-		c.stats.UpstreamResumes++
+		c.stats.UpstreamResumes += int64(tier.Reattach(carrier{sess}, carried[i], held))
 	}
 	return nil
 }

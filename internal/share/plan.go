@@ -17,9 +17,7 @@ import (
 	"cmp"
 	"slices"
 
-	"repro/internal/gateway"
 	"repro/internal/query"
-	"repro/internal/sim"
 	"repro/internal/tier"
 )
 
@@ -93,78 +91,18 @@ func planShare(q query.Query, sensors, cell int) (*sharePlan, error) {
 	return p, nil
 }
 
-// shareAcc accumulates one virtual instant's fragment results until every
-// planned fragment has contributed. Accumulators are recycled (reset), so
-// nothing in one outlives its epoch: finish hands out fresh slices.
-type shareAcc struct {
-	at   sim.Time
-	got  []uint64 // bit idx set: fragment idx seen this epoch
-	n    int      // bits set in got
-	rows []query.Row
-	tier.Acc
-	// degraded/coverage propagate partial shard coverage from upstream
-	// (federation breaker exclusions): the composed epoch is degraded if
-	// any fragment's was, at the worst fragment's coverage fraction.
-	degraded bool
-	coverage float64
-	// shards is the provenance shard mask OR'd over contributing
-	// fragments (zero when the upstream tier is untraced).
-	shards uint64
-}
-
-// reset readies the accumulator for instant at, keeping its storage.
-func (a *shareAcc) reset(at sim.Time) {
-	clear(a.got)
-	a.rows = a.rows[:0]
-	a.Reset()
-	a.at, a.n, a.degraded, a.coverage, a.shards = at, 0, false, 1, 0
-}
-
-// complete reports whether all n planned fragments contributed.
-func (a *shareAcc) complete(n int) bool { return a.n >= n }
-
-// cov is the composed coverage fraction (1 unless degraded).
-func (a *shareAcc) cov() float64 {
-	if !a.degraded {
-		return 1
+// finish recombines a complete epoch's fragments into the downstream
+// query's shape: rows sorted by node id, aggregates in the query's canonical
+// agg order with AVG rebuilt from its SUM/COUNT basis. The epoch is recycled
+// afterwards, so nothing of it is handed out.
+func (p *sharePlan) finish(e *tier.Epoch) cachedEpoch {
+	out := cachedEpoch{at: e.At, degraded: e.Degraded, coverage: e.Coverage(), shards: e.Shards}
+	if len(e.Rows) > 0 {
+		out.rows = append([]query.Row(nil), e.Rows...)
+		slices.SortStableFunc(out.rows, func(a, b query.Row) int { return cmp.Compare(a.Node, b.Node) })
 	}
-	return a.coverage
-}
-
-// add folds one fragment's epoch into the accumulator.
-func (a *shareAcc) add(idx int, u gateway.Update) {
-	w, bit := idx/64, uint64(1)<<(idx%64)
-	for len(a.got) <= w {
-		a.got = append(a.got, 0)
+	if p.agg {
+		out.aggs = e.Finish(e.At, p.q.Aggs)
 	}
-	if a.got[w]&bit == 0 {
-		a.got[w] |= bit
-		a.n++
-	}
-	a.shards |= u.Prov.Shards
-	if u.Degraded {
-		a.degraded = true
-		if u.Coverage < a.coverage {
-			a.coverage = u.Coverage
-		}
-	}
-	a.rows = append(a.rows, u.Rows...)
-	if len(u.Aggs) > 0 {
-		a.Add(u.Aggs)
-	}
-}
-
-// finish recombines the accumulated fragments into the downstream query's
-// shape: rows sorted by node id, aggregates in the query's canonical agg
-// order with AVG rebuilt from its SUM/COUNT basis.
-func (a *shareAcc) finish(p *sharePlan) ([]query.Row, []query.AggResult) {
-	var rows []query.Row
-	if len(a.rows) > 0 {
-		rows = append([]query.Row(nil), a.rows...)
-		slices.SortStableFunc(rows, func(a, b query.Row) int { return cmp.Compare(a.Node, b.Node) })
-	}
-	if !p.agg {
-		return rows, nil
-	}
-	return rows, a.Finish(a.at, p.q.Aggs)
+	return out
 }

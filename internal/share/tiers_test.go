@@ -2,13 +2,16 @@ package share
 
 import (
 	"fmt"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/federation"
 	"repro/internal/gateway"
+	"repro/internal/network"
 	"repro/internal/query"
+	"repro/internal/topology"
 )
 
 // The tests here drive every stack shape through the one surface they
@@ -115,6 +118,148 @@ func TestEmptyRegionRejectedByEveryComposedTier(t *testing.T) {
 		}
 		if st.ActiveSubscriptions != 0 || st.Subscribes != 0 {
 			t.Errorf("%s: rejected subscribes left %d live of %d counted", name, st.ActiveSubscriptions, st.Subscribes)
+		}
+	}
+}
+
+// composedTier is one composing tier over the gateways it subscribes on, with
+// the fault the upstream can suffer: a crash and a WAL recovery.
+type composedTier struct {
+	b       gateway.Backend
+	held    func() int              // upstream streams the tier holds
+	ups     func() []*gateway.Stats // the upstream gateways' counters, now
+	crash   func() error
+	recover func() error
+}
+
+// composedTiers builds a router over two WAL-backed shards and a coordinator
+// over one WAL-backed gateway.
+func composedTiers(t *testing.T) map[string]composedTier {
+	t.Helper()
+	rt, err := federation.New(federation.Config{Shards: 2, Side: 3, Seed: 1, WALDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = rt.Close() })
+	topo, err := topology.PaperGrid(testSide)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gcfg := gateway.Config{
+		Sim:     network.Config{Topo: topo, Scheme: network.TTMQO, Seed: 1},
+		WALPath: filepath.Join(t.TempDir(), "share.wal"),
+	}
+	gw := newTestGateway(t, gcfg)
+	c, err := New(Config{Upstream: OverGateway(gw), Sensors: testSensors, Cell: testCell})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = c.Close() })
+	stats := func(gws ...func() (gateway.Stats, error)) []*gateway.Stats {
+		var out []*gateway.Stats
+		for _, get := range gws {
+			st, err := get()
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, &st)
+		}
+		return out
+	}
+	return map[string]composedTier{
+		"router": {
+			b:    rt,
+			held: func() int { return rt.FedStats().UpstreamSubs },
+			ups: func() []*gateway.Stats {
+				return stats(func() (gateway.Stats, error) { return rt.ShardStats(0) },
+					func() (gateway.Stats, error) { return rt.ShardStats(1) })
+			},
+			crash:   func() error { return rt.CrashShard(0) },
+			recover: func() error { return rt.RecoverShard(0) },
+		},
+		"share": {
+			b:     c,
+			held:  func() int { return c.ShareStats().FragmentsActive },
+			ups:   func() []*gateway.Stats { return stats(gw.Stats) },
+			crash: func() error { return gw.Crash() },
+			recover: func() error {
+				if gw, err = gateway.Recover(gcfg); err != nil {
+					return err
+				}
+				t.Cleanup(func() { _ = gw.Close() })
+				return c.Reattach(OverGateway(gw))
+			},
+		},
+	}
+}
+
+// TestComposedTiersReleaseUnheldUpstreams: a composing tier holds an upstream
+// stream exactly as long as some tree needs it. Two schedules end with no tree
+// left, and after a few rounds every upstream gateway must be serving nothing:
+// a subscribe and the session's close in one commit (the router used to keep
+// the streams its tickets resolved to after the tree was gone), and a tree
+// torn down while the upstream is crashed, then recovery and re-attach (the
+// coordinator used to resume nothing but leave the recovered gateway serving
+// every fragment it had logged). A fragment's cancellation is counted once, at
+// teardown.
+func TestComposedTiersReleaseUnheldUpstreams(t *testing.T) {
+	const text = "SELECT SUM(light) WHERE nodeid >= 3 AND nodeid <= 13 EPOCH DURATION 2048ms"
+	for _, schedule := range []string{"close in the subscribing commit", "teardown while crashed"} {
+		for name, ct := range composedTiers(t) {
+			advance := func(n int) {
+				for ; n > 0; n-- {
+					_, _ = ct.b.Advance(testQuantum) // the upstream may be down
+				}
+			}
+			sess, err := ct.b.RegisterSession("alice")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if schedule == "teardown while crashed" {
+				if _, err := subscribeVia(t, ct.b, sess, text); err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				advance(3)
+				if ct.held() == 0 {
+					t.Fatalf("%s: no upstream stream held for a live tree", name)
+				}
+				if err := ct.crash(); err != nil {
+					t.Fatal(err)
+				}
+				advance(1)
+				if err := sess.CloseAsync(); err != nil {
+					t.Fatal(err)
+				}
+				advance(1)
+				if err := ct.recover(); err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+			} else {
+				tk, err := sess.(*Session).SubscribeAsync(gateway.SubscribeRequest{Query: query.MustParse(text)})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := sess.CloseAsync(); err != nil {
+					t.Fatal(err)
+				}
+				advance(1)
+				_, _ = tk.Wait()
+			}
+			advance(4)
+			if n := ct.held(); n != 0 {
+				t.Errorf("%s, %s: the tier holds %d upstream streams for no tree", schedule, name, n)
+			}
+			for i, st := range ct.ups() {
+				if st.ActiveSubscriptions != 0 || st.SharedQueries != 0 {
+					t.Errorf("%s, %s: upstream gateway %d serves %d subscriptions on %d queries for no tree",
+						schedule, name, i, st.ActiveSubscriptions, st.SharedQueries)
+				}
+			}
+			if c, ok := ct.b.(*Coordinator); ok {
+				if st := c.ShareStats(); st.FragmentsCancelled != st.FragmentsCreated {
+					t.Errorf("%s: %d fragments created, %d cancelled", schedule, st.FragmentsCreated, st.FragmentsCancelled)
+				}
+			}
 		}
 	}
 }

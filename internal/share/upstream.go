@@ -142,3 +142,11 @@ func (t upTicket) Wait() (UpstreamSub, error) {
 	}
 	return sub, nil
 }
+
+// carrier holds the coordinator's fragment streams on one of its upstream
+// sessions.
+type carrier struct{ UpstreamSession }
+
+func (c carrier) Resume(id gateway.SubID, after uint64) (tier.Source, error) {
+	return c.UpstreamSession.Resume(id, after)
+}

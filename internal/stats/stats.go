@@ -81,12 +81,6 @@ func (q *Quantiles) Add(v float64) {
 	q.sorted = false
 }
 
-// Merge folds another collection's observations in.
-func (q *Quantiles) Merge(o *Quantiles) {
-	q.xs = append(q.xs, o.xs...)
-	q.sorted = false
-}
-
 // N returns the observation count.
 func (q *Quantiles) N() int { return len(q.xs) }
 

@@ -139,31 +139,8 @@ func TestQuantilesDuplicates(t *testing.T) {
 	}
 }
 
-// TestQuantilesMergeEmpty: merging an empty collection is a no-op in either
-// direction, and the merged-into empty collection adopts the donor's data.
-func TestQuantilesMergeEmpty(t *testing.T) {
-	var full, empty Quantiles
-	for i := 1; i <= 4; i++ {
-		full.Add(float64(i))
-	}
-	p50 := full.P50()
-	full.Merge(&empty)
-	if full.N() != 4 || full.P50() != p50 {
-		t.Fatalf("merge of empty changed the collection: n=%d p50=%v", full.N(), full.P50())
-	}
-	empty.Merge(&full)
-	if empty.N() != 4 || empty.P50() != p50 {
-		t.Fatalf("empty.Merge(full): n=%d p50=%v, want 4/%v", empty.N(), empty.P50(), p50)
-	}
-	var a, b Quantiles
-	a.Merge(&b)
-	if a.N() != 0 || a.P50() != 0 {
-		t.Fatalf("empty.Merge(empty) not zero-valued: n=%d", a.N())
-	}
-}
-
-// TestQuantilesAddAfterQuery: Add and Merge must invalidate the sorted
-// order established by a previous quantile query.
+// TestQuantilesAddAfterQuery: Add must invalidate the sorted order
+// established by a previous quantile query.
 func TestQuantilesAddAfterQuery(t *testing.T) {
 	var q Quantiles
 	q.Add(10)
@@ -174,32 +151,5 @@ func TestQuantilesAddAfterQuery(t *testing.T) {
 	q.Add(5) // smaller than everything seen; must re-sort on next query
 	if got := q.Quantile(0); got != 5 {
 		t.Fatalf("min after late Add = %v, want 5", got)
-	}
-	var donor Quantiles
-	donor.Add(1)
-	q.Merge(&donor)
-	if got := q.Quantile(0); got != 1 {
-		t.Fatalf("min after Merge = %v, want 1", got)
-	}
-}
-
-func TestQuantilesMerge(t *testing.T) {
-	var a, b, all Quantiles
-	for i := 1; i <= 50; i++ {
-		a.Add(float64(i))
-		all.Add(float64(i))
-	}
-	for i := 51; i <= 100; i++ {
-		b.Add(float64(i))
-		all.Add(float64(i))
-	}
-	a.Merge(&b)
-	if a.N() != all.N() {
-		t.Fatalf("merged N = %d, want %d", a.N(), all.N())
-	}
-	for _, p := range []float64{0.1, 0.5, 0.9, 0.99} {
-		if a.Quantile(p) != all.Quantile(p) {
-			t.Errorf("merged Quantile(%v) = %v, want %v", p, a.Quantile(p), all.Quantile(p))
-		}
 	}
 }
