@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet fmt-check bench bench-once bench-parallel bench-smoke chaos-soak admin-smoke trace-smoke fuzz loc clean
+.PHONY: build test race vet fmt-check bench bench-once bench-parallel bench-smoke bench-layouts chaos-soak admin-smoke trace-smoke fuzz loc clean
 
 build:
 	$(GO) build ./...
@@ -47,6 +47,28 @@ bench-once:
 # CPU, and the field generator's hot path.
 bench-parallel:
 	$(GO) test -run '^$$' -bench 'Figure3Parallel|FieldReading' -benchmem .
+
+# The end-to-end benchmark under randomized function layouts: the linker's
+# layout alone moves sim_heavy's throughput by about ±5 % (a default-layout
+# binary can read 10 % above every randomized one of the same source), so a
+# few-percent claim is checked layout by layout, on both commits. For each N
+# in LAYOUTS this builds bench/ as bench/run.sh does — same environment, same
+# .bench_build/ — linked with -randlayout=N, runs workload W and prints
+# updates_per_s and cpu_s_per_mupdate. ARGS go to the benchmark.
+#   make bench-layouts W=sim_heavy LAYOUTS="1 2 3"
+W ?= sim_heavy
+LAYOUTS ?= 1 2 3
+ARGS ?= -trace 0 -seconds 15
+
+bench-layouts:
+	@out="$(CURDIR)/.bench_build"; mkdir -p "$$out"; \
+	for n in $(LAYOUTS); do \
+		(cd bench && GOCACHE="$$out/gocache" GOPATH="$$out/gopath" XDG_CONFIG_HOME="$$out/config" \
+			GOTOOLCHAIN=local GOFLAGS= $(GO) build -ldflags=-randlayout=$$n -o "$$out/ttmqo-e2e-layout$$n" .) || exit 1; \
+		line="$$("$$out/ttmqo-e2e-layout$$n" -workload $(W) $(ARGS) | tail -n 1)" || exit 1; \
+		metric() { echo "$$line" | sed -n "s/.*\"$$1\":{\"value\":\([^,]*\),.*/\1/p"; }; \
+		echo "layout=$$n workload=$(W) updates_per_s=$$(metric updates_per_s) cpu_s_per_mupdate=$$(metric cpu_s_per_mupdate)"; \
+	done
 
 # The admin-plane smoke drill: build the real ttmqo-serve binary, boot it
 # with -admin and the built-in crash drill, curl every endpoint, and assert

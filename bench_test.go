@@ -2,15 +2,11 @@ package ttmqo_test
 
 import (
 	"fmt"
-	"reflect"
 	"runtime"
 	"testing"
 	"time"
-	"unsafe"
 
 	ttmqo "repro"
-	"repro/internal/radio"
-	"repro/internal/topology"
 )
 
 // Every figure of the paper's evaluation has a benchmark that regenerates
@@ -343,33 +339,10 @@ func benchSimulationRound(b *testing.B, side int, qs []ttmqo.Query) {
 	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(b.N), "allocs/round")
 
 	// Handler calls are counted over eight more rounds, off the clock.
-	calls := countHandlerCalls(b, sim)
 	m := sim.Metrics()
-	sent := m.Messages() - m.Retransmissions()
+	calls, sent := m.HandlerCalls(), m.Messages()-m.Retransmissions()
 	sim.Run(8 * round)
-	b.ReportMetric(float64(*calls)/float64(m.Messages()-m.Retransmissions()-sent), "calls/tx")
-}
-
-// countHandlerCalls wraps every radio handler of the simulation's medium in
-// a counter. Neither the medium nor the simulation exposes such a count (or
-// the medium), so the benchmark reaches the two unexported fields by
-// reflection; renaming either fails here, loudly.
-func countHandlerCalls(b *testing.B, sim *ttmqo.Simulation) *int {
-	field := func(v reflect.Value, name string) any {
-		f := v.Elem().FieldByName(name)
-		if !f.IsValid() {
-			b.Fatalf("countHandlerCalls: %v has no field %q", v.Type(), name)
-		}
-		return reflect.NewAt(f.Type(), unsafe.Pointer(f.UnsafeAddr())).Elem().Interface()
-	}
-	medium := field(reflect.ValueOf(sim), "medium").(*radio.Medium)
-	calls := new(int)
-	for id, h := range field(reflect.ValueOf(medium), "handlers").([]radio.Handler) {
-		if h != nil {
-			medium.SetHandler(topology.NodeID(id), func(d radio.Delivery) { *calls++; h(d) })
-		}
-	}
-	return calls
+	b.ReportMetric(float64(m.HandlerCalls()-calls)/float64(m.Messages()-m.Retransmissions()-sent), "calls/tx")
 }
 
 // BenchmarkFieldReading measures the synthetic field generator under the

@@ -4,12 +4,15 @@ import (
 	"math"
 	"testing"
 	"time"
+
+	"repro/internal/topology"
 )
 
 func TestNodeEnergyComponents(t *testing.T) {
 	c := NewCollector(3)
 	c.AddTxTime(1, 10*time.Second)
-	c.AddRxTime(1, 20*time.Second)
+	rx := []time.Duration{1: 20 * time.Second, 2: 0}
+	c.SetRxSource(func(id topology.NodeID) time.Duration { return rx[id] })
 	c.CountSamples(1, 100)
 	m := EnergyModel{TxPower: 0.06, RxPower: 0.03, SampleEnergy: 1e-4, Battery: 1000}
 	got := c.NodeEnergy(1, m)

@@ -63,7 +63,6 @@ func kindOf(label string) (Kind, bool) {
 // safe for concurrent use; the discrete-event engine serializes all access.
 type Collector struct {
 	txTime   []time.Duration // per node, indexed by NodeID
-	rxTime   []time.Duration // per node: airtime spent receiving/overhearing
 	samples  []int           // per node: attribute samples acquired
 	counts   [numKinds]int   // message counts by kind
 	perNode  [numKinds][]int // message counts by kind, per sender
@@ -74,13 +73,15 @@ type Collector struct {
 	payload  int64 // total bytes transmitted (incl. retries)
 	nodes    int
 	latency  stats.Series // epoch fire → base-station arrival, seconds
+	calls    int          // deliveries the medium handed to receivers
+	// rxFrom derives receive airtime (see SetRxSource).
+	rxFrom func(topology.NodeID) time.Duration
 }
 
 // NewCollector returns a collector for a deployment of n nodes.
 func NewCollector(n int) *Collector {
 	c := &Collector{
 		txTime:  make([]time.Duration, n),
-		rxTime:  make([]time.Duration, n),
 		samples: make([]int, n),
 		nodes:   n,
 	}
@@ -102,17 +103,6 @@ func (c *Collector) AddTxTime(id topology.NodeID, d time.Duration) {
 	c.txTime[id] += d
 }
 
-// AddRxTime accrues receive airtime for a node — every in-range radio hears
-// every transmission, addressed or not, so overhearing costs energy too.
-// Out-of-range node IDs are counted in Clipped.
-func (c *Collector) AddRxTime(id topology.NodeID, d time.Duration) {
-	if int(id) < 0 || int(id) >= len(c.rxTime) {
-		c.clipped++
-		return
-	}
-	c.rxTime[id] += d
-}
-
 // CountSamples records n attribute acquisitions at a node (one per sampled
 // attribute per shared acquisition). Out-of-range node IDs are counted in
 // Clipped.
@@ -124,13 +114,27 @@ func (c *Collector) CountSamples(id topology.NodeID, n int) {
 	c.samples[id] += n
 }
 
-// RxTime returns the accumulated receive airtime of one node.
+// SetRxSource attaches where receive airtime is read from. Every in-range
+// radio hears every transmission, addressed or not, so overhearing costs
+// energy too; the radio medium derives each node's total from its
+// neighbors' delivered airtime rather than accruing it receiver by receiver.
+func (c *Collector) SetRxSource(src func(topology.NodeID) time.Duration) { c.rxFrom = src }
+
+// RxTime returns the accumulated receive airtime of one node: zero without
+// a source, or for an ID outside the deployment.
 func (c *Collector) RxTime(id topology.NodeID) time.Duration {
-	if int(id) >= len(c.rxTime) {
+	if c.rxFrom == nil || int(id) < 0 || int(id) >= c.nodes {
 		return 0
 	}
-	return c.rxTime[id]
+	return c.rxFrom(id)
 }
+
+// CountHandlerCall records one delivery the medium handed to a receiver.
+func (c *Collector) CountHandlerCall() { c.calls++ }
+
+// HandlerCalls returns how many deliveries the medium handed to receivers:
+// the addressed, declared-overhearer and listening radios it called.
+func (c *Collector) HandlerCalls() int { return c.calls }
 
 // Samples returns the attribute acquisitions of one node.
 func (c *Collector) Samples(id topology.NodeID) int {
@@ -248,7 +252,7 @@ func (c *Collector) Retransmissions() int { return c.retrans }
 // Dropped returns the number of messages abandoned after max retries.
 func (c *Collector) Dropped() int { return c.dropped }
 
-// Clipped returns how many metric updates (tx/rx accrual, sample counts)
+// Clipped returns how many metric updates (tx accrual, sample counts)
 // addressed node IDs outside the deployment and were discarded. A non-zero
 // value means some radio accounting was silently lost.
 func (c *Collector) Clipped() int { return c.clipped }

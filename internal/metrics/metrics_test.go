@@ -79,14 +79,14 @@ func TestClippedAccounting(t *testing.T) {
 		t.Fatalf("Nodes() = %d", c.Nodes())
 	}
 	c.AddTxTime(5, time.Second)
-	c.AddRxTime(-1, time.Second)
+	c.AddTxTime(-1, time.Second)
 	c.CountSamples(2, 3)
 	if c.Clipped() != 3 {
 		t.Fatalf("clipped = %d, want 3", c.Clipped())
 	}
 	// In-range updates don't clip.
 	c.AddTxTime(1, time.Second)
-	c.AddRxTime(0, time.Second)
+	c.AddTxTime(0, time.Second)
 	c.CountSamples(1, 1)
 	if c.Clipped() != 3 {
 		t.Fatalf("clipped moved to %d on in-range updates", c.Clipped())

@@ -234,3 +234,70 @@ func TestSuspicionClearsOnRecovery(t *testing.T) {
 		t.Fatal("revived parent never reused")
 	}
 }
+
+// Every list a mote hands the medium is strictly ascending — the destination
+// list of a unicast or multicast, the overhearers of a message carrying own
+// readings — as radio.Message requires: the medium merges the two in that
+// order and does not check it. The scenario is the splitting one above
+// (S multicasts to both parents, the parents' overhearers are S) plus a
+// PaperGrid(6) carrying overlapping acquisition queries over a correlated
+// field; every call the medium makes is inspected.
+func TestSentListsAscend(t *testing.T) {
+	var multicasts, overheard int
+	check := func(t *testing.T, d radio.Delivery) {
+		t.Helper()
+		for name, ids := range map[string][]topology.NodeID{"Dests": d.Msg.Dests, "Overhear": d.Msg.Overhear} {
+			for i := 1; i < len(ids); i++ {
+				if ids[i-1] >= ids[i] {
+					t.Fatalf("%v from %d: %s %v not strictly ascending", d.Msg.Kind, d.Msg.Src, name, ids)
+				}
+			}
+		}
+		if len(d.Msg.Dests) > 1 {
+			multicasts++
+		}
+		if len(d.Msg.Overhear) > 0 {
+			overheard++
+		}
+	}
+	watch := func(t *testing.T, r *rig) {
+		for id, n := range r.nodes {
+			r.medium.SetHandler(id, func(d radio.Delivery) { check(t, d); n.onReceive(d) })
+		}
+	}
+
+	r := newRig(t, forkTopo(t), InNetwork(), splitSource{})
+	watch(t, r)
+	for i, text := range []string{
+		"SELECT light WHERE light >= 500 EPOCH DURATION 4096",
+		"SELECT temp WHERE temp >= 50 EPOCH DURATION 4096",
+	} {
+		q := query.MustParse(text)
+		q.ID = query.ID(i + 1)
+		r.flood(q, 4096*time.Millisecond)
+	}
+	r.engine.Run(sim.Time(time.Minute))
+
+	topo, err := topology.PaperGrid(6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r = newRig(t, topo, InNetwork(), field.New(topo, field.Config{Seed: 1}))
+	watch(t, r)
+	for i, text := range []string{
+		"SELECT light WHERE light >= 400 EPOCH DURATION 4096",
+		"SELECT temp WHERE temp >= 20 EPOCH DURATION 4096",
+		"SELECT light, temp WHERE light >= 200 AND temp <= 30 EPOCH DURATION 8192",
+		"SELECT humidity EPOCH DURATION 8192",
+	} {
+		q := query.MustParse(text)
+		q.ID = query.ID(i + 1)
+		r.flood(q, 8192*time.Millisecond)
+	}
+	r.engine.Run(sim.Time(2 * time.Minute))
+
+	if multicasts == 0 || overheard == 0 {
+		t.Fatalf("the scenarios sent %d multicast and %d overheard deliveries; both lists must be exercised", multicasts, overheard)
+	}
+	t.Logf("%d multicast deliveries, %d with overhearers", multicasts, overheard)
+}

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/metrics"
+	"repro/internal/topology"
 )
 
 func TestManifestHash(t *testing.T) {
@@ -153,7 +154,8 @@ func TestSeriesJSONRoundTrip(t *testing.T) {
 func TestCollectFinal(t *testing.T) {
 	c := metrics.NewCollector(3)
 	c.AddTxTime(1, 500*time.Millisecond)
-	c.AddRxTime(2, time.Second)
+	rx := []time.Duration{2: time.Second}
+	c.SetRxSource(func(id topology.NodeID) time.Duration { return rx[id] })
 	c.CountSamples(1, 4)
 	c.CountMessage(metrics.KindResult, 1, 30)
 	c.CountMessage(metrics.KindQuery, 0, 20)

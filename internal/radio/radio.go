@@ -53,15 +53,16 @@ const (
 type Message struct {
 	Kind Kind
 	Src  topology.NodeID
-	// Dests lists the addressed receivers: nil means broadcast, one entry is
-	// a unicast, several entries are a multicast (§3.2.2 sends one multicast
-	// when different queries need different parents). The medium only reads
-	// it, so senders may pass a slice of a long-lived list.
+	// Dests lists the addressed receivers in ascending ID order: nil means
+	// broadcast, one entry is a unicast, several entries are a multicast
+	// (§3.2.2 sends one multicast when different queries need different
+	// parents). The medium only reads it, so senders may pass a slice of a
+	// long-lived list.
 	Dests []topology.NodeID
-	// Overhear lists the unaddressed in-range radios that can act on the
-	// message; only they, the addressed receivers and the listening radios
-	// are called with it. Every powered radio in range is charged the
-	// receive airtime regardless. Like Dests it is only read.
+	// Overhear lists, in ascending ID order, the unaddressed in-range radios
+	// that can act on the message; only they, the addressed receivers and the
+	// listening radios are called with it. Every powered radio in range is
+	// charged the receive airtime regardless. Like Dests it is only read.
 	Overhear []topology.NodeID
 	Bytes    int
 	Payload  any
@@ -171,16 +172,24 @@ type Medium struct {
 	coll     *metrics.Collector
 	tracer   *trace.Buffer
 	handlers []Handler
-	// listening marks the radios called with every transmission they hear.
+	// listening marks the radios called with every transmission they hear;
+	// listeners counts them.
 	listening []bool
+	listeners int
 	// busyUntil serializes each node's transmissions (half-duplex radio).
 	busyUntil []sim.Time
 	// active tracks in-flight transmissions for the contention estimate,
 	// when the count can matter (see transmit).
 	active []activeTx
-	// interferes is the n×n matrix, row-major, of node pairs within
-	// interference range (twice the radio range) of each other.
-	interferes []bool
+	// inRange and interferes are n×n matrices, row-major, of node pairs
+	// within radio range and within interference range (twice the radio
+	// range) of each other; no node is in its own radio range here.
+	inRange, interferes []bool
+	// Receive airtime is charged per sender, not per receiver (see rxTime).
+	// sent is each radio's delivered airtime as a sender. rx is banked at a
+	// radio's power transitions: while it is off, its receive airtime; while
+	// it is on, that less its neighbors' sent total when it was switched on.
+	sent, rx []time.Duration
 }
 
 type activeTx struct {
@@ -202,11 +211,17 @@ func New(engine *sim.Engine, topo *topology.Topology, coll *metrics.Collector, r
 		handlers:   make([]Handler, n),
 		listening:  make([]bool, n),
 		busyUntil:  make([]sim.Time, n),
+		inRange:    make([]bool, n*n),
 		interferes: make([]bool, n*n),
+		sent:       make([]time.Duration, n),
+		rx:         make([]time.Duration, n),
 	}
 	reach := 2 * topo.RadioRange()
 	for a := 0; a < n; a++ {
 		pos := topo.Position(topology.NodeID(a))
+		for _, b := range topo.Neighbors(topology.NodeID(a)) {
+			m.inRange[a*n+int(b)] = true
+		}
 		for b := a + 1; b < n; b++ {
 			if pos.Dist(topo.Position(topology.NodeID(b))) <= reach {
 				m.interferes[a*n+b] = true
@@ -214,6 +229,7 @@ func New(engine *sim.Engine, topo *topology.Topology, coll *metrics.Collector, r
 			}
 		}
 	}
+	coll.SetRxSource(m.rxTime)
 	return m
 }
 
@@ -241,15 +257,50 @@ func (m *Medium) SetLossRate(r float64) {
 func (m *Medium) LossRate() float64 { return m.cfg.LossRate }
 
 // SetHandler registers the receive callback for a node. Passing nil detaches
-// the node (it stops hearing traffic — used for sleep mode).
+// the node: its radio is off and it stops hearing traffic. Switch radios on
+// and off from engine callbacks, not from within a Handler: a delivery is
+// charged to the radios that are on when it starts.
 func (m *Medium) SetHandler(id topology.NodeID, h Handler) {
+	switch on := m.handlers[id] != nil; {
+	case !on && h != nil:
+		m.rx[id] -= m.heard(id)
+	case on && h == nil:
+		m.rx[id] += m.heard(id)
+	}
 	m.handlers[id] = h
 }
 
 // SetListening marks a radio to be called with every transmission it hears,
 // addressed or not — for a node that acts on whatever a neighbor sends.
 func (m *Medium) SetListening(id topology.NodeID, on bool) {
-	m.listening[id] = on
+	if m.listening[id] != on {
+		m.listening[id] = on
+		if on {
+			m.listeners++
+		} else {
+			m.listeners--
+		}
+	}
+}
+
+// rxTime returns the airtime radio id has spent receiving: every completed
+// transmission from a neighbor while its radio was on, addressed to it or
+// not. It is what charging each powered radio in range at every delivery
+// would sum, read from the senders' totals instead.
+func (m *Medium) rxTime(id topology.NodeID) time.Duration {
+	if m.handlers[id] != nil {
+		return m.rx[id] + m.heard(id)
+	}
+	return m.rx[id]
+}
+
+// heard is the airtime id's neighbors have delivered so far.
+func (m *Medium) heard(id topology.NodeID) time.Duration {
+	var sum time.Duration
+	for _, nb := range m.topo.Neighbors(id) {
+		sum += m.sent[nb]
+	}
+	return sum
 }
 
 // Airtime returns the on-air duration of a message of the given length.
@@ -330,22 +381,16 @@ func (m *Medium) transmit(msg *Message) {
 
 // deliver charges a completed transmission to every powered radio in range
 // and hands it to those that can act on it — addressed, declared overhearers,
-// listening — reports addressed destinations that could not hear it, and
-// gives the message back to its sender.
+// listening — in ascending ID order, reports addressed destinations that
+// could not hear it, and gives the message back to its sender.
 func (m *Medium) deliver(msg *Message) {
-	air := msg.air
-	for _, nb := range m.topo.Neighbors(msg.Src) {
-		h := m.handlers[nb]
-		if h == nil {
-			continue // radio off (failed node)
-		}
-		// Every powered radio in range spends the airtime receiving,
-		// addressed or merely overhearing.
-		m.coll.AddRxTime(nb, air)
-		addressed := msg.addressedTo(nb)
-		if addressed || m.listening[nb] || slices.Contains(msg.Overhear, nb) {
-			h(Delivery{To: nb, Addressed: addressed, Msg: msg})
-		}
+	// Every powered radio in range spends the airtime receiving, addressed
+	// or merely overhearing: rxTime reads it from the sender's total.
+	m.sent[msg.Src] += msg.air
+	if msg.Dests == nil || m.listeners > 0 {
+		m.walk(msg)
+	} else {
+		m.dispatch(msg)
 	}
 	if msg.Undeliverable != nil {
 		for _, dest := range msg.Dests {
@@ -357,6 +402,56 @@ func (m *Medium) deliver(msg *Message) {
 	if msg.Finished != nil {
 		msg.Finished(msg)
 	}
+}
+
+// walk calls the powered radios in range that can act on msg, visiting all
+// of them: a broadcast addresses each, and a listening radio may be any.
+func (m *Medium) walk(msg *Message) {
+	for _, nb := range m.topo.Neighbors(msg.Src) {
+		h := m.handlers[nb]
+		if h == nil {
+			continue // radio off (failed node)
+		}
+		addressed := msg.addressedTo(nb)
+		if addressed || m.listening[nb] || slices.Contains(msg.Overhear, nb) {
+			m.call(h, Delivery{To: nb, Addressed: addressed, Msg: msg})
+		}
+	}
+}
+
+// dispatch calls the powered radios in range among msg's destinations and
+// declared overhearers, and no other: the two ascending lists merge into
+// the order walk would visit them in, a radio on both counted addressed.
+func (m *Medium) dispatch(msg *Message) {
+	n := len(m.handlers)
+	row := m.inRange[int(msg.Src)*n : int(msg.Src+1)*n]
+	dests, overhear := msg.Dests, msg.Overhear
+	prev := topology.NodeID(-1)
+	for {
+		var to topology.NodeID
+		addressed := false
+		switch {
+		case len(dests) > 0 && (len(overhear) == 0 || dests[0] <= overhear[0]):
+			to, addressed, dests = dests[0], true, dests[1:]
+		case len(overhear) > 0:
+			to, overhear = overhear[0], overhear[1:]
+		default:
+			return
+		}
+		if to == prev || !row[to] {
+			continue
+		}
+		prev = to
+		if h := m.handlers[to]; h != nil {
+			m.call(h, Delivery{To: to, Addressed: addressed, Msg: msg})
+		}
+	}
+}
+
+// call hands one delivery to a handler, counted.
+func (m *Medium) call(h Handler, d Delivery) {
+	m.coll.CountHandlerCall()
+	h(d)
 }
 
 // contention counts in-flight transmissions overlapping [start, end] from

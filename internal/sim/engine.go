@@ -74,18 +74,24 @@ func (h Handle) Pending() bool {
 	return h.ev != nil && h.ev.gen == h.gen && !h.ev.cancelled
 }
 
+// horizon splits the timer queue by how far ahead an event is due when it
+// is scheduled: a transmission's end or a slot's next event, a few
+// milliseconds out, goes to the near heap; a periodic tick or beacon, seconds
+// out, to the far one. Short-lived traffic then sifts through its own few
+// entries instead of every standing timer. 2^26 ns is about 67 ms.
+const horizon = 1 << 26
+
 // Engine is a single-threaded discrete-event scheduler. It is not safe for
 // concurrent use; all interaction with a running simulation happens from
 // within event callbacks, which the engine serialises.
 type Engine struct {
 	now Time
-	// queue is a 4-ary min-heap on (at, seq): half the depth of a binary
-	// heap, and the four children of a slot share a cache line or two.
-	queue []entry
+	// near and far are the timer queue, split at horizon: events due less
+	// than horizon after the instant they were scheduled at, and the rest.
+	near, far heap4
 	// lane[head:] holds the events scheduled for the instant that was now
-	// when they were scheduled, in seq order: a FIFO in front of the heap.
-	// The clock cannot pass them while they wait (Step takes the smaller of
-	// lane head and heap top on (at, seq)), so the order is the heap's.
+	// when they were scheduled, in seq order: a FIFO in front of the heaps.
+	// The clock cannot pass them while they wait.
 	lane    []entry
 	head    int
 	free    []*event // recycled records
@@ -93,6 +99,13 @@ type Engine struct {
 	fired   uint64
 	pending int // non-cancelled events queued, kept in O(1)
 }
+
+// The queues an entry can wait in; next names the one holding the earliest.
+const (
+	inLane = iota
+	inNear
+	inFar
+)
 
 // NewEngine returns an engine with the clock at zero and an empty queue.
 func NewEngine() *Engine {
@@ -136,10 +149,13 @@ func (e *Engine) ScheduleAction(at Time, a Action) Handle {
 		ev = &event{e: e}
 	}
 	ev.act = a
-	if en := (entry{at: at, seq: e.seq, ev: ev}); at == e.now {
+	switch en := (entry{at: at, seq: e.seq, ev: ev}); {
+	case at == e.now:
 		e.lane = append(e.lane, en)
-	} else {
-		e.push(en)
+	case at-e.now < horizon:
+		e.near.push(en)
+	default:
+		e.far.push(en)
 	}
 	e.seq++
 	e.pending++
@@ -157,27 +173,29 @@ func (e *Engine) After(d time.Duration, fn func()) Handle {
 // Step executes the next pending event, advancing the clock to its
 // timestamp. It reports false when the queue is empty.
 func (e *Engine) Step() bool {
-	for e.next() != nil {
-		if at, act := e.pop(); act != nil {
-			e.pending--
-			e.now = at
-			e.fired++
-			act.Fire()
+	for {
+		next, in := e.next()
+		if next == nil {
+			return false
+		}
+		if at, act := e.take(in); act != nil {
+			e.fire(at, act)
 			return true
 		}
 	}
-	return false
 }
 
 // Run executes every event due at or before until — events at exactly until
 // do fire — and leaves the clock at until (or where it was, if later).
 func (e *Engine) Run(until Time) {
-	for next := e.next(); next != nil && next.at <= until; next = e.next() {
-		if next.ev.cancelled {
-			e.pop()
-			continue
+	for {
+		next, in := e.next()
+		if next == nil || next.at > until {
+			break
 		}
-		e.Step()
+		if at, act := e.take(in); act != nil {
+			e.fire(at, act)
+		}
 	}
 	if e.now < until {
 		e.now = until
@@ -191,47 +209,45 @@ func (e *Engine) RunAll() {
 	}
 }
 
-// next returns the earliest queued entry, cancelled or not, or nil: the
-// heap top or the lane head, whichever is first on (at, seq).
-func (e *Engine) next() *entry {
-	var first *entry
-	if len(e.queue) > 0 {
-		first = &e.queue[0]
+func (e *Engine) fire(at Time, act Action) {
+	e.pending--
+	e.now = at
+	e.fired++
+	act.Fire()
+}
+
+// next returns the earliest queued entry, cancelled or not, and the queue
+// it heads — whichever of the lane head and the two heap tops is first on
+// (at, seq) — or nil when all three are empty.
+func (e *Engine) next() (first *entry, in int) {
+	if len(e.far) > 0 {
+		first, in = &e.far[0], inFar
+	}
+	if len(e.near) > 0 && (first == nil || e.near[0].before(first)) {
+		first, in = &e.near[0], inNear
 	}
 	if e.head < len(e.lane) && (first == nil || e.lane[e.head].before(first)) {
-		first = &e.lane[e.head]
+		first, in = &e.lane[e.head], inLane
 	}
-	return first
+	return first, in
 }
 
-func (e *Engine) push(en entry) {
-	q := append(e.queue, en)
-	i := len(q) - 1
-	for i > 0 {
-		parent := (i - 1) / 4
-		if !en.before(&q[parent]) {
-			break
-		}
-		q[i] = q[parent]
-		i = parent
-	}
-	q[i] = en
-	e.queue = q
-}
-
-// pop removes the entry next returns and recycles its record, returning the
-// event's time and action; the action is nil if the event was cancelled.
+// take removes the entry heading queue in and recycles its record, returning
+// the event's time and action; the action is nil if the event was cancelled.
 // The record is released before the action runs, so the action may schedule
 // into it — the bumped generation keeps the old Handle dead.
-func (e *Engine) pop() (Time, Action) {
+func (e *Engine) take(in int) (Time, Action) {
 	var head entry
-	if next := e.next(); e.head < len(e.lane) && next == &e.lane[e.head] {
-		head, *next = *next, entry{}
+	switch in {
+	case inLane:
+		head, e.lane[e.head] = e.lane[e.head], entry{}
 		if e.head++; e.head == len(e.lane) {
 			e.lane, e.head = e.lane[:0], 0
 		}
-	} else {
-		head = e.popHeap()
+	case inNear:
+		head = e.near.pop()
+	default:
+		head = e.far.pop()
 	}
 	ev := head.ev
 	act := ev.act
@@ -242,9 +258,28 @@ func (e *Engine) pop() (Time, Action) {
 	return head.at, act
 }
 
-// popHeap removes and returns the heap's top entry.
-func (e *Engine) popHeap() entry {
-	q := e.queue
+// heap4 is a 4-ary min-heap on (at, seq): half the depth of a binary heap,
+// and the four children of a slot share a cache line or two.
+type heap4 []entry
+
+func (h *heap4) push(en entry) {
+	q := append(*h, en)
+	i := len(q) - 1
+	for i > 0 {
+		parent := (i - 1) / 4
+		if !en.before(&q[parent]) {
+			break
+		}
+		q[i] = q[parent]
+		i = parent
+	}
+	q[i] = en
+	*h = q
+}
+
+// pop removes and returns the top entry.
+func (h *heap4) pop() entry {
+	q := *h
 	head := q[0]
 	n := len(q) - 1
 	last := q[n]
@@ -270,6 +305,6 @@ func (e *Engine) popHeap() entry {
 	if n > 0 {
 		q[i] = last
 	}
-	e.queue = q
+	*h = q
 	return head
 }

@@ -8,10 +8,11 @@ import (
 
 // The event queue is checked against a reference kept here: container/heap
 // over freshly allocated records, the layout the engine had before its
-// queue became a typed 4-ary heap over recycled records. Both are driven by
-// the same seeded script of Schedule/After/Cancel/Run, including scheduling
-// and cancelling from inside callbacks and at the current instant, and must
-// fire the same events in the same order at the same times.
+// queue became a same-instant lane and two typed 4-ary heaps over recycled
+// records. Both are driven by the same seeded script of
+// Schedule/After/Cancel/Run, including scheduling and cancelling from inside
+// callbacks and at the current instant, and must fire the same events in the
+// same order at the same times.
 
 // scripted is what the script needs of a queue; events are named by id.
 type scripted interface {
@@ -108,10 +109,16 @@ func (r *refEngine) size() int {
 }
 func (r *refEngine) clock() Time { return r.now }
 
-// realEngine adapts Engine, remembering every Handle it was given.
+// realEngine adapts Engine, remembering every Handle it was given, and
+// tallies what the script reached in the engine's three queues (indexed
+// inLane, inNear, inFar).
 type realEngine struct {
 	e       *Engine
 	handles map[int]Handle
+	// cancels counts pending events cancelled while waiting in each queue;
+	// ties counts, per pair of queues (lane+near, lane+far, near+far), the
+	// observations of one instant with live events waiting in both.
+	cancels, ties [3]int
 }
 
 func (r *realEngine) schedule(at Time, id int, fire func()) {
@@ -120,19 +127,44 @@ func (r *realEngine) schedule(at Time, id int, fire func()) {
 func (r *realEngine) after(d time.Duration, id int, fire func()) {
 	r.handles[id] = r.e.After(d, fire)
 }
-func (r *realEngine) cancel(id int) bool    { return r.handles[id].Cancel() }
+func (r *realEngine) cancel(id int) bool {
+	h := r.handles[id]
+	for in, entries := range r.queues() {
+		for _, en := range entries {
+			if en.ev == h.ev && h.Pending() {
+				r.cancels[in]++
+			}
+		}
+	}
+	return h.Cancel()
+}
 func (r *realEngine) isPending(id int) bool { return r.handles[id].Pending() }
 func (r *realEngine) run(until Time)        { r.e.Run(until) }
 func (r *realEngine) size() int             { return r.e.Len() }
 func (r *realEngine) clock() Time           { return r.e.Now() }
 
-// scan counts the live entries of the engine's heap and lane the slow way.
+// queues returns the waiting entries of the lane and the two heaps.
+func (r *realEngine) queues() [3][]entry {
+	return [3][]entry{inLane: r.e.lane[r.e.head:], inNear: r.e.near, inFar: r.e.far}
+}
+
+// scan counts the live entries of the engine's three queues the slow way,
+// tallying the instants two of them share.
 func (r *realEngine) scan() int {
 	n := 0
-	for _, entries := range [][]entry{r.e.queue, r.e.lane[r.e.head:]} {
+	at := map[Time]int{} // instant → bit set of queues holding a live event
+	for in, entries := range r.queues() {
 		for _, en := range entries {
 			if !en.ev.cancelled {
 				n++
+				at[en.at] |= 1 << in
+			}
+		}
+	}
+	for _, mask := range at {
+		for pair, both := range [3]int{1<<inLane | 1<<inNear, 1<<inLane | 1<<inFar, 1<<inNear | 1<<inFar} {
+			if mask&both == both {
+				r.ties[pair]++
 			}
 		}
 	}
@@ -149,17 +181,45 @@ type firing struct {
 func runScript(q scripted, seed int64, check func()) (log []firing, obs []int) {
 	rng := NewRand(seed)
 	nextID := 0
+	// instant draws a due time on both sides of the engine's near/far split
+	// (horizon, about 67 ms): now, sub-millisecond, up to a few horizons,
+	// tens of seconds — or an instant drawn recently, so that events due at
+	// one instant wait in different queues.
+	var instants []Time
+	instant := func() Time {
+		now := q.clock()
+		at := now
+		switch rng.Intn(6) {
+		case 0:
+		case 1:
+			at += Time(rng.Intn(1000)) * time.Microsecond
+		case 2:
+			at += Time(rng.Intn(200)) * time.Millisecond
+		case 3:
+			at += Time(rng.Intn(40)) * time.Second
+		default:
+			if n := len(instants); n > 0 {
+				at = max(now, instants[n-1-rng.Intn(min(n, 16))])
+			}
+		}
+		instants = append(instants, at)
+		return at
+	}
 	var fire func(id int) func()
 	op := func(depth int) {
 		switch r := rng.Intn(10); {
 		case r < 4:
 			id := nextID
 			nextID++
-			q.schedule(q.clock()+Time(rng.Intn(50))*time.Millisecond, id, fire(id))
+			q.schedule(instant(), id, fire(id))
 		case r < 6:
 			id := nextID
 			nextID++
-			q.after(time.Duration(rng.Intn(60)-10)*time.Millisecond, id, fire(id))
+			d := instant() - q.clock()
+			if rng.Intn(5) == 0 {
+				d -= 10 * time.Millisecond // may go negative: After clamps it to now
+			}
+			q.after(d, id, fire(id))
 		case r < 8:
 			if nextID > 0 {
 				id := rng.Intn(nextID)
@@ -171,7 +231,11 @@ func runScript(q scripted, seed int64, check func()) (log []firing, obs []int) {
 		case r < 9:
 			// Run does not nest: inside a callback this op is a no-op.
 			if depth == 0 {
-				q.run(q.clock() + Time(rng.Intn(40))*time.Millisecond)
+				span := 40 * time.Millisecond
+				if rng.Intn(2) == 0 {
+					span = 10 * time.Second // far enough to reach the far heap
+				}
+				q.run(q.clock() + Time(rng.Int63n(int64(span))))
 			}
 		default:
 			obs = append(obs, q.size())
@@ -204,6 +268,7 @@ func b2i(b bool) int {
 }
 
 func TestEngineMatchesReferenceHeap(t *testing.T) {
+	var cancels, ties [3]int
 	for seed := int64(1); seed <= 40; seed++ {
 		ref := &refEngine{byID: map[int]*refEvent{}}
 		wantLog, wantObs := runScript(ref, seed, func() {})
@@ -234,7 +299,24 @@ func TestEngineMatchesReferenceHeap(t *testing.T) {
 		if uint64(len(gotLog)) != eng.e.Fired() {
 			t.Fatalf("seed %d: Fired() = %d, %d callbacks ran", seed, eng.e.Fired(), len(gotLog))
 		}
+		for i := range cancels {
+			cancels[i] += eng.cancels[i]
+			ties[i] += eng.ties[i]
+		}
 	}
+	// The scripts must have reached every queue: cancellations in each, and
+	// equal instants waiting in every pair.
+	for i, name := range []string{"lane", "near heap", "far heap"} {
+		if cancels[i] == 0 {
+			t.Errorf("no script cancelled a pending event in the %s", name)
+		}
+	}
+	for i, name := range []string{"lane and near heap", "lane and far heap", "near and far heap"} {
+		if ties[i] == 0 {
+			t.Errorf("no script had one instant waiting in both the %s", name)
+		}
+	}
+	t.Logf("cancellations lane/near/far %v, shared-instant observations %v", cancels, ties)
 }
 
 // A Handle outlives its event: once the event has fired or been cancelled

@@ -671,6 +671,9 @@ func (s *Session) Resume(id SubID, after uint64) (ServerSub, error) {
 	sub.ring = nil
 	sub.detached = false
 	sub.reason = ReasonNone
+	if len(sub.ch) > 0 {
+		s.ready.Raise() // the replayed tail is there to drain
+	}
 	k.stats.Resumes++
 	return sub, nil
 }

@@ -332,6 +332,36 @@ func TestKernelLifecycle(t *testing.T) {
 				t.Fatalf("eviction: reason %v", a.Reason())
 			}
 		}},
+		{"resume raises ready for the replayed tail", Config{Buffer: 4}, func(t *testing.T, f *fakeTier) {
+			s := mustRegister(t, f, "s")
+			sub := mustSub(t, f, s, qLight)
+			if err := s.Detach(); err != nil {
+				t.Fatal(err)
+			}
+			f.deliver(qLight, 2) // parks seq 1, 2
+			if _, _, err := f.Attach("s", s.Token()); err != nil {
+				t.Fatal(err)
+			}
+			select {
+			case <-s.Ready(): // the detach's wake-up: the streams closed
+			default:
+				t.Fatal("detach did not raise ready")
+			}
+			rs, err := s.Resume(sub.ID(), 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Nothing is pushed after the resume: the replay alone must wake a
+			// consumer that waits on Ready before it drains.
+			select {
+			case <-s.Ready():
+			case <-time.After(time.Second):
+				t.Fatal("ready not raised for a resumed stream holding [1 2]")
+			}
+			if got := fmt.Sprint(seqs(rs.Updates())); got != "[1 2]" {
+				t.Fatalf("resumed tail %s, want [1 2]", got)
+			}
+		}},
 		{"eviction on a full buffer", Config{Buffer: 2}, func(t *testing.T, f *fakeTier) {
 			slow, fast := mustRegister(t, f, "slow"), mustRegister(t, f, "fast")
 			ss, fs := mustSub(t, f, slow, qLight), mustSub(t, f, fast, qLight)
