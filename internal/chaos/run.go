@@ -459,14 +459,11 @@ var probeClient = &http.Client{
 // startAdmin gives a script with crash steps a live admin plane, so the
 // readiness transition — 200 before the crash, 503 while the gateway is
 // down, 200 after WAL replay — is asserted as an invariant, and the metrics
-// exposition of a crashed-and-recovered gateway is validated at the end.
+// exposition of the crashed-and-recovered shape is validated at the end.
 func (r *run) startAdmin() error {
 	reg := telemetry.NewRegistry()
-	gateway.RegisterMetrics(reg, r.st.Gateway)
-	r.adm = telemetry.NewAdmin(telemetry.AdminConfig{
-		Registry: reg,
-		Ready:    func() bool { return r.st.Gateway().Alive() },
-	})
+	r.st.RegisterMetrics(reg)
+	r.adm = telemetry.NewAdmin(telemetry.AdminConfig{Registry: reg, Ready: r.st.Alive})
 	if _, err := r.adm.Start("127.0.0.1:0"); err != nil {
 		return fmt.Errorf("chaos: admin: %w", err)
 	}

@@ -16,6 +16,7 @@ import (
 	"repro/internal/gateway"
 	"repro/internal/network"
 	"repro/internal/share"
+	"repro/internal/telemetry"
 	"repro/internal/tier"
 )
 
@@ -145,6 +146,31 @@ func (s *Stack) Top() Tier {
 		return s.Router
 	}
 	return s.gw.Load()
+}
+
+// Alive reports whether the top tier is serving: the readiness signal
+// behind an admin plane's /readyz.
+func (s *Stack) Alive() bool {
+	switch {
+	case s.Coord != nil:
+		return s.Coord.Alive()
+	case s.Router != nil:
+		return s.Router.Alive()
+	}
+	return s.gw.Load().Alive()
+}
+
+// RegisterMetrics mounts the metric families of every tier the shape has,
+// bottom-up. The gateway's read through Gateway, so they follow a Recover.
+func (s *Stack) RegisterMetrics(reg *telemetry.Registry) {
+	if s.Router != nil {
+		federation.RegisterMetrics(reg, func() *federation.Router { return s.Router })
+	} else {
+		gateway.RegisterMetrics(reg, s.Gateway)
+	}
+	if s.Coord != nil {
+		share.RegisterMetrics(reg, func() *share.Coordinator { return s.Coord })
+	}
 }
 
 // Crash kills simulation host i abruptly, leaving its WAL behind: shard i
