@@ -243,13 +243,13 @@ func TestBootSmoke(t *testing.T) {
 			[]string{"ttmqo_gateway_up", "ttmqo_radio_messages_total", "ttmqo_trace_spans_recorded_total"},
 			[]string{"gateway", "resilience", "tracing"}, " admitted=1 "},
 		{"share", []string{"-share"}, "ttmqo-serve: sharing coordinator on ",
-			[]string{"ttmqo_gateway_up", "ttmqo_share_fragments_active", "ttmqo_cache_hit_ratio"},
+			[]string{"ttmqo_gateway_up", "ttmqo_share_fragments_active", "ttmqo_cache_hit_ratio", "ttmqo_share_up"},
 			[]string{"gateway", "share", "resilience", "tracing"}, " fragments_created=1 "},
 		{"shards", []string{"-shards", "2", "-side", "3"}, "ttmqo-serve: router on ",
-			[]string{"ttmqo_router_up", "ttmqo_shard_up", "ttmqo_router_merged_epochs_total"},
+			[]string{"ttmqo_router_up", "ttmqo_shard_up", "ttmqo_router_merged_epochs_total", "ttmqo_router_unsubscribes_total"},
 			[]string{"federation", "resilience", "tracing"}, "shards=2 sessions=1 subscribes=1 "},
 		{"share over shards", []string{"-share", "-shards", "2", "-side", "3"}, "ttmqo-serve: sharing coordinator on ",
-			[]string{"ttmqo_router_up", "ttmqo_shard_up", "ttmqo_share_fragments_active"},
+			[]string{"ttmqo_router_up", "ttmqo_shard_up", "ttmqo_share_fragments_active", "ttmqo_share_up", "ttmqo_router_unsubscribes_total"},
 			[]string{"federation", "share", "resilience", "tracing"}, " fragments_created=1 "},
 	} {
 		t.Run(shape.name, func(t *testing.T) {

@@ -12,11 +12,7 @@ import (
 
 // FederationScalingConfig parametrizes the shard-count scaling study: a
 // fixed per-shard world and subscriber load, swept over fleet sizes.
-// Delivered updates grow exactly with the shard count. Wall-clock throughput
-// does not: the router steps a quantum's shards in place, one after the
-// other (a goroutine per shard cost more than the overlap bought at every
-// size measured behind sockets), so the speedup column reads how flat the
-// router's per-shard cost is, not how well shards overlap.
+// Delivered updates grow exactly with the shard count.
 type FederationScalingConfig struct {
 	Seed int64
 	// Shards lists the fleet sizes swept (default 1, 2, 4, 8).
@@ -51,9 +47,8 @@ func (c *FederationScalingConfig) setDefaults() {
 	}
 }
 
-// FederationScalingRow is one fleet-size cell. The counter fields are
-// deterministic functions of configuration and seed; the wall-clock
-// fields (tagged json:"-") vary run to run and stay out of JSON exports.
+// FederationScalingRow is one fleet-size cell, a deterministic function of
+// configuration and seed.
 type FederationScalingRow struct {
 	Shards   int `json:"shards"`
 	Sensors  int `json:"sensors"`
@@ -68,18 +63,12 @@ type FederationScalingRow struct {
 	Rows           int64 `json:"rows"`
 	MergedEpochs   int64 `json:"merged_epochs"`
 	PartialUpdates int64 `json:"partial_updates"`
-	// UpdatesPerSec is downstream delivery throughput against wall clock;
-	// Speedup normalizes it to the sweep's first row.
-	UpdatesPerSec  float64 `json:"-"`
-	Speedup        float64 `json:"-"`
-	MergeLatencyUS float64 `json:"-"`
 }
 
-// RunFederationScaling sweeps fleet sizes, one cell at a time so each
-// cell's wall clock is honest. Every session subscribes to its shard's
-// full-region acquisition (deduped to one canonical upstream per shard)
-// plus a cross-shard recombining aggregate, so per-shard load is constant
-// and total subscriber throughput should scale with the fleet.
+// RunFederationScaling sweeps fleet sizes. Every session subscribes to its
+// shard's full-region acquisition (deduped to one canonical upstream per
+// shard) plus a cross-shard recombining aggregate, so per-shard load is
+// constant and total subscriber deliveries scale with the fleet.
 func RunFederationScaling(cfg FederationScalingConfig) ([]FederationScalingRow, error) {
 	cfg.setDefaults()
 	rows := make([]FederationScalingRow, 0, len(cfg.Shards))
@@ -89,11 +78,6 @@ func RunFederationScaling(cfg FederationScalingConfig) ([]FederationScalingRow, 
 			return nil, fmt.Errorf("federation scaling, %d shards: %w", k, err)
 		}
 		rows = append(rows, row)
-	}
-	if len(rows) > 0 && rows[0].UpdatesPerSec > 0 {
-		for i := range rows {
-			rows[i].Speedup = rows[i].UpdatesPerSec / rows[0].UpdatesPerSec
-		}
 	}
 	return rows, nil
 }
@@ -151,7 +135,6 @@ func runFederationCell(cfg FederationScalingConfig, shards int) (FederationScali
 			}
 		}
 	}
-	start := time.Now()
 	for round := 0; round < cfg.Rounds; round++ {
 		if _, err := rt.Advance(cfg.Quantum); err != nil {
 			return FederationScalingRow{}, err
@@ -160,10 +143,8 @@ func runFederationCell(cfg FederationScalingConfig, shards int) (FederationScali
 			drain(sub)
 		}
 	}
-	elapsed := time.Since(start)
-
 	st := rt.FedStats()
-	row := FederationScalingRow{
+	return FederationScalingRow{
 		Shards:         shards,
 		Sensors:        built.Sensors(),
 		Sessions:       shards * cfg.SubsPerShard,
@@ -174,22 +155,16 @@ func runFederationCell(cfg FederationScalingConfig, shards int) (FederationScali
 		Rows:           rowCount,
 		MergedEpochs:   st.MergedEpochs,
 		PartialUpdates: st.PartialUpdates,
-		MergeLatencyUS: float64(rt.MergeLatency()) / float64(time.Microsecond),
-	}
-	if s := elapsed.Seconds(); s > 0 {
-		row.UpdatesPerSec = float64(updates) / s
-	}
-	return row, nil
+	}, nil
 }
 
 // FederationScalingString renders the study as a text table.
 func FederationScalingString(rows []FederationScalingRow) string {
-	out := fmt.Sprintf("%6s %7s %8s %5s %5s %9s %8s %8s %10s %8s %9s\n",
-		"shards", "sensors", "sessions", "subs", "trees", "upstreams", "updates", "rows", "upd/s", "speedup", "merge(us)")
+	out := fmt.Sprintf("%6s %7s %8s %5s %5s %9s %8s %8s\n",
+		"shards", "sensors", "sessions", "subs", "trees", "upstreams", "updates", "rows")
 	for _, r := range rows {
-		out += fmt.Sprintf("%6d %7d %8d %5d %5d %9d %8d %8d %10.0f %7.2fx %9.0f\n",
-			r.Shards, r.Sensors, r.Sessions, r.Subs, r.Trees, r.Upstreams,
-			r.Updates, r.Rows, r.UpdatesPerSec, r.Speedup, r.MergeLatencyUS)
+		out += fmt.Sprintf("%6d %7d %8d %5d %5d %9d %8d %8d\n",
+			r.Shards, r.Sensors, r.Sessions, r.Subs, r.Trees, r.Upstreams, r.Updates, r.Rows)
 	}
 	return out
 }

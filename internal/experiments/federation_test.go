@@ -51,24 +51,17 @@ func TestFederationScalingLinear(t *testing.T) {
 		if r.Rows != k*base.Rows {
 			t.Errorf("%d shards: rows = %d, want %d", r.Shards, r.Rows, k*base.Rows)
 		}
-		if r.UpdatesPerSec <= 0 {
-			t.Errorf("%d shards: throughput not measured", r.Shards)
-		}
 	}
 }
 
 // TestFederationScalingDeterministic reruns the sweep and asserts every
-// deterministic field is identical; wall-clock fields are exempt.
+// row, and so the rendered table, is identical.
 func TestFederationScalingDeterministic(t *testing.T) {
 	a := runFedSweep(t)
 	b := runFedSweep(t)
 	for i := range a {
-		x, y := a[i], b[i]
-		x.UpdatesPerSec, y.UpdatesPerSec = 0, 0
-		x.Speedup, y.Speedup = 0, 0
-		x.MergeLatencyUS, y.MergeLatencyUS = 0, 0
-		if x != y {
-			t.Errorf("row %d differs between runs:\n first:  %+v\n second: %+v", i, x, y)
+		if a[i] != b[i] {
+			t.Errorf("row %d differs between runs:\n first:  %+v\n second: %+v", i, a[i], b[i])
 		}
 	}
 }

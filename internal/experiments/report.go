@@ -204,12 +204,11 @@ func (r *Report) Markdown() string {
 	}
 
 	b.WriteString("\n## Federation scaling with shard count (extension)\n\n")
-	b.WriteString("Constant per-shard world and subscriber load; the router steps the\nshards of a quantum in place, one after the other, and recombines partial\naggregates at a shared watermark. Delivered updates scale exactly with\nthe fleet. upd/s and speedup are wall-clock over 8 rounds: at 8 sensors\nper shard a step is a few microseconds, so a speedup near 1.00x shows the\nper-shard cost is flat; the column cannot show overlap between shards\n(there is none: shards are stepped serially) and moves with scheduler\nnoise.\n\n")
-	b.WriteString("| shards | sensors | sessions | subs | upstreams | updates | merged epochs | upd/s | speedup |\n|---|---|---|---|---|---|---|---|---|\n")
+	b.WriteString("Constant per-shard world and subscriber load; the router steps the\nshards of a quantum in place, one after the other, and recombines partial\naggregates at a shared watermark. Delivered updates scale exactly with\nthe fleet.\n\n")
+	b.WriteString("| shards | sensors | sessions | subs | upstreams | updates | merged epochs |\n|---|---|---|---|---|---|---|\n")
 	for _, row := range r.Federation {
-		fmt.Fprintf(&b, "| %d | %d | %d | %d | %d | %d | %d | %.0f | %.2fx |\n",
-			row.Shards, row.Sensors, row.Sessions, row.Subs, row.Upstreams,
-			row.Updates, row.MergedEpochs, row.UpdatesPerSec, row.Speedup)
+		fmt.Fprintf(&b, "| %d | %d | %d | %d | %d | %d | %d |\n",
+			row.Shards, row.Sensors, row.Sessions, row.Subs, row.Upstreams, row.Updates, row.MergedEpochs)
 	}
 
 	b.WriteString("\n## Cross-query sharing at the gateway (extension)\n\n")

@@ -265,9 +265,6 @@ type Router struct {
 	// onMerge observes each Advance's merge+release wall-clock latency
 	// (telemetry hook; see SetMergeObserver).
 	onMerge func(time.Duration)
-	// mergeTotal/mergeCount back MergeLatency for reports.
-	mergeTotal time.Duration
-	mergeCount int64
 }
 
 // New builds the shard fleet and the router's upstream session on each
@@ -441,16 +438,6 @@ func (r *Router) SetMergeObserver(fn func(time.Duration)) {
 	r.onMerge = fn
 }
 
-// MergeLatency reports the mean merge-and-release latency per Advance.
-func (r *Router) MergeLatency() time.Duration {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.mergeCount == 0 {
-		return 0
-	}
-	return r.mergeTotal / time.Duration(r.mergeCount)
-}
-
 // FedStats snapshots the router's counters.
 func (r *Router) FedStats() Stats {
 	r.mu.Lock()
@@ -550,16 +537,18 @@ func (r *Router) ServeStats() (gateway.Stats, sim.Time, error) {
 	fs.Overlay(&agg)
 	agg.SharedQueries = fs.Trees
 	agg.Recoveries += fs.ShardRecoveries
+	agg.BrownoutLevel = int(r.BrownoutLevel())
 	return agg, now, nil
 }
 
-// addGatewayStats folds one shard's backend-side counters into the sum.
-// Serving-level fields are overlaid with the router's own counters in
-// ServeStats, so only the simulation/WAL-side ones matter here.
+// addGatewayStats folds one shard's backend-side counters into the sum:
+// admission, simulation, WAL and overload ones. Serving-level fields are
+// overlaid with the router's own counters in ServeStats.
 func addGatewayStats(dst *gateway.Stats, s gateway.Stats) {
+	dst.RateLimited += s.RateLimited
+	dst.AdmitErrors += s.AdmitErrors
 	dst.Admitted += s.Admitted
 	dst.Cancelled += s.Cancelled
-	dst.Updates += s.Updates
 	dst.Epochs += s.Epochs
 	dst.Dropped += s.Dropped
 	dst.Evicted += s.Evicted
@@ -573,6 +562,8 @@ func addGatewayStats(dst *gateway.Stats, s gateway.Stats) {
 	dst.ShedDeadline += s.ShedDeadline
 	dst.ShedSubs += s.ShedSubs
 	dst.ShedBrownout += s.ShedBrownout
+	dst.BrownoutEscalations += s.BrownoutEscalations
+	dst.BrownoutRecoveries += s.BrownoutRecoveries
 }
 
 // BrownoutLevel implements gateway.Backend over the fleet: the
@@ -721,11 +712,8 @@ func (r *Router) Advance(d time.Duration) (int, error) {
 		}
 	}
 	r.releaseLocked()
-	merge := time.Since(t0)
-	r.mergeTotal += merge
-	r.mergeCount++
 	if r.onMerge != nil {
-		r.onMerge(merge)
+		r.onMerge(time.Since(t0))
 	}
 
 	r.k.AckLocked(acks)

@@ -8,6 +8,7 @@ import (
 	"repro/internal/field"
 	"repro/internal/gateway"
 	"repro/internal/query"
+	"repro/internal/resilience"
 	"repro/internal/sim"
 )
 
@@ -535,6 +536,8 @@ func TestRouterDetachResumeDownstream(t *testing.T) {
 
 func TestRouterServeStatsAggregates(t *testing.T) {
 	r := newTestRouter(t, Config{Shards: 3})
+	merges := 0
+	r.SetMergeObserver(func(time.Duration) { merges++ })
 	for _, name := range []string{"a", "b", "c"} {
 		if _, err := r.Register(name); err != nil {
 			t.Fatal(err)
@@ -542,6 +545,9 @@ func TestRouterServeStatsAggregates(t *testing.T) {
 	}
 	if _, err := r.Advance(testQuantum); err != nil {
 		t.Fatal(err)
+	}
+	if merges != 1 {
+		t.Fatalf("merge latency observed %d times in one Advance", merges)
 	}
 	st, now, err := r.ServeStats()
 	if err != nil {
@@ -553,8 +559,51 @@ func TestRouterServeStatsAggregates(t *testing.T) {
 	if now != sim.Time(testQuantum) {
 		t.Fatalf("virtual now = %v, want %v", now, testQuantum)
 	}
-	if r.MergeLatency() <= 0 {
-		t.Fatal("merge latency not recorded")
+}
+
+// TestRouterServeStatsFoldsShardCounters: the stats a sharded stack reports
+// over the wire carry the shards' admission and brownout counters. Shard 0
+// rate-limits the router's second upstream subscribe, and the one staged
+// upstream subscribe per round holds it at half its mailbox bound, so its
+// ladder escalates.
+func TestRouterServeStatsFoldsShardCounters(t *testing.T) {
+	r := newTestRouter(t, Config{Rate: 1e-9, Burst: 1, MaxStaged: 2})
+	sess, err := r.Register("alice")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range []string{
+		"SELECT MAX(light) WHERE nodeid >= 1 AND nodeid <= 2 EPOCH DURATION 8192ms",
+		"SELECT MIN(light) WHERE nodeid >= 1 AND nodeid <= 2 EPOCH DURATION 8192ms",
+	} {
+		stageSub(t, sess, q)
+		if _, err := r.Advance(testQuantum); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st, _, err := r.ServeStats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want gateway.Stats
+	for i := 0; i < r.Shards(); i++ {
+		s, err := r.ShardStats(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want.RateLimited += s.RateLimited
+		want.AdmitErrors += s.AdmitErrors
+		want.BrownoutEscalations += s.BrownoutEscalations
+		want.BrownoutRecoveries += s.BrownoutRecoveries
+	}
+	if want.RateLimited == 0 || want.BrownoutEscalations == 0 || r.BrownoutLevel() == resilience.LevelNormal {
+		t.Fatalf("setup: shards rate_limited=%d escalations=%d, router rung %v", want.RateLimited, want.BrownoutEscalations, r.BrownoutLevel())
+	}
+	want.BrownoutLevel = int(r.BrownoutLevel())
+	got := gateway.Stats{RateLimited: st.RateLimited, AdmitErrors: st.AdmitErrors, BrownoutLevel: st.BrownoutLevel,
+		BrownoutEscalations: st.BrownoutEscalations, BrownoutRecoveries: st.BrownoutRecoveries}
+	if got != want {
+		t.Fatalf("ServeStats = %+v, want the shards' %+v", got, want)
 	}
 }
 

@@ -5,6 +5,8 @@ import (
 	"time"
 
 	"repro/internal/telemetry"
+	"repro/internal/tier"
+	"repro/internal/tracing"
 )
 
 // MergeLatencyBounds are the router merge-latency histogram's bucket
@@ -15,43 +17,33 @@ var MergeLatencyBounds = []float64{
 }
 
 // RegisterMetrics mounts the federation tier's metric families on r and
-// installs a gather hook that syncs them before every exposition. Router
-// counters mirror through monotonic Set (the same contract as the
-// gateway families); per-shard families carry a "shard" label. The merge
-// latency histogram is fed live via the router's merge observer, so it
-// accumulates between scrapes.
+// installs a gather hook that syncs them before every exposition. The
+// session families are the kernel's (tier.RegisterMetrics) and every
+// counter mirrors through monotonic Set, as on the gateway; per-shard
+// families carry a "shard" label. The merge latency histogram is fed live
+// via the router's merge observer, so it accumulates between scrapes.
 func RegisterMetrics(r *telemetry.Registry, current func() *Router) {
-	routerUp := r.NewGauge("ttmqo_router_up", "1 while the federation router is serving")
+	setSession := tier.RegisterMetrics(r, tracing.TierRouter)
 	aliveShards := r.NewGauge("ttmqo_router_alive_shards", "shards whose gateway is up")
 	trees := r.NewGauge("ttmqo_router_query_trees", "live canonical cross-shard queries")
 	upstreamSubs := r.NewGauge("ttmqo_router_upstream_subscriptions", "live canonical upstream subscriptions across shards")
-
-	type cf struct {
-		fam *telemetry.Family
-		get func(Stats) int64
-	}
-	counters := []cf{
-		{r.NewCounter("ttmqo_router_sessions_total", "downstream sessions registered"), func(s Stats) int64 { return s.Sessions }},
-		{r.NewCounter("ttmqo_router_subscribes_total", "downstream subscriptions accepted"), func(s Stats) int64 { return s.Subscribes }},
-		{r.NewCounter("ttmqo_router_dedup_hits_total", "subscriptions coalesced onto an existing query tree"), func(s Stats) int64 { return s.DedupHits }},
-		{r.NewCounter("ttmqo_router_partial_updates_total", "per-shard partial updates drained"), func(s Stats) int64 { return s.PartialUpdates }},
-		{r.NewCounter("ttmqo_router_merged_epochs_total", "epochs released by the watermark"), func(s Stats) int64 { return s.MergedEpochs }},
-		{r.NewCounter("ttmqo_router_updates_total", "merged updates delivered downstream"), func(s Stats) int64 { return s.Updates }},
-		{r.NewCounter("ttmqo_router_forced_releases_total", "epochs released early by the pending bound"), func(s Stats) int64 { return s.ForcedReleases }},
-		{r.NewCounter("ttmqo_router_late_dropped_total", "partials that arrived for an already-released epoch"), func(s Stats) int64 { return s.LateDropped }},
-		{r.NewCounter("ttmqo_router_evicted_total", "downstream subscribers dropped on overflow"), func(s Stats) int64 { return s.Evicted }},
-		{r.NewCounter("ttmqo_shard_crashes_total", "shard gateways crashed"), func(s Stats) int64 { return s.ShardCrashes }},
-		{r.NewCounter("ttmqo_shard_recoveries_total", "shard gateways rebuilt by WAL replay"), func(s Stats) int64 { return s.ShardRecoveries }},
-		{r.NewCounter("ttmqo_shard_partitions_total", "router-shard partitions injected"), func(s Stats) int64 { return s.Partitions }},
-		{r.NewCounter("ttmqo_shard_heals_total", "router-shard partitions healed"), func(s Stats) int64 { return s.Heals }},
-		{r.NewCounter("ttmqo_router_upstream_resumes_total", "upstream streams resumed after recover/heal"), func(s Stats) int64 { return s.UpstreamResumes }},
-		{r.NewCounter("ttmqo_resilience_breaker_trips_total", "per-shard circuit breakers tripped open on consecutive stuck rounds"), func(s Stats) int64 { return s.BreakerTrips }},
-		{r.NewCounter("ttmqo_resilience_breaker_probes_total", "half-open probes issued after breaker cooldowns"), func(s Stats) int64 { return s.BreakerProbes }},
-		{r.NewCounter("ttmqo_resilience_breaker_recoveries_total", "breakers closed again after a successful probe"), func(s Stats) int64 { return s.BreakerRecoveries }},
-		{r.NewCounter("ttmqo_resilience_degraded_epochs_total", "epochs released without full shard coverage"), func(s Stats) int64 { return s.DegradedEpochs }},
-		{r.NewCounter("ttmqo_resilience_shard_stalls_total", "stuck-shard injections (StallShard)"), func(s Stats) int64 { return s.ShardStalls }},
-		{r.NewCounter("ttmqo_resilience_router_shed_deadline_total", "downstream subscribes shed: router mailbox sojourn exceeded the budget"), func(s Stats) int64 { return s.ShedDeadline }},
-	}
+	setPolicy := telemetry.Mirror(r, []telemetry.Row[Stats]{
+		{Name: "ttmqo_router_partial_updates_total", Help: "per-shard partial updates drained", Get: func(s Stats) int64 { return s.PartialUpdates }},
+		{Name: "ttmqo_router_merged_epochs_total", Help: "epochs released by the watermark", Get: func(s Stats) int64 { return s.MergedEpochs }},
+		{Name: "ttmqo_router_forced_releases_total", Help: "epochs released early by the pending bound", Get: func(s Stats) int64 { return s.ForcedReleases }},
+		{Name: "ttmqo_router_late_dropped_total", Help: "partials that arrived for an already-released epoch", Get: func(s Stats) int64 { return s.LateDropped }},
+		{Name: "ttmqo_shard_crashes_total", Help: "shard gateways crashed", Get: func(s Stats) int64 { return s.ShardCrashes }},
+		{Name: "ttmqo_shard_recoveries_total", Help: "shard gateways rebuilt by WAL replay", Get: func(s Stats) int64 { return s.ShardRecoveries }},
+		{Name: "ttmqo_shard_partitions_total", Help: "router-shard partitions injected", Get: func(s Stats) int64 { return s.Partitions }},
+		{Name: "ttmqo_shard_heals_total", Help: "router-shard partitions healed", Get: func(s Stats) int64 { return s.Heals }},
+		{Name: "ttmqo_router_upstream_resumes_total", Help: "upstream streams resumed after recover/heal", Get: func(s Stats) int64 { return s.UpstreamResumes }},
+		{Name: "ttmqo_resilience_breaker_trips_total", Help: "per-shard circuit breakers tripped open on consecutive stuck rounds", Get: func(s Stats) int64 { return s.BreakerTrips }},
+		{Name: "ttmqo_resilience_breaker_probes_total", Help: "half-open probes issued after breaker cooldowns", Get: func(s Stats) int64 { return s.BreakerProbes }},
+		{Name: "ttmqo_resilience_breaker_recoveries_total", Help: "breakers closed again after a successful probe", Get: func(s Stats) int64 { return s.BreakerRecoveries }},
+		{Name: "ttmqo_resilience_degraded_epochs_total", Help: "epochs released without full shard coverage", Get: func(s Stats) int64 { return s.DegradedEpochs }},
+		{Name: "ttmqo_resilience_shard_stalls_total", Help: "stuck-shard injections (StallShard)", Get: func(s Stats) int64 { return s.ShardStalls }},
+		{Name: "ttmqo_resilience_router_shed_deadline_total", Help: "downstream subscribes shed: router mailbox sojourn exceeded the budget", Get: func(s Stats) int64 { return s.ShedDeadline }},
+	})
 
 	shardUp := r.NewGauge("ttmqo_shard_up", "1 while the shard's gateway is up", "shard")
 	shardVTime := r.NewGauge("ttmqo_shard_virtual_time_seconds", "the shard's elapsed virtual time", "shard")
@@ -74,19 +66,13 @@ func RegisterMetrics(r *telemetry.Registry, current func() *Router) {
 			return
 		}
 		rt.SetMergeObserver(observe)
-		if rt.Alive() {
-			routerUp.Gauge().Set(1)
-		} else {
-			routerUp.Gauge().Set(0)
-		}
 		st := rt.FedStats()
+		setSession(rt.Alive(), st.Stats)
+		setPolicy(st)
 		aliveShards.Gauge().Set(float64(st.AliveShards))
 		trees.Gauge().Set(float64(st.Trees))
 		upstreamSubs.Gauge().Set(float64(st.UpstreamSubs))
 		stalledShards.Gauge().Set(float64(st.StalledShards))
-		for _, c := range counters {
-			c.fam.Counter().Set(float64(c.get(st)))
-		}
 		for i := 0; i < rt.Shards(); i++ {
 			label := strconv.Itoa(i)
 			if rt.ShardAlive(i) {

@@ -491,6 +491,14 @@ func (g *Gateway) ServeStats() (Stats, sim.Time, error) {
 	return g.statsLocked(), g.now(), nil
 }
 
+// metricsSnapshot is one scrape's view under one lock: whether the gateway
+// serves, the kernel's session counters and the serving counters.
+func (g *Gateway) metricsSnapshot() (bool, tier.Stats, Stats) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return !g.k.ClosedLocked(), g.k.StatsLocked(), g.statsLocked()
+}
+
 func (g *Gateway) statsLocked() Stats {
 	st := g.stats
 	g.k.StatsLocked().Overlay(&st)

@@ -4,6 +4,7 @@ import (
 	"strconv"
 
 	"repro/internal/telemetry"
+	"repro/internal/tier"
 	"repro/internal/tracing"
 )
 
@@ -20,53 +21,31 @@ var TTFRBounds = []float64{1, 2, 4, 8, 16, 32, 64, 128}
 // leaves the previous values standing (a scrape mid-swap sees the last
 // consistent state).
 //
-// Counters mirror gateway.Stats through monotonic Set, so a recovery
-// whose deterministic replay re-derives a smaller history (drops on
-// long-gone live channels are not re-counted) never makes an exposed
-// counter run backwards mid-scrape-series. Everything here is a pure
-// function of seed and committed command sequence — no wall clock — so
-// scrapes at a fixed virtual time are identical across client scheduling
-// and experiment parallelism.
+// The session families are the kernel's (tier.RegisterMetrics); the rest
+// are the gateway's policy. Counters mirror through monotonic Set
+// (telemetry.Mirror). Everything here is a pure function of seed and
+// committed command sequence — no wall clock — so scrapes at a fixed
+// virtual time are identical across client scheduling and experiment
+// parallelism.
 func RegisterMetrics(r *telemetry.Registry, current func() *Gateway) {
-	up := r.NewGauge("ttmqo_gateway_up", "1 while the gateway is serving, 0 during a crash outage")
+	setSession := tier.RegisterMetrics(r, tracing.TierGateway)
+	setPolicy := telemetry.Mirror(r, []telemetry.Row[Stats]{
+		{Name: "ttmqo_gateway_rate_limited_total", Help: "subscribes rejected by the token bucket", Get: func(s Stats) int64 { return s.RateLimited }},
+		{Name: "ttmqo_gateway_admit_errors_total", Help: "network admissions that failed", Get: func(s Stats) int64 { return s.AdmitErrors }},
+		{Name: "ttmqo_gateway_admitted_total", Help: "queries posted into the network", Get: func(s Stats) int64 { return s.Admitted }},
+		{Name: "ttmqo_gateway_cancelled_total", Help: "refcount-zero query cancellations", Get: func(s Stats) int64 { return s.Cancelled }},
+		{Name: "ttmqo_gateway_epochs_total", Help: "result epochs from the simulation", Get: func(s Stats) int64 { return s.Epochs }},
+		{Name: "ttmqo_gateway_recoveries_total", Help: "gateways rebuilt by WAL replay", Get: func(s Stats) int64 { return s.Recoveries }},
+		{Name: "ttmqo_wal_appends_total", Help: "write-ahead-log records appended", Get: func(s Stats) int64 { return s.WALAppends }},
+		{Name: "ttmqo_wal_compactions_total", Help: "write-ahead-log rewrites", Get: func(s Stats) int64 { return s.WALCompactions }},
+		{Name: "ttmqo_resilience_shed_queue_total", Help: "subscribes shed at staging by the mailbox depth bound", Get: func(s Stats) int64 { return s.ShedQueue }},
+		{Name: "ttmqo_resilience_shed_deadline_total", Help: "subscribes shed at commit: mailbox sojourn exceeded the deadline budget", Get: func(s Stats) int64 { return s.ShedDeadline }},
+		{Name: "ttmqo_resilience_shed_subs_total", Help: "subscribes shed by the global concurrent-subscription cap", Get: func(s Stats) int64 { return s.ShedSubs }},
+		{Name: "ttmqo_resilience_shed_brownout_total", Help: "subscribes shed while the brownout ladder sat at its shed rung", Get: func(s Stats) int64 { return s.ShedBrownout }},
+		{Name: "ttmqo_resilience_brownout_escalations_total", Help: "brownout ladder steps toward heavier shedding", Get: func(s Stats) int64 { return s.BrownoutEscalations }},
+		{Name: "ttmqo_resilience_brownout_recoveries_total", Help: "brownout ladder steps back toward normal", Get: func(s Stats) int64 { return s.BrownoutRecoveries }},
+	})
 
-	type cf struct {
-		fam *telemetry.Family
-		get func(Stats) int64
-	}
-	counters := []cf{
-		{r.NewCounter("ttmqo_gateway_sessions_total", "sessions registered"), func(s Stats) int64 { return s.Sessions }},
-		{r.NewCounter("ttmqo_gateway_subscribes_total", "subscriptions accepted"), func(s Stats) int64 { return s.Subscribes }},
-		{r.NewCounter("ttmqo_gateway_unsubscribes_total", "subscriptions removed"), func(s Stats) int64 { return s.Unsubscribes }},
-		{r.NewCounter("ttmqo_gateway_rate_limited_total", "subscribes rejected by the token bucket"), func(s Stats) int64 { return s.RateLimited }},
-		{r.NewCounter("ttmqo_gateway_quota_rejected_total", "subscribes rejected by the session quota"), func(s Stats) int64 { return s.QuotaRejected }},
-		{r.NewCounter("ttmqo_gateway_admit_errors_total", "network admissions that failed"), func(s Stats) int64 { return s.AdmitErrors }},
-		{r.NewCounter("ttmqo_gateway_dedup_hits_total", "subscriptions served by an already-admitted query"), func(s Stats) int64 { return s.DedupHits }},
-		{r.NewCounter("ttmqo_gateway_admitted_total", "queries posted into the network"), func(s Stats) int64 { return s.Admitted }},
-		{r.NewCounter("ttmqo_gateway_cancelled_total", "refcount-zero query cancellations"), func(s Stats) int64 { return s.Cancelled }},
-		{r.NewCounter("ttmqo_gateway_updates_total", "result deliveries fanned out"), func(s Stats) int64 { return s.Updates }},
-		{r.NewCounter("ttmqo_gateway_epochs_total", "result epochs from the simulation"), func(s Stats) int64 { return s.Epochs }},
-		{r.NewCounter("ttmqo_gateway_dropped_updates_total", "deliveries lost to full buffers"), func(s Stats) int64 { return s.Dropped }},
-		{r.NewCounter("ttmqo_gateway_evicted_total", "slow subscribers evicted"), func(s Stats) int64 { return s.Evicted }},
-		{r.NewCounter("ttmqo_gateway_detaches_total", "session detaches"), func(s Stats) int64 { return s.Detaches }},
-		{r.NewCounter("ttmqo_gateway_attaches_total", "session re-attaches"), func(s Stats) int64 { return s.Attaches }},
-		{r.NewCounter("ttmqo_gateway_resumes_total", "subscription streams resumed"), func(s Stats) int64 { return s.Resumes }},
-		{r.NewCounter("ttmqo_gateway_resume_gaps_total", "resumes that lost ring-shed updates"), func(s Stats) int64 { return s.ResumeGaps }},
-		{r.NewCounter("ttmqo_gateway_ring_dropped_total", "updates shed from bounded resume rings"), func(s Stats) int64 { return s.RingDropped }},
-		{r.NewCounter("ttmqo_gateway_idle_reaped_total", "detached sessions reaped by the idle timeout"), func(s Stats) int64 { return s.IdleReaped }},
-		{r.NewCounter("ttmqo_gateway_recoveries_total", "gateways rebuilt by WAL replay"), func(s Stats) int64 { return s.Recoveries }},
-		{r.NewCounter("ttmqo_wal_appends_total", "write-ahead-log records appended"), func(s Stats) int64 { return s.WALAppends }},
-		{r.NewCounter("ttmqo_wal_compactions_total", "write-ahead-log rewrites"), func(s Stats) int64 { return s.WALCompactions }},
-		{r.NewCounter("ttmqo_resilience_shed_queue_total", "subscribes shed at staging by the mailbox depth bound"), func(s Stats) int64 { return s.ShedQueue }},
-		{r.NewCounter("ttmqo_resilience_shed_deadline_total", "subscribes shed at commit: mailbox sojourn exceeded the deadline budget"), func(s Stats) int64 { return s.ShedDeadline }},
-		{r.NewCounter("ttmqo_resilience_shed_subs_total", "subscribes shed by the global concurrent-subscription cap"), func(s Stats) int64 { return s.ShedSubs }},
-		{r.NewCounter("ttmqo_resilience_shed_brownout_total", "subscribes shed while the brownout ladder sat at its shed rung"), func(s Stats) int64 { return s.ShedBrownout }},
-		{r.NewCounter("ttmqo_resilience_brownout_escalations_total", "brownout ladder steps toward heavier shedding"), func(s Stats) int64 { return s.BrownoutEscalations }},
-		{r.NewCounter("ttmqo_resilience_brownout_recoveries_total", "brownout ladder steps back toward normal"), func(s Stats) int64 { return s.BrownoutRecoveries }},
-	}
-
-	activeSessions := r.NewGauge("ttmqo_gateway_active_sessions", "currently registered sessions")
-	activeSubs := r.NewGauge("ttmqo_gateway_active_subscriptions", "currently live subscriptions")
 	sharedQueries := r.NewGauge("ttmqo_gateway_shared_queries", "distinct admitted in-network queries")
 	dedupRatio := r.NewGauge("ttmqo_gateway_dedup_ratio", "subscriptions per admitted network query")
 	ringUpdates := r.NewGauge("ttmqo_gateway_resume_ring_updates", "updates parked in resume rings (occupancy)")
@@ -92,20 +71,9 @@ func RegisterMetrics(r *telemetry.Registry, current func() *Gateway) {
 		if g == nil {
 			return
 		}
-		if g.Alive() {
-			up.Gauge().Set(1)
-		} else {
-			up.Gauge().Set(0)
-		}
-		st, err := g.Stats()
-		if err != nil {
-			return
-		}
-		for _, c := range counters {
-			c.fam.Counter().Set(float64(c.get(st)))
-		}
-		activeSessions.Gauge().Set(float64(st.ActiveSessions))
-		activeSubs.Gauge().Set(float64(st.ActiveSubscriptions))
+		alive, session, st := g.metricsSnapshot()
+		setSession(alive, session)
+		setPolicy(st)
 		sharedQueries.Gauge().Set(float64(st.SharedQueries))
 		dedupRatio.Gauge().Set(st.DedupRatio())
 		walSize.Gauge().Set(float64(st.WALSizeBytes))

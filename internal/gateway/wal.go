@@ -280,9 +280,7 @@ func Recover(cfg Config) (*Gateway, error) {
 		return nil, g.walErr
 	}
 	g.stats.Recoveries++
-	// Ring drops during the replay are not losses: those updates were
-	// delivered live before the crash.
-	g.stats.RingDropped = -g.k.StatsLocked().RingDropped
+	g.k.ForgetRingDropsLocked()
 	// The recovery hop: one tier-level span saying how much log the
 	// rebuild replayed and how much virtual time it re-derived.
 	g.cfg.Tracer.Record(tracing.Span{

@@ -2,12 +2,15 @@ package share
 
 import (
 	"repro/internal/telemetry"
+	"repro/internal/tier"
+	"repro/internal/tracing"
 )
 
 // RegisterMetrics mounts the sharing layer's metric families on r and
 // installs a gather hook that syncs them before every exposition. It
-// follows the gateway's contract: counters mirror Stats through monotonic
-// Set, the hook reads through current() so the registry survives the
+// follows the gateway's contract: the session families are the kernel's
+// (tier.RegisterMetrics), counters mirror Stats through monotonic Set, the
+// hook reads through current() so the registry survives the
 // coordinator being swapped (or absent — a nil current() leaves the last
 // consistent values standing), and everything is a pure function of the
 // committed command sequence, never the wall clock.
@@ -17,38 +20,24 @@ import (
 // ttmqo_cache_hit_ratio (how often a new subscriber's window replayed
 // from cache instead of waiting out an epoch).
 func RegisterMetrics(r *telemetry.Registry, current func() *Coordinator) {
-	type cf struct {
-		fam *telemetry.Family
-		get func(Stats) int64
-	}
-	counters := []cf{
-		{r.NewCounter("ttmqo_share_sessions_total", "sharing-layer sessions registered"), func(s Stats) int64 { return s.Sessions }},
-		{r.NewCounter("ttmqo_share_subscribes_total", "subscriptions accepted by the sharing layer"), func(s Stats) int64 { return s.Subscribes }},
-		{r.NewCounter("ttmqo_share_unsubscribes_total", "subscriptions removed"), func(s Stats) int64 { return s.Unsubscribes }},
-		{r.NewCounter("ttmqo_share_quota_rejected_total", "subscribes rejected by the session quota"), func(s Stats) int64 { return s.QuotaRejected }},
-		{r.NewCounter("ttmqo_share_dedup_hits_total", "subscriptions served by an already-live canonical query"), func(s Stats) int64 { return s.DedupHits }},
-		{r.NewCounter("ttmqo_share_fragments_created_total", "fragments newly materialized upstream"), func(s Stats) int64 { return s.FragmentsCreated }},
-		{r.NewCounter("ttmqo_share_fragments_reused_total", "planned fragments satisfied by the registry"), func(s Stats) int64 { return s.FragmentsReused }},
-		{r.NewCounter("ttmqo_share_fragments_cancelled_total", "refcount-zero fragment cancellations"), func(s Stats) int64 { return s.FragmentsCancelled }},
-		{r.NewCounter("ttmqo_share_merged_epochs_total", "complete epochs recombined from fragments"), func(s Stats) int64 { return s.MergedEpochs }},
-		{r.NewCounter("ttmqo_share_partial_dropped_total", "incomplete epochs superseded by a later complete one"), func(s Stats) int64 { return s.PartialDropped }},
-		{r.NewCounter("ttmqo_share_late_dropped_total", "fragment epochs arriving behind the release watermark"), func(s Stats) int64 { return s.LateDropped }},
-		{r.NewCounter("ttmqo_share_updates_total", "result deliveries fanned out downstream"), func(s Stats) int64 { return s.Updates }},
-		{r.NewCounter("ttmqo_share_evicted_total", "slow subscribers evicted"), func(s Stats) int64 { return s.Evicted }},
-		{r.NewCounter("ttmqo_share_ring_dropped_total", "updates shed from bounded resume rings"), func(s Stats) int64 { return s.RingDropped }},
-		{r.NewCounter("ttmqo_share_resumes_total", "downstream subscription streams resumed"), func(s Stats) int64 { return s.Resumes }},
-		{r.NewCounter("ttmqo_share_resume_gaps_total", "resumes that lost ring-shed updates"), func(s Stats) int64 { return s.ResumeGaps }},
-		{r.NewCounter("ttmqo_share_reattaches_total", "upstream failovers re-attached"), func(s Stats) int64 { return s.Reattaches }},
-		{r.NewCounter("ttmqo_share_upstream_resumes_total", "fragment streams resumed after an upstream failover"), func(s Stats) int64 { return s.UpstreamResumes }},
-		{r.NewCounter("ttmqo_cache_hits_total", "new subscribers whose window replayed from cache"), func(s Stats) int64 { return s.CacheHits }},
-		{r.NewCounter("ttmqo_cache_misses_total", "new subscribers with no cached window"), func(s Stats) int64 { return s.CacheMisses }},
-		{r.NewCounter("ttmqo_cache_replayed_epochs_total", "cached epochs replayed to late subscribers"), func(s Stats) int64 { return s.ReplayedEpochs }},
-		{r.NewCounter("ttmqo_resilience_replay_sheds_total", "cache replays skipped under brownout pressure"), func(s Stats) int64 { return s.ReplaySheds }},
-		{r.NewCounter("ttmqo_resilience_share_shed_deadline_total", "subscribes shed: coordinator mailbox sojourn exceeded the budget"), func(s Stats) int64 { return s.ShedDeadline }},
-		{r.NewCounter("ttmqo_resilience_share_degraded_epochs_total", "epochs recombined from degraded (partial-coverage) upstream updates"), func(s Stats) int64 { return s.DegradedEpochs }},
-	}
+	setSession := tier.RegisterMetrics(r, tracing.TierShare)
+	setPolicy := telemetry.Mirror(r, []telemetry.Row[Stats]{
+		{Name: "ttmqo_share_fragments_created_total", Help: "fragments newly materialized upstream", Get: func(s Stats) int64 { return s.FragmentsCreated }},
+		{Name: "ttmqo_share_fragments_reused_total", Help: "planned fragments satisfied by the registry", Get: func(s Stats) int64 { return s.FragmentsReused }},
+		{Name: "ttmqo_share_fragments_cancelled_total", Help: "refcount-zero fragment cancellations", Get: func(s Stats) int64 { return s.FragmentsCancelled }},
+		{Name: "ttmqo_share_merged_epochs_total", Help: "complete epochs recombined from fragments", Get: func(s Stats) int64 { return s.MergedEpochs }},
+		{Name: "ttmqo_share_partial_dropped_total", Help: "incomplete epochs superseded by a later complete one", Get: func(s Stats) int64 { return s.PartialDropped }},
+		{Name: "ttmqo_share_late_dropped_total", Help: "fragment epochs arriving behind the release watermark", Get: func(s Stats) int64 { return s.LateDropped }},
+		{Name: "ttmqo_share_reattaches_total", Help: "upstream failovers re-attached", Get: func(s Stats) int64 { return s.Reattaches }},
+		{Name: "ttmqo_share_upstream_resumes_total", Help: "fragment streams resumed after an upstream failover", Get: func(s Stats) int64 { return s.UpstreamResumes }},
+		{Name: "ttmqo_cache_hits_total", Help: "new subscribers whose window replayed from cache", Get: func(s Stats) int64 { return s.CacheHits }},
+		{Name: "ttmqo_cache_misses_total", Help: "new subscribers with no cached window", Get: func(s Stats) int64 { return s.CacheMisses }},
+		{Name: "ttmqo_cache_replayed_epochs_total", Help: "cached epochs replayed to late subscribers", Get: func(s Stats) int64 { return s.ReplayedEpochs }},
+		{Name: "ttmqo_resilience_replay_sheds_total", Help: "cache replays skipped under brownout pressure", Get: func(s Stats) int64 { return s.ReplaySheds }},
+		{Name: "ttmqo_resilience_share_shed_deadline_total", Help: "subscribes shed: coordinator mailbox sojourn exceeded the budget", Get: func(s Stats) int64 { return s.ShedDeadline }},
+		{Name: "ttmqo_resilience_share_degraded_epochs_total", Help: "epochs recombined from degraded (partial-coverage) upstream updates", Get: func(s Stats) int64 { return s.DegradedEpochs }},
+	})
 
-	activeSessions := r.NewGauge("ttmqo_share_active_sessions", "currently registered sharing-layer sessions")
 	trees := r.NewGauge("ttmqo_share_trees", "distinct live canonical queries (share trees)")
 	fragments := r.NewGauge("ttmqo_share_fragments_active", "distinct fragments streaming upstream")
 	upSessions := r.NewGauge("ttmqo_share_upstream_sessions", "pooled upstream sessions owned by the coordinator")
@@ -61,10 +50,8 @@ func RegisterMetrics(r *telemetry.Registry, current func() *Coordinator) {
 			return
 		}
 		st := c.ShareStats()
-		for _, f := range counters {
-			f.fam.Counter().Set(float64(f.get(st)))
-		}
-		activeSessions.Gauge().Set(float64(st.ActiveSessions))
+		setSession(c.Alive(), st.Stats)
+		setPolicy(st)
 		trees.Gauge().Set(float64(st.Trees))
 		fragments.Gauge().Set(float64(st.FragmentsActive))
 		upSessions.Gauge().Set(float64(st.UpstreamSessions))

@@ -1,8 +1,8 @@
 // Package telemetry is the live observability plane: a dependency-free
 // metrics registry (counters, gauges, fixed-bucket histograms, with
-// optional labels), a Prometheus text-format encoder and decoder-side
-// validator, a per-query lifecycle span log, and an admin HTTP server
-// exposing /metrics, /healthz, /readyz, /statusz, /tracez and
+// optional labels, and Mirror, the one snapshot-to-counter copy), a
+// Prometheus text-format encoder and decoder-side validator, and an admin
+// HTTP server exposing /metrics, /healthz, /readyz, /statusz, /tracez and
 // /debug/pprof.
 //
 // The registry is safe for concurrent use. Values are float64; counters
@@ -64,7 +64,7 @@ func (c *Counter) Add(v float64) {
 func (c *Counter) Inc() { c.Add(1) }
 
 // Set forces the counter to v if v is an advance; used when mirroring an
-// external monotonic counter (e.g. gateway Stats) into the registry.
+// external monotonic counter into the registry (see Mirror).
 func (c *Counter) Set(v float64) {
 	if math.IsNaN(v) {
 		return
@@ -292,6 +292,29 @@ func (r *Registry) NewHistogram(name, help string, bounds []float64, labels ...s
 		}
 	}
 	return r.register(&Family{Name: name, Help: help, Kind: KindHistogram, Bounds: append([]float64(nil), bounds...), Labels: labels})
+}
+
+// Row is one counter mirrored from a snapshot type T: the family's name and
+// HELP text, and the field of T it reads.
+type Row[T any] struct {
+	Name, Help string
+	Get        func(T) int64
+}
+
+// Mirror registers one counter family per row and returns the setter that
+// copies a snapshot into them. The copy is a monotonic Set, so a source whose
+// replay re-derives a smaller history (a recovered gateway does not re-count
+// drops on long-gone channels) never makes an exposed counter run backwards.
+func Mirror[T any](r *Registry, rows []Row[T]) func(T) {
+	fams := make([]*Family, len(rows))
+	for i, row := range rows {
+		fams[i] = r.NewCounter(row.Name, row.Help)
+	}
+	return func(snap T) {
+		for i, row := range rows {
+			fams[i].Counter().Set(float64(row.Get(snap)))
+		}
+	}
 }
 
 // Sample is one gathered time-series point.

@@ -3,11 +3,12 @@
 // vocabulary (serving.go), a session kernel (session table, staged-command
 // mailbox with deterministic commit order, tickets, per-subscriber bounded
 // streams with detach/resume, slow-consumer eviction, idle reaping,
-// lifecycle counters) and the partial-aggregate algebra that splits a region
-// query into pieces and folds the pieces' partials back (algebra.go). A tier
-// holds a Kernel and supplies only its policy: how a committed subscribe
-// finds or builds its group of sharing subscribers, and what releasing a
-// group or closing a session means upstream.
+// lifecycle counters and their metric families, metrics.go) and the
+// partial-aggregate algebra that splits a region query into pieces and folds
+// the pieces' partials back (algebra.go). A tier holds a Kernel and supplies
+// only its policy: how a committed subscribe finds or builds its group of
+// sharing subscribers, and what releasing a group or closing a session means
+// upstream.
 //
 // The lock/hook contract: the tier owns one mutex (Config.Mu). The kernel's
 // client-facing methods (Register, Attach, the Session and Sub methods) take
@@ -158,6 +159,11 @@ func (k *Kernel) StatsLocked() Stats {
 	st.ActiveSessions = len(k.sessions)
 	return st
 }
+
+// ForgetRingDropsLocked zeroes RingDropped after a tier rebuilt its sessions
+// by replay: the drops the replay re-derived were live deliveries before the
+// crash, not losses.
+func (k *Kernel) ForgetRingDropsLocked() { k.stats.RingDropped = 0 }
 
 // Occupancy is the /statusz view of the session table.
 type Occupancy struct {
