@@ -20,7 +20,8 @@ fmt-check:
 
 # The Go benchmarks: the figure harnesses, parser, optimizer and simulator
 # at the root, the serving hot path's micro view (one frame encode, one
-# 64-subscription round) in internal/gateway, and the base station's (one
+# 64-subscription round, the client reading one 16 x 16 fan-out epoch) in
+# internal/gateway, and the base station's (one
 # epoch mapped to its members in internal/core, one collection window closed
 # in internal/network), and the composed tiers' round without sockets (the
 # router's at two shard sizes in internal/federation; the full_stack shape
@@ -121,7 +122,8 @@ chaos-soak:
 # arbitrary lists, is idempotent, and renders one text however they were
 # ordered), the canonical dedup/CSE key's byte-stability under predicate
 # reordering, duplicate entries and whitespace noise, the wire codec
-# (arbitrary bytes never panic the frame decoder; requests round-trip both
+# (arbitrary bytes never panic the frame decoder, nor a client decoding them
+# as a stream of frames through its slot table; requests round-trip both
 # encodings), the partial-aggregate algebra (Finish over any partition equals
 # direct evaluation) and the tier-1 optimizer (after any Insert / InsertBatch
 # / Terminate script, with the histograms moving in between, the optimizer

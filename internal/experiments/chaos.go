@@ -30,9 +30,6 @@ type ChaosConfig struct {
 	// Scenarios lists the runs: builtin names (chaos.BuiltinNames) or whole
 	// scenario files read into text form. Default: every builtin.
 	Scenarios []string
-	// WALDir holds the per-scenario WAL directories (a private temp directory,
-	// removed afterwards, if empty).
-	WALDir string
 	// Parallelism caps the worker pool running independent scenarios (<= 0:
 	// one worker per CPU). Results are identical at any setting.
 	Parallelism int
@@ -70,15 +67,11 @@ func RunChaos(cfg ChaosConfig) ([]ChaosRow, error) {
 	if len(cfg.Scenarios) == 0 {
 		cfg.Scenarios = chaos.BuiltinNames()
 	}
-	dir := cfg.WALDir
-	if dir == "" {
-		d, err := os.MkdirTemp("", "ttmqo-chaos-")
-		if err != nil {
-			return nil, err
-		}
-		defer os.RemoveAll(d)
-		dir = d
+	dir, err := os.MkdirTemp("", "ttmqo-chaos-")
+	if err != nil {
+		return nil, err
 	}
+	defer os.RemoveAll(dir)
 	type cell struct {
 		i   int
 		ref string

@@ -1,7 +1,10 @@
 package gateway
 
 import (
+	"bufio"
+	"bytes"
 	"io"
+	"runtime"
 	"testing"
 	"time"
 
@@ -12,7 +15,8 @@ import (
 )
 
 // The micro view of the serving hot path: `make bench` prints ns/op and
-// allocs/op for one frame encode and one 64-subscription round. Trajectory
+// allocs/op for one frame encode and one 64-subscription round, and
+// ns/frame and allocs/frame for the client reading one fan-out epoch. Trajectory
 // only — the exact properties (zero allocations, one write per round) are
 // asserted by TestAppendUpdateFrameZeroAlloc, TestStageAllocatesNothing and
 // TestWriterRoundCostsOneWrite; the end-to-end numbers are bench/run.sh's.
@@ -99,4 +103,48 @@ func BenchmarkPumpRound(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkClientRecvFanout: the client side of one fanout_heavy-shaped
+// epoch on one binary connection — 16 queries x 16 subscribers, pumped once
+// by the connection writer — read back through Client.Recv; ns/frame and
+// allocs/frame are per delivered result frame.
+func BenchmarkClientRecvFanout(b *testing.B) {
+	const queries, subs = 16, 16
+	var wire bytes.Buffer
+	w := newConnWriter(&wire)
+	w.binary = true
+	for q := 0; q < queries; q++ {
+		u := benchUpdate()
+		u.QueryID = query.ID(q + 1)
+		for s := 0; s < subs; s++ {
+			ch := make(chan Update, 1)
+			u.Sub = SubID(q*subs + s + 1)
+			ch <- u
+			w.streams = append(w.streams, stream{stubSub(u.Sub), ch})
+		}
+	}
+	if err := w.pump(); err != nil {
+		b.Fatal(err)
+	}
+	epoch := wire.Bytes()
+	rd := bytes.NewReader(epoch)
+	c := &Client{br: bufio.NewReaderSize(rd, 1<<20)}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rd.Reset(epoch)
+		c.br.Reset(rd)
+		for f := 0; f < queries*subs; f++ {
+			if _, err := c.Recv(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	frames := float64(b.N * queries * subs)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/frames, "ns/frame")
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/frames, "allocs/frame")
 }

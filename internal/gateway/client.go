@@ -18,6 +18,10 @@ import (
 // server's framing per frame, so the JSON→binary transition needs no
 // coordination.
 //
+// The Rows and Aggs of a decoded response are read-only: the subscribers of
+// one query on a connection share one decoded body per epoch (the server's
+// keep and ref frames), so responses may hold the same slices and maps.
+//
 // Client is not safe for concurrent use: it is a protocol endpoint for
 // tests, the chaos drills and ad-hoc tooling, not a connection pool.
 type Client struct {
@@ -28,6 +32,9 @@ type Client struct {
 	binary  bool
 	scratch []byte
 	timeout time.Duration
+	// kept holds the bodies the server's keep frames assigned to slots;
+	// its ref frames name them.
+	kept keptTable
 }
 
 // ClientConfig parametrizes Dial.
@@ -133,7 +140,8 @@ func wrapRead(err error) error {
 
 // Recv reads the next response, auto-detecting its framing. A read that
 // dies on the configured deadline returns an error matching
-// ErrPingTimeout.
+// ErrPingTimeout. A ref frame's response shares its Rows or Aggs with the
+// keep frame's before it; treat them as read-only.
 func (c *Client) Recv() (Response, error) {
 	if err := c.deadline(); err != nil {
 		return Response{}, err
@@ -147,7 +155,7 @@ func (c *Client) Recv() (Response, error) {
 		if err != nil {
 			return Response{}, wrapRead(err)
 		}
-		return decodeResponsePayload(c.scratch)
+		return decodeResponse(c.scratch, &c.kept)
 	}
 	line, err := c.br.ReadSlice('\n')
 	if err != nil {

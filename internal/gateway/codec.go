@@ -38,6 +38,20 @@ import (
 // never builds the string-keyed maps the JSON form needs, which is where
 // most of the old hot-path garbage came from.
 //
+// A result frame is a per-subscriber head (kind, sub, seq), a body every
+// subscriber of the query shares (timestamp, degraded/coverage, rows or
+// aggregates) and an optional trace trailer. Besides the whole rows and agg
+// frames there are two shared-body kinds of each: a keep frame is a whole
+// frame whose head also names a connection slot, and the client keeps the
+// decoded body there; a ref frame is the head, the slot and the trailer,
+// and carries the kept body. The connection writer keeps a body only when a
+// pump carries it more than once, and a ref names only a slot kept earlier
+// in the same pump on the same connection, so a pump without repeats writes
+// exactly the whole frames. The kinds are additive and WireVersion stays 1
+// (the WAL shares it): a decoder that predates them rejects them by kind
+// code, and one without a slot table (decodeResponsePayload) rejects them
+// too.
+//
 // Encoding appends into caller-owned buffers (see frameBufPool) so the
 // steady-state fan-out path allocates nothing. Decoding is bounds-checked
 // with a sticky error and never panics on malformed input: list counts are
@@ -81,7 +95,58 @@ const (
 	frameRespStats
 	frameRespPong
 	frameRespError
+	// The keep and ref kinds of a result frame (see the header comment).
+	frameRespRowsKeep
+	frameRespAggKeep
+	frameRespRowsRef
+	frameRespAggRef
 )
+
+// frameShare is how an update frame carries its body.
+type frameShare uint8
+
+const (
+	shareNone frameShare = iota // whole: head, body, trailer
+	shareKeep                   // whole, and the client keeps the body in a slot
+	shareRef                    // head, slot, trailer: the body is the slot's
+)
+
+// updateKinds[share][agg] is the kind of an update frame.
+var updateKinds = [3][2]byte{
+	shareNone: {frameRespRows, frameRespAgg},
+	shareKeep: {frameRespRowsKeep, frameRespAggKeep},
+	shareRef:  {frameRespRowsRef, frameRespAggRef},
+}
+
+// sharedKinds maps a keep or ref frame kind to its response type.
+var sharedKinds = map[byte]struct {
+	typ   string
+	share frameShare
+}{
+	frameRespRowsKeep: {TypeRows, shareKeep},
+	frameRespAggKeep:  {TypeAgg, shareKeep},
+	frameRespRowsRef:  {TypeRows, shareRef},
+	frameRespAggRef:   {TypeAgg, shareRef},
+}
+
+// keptSlots bounds a connection's table of kept bodies: the connection
+// writer assigns slots 0, 1, ... afresh in every pump and sends the bodies
+// past the last slot whole.
+const keptSlots = 64
+
+// keptBody is one slot of a client's table: the shared part of the update
+// frame last kept there, decoded once. An empty slot has no typ.
+type keptBody struct {
+	typ      string
+	atMS     int64
+	degraded bool
+	coverage float64
+	rows     []WireRow
+	aggs     []WireAgg
+}
+
+// keptTable is a connection's table of kept bodies, one per slot.
+type keptTable [keptSlots]keptBody
 
 var opToCode = map[string]byte{
 	OpHello:       frameReqHello,
@@ -257,6 +322,19 @@ func (r *frameReader) float() float64 {
 }
 
 func (r *frameReader) bool() bool { return r.byte() != 0 }
+
+// slot reads a keep or ref frame's slot number and returns that slot of
+// kept; nil, with the error set, when it is out of range.
+func (r *frameReader) slot(kept *keptTable) *keptBody {
+	n := r.uvarint()
+	if r.err == nil && n >= keptSlots {
+		r.fail("slot out of range")
+	}
+	if r.err != nil {
+		return nil
+	}
+	return &kept[n]
+}
 
 // count validates a list length against the remaining payload before the
 // caller allocates: every element needs at least min bytes, so a malicious
@@ -553,30 +631,40 @@ func appendResponseFrame(buf []byte, resp *Response) ([]byte, error) {
 	return b, nil
 }
 
-// appendUpdateFrame encodes one delivered update directly from its
+// appendUpdateFrame encodes one delivered update whole, directly from its
 // simulation form — the zero-allocation fan-out path. It produces exactly
 // the bytes appendResponseFrame(wireUpdate(u)) would, without building the
 // intermediate Response, its WireRow slice or its string-keyed maps. The
 // frame is head, body, optional trace trailer; the connection writer emits
-// the same three pieces with the body cached per epoch.
+// the same three pieces with the body cached per flush, and a keep or ref
+// frame in place of the whole frame when subscribers share the body.
 func appendUpdateFrame(buf []byte, u *Update) []byte {
-	b := appendUpdateBody(appendUpdateHead(buf, u), u)
+	b := appendUpdateBody(appendUpdateHead(buf, u, shareNone, 0), u)
 	if u.Trace != 0 {
 		b = appendProvTrailer(b, u.Trace, u.Prov)
 	}
 	return b
 }
 
+// aggUpdate reports whether u travels as an agg frame rather than a rows
+// frame.
+func aggUpdate(u *Update) bool { return u.Rows == nil && u.Aggs != nil }
+
 // appendUpdateHead begins a frame with the per-subscriber fields: frame
-// kind, subscription id and sequence number.
-func appendUpdateHead(buf []byte, u *Update) []byte {
-	kind := frameRespAgg
-	if u.Rows != nil || u.Aggs == nil {
-		kind = frameRespRows
+// kind, subscription id and sequence number, and for a keep or ref frame
+// the slot.
+func appendUpdateHead(buf []byte, u *Update, share frameShare, slot int) []byte {
+	kind := updateKinds[share][0]
+	if aggUpdate(u) {
+		kind = updateKinds[share][1]
 	}
 	b := append(beginFrame(buf), WireVersion, kind)
 	b = binary.AppendVarint(b, int64(u.Sub))
-	return binary.AppendUvarint(b, u.Seq)
+	b = binary.AppendUvarint(b, u.Seq)
+	if share != shareNone {
+		b = binary.AppendUvarint(b, uint64(slot))
+	}
+	return b
 }
 
 // appendUpdateBody encodes the part of an update frame every subscriber of
@@ -587,7 +675,7 @@ func appendUpdateBody(b []byte, u *Update) []byte {
 	if u.Degraded {
 		b = appendFloat(b, u.Coverage)
 	}
-	if u.Rows != nil || u.Aggs == nil {
+	if !aggUpdate(u) {
 		b = binary.AppendUvarint(b, uint64(len(u.Rows)))
 		for i := range u.Rows {
 			row := &u.Rows[i]
@@ -612,18 +700,32 @@ func appendUpdateBody(b []byte, u *Update) []byte {
 	return b
 }
 
-// decodeResponsePayload parses a binary response payload.
-func decodeResponsePayload(p []byte) (Response, error) {
+// decodeResponsePayload parses a binary response payload on its own; a
+// keep or ref frame needs its connection's slot table and is an error.
+func decodeResponsePayload(p []byte) (Response, error) { return decodeResponse(p, nil) }
+
+// decodeResponse parses a binary response payload. A keep frame stores its
+// decoded body in kept; a ref frame's Response carries the body of the slot
+// it names — AtMS, Degraded, Coverage, Rows and Aggs shared, not copied.
+func decodeResponse(p []byte, kept *keptTable) (Response, error) {
 	r := frameReader{b: p}
 	if v := r.byte(); r.err == nil && v != WireVersion {
 		return Response{}, fmt.Errorf("gateway: unsupported wire version %d", v)
 	}
 	code := r.byte()
 	typ, ok := codeToType[code]
+	sk, shared := sharedKinds[code]
+	if shared {
+		if kept == nil {
+			return Response{}, fmt.Errorf("gateway: shared-body frame %d outside a connection", code)
+		}
+		typ, ok = sk.typ, true
+	}
 	if r.err == nil && !ok {
 		return Response{}, fmt.Errorf("gateway: unknown response code %d", code)
 	}
 	resp := Response{Type: typ}
+	var keep *keptBody // the slot a keep frame fills once it decodes
 	switch typ {
 	case TypeHello:
 		resp.Tag = r.str()
@@ -650,50 +752,23 @@ func decodeResponsePayload(p []byte) (Response, error) {
 		if r.more() {
 			resp.TraceID = r.uvarint()
 		}
-	case TypeRows:
+	case TypeRows, TypeAgg:
 		resp.Sub = SubID(r.varint())
 		resp.Seq = r.uvarint()
-		resp.AtMS = r.varint()
-		resp.Degraded = r.bool()
-		if resp.Degraded {
-			resp.Coverage = r.float()
-		}
-		if n := r.count(2); n > 0 {
-			resp.Rows = make([]WireRow, 0, n)
-			for i := 0; i < n && r.err == nil; i++ {
-				row := WireRow{Node: topology.NodeID(r.varint())}
-				nv := r.count(9)
-				if r.err == nil {
-					row.Values = make(map[string]float64, nv)
-					for j := 0; j < nv && r.err == nil; j++ {
-						a := field.Attr(r.byte())
-						row.Values[a.String()] = r.float()
-					}
-				}
-				resp.Rows = append(resp.Rows, row)
+		switch {
+		case !shared:
+			decodeUpdateBody(&r, &resp)
+		case sk.share == shareKeep:
+			if keep = r.slot(kept); keep != nil {
+				*keep = keptBody{} // a keep that fails to decode leaves its slot empty
+				decodeUpdateBody(&r, &resp)
 			}
-		}
-		if r.more() {
-			decodeProvTrailer(&r, &resp)
-		}
-	case TypeAgg:
-		resp.Sub = SubID(r.varint())
-		resp.Seq = r.uvarint()
-		resp.AtMS = r.varint()
-		resp.Degraded = r.bool()
-		if resp.Degraded {
-			resp.Coverage = r.float()
-		}
-		if n := r.count(11); n > 0 {
-			resp.Aggs = make([]WireAgg, 0, n)
-			for i := 0; i < n && r.err == nil; i++ {
-				ag := query.Agg{Op: query.AggOp(r.byte()), Attr: field.Attr(r.byte())}
-				resp.Aggs = append(resp.Aggs, WireAgg{
-					Agg:   ag.String(),
-					Group: r.varint(),
-					Value: r.float(),
-					Empty: r.bool(),
-				})
+		default:
+			kb := r.slot(kept)
+			if kb != nil && kb.typ != typ {
+				r.fail("ref to an empty or other-kind slot")
+			} else if kb != nil {
+				resp.AtMS, resp.Degraded, resp.Coverage, resp.Rows, resp.Aggs = kb.atMS, kb.degraded, kb.coverage, kb.rows, kb.aggs
 			}
 		}
 		if r.more() {
@@ -721,7 +796,51 @@ func decodeResponsePayload(p []byte) (Response, error) {
 		resp.Code = r.str()
 		resp.RetryAfterMS = r.varint()
 	}
-	return resp, r.finish()
+	err := r.finish()
+	if keep != nil && err == nil {
+		*keep = keptBody{typ, resp.AtMS, resp.Degraded, resp.Coverage, resp.Rows, resp.Aggs}
+	}
+	return resp, err
+}
+
+// decodeUpdateBody parses what appendUpdateBody wrote into resp, whose
+// Type says rows or aggregates.
+func decodeUpdateBody(r *frameReader, resp *Response) {
+	resp.AtMS = r.varint()
+	resp.Degraded = r.bool()
+	if resp.Degraded {
+		resp.Coverage = r.float()
+	}
+	if resp.Type == TypeRows {
+		if n := r.count(2); n > 0 {
+			resp.Rows = make([]WireRow, 0, n)
+			for i := 0; i < n && r.err == nil; i++ {
+				row := WireRow{Node: topology.NodeID(r.varint())}
+				nv := r.count(9)
+				if r.err == nil {
+					row.Values = make(map[string]float64, nv)
+					for j := 0; j < nv && r.err == nil; j++ {
+						a := field.Attr(r.byte())
+						row.Values[a.String()] = r.float()
+					}
+				}
+				resp.Rows = append(resp.Rows, row)
+			}
+		}
+		return
+	}
+	if n := r.count(11); n > 0 {
+		resp.Aggs = make([]WireAgg, 0, n)
+		for i := 0; i < n && r.err == nil; i++ {
+			ag := query.Agg{Op: query.AggOp(r.byte()), Attr: field.Attr(r.byte())}
+			resp.Aggs = append(resp.Aggs, WireAgg{
+				Agg:   ag.String(),
+				Group: r.varint(),
+				Value: r.float(),
+				Empty: r.bool(),
+			})
+		}
+	}
 }
 
 // splitAggName parses the "MAX(light)" rendering back into its codes for

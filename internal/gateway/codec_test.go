@@ -275,6 +275,14 @@ func FuzzDecodeFrame(f *testing.F) {
 	tracedWAL := walRecord{Op: walOpSubscribe, At: 2048, Sess: "a", Sub: 1, Query: "q", Trace: 9}
 	b6, _ := appendWALFrame(nil, &tracedWAL)
 	f.Add(append([]byte{}, sealFrame(b6)...))
+	// Keep and ref frames, rows and aggregates, the ref traced: without a
+	// connection's slot table every one of them is an error.
+	for _, u := range keptSeedUpdates() {
+		f.Add(append([]byte{}, sealFrame(appendUpdateBody(appendUpdateHead(nil, &u, shareKeep, 1), &u))...))
+		if u.Trace != 0 {
+			f.Add(append([]byte{}, sealFrame(appendProvTrailer(appendUpdateHead(nil, &u, shareRef, 1), u.Trace, u.Prov))...))
+		}
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		_ = decodeFrame(data) // must not panic

@@ -206,7 +206,7 @@ func wireUpdate(u Update) Response {
 			}
 		}
 	}
-	if u.Rows != nil || u.Aggs == nil {
+	if !aggUpdate(&u) {
 		r.Type = TypeRows
 		r.Rows = make([]WireRow, 0, len(u.Rows))
 		for _, row := range u.Rows {

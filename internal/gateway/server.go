@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sync"
 	"time"
 
@@ -180,11 +181,32 @@ type connWriter struct {
 
 	// The body of an update frame (timestamp, degraded/coverage, rows or
 	// aggregates) is the same for every subscriber of a query, so between
-	// two flushes each distinct payload is encoded once into arena and
-	// replayed from bodies; head and tail are the per-subscriber scratch.
-	bodies     map[bodyKey][2]int // payload identity → [start, end) in arena
+	// two flushes each distinct payload is encoded once into arena: bodies
+	// maps its identity to its entry in shared. head and tail are the
+	// per-subscriber scratch.
+	bodies     map[bodyKey]int
+	shared     []body
 	arena      []byte
 	head, tail []byte
+	// queue is what a pump drained, in order, until it is staged; slots
+	// counts the connection slots the pump has kept bodies in.
+	queue []queued
+	slots int
+}
+
+// body is one distinct update payload of the current flush.
+type body struct {
+	start, end int // [start, end) in arena; end is 0 until it is encoded
+	queued     int // frames in the pump's queue that carry it
+	slot       int // the connection slot it is kept in this pump, or -1
+}
+
+// queued is one frame a pump drained: an update, whose body is
+// shared[body] on a binary connection, or a stream's closed notice.
+type queued struct {
+	u      Update
+	body   int
+	closed ServerSub
 }
 
 // stream is one subscription's channel as captured at registration (a
@@ -204,6 +226,7 @@ type bodyKey struct {
 	rows         *query.Row
 	aggs         *query.AggResult
 	nrows, naggs int
+	agg          bool
 	degraded     bool
 	coverage     float64
 }
@@ -225,7 +248,7 @@ func (d deadlineWriter) Write(p []byte) (int, error) {
 
 func newConnWriter(conn io.Writer) *connWriter {
 	bw := bufio.NewWriterSize(conn, 32*1024)
-	return &connWriter{bw: bw, enc: json.NewEncoder(bw), kick: make(Signal, 1), bodies: make(map[bodyKey][2]int)}
+	return &connWriter{bw: bw, enc: json.NewEncoder(bw), kick: make(Signal, 1), bodies: make(map[bodyKey]int)}
 }
 
 // setBinary switches outbound framing to binary frames; responses written
@@ -247,15 +270,19 @@ func (w *connWriter) write(r Response) error {
 }
 
 // open stages a stream's subscribed reply, then whatever the stream already
-// holds (a resumed tail, a cache replay), and registers it, all under one
-// lock: on the wire the ack precedes the stream's first frame. A stream
-// whose ack could not be staged is not registered; the caller severs the
-// connection, and the session's teardown collects the stream.
+// holds (a resumed tail, a cache replay) as whole frames, and registers it,
+// all under one lock: on the wire the ack precedes the stream's first
+// frame. A stream whose ack could not be staged is not registered; the
+// caller severs the connection, and the session's teardown collects the
+// stream.
 func (w *connWriter) open(ack Response, sub ServerSub) error {
 	w.mu.Lock()
 	err := w.stageResponse(&ack)
-	if st := (stream{sub, sub.Updates()}); err == nil && w.drain(st) {
-		w.streams = append(w.streams, st)
+	if st := (stream{sub, sub.Updates()}); err == nil {
+		if w.drain(st) {
+			w.streams = append(w.streams, st)
+		}
+		w.stageQueue(false)
 	}
 	w.mu.Unlock()
 	w.kick.Raise()
@@ -269,9 +296,9 @@ func (w *connWriter) sync() error {
 	return w.flush()
 }
 
-// pump drains every stream without blocking, stages the frames (and the
-// closed notice of a stream that ended, after its last frame) and flushes
-// once.
+// pump drains every stream without blocking into the queue (a stream that
+// ended leaves its closed notice after its last frame), stages the queue
+// and flushes once.
 func (w *connWriter) pump() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -283,24 +310,66 @@ func (w *connWriter) pump() error {
 	}
 	clear(w.streams[len(live):])
 	w.streams = live
+	w.stageQueue(true)
 	return w.flush()
 }
 
-// drain stages what st holds right now and reports whether it is still
-// open. Staging errors are sticky in bw and surface at the flush.
+// drain queues what st holds right now, then its closed notice if it has
+// ended, and reports whether st is still open. On a binary connection each
+// queued update's body is looked up here, once, and counted.
 func (w *connWriter) drain(st stream) bool {
 	for {
+		n := len(w.queue)
+		w.queue = slices.Grow(w.queue, 1)[:n+1]
+		q := &w.queue[n]
+		var ok bool
 		select {
-		case u, ok := <-st.ch:
-			if !ok {
-				_ = w.stageResponse(&Response{Type: TypeClosed, Sub: st.sub.ID(), Reason: st.sub.Reason().String()})
-				return false
-			}
-			_ = w.stage(&u)
+		case q.u, ok = <-st.ch:
 		default:
+			w.queue = w.queue[:n]
 			return true
 		}
+		q.body, q.closed = -1, nil
+		switch {
+		case !ok:
+			q.closed = st.sub
+			return false
+		case w.binary:
+			q.body = w.bodyOf(&q.u)
+			w.shared[q.body].queued++
+		}
 	}
+}
+
+// stageQueue stages the queue in order and empties it. With share set (the
+// pump), a body that two or more queued frames carry goes out once, in a
+// keep frame that assigns it the next connection slot while one is free,
+// and every later frame carrying it is a ref to that slot. Every other
+// frame goes whole, as stage would send it.
+func (w *connWriter) stageQueue(share bool) {
+	for i := range w.queue {
+		q := &w.queue[i]
+		switch {
+		case q.closed != nil:
+			_ = w.stageClosed(q.closed)
+		case q.body < 0:
+			_ = w.stage(&q.u)
+		default:
+			b := &w.shared[q.body]
+			how := shareNone
+			switch {
+			case b.slot >= 0:
+				how = shareRef
+			case share && b.queued > 1 && w.slots < keptSlots:
+				how, b.slot = shareKeep, w.slots
+				w.slots++
+			}
+			b.queued--
+			_ = w.stageUpdate(&q.u, q.body, how)
+		}
+	}
+	clear(w.queue)
+	w.queue = w.queue[:0]
 }
 
 // stageResponse stages one control response; callers hold w.mu.
@@ -318,35 +387,60 @@ func (w *connWriter) stageResponse(r *Response) error {
 	return err
 }
 
-// stage stages one update frame; callers hold w.mu. In binary mode the
-// frame is emitted as per-subscriber head, shared body, optional trace
-// trailer — byte for byte what appendUpdateFrame produces — straight from
-// the update's simulation form: no intermediate Response, no string-keyed
-// maps, no per-message allocation.
+// stageClosed stages sub's closed notice; callers hold w.mu.
+func (w *connWriter) stageClosed(sub ServerSub) error {
+	return w.stageResponse(&Response{Type: TypeClosed, Sub: sub.ID(), Reason: sub.Reason().String()})
+}
+
+// stage stages one update as a whole frame; callers hold w.mu. In binary
+// mode the frame is emitted as per-subscriber head, cached body, optional
+// trace trailer — byte for byte what appendUpdateFrame produces — straight
+// from the update's simulation form: no intermediate Response, no
+// string-keyed maps, no per-message allocation.
 func (w *connWriter) stage(u *Update) error {
 	if !w.binary {
 		return w.enc.Encode(wireUpdate(*u))
 	}
-	k := bodyKey{qid: u.QueryID, at: u.At, nrows: len(u.Rows), naggs: len(u.Aggs), degraded: u.Degraded, coverage: u.Coverage}
+	return w.stageUpdate(u, w.bodyOf(u), shareNone)
+}
+
+// bodyOf returns the index in shared of u's body, adding it on first sight.
+func (w *connWriter) bodyOf(u *Update) int {
+	k := bodyKey{qid: u.QueryID, at: u.At, nrows: len(u.Rows), naggs: len(u.Aggs), agg: aggUpdate(u),
+		degraded: u.Degraded, coverage: u.Coverage}
 	if len(u.Rows) > 0 {
 		k.rows = &u.Rows[0]
 	}
 	if len(u.Aggs) > 0 {
 		k.aggs = &u.Aggs[0]
 	}
-	span, ok := w.bodies[k]
+	i, ok := w.bodies[k]
 	if !ok {
-		span[0] = len(w.arena)
-		w.arena = appendUpdateBody(w.arena, u)
-		span[1] = len(w.arena)
-		w.bodies[k] = span
+		i = len(w.shared)
+		w.shared = append(w.shared, body{slot: -1})
+		w.bodies[k] = i
 	}
-	body := w.arena[span[0]:span[1]]
+	return i
+}
+
+// stageUpdate stages u's frame, whose body is shared[i], as a whole, keep
+// or ref frame; callers hold w.mu.
+func (w *connWriter) stageUpdate(u *Update, i int, share frameShare) error {
+	b := &w.shared[i]
+	var body []byte
+	if share != shareRef {
+		if b.end == 0 {
+			b.start = len(w.arena)
+			w.arena = appendUpdateBody(w.arena, u)
+			b.end = len(w.arena)
+		}
+		body = w.arena[b.start:b.end]
+	}
 	w.tail = w.tail[:0]
 	if u.Trace != 0 {
 		w.tail = appendProvTrailer(w.tail, u.Trace, u.Prov)
 	}
-	w.head = appendUpdateHead(w.head[:0], u)
+	w.head = appendUpdateHead(w.head[:0], u, share, b.slot)
 	_, _ = w.bw.Write(sealFrameHead(w.head, len(body)+len(w.tail)))
 	_, _ = w.bw.Write(body)
 	_, err := w.bw.Write(w.tail) // bw's error is sticky: the last one tells
@@ -354,10 +448,12 @@ func (w *connWriter) stage(u *Update) error {
 }
 
 // flush drains the write buffer to the connection and ends the lifetime of
-// the cached bodies; callers hold w.mu.
+// the cached bodies and of the pump's slots; callers hold w.mu.
 func (w *connWriter) flush() error {
 	clear(w.bodies)
+	w.shared = w.shared[:0]
 	w.arena = w.arena[:0]
+	w.slots = 0
 	return w.bw.Flush()
 }
 
