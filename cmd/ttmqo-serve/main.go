@@ -63,10 +63,11 @@
 //
 // Federation: -shards K (K > 1) shards the deployment into K
 // region-partitioned simulations, each behind its own gateway, fronted by
-// a consistent-hash router speaking the same wire protocol — sessions
-// hash to home shards, cross-shard queries split their nodeid region
-// predicate per shard and re-aggregate (SUM/COUNT/MIN/MAX/AVG) at the
-// router, and shards advance in parallel. -side sizes each shard's grid,
+// a router speaking the same wire protocol — client sessions live in the
+// router (each shard sees one session, the router's own), cross-shard
+// queries split their nodeid region predicate per shard and re-aggregate
+// (SUM/COUNT/MIN/MAX/AVG) at the router, and every round steps each shard
+// in shard order. -side sizes each shard's grid,
 // so K shards simulate K*(side²-1) sensors with global ids 1..K*(side²-1).
 // -waldir gives every shard a write-ahead log (DIR/shard-<i>.wal) so a
 // crashed shard can be rebuilt and its canonical upstream streams resumed

@@ -63,8 +63,8 @@
 //     (-addr, -side, -scheme, -seed, -alpha, -tick, -quantum, -buffer,
 //     -quota, -rate, -burst, -mtbf, -mttr, -json, -series, -sample), plus
 //     a sharded federation mode (-shards, -waldir) fronting several
-//     region-partitioned gateways with a consistent-hash,
-//     aggregate-recombining router.
+//     region-partitioned gateways with an aggregate-recombining router
+//     that holds every client session itself.
 //
 // The gateway is also a library: NewGateway wraps a Simulation in a
 // goroutine-safe session/subscription front end whose group-commit

@@ -136,7 +136,7 @@ func TestDocsCoverConnectionWriter(t *testing.T) {
 		}
 	}
 	for _, want := range []string{
-		"One reader + one writer goroutine per connection", "ready signal", "ServerSession.Ready",
+		"One reader + one writer goroutine per connection", "ready signal", "Session.Ready",
 		"identity key", "backing pointer", "write deadline is armed at the socket write",
 	} {
 		if !strings.Contains(row, want) {

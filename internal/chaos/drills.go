@@ -78,8 +78,8 @@ const (
 // single gateway. It is not in DrillNames: its name list is BuiltinNames.
 const ScriptDrill = "script"
 
-// The sharded drills run fedShards shards; the victim is never shard 0, so
-// some sessions always stay homed on a healthy shard.
+// The sharded drills run fedShards shards and fault the last one, the
+// victim; the pinned drill counters are recorded against that choice.
 const (
 	fedShards = 2
 	victim    = fedShards - 1

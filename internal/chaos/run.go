@@ -185,7 +185,7 @@ type stream struct {
 	c      *client
 	q      query.Query
 	ticket *tier.Ticket
-	sub    tier.ServerSub // nil until the ticket resolved
+	sub    *tier.Sub // nil until the ticket resolved
 }
 
 func (r *run) violate(format string, args ...any) {

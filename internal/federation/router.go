@@ -1,3 +1,14 @@
+// Package federation breaks the one-simulation/one-gateway ceiling: K
+// region-partitioned simulations each run behind their own gateway.Gateway
+// shard, fronted by a Router that plans cross-shard queries by splitting
+// their nodeid region predicate across the shards it intersects, merges and
+// re-aggregates the partial results (SUM/COUNT/MIN/MAX/AVG recombination)
+// with one canonical upstream subscription per shard per query, and fails a
+// dead shard's state over after recovery using the gateway's WAL +
+// session-token resume machinery. Client sessions live in the router alone:
+// a shard sees one session, the router's own upstream one. The Router
+// implements gateway.Backend, so the existing TCP server, binary wire codec
+// and client front it unchanged.
 package federation
 
 import (
@@ -46,7 +57,7 @@ type Config struct {
 	// Buffer, MaxSessions, SessionQuota, Rate, Burst mirror the gateway
 	// limits. Buffer bounds both the per-shard upstream channels and the
 	// downstream subscriber channels; MaxSessions and SessionQuota are
-	// enforced at the router (shards see only the router's own sessions).
+	// enforced at the router (a shard sees only the router's own session).
 	Buffer       int
 	MaxSessions  int
 	SessionQuota int
@@ -233,18 +244,16 @@ type (
 )
 
 // Router fronts K gateway shards behind the gateway.Backend surface:
-// sessions consistent-hash to home shards, cross-shard queries are
-// planned into per-shard slices with one canonical upstream subscription
-// each, and partial results merge under a per-tree watermark so
-// downstream updates stay in virtual-time order even when a shard dies
-// or partitions.
+// cross-shard queries are planned into per-shard slices with one canonical
+// upstream subscription each, and partial results merge under a per-tree
+// watermark so downstream updates stay in virtual-time order even when a
+// shard dies or partitions.
 type Router struct {
 	// k is the downstream surface: sessions, staged commands, tickets and
 	// per-subscriber streams, all guarded by mu.
-	k    *tier.Kernel
-	cfg  Config
-	ring *ring
-	spn  int // sensors per shard
+	k   *tier.Kernel
+	cfg Config
+	spn int // sensors per shard
 
 	mu     sync.Mutex
 	shards []*shard
@@ -253,15 +262,11 @@ type Router struct {
 	// dies or comes back.
 	brownout atomic.Int32
 	trees    *tier.Sorted[string, *tree]
-	// mirrors holds each downstream session's durable twin on its home
-	// shard's gateway; its WAL entry is what makes the session token
-	// survive a shard crash.
-	mirrors map[string]*gateway.Session
-	staged  []*upstream // upstreams whose subscribes the shards commit this round
-	epochs  tier.EpochPool
-	now     sim.Time      // the router's virtual clock (max of shard clocks)
-	quantum time.Duration // the last positive Advance step: the catch-up replay's
-	stats   Stats
+	staged   []*upstream // upstreams whose subscribes the shards commit this round
+	epochs   tier.EpochPool
+	now      sim.Time      // the router's virtual clock (max of shard clocks)
+	quantum  time.Duration // the last positive Advance step: the catch-up replay's
+	stats    Stats
 	// onMerge observes each Advance's merge+release wall-clock latency
 	// (telemetry hook; see SetMergeObserver).
 	onMerge func(time.Duration)
@@ -277,10 +282,8 @@ func New(cfg Config) (*Router, error) {
 	}
 	r := &Router{
 		cfg:     cfg,
-		ring:    newRing(cfg.Shards),
 		spn:     topo.Size() - 1,
 		trees:   tier.NewSorted[string, *tree](),
-		mirrors: make(map[string]*gateway.Session),
 		quantum: defaultCatchUpStep,
 	}
 	kcfg := tier.Config{
@@ -291,10 +294,8 @@ func New(cfg Config) (*Router, error) {
 		SessionQuota:    cfg.SessionQuota,
 		MailboxDeadline: cfg.MailboxDeadline,
 		Now:             func() sim.Time { return r.now },
-		Token:           r.mintMirrorLocked,
 		ApplySubscribe:  r.applySubscribeLocked,
 		ReleaseGroup:    func(g *tier.Group) { r.teardownTreeLocked(r.trees.Get(g.Key)) },
-		CloseSession:    r.closeMirrorLocked,
 	}
 	if cfg.Tracer != nil {
 		kcfg.Span = cfg.Tracer.Record
@@ -314,17 +315,11 @@ func New(cfg Config) (*Router, error) {
 }
 
 // Register creates a downstream session under a unique name; Attach
-// re-claims a detached one by name and token. RegisterSession and
-// AttachSession are the same two behind gateway.Backend.
+// re-claims a detached one by name and token. Sessions live in the router
+// alone, so no shard's health bears on either.
 func (r *Router) Register(name string) (*Session, error) { return r.k.Register(name) }
 func (r *Router) Attach(name, token string) (*Session, []gateway.ResumeInfo, error) {
 	return r.k.Attach(name, token)
-}
-func (r *Router) RegisterSession(name string) (gateway.ServerSession, error) {
-	return r.k.RegisterSession(name)
-}
-func (r *Router) AttachSession(name, token string) (gateway.ServerSession, []gateway.ResumeInfo, error) {
-	return r.k.AttachSession(name, token)
 }
 
 func (r *Router) buildShard(i int) (*shard, error) {
@@ -341,9 +336,9 @@ func (r *Router) buildShard(i int) (*shard, error) {
 			Failures: r.cfg.Failures,
 		},
 		Buffer: r.cfg.Buffer,
-		// The shard only ever sees the router's sessions: one upstream
-		// session plus a durable mirror per downstream session homed here.
-		MaxSessions:  r.cfg.MaxSessions + 1,
+		// The shard only ever sees the router's one upstream session, which
+		// carries every downstream session's slices.
+		MaxSessions:  1,
 		SessionQuota: r.cfg.MaxSessions * r.cfg.SessionQuota,
 		Rate:         r.cfg.Rate,
 		Burst:        r.cfg.Burst,
@@ -392,10 +387,10 @@ func (r *Router) buildShard(i int) (*shard, error) {
 func (r *Router) Shards() int { return len(r.shards) }
 
 // Now returns the router's virtual clock.
-func (r *Router) Now() sim.Time {
+func (r *Router) Now() (sim.Time, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.now
+	return r.now, nil
 }
 
 // nowMS is the router's virtual clock in milliseconds (callers hold r.mu).
@@ -426,9 +421,6 @@ func (r *Router) traceBreaker(sh *shard, pre resilience.BreakerState) {
 		AtMS:  r.nowMS(),
 	})
 }
-
-// HomeShard returns the shard a session name hashes to.
-func (r *Router) HomeShard(name string) int { return r.ring.lookup(name) }
 
 // SetMergeObserver installs a callback observing each Advance's
 // merge-and-release wall-clock latency (telemetry).
@@ -590,33 +582,6 @@ func (r *Router) ShardBreaker(i int) resilience.BreakerState {
 		return resilience.BreakerClosed
 	}
 	return r.shards[i].brk.State()
-}
-
-// mintMirrorLocked is the kernel's token hook: a new downstream session is
-// homed (by consistent hash) on one shard, and the durable mirror session
-// minted there backs its resume token. The home shard must be alive.
-func (r *Router) mintMirrorLocked(name string) (string, error) {
-	home := r.ring.lookup(name)
-	sh := r.shards[home]
-	if !sh.alive {
-		return "", fmt.Errorf("federation: home shard %d for %q is down", home, name)
-	}
-	mirror, err := sh.gw.Register(name)
-	if err != nil {
-		return "", fmt.Errorf("federation: home shard %d: %w", home, err)
-	}
-	r.mirrors[name] = mirror
-	return mirror.Token(), nil
-}
-
-// closeMirrorLocked tears down a closed session's mirror on the home shard
-// so its WAL entry is reclaimed; best effort — the shard may be down.
-func (r *Router) closeMirrorLocked(s *Session) {
-	mirror := r.mirrors[s.Name()]
-	delete(r.mirrors, s.Name())
-	if sh := r.shards[r.ring.lookup(s.Name())]; sh.alive && mirror != nil {
-		_ = mirror.CloseAsync()
-	}
 }
 
 // ---------------------------------------------------------------------------

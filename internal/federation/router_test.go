@@ -13,11 +13,7 @@ import (
 )
 
 // The router must be drivable by the TCP server exactly like a gateway.
-var (
-	_ gateway.Backend       = (*Router)(nil)
-	_ gateway.ServerSession = (*Session)(nil)
-	_ gateway.ServerSub     = (*Sub)(nil)
-)
+var _ gateway.Backend = (*Router)(nil)
 
 const testQuantum = 8192 * time.Millisecond
 
@@ -451,25 +447,6 @@ func TestRouterPartitionHeal(t *testing.T) {
 	}
 	if _, err := tk3.Wait(); err != nil {
 		t.Fatalf("subscribe after heal: %v", err)
-	}
-}
-
-func TestRouterRegisterHomesOnRing(t *testing.T) {
-	r := newTestRouter(t, Config{WALDir: t.TempDir()})
-	// Find one name per home shard.
-	names := map[int]string{}
-	for i := 0; len(names) < 2; i++ {
-		name := "client-" + string(rune('a'+i))
-		names[r.HomeShard(name)] = name
-	}
-	if err := r.CrashShard(1); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.Register(names[1]); err == nil {
-		t.Fatal("registration homed on a dead shard must fail")
-	}
-	if _, err := r.Register(names[0]); err != nil {
-		t.Fatalf("registration on the surviving shard failed: %v", err)
 	}
 }
 

@@ -5,11 +5,13 @@ import (
 	"bytes"
 	"io"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/field"
 	"repro/internal/query"
+	"repro/internal/tier"
 	"repro/internal/topology"
 	"repro/internal/tracing"
 )
@@ -63,16 +65,20 @@ func BenchmarkEncodeUpdate(b *testing.B) {
 // one connection through the writer's own pump — channel receive, encode
 // once, stage per subscriber, flush — with and without the trace trailer.
 //
-// stubSub is a stream the writer only ever asks for its id.
-type stubSub SubID
-
-func (s stubSub) ID() SubID            { return SubID(s) }
-func (stubSub) QueryID() query.ID      { return 0 }
-func (stubSub) Shared() bool           { return false }
-func (stubSub) Key() string            { return "" }
-func (stubSub) Updates() <-chan Update { return nil }
-func (stubSub) Reason() CloseReason    { return ReasonNone }
-func (stubSub) TraceID() uint64        { return 0 }
+// stubSub is a live subscription with the given id, alone on a kernel of its
+// own: the writer only ever asks a stream for its id and, once the stream
+// closed, its reason.
+func stubSub(id SubID) *Subscription {
+	var mu sync.Mutex
+	k := tier.New(tier.Config{Name: "stub", Mu: &mu, Buffer: 1, MaxSessions: 1, SessionQuota: 1})
+	s, err := k.Register("stub")
+	if err != nil {
+		panic(err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	return k.RestoreSubLocked(s, id, &tier.Group{}, 0)
+}
 
 func BenchmarkPumpRound(b *testing.B) {
 	const subs = 64
@@ -89,7 +95,7 @@ func BenchmarkPumpRound(b *testing.B) {
 			chs := make([]chan Update, subs)
 			for i := range chs {
 				chs[i] = make(chan Update, 1)
-				w.streams = append(w.streams, stream{stubSub(i + 1), chs[i]})
+				w.streams = append(w.streams, stream{stubSub(SubID(i + 1)), chs[i]})
 			}
 			b.ReportAllocs()
 			b.ResetTimer()

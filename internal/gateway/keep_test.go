@@ -34,7 +34,7 @@ func newPumpRig(streams int) *pumpRig {
 	for i := 0; i < streams; i++ {
 		ch := make(chan Update, 8)
 		r.chs = append(r.chs, ch)
-		r.w.streams = append(r.w.streams, stream{stubSub(i + 1), ch})
+		r.w.streams = append(r.w.streams, stream{stubSub(SubID(i + 1)), ch})
 	}
 	r.c = &Client{br: bufio.NewReader(&r.out)}
 	return r
@@ -321,7 +321,7 @@ func TestPumpAllocatesNothing(t *testing.T) {
 	chs := make([]chan Update, subs)
 	for i := range chs {
 		chs[i] = make(chan Update, 1)
-		w.streams = append(w.streams, stream{stubSub(i + 1), chs[i]})
+		w.streams = append(w.streams, stream{stubSub(SubID(i + 1)), chs[i]})
 	}
 	u, lone := benchUpdate(), benchUpdate()
 	lone.QueryID++

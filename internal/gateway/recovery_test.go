@@ -25,7 +25,7 @@ func walConfig(t *testing.T, wal string) Config {
 }
 
 // drain empties a subscription's channel without blocking.
-func drain(sub ServerSub) []Update {
+func drain(sub *Subscription) []Update {
 	var out []Update
 	for {
 		select {
@@ -41,7 +41,7 @@ func drain(sub ServerSub) []Update {
 }
 
 // recvN reads exactly n updates, failing on close or timeout.
-func recvN(t *testing.T, sub ServerSub, n int) []Update {
+func recvN(t *testing.T, sub *Subscription, n int) []Update {
 	t.Helper()
 	out := make([]Update, 0, n)
 	for len(out) < n {

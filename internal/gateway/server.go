@@ -206,13 +206,13 @@ type body struct {
 type queued struct {
 	u      Update
 	body   int
-	closed ServerSub
+	closed *Subscription
 }
 
 // stream is one subscription's channel as captured at registration (a
-// resumed tier stream gets a fresh channel under the same ServerSub).
+// resumed tier stream gets a fresh channel under the same Subscription).
 type stream struct {
-	sub ServerSub
+	sub *Subscription
 	ch  <-chan Update
 }
 
@@ -275,7 +275,7 @@ func (w *connWriter) write(r Response) error {
 // frame. A stream whose ack could not be staged is not registered; the
 // caller severs the connection, and the session's teardown collects the
 // stream.
-func (w *connWriter) open(ack Response, sub ServerSub) error {
+func (w *connWriter) open(ack Response, sub *Subscription) error {
 	w.mu.Lock()
 	err := w.stageResponse(&ack)
 	if st := (stream{sub, sub.Updates()}); err == nil {
@@ -388,7 +388,7 @@ func (w *connWriter) stageResponse(r *Response) error {
 }
 
 // stageClosed stages sub's closed notice; callers hold w.mu.
-func (w *connWriter) stageClosed(sub ServerSub) error {
+func (w *connWriter) stageClosed(sub *Subscription) error {
 	return w.stageResponse(&Response{Type: TypeClosed, Sub: sub.ID(), Reason: sub.Reason().String()})
 }
 
@@ -472,7 +472,7 @@ func (s *Server) handle(conn net.Conn) {
 	br := bufio.NewReaderSize(conn, 1<<20)
 	var scratch []byte // reused binary frame payload buffer
 
-	var sess ServerSession
+	var sess *Session
 	// named tracks whether the client claimed the session with an explicit
 	// hello: named sessions detach (stay resumable) on disconnect, while
 	// anonymous auto-registered ones are torn down.
@@ -484,7 +484,7 @@ func (s *Server) handle(conn net.Conn) {
 	// silent stream until the read timeout.
 	done := make(chan struct{})
 	bound := make(chan (<-chan struct{}), 1)
-	bind := func(se ServerSession) { sess = se; bound <- se.Ready() }
+	bind := func(se *Session) { sess = se; bound <- se.Ready() }
 	var writer sync.WaitGroup
 	writer.Add(1)
 	go func() {
@@ -518,7 +518,7 @@ func (s *Server) handle(conn net.Conn) {
 		if name == "" {
 			name = fmt.Sprintf("conn-%d", id)
 		}
-		se, err := s.gw.RegisterSession(name)
+		se, err := s.gw.Register(name)
 		if err == nil {
 			bind(se)
 		}
@@ -615,7 +615,7 @@ func (s *Server) handle(conn net.Conn) {
 					fail(fmt.Errorf("connection already has session %q", sess.Name()))
 					continue
 				}
-				se, infos, err := s.gw.AttachSession(req.Client, req.Token)
+				se, infos, err := s.gw.Attach(req.Client, req.Token)
 				if err != nil {
 					fail(err)
 					continue
@@ -720,7 +720,7 @@ func (s *Server) handle(conn net.Conn) {
 }
 
 // subscribed is the ack of a new or resumed stream.
-func subscribed(tag string, sub ServerSub, resumed bool) Response {
+func subscribed(tag string, sub *Subscription, resumed bool) Response {
 	return Response{
 		Type:      TypeSubscribed,
 		Tag:       tag,

@@ -13,8 +13,8 @@ import (
 type confEnv struct {
 	t    *testing.T
 	b    gateway.Backend
-	sess map[string]gateway.ServerSession
-	subs map[string]gateway.ServerSub
+	sess map[string]*gateway.Session
+	subs map[string]*gateway.Subscription
 	last map[string]uint64 // highest sequence number read per stream
 }
 
@@ -29,7 +29,7 @@ func text(err error) string {
 }
 
 func (e *confEnv) register(name string) string {
-	s, err := e.b.RegisterSession(name)
+	s, err := e.b.Register(name)
 	if err == nil {
 		e.sess[name] = s
 	}
@@ -79,7 +79,7 @@ func (e *confEnv) run(n int, labels ...string) {
 
 // reattach re-claims session a and returns the resume cursors by stream id.
 func (e *confEnv) reattach() (map[gateway.SubID]gateway.ResumeInfo, string) {
-	s, infos, err := e.b.AttachSession("a", e.sess["a"].Token())
+	s, infos, err := e.b.Attach("a", e.sess["a"].Token())
 	if err != nil {
 		return nil, text(err)
 	}
@@ -182,11 +182,11 @@ func TestSessionMachineConformance(t *testing.T) {
 			return e.subscribe("a.temp", qTemp) + e.subs["a.temp"].Reason().String()
 		}, "detached"},
 		{"attach, unknown session", func(e *confEnv) string {
-			_, _, err := e.b.AttachSession("nobody", "x")
+			_, _, err := e.b.Attach("nobody", "x")
 			return text(err)
 		}, `no session "nobody"`},
 		{"attach, bad token", func(e *confEnv) string {
-			_, _, err := e.b.AttachSession("a", "not-the-token")
+			_, _, err := e.b.Attach("a", "not-the-token")
 			return text(err)
 		}, `bad token for session "a"`},
 		{"attach", func(e *confEnv) (msg string) {
@@ -276,8 +276,8 @@ func TestSessionMachineConformance(t *testing.T) {
 		"evicted=1 dropped=1 detaches=2 attaches=2 resumes=4 gaps=1 idle_reaped=0"
 	for name, b := range stacksWith(t, buffer, 3, 2) {
 		t.Run(name, func(t *testing.T) {
-			e := &confEnv{t: t, b: b, sess: map[string]gateway.ServerSession{},
-				subs: map[string]gateway.ServerSub{}, last: map[string]uint64{}}
+			e := &confEnv{t: t, b: b, sess: map[string]*gateway.Session{},
+				subs: map[string]*gateway.Subscription{}, last: map[string]uint64{}}
 			for _, s := range script {
 				if got := s.do(e); got != s.want {
 					t.Fatalf("%s: got %q, want %q", s.step, got, s.want)

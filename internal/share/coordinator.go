@@ -2,7 +2,6 @@ package share
 
 import (
 	"fmt"
-	"hash/fnv"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -215,10 +214,9 @@ type Coordinator struct {
 	mu sync.Mutex
 	// up is read lock-free by the pacer's BrownoutLevel polls and swapped
 	// under mu by Reattach.
-	up      atomic.Pointer[upstream]
-	upSess  []UpstreamSession
-	upLoad  []int // live fragments per upstream session
-	nextTok uint64
+	up     atomic.Pointer[upstream]
+	upSess []UpstreamSession
+	upLoad []int // live fragments per upstream session
 
 	frags  *tier.Sorted[string, *fragment]
 	trees  *tier.Sorted[string, *shareTree]
@@ -251,7 +249,6 @@ func New(cfg Config) (*Coordinator, error) {
 		SessionQuota:    cfg.SessionQuota,
 		MailboxDeadline: cfg.MailboxDeadline,
 		Now:             c.now,
-		Token:           c.mintToken,
 		ApplySubscribe:  c.applySubscribeLocked,
 		ReleaseGroup:    func(g *tier.Group) { c.teardownTreeLocked(c.trees.Get(g.Key)) },
 	}
@@ -263,17 +260,10 @@ func New(cfg Config) (*Coordinator, error) {
 }
 
 // Register creates a downstream session under a unique name; Attach
-// re-claims a detached one by name and token. RegisterSession and
-// AttachSession are the same two behind gateway.Backend.
+// re-claims a detached one by name and token.
 func (c *Coordinator) Register(name string) (*Session, error) { return c.k.Register(name) }
 func (c *Coordinator) Attach(name, token string) (*Session, []gateway.ResumeInfo, error) {
 	return c.k.Attach(name, token)
-}
-func (c *Coordinator) RegisterSession(name string) (gateway.ServerSession, error) {
-	return c.k.RegisterSession(name)
-}
-func (c *Coordinator) AttachSession(name, token string) (gateway.ServerSession, []gateway.ResumeInfo, error) {
-	return c.k.AttachSession(name, token)
 }
 
 // ShareStats snapshots the coordinator's own counters.
@@ -319,13 +309,6 @@ func (c *Coordinator) ServeStats() (gateway.Stats, sim.Time, error) {
 // without the windowed cache, shedding the cheapest work first. Readable
 // from any goroutine, like the gateway's.
 func (c *Coordinator) BrownoutLevel() resilience.Level { return c.up.Load().BrownoutLevel() }
-
-func (c *Coordinator) mintToken(name string) (string, error) {
-	c.nextTok++
-	h := fnv.New64a()
-	fmt.Fprintf(h, "share:%s:%d", name, c.nextTok)
-	return fmt.Sprintf("%016x", h.Sum64()), nil
-}
 
 // ---------------------------------------------------------------------------
 // Advance: group commit, upstream advance, drain, recombine, release

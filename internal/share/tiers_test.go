@@ -75,9 +75,9 @@ func pumped[T any](t *testing.T, b gateway.Backend, call func() (T, error)) (T, 
 }
 
 // subscribeVia runs the blocking subscribe while pumping commits.
-func subscribeVia(t *testing.T, b gateway.Backend, sess gateway.ServerSession, text string) (gateway.ServerSub, error) {
+func subscribeVia(t *testing.T, b gateway.Backend, sess *gateway.Session, text string) (*gateway.Subscription, error) {
 	t.Helper()
-	return pumped(t, b, func() (gateway.ServerSub, error) {
+	return pumped(t, b, func() (*gateway.Subscription, error) {
 		return sess.Subscribe(gateway.SubscribeRequest{Query: query.MustParse(text)})
 	})
 }
@@ -92,7 +92,7 @@ func TestEmptyRegionRejectedByEveryComposedTier(t *testing.T) {
 		if name == "gateway" {
 			continue // a bare gateway answers it, with empty aggregates
 		}
-		sess, err := b.RegisterSession("alice")
+		sess, err := b.Register("alice")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -211,7 +211,7 @@ func TestComposedTiersReleaseUnheldUpstreams(t *testing.T) {
 					_, _ = ct.b.Advance(testQuantum) // the upstream may be down
 				}
 			}
-			sess, err := ct.b.RegisterSession("alice")
+			sess, err := ct.b.Register("alice")
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -235,7 +235,7 @@ func TestComposedTiersReleaseUnheldUpstreams(t *testing.T) {
 					t.Fatalf("%s: %v", name, err)
 				}
 			} else {
-				tk, err := sess.(*Session).SubscribeAsync(gateway.SubscribeRequest{Query: query.MustParse(text)})
+				tk, err := sess.SubscribeAsync(gateway.SubscribeRequest{Query: query.MustParse(text)})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -271,7 +271,7 @@ func TestComposedTiersReleaseUnheldUpstreams(t *testing.T) {
 func TestSessionLifecycleCountersAgreeAcrossTiers(t *testing.T) {
 	const buffer = 4
 	for name, b := range stacks(t, buffer) {
-		sess, err := b.RegisterSession("carol")
+		sess, err := b.Register("carol")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -307,7 +307,7 @@ func TestSessionLifecycleCountersAgreeAcrossTiers(t *testing.T) {
 			}
 			run(away, false)
 			var infos []gateway.ResumeInfo
-			if sess, infos, err = b.AttachSession("carol", sess.Token()); err != nil {
+			if sess, infos, err = b.Attach("carol", sess.Token()); err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
 			if len(infos) != 1 || infos[0].ID != sub.ID() {
@@ -448,11 +448,11 @@ func TestResumeBeyondDeliveredRejectedOverTheWire(t *testing.T) {
 // coordinator the sessions piled up until MaxSessions refused every hello.
 func TestDetachedSessionsAreReapedOnEveryTier(t *testing.T) {
 	for name, b := range stacks(t, 0) {
-		gone, err := b.RegisterSession("gone")
+		gone, err := b.Register("gone")
 		if err != nil {
 			t.Fatal(err)
 		}
-		held, err := b.RegisterSession("held")
+		held, err := b.Register("held")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -497,7 +497,7 @@ func TestDetachedSessionsAreReapedOnEveryTier(t *testing.T) {
 			t.Errorf("%s: reaped=%d sessions=%d subs=%d shared=%d upstream=%d, want 1/1/0/0/0",
 				name, st.IdleReaped, st.ActiveSessions, st.ActiveSubscriptions, st.SharedQueries, upstream())
 		}
-		if _, _, err := b.AttachSession("gone", gone.Token()); err == nil || !strings.Contains(err.Error(), `no session "gone"`) {
+		if _, _, err := b.Attach("gone", gone.Token()); err == nil || !strings.Contains(err.Error(), `no session "gone"`) {
 			t.Errorf("%s: attach to a reaped session = %v", name, err)
 		}
 		if err := held.Detach(); err != nil {

@@ -16,7 +16,7 @@ import (
 // single gateway (OverGateway) or a federation router fleet (OverRouter).
 // Everything the coordinator needs is the async subscribe/ticket shape
 // plus session attach/resume for crash failover — the blocking
-// ServerSession API would deadlock here, because the coordinator itself
+// Session.Subscribe would deadlock here, because the coordinator itself
 // is the component driving Advance.
 type Upstream interface {
 	Advance(d time.Duration) (int, error)
@@ -65,38 +65,23 @@ type UpstreamSub interface {
 }
 
 // ---------------------------------------------------------------------------
-// The adapter: the gateway and the router serve the same kernel sessions
+// The adapter: every tier serves the kernel's sessions behind gateway.Backend
 
-// sessionTier is what *gateway.Gateway and *federation.Router have in common.
-type sessionTier interface {
-	Advance(d time.Duration) (int, error)
-	Alive() bool
-	Register(name string) (*tier.Session, error)
-	Attach(name, token string) (*tier.Session, []gateway.ResumeInfo, error)
-	ServeStats() (gateway.Stats, sim.Time, error)
-	BrownoutLevel() resilience.Level
-}
-
-type tierUpstream struct {
-	sessionTier
-	now func() (sim.Time, error)
-}
+// tierUpstream adapts a gateway.Backend: only the session calls change
+// shape.
+type tierUpstream struct{ gateway.Backend }
 
 // OverGateway adapts a single gateway as the coordinator's upstream.
-func OverGateway(g *gateway.Gateway) Upstream { return tierUpstream{g, g.Now} }
+func OverGateway(g *gateway.Gateway) Upstream { return tierUpstream{g} }
 
 // OverRouter adapts a federation router fleet as the coordinator's
 // upstream, so cross-query sharing composes with sharded deployments:
 // fragments the coordinator materializes are themselves planned across
 // shards by the router.
-func OverRouter(r *federation.Router) Upstream {
-	return tierUpstream{r, func() (sim.Time, error) { return r.Now(), nil }}
-}
-
-func (u tierUpstream) Now() (sim.Time, error) { return u.now() }
+func OverRouter(r *federation.Router) Upstream { return tierUpstream{r} }
 
 func (u tierUpstream) Register(name string) (UpstreamSession, error) {
-	s, err := u.sessionTier.Register(name)
+	s, err := u.Backend.Register(name)
 	if err != nil {
 		return nil, err
 	}
@@ -104,7 +89,7 @@ func (u tierUpstream) Register(name string) (UpstreamSession, error) {
 }
 
 func (u tierUpstream) Attach(name, token string) (UpstreamSession, []gateway.ResumeInfo, error) {
-	s, infos, err := u.sessionTier.Attach(name, token)
+	s, infos, err := u.Backend.Attach(name, token)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -136,7 +121,7 @@ func (s upSession) UnsubscribeAsync(id gateway.SubID) error {
 func (s upSession) Resume(id gateway.SubID, after uint64) (UpstreamSub, error) {
 	sub, err := s.s.Resume(id, after)
 	if err != nil {
-		return nil, err
+		return nil, err // a nil *Sub would be a non-nil UpstreamSub
 	}
 	return sub, nil
 }

@@ -17,7 +17,6 @@ import (
 	"repro/internal/network"
 	"repro/internal/share"
 	"repro/internal/telemetry"
-	"repro/internal/tier"
 )
 
 // Spec describes one deployment: its shape, then each tier's own Config.
@@ -33,14 +32,6 @@ type Spec struct {
 	Gateway gateway.Config
 	Router  federation.Config
 	Coord   share.Config
-}
-
-// Tier is the top of a stack: what a gateway.Server fronts, plus the typed
-// session calls an in-process driver uses.
-type Tier interface {
-	gateway.Backend
-	Register(name string) (*tier.Session, error)
-	Attach(name, token string) (*tier.Session, []tier.ResumeInfo, error)
 }
 
 // Stack is a built deployment. Router and Coord are nil on the shapes that
@@ -138,7 +129,7 @@ func (s *Stack) Gateway() *gateway.Gateway { return s.gw.Load() }
 
 // Top returns the tier clients talk to: the coordinator, else the router,
 // else the current gateway.
-func (s *Stack) Top() Tier {
+func (s *Stack) Top() gateway.Backend {
 	switch {
 	case s.Coord != nil:
 		return s.Coord
@@ -150,15 +141,7 @@ func (s *Stack) Top() Tier {
 
 // Alive reports whether the top tier is serving: the readiness signal
 // behind an admin plane's /readyz.
-func (s *Stack) Alive() bool {
-	switch {
-	case s.Coord != nil:
-		return s.Coord.Alive()
-	case s.Router != nil:
-		return s.Router.Alive()
-	}
-	return s.gw.Load().Alive()
-}
+func (s *Stack) Alive() bool { return s.Top().Alive() }
 
 // RegisterMetrics mounts the metric families of every tier the shape has,
 // bottom-up. The gateway's read through Gateway, so they follow a Recover.

@@ -33,7 +33,7 @@ func spec(t *testing.T, shards int, share bool, walDir string) Spec {
 
 // subscribe registers one session on the top tier and commits one
 // whole-network aggregate on it.
-func subscribe(t *testing.T, st *Stack) (*tier.Session, tier.ServerSub) {
+func subscribe(t *testing.T, st *Stack) (*tier.Session, *tier.Sub) {
 	t.Helper()
 	sess, err := st.Top().Register("c")
 	if err != nil {
@@ -60,7 +60,7 @@ func advance(t *testing.T, st *Stack, rounds int) {
 	}
 }
 
-func drain(sub tier.ServerSub) (n int) {
+func drain(sub *tier.Sub) (n int) {
 	for {
 		select {
 		case _, ok := <-sub.Updates():

@@ -30,7 +30,6 @@ func newFakeTier(cfg Config) *fakeTier {
 	f := &fakeTier{groups: make(map[string]*Group)}
 	cfg.Name, cfg.Mu = "fake", &f.mu
 	cfg.Now = func() sim.Time { return f.clock }
-	cfg.Token = func(name string) (string, error) { return "tok-" + name, nil }
 	cfg.ApplySubscribe = func(a Admission) (*Group, error) {
 		key := a.Query.String()
 		if strings.Contains(key, "nodeid") {
@@ -237,7 +236,7 @@ func TestKernelLifecycle(t *testing.T) {
 
 			_, _, err := f.Attach("a", "wrong")
 			wantErr(t, err, `fake: bad token for session "a"`)
-			_, _, err = f.Attach("nobody", "tok-nobody")
+			_, _, err = f.Attach("nobody", s.Token())
 			wantErr(t, err, `fake: no session "nobody"`)
 			s2, infos, err := f.Attach("a", s.Token())
 			if err != nil {
@@ -601,6 +600,40 @@ func TestKernelLifecycle(t *testing.T) {
 // TestStatsOverlay pins how a tier's counters compose with its upstream's:
 // the client-facing ones replace the upstream's (whose sessions and
 // subscriptions are the tier's own plumbing), losses add up along the chain.
+// TestKernelMintsTokens: with no token hook the kernel mints each session's
+// resume token from the tier name, the session name and the registration
+// ordinal — the same tokens for the same command sequence, a fresh one for
+// every registration, a re-registered name included.
+func TestKernelMintsTokens(t *testing.T) {
+	script := func() []string {
+		f := newFakeTier(Config{Buffer: 4, MaxSessions: 4, SessionQuota: 4})
+		var toks []string
+		for _, name := range []string{"a", "b", "a"} {
+			s, err := f.Register(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			toks = append(toks, s.Token())
+			if err := s.CloseAsync(); err != nil {
+				t.Fatal(err)
+			}
+			f.advance()
+		}
+		return toks
+	}
+	first, again := script(), script()
+	if !slices.Equal(first, again) {
+		t.Fatalf("tokens %v, then %v for the same commands", first, again)
+	}
+	if first[0] == first[1] || first[0] == first[2] || first[1] == first[2] {
+		t.Fatalf("tokens %v: two registrations share one", first)
+	}
+	// FNV-1a of "fake:a:1", "fake:b:2", "fake:a:3".
+	if want := []string{"37f0b0c0da904320", "1ce43ec0caf1123c", "37f0b2c0da904686"}; !slices.Equal(first, want) {
+		t.Fatalf("tokens %v, want %v", first, want)
+	}
+}
+
 func TestStatsOverlay(t *testing.T) {
 	up := Counters{
 		Sessions: 9, ActiveSessions: 9, Subscribes: 9, Updates: 9, Detaches: 9, Epochs: 7,

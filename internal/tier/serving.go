@@ -129,29 +129,6 @@ type SubscribeRequest struct {
 	Trace tracing.Context
 }
 
-// ServerSession is the per-client surface the connection handler uses.
-// *Session implements it.
-type ServerSession interface {
-	Name() string
-	Token() string
-	// Subscribe stages the request and blocks until the next Advance
-	// commits it.
-	Subscribe(req SubscribeRequest) (ServerSub, error)
-	Unsubscribe(id SubID) error
-	// Resume revives a detached stream from just after sequence number
-	// `after`, replaying the parked tail before going live.
-	Resume(id SubID, after uint64) (ServerSub, error)
-	// Detach releases the connection but keeps the session resumable.
-	Detach() error
-	// CloseAsync tears the session down; completion may lag the call.
-	CloseAsync() error
-	// Ready is the connection writer's wake-up: a capacity-1 signal the
-	// tier raises whenever it pushes to, or closes, any of the session's
-	// subscription channels. One receive may stand for many pushes, so the
-	// receiver drains every stream it holds without blocking.
-	Ready() <-chan struct{}
-}
-
 // Signal is a coalescing wake-up: a capacity-1 channel whose receiver, once
 // woken, looks at everything the wake-up could stand for.
 type Signal chan struct{}
@@ -162,20 +139,6 @@ func (s Signal) Raise() {
 	case s <- struct{}{}:
 	default:
 	}
-}
-
-// ServerSub is one update stream as the connection writer consumes it.
-// *Sub implements it.
-type ServerSub interface {
-	ID() SubID
-	QueryID() query.ID
-	Shared() bool
-	Key() string
-	Updates() <-chan Update
-	Reason() CloseReason
-	// TraceID is the subscription's causal-trace identity (zero when the
-	// tier runs untraced, which omits the wire field).
-	TraceID() uint64
 }
 
 // Counters is the serving counter block every Backend reports (the wire
