@@ -344,7 +344,7 @@ func (g *Gateway) replay(sessions map[string]*Session, r walRecord, end sim.Time
 		}
 		// The logged trace restores the causal context; the admit spans are
 		// not re-recorded (see recordSpan).
-		g.k.RestoreSubLocked(s, r.Sub, &sh.Group, r.Trace)
+		g.k.RestoreSubLocked(s, r.Sub, sh, r.Trace)
 		return nil
 	case walOpUnsubscribe:
 		return g.k.UnsubscribeLocked(s, r.Sub)
