@@ -28,12 +28,15 @@ type drill struct {
 	name string
 	// side and clients are the defaults behind Config.Side / Config.Clients.
 	side, clients int
+	// quantum is the virtual time one round advances (defaultQuantum if
+	// zero).
+	quantum time.Duration
 	// spec describes the drill's stack; it may also plan the run (a
 	// script's rounds and crash actions come from the script).
 	spec func(r *run) (stack.Spec, error)
 	// pool is the query workload; client c subscribes perClient of them,
 	// round-robin, so semantic dedup is always in play.
-	pool      func(st *stack.Stack) []query.Query
+	pool      func(r *run) []query.Query
 	perClient int
 	// stage, when set, stages the drill's own commands every round, after
 	// the actions and before the Advance that commits them.
@@ -231,6 +234,14 @@ var drills = []*drill{
 	},
 }
 
+// tick is the virtual time one of the drill's rounds advances.
+func (d *drill) tick() time.Duration {
+	if d.quantum > 0 {
+		return d.quantum
+	}
+	return defaultQuantum
+}
+
 // DrillNames lists the drills that need no script, in study order.
 func DrillNames() []string {
 	var names []string
@@ -319,8 +330,8 @@ func checkResumed(r *run) {
 // aggregation, a region acquisition straddling the shard-0/shard-1 boundary
 // and a sub-epoch aggregation, so the merge, translation and watermark
 // paths all stay hot.
-func fedPool(st *stack.Stack) []query.Query {
-	spn := st.Sensors() / fedShards
+func fedPool(r *run) []query.Query {
+	spn := r.st.Sensors() / fedShards
 	return []query.Query{
 		query.MustParse("SELECT MAX(light), AVG(light) EPOCH DURATION 8192"),
 		query.MustParse(fmt.Sprintf("SELECT nodeid, light WHERE nodeid >= %d AND nodeid <= %d EPOCH DURATION 8192", spn, spn+1)),
@@ -341,12 +352,13 @@ func scriptSpec(r *run) (stack.Spec, error) {
 	if sc.Seed != 0 {
 		r.cfg.Seed = sc.Seed
 	}
+	q := r.d.tick()
 	if r.cfg.Rounds <= 0 {
-		r.cfg.Rounds = max(int(sc.Horizon()/quantum)+4, defaultRounds)
+		r.cfg.Rounds = max(int(sc.Horizon()/q)+4, defaultRounds)
 	}
 	for _, at := range sc.Crashes() {
 		// The 1-based round whose end covers the crash instant.
-		i := min(max(int((at+quantum-1)/quantum), 1), r.cfg.Rounds)
+		i := min(max(int((at+q-1)/q), 1), r.cfg.Rounds)
 		r.actions = append(r.actions, action{i - 1, actBounce})
 	}
 	r.rep.Scenario, r.rep.FaultEvents, r.maxGaps = sc.Name, len(sc.Steps), sc.MaxGaps
@@ -367,7 +379,7 @@ func scriptSpec(r *run) (stack.Spec, error) {
 }
 
 // scriptPool is the overlapping acquisition workload of the gateway drills.
-func scriptPool(*stack.Stack) []query.Query {
+func scriptPool(*run) []query.Query {
 	return []query.Query{
 		query.MustParse("SELECT nodeid, light WHERE light >= 100 AND light <= 900 EPOCH DURATION 4096"),
 		query.MustParse("SELECT nodeid, light WHERE light >= 150 AND light <= 850 EPOCH DURATION 8192"),
@@ -422,7 +434,7 @@ const (
 )
 
 // churnPool is twelve of the §4.3 random queries.
-func churnPool(*stack.Stack) []query.Query {
+func churnPool(*run) []query.Query {
 	var pool []query.Query
 	for _, tq := range workload.Random(workload.RandomConfig{Seed: 7777, NumQueries: 12}) {
 		pool = append(pool, tq.Query)
@@ -489,10 +501,10 @@ func shareSpec(r *run) (stack.Spec, error) {
 // sharePool: overlapping region aggregates (shared interior cells), a
 // full-range AVG (basis rewrite) and a region acquisition, so recombination,
 // caching and row concatenation all stay hot across the crash.
-func sharePool(st *stack.Stack) []query.Query {
+func sharePool(r *run) []query.Query {
 	return []query.Query{
 		query.MustParse("SELECT SUM(light), AVG(light) WHERE nodeid >= 1 AND nodeid <= 8 EPOCH DURATION 8192"),
-		query.MustParse(fmt.Sprintf("SELECT SUM(light), AVG(light) WHERE nodeid >= 5 AND nodeid <= %d EPOCH DURATION 8192", st.Sensors()-3)),
+		query.MustParse(fmt.Sprintf("SELECT SUM(light), AVG(light) WHERE nodeid >= 5 AND nodeid <= %d EPOCH DURATION 8192", r.st.Sensors()-3)),
 		query.MustParse("SELECT AVG(temp) EPOCH DURATION 8192"),
 		query.MustParse("SELECT nodeid, light WHERE nodeid >= 1 AND nodeid <= 12 EPOCH DURATION 8192"),
 	}

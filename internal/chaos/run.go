@@ -28,8 +28,9 @@ import (
 const (
 	defaultClients = 4
 	defaultRounds  = 16
-	// quantum is the virtual time one round advances.
-	quantum = 8192 * time.Millisecond
+	// defaultQuantum is the virtual time one round advances, unless the
+	// drill sets its own.
+	defaultQuantum = 8192 * time.Millisecond
 	// minCompleteness is the bounded-loss floor applied when a script does
 	// not set its own.
 	minCompleteness = 0.25
@@ -130,6 +131,17 @@ type Report struct {
 	VictimDropped bool   `json:"victim_dropped,omitempty"`
 	DropReason    string `json:"drop_reason,omitempty"`
 	VictimDropMS  int64  `json:"victim_drop_ms,omitempty"`
+
+	// The study drills (ShareCell, FederationCell): Sensors is the stack's
+	// sensor count and Messages the tier-1 radio messages its network
+	// injected; Cold/LateTTFR* are the nearest-rank p50/p95 of virtual ms
+	// from subscribe to first delivery for the cold and the late subscribers.
+	Sensors      int     `json:"sensors,omitempty"`
+	Messages     int64   `json:"messages,omitempty"`
+	ColdTTFR50MS float64 `json:"cold_ttfr50_ms,omitempty"`
+	ColdTTFR95MS float64 `json:"cold_ttfr95_ms,omitempty"`
+	LateTTFR50MS float64 `json:"late_ttfr50_ms,omitempty"`
+	LateTTFR95MS float64 `json:"late_ttfr95_ms,omitempty"`
 
 	// The final counter snapshot of each tier the drill's stack has.
 	Gateway *gateway.Stats    `json:"gateway,omitempty"`
@@ -284,7 +296,7 @@ func (r *run) walPath() string {
 // resume, watermark and replay machinery — the redelivery guarantee under
 // test.
 func (r *run) drive() error {
-	pool := r.d.pool(r.st)
+	pool := r.d.pool(r)
 	per := r.d.perClient
 	for c := 0; c < r.cfg.Clients; c++ {
 		qs := make([]query.Query, per)
@@ -316,7 +328,7 @@ func (r *run) drive() error {
 		// While the stack's one gateway is down the coordinator above it
 		// cannot advance it; commands still commit and cached replay still
 		// flows. Any other round must advance cleanly.
-		if _, err := r.st.Top().Advance(quantum); err != nil && !(r.down && r.st.Router == nil) {
+		if _, err := r.st.Top().Advance(r.d.tick()); err != nil && !(r.down && r.st.Router == nil) {
 			return fmt.Errorf("chaos: advance round %d: %w", round, err)
 		}
 		for _, s := range r.pending {

@@ -34,7 +34,7 @@ func TestClosedStreamReportedOnceOthersDrain(t *testing.T) {
 			cfg.Buffer = 1
 			return stack.Spec{Gateway: cfg}, err
 		},
-		pool: func(*stack.Stack) []query.Query { return pool }, perClient: 1,
+		pool: func(*run) []query.Query { return pool }, perClient: 1,
 		observe: func(_ *run, _ *stream, u tier.Update) { perStream[u.Sub]++ },
 	}
 	rep, err := d.run(Config{})
@@ -69,7 +69,7 @@ func TestClosedStreamReportedOnceOthersDrain(t *testing.T) {
 // count as a ValueMismatch.
 func TestRowsCheckedByValue(t *testing.T) {
 	sc, _ := Builtin("none")
-	r := &run{cfg: Config{Seed: 1, Side: 4, Script: sc}, rep: &Report{}}
+	r := &run{d: findDrill(ScriptDrill), cfg: Config{Seed: 1, Side: 4, Script: sc}, rep: &Report{}}
 	if _, err := scriptSpec(r); err != nil {
 		t.Fatal(err)
 	}

@@ -123,7 +123,7 @@ const (
 // shed members retry with the client backoff policy until all are admitted.
 func herd(r *run) error {
 	gw, rep := r.st.Gateway(), r.rep
-	srv, err := r.serve(gateway.ServerConfig{TickEvery: 10 * time.Millisecond, Quantum: quantum})
+	srv, err := r.serve(gateway.ServerConfig{TickEvery: 10 * time.Millisecond, Quantum: r.d.tick()})
 	if err != nil {
 		return err
 	}
@@ -243,7 +243,7 @@ func loris(r *run) error {
 		TickEvery: 5 * time.Millisecond,
 		// A fat quantum makes each tick deliver a burst of epochs, so the
 		// victim's unread backlog fills its socket buffers in test time.
-		Quantum:      16 * quantum,
+		Quantum:      16 * r.d.tick(),
 		WriteTimeout: 150 * time.Millisecond,
 		// The loris goes silent in both directions, so the read deadline
 		// is its hard backstop: once it expires the handler cuts the

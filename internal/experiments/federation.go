@@ -2,50 +2,21 @@ package experiments
 
 import (
 	"fmt"
-	"time"
 
-	"repro/internal/federation"
-	"repro/internal/gateway"
-	"repro/internal/query"
-	"repro/internal/stack"
+	"repro/internal/chaos"
 )
 
 // FederationScalingConfig parametrizes the shard-count scaling study: a
 // fixed per-shard world and subscriber load, swept over fleet sizes.
-// Delivered updates grow exactly with the shard count.
+// Delivered updates grow exactly with the shard count. Each cell is a chaos
+// drill (chaos.FederationCell), so its streams pass the runner's duplicate,
+// gap, ordering and goroutine-leak checks.
 type FederationScalingConfig struct {
 	Seed int64
-	// Shards lists the fleet sizes swept (default 1, 2, 4, 8).
-	Shards []int
-	// Side is each shard's grid side (default 3 — 8 sensors per shard).
-	Side int
-	// SubsPerShard is the number of downstream sessions added per shard,
-	// holding per-shard load constant across the sweep (default 4).
-	SubsPerShard int
-	// Quantum is the virtual time per round; queries use it as their epoch
-	// duration (default 8192ms, the serving tier's default).
-	Quantum time.Duration
-	// Rounds is the number of advance/drain rounds measured (default 8).
-	Rounds int
 }
 
-func (c *FederationScalingConfig) setDefaults() {
-	if len(c.Shards) == 0 {
-		c.Shards = []int{1, 2, 4, 8}
-	}
-	if c.Side <= 0 {
-		c.Side = 3
-	}
-	if c.SubsPerShard <= 0 {
-		c.SubsPerShard = 4
-	}
-	if c.Quantum <= 0 {
-		c.Quantum = 8192 * time.Millisecond
-	}
-	if c.Rounds <= 0 {
-		c.Rounds = 8
-	}
-}
+// federationShards are the swept fleet sizes.
+var federationShards = []int{1, 2, 4, 8}
 
 // FederationScalingRow is one fleet-size cell, a deterministic function of
 // configuration and seed.
@@ -70,92 +41,30 @@ type FederationScalingRow struct {
 // shard) plus a cross-shard recombining aggregate, so per-shard load is
 // constant and total subscriber deliveries scale with the fleet.
 func RunFederationScaling(cfg FederationScalingConfig) ([]FederationScalingRow, error) {
-	cfg.setDefaults()
-	rows := make([]FederationScalingRow, 0, len(cfg.Shards))
-	for _, k := range cfg.Shards {
-		row, err := runFederationCell(cfg, k)
+	rows := make([]FederationScalingRow, 0, len(federationShards))
+	for _, k := range federationShards {
+		rep, err := chaos.FederationCell(cfg.Seed, k)
+		if err == nil {
+			err = violations(rep)
+		}
 		if err != nil {
 			return nil, fmt.Errorf("federation scaling, %d shards: %w", k, err)
 		}
-		rows = append(rows, row)
+		st := rep.Router
+		rows = append(rows, FederationScalingRow{
+			Shards:         k,
+			Sensors:        rep.Sensors,
+			Sessions:       rep.Clients,
+			Subs:           int(st.Subscribes),
+			Trees:          st.Trees,
+			Upstreams:      st.UpstreamSubs,
+			Updates:        rep.Updates,
+			Rows:           rep.Rows,
+			MergedEpochs:   st.MergedEpochs,
+			PartialUpdates: st.PartialUpdates,
+		})
 	}
 	return rows, nil
-}
-
-func runFederationCell(cfg FederationScalingConfig, shards int) (FederationScalingRow, error) {
-	built, err := stack.Build(stack.Spec{Shards: shards, Router: federation.Config{Side: cfg.Side, Seed: cfg.Seed}})
-	if err != nil {
-		return FederationScalingRow{}, err
-	}
-	defer built.Close()
-	rt := built.Router
-
-	spn := built.Sensors() / shards
-	epochMS := int64(cfg.Quantum / time.Millisecond)
-	agg := query.MustParse(fmt.Sprintf("SELECT MAX(light), AVG(light) EPOCH DURATION %d", epochMS))
-	var tickets []*federation.Ticket
-	for i := 0; i < shards*cfg.SubsPerShard; i++ {
-		sess, err := rt.Register(fmt.Sprintf("fed-%d", i))
-		if err != nil {
-			return FederationScalingRow{}, err
-		}
-		base := (i % shards) * spn
-		region := query.MustParse(fmt.Sprintf(
-			"SELECT nodeid, light WHERE nodeid >= %d AND nodeid <= %d EPOCH DURATION %d",
-			base+1, base+spn, epochMS))
-		for _, q := range []query.Query{region, agg} {
-			tk, err := sess.SubscribeAsync(gateway.SubscribeRequest{Query: q})
-			if err != nil {
-				return FederationScalingRow{}, err
-			}
-			tickets = append(tickets, tk)
-		}
-	}
-	if _, err := rt.Advance(cfg.Quantum); err != nil {
-		return FederationScalingRow{}, err
-	}
-	subs := make([]*federation.Sub, 0, len(tickets))
-	for _, tk := range tickets {
-		sub, err := tk.Wait()
-		if err != nil {
-			return FederationScalingRow{}, err
-		}
-		subs = append(subs, sub)
-	}
-
-	var updates, rowCount int64
-	drain := func(sub *federation.Sub) {
-		for {
-			select {
-			case u := <-sub.Updates():
-				updates++
-				rowCount += int64(len(u.Rows))
-			default:
-				return
-			}
-		}
-	}
-	for round := 0; round < cfg.Rounds; round++ {
-		if _, err := rt.Advance(cfg.Quantum); err != nil {
-			return FederationScalingRow{}, err
-		}
-		for _, sub := range subs {
-			drain(sub)
-		}
-	}
-	st := rt.FedStats()
-	return FederationScalingRow{
-		Shards:         shards,
-		Sensors:        built.Sensors(),
-		Sessions:       shards * cfg.SubsPerShard,
-		Subs:           len(subs),
-		Trees:          st.Trees,
-		Upstreams:      st.UpstreamSubs,
-		Updates:        updates,
-		Rows:           rowCount,
-		MergedEpochs:   st.MergedEpochs,
-		PartialUpdates: st.PartialUpdates,
-	}, nil
 }
 
 // FederationScalingString renders the study as a text table.

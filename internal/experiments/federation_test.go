@@ -1,22 +1,15 @@
 package experiments
 
-import (
-	"testing"
-	"time"
-)
+import "testing"
 
 func runFedSweep(t *testing.T) []FederationScalingRow {
 	t.Helper()
-	rows, err := RunFederationScaling(FederationScalingConfig{
-		Seed:   1,
-		Shards: []int{1, 2, 4},
-		Rounds: 6,
-	})
+	rows, err := RunFederationScaling(FederationScalingConfig{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 3 {
-		t.Fatalf("got %d rows, want 3", len(rows))
+	if len(rows) != 4 {
+		t.Fatalf("got %d rows, want 4 (1, 2, 4 and 8 shards)", len(rows))
 	}
 	return rows
 }
@@ -63,21 +56,5 @@ func TestFederationScalingDeterministic(t *testing.T) {
 		if a[i] != b[i] {
 			t.Errorf("row %d differs between runs:\n first:  %+v\n second: %+v", i, a[i], b[i])
 		}
-	}
-}
-
-// TestFederationScalingDefaults covers the default sweep shape without
-// running it end to end.
-func TestFederationScalingDefaults(t *testing.T) {
-	var cfg FederationScalingConfig
-	cfg.setDefaults()
-	if len(cfg.Shards) != 4 || cfg.Shards[3] != 8 {
-		t.Fatalf("default shard sweep = %v", cfg.Shards)
-	}
-	if cfg.Side != 3 || cfg.SubsPerShard != 4 || cfg.Rounds != 8 {
-		t.Fatalf("defaults = %+v", cfg)
-	}
-	if cfg.Quantum != 8192*time.Millisecond {
-		t.Fatalf("default quantum = %v", cfg.Quantum)
 	}
 }

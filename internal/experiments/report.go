@@ -113,8 +113,9 @@ func RunAll(cfg ReportConfig) (*Report, error) {
 		Parallelism: cfg.Parallelism, Timing: timed("scaling")}); err != nil {
 		return nil, fmt.Errorf("scaling: %w", err)
 	}
-	// Federation cells run sequentially on purpose: each cell's wall clock
-	// feeds its throughput gauge, so no worker pool and no Timing slot.
+	// The federation and share cells run one after another, so no worker
+	// pool and no Timing slot: each is a chaos drill whose leak check counts
+	// every goroutine in the process, and a concurrent cell's would count.
 	if r.Federation, err = RunFederationScaling(FederationScalingConfig{Seed: cfg.Seed}); err != nil {
 		return nil, fmt.Errorf("federation scaling: %w", err)
 	}

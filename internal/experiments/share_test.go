@@ -1,9 +1,6 @@
 package experiments
 
-import (
-	"testing"
-	"time"
-)
+import "testing"
 
 func runShareSweep(t *testing.T) []ShareStudyRow {
 	t.Helper()
@@ -75,20 +72,5 @@ func TestShareStudyDeterministic(t *testing.T) {
 		if a[i] != b[i] {
 			t.Errorf("row %d differs between runs:\n first:  %+v\n second: %+v", i, a[i], b[i])
 		}
-	}
-}
-
-// TestShareStudyDefaults covers the default sweep shape.
-func TestShareStudyDefaults(t *testing.T) {
-	var cfg ShareStudyConfig
-	cfg.setDefaults()
-	if len(cfg.Overlaps) != 4 || cfg.Overlaps[3] != 0.75 {
-		t.Fatalf("default overlap sweep = %v", cfg.Overlaps)
-	}
-	if cfg.Side != 7 || cfg.Cell != 8 || cfg.Queries != 12 || cfg.Late != 8 {
-		t.Fatalf("defaults = %+v", cfg)
-	}
-	if cfg.Quantum != 1024*time.Millisecond || cfg.EpochMS != 8192 {
-		t.Fatalf("default timing = %+v", cfg)
 	}
 }
