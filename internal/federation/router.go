@@ -55,8 +55,8 @@ type Config struct {
 	// Alpha is the tier-1 termination parameter (scheme default if 0).
 	Alpha float64
 	// Buffer, MaxSessions, SessionQuota, Rate, Burst mirror the gateway
-	// limits. Buffer bounds both the per-shard upstream channels and the
-	// downstream subscriber channels; MaxSessions and SessionQuota are
+	// limits. Buffer bounds both the per-shard upstream streams and the
+	// downstream subscriber streams; MaxSessions and SessionQuota are
 	// enforced at the router (a shard sees only the router's own session).
 	Buffer       int
 	MaxSessions  int
@@ -670,7 +670,10 @@ func (r *Router) Advance(d time.Duration) (int, error) {
 	}
 	r.staged = nil
 
-	t0 := time.Now()
+	var t0 time.Time
+	if r.onMerge != nil {
+		t0 = time.Now()
+	}
 	for _, sh := range r.shards {
 		if sh.alive && sh.reachable {
 			r.drainShardLocked(sh)
@@ -766,25 +769,27 @@ func (r *Router) teardownTreeLocked(tr *tree) {
 }
 
 // drainShardLocked folds every upstream stream of one shard, in SubID order,
-// into the pending epochs. A stream the shard closed under us (eviction —
-// should not happen at router drain cadence, but a chaos scenario can force
-// it) stalls its tree until teardown.
+// into the pending epochs, under one hold of the shard's lock. A stream the
+// shard closed under us (eviction — should not happen at router drain
+// cadence, but a chaos scenario can force it) stalls its tree until teardown.
 func (r *Router) drainShardLocked(sh *shard) {
-	for _, up := range sh.ups.Values() {
-		up.Drain(func(u gateway.Update) {
-			r.stats.PartialUpdates++
-			tr := up.tr
-			if tr.released > 0 && u.At <= tr.released {
-				r.stats.LateDropped++
-				return
-			}
-			e := r.epochs.At(&tr.pending, u.At)
-			if len(u.Rows) > 0 {
-				e.Rows = translateRows(e.Rows, u.Rows, sh.idx, r.spn)
-			}
-			e.Add(up.slice, &u)
-		})
-	}
+	sh.sess.Read(func() {
+		for _, up := range sh.ups.Values() {
+			up.Drain(func(u gateway.Update) {
+				r.stats.PartialUpdates++
+				tr := up.tr
+				if tr.released > 0 && u.At <= tr.released {
+					r.stats.LateDropped++
+					return
+				}
+				e := r.epochs.At(&tr.pending, u.At)
+				if len(u.Rows) > 0 {
+					e.Rows = translateRows(e.Rows, u.Rows, sh.idx, r.spn)
+				}
+				e.Add(up.slice, &u)
+			})
+		}
+	})
 }
 
 // releaseLocked pushes every fully merged epoch (At <= the tree's
@@ -881,7 +886,6 @@ func (r *Router) releaseEpochLocked(tr *tree, e *tier.Epoch) {
 		Rows:     e.Rows,
 		Degraded: degraded,
 		Coverage: coverage,
-		Enqueued: time.Now(),
 	}
 	if tr.p.agg {
 		u.Aggs = e.Finish(e.At, tr.p.q.Aggs)
@@ -917,7 +921,7 @@ func (r *Router) CrashShard(i int) error {
 
 // freezeLocked marks a shard dead — crashed, failed under a step, or going
 // down with the router: its watermark freezes at its clock, and the router
-// lets go of its session and upstream channels until RecoverShard
+// lets go of its session and upstream streams until RecoverShard
 // re-attaches them.
 func (r *Router) freezeLocked(sh *shard) {
 	sh.alive, sh.reachable, sh.frozen, sh.sess = false, false, sh.vnow, nil
@@ -931,7 +935,7 @@ func (r *Router) freezeLocked(sh *shard) {
 // router's upstream session by its durable token, resumes every upstream
 // stream from its last delivered sequence number, and replays the shard
 // forward to the router's clock one quantum at a time (draining between
-// steps so no channel overflows).
+// steps so no upstream buffer overflows).
 func (r *Router) RecoverShard(i int) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -983,7 +987,7 @@ func (r *Router) PartitionShard(i int) error {
 	sh.reachable = false
 	sh.frozen = sh.vnow
 	for _, up := range sh.ups.Values() {
-		up.Detach() // channels closed with ReasonDetached
+		up.Detach() // streams closed with ReasonDetached
 	}
 	r.stats.Partitions++
 	return nil
@@ -1010,7 +1014,7 @@ func (r *Router) HealShard(i int) error {
 	}
 	sh.reachable = true
 	r.stats.Heals++
-	// The parked tails are already in the fresh channels; fold them in
+	// The parked tails are already in the resumed streams; fold them in
 	// now so the next Advance's watermark releases them in order.
 	r.drainShardLocked(sh)
 	return nil
@@ -1092,7 +1096,7 @@ func (r *Router) reattachLocked(sh *shard) error {
 }
 
 // catchUpLocked replays a recovered shard forward to the router's clock,
-// draining between quantum steps so upstream channels never overflow.
+// draining between quantum steps so upstream buffers never overflow.
 func (r *Router) catchUpLocked(sh *shard) {
 	for sh.vnow < r.now {
 		d := min(r.quantum, time.Duration(r.now-sh.vnow))

@@ -413,7 +413,7 @@ func (g *Gateway) Step(d time.Duration) (int, error) {
 }
 
 // Crash kills the gateway abruptly, simulating a process crash for tests
-// and chaos scenarios: staged commands fail, attached subscribers' channels
+// and chaos scenarios: staged commands fail, attached subscribers' streams
 // close with ReasonCrashed, and the WAL is abandoned mid-stream without a
 // clean flush — whatever the file holds is what Recover gets, exactly as if
 // the process had died. No queries are cancelled and no sessions drain; the
@@ -778,7 +778,6 @@ func (g *Gateway) deliver(u Update) {
 		return
 	}
 	g.stats.Epochs++
-	u.Enqueued = time.Now()
 	// Provenance stamping is plain value writes — no allocation on the
 	// fan-out hot path, whether tracing is mounted or not.
 	u.Prov.Rung = uint8(g.stats.BrownoutLevel)

@@ -343,11 +343,16 @@ func (c *Coordinator) Advance(d time.Duration) (int, error) {
 	}
 	c.staged = nil
 	c.replayLocked(acks)
-	// Fragments fold in key order, the order their floats add in. A stream
-	// the upstream closed under us (crash, eviction) stalls its trees until
-	// reattach or teardown.
-	for _, fr := range c.frags.Values() {
-		fr.Drain(func(u gateway.Update) { c.mergeLocked(fr, u) })
+	// Fragments fold in key order, the order their floats add in, under one
+	// hold of the upstream's lock (every upstream session shares it). A
+	// stream the upstream closed under us (crash, eviction) stalls its trees
+	// until reattach or teardown.
+	if len(c.upSess) > 0 && c.frags.Len() > 0 {
+		c.upSess[0].session().Read(func() {
+			for _, fr := range c.frags.Values() {
+				fr.Drain(func(u gateway.Update) { c.mergeLocked(fr, u) })
+			}
+		})
 	}
 	c.releaseLocked()
 	c.k.AckLocked(acks)
@@ -668,7 +673,6 @@ func (c *Coordinator) updateLocked(tr *shareTree, e cachedEpoch, replay bool) ga
 		Aggs:     e.aggs,
 		Degraded: e.degraded,
 		Coverage: e.coverage,
-		Enqueued: time.Now(),
 	}
 	if c.cfg.Tracer != nil {
 		u.Prov = tracing.Prov{

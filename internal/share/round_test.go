@@ -3,6 +3,7 @@ package share
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -11,16 +12,21 @@ import (
 	"repro/internal/query"
 	"repro/internal/resilience"
 	"repro/internal/sim"
+	"repro/internal/tier"
 )
 
 // fakeUpstream is an Upstream with no simulation behind it: every Advance of
-// d > 0 feeds perRound epochs into every live fragment stream, each carrying
+// d > 0 pushes perRound epochs into every live fragment stream, each carrying
 // the fragment's own aggregate list at value 1. It allocates nothing per
 // round, so what a round allocates is the coordinator's.
 type fakeUpstream struct {
 	perRound int
 	now      sim.Time
 	subs     []*fakeSub
+	// k hands out the sessions, for their lock: the coordinator drains
+	// inside one.
+	mu sync.Mutex
+	k  *tier.Kernel
 }
 
 func (f *fakeUpstream) Advance(d time.Duration) (int, error) {
@@ -31,7 +37,7 @@ func (f *fakeUpstream) Advance(d time.Duration) (int, error) {
 		f.now += sim.Time(d) / sim.Time(f.perRound)
 		for _, s := range f.subs {
 			s.seq++
-			s.ch <- gateway.Update{Seq: s.seq, At: f.now, Aggs: s.aggs}
+			s.buf = append(s.buf, gateway.Update{Seq: s.seq, At: f.now, Aggs: s.aggs})
 		}
 	}
 	return 0, nil
@@ -46,21 +52,25 @@ func (f *fakeUpstream) ServeStats() (gateway.Stats, sim.Time, error) {
 	return gateway.Stats{}, f.now, nil
 }
 func (f *fakeUpstream) Register(name string) (UpstreamSession, error) {
-	return fakeSession{f, name}, nil
+	if f.k == nil {
+		f.k = tier.New(tier.Config{Name: "fake", Mu: &f.mu, MaxSessions: 64})
+	}
+	s, err := f.k.Register(name)
+	return fakeSession{f, s}, err
 }
 func (f *fakeUpstream) Attach(string, string) (UpstreamSession, []gateway.ResumeInfo, error) {
 	return nil, nil, errors.New("fake upstream: no attach")
 }
 
 type fakeSession struct {
-	f    *fakeUpstream
-	name string
+	f *fakeUpstream
+	s *tier.Session
 }
 
-func (s fakeSession) Name() string  { return s.name }
+func (s fakeSession) Name() string  { return s.s.Name() }
 func (s fakeSession) Token() string { return "fake" }
 func (s fakeSession) SubscribeAsync(q query.Query) (UpstreamTicket, error) {
-	sub := &fakeSub{id: gateway.SubID(len(s.f.subs) + 1), ch: make(chan gateway.Update, 64)}
+	sub := &fakeSub{id: gateway.SubID(len(s.f.subs) + 1)}
 	for _, a := range q.Aggs {
 		sub.aggs = append(sub.aggs, query.AggResult{Agg: a, Value: 1})
 	}
@@ -71,19 +81,24 @@ func (s fakeSession) UnsubscribeAsync(gateway.SubID) error { return nil }
 func (s fakeSession) Resume(gateway.SubID, uint64) (UpstreamSub, error) {
 	return nil, errors.New("fake upstream: no resume")
 }
+func (s fakeSession) session() *tier.Session { return s.s }
 
 // fakeSub is its own ticket: the fake admits at once.
 type fakeSub struct {
 	id   gateway.SubID
 	seq  uint64
 	aggs []query.AggResult
-	ch   chan gateway.Update
+	buf  []gateway.Update
 }
 
-func (s *fakeSub) Wait() (UpstreamSub, error)     { return s, nil }
-func (s *fakeSub) ID() gateway.SubID              { return s.id }
-func (s *fakeSub) QueryID() query.ID              { return query.ID(s.id) }
-func (s *fakeSub) Updates() <-chan gateway.Update { return s.ch }
+func (s *fakeSub) Wait() (UpstreamSub, error) { return s, nil }
+func (s *fakeSub) ID() gateway.SubID          { return s.id }
+func (s *fakeSub) QueryID() query.ID          { return query.ID(s.id) }
+func (s *fakeSub) Take(spare []gateway.Update) ([]gateway.Update, bool) {
+	batch := s.buf
+	s.buf = spare[:0]
+	return batch, true
+}
 
 // releasedAllocsMax is the allocation budget of one released epoch: the
 // []AggResult Finish hands to the subscribers and the cache ring. Measured 1;

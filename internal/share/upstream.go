@@ -34,6 +34,9 @@ type Upstream interface {
 type upstream struct{ Upstream }
 
 // UpstreamSession is one coordinator-owned session on the upstream tier.
+// Its unexported half is the tier session under it, which the coordinator
+// reads its fragments in place on (tier.Session.ReadInPlace and Read); a
+// decorator of this seam inherits it by embedding the session it wraps.
 type UpstreamSession interface {
 	Name() string
 	Token() string
@@ -41,6 +44,7 @@ type UpstreamSession interface {
 	// UnsubscribeAsync stages a cancel; completion may lag the call.
 	UnsubscribeAsync(id gateway.SubID) error
 	Resume(id gateway.SubID, after uint64) (UpstreamSub, error)
+	session() *tier.Session
 }
 
 // UpstreamTicket resolves to a fragment stream at the next Advance.
@@ -57,12 +61,8 @@ type tracedUpstreamSession interface {
 	subscribeTraced(q query.Query, tc tracing.Context) (UpstreamTicket, error)
 }
 
-// UpstreamSub is one live fragment stream.
-type UpstreamSub interface {
-	ID() gateway.SubID
-	QueryID() query.ID
-	Updates() <-chan gateway.Update
-}
+// UpstreamSub is one live fragment stream, read in place (tier.Sub.Take).
+type UpstreamSub = tier.Source
 
 // ---------------------------------------------------------------------------
 // The adapter: every tier serves the kernel's sessions behind gateway.Backend
@@ -98,8 +98,9 @@ func (u tierUpstream) Attach(name, token string) (UpstreamSession, []gateway.Res
 
 type upSession struct{ s *tier.Session }
 
-func (s upSession) Name() string  { return s.s.Name() }
-func (s upSession) Token() string { return s.s.Token() }
+func (s upSession) Name() string           { return s.s.Name() }
+func (s upSession) Token() string          { return s.s.Token() }
+func (s upSession) session() *tier.Session { return s.s }
 
 func (s upSession) SubscribeAsync(q query.Query) (UpstreamTicket, error) {
 	return s.subscribeTraced(q, tracing.Context{})
@@ -140,6 +141,4 @@ func (t upTicket) Wait() (UpstreamSub, error) {
 // sessions.
 type carrier struct{ UpstreamSession }
 
-func (c carrier) Resume(id gateway.SubID, after uint64) (tier.Source, error) {
-	return c.UpstreamSession.Resume(id, after)
-}
+func (c carrier) ReadInPlace() { c.session().ReadInPlace() }

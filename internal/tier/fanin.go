@@ -14,20 +14,29 @@ import (
 // Epochs until the tier releases an instant. The tier keeps only its policy:
 // what its pieces are, the order it drains and folds them in (the order its
 // floats add in), and when an epoch releases.
+//
+// The upstream advances inside the composing tier's Advance, which waits for
+// it, so no stream needs a channel: the upstream pushes into the stream's
+// buffer in its kernel, and the composing tier takes the buffers of all its
+// streams on one upstream session inside one Session.Read per round.
 
-// Source is a live upstream stream as the fan-in drains it.
+// Source is a live upstream stream as the fan-in drains it; Sub.Take is the
+// kernel's.
 type Source interface {
 	ID() SubID
 	QueryID() query.ID
-	Updates() <-chan Update
+	Take(spare []Update) ([]Update, bool)
 }
 
 // Carrier is the upstream session a composing tier holds its streams on. An
 // unsubscribe is best effort: a carrier that is down refuses it, and the
 // re-attach rule unsubscribes the stream once the upstream is back.
+// ReadInPlace is Session.ReadInPlace: the fan-in calls it whenever it binds
+// a stream to the carrier, before the upstream commits or resumes one.
 type Carrier interface {
 	UnsubscribeAsync(id SubID) error
 	Resume(id SubID, after uint64) (Source, error)
+	ReadInPlace()
 }
 
 // Stream is one upstream subscription a composing tier holds for its trees:
@@ -41,6 +50,7 @@ type Stream struct {
 	on      Carrier
 	wait    func() (Source, error) // the staged subscribe, until Resolve
 	src     Source                 // nil while staged, detached or closed upstream
+	batch   []Update               // the last batch taken, recycled by the next Take
 	id      SubID                  // zero until resolved, and once dropped
 	lastSeq uint64                 // the last sequence number drained: the resume cursor
 	holders int
@@ -49,6 +59,7 @@ type Stream struct {
 // Stage starts the stream for one holder: a subscribe staged on carrier on,
 // which wait collects once the upstream has committed it.
 func (s *Stream) Stage(on Carrier, wait func() (Source, error)) {
+	on.ReadInPlace()
 	s.on, s.wait, s.holders = on, wait, 1
 }
 
@@ -93,29 +104,27 @@ func (s *Stream) Release() bool {
 }
 
 // Detach marks the stream not live: its carrier detached or died, closing
-// the channel under the tier. Reattach revives it.
+// the stream under the tier. Reattach revives it.
 func (s *Stream) Detach() { s.src = nil }
 
 // Drain folds every update waiting on a live stream into fold, in arrival
-// order, advancing the resume cursor. A stream the upstream closed under the
-// tier (crash, eviction) stops being live until a re-attach or its release.
+// order, advancing the resume cursor; a tier calls it inside its carrier's
+// Session.Read. A stream the upstream closed under the tier (crash,
+// eviction) folds what it buffered before the close, then stops being live
+// until a re-attach or its release.
 func (s *Stream) Drain(fold func(Update)) {
 	if s.src == nil {
 		return
 	}
-	ch := s.src.Updates()
-	for {
-		select {
-		case u, ok := <-ch:
-			if !ok {
-				s.src = nil
-				return
-			}
-			s.lastSeq = u.Seq
-			fold(u)
-		default:
-			return
-		}
+	batch, live := s.src.Take(s.batch)
+	for _, u := range batch {
+		s.lastSeq = u.Seq
+		fold(u)
+	}
+	clear(batch) // hold no rows past the fold
+	s.batch = batch
+	if !live {
+		s.src = nil
 	}
 }
 
@@ -126,6 +135,7 @@ func (s *Stream) Drain(fold func(Update)) {
 // live again); a carried stream nobody holds is unsubscribed. A staged
 // stream resolves later, on the new carrier. It returns how many resumed.
 func Reattach(on Carrier, carried []ResumeInfo, held []*Stream) (resumed int) {
+	on.ReadInPlace()
 	for _, s := range held {
 		s.on = on
 		if s.id != 0 && slices.ContainsFunc(carried, func(in ResumeInfo) bool { return in.ID == s.id }) {

@@ -13,15 +13,33 @@ import (
 	"repro/internal/sim"
 )
 
-// fakeSource is an upstream stream whose channel the test fills.
+// fakeSource is an upstream stream whose channel the test fills; Take reads
+// it as a channel reader would.
 type fakeSource struct {
 	id SubID
 	ch chan Update
 }
 
-func (f *fakeSource) ID() SubID              { return f.id }
-func (f *fakeSource) QueryID() query.ID      { return query.ID(f.id) }
-func (f *fakeSource) Updates() <-chan Update { return f.ch }
+func (f *fakeSource) ID() SubID                            { return f.id }
+func (f *fakeSource) QueryID() query.ID                    { return query.ID(f.id) }
+func (f *fakeSource) Take(spare []Update) ([]Update, bool) { return takeChan(f.ch, spare) }
+
+// takeChan is a channel reader's Take: everything waiting, and whether the
+// channel is still open.
+func takeChan(ch <-chan Update, spare []Update) ([]Update, bool) {
+	batch := spare[:0]
+	for {
+		select {
+		case u, ok := <-ch:
+			if !ok {
+				return batch, false
+			}
+			batch = append(batch, u)
+		default:
+			return batch, true
+		}
+	}
+}
 
 // fakeCarrier records what a Stream asks of its upstream session.
 type fakeCarrier struct {
@@ -33,6 +51,8 @@ func (c *fakeCarrier) UnsubscribeAsync(id SubID) error {
 	c.unsubscribed = append(c.unsubscribed, id)
 	return nil
 }
+
+func (c *fakeCarrier) ReadInPlace() {}
 
 func (c *fakeCarrier) Resume(id SubID, after uint64) (Source, error) {
 	c.resumed = append(c.resumed, fmt.Sprintf("%d@%d", id, after))

@@ -36,6 +36,7 @@ import (
 	"runtime"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/query"
@@ -49,8 +50,8 @@ type Config struct {
 	// Name prefixes error strings ("gateway", "federation", "share").
 	Name string
 	Mu   *sync.Mutex
-	// Buffer bounds each subscriber channel and detached ring; MaxSessions
-	// and SessionQuota are the admission limits.
+	// Buffer bounds each subscriber stream (channel or in-place buffer) and
+	// detached ring; MaxSessions and SessionQuota are the admission limits.
 	Buffer       int
 	MaxSessions  int
 	SessionQuota int
@@ -237,9 +238,7 @@ func (g *Group) Deliver(u *Update) (evicted []*Sub) {
 		k.stats.Evicted++
 		k.stats.ActiveSubscriptions--
 		delete(sub.sess.live, sub.id)
-		sub.reason = ReasonEvicted
-		close(sub.ch)
-		sub.sess.ready.Raise()
+		sub.end(ReasonEvicted)
 		g.remove(sub)
 	}
 	return evicted
@@ -261,6 +260,11 @@ type Session struct {
 	attached  bool
 	closed    bool
 	idleSince sim.Time // when the session detached (reap clock)
+
+	// inPlace: the composing tier that advances this tier reads the
+	// session's streams, so they buffer for Sub.Take instead of going
+	// through a channel (see ReadInPlace).
+	inPlace atomic.Bool
 }
 
 // Name returns the session's registered name.
@@ -272,8 +276,24 @@ func (s *Session) Token() string { return s.token }
 // Ready is the connection writer's wake-up: a capacity-1 signal the tier
 // raises whenever it pushes to, or closes, any of the session's streams. One
 // receive may stand for many pushes, so the receiver drains every stream it
-// holds without blocking.
+// holds without blocking. A session read in place is never raised for a push.
 func (s *Session) Ready() <-chan struct{} { return s.ready }
+
+// ReadInPlace marks the session as one a composing tier reads in place: the
+// tier that holds it advances this one inside its own Advance, so every
+// stream the session subscribes or resumes from now on buffers its updates
+// for Sub.Take, inside Read, instead of crossing a channel. The fan-in marks the
+// upstream session it binds a stream to (Stream.Stage, Reattach).
+func (s *Session) ReadInPlace() { s.inPlace.Store(true) }
+
+// Read runs read with the tier's lock held: a composing tier takes every
+// stream it reads in place on the session inside one Read per round. read
+// must not call back into this tier, whose lock it holds.
+func (s *Session) Read(read func()) {
+	s.k.cfg.Mu.Lock()
+	defer s.k.cfg.Mu.Unlock()
+	read()
+}
 
 // Sub is one downstream subscription: the update stream the connection
 // writer consumes.
@@ -294,12 +314,18 @@ type Sub struct {
 	admitMS int64
 
 	// Guarded by the tier's lock (ch is also read, lock-free, by the
-	// stream's one reader; see Updates).
+	// stream's one reader; see Updates). A stream read in place has no
+	// channel: buf holds what was pushed since the reader's last Take.
 	seq      uint64
 	ch       chan Update
+	buf      []Update
 	ring     []Update // parked tail while detached
 	detached bool
 	reason   CloseReason
+	// ended: the stream closed since it was admitted or last resumed — a
+	// channel reader sees the close once it has read the channel dry. A
+	// stream admitted detached has not ended: it has no channel yet.
+	ended bool
 }
 
 // ID returns the subscription id (unique within the tier).
@@ -326,13 +352,34 @@ func (s *Sub) Session() *Session { return s.sess }
 // QueryID returns the group's representative upstream query id.
 func (s *Sub) QueryID() query.ID { return s.qid }
 
-// Updates returns the live update channel. Resume replaces it, so a stream
-// has one reader at a time: whoever subscribed or last resumed it. Like
-// QueryID it takes no lock — a subscribe's reply must reach the client
-// while the tier is busy advancing.
+// Updates returns the live update channel (nil for a stream read in place).
+// Resume replaces it, so a stream has one reader at a time: whoever
+// subscribed or last resumed it. Like QueryID it takes no lock — a
+// subscribe's reply must reach the client while the tier is busy advancing.
 func (s *Sub) Updates() <-chan Update { return s.ch }
 
-// Reason reports why the channel closed (ReasonNone while live).
+// Take hands an in-place reader, inside Session.Read, every update pushed
+// since its last Take, in push order, and reports whether the stream is
+// still live. A stream the tier closed — unsubscribe, eviction, detach,
+// crash, shutdown — hands over what it buffered before the close and
+// reports false: exactly what a channel reader reads before it sees the
+// close. spare is the reader's previous batch, recycled as the new buffer.
+func (s *Sub) Take(spare []Update) (batch []Update, live bool) {
+	batch, s.buf = s.buf, spare[:0]
+	return batch, !s.ended
+}
+
+// end closes a live stream for reason: the channel reader sees the close
+// once it has read what is buffered; an in-place reader's next Take does.
+func (s *Sub) end(reason CloseReason) {
+	s.reason, s.ended = reason, true
+	if s.ch != nil {
+		close(s.ch)
+		s.sess.ready.Raise()
+	}
+}
+
+// Reason reports why the stream closed (ReasonNone while live).
 func (s *Sub) Reason() CloseReason {
 	s.sess.k.cfg.Mu.Lock()
 	defer s.sess.k.cfg.Mu.Unlock()
@@ -356,6 +403,11 @@ func (s *Sub) Push(u *Update) bool {
 		s.pushRing(*u)
 	case s.reason != ReasonNone:
 		return true
+	case s.ch == nil: // read in place
+		if len(s.buf) >= s.sess.k.cfg.Buffer {
+			return false
+		}
+		s.buf = append(s.buf, *u)
 	default:
 		select {
 		case s.ch <- *u:
@@ -618,11 +670,14 @@ func (s *Session) Detach() error {
 			continue
 		}
 		sub.detached = true
-		sub.reason = ReasonDetached
-		close(sub.ch)
-		for u := range sub.ch {
+		sub.end(ReasonDetached)
+		for _, u := range sub.buf { // read in place
 			sub.pushRing(u)
 		}
+		for len(sub.ch) > 0 { // read through the channel, now closed
+			sub.pushRing(<-sub.ch)
+		}
+		sub.buf = nil
 	}
 	s.ready.Raise()
 	return nil
@@ -661,14 +716,18 @@ func (s *Session) Resume(id SubID, after uint64) (*Sub, error) {
 	if oldest > after+1 {
 		k.stats.ResumeGaps++
 	}
-	sub.ch = make(chan Update, k.cfg.Buffer)
-	for _, u := range sub.ring {
-		if u.Seq > after {
+	// The ring ascends by Seq; the tail replayed is what follows after.
+	i, _ := slices.BinarySearchFunc(sub.ring, after+1, func(u Update, seq uint64) int { return cmp.Compare(u.Seq, seq) })
+	tail := sub.ring[i:]
+	sub.ch, sub.buf = nil, tail
+	if !s.inPlace.Load() {
+		sub.ch, sub.buf = make(chan Update, k.cfg.Buffer), nil
+		for _, u := range tail {
 			sub.ch <- u
 		}
 	}
 	sub.ring = nil
-	sub.detached = false
+	sub.detached, sub.ended = false, false
 	sub.reason = ReasonNone
 	if len(sub.ch) > 0 {
 		s.ready.Raise() // the replayed tail is there to drain
@@ -794,10 +853,10 @@ func (k *Kernel) admit(s *Session, id SubID, g *Group, trace, span uint64, admit
 		sess: s, g: g, id: id, key: g.Key, shared: shared, qid: g.QID,
 		trace: trace, span: span, admitMS: admitMS,
 	}
-	if s.attached {
-		sub.ch = make(chan Update, k.cfg.Buffer)
-	} else {
+	if !s.attached {
 		sub.detached, sub.reason = true, ReasonDetached
+	} else if !s.inPlace.Load() {
+		sub.ch = make(chan Update, k.cfg.Buffer)
 	}
 	g.subs = append(g.subs, sub)
 	s.live[id] = sub
@@ -840,9 +899,7 @@ func (k *Kernel) drop(sub *Sub, reason CloseReason) {
 		sub.ring = nil
 		sub.reason = reason
 	} else if sub.reason == ReasonNone {
-		sub.reason = reason
-		close(sub.ch)
-		sub.sess.ready.Raise()
+		sub.end(reason)
 	}
 	sub.g.remove(sub)
 	if sub.g.Empty() {
@@ -926,8 +983,8 @@ func (k *Kernel) CrashLocked() {
 	for _, s := range k.sessions {
 		for _, sub := range s.live {
 			if !sub.detached {
-				sub.detached, sub.reason = true, ReasonCrashed
-				close(sub.ch)
+				sub.detached = true
+				sub.end(ReasonCrashed)
 			}
 		}
 		s.ready.Raise()

@@ -24,7 +24,7 @@ const DefaultShedRetryAfter = 250 * time.Millisecond
 // SubID identifies one subscription within a tier.
 type SubID int64
 
-// CloseReason says why a subscription's update channel was closed.
+// CloseReason says why a subscription's update stream was closed.
 type CloseReason uint8
 
 const (
@@ -96,10 +96,6 @@ type Update struct {
 	// stamping costs no allocation on the delivery hot path.
 	Trace uint64
 	Prov  tracing.Prov
-	// Enqueued is the wall-clock instant the tier fanned the update out,
-	// for client-observed latency measurement. It never feeds back into
-	// the simulation.
-	Enqueued time.Time
 }
 
 // ResumeInfo describes one resumable subscription of a re-attached
