@@ -114,3 +114,67 @@ func TestRouterCrashWithBufferedPartials(t *testing.T) {
 		t.Fatalf("got\n%s\nwant\n%s", got, crashHoldingBufferedDigest)
 	}
 }
+
+// TestRouterCrashDuringPartitionKeepsWatermark crashes a shard while it is
+// partitioned. The shard's clock kept running while the router heard
+// nothing from it, so the crash must not move its watermark forward: the
+// epochs between the partition and the crash wait for the recovered
+// shard's replay instead of releasing from the other shard alone. Every
+// epoch the router marks complete must therefore carry the same SUM as a
+// fault-free run, and no partial may arrive for an epoch already released.
+func TestRouterCrashDuringPartitionKeepsWatermark(t *testing.T) {
+	const text = "SELECT SUM(light) EPOCH DURATION 8192ms"
+	run := func(faults bool) ([]gateway.Update, Stats) {
+		r := newTestRouter(t, Config{WALDir: t.TempDir()})
+		sess, err := r.Register("alice")
+		if err != nil {
+			t.Fatal(err)
+		}
+		tk := stageSub(t, sess, text)
+		advance := func(n int) {
+			t.Helper()
+			for i := 0; i < n; i++ {
+				if _, err := r.Advance(testQuantum); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		fault := func(f func(int) error) {
+			t.Helper()
+			if faults {
+				if err := f(1); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		advance(3)
+		sub, err := tk.Wait()
+		if err != nil {
+			t.Fatal(err)
+		}
+		fault(r.PartitionShard)
+		advance(2)
+		fault(r.CrashShard)
+		advance(1)
+		fault(r.RecoverShard)
+		advance(2)
+		var got []gateway.Update
+		drain(sub.Updates(), &got)
+		checkStream(t, got)
+		return got, r.FedStats()
+	}
+	want, _ := run(false)
+	got, st := run(true)
+	if st.LateDropped != 0 {
+		t.Errorf("LateDropped = %d, want 0: an epoch released before the crashed shard's partial arrived", st.LateDropped)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%d updates, fault-free run delivers %d", len(got), len(want))
+	}
+	for i, u := range got {
+		t.Logf("seq %d degraded=%v coverage=%v SUM=%v", u.Seq, u.Degraded, u.Coverage, u.Aggs[0].Value)
+		if !u.Degraded && u.Coverage == 1 && u.Aggs[0].Value != want[i].Aggs[0].Value {
+			t.Errorf("seq %d marked complete with SUM %v, fault-free run reads %v", u.Seq, u.Aggs[0].Value, want[i].Aggs[0].Value)
+		}
+	}
+}

@@ -922,9 +922,13 @@ func (r *Router) CrashShard(i int) error {
 // freezeLocked marks a shard dead — crashed, failed under a step, or going
 // down with the router: its watermark freezes at its clock, and the router
 // lets go of its session and upstream streams until RecoverShard
-// re-attaches them.
+// re-attaches them. A partitioned shard's watermark froze at the partition:
+// its clock ran on while the router heard nothing from it, so it stays.
 func (r *Router) freezeLocked(sh *shard) {
-	sh.alive, sh.reachable, sh.frozen, sh.sess = false, false, sh.vnow, nil
+	if sh.reachable {
+		sh.frozen = sh.vnow
+	}
+	sh.alive, sh.reachable, sh.sess = false, false, nil
 	for _, up := range sh.ups.Values() {
 		up.Detach()
 	}
