@@ -40,6 +40,7 @@ import (
 	"flag"
 
 	ttmqo "repro"
+	"repro/internal/network"
 	"repro/internal/workload"
 )
 
@@ -58,16 +59,9 @@ func run() error {
 	sample := flag.Duration("sample", ttmqo.DefaultSampleInterval, "virtual-time sampling interval for -series")
 	flag.Parse()
 
-	var scheme ttmqo.Scheme
-	for _, sc := range []ttmqo.Scheme{
-		ttmqo.SchemeBaseline, ttmqo.SchemeBSOnly, ttmqo.SchemeInNetworkOnly, ttmqo.SchemeTTMQO,
-	} {
-		if sc.String() == *schemeName {
-			scheme = sc
-		}
-	}
-	if scheme == 0 {
-		return fmt.Errorf("unknown scheme %q", *schemeName)
+	scheme, err := network.ParseScheme(*schemeName)
+	if err != nil {
+		return err
 	}
 	topo, err := ttmqo.PaperGrid(*side)
 	if err != nil {
@@ -303,28 +297,13 @@ func (s *shell) exec(line string) {
 }
 
 // export writes the session's run export — manifest, radio metrics so far,
-// optimizer state and any sampled series — as JSON.
+// optimizer state, span summary and any sampled series — as JSON.
 func (s *shell) export(path string) error {
-	m := s.sim.Manifest()
-	m.Study = "shell"
-	m.DurationMS = time.Duration(s.sim.Engine().Now()).Milliseconds()
-	re := ttmqo.RunExport{
-		Manifest: m.Hashed(),
-		Metrics: ttmqo.CollectFinalMetrics(s.sim.Metrics(),
-			time.Duration(s.sim.Engine().Now()), ttmqo.DefaultEnergyModel()),
-		Series: s.series,
-	}
-	if opt := s.sim.Optimizer(); opt != nil {
-		re.Optimizer = &ttmqo.OptimizerState{
-			UserQueries:      opt.UserCount(),
-			SyntheticQueries: opt.SyntheticCount(),
-		}
-	}
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := ttmqo.WriteJSON(f, re); err != nil {
+	if err := ttmqo.WriteJSON(f, s.sim.Export("shell", "", "")); err != nil {
 		f.Close()
 		return err
 	}

@@ -44,6 +44,7 @@ import (
 
 	ttmqo "repro"
 	"repro/internal/chaos"
+	"repro/internal/network"
 	"repro/internal/runner"
 	"repro/internal/stats"
 )
@@ -114,7 +115,7 @@ func run() error {
 		}()
 	}
 
-	scheme, err := parseScheme(*schemeName)
+	scheme, err := network.ParseScheme(*schemeName)
 	if err != nil {
 		return err
 	}
@@ -183,12 +184,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	for _, w := range ws {
-		sim.PostAt(w.Arrive, w.Query)
-		if w.Depart != 0 {
-			sim.CancelAt(w.Depart, w.Query.ID)
-		}
-	}
+	sim.Schedule(ws)
 
 	dur := time.Duration(*minutes) * time.Minute
 	var series *ttmqo.TimeSeries
@@ -262,26 +258,11 @@ func run() error {
 		fmt.Printf("series: %s (%d samples)\n", *seriesOut, series.Len())
 	}
 	if *jsonOut != "" {
-		m := sim.Manifest()
-		m.Study = "sim"
-		m.Workload = *workloadName
+		var chaosName string
 		if scenario != nil {
-			m.Chaos = scenario.Name
+			chaosName = scenario.Name
 		}
-		m.DurationMS = dur.Milliseconds()
-		m.Runs = 1
-		re := ttmqo.RunExport{
-			Manifest: m.Hashed(),
-			Metrics:  ttmqo.CollectFinalMetrics(sim.Metrics(), dur, ttmqo.DefaultEnergyModel()),
-			Series:   series,
-			Spans:    ttmqo.SummarizeSpans(sim.Spans().Snapshot()),
-		}
-		if opt := sim.Optimizer(); opt != nil {
-			re.Optimizer = &ttmqo.OptimizerState{
-				UserQueries:      opt.UserCount(),
-				SyntheticQueries: opt.SyntheticCount(),
-			}
-		}
+		re := sim.Export("sim", *workloadName, chaosName)
 		f, err := os.Create(*jsonOut)
 		if err != nil {
 			return err
@@ -383,12 +364,7 @@ func runMany(cfg multiConfig) error {
 		if err != nil {
 			return seedOutcome{}, err
 		}
-		for _, w := range ws {
-			sim.PostAt(w.Arrive, w.Query)
-			if w.Depart != 0 {
-				sim.CancelAt(w.Depart, w.Query.ID)
-			}
-		}
+		sim.Schedule(ws)
 		sim.Run(dur)
 		return seedOutcome{
 			Seed:            seed,
@@ -433,15 +409,4 @@ func runMany(cfg multiConfig) error {
 		fmt.Printf("json: %s\n", cfg.jsonOut)
 	}
 	return nil
-}
-
-func parseScheme(s string) (ttmqo.Scheme, error) {
-	for _, sc := range []ttmqo.Scheme{
-		ttmqo.SchemeBaseline, ttmqo.SchemeBSOnly, ttmqo.SchemeInNetworkOnly, ttmqo.SchemeTTMQO,
-	} {
-		if sc.String() == s {
-			return sc, nil
-		}
-	}
-	return 0, fmt.Errorf("unknown scheme %q", s)
 }

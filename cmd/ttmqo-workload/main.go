@@ -25,6 +25,7 @@ import (
 
 	ttmqo "repro"
 	"repro/internal/metrics"
+	"repro/internal/network"
 	"repro/internal/runner"
 	"repro/internal/workload"
 )
@@ -170,16 +171,13 @@ func runCmd(args []string) error {
 		dur += time.Minute
 	}
 
-	schemes := []ttmqo.Scheme{ttmqo.SchemeBaseline, ttmqo.SchemeBSOnly, ttmqo.SchemeInNetworkOnly, ttmqo.SchemeTTMQO}
+	schemes := network.AllSchemes()
 	if !*compare {
-		for _, sc := range schemes {
-			if sc.String() == *schemeName {
-				schemes = []ttmqo.Scheme{sc}
-			}
+		sc, err := network.ParseScheme(*schemeName)
+		if err != nil {
+			return err
 		}
-		if len(schemes) != 1 {
-			return fmt.Errorf("unknown scheme %q", *schemeName)
-		}
+		schemes = []ttmqo.Scheme{sc}
 	}
 
 	// Each scheme is an independent simulation world; fan them across the
@@ -203,12 +201,7 @@ func runCmd(args []string) error {
 		if err != nil {
 			return outcome{}, err
 		}
-		for _, w := range ws {
-			sim.PostAt(w.Arrive, w.Query)
-			if w.Depart != 0 {
-				sim.CancelAt(w.Depart, w.Query.ID)
-			}
-		}
+		sim.Schedule(ws)
 		sim.Run(dur)
 		return outcome{
 			Scheme:          schemes[i].String(),

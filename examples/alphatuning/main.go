@@ -49,10 +49,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		for _, w := range ws {
-			sim.PostAt(w.Arrive, w.Query)
-			sim.CancelAt(w.Depart, w.Query.ID)
-		}
+		sim.Schedule(ws)
 
 		// Sample the synthetic-query count as the run progresses.
 		var synSum, synN float64

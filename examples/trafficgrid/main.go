@@ -45,10 +45,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		for _, w := range ws {
-			sim.PostAt(w.Arrive, w.Query)
-			sim.CancelAt(w.Depart, w.Query.ID)
-		}
+		sim.Schedule(ws)
 		start := time.Now()
 		sim.Run(span + time.Minute)
 		fmt.Printf("%-9s avgTx=%.4f%%  messages=%d (query floods=%d, aborts=%d)  wall=%v\n",

@@ -93,12 +93,7 @@ func shareStudy(overlap float64, sharing bool) *drill {
 			}
 		},
 		check: func(r *run) {
-			exp, err := r.st.Gateway().Export()
-			if err != nil {
-				r.violate("export: %v", err)
-				return
-			}
-			r.rep.Clients, r.rep.Messages = len(r.clients), int64(exp.Metrics.Messages)
+			r.rep.Clients, r.rep.Messages = len(r.clients), int64(r.st.Gateway().FinalMetrics().Messages)
 			r.rep.ColdTTFR50MS, r.rep.ColdTTFR95MS = ttfrPercentiles(cold)
 			r.rep.LateTTFR50MS, r.rep.LateTTFR95MS = ttfrPercentiles(late)
 		},

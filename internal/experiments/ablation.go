@@ -117,12 +117,7 @@ func RunAblation(cfg AblationConfig) ([]AblationRow, error) {
 		if err != nil {
 			return AblationRow{}, err
 		}
-		for _, w := range ws {
-			s.PostAt(w.Arrive, w.Query)
-			if w.Depart != 0 {
-				s.CancelAt(w.Depart, w.Query.ID)
-			}
-		}
+		s.Schedule(ws)
 		s.Run(cfg.Duration)
 		return AblationRow{
 			Variant:  variants[i].name,

@@ -4,15 +4,33 @@ import (
 	"io"
 	"time"
 
-	"repro/internal/obs"
+	"repro/internal/network"
 )
+
+// Study is one named row set inside a sweep export — typically one figure or
+// extension study of the paper's evaluation.
+type Study struct {
+	Name string `json:"name"`
+	// Rows is the study's result slice ([]Fig3Row, []AblationRow, ...). It is
+	// typed any so one envelope serves every study; decoding uses the
+	// concrete row type of the named study.
+	Rows any `json:"rows"`
+}
+
+// Export is the JSON envelope for experiment sweeps: a manifest plus the
+// rows of every study that ran. It deliberately excludes wall-clock timing
+// so the bytes are identical at any parallelism setting.
+type Export struct {
+	Manifest network.Manifest `json:"manifest"`
+	Studies  []Study          `json:"studies"`
+}
 
 // SweepManifest builds the manifest attached to an exported sweep: study
 // name, base seed, per-run duration and runs-per-point, hashed. It carries
 // no wall-clock state, so exports are byte-identical across parallelism
 // settings and repeated runs.
-func SweepManifest(study string, seed int64, dur time.Duration, runs int) obs.Manifest {
-	m := obs.NewManifest(study)
+func SweepManifest(study string, seed int64, dur time.Duration, runs int) network.Manifest {
+	m := network.NewManifest(study)
 	m.Seed = seed
 	m.DurationMS = dur.Milliseconds()
 	m.Runs = runs
@@ -20,16 +38,16 @@ func SweepManifest(study string, seed int64, dur time.Duration, runs int) obs.Ma
 }
 
 // WriteSweepJSON exports one or more studies' result rows under a manifest.
-func WriteSweepJSON(w io.Writer, m obs.Manifest, studies ...obs.Study) error {
-	return obs.WriteJSON(w, obs.Export{Manifest: m, Studies: studies})
+func WriteSweepJSON(w io.Writer, m network.Manifest, studies ...Study) error {
+	return network.WriteJSON(w, Export{Manifest: m, Studies: studies})
 }
 
 // Export bundles every study of the report into the JSON envelope. Timings
 // and Elapsed are deliberately excluded: they are wall-clock measurements,
 // and exported results must be identical at any parallelism setting.
-func (r *Report) Export() obs.Export {
+func (r *Report) Export() Export {
 	m := SweepManifest("all", r.Config.Seed, r.Config.Duration, r.Config.Runs)
-	return obs.Export{Manifest: m, Studies: []obs.Study{
+	return Export{Manifest: m, Studies: []Study{
 		{Name: "figure 2", Rows: r.Fig2},
 		{Name: "figure 3", Rows: r.Fig3},
 		{Name: "figure 4a", Rows: r.Fig4A},
@@ -46,5 +64,5 @@ func (r *Report) Export() obs.Export {
 
 // WriteJSON exports the report (manifest + all study rows) to w.
 func (r *Report) WriteJSON(w io.Writer) error {
-	return obs.WriteJSON(w, r.Export())
+	return network.WriteJSON(w, r.Export())
 }

@@ -7,7 +7,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/obs"
+	"repro/internal/network"
 )
 
 // Exported sweep rows must survive a JSON round trip unchanged: export →
@@ -19,12 +19,12 @@ func TestSweepJSONRoundTrip(t *testing.T) {
 	}
 	m := SweepManifest("figure 3", 1, 2*time.Minute, 1)
 	var buf bytes.Buffer
-	if err := WriteSweepJSON(&buf, m, obs.Study{Name: "figure 3", Rows: rows}); err != nil {
+	if err := WriteSweepJSON(&buf, m, Study{Name: "figure 3", Rows: rows}); err != nil {
 		t.Fatal(err)
 	}
 
 	var back struct {
-		Manifest obs.Manifest `json:"manifest"`
+		Manifest network.Manifest `json:"manifest"`
 		Studies  []struct {
 			Name string    `json:"name"`
 			Rows []Fig3Row `json:"rows"`
@@ -57,7 +57,7 @@ func TestExportedSweepJSONIdenticalAcrossParallelism(t *testing.T) {
 		}
 		var buf bytes.Buffer
 		m := SweepManifest("figure 3", 1, 2*time.Minute, 1)
-		if err := WriteSweepJSON(&buf, m, obs.Study{Name: "figure 3", Rows: rows}); err != nil {
+		if err := WriteSweepJSON(&buf, m, Study{Name: "figure 3", Rows: rows}); err != nil {
 			t.Fatal(err)
 		}
 		return buf.Bytes()

@@ -104,12 +104,7 @@ func RunFigure3(cfg Fig3Config) ([]Fig3Row, error) {
 		if err != nil {
 			return Fig3Row{}, err
 		}
-		for _, w := range ws {
-			s.PostAt(w.Arrive, w.Query)
-			if w.Depart != 0 {
-				s.CancelAt(w.Depart, w.Query.ID)
-			}
-		}
+		s.Schedule(ws)
 		s.Run(cfg.Duration)
 		return Fig3Row{
 			Workload:        c.wname,

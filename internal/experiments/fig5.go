@@ -165,9 +165,7 @@ func runFig5Once(topo *topology.Topology, scheme network.Scheme, seed int64,
 	if err != nil {
 		return 0, err
 	}
-	for _, w := range ws {
-		s.PostAt(w.Arrive, w.Query)
-	}
+	s.Schedule(ws)
 	s.Run(d)
 	return s.AvgTransmissionTime(), nil
 }

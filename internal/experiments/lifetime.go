@@ -84,12 +84,7 @@ func RunLifetime(cfg LifetimeConfig) ([]LifetimeRow, error) {
 		if err != nil {
 			return LifetimeRow{}, err
 		}
-		for _, w := range ws {
-			s.PostAt(w.Arrive, w.Query)
-			if w.Depart != 0 {
-				s.CancelAt(w.Depart, w.Query.ID)
-			}
-		}
+		s.Schedule(ws)
 		s.Run(cfg.Duration)
 		return LifetimeRow{
 			Scheme:   scheme,

@@ -6,10 +6,10 @@ import (
 
 	"repro/internal/metrics"
 	"repro/internal/network"
-	"repro/internal/obs"
 	"repro/internal/radio"
 	"repro/internal/runner"
 	"repro/internal/topology"
+	"repro/internal/tracing"
 	"repro/internal/workload"
 )
 
@@ -97,12 +97,7 @@ func RunScaling(cfg ScalingConfig) ([]ScalingRow, error) {
 		if err != nil {
 			return ScalingRow{}, err
 		}
-		for _, w := range ws {
-			s.PostAt(w.Arrive, w.Query)
-			if w.Depart != 0 {
-				s.CancelAt(w.Depart, w.Query.ID)
-			}
-		}
+		s.Schedule(ws)
 		s.Run(cfg.Duration)
 		row := ScalingRow{
 			Nodes:         topo.Size(),
@@ -111,7 +106,7 @@ func RunScaling(cfg ScalingConfig) ([]ScalingRow, error) {
 			MeanLatencyMS: s.Metrics().Latency().Mean() * 1000,
 			Messages:      s.Metrics().Messages(),
 		}
-		if sm := obs.SummarizeSpans(s.Spans().Snapshot()); sm != nil {
+		if sm := tracing.SummarizeSpans(s.Spans().Snapshot()); sm != nil {
 			row.TTFRP50MS = sm.TTFRP50MS
 			row.TTFRP95MS = sm.TTFRP95MS
 		}

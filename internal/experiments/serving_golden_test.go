@@ -6,7 +6,7 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/obs"
+	"repro/internal/network"
 )
 
 // servingStudies renders the share and federation studies at one seed the
@@ -23,9 +23,9 @@ func servingStudies(seed int64) (string, error) {
 	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "-fig share\n%s-fig federation\n%s", ShareStudyString(share), FederationScalingString(fed))
-	for _, st := range []obs.Study{{Name: "share", Rows: share}, {Name: "federation", Rows: fed}} {
+	for _, st := range []Study{{Name: "share", Rows: share}, {Name: "federation", Rows: fed}} {
 		fmt.Fprintf(&b, "-json %s\n", st.Name)
-		if err := obs.WriteJSON(&b, st); err != nil {
+		if err := network.WriteJSON(&b, st); err != nil {
 			return "", err
 		}
 	}

@@ -10,8 +10,8 @@ import (
 	"sync"
 
 	"repro/internal/field"
-	"repro/internal/obs"
 	"repro/internal/query"
+	"repro/internal/tier"
 	"repro/internal/topology"
 	"repro/internal/tracing"
 )
@@ -782,7 +782,7 @@ func decodeResponse(p []byte, kept *keptTable) (Response, error) {
 		resp.AtMS = r.varint()
 		blob := r.bytes()
 		if r.err == nil {
-			var gm obs.GatewayMetrics
+			var gm tier.GatewayMetrics
 			if err := json.Unmarshal(blob, &gm); err != nil {
 				return Response{}, fmt.Errorf("gateway: stats blob: %w", err)
 			}

@@ -8,8 +8,8 @@ import (
 	"time"
 
 	"repro/internal/field"
-	"repro/internal/obs"
 	"repro/internal/query"
+	"repro/internal/tier"
 	"repro/internal/tracing"
 )
 
@@ -87,7 +87,7 @@ func TestResponseRoundTrip(t *testing.T) {
 			{Agg: "MAX(light)", Value: 12.5},
 		}},
 		{Type: TypeClosed, Sub: 2, Reason: "unsubscribed"},
-		{Type: TypeStats, Tag: "st", AtMS: 12288, Stats: &obs.GatewayMetrics{Counters: Stats{Admitted: 3, ActiveSessions: 1}}},
+		{Type: TypeStats, Tag: "st", AtMS: 12288, Stats: &tier.GatewayMetrics{Counters: Stats{Admitted: 3, ActiveSessions: 1}}},
 		{Type: TypePong, Tag: "hb"},
 		{Type: TypeError, Tag: "bad", Error: "no such subscription"},
 		{Type: TypeError, Tag: "sh", Error: "gateway overloaded", Code: CodeOverloaded, RetryAfterMS: 25},

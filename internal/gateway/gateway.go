@@ -52,19 +52,13 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/metrics"
 	"repro/internal/network"
-	"repro/internal/obs"
 	"repro/internal/query"
 	"repro/internal/resilience"
 	"repro/internal/sim"
 	"repro/internal/tier"
 	"repro/internal/tracing"
 )
-
-// defaultEnergy prices exported node activity; the serving tier has no
-// reason to deviate from the repository's mica2-flavoured defaults.
-var defaultEnergy = metrics.DefaultEnergyModel()
 
 // Defaults for the Config knobs.
 const (
@@ -210,7 +204,7 @@ var ErrClosed = tier.ErrClosed
 type Gateway struct {
 	cfg    Config
 	sim    *network.Simulation
-	series *obs.Series
+	series *network.Series
 
 	// mu guards the simulation and everything below; the kernel's hooks and
 	// the simulation's result callbacks run with it held.
@@ -340,7 +334,7 @@ func New(cfg Config) (*Gateway, error) {
 
 // Series returns the attached virtual-time metrics series (nil unless
 // Config.Sample was set). Read it only after Close.
-func (g *Gateway) Series() *obs.Series { return g.series }
+func (g *Gateway) Series() *network.Series { return g.series }
 
 // Register creates a session under a unique client-chosen name; Attach
 // re-claims a detached one by name and resume token — after a client
@@ -569,36 +563,28 @@ func (g *Gateway) statusLocked() Status {
 	}
 }
 
-// Export builds the run's obs JSON envelope: manifest, final simulation
-// metrics, optimizer state and the gateway counters. Everything in it is a
+// Export builds the run's JSON envelope: the simulation's export (manifest,
+// final metrics, optimizer state, span summary, series) plus the gateway
+// counters, the causal traces and the chaos label. Everything in it is a
 // pure function of the committed command sequence and the seed — no wall
 // clock — so exports are byte-identical across client schedulings.
-func (g *Gateway) Export() (obs.RunExport, error) {
+func (g *Gateway) Export() (network.RunExport, error) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	m := g.sim.Manifest()
-	m.Study = "gateway"
-	m.Chaos = g.cfg.ChaosLabel
-	m.DurationMS = g.nowMS()
-	m.Runs = 1
-	st := g.statsLocked()
-	exp := obs.RunExport{
-		Manifest: m.Hashed(),
-		Metrics:  obs.CollectFinal(g.sim.Metrics(), time.Duration(g.now()), defaultEnergy),
-		Gateway:  &obs.GatewayMetrics{Counters: st, DedupRatio: st.DedupRatio()},
-		Spans:    obs.SummarizeSpans(g.sim.Spans().Snapshot()),
-		Series:   g.series,
-	}
-	if opt := g.sim.Optimizer(); opt != nil {
-		exp.Optimizer = &obs.OptimizerState{
-			UserQueries:      opt.UserCount(),
-			SyntheticQueries: opt.SyntheticCount(),
-		}
-	}
+	exp := g.sim.Export("gateway", "", g.cfg.ChaosLabel)
+	exp.Gateway = g.statsLocked().Metrics()
 	if g.cfg.Tracer != nil {
 		exp.Traces = tracing.Collect(g.cfg.Tracer)
 	}
 	return exp, nil
+}
+
+// FinalMetrics is the run export's radio accounting at the current virtual
+// instant, without the rest of the export.
+func (g *Gateway) FinalMetrics() network.FinalMetrics {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.sim.FinalMetrics()
 }
 
 // Tracer returns the flight recorder the gateway was mounted with (nil

@@ -2,8 +2,8 @@ package gateway
 
 import (
 	"repro/internal/field"
-	"repro/internal/obs"
 	"repro/internal/query"
+	"repro/internal/tier"
 	"repro/internal/topology"
 )
 
@@ -140,7 +140,7 @@ type Response struct {
 	// Reason says why the subscription ended (TypeClosed).
 	Reason string `json:"reason,omitempty"`
 	// Stats is the gateway counter snapshot (TypeStats).
-	Stats *obs.GatewayMetrics `json:"stats,omitempty"`
+	Stats *tier.GatewayMetrics `json:"stats,omitempty"`
 	// Error is the failure message (TypeError).
 	Error string `json:"error,omitempty"`
 	// Code classifies a TypeError ("overloaded" is the only code so far:

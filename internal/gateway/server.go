@@ -11,7 +11,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/obs"
 	"repro/internal/query"
 	"repro/internal/resilience"
 	"repro/internal/sim"
@@ -711,7 +710,7 @@ func (s *Server) handle(conn net.Conn) {
 				Type:  TypeStats,
 				Tag:   req.Tag,
 				AtMS:  time.Duration(now).Milliseconds(),
-				Stats: &obs.GatewayMetrics{Counters: st, DedupRatio: st.DedupRatio()},
+				Stats: st.Metrics(),
 			})
 		default:
 			fail(fmt.Errorf("unknown op %q", req.Op))

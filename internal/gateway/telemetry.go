@@ -83,19 +83,16 @@ func RegisterMetrics(r *telemetry.Registry, current func() *Gateway) {
 			ringUpdates.Gauge().Set(float64(status.ResumeRingUpdates))
 		}
 
-		exp, err := g.Export()
-		if err != nil {
-			return
-		}
-		virtualTime.Gauge().Set(float64(exp.Metrics.SimulatedMS) / 1000)
-		radioMessages.Counter().Set(float64(exp.Metrics.Messages))
-		radioRetrans.Counter().Set(float64(exp.Metrics.Retransmissions))
-		radioDropped.Counter().Set(float64(exp.Metrics.Dropped))
-		radioClipped.Counter().Set(float64(exp.Metrics.Clipped))
-		radioBytes.Counter().Set(float64(exp.Metrics.Bytes))
-		avgTxPct.Gauge().Set(exp.Metrics.AvgTxPct)
+		fm := g.FinalMetrics()
+		virtualTime.Gauge().Set(float64(fm.SimulatedMS) / 1000)
+		radioMessages.Counter().Set(float64(fm.Messages))
+		radioRetrans.Counter().Set(float64(fm.Retransmissions))
+		radioDropped.Counter().Set(float64(fm.Dropped))
+		radioClipped.Counter().Set(float64(fm.Clipped))
+		radioBytes.Counter().Set(float64(fm.Bytes))
+		avgTxPct.Gauge().Set(fm.AvgTxPct)
 		var total float64
-		for _, n := range exp.Metrics.Nodes {
+		for _, n := range fm.Nodes {
 			nodeEnergy.Gauge(strconv.Itoa(n.ID)).Set(n.EnergyJ)
 			total += n.EnergyJ
 		}

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/obs"
 	"repro/internal/query"
 	"repro/internal/sim"
 	"repro/internal/topology"
@@ -59,7 +58,7 @@ func TestLifecycleMatchesSpanLog(t *testing.T) {
 						t.Fatalf("lifecycle %d = %+v, reference %+v", i, l, r)
 					}
 				}
-				gs, ws := obs.SummarizeSpans(s.Spans().Snapshot()), refSummarize(want)
+				gs, ws := tracing.SummarizeSpans(s.Spans().Snapshot()), refSummarize(want)
 				if gs == nil || ws == nil || *gs != *ws {
 					t.Fatalf("summary %+v, reference %+v", gs, ws)
 				}

@@ -14,6 +14,7 @@ import (
 	"repro/internal/sim"
 	"repro/internal/topology"
 	"repro/internal/tracing"
+	"repro/internal/workload"
 )
 
 // Config parametrizes a simulation run.
@@ -156,6 +157,8 @@ type Simulation struct {
 	waiting  map[query.ID]struct{}
 	nextID   query.ID
 	failures int
+	// series is the sampler StartSeries attached, if any.
+	series *Series
 
 	// lastRow and sorted are byOrigin's scratch, one slot per node and one
 	// row per origin.
@@ -379,6 +382,17 @@ func (s *Simulation) PostAt(t time.Duration, q query.Query) {
 			panic(fmt.Sprintf("network: PostAt(%v, %v): %v", t, q, err))
 		}
 	})
+}
+
+// Schedule posts every query of a workload at its arrival and cancels each
+// one that departs at its departure.
+func (s *Simulation) Schedule(ws []workload.TimedQuery) {
+	for _, w := range ws {
+		s.PostAt(w.Arrive, w.Query)
+		if w.Depart != 0 {
+			s.CancelAt(w.Depart, w.Query.ID)
+		}
+	}
 }
 
 // Cancel terminates a user query at the current virtual time. The cancel

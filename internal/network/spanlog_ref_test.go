@@ -1,6 +1,6 @@
 // Reference span log: the map-backed per-query lifecycle log the simulation
 // kept before its lifecycle became spans on a tracing.Recorder, kept verbatim
-// (telemetry.SpanLog, with the export summary obs.SummarizeSpans computed
+// (telemetry.SpanLog, with the export summary tracing.SummarizeSpans computed
 // over it) as the oracle TestLifecycleMatchesSpanLog checks the recorder and
 // its pairing against.
 
@@ -10,8 +10,8 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/obs"
 	"repro/internal/stats"
+	"repro/internal/tracing"
 )
 
 // QuerySpan is the lifecycle of one admitted query in virtual time:
@@ -160,12 +160,12 @@ func (l *SpanLog) Snapshot() []QuerySpan {
 	return out
 }
 
-// refSummarize is obs.SummarizeSpans over the reference log.
-func refSummarize(spans []QuerySpan) *obs.SpanSummary {
+// refSummarize is tracing.SummarizeSpans over the reference log.
+func refSummarize(spans []QuerySpan) *tracing.SpanSummary {
 	if len(spans) == 0 {
 		return nil
 	}
-	sm := &obs.SpanSummary{Queries: len(spans)}
+	sm := &tracing.SpanSummary{Queries: len(spans)}
 	var q stats.Quantiles
 	var sum, max float64
 	for _, s := range spans {

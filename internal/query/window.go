@@ -43,16 +43,6 @@ func (q Query) ReportEvery() time.Duration {
 	return q.Epoch
 }
 
-// WinFor returns the window spec on attribute a, if any.
-func (q Query) WinFor(a field.Attr) (Win, bool) {
-	for _, w := range q.Wins {
-		if w.Attr == a {
-			return w, true
-		}
-	}
-	return Win{}, false
-}
-
 // WindowRing holds a node's recent samples for one windowed aggregate. The
 // zero value is unusable; construct with NewWindowRing.
 type WindowRing struct {

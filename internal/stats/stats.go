@@ -110,11 +110,8 @@ func (q *Quantiles) Quantile(p float64) float64 {
 	return q.xs[lo]*(1-frac) + q.xs[hi]*frac
 }
 
-// P50, P95 and P99 are the conventional latency percentiles.
+// P50 returns the median.
 func (q *Quantiles) P50() float64 { return q.Quantile(0.50) }
 
 // P95 returns the 95th percentile.
 func (q *Quantiles) P95() float64 { return q.Quantile(0.95) }
-
-// P99 returns the 99th percentile.
-func (q *Quantiles) P99() float64 { return q.Quantile(0.99) }

@@ -223,3 +223,18 @@ func (c Counters) DedupRatio() float64 {
 	}
 	return float64(c.Subscribes) / float64(c.Admitted)
 }
+
+// GatewayMetrics is the serving tier's exported counter set: the wire
+// `stats` reply and the run export carry the counter block plus the
+// derived dedup ratio.
+type GatewayMetrics struct {
+	Counters
+	// DedupRatio is subscriptions per admitted network query (> 1 means
+	// the serving tier shared work).
+	DedupRatio float64 `json:"dedup_ratio"`
+}
+
+// Metrics returns the counter block in its exported form.
+func (c Counters) Metrics() *GatewayMetrics {
+	return &GatewayMetrics{Counters: c, DedupRatio: c.DedupRatio()}
+}

@@ -327,17 +327,6 @@ func (t *Topology) TreeChildren(id NodeID) []NodeID {
 	return kids
 }
 
-// NodesAtLevel returns all nodes whose level is k, sorted by NodeID.
-func (t *Topology) NodesAtLevel(k int) []NodeID {
-	var out []NodeID
-	for i, l := range t.level {
-		if l == k {
-			out = append(out, NodeID(i))
-		}
-	}
-	return out
-}
-
 // LevelSizes returns |N_k| for k = 0..MaxDepth, the quantity Eq. (2) of the
 // paper sums over.
 func (t *Topology) LevelSizes() []int {

@@ -6,6 +6,8 @@ import (
 	"sort"
 	"strings"
 	"time"
+
+	"repro/internal/stats"
 )
 
 // String renders a span as one event-log line: virtual time, node, kind and
@@ -137,4 +139,60 @@ func Lifecycles(spans []Span) []Lifecycle {
 		}
 	}
 	return out
+}
+
+// SpanSummary aggregates the per-query lifecycle spans of one run: how
+// many queries were admitted, how many needed an install flood (vs. being
+// covered by already-shared queries), and the time-to-first-result
+// distribution in virtual milliseconds. All values are deterministic.
+type SpanSummary struct {
+	Queries      int `json:"queries"`
+	Flooded      int `json:"flooded"`
+	FirstResults int `json:"first_results"`
+	Cancelled    int `json:"cancelled"`
+	// Injected is the total synthetic-query injections across all
+	// admissions (the tier-1 rewrite fan-out).
+	Injected   int     `json:"injected"`
+	TTFRMeanMS float64 `json:"ttfr_mean_ms"`
+	TTFRP50MS  float64 `json:"ttfr_p50_ms"`
+	TTFRP95MS  float64 `json:"ttfr_p95_ms"`
+	TTFRMaxMS  float64 `json:"ttfr_max_ms"`
+}
+
+// SummarizeSpans reduces a simulation's lifecycle-span snapshot
+// (network.Simulation.Spans) to its export summary; nil when no queries
+// were recorded (so the JSON field is omitted).
+func SummarizeSpans(spans []Span) *SpanSummary {
+	lives := Lifecycles(spans)
+	if len(lives) == 0 {
+		return nil
+	}
+	sm := &SpanSummary{Queries: len(lives)}
+	var q stats.Quantiles
+	var sum, max float64
+	for _, s := range lives {
+		if s.Injected > 0 {
+			sm.Flooded++
+		}
+		if s.Cancelled {
+			sm.Cancelled++
+		}
+		sm.Injected += s.Injected
+		if ttfr, ok := s.TTFR(); ok {
+			sm.FirstResults++
+			ms := float64(ttfr) / float64(time.Millisecond)
+			q.Add(ms)
+			sum += ms
+			if ms > max {
+				max = ms
+			}
+		}
+	}
+	if sm.FirstResults > 0 {
+		sm.TTFRMeanMS = sum / float64(sm.FirstResults)
+		sm.TTFRP50MS = q.P50()
+		sm.TTFRP95MS = q.P95()
+		sm.TTFRMaxMS = max
+	}
+	return sm
 }

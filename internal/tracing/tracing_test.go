@@ -451,3 +451,31 @@ func TestSpanSize(t *testing.T) {
 		t.Fatalf("Span is %d bytes, want at most 136", size)
 	}
 }
+
+func TestSummarizeSpans(t *testing.T) {
+	if got := SummarizeSpans(nil); got != nil {
+		t.Fatalf("SummarizeSpans(nil) = %+v, want nil", got)
+	}
+	sec := int64(time.Second)
+	spans := []Span{
+		{Trace: 1, Kind: KindAdmit, At: 0, Seq: 2},
+		{Trace: 2, Kind: KindAdmit, At: 10 * sec},
+		{Trace: 3, Kind: KindAdmit, At: 15 * sec},
+		{Trace: 2, Kind: KindFirstResult, At: 20 * sec},
+		{Trace: 3, Kind: KindCancel, At: 25 * sec},
+		{Trace: 1, Kind: KindFirstResult, At: 30 * sec},
+		{Trace: 2, Kind: KindFirstResult, At: 40 * sec}, // later results never move the mark
+		{Trace: 9, Kind: KindFirstResult, At: 40 * sec}, // its admit was evicted
+	}
+	sm := SummarizeSpans(spans)
+	if sm.Queries != 3 || sm.Flooded != 1 || sm.FirstResults != 2 || sm.Cancelled != 1 || sm.Injected != 2 {
+		t.Fatalf("summary counts = %+v", sm)
+	}
+	// TTFRs are 30s and 10s → mean 20s, max 30s.
+	if sm.TTFRMeanMS != 20000 || sm.TTFRMaxMS != 30000 {
+		t.Fatalf("TTFR mean/max = %v/%v, want 20000/30000", sm.TTFRMeanMS, sm.TTFRMaxMS)
+	}
+	if sm.TTFRP50MS <= 0 || sm.TTFRP95MS < sm.TTFRP50MS {
+		t.Fatalf("TTFR quantiles = p50 %v p95 %v", sm.TTFRP50MS, sm.TTFRP95MS)
+	}
+}

@@ -13,10 +13,10 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/network"
 	"repro/internal/node"
-	"repro/internal/obs"
 	"repro/internal/query"
 	"repro/internal/runner"
 	"repro/internal/share"
+	"repro/internal/tier"
 	"repro/internal/topology"
 	"repro/internal/tracing"
 	"repro/internal/workload"
@@ -293,38 +293,38 @@ type (
 // events (4 096 for 0), or every event when capacity is negative.
 func NewTrace(capacity int) *Trace { return tracing.New(tracing.TierNetwork, capacity) }
 
-// Observability layer (internal/obs): run manifests, virtual-time series
-// sampling, and machine-readable exports. A Simulation's Manifest method
-// returns its identifying metadata; StartSeries attaches a sampler driven
-// by the discrete-event engine.
+// Run exports: run manifests, virtual-time series sampling and
+// machine-readable exports. A Simulation's Manifest method returns its
+// identifying metadata, StartSeries attaches a sampler driven by the
+// discrete-event engine, and Export builds the run's JSON envelope.
 type (
 	// Manifest identifies one run or sweep (scheme, seed, topology, config
 	// hash, tool version); attached to every JSON export.
-	Manifest = obs.Manifest
+	Manifest = network.Manifest
 	// Sample is one virtual-time snapshot of a running simulation.
-	Sample = obs.Sample
+	Sample = network.Sample
 	// TimeSeries is the ordered sample log of one run (CSV/JSON exportable).
-	TimeSeries = obs.Series
+	TimeSeries = network.Series
 	// SweepExport is the JSON envelope for experiment sweeps: manifest +
 	// named study row sets.
-	SweepExport = obs.Export
+	SweepExport = experiments.Export
 	// SweepStudy is one named row set inside a SweepExport.
-	SweepStudy = obs.Study
+	SweepStudy = experiments.Study
 	// RunExport is the JSON envelope for a single simulation run.
-	RunExport = obs.RunExport
+	RunExport = network.RunExport
 	// FinalMetrics is the flattened end-of-run accounting of a simulation.
-	FinalMetrics = obs.FinalMetrics
+	FinalMetrics = network.FinalMetrics
 	// NodeMetrics is one node's final radio/energy accounting.
-	NodeMetrics = obs.NodeMetrics
+	NodeMetrics = network.NodeMetrics
 	// OptimizerState is the exported tier-1 optimizer state.
-	OptimizerState = obs.OptimizerState
+	OptimizerState = network.OptimizerState
 	// QuerySpan is one query's lifecycle: admission, injected synthetic
 	// queries, first result, cancellation — all in virtual time.
 	// QuerySpans pairs them from a Simulation's Spans().Snapshot().
 	QuerySpan = tracing.Lifecycle
 	// SpanSummary aggregates a run's query spans for export: flood/dedup
 	// counts and the time-to-first-result distribution.
-	SpanSummary = obs.SpanSummary
+	SpanSummary = tracing.SpanSummary
 )
 
 // QuerySpans pairs a Simulation's lifecycle spans into one QuerySpan per
@@ -334,7 +334,7 @@ func QuerySpans(spans []TraceEvent) []QuerySpan { return tracing.Lifecycles(span
 // SummarizeSpans reduces a Simulation's lifecycle-span snapshot to its
 // export summary (nil when no queries were recorded, so the JSON field is
 // omitted).
-func SummarizeSpans(spans []TraceEvent) *SpanSummary { return obs.SummarizeSpans(spans) }
+func SummarizeSpans(spans []TraceEvent) *SpanSummary { return tracing.SummarizeSpans(spans) }
 
 // Serving tier (internal/gateway): a goroutine-safe multi-client gateway in
 // front of a Simulation. Concurrent sessions subscribe with query text;
@@ -365,7 +365,7 @@ type (
 	// GatewayServerConfig parametrizes NewGatewayServer.
 	GatewayServerConfig = gateway.ServerConfig
 	// GatewayMetrics is the gateway counter block of a RunExport.
-	GatewayMetrics = obs.GatewayMetrics
+	GatewayMetrics = tier.GatewayMetrics
 	// ShareCoordinator is the tier-2 cross-query sharing layer: fragment
 	// CSE plus a windowed result cache in front of a gateway or router.
 	ShareCoordinator = share.Coordinator
@@ -396,11 +396,11 @@ func CanonicalQueryKey(q Query) string { return gateway.CanonicalKey(q) }
 const DefaultSampleInterval = network.DefaultSampleInterval
 
 // WriteJSON marshals any export envelope as deterministic indented JSON.
-func WriteJSON(w io.Writer, v any) error { return obs.WriteJSON(w, v) }
+func WriteJSON(w io.Writer, v any) error { return network.WriteJSON(w, v) }
 
 // CollectFinalMetrics flattens a simulation's metrics collector for export.
 func CollectFinalMetrics(c *Metrics, simTime time.Duration, em EnergyModel) FinalMetrics {
-	return obs.CollectFinal(c, simTime, em)
+	return network.CollectFinal(c, simTime, em)
 }
 
 // SweepManifest builds the manifest attached to an exported experiment
