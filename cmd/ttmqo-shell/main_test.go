@@ -1,0 +1,71 @@
+package main
+
+import (
+	"flag"
+	"fmt"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"strings"
+	"testing"
+)
+
+// `go test -update` rewrites the goldens from the current build.
+var update = flag.Bool("update", false, "rewrite testdata/*.golden from the current binary")
+
+// TestScriptedSessionGolden drives the built binary through a stdin script —
+// post, run, stop, manifest, export — and pins, at seeds 1 and 7, what the
+// console prints and the run export it writes.
+func TestScriptedSessionGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the binary")
+	}
+	dir := t.TempDir()
+	bin := filepath.Join(dir, "ttmqo-shell")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	for _, seed := range []string{"1", "7"} {
+		export := filepath.Join(dir, "run"+seed+".json")
+		cmd := exec.Command(bin, "-seed", seed)
+		cmd.Stdin = strings.NewReader(strings.Join([]string{
+			"post SELECT light WHERE light > 200 EPOCH DURATION 4096",
+			"post SELECT MAX(temp) WHERE temp > 20 EPOCH DURATION 8192",
+			"run 60",
+			"stop 1",
+			"run 30",
+			"manifest",
+			"export " + export,
+			"quit",
+		}, "\n"))
+		out, err := cmd.CombinedOutput()
+		if err != nil {
+			t.Fatalf("seed %s: %v\n%s", seed, err, out)
+		}
+		got, err := os.ReadFile(export)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkGolden(t, fmt.Sprintf("testdata/export_seed%s.golden", seed), got)
+		// The console names the export's temporary path; pin it by name.
+		checkGolden(t, fmt.Sprintf("testdata/console_seed%s.golden", seed),
+			[]byte(strings.ReplaceAll(string(out), export, "run.json")))
+	}
+}
+
+func checkGolden(t *testing.T, path string, got []byte) {
+	t.Helper()
+	if *update {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != string(want) {
+		t.Errorf("%s differs:\n%s", path, got)
+	}
+}
