@@ -34,7 +34,7 @@
 // subscriptions (after normalization) share one in-network query; a
 // subscriber that stalls -buffer results behind is evicted; a connection
 // silent past -readtimeout is dropped (0 keeps the 75s default; negative
-// disables). SIGINT drains the gateway and, with -json, writes the obs run
+// disables). SIGINT drains the gateway and, with -json, writes the run
 // export (including the gateway counters) before exiting.
 //
 // Overload resilience: -max-staged bounds the group-commit mailbox (new
@@ -180,7 +180,7 @@ func parseFlags(args []string) (*options, error) {
 	fs.DurationVar(&o.crashAfter, "crash-after", 0, "crash the gateway after this wall-clock delay, then recover it (requires -wal)")
 	fs.DurationVar(&o.crashOutage, "crash-outage", 0, "hold the crashed gateway down this long before recovery so /readyz probes observe the outage (requires -crash-after)")
 	fs.StringVar(&o.admin, "admin", "", "admin HTTP address for /metrics, /healthz, /readyz, /statusz, /tracez and /debug/pprof (empty disables; 127.0.0.1:0 picks a port)")
-	fs.StringVar(&o.jsonOut, "json", "", "write the obs run export (with gateway counters) as JSON to this file on exit")
+	fs.StringVar(&o.jsonOut, "json", "", "write the run export (with gateway counters) as JSON to this file on exit")
 	fs.StringVar(&o.seriesOut, "series", "", "write the sampled time series as CSV to this file on exit")
 	fs.DurationVar(&o.sample, "sample", 0, "virtual-time sampling interval (default 30s when -series/-json is set)")
 	fs.IntVar(&o.shards, "shards", 1, "shard the deployment into K region partitions behind a federation router (1 = single gateway)")

@@ -155,7 +155,7 @@ func TestGatewayRefcountCancel(t *testing.T) {
 // TestGatewayBackpressureEviction: a subscriber that never drains is evicted
 // at its buffer bound while a fast co-subscriber of the same shared query
 // keeps receiving every epoch; the eviction is visible in the stats and the
-// obs export.
+// run export.
 func TestGatewayBackpressureEviction(t *testing.T) {
 	const buffer = 2
 	gw := newTestGateway(t, Config{Buffer: buffer})
