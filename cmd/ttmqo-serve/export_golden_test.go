@@ -106,13 +106,7 @@ func runExportScript(t *testing.T, gw *gateway.Gateway) {
 				t.Fatal(err)
 			}
 			for _, s := range subs {
-				for open := true; open; {
-					select {
-					case _, open = <-s.Updates():
-					default:
-						open = false
-					}
-				}
+				s.Session().Read(func() { s.Take(nil) })
 			}
 		}
 	}

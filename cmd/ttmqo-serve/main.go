@@ -326,7 +326,7 @@ func buildStack(o *options) (*served, error) {
 		st.detail = fmt.Sprintf("scheme=%s nodes=%d tick=%v quantum=%v", o.scheme, built.Sensors()+1, o.tick, o.quantum)
 		// A non-empty log from a previous run was a crashed (or killed)
 		// server: the stack recovered it by replay instead of starting fresh.
-		if gs, _ := built.Gateway().Stats(); gs.Recoveries > 0 {
+		if gs := built.Gateway().Stats(); gs.Recoveries > 0 {
 			fmt.Printf("ttmqo-serve: recovered %d session(s), %d subscription(s) from %s\n",
 				gs.ActiveSessions, gs.ActiveSubscriptions, o.wal)
 		}
@@ -368,7 +368,7 @@ func (st *served) summary() string {
 		return fmt.Sprintf("shards=%d sessions=%d subscribes=%d dedup_hits=%d trees=%d merged_epochs=%d updates=%d",
 			s.Shards, s.Sessions, s.Subscribes, s.DedupHits, s.Trees, s.MergedEpochs, s.Updates)
 	}
-	s, _ := st.Gateway().Stats()
+	s := st.Gateway().Stats()
 	return fmt.Sprintf("sessions=%d subscribes=%d dedup_hits=%d admitted=%d dedup_ratio=%.2f updates=%d evicted=%d recoveries=%d",
 		s.Sessions, s.Subscribes, s.DedupHits, s.Admitted, s.DedupRatio(), s.Updates, s.Evicted, s.Recoveries)
 }
@@ -381,12 +381,7 @@ func (st *served) status() any {
 		doc.Federation, doc.Resilience = s, fedResilienceSection(s)
 	} else {
 		g := st.Gateway()
-		if s, err := g.Status(); err == nil {
-			doc.Gateway = s
-		}
-		if gs, err := g.Stats(); err == nil {
-			doc.Resilience = resilienceSection(gs)
-		}
+		doc.Gateway, doc.Resilience = g.Status(), resilienceSection(g.Stats())
 	}
 	if st.Coord != nil {
 		doc.Share = st.Coord.ShareStats()
@@ -489,9 +484,8 @@ func serve(st *served, o *options) error {
 				os.Exit(1)
 			}
 			srv = s2
-			gs, _ := st.Gateway().Stats()
 			fmt.Printf("ttmqo-serve: recovered %d session(s) on %s; clients may re-attach\n",
-				gs.ActiveSessions, srv.Addr())
+				st.Gateway().Stats().ActiveSessions, srv.Addr())
 		}()
 	}
 
@@ -564,11 +558,7 @@ func writeJSON(path string, v any) error {
 
 func writeExports(gw *gateway.Gateway, jsonOut, seriesOut string) error {
 	if jsonOut != "" {
-		exp, err := gw.Export()
-		if err != nil {
-			return err
-		}
-		if err := writeJSON(jsonOut, exp); err != nil {
+		if err := writeJSON(jsonOut, gw.Export()); err != nil {
 			return err
 		}
 	}

@@ -197,7 +197,19 @@ type stream struct {
 	c      *client
 	q      query.Query
 	ticket *tier.Ticket
-	sub    *tier.Sub // nil until the ticket resolved
+	sub    *tier.Sub     // nil until the ticket resolved
+	batch  []tier.Update // the last batch taken, recycled by the next take
+}
+
+// take observes everything the stream's sub holds and reports whether it is
+// still live.
+func (r *run) take(s *stream) bool {
+	var live bool
+	s.sub.Session().Read(func() { s.batch, live = s.sub.Take(s.batch) })
+	for _, u := range s.batch {
+		r.observe(s, u)
+	}
+	return live
 }
 
 func (r *run) violate(format string, args ...any) {
@@ -346,7 +358,7 @@ func (r *run) drive() error {
 		r.pending = nil
 		if bounce {
 			// Kill the gateway with this round's deliveries still sitting
-			// undrained in client channels — recovery must bring them back.
+			// untaken in client streams — recovery must bring them back.
 			if err := r.bounce(); err != nil {
 				return fmt.Errorf("chaos: round %d: %w", round, err)
 			}
@@ -381,9 +393,8 @@ func (r *run) join(name string, qs ...query.Query) (*stream, error) {
 	return s, nil
 }
 
-// drain empties every stream's buffer through the checker without
-// blocking. A stream that closed mid-run is reported once and dropped; the
-// others keep draining.
+// drain takes every stream's buffer through the checker. A stream that
+// closed mid-run is reported once and dropped; the others keep draining.
 func (r *run) drain() {
 	live := r.streams[:0]
 	for _, s := range r.streams {
@@ -394,28 +405,19 @@ func (r *run) drain() {
 	r.streams = live
 }
 
-// leave drains a stream its client unsubscribed to its close and drops it;
-// leaving is not a mid-run closure.
+// leave drains a stream its client unsubscribed, closed at the commit, and
+// drops it; leaving is not a mid-run closure.
 func (r *run) leave(s *stream) {
-	for u := range s.sub.Updates() {
-		r.observe(s, u)
-	}
+	r.take(s)
 	r.streams = slices.DeleteFunc(r.streams, func(x *stream) bool { return x == s })
 }
 
 func (r *run) drainOne(s *stream) bool {
-	for {
-		select {
-		case u, ok := <-s.sub.Updates():
-			if !ok {
-				r.violate("stream %d closed mid-run (%s)", s.sub.ID(), s.sub.Reason())
-				return false
-			}
-			r.observe(s, u)
-		default:
-			return true
-		}
+	if !r.take(s) {
+		r.violate("stream %d closed mid-run (%s)", s.sub.ID(), s.sub.Reason())
+		return false
 	}
+	return true
 }
 
 // observe passes one delivery through the invariant checker and, when it is
@@ -528,14 +530,11 @@ func (r *run) finish(baseline int) {
 		r.violate("close: %v", err)
 	}
 	if gw := st.Gateway(); gw != nil {
-		if s, err := gw.Stats(); err == nil {
-			rep.Gateway = &s
-		}
+		s := gw.Stats()
+		rep.Gateway = &s
 	}
 	for _, s := range r.streams {
-		for u := range s.sub.Updates() {
-			r.observe(s, u)
-		}
+		r.take(s) // closed by the teardown
 	}
 
 	c := r.check

@@ -139,9 +139,7 @@ func herd(r *run) error {
 			case <-stop:
 				return
 			case <-time.After(2 * time.Millisecond):
-				if st, err := gw.Status(); err == nil {
-					rep.MaxStagedSeen = max(rep.MaxStagedSeen, st.Staged)
-				}
+				rep.MaxStagedSeen = max(rep.MaxStagedSeen, gw.Status().Staged)
 			}
 		}
 	}()
@@ -174,10 +172,7 @@ func herd(r *run) error {
 
 	// Every herd member is admitted: the no-double-admit invariant is that
 	// the retried subscribes applied exactly once each.
-	st, err := gw.Stats()
-	if err != nil {
-		return err
-	}
+	st := gw.Stats()
 	if st.Subscribes != int64(len(rs)) {
 		r.violate("subscribes applied = %d, want exactly %d (a shed subscribe double-admitted)", st.Subscribes, len(rs))
 	}
@@ -315,7 +310,7 @@ func loris(r *run) error {
 	// first ticks and the forwarder's blocked write hits the write deadline
 	// shortly after.
 	for deadline := time.Now().Add(lorisEvictWait); time.Now().Before(deadline); time.Sleep(10 * time.Millisecond) {
-		if st, err := gw.Stats(); err == nil && st.Evicted >= 1 {
+		if gw.Stats().Evicted >= 1 {
 			break
 		}
 	}
@@ -365,7 +360,7 @@ func loris(r *run) error {
 	}
 
 	r.closeServer(srv)
-	if st, err := gw.Stats(); err == nil && rep.DropReason == "evicted" && st.Evicted == 0 {
+	if rep.DropReason == "evicted" && gw.Stats().Evicted == 0 {
 		r.violate("victim stream closed as evicted but the gateway counted no evictions")
 	}
 	return nil

@@ -10,7 +10,7 @@ import (
 
 // crashHoldingBufferedDigest is TestRouterCrashWithBufferedPartials' record
 // as the router produced it when it read its shard streams through
-// channels: the shard reads in place must reproduce it byte for byte.
+// channels: reading them from their buffers must reproduce it byte for byte.
 const crashHoldingBufferedDigest = `partitioned: partials=8 merged=4
 crashed while partitioned: partials=12 merged=4
 recovered, tail buffered: partials=12 merged=4 resumes=2
@@ -89,8 +89,8 @@ func TestRouterCrashWithBufferedPartials(t *testing.T) {
 	step("crashed holding it", r.CrashShard(1))
 	step("recovered again", r.RecoverShard(1))
 	advance(3)
-	drain(aggSub.Updates(), &aggs)
-	drain(rowsSub.Updates(), &rows)
+	drain(aggSub, &aggs)
+	drain(rowsSub, &rows)
 	checkStream(t, aggs)
 	checkStream(t, rows)
 	st := r.FedStats()
@@ -159,7 +159,7 @@ func TestRouterCrashDuringPartitionKeepsWatermark(t *testing.T) {
 		fault(r.RecoverShard)
 		advance(2)
 		var got []gateway.Update
-		drain(sub.Updates(), &got)
+		drain(sub, &got)
 		checkStream(t, got)
 		return got, r.FedStats()
 	}

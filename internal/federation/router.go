@@ -387,10 +387,10 @@ func (r *Router) buildShard(i int) (*shard, error) {
 func (r *Router) Shards() int { return len(r.shards) }
 
 // Now returns the router's virtual clock.
-func (r *Router) Now() (sim.Time, error) {
+func (r *Router) Now() sim.Time {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.now, nil
+	return r.now
 }
 
 // nowMS is the router's virtual clock in milliseconds (callers hold r.mu).
@@ -467,7 +467,7 @@ func (r *Router) ShardStats(i int) (gateway.Stats, error) {
 	}
 	gw := r.shards[i].gw
 	r.mu.Unlock()
-	return gw.Stats()
+	return gw.Stats(), nil
 }
 
 // Alive reports whether the router is serving (false after Close).
@@ -520,11 +520,7 @@ func (r *Router) ServeStats() (gateway.Stats, sim.Time, error) {
 
 	var agg gateway.Stats
 	for _, gw := range gws {
-		st, err := gw.Stats()
-		if err != nil {
-			continue
-		}
-		addGatewayStats(&agg, st)
+		addGatewayStats(&agg, gw.Stats())
 	}
 	fs.Overlay(&agg)
 	agg.SharedQueries = fs.Trees

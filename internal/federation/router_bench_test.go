@@ -56,16 +56,17 @@ func roundRouter(tb testing.TB, side int) (r *Router, round func(), updates *int
 		subs = append(subs, sub)
 	}
 	updates = new(int)
-	var buf []gateway.Update
+	batches := make([][]gateway.Update, len(subs)) // each sub's last batch, recycled by its next take
 	round = func() {
 		if _, err := r.Advance(benchQuantum); err != nil {
 			tb.Fatal(err)
 		}
-		for _, sub := range subs {
-			drain(sub.Updates(), &buf)
-			*updates += len(buf)
-			buf = buf[:0]
-		}
+		sess.Read(func() {
+			for i, sub := range subs {
+				batches[i], _ = sub.Take(batches[i])
+				*updates += len(batches[i])
+			}
+		})
 	}
 	for i := 0; i < 16; i++ { // floods settle, accumulators and rings reach their size
 		round()

@@ -45,19 +45,12 @@ func stageSub(t *testing.T, s *Session, text string) *Ticket {
 	return tk
 }
 
-// drain empties a subscription channel without blocking.
-func drain(ch <-chan gateway.Update, into *[]gateway.Update) {
-	for {
-		select {
-		case u, ok := <-ch:
-			if !ok {
-				return
-			}
-			*into = append(*into, u)
-		default:
-			return
-		}
-	}
+// drain appends what a subscription holds to into.
+func drain(sub *Sub, into *[]gateway.Update) {
+	sub.Session().Read(func() {
+		batch, _ := sub.Take(nil)
+		*into = append(*into, batch...)
+	})
 }
 
 // checkStream asserts the delivery invariants: sequence numbers are
@@ -97,7 +90,7 @@ func TestRouterMergesAggregatesAcrossShards(t *testing.T) {
 		if _, err := r.Advance(testQuantum); err != nil {
 			t.Fatal(err)
 		}
-		drain(sub.Updates(), &updates)
+		drain(sub, &updates)
 	}
 	if len(updates) < 2 {
 		t.Fatalf("got %d merged updates after 5 quanta, want >= 2", len(updates))
@@ -148,7 +141,7 @@ func TestRouterRoutesRegionPredicate(t *testing.T) {
 		if _, err := r.Advance(testQuantum); err != nil {
 			t.Fatal(err)
 		}
-		drain(sub.Updates(), &updates)
+		drain(sub, &updates)
 	}
 	checkStream(t, updates)
 	rows := 0
@@ -200,7 +193,7 @@ func TestRouterEmptyShardEpochReleasesWatermark(t *testing.T) {
 		if _, err := r.Advance(testQuantum); err != nil {
 			t.Fatal(err)
 		}
-		drain(sub.Updates(), &updates)
+		drain(sub, &updates)
 	}
 	checkStream(t, updates)
 	if len(updates) < 4 {
@@ -330,7 +323,7 @@ func TestRouterCrashRecoverFailover(t *testing.T) {
 		if _, err := r.Advance(testQuantum); err != nil {
 			t.Fatal(err)
 		}
-		drain(sub.Updates(), &updates)
+		drain(sub, &updates)
 	}
 	healthy := len(updates)
 
@@ -346,7 +339,7 @@ func TestRouterCrashRecoverFailover(t *testing.T) {
 		if _, err := r.Advance(testQuantum); err != nil {
 			t.Fatal(err)
 		}
-		drain(sub.Updates(), &updates)
+		drain(sub, &updates)
 	}
 	if len(updates) != healthy {
 		t.Fatalf("stream advanced past the dead shard's watermark: %d -> %d updates",
@@ -360,7 +353,7 @@ func TestRouterCrashRecoverFailover(t *testing.T) {
 		if _, err := r.Advance(testQuantum); err != nil {
 			t.Fatal(err)
 		}
-		drain(sub.Updates(), &updates)
+		drain(sub, &updates)
 	}
 	if len(updates) <= healthy {
 		t.Fatalf("no progress after recovery: still %d updates", len(updates))
@@ -395,7 +388,7 @@ func TestRouterPartitionHeal(t *testing.T) {
 	if _, err := r.Advance(testQuantum); err != nil {
 		t.Fatal(err)
 	}
-	drain(sub.Updates(), &updates)
+	drain(sub, &updates)
 	before := len(updates)
 
 	if err := r.PartitionShard(0); err != nil {
@@ -408,7 +401,7 @@ func TestRouterPartitionHeal(t *testing.T) {
 		if _, err := r.Advance(testQuantum); err != nil {
 			t.Fatal(err)
 		}
-		drain(sub.Updates(), &updates)
+		drain(sub, &updates)
 	}
 	if _, err := tk2.Wait(); err == nil {
 		t.Fatal("subscribe across a partitioned shard must fail")
@@ -425,7 +418,7 @@ func TestRouterPartitionHeal(t *testing.T) {
 		if _, err := r.Advance(testQuantum); err != nil {
 			t.Fatal(err)
 		}
-		drain(sub.Updates(), &updates)
+		drain(sub, &updates)
 	}
 	if len(updates) <= before {
 		t.Fatalf("no progress after heal: still %d updates", len(updates))
@@ -470,7 +463,7 @@ func TestRouterDetachResumeDownstream(t *testing.T) {
 	if _, err := r.Advance(testQuantum); err != nil {
 		t.Fatal(err)
 	}
-	drain(sub.Updates(), &updates)
+	drain(sub, &updates)
 	seen := uint64(0)
 	if n := len(updates); n > 0 {
 		seen = updates[n-1].Seq
@@ -500,11 +493,11 @@ func TestRouterDetachResumeDownstream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	drain(revived.Updates(), &updates)
+	drain(revived, &updates)
 	if _, err := r.Advance(testQuantum); err != nil {
 		t.Fatal(err)
 	}
-	drain(revived.Updates(), &updates)
+	drain(revived, &updates)
 	if uint64(len(updates)) == seen {
 		t.Fatal("no updates replayed or delivered after resume")
 	}
@@ -609,7 +602,7 @@ func TestRouterInPlaceSpawnsNothing(t *testing.T) {
 		if _, err := r.Advance(testQuantum); err != nil {
 			t.Fatal(err)
 		}
-		drain(sub.Updates(), &us)
+		drain(sub, &us)
 		if n := runtime.NumGoroutine(); n > before {
 			t.Fatalf("round %d: %d goroutines, %d before the first round", i, n, before)
 		}

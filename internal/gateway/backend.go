@@ -22,7 +22,7 @@ type Backend interface {
 	// returning the number of commands applied.
 	Advance(d time.Duration) (int, error)
 	// Now is the backend's virtual clock.
-	Now() (sim.Time, error)
+	Now() sim.Time
 	// Alive reports whether the backend is serving: the readiness signal
 	// behind an admin plane's /readyz.
 	Alive() bool

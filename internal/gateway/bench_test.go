@@ -61,13 +61,31 @@ func BenchmarkEncodeUpdate(b *testing.B) {
 	}
 }
 
-// BenchmarkPumpRound: one epoch delivered to each of 64 subscriptions of
-// one connection through the writer's own pump — channel receive, encode
-// once, stage per subscriber, flush — with and without the trace trailer.
-//
-// stubSub is a live subscription with the given id, alone on a kernel of its
-// own: the writer only ever asks a stream for its id and, once the stream
-// closed, its reason.
+// stubStreams are live subscriptions on one session of a stub kernel, the
+// i-th with id i+1 and trace trace(i); a test pushes to them holding mu.
+type stubStreams struct {
+	mu   sync.Mutex
+	subs []*Subscription
+}
+
+func newStubStreams(n int, trace func(i int) uint64) *stubStreams {
+	sb := &stubStreams{}
+	k := tier.New(tier.Config{Name: "stub", Mu: &sb.mu, Buffer: 8, MaxSessions: 1, SessionQuota: n})
+	s, err := k.Register("stub")
+	if err != nil {
+		panic(err)
+	}
+	sb.mu.Lock()
+	defer sb.mu.Unlock()
+	for i := 0; i < n; i++ {
+		sb.subs = append(sb.subs, k.RestoreSubLocked(s, SubID(i+1), &tier.Group{}, trace(i)))
+	}
+	return sb
+}
+
+// stubSub is a live subscription with the given id, alone on a stub kernel:
+// a writer whose streams' batches the test sets asks a stream only for its
+// id and, once the stream closed, its reason.
 func stubSub(id SubID) *Subscription {
 	var mu sync.Mutex
 	k := tier.New(tier.Config{Name: "stub", Mu: &mu, Buffer: 1, MaxSessions: 1, SessionQuota: 1})
@@ -80,6 +98,9 @@ func stubSub(id SubID) *Subscription {
 	return k.RestoreSubLocked(s, id, &tier.Group{}, 0)
 }
 
+// BenchmarkPumpRound: one epoch delivered to each of 64 subscriptions of
+// one connection through the writer's own pump — push, take, encode once,
+// stage per subscriber, flush — with and without the trace trailer.
 func BenchmarkPumpRound(b *testing.B) {
 	const subs = 64
 	traced := benchUpdate()
@@ -92,17 +113,19 @@ func BenchmarkPumpRound(b *testing.B) {
 		b.Run(c.name, func(b *testing.B) {
 			w := newConnWriter(io.Discard)
 			w.binary = true
-			chs := make([]chan Update, subs)
-			for i := range chs {
-				chs[i] = make(chan Update, 1)
-				w.streams = append(w.streams, stream{stubSub(SubID(i + 1)), chs[i]})
+			sb := newStubStreams(subs, func(int) uint64 { return c.u.Trace })
+			for _, sub := range sb.subs {
+				w.streams = append(w.streams, stream{sub: sub})
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				for _, ch := range chs {
-					ch <- c.u
+				sb.mu.Lock()
+				for _, sub := range sb.subs {
+					u := c.u
+					sub.Push(&u)
 				}
+				sb.mu.Unlock()
 				if err := w.pump(); err != nil {
 					b.Fatal(err)
 				}
@@ -120,16 +143,19 @@ func BenchmarkClientRecvFanout(b *testing.B) {
 	var wire bytes.Buffer
 	w := newConnWriter(&wire)
 	w.binary = true
+	sb := newStubStreams(queries*subs, func(int) uint64 { return 0 })
+	sb.mu.Lock()
 	for q := 0; q < queries; q++ {
 		u := benchUpdate()
 		u.QueryID = query.ID(q + 1)
 		for s := 0; s < subs; s++ {
-			ch := make(chan Update, 1)
-			u.Sub = SubID(q*subs + s + 1)
-			ch <- u
-			w.streams = append(w.streams, stream{stubSub(u.Sub), ch})
+			sub := sb.subs[q*subs+s]
+			v := u
+			sub.Push(&v)
+			w.streams = append(w.streams, stream{sub: sub})
 		}
 	}
+	sb.mu.Unlock()
 	if err := w.pump(); err != nil {
 		b.Fatal(err)
 	}

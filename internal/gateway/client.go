@@ -213,9 +213,6 @@ type RetryConfig struct {
 	// Backoff is the jittered delay policy between attempts; its zero
 	// value uses the resilience defaults.
 	Backoff resilience.Backoff
-	// Deadline, when positive, rides the wire as the subscribe's mailbox
-	// deadline budget.
-	Deadline time.Duration
 	// TraceID, when nonzero, pins the subscription's causal-trace identity
 	// (rides the wire as trace_id); zero lets the server derive one, echoed
 	// back on the TypeSubscribed response.
@@ -223,10 +220,6 @@ type RetryConfig struct {
 	// Sleep replaces time.Sleep between attempts (tests inject a
 	// recorder).
 	Sleep func(time.Duration)
-	// OnFrame receives stream responses that interleave with the
-	// subscribe round trip (updates for this connection's other
-	// subscriptions); dropped when nil.
-	OnFrame func(Response)
 }
 
 // SubscribeRetry subscribes with the client retry policy: an
@@ -247,14 +240,10 @@ func (c *Client) SubscribeRetry(queryText, tag string, rc RetryConfig) (Response
 	}
 	var lastErr error
 	for attempt := 0; attempt < attempts; attempt++ {
-		req := Request{Op: OpSubscribe, Query: queryText, Tag: tag, TraceID: rc.TraceID}
-		if rc.Deadline > 0 {
-			req.DeadlineMS = rc.Deadline.Milliseconds()
-		}
-		if err := c.Send(req); err != nil {
+		if err := c.Send(Request{Op: OpSubscribe, Query: queryText, Tag: tag, TraceID: rc.TraceID}); err != nil {
 			return Response{}, err
 		}
-		resp, err := c.recvTagged(tag, rc.OnFrame)
+		resp, err := c.recvTagged(tag)
 		if err != nil {
 			return Response{}, err
 		}
@@ -272,8 +261,9 @@ func (c *Client) SubscribeRetry(queryText, tag string, rc RetryConfig) (Response
 }
 
 // recvTagged reads until the tagged direct response (subscribed or
-// error) arrives, handing interleaved stream frames to onFrame.
-func (c *Client) recvTagged(tag string, onFrame func(Response)) (Response, error) {
+// error) arrives, dropping the stream frames that interleave with it
+// (updates for this connection's other subscriptions).
+func (c *Client) recvTagged(tag string) (Response, error) {
 	for {
 		resp, err := c.Recv()
 		if err != nil {
@@ -281,9 +271,6 @@ func (c *Client) recvTagged(tag string, onFrame func(Response)) (Response, error
 		}
 		if (resp.Type == TypeSubscribed || resp.Type == TypeError) && resp.Tag == tag {
 			return resp, nil
-		}
-		if onFrame != nil {
-			onFrame(resp)
 		}
 	}
 }

@@ -178,8 +178,9 @@ type (
 	// order.
 	Session = tier.Session
 	// Subscription is one client's handle on a (possibly shared) query
-	// stream. Updates delivers epochs until the subscription ends; after
-	// the channel closes, Reason reports why.
+	// stream. Its reader waits on the session's Ready and takes the epochs
+	// pushed since its last take (Session.Read, Take) until the stream
+	// ends; Reason then reports why.
 	Subscription = tier.Sub
 	// Ticket is the pending half of an asynchronous command; Wait blocks
 	// until the command commits at an Advance (or the gateway closes).
@@ -448,16 +449,17 @@ func (g *Gateway) Close() error {
 }
 
 // Now returns the simulation's current virtual time.
-func (g *Gateway) Now() (sim.Time, error) {
+func (g *Gateway) Now() sim.Time {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	return g.now(), nil
+	return g.now()
 }
 
 // Stats returns a counter snapshot.
-func (g *Gateway) Stats() (Stats, error) {
-	st, _, err := g.ServeStats()
-	return st, err
+func (g *Gateway) Stats() Stats {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.statsLocked()
 }
 
 // ServeStats implements Backend.
@@ -468,11 +470,12 @@ func (g *Gateway) ServeStats() (Stats, sim.Time, error) {
 }
 
 // metricsSnapshot is one scrape's view under one lock: whether the gateway
-// serves, the kernel's session counters and the serving counters.
-func (g *Gateway) metricsSnapshot() (bool, tier.Stats, Stats) {
+// serves, the kernel's session counters, the serving counters and the
+// updates parked in resume rings.
+func (g *Gateway) metricsSnapshot() (bool, tier.Stats, Stats, int) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	return !g.k.ClosedLocked(), g.k.StatsLocked(), g.statsLocked()
+	return !g.k.ClosedLocked(), g.k.StatsLocked(), g.statsLocked(), g.k.OccupancyLocked().RingUpdates
 }
 
 func (g *Gateway) statsLocked() Stats {
@@ -534,13 +537,13 @@ type Status struct {
 
 // Status returns the /statusz snapshot; Alive is false after Close or
 // Crash.
-func (g *Gateway) Status() (Status, error) {
+func (g *Gateway) Status() Status {
 	g.mu.Lock()
 	status, spans := g.statusLocked(), g.sim.Spans()
 	g.mu.Unlock()
 	// The recorder locks itself; pairing it need not hold up the tier.
 	status.Queries = len(tracing.Lifecycles(spans.Snapshot()))
-	return status, nil
+	return status
 }
 
 func (g *Gateway) statusLocked() Status {
@@ -568,7 +571,7 @@ func (g *Gateway) statusLocked() Status {
 // counters, the causal traces and the chaos label. Everything in it is a
 // pure function of the committed command sequence and the seed — no wall
 // clock — so exports are byte-identical across client schedulings.
-func (g *Gateway) Export() (network.RunExport, error) {
+func (g *Gateway) Export() network.RunExport {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	exp := g.sim.Export("gateway", "", g.cfg.ChaosLabel)
@@ -576,7 +579,7 @@ func (g *Gateway) Export() (network.RunExport, error) {
 	if g.cfg.Tracer != nil {
 		exp.Traces = tracing.Collect(g.cfg.Tracer)
 	}
-	return exp, nil
+	return exp
 }
 
 // FinalMetrics is the run export's radio accounting at the current virtual
@@ -586,11 +589,6 @@ func (g *Gateway) FinalMetrics() network.FinalMetrics {
 	defer g.mu.Unlock()
 	return g.sim.FinalMetrics()
 }
-
-// Tracer returns the flight recorder the gateway was mounted with (nil
-// when untraced). The recorder is caller-owned and remains readable
-// after Close or Crash.
-func (g *Gateway) Tracer() *tracing.Recorder { return g.cfg.Tracer }
 
 // ---------------------------------------------------------------------------
 // Policy: the kernel's hooks

@@ -47,10 +47,7 @@ func stage(t *testing.T, sess *Session, text string) *Ticket {
 
 func mustStats(t *testing.T, gw *Gateway) Stats {
 	t.Helper()
-	st, err := gw.Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := gw.Stats()
 	return st
 }
 
@@ -181,18 +178,11 @@ func TestGatewayBackpressureEviction(t *testing.T) {
 			t.Fatal(err)
 		}
 		// The fast client drains after every tick; the slow one never reads.
-		for {
-			select {
-			case _, ok := <-fs.Updates():
-				if !ok {
-					t.Fatalf("fast subscriber closed: %v", fs.Reason())
-				}
-				received++
-				continue
-			default:
-			}
-			break
+		batch, live := takeSub(fs)
+		if !live {
+			t.Fatalf("fast subscriber closed: %v", fs.Reason())
 		}
+		received += len(batch)
 	}
 
 	st := mustStats(t, gw)
@@ -208,14 +198,11 @@ func TestGatewayBackpressureEviction(t *testing.T) {
 	if st.Dropped == 0 {
 		t.Errorf("no drops recorded for the stalled subscriber")
 	}
-	// The stalled subscriber's channel is closed with the eviction reason
-	// after its buffered backlog (exactly the buffer bound) is drained.
-	backlog := 0
-	for range ss.Updates() {
-		backlog++
-	}
-	if backlog != buffer {
-		t.Errorf("stalled backlog %d, want %d", backlog, buffer)
+	// The stalled subscriber's stream is closed with the eviction reason
+	// behind its buffered backlog (exactly the buffer bound).
+	backlog, live := takeSub(ss)
+	if len(backlog) != buffer || live {
+		t.Errorf("stalled backlog %d (live %v), want %d and closed", len(backlog), live, buffer)
 	}
 	if ss.Reason() != ReasonEvicted {
 		t.Errorf("reason %v, want evicted", ss.Reason())
@@ -225,10 +212,7 @@ func TestGatewayBackpressureEviction(t *testing.T) {
 		t.Errorf("eviction cancelled a query with live subscribers: %+v", st)
 	}
 
-	exp, err := gw.Export()
-	if err != nil {
-		t.Fatal(err)
-	}
+	exp := gw.Export()
 	if exp.Gateway == nil {
 		t.Fatal("export missing gateway block")
 	}
@@ -403,9 +387,7 @@ func TestGatewayShutdown(t *testing.T) {
 	if err := gw.Close(); err != nil {
 		t.Fatal(err)
 	}
-	for range sub.Updates() {
-	}
-	if sub.Reason() != ReasonShutdown {
+	if _, live := takeSub(sub); live || sub.Reason() != ReasonShutdown {
 		t.Errorf("reason %v, want shutdown", sub.Reason())
 	}
 	if _, err := sess.SubscribeAsync(SubscribeRequest{Query: query.MustParse("SELECT light EPOCH DURATION 8192ms")}); !errors.Is(err, ErrClosed) {
@@ -414,14 +396,11 @@ func TestGatewayShutdown(t *testing.T) {
 	if _, err := gw.Register("bob"); !errors.Is(err, ErrClosed) {
 		t.Errorf("register after close: %v, want ErrClosed", err)
 	}
-	st, err := gw.Stats()
-	if err != nil {
-		t.Fatalf("final stats unavailable: %v", err)
-	}
+	st := gw.Stats()
 	if st.Cancelled != 1 || st.ActiveSubscriptions != 0 {
 		t.Errorf("shutdown left state behind: %+v", st)
 	}
-	if _, err := gw.Export(); err != nil {
-		t.Fatalf("final export unavailable: %v", err)
+	if exp := gw.Export(); exp.Gateway.Cancelled != 1 {
+		t.Fatalf("final export: cancelled %d, want 1", exp.Gateway.Cancelled)
 	}
 }

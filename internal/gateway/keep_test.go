@@ -10,6 +10,7 @@ import (
 	"math/rand"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -21,10 +22,10 @@ import (
 // pumpRig is one binary connection writer over a buffer, its streams fed
 // by the test, and one Client reading the buffer back.
 type pumpRig struct {
-	out bytes.Buffer
-	w   *connWriter
-	chs []chan Update
-	c   *Client
+	out  bytes.Buffer
+	w    *connWriter
+	subs []*Subscription
+	c    *Client
 }
 
 func newPumpRig(streams int) *pumpRig {
@@ -32,27 +33,24 @@ func newPumpRig(streams int) *pumpRig {
 	r.w = newConnWriter(&r.out)
 	r.w.binary = true
 	for i := 0; i < streams; i++ {
-		ch := make(chan Update, 8)
-		r.chs = append(r.chs, ch)
-		r.w.streams = append(r.w.streams, stream{stubSub(SubID(i + 1)), ch})
+		r.subs = append(r.subs, stubSub(SubID(i+1)))
+		r.w.streams = append(r.w.streams, stream{sub: r.subs[i]})
 	}
 	r.c = &Client{br: bufio.NewReader(&r.out)}
 	return r
 }
 
-// pump sends each stream its updates (and closes the streams in closing),
-// runs one pump and returns the bytes it wrote.
-func (r *pumpRig) pump(t *testing.T, updates [][]Update, closing map[int]bool) []byte {
+// pump hands each stream its updates as its take would (and closes the
+// streams in closing), sends them and returns the bytes the writer wrote.
+func (r *pumpRig) pump(t testing.TB, updates [][]Update, closing map[int]bool) []byte {
 	t.Helper()
-	for i, us := range updates {
-		for _, u := range us {
-			r.chs[i] <- u
-		}
-		if closing[i] {
-			close(r.chs[i])
-		}
+	for i := range r.w.streams {
+		st := &r.w.streams[i]
+		j := slices.Index(r.subs, st.sub)
+		st.batch = append(st.batch[:0], updates[j]...)
+		st.live = !closing[j]
 	}
-	if err := r.w.pump(); err != nil {
+	if err := r.w.send(); err != nil {
 		t.Fatal(err)
 	}
 	return r.out.Bytes()
@@ -318,20 +316,20 @@ func TestPumpAllocatesNothing(t *testing.T) {
 	const subs = 17
 	w := newConnWriter(&countingWriter{})
 	w.binary = true
-	chs := make([]chan Update, subs)
-	for i := range chs {
-		chs[i] = make(chan Update, 1)
-		w.streams = append(w.streams, stream{stubSub(SubID(i + 1)), chs[i]})
+	sb := newStubStreams(subs, func(i int) uint64 { return uint64(i % 2) })
+	for _, sub := range sb.subs {
+		w.streams = append(w.streams, stream{sub: sub})
 	}
 	u, lone := benchUpdate(), benchUpdate()
 	lone.QueryID++
 	allocs := testing.AllocsPerRun(200, func() {
-		for i, ch := range chs[:subs-1] {
+		sb.mu.Lock()
+		for _, sub := range sb.subs[:subs-1] {
 			v := u
-			v.Trace = uint64(i % 2)
-			ch <- v
+			sub.Push(&v)
 		}
-		chs[subs-1] <- lone
+		sb.subs[subs-1].Push(&lone)
+		sb.mu.Unlock()
 		_ = w.pump()
 	})
 	if allocs != 0 {
@@ -500,16 +498,7 @@ func FuzzDecodeStream(f *testing.F) {
 			updates[i][j].Sub = SubID(i + 1)
 		}
 	}
-	for i := range r.chs {
-		for _, u := range updates[i] {
-			r.chs[i] <- u
-		}
-	}
-	close(r.chs[4])
-	if err := r.w.pump(); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(append([]byte{}, r.out.Bytes()...))
+	f.Add(append([]byte{}, r.pump(f, updates, map[int]bool{4: true})...))
 	ref := sealFrame(appendUpdateHead(nil, &us[0], shareRef, 0))
 	f.Add(append(append([]byte{}, ref...), ref...))
 	f.Add([]byte(`{"type":"pong","tag":"hb"}` + "\n"))

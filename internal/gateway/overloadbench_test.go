@@ -135,13 +135,9 @@ func overloadFirstResults(clients, maxStaged int) ([]time.Duration, error) {
 				}
 			}
 			if c.sub != nil {
-				select {
-				case _, ok := <-c.sub.Updates():
-					if ok {
-						c.done = true
-						c.latency = now
-					}
-				default:
+				if batch, _ := takeSub(c.sub); len(batch) > 0 {
+					c.done = true
+					c.latency = now
 				}
 			}
 			if !c.done {

@@ -24,38 +24,28 @@ func walConfig(t *testing.T, wal string) Config {
 	}
 }
 
-// drain empties a subscription's channel without blocking.
-func drain(sub *Subscription) []Update {
-	var out []Update
-	for {
-		select {
-		case u, ok := <-sub.Updates():
-			if !ok {
-				return out
-			}
-			out = append(out, u)
-		default:
-			return out
-		}
-	}
+// takeSub hands over what sub holds, as its reader's Take does, and reports
+// whether the stream is still live.
+func takeSub(sub *Subscription) (batch []Update, live bool) {
+	sub.Session().Read(func() { batch, live = sub.Take(nil) })
+	return batch, live
 }
 
-// recvN reads exactly n updates, failing on close or timeout.
+// drain takes what a subscription holds.
+func drain(sub *Subscription) []Update {
+	batch, _ := takeSub(sub)
+	return batch
+}
+
+// recvN takes the first n updates a subscription holds, failing when it
+// holds fewer.
 func recvN(t *testing.T, sub *Subscription, n int) []Update {
 	t.Helper()
-	out := make([]Update, 0, n)
-	for len(out) < n {
-		select {
-		case u, ok := <-sub.Updates():
-			if !ok {
-				t.Fatalf("stream closed (%s) after %d of %d updates", sub.Reason(), len(out), n)
-			}
-			out = append(out, u)
-		case <-time.After(5 * time.Second):
-			t.Fatalf("timed out after %d of %d updates", len(out), n)
-		}
+	batch, live := takeSub(sub)
+	if len(batch) < n {
+		t.Fatalf("stream (live %v, reason %s) held %d of %d updates", live, sub.Reason(), len(batch), n)
 	}
-	return out
+	return batch[:n]
 }
 
 // TestCrashRecoverResumeExactlyOnce is the core recovery contract at the
@@ -99,11 +89,9 @@ func TestCrashRecoverResumeExactlyOnce(t *testing.T) {
 	if err := gw.Crash(); err != nil {
 		t.Fatal(err)
 	}
-	// The crash closes the stream; anything stranded in the channel is
+	// The crash closes the stream; anything stranded in its buffer is
 	// still readable and counts toward the client's cursor.
-	for u := range sub.Updates() {
-		before = append(before, u)
-	}
+	before = append(before, drain(sub)...)
 	if sub.Reason() != ReasonCrashed {
 		t.Fatalf("close reason = %s, want crashed", sub.Reason())
 	}
@@ -152,10 +140,7 @@ func TestCrashRecoverResumeExactlyOnce(t *testing.T) {
 	if next[0].Seq != last+1 {
 		t.Fatalf("post-recovery seq = %d, want %d", next[0].Seq, last+1)
 	}
-	st, err := g2.Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := g2.Stats()
 	if st.Recoveries != 1 || st.Attaches != 1 || st.Resumes != 1 || st.ResumeGaps != 0 {
 		t.Fatalf("recovery counters: %+v", st)
 	}
@@ -221,10 +206,7 @@ func TestRecoverIsDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		st, err := g.Stats()
-		if err != nil {
-			t.Fatal(err)
-		}
+		st := g.Stats()
 		stats[i] = st
 		_ = g.Close()
 	}

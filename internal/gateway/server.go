@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"slices"
 	"sync"
 	"time"
 
@@ -208,11 +207,27 @@ type queued struct {
 	closed *Subscription
 }
 
-// stream is one subscription's channel as captured at registration (a
-// resumed tier stream gets a fresh channel under the same Subscription).
+// stream is one subscription the connection delivers: batch is what its
+// last take returned, recycled by the next, and live whether the stream was
+// still open then.
 type stream struct {
-	sub *Subscription
-	ch  <-chan Update
+	sub   *Subscription
+	batch []Update
+	live  bool
+}
+
+// take swaps out every stream's buffer under one hold of the stream lock.
+// The streams are all the connection's one session's.
+func take(streams []stream) {
+	if len(streams) == 0 {
+		return
+	}
+	streams[0].sub.Session().Read(func() {
+		for i := range streams {
+			st := &streams[i]
+			st.batch, st.live = st.sub.Take(st.batch)
+		}
+	})
 }
 
 // bodyKey is the exact identity of an update's shared payload. The backing
@@ -277,9 +292,12 @@ func (w *connWriter) write(r Response) error {
 func (w *connWriter) open(ack Response, sub *Subscription) error {
 	w.mu.Lock()
 	err := w.stageResponse(&ack)
-	if st := (stream{sub, sub.Updates()}); err == nil {
-		if w.drain(st) {
-			w.streams = append(w.streams, st)
+	if err == nil {
+		n := len(w.streams)
+		w.streams = append(w.streams, stream{sub: sub})
+		take(w.streams[n:])
+		if !w.drain(&w.streams[n]) {
+			w.streams = w.streams[:n]
 		}
 		w.stageQueue(false)
 	}
@@ -295,16 +313,22 @@ func (w *connWriter) sync() error {
 	return w.flush()
 }
 
-// pump drains every stream without blocking into the queue (a stream that
-// ended leaves its closed notice after its last frame), stages the queue
-// and flushes once.
+// pump takes every stream and sends what it took.
 func (w *connWriter) pump() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	take(w.streams)
+	return w.send()
+}
+
+// send drains what every stream's last take returned into the queue (a
+// stream that ended leaves its closed notice after its last frame and is
+// dropped), stages the queue and flushes once; callers hold w.mu.
+func (w *connWriter) send() error {
 	live := w.streams[:0]
-	for _, st := range w.streams {
-		if w.drain(st) {
-			live = append(live, st)
+	for i := range w.streams {
+		if w.drain(&w.streams[i]) {
+			live = append(live, w.streams[i])
 		}
 	}
 	clear(w.streams[len(live):])
@@ -313,31 +337,22 @@ func (w *connWriter) pump() error {
 	return w.flush()
 }
 
-// drain queues what st holds right now, then its closed notice if it has
-// ended, and reports whether st is still open. On a binary connection each
-// queued update's body is looked up here, once, and counted.
-func (w *connWriter) drain(st stream) bool {
-	for {
-		n := len(w.queue)
-		w.queue = slices.Grow(w.queue, 1)[:n+1]
-		q := &w.queue[n]
-		var ok bool
-		select {
-		case q.u, ok = <-st.ch:
-		default:
-			w.queue = w.queue[:n]
-			return true
-		}
-		q.body, q.closed = -1, nil
-		switch {
-		case !ok:
-			q.closed = st.sub
-			return false
-		case w.binary:
+// drain queues what st's last take returned, then its closed notice if it
+// has ended, and reports whether st is still open. On a binary connection
+// each queued update's body is looked up here, once, and counted.
+func (w *connWriter) drain(st *stream) bool {
+	for i := range st.batch {
+		w.queue = append(w.queue, queued{u: st.batch[i], body: -1})
+		if q := &w.queue[len(w.queue)-1]; w.binary {
 			q.body = w.bodyOf(&q.u)
 			w.shared[q.body].queued++
 		}
 	}
+	clear(st.batch) // the queue holds the rows until it is staged
+	if !st.live {
+		w.queue = append(w.queue, queued{body: -1, closed: st.sub})
+	}
+	return st.live
 }
 
 // stageQueue stages the queue in order and empties it. With share set (the
@@ -526,7 +541,8 @@ func (s *Server) handle(conn net.Conn) {
 	defer func() {
 		// Stop the writer — its last act is to flush what is staged — before
 		// releasing the session, so a re-attach on another connection never
-		// shares the ready signal with this one.
+		// shares the ready signal with this one, and a stream resumed there
+		// has one reader: this writer never takes from it again.
 		close(done)
 		writer.Wait()
 		conn.Close()
@@ -698,8 +714,8 @@ func (s *Server) handle(conn net.Conn) {
 				fail(err)
 				continue
 			}
-			// The writer emits the TypeClosed line when the channel
-			// drains; nothing more to say here.
+			// The writer emits the TypeClosed line when it takes the
+			// stream's close; nothing more to say here.
 		case OpStats:
 			st, now, err := s.gw.ServeStats()
 			if err != nil {

@@ -71,17 +71,14 @@ func RegisterMetrics(r *telemetry.Registry, current func() *Gateway) {
 		if g == nil {
 			return
 		}
-		alive, session, st := g.metricsSnapshot()
+		alive, session, st, ringed := g.metricsSnapshot()
 		setSession(alive, session)
 		setPolicy(st)
 		sharedQueries.Gauge().Set(float64(st.SharedQueries))
 		dedupRatio.Gauge().Set(st.DedupRatio())
 		walSize.Gauge().Set(float64(st.WALSizeBytes))
 		brownoutLevel.Gauge().Set(float64(st.BrownoutLevel))
-
-		if status, err := g.Status(); err == nil {
-			ringUpdates.Gauge().Set(float64(status.ResumeRingUpdates))
-		}
+		ringUpdates.Gauge().Set(float64(ringed))
 
 		fm := g.FinalMetrics()
 		virtualTime.Gauge().Set(float64(fm.SimulatedMS) / 1000)

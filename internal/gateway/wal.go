@@ -30,7 +30,7 @@ import (
 // mark. The replayed world re-derives everything the crash destroyed —
 // installed query set, optimizer state, radio accounting, per-subscription
 // sequence numbers — bit-for-bit. Replayed result epochs land in each
-// subscription's bounded resume ring instead of a client channel; a client
+// subscription's bounded resume ring instead of a live stream; a client
 // that reconnects with its session token and last-seen sequence number gets
 // the ring's tail replayed from exactly the next sequence, then the live
 // stream — exactly-once resumption, with ring overflow surfacing as a

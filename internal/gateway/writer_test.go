@@ -245,15 +245,12 @@ func writerRoundCostsOneWrite(t *testing.T, subs, burst int) {
 	// pushed and charge the writes to the rounds that delivered in full.
 	delivering, writes, lastSeq := 0, int64(0), map[SubID]uint64{}
 	for r := 0; r < rounds; r++ {
-		st0, err := gw.Stats()
-		if err != nil {
-			t.Fatal(err)
-		}
+		st0 := gw.Stats()
 		w0 := cc.writes.Load()
 		if _, err := gw.Advance(time.Duration(burst) * 2048 * time.Millisecond); err != nil {
 			t.Fatal(err)
 		}
-		st1, _ := gw.Stats()
+		st1 := gw.Stats()
 		pushed := int(st1.Updates - st0.Updates)
 		for n := pushed; n > 0; n-- {
 			resp, err := c.RecvType(TypeRows)
@@ -403,10 +400,7 @@ func TestPushLeavesSubscribersInPlace(t *testing.T) {
 	if _, err := gw.Advance(3 * 2048 * time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
-	st, err := gw.Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := gw.Stats()
 	// Every subscriber got the first epoch and lost the second, none was
 	// skipped by a list edit mid-range.
 	if st.Evicted != 3 || st.Updates != 3 || st.Dropped != 3 {
@@ -420,7 +414,7 @@ func TestPushLeavesSubscribersInPlace(t *testing.T) {
 	if _, err := gw.Advance(0); err != nil {
 		t.Fatal(err)
 	}
-	if st, _ = gw.Stats(); st.SharedQueries != 0 || st.Cancelled != 1 {
+	if st = gw.Stats(); st.SharedQueries != 0 || st.Cancelled != 1 {
 		t.Fatalf("after the sweep: shared=%d cancelled=%d, want 0/1", st.SharedQueries, st.Cancelled)
 	}
 }
@@ -482,7 +476,7 @@ func TestOpenReportsFailedAck(t *testing.T) {
 
 // TestServerCloseLeavesNoGoroutine: after Server.Close every handler and
 // connection writer has exited, with subscriptions live and a backend that
-// is still open (nothing ever closes the streams' channels).
+// is still open (nothing ever closes the streams).
 func TestServerCloseLeavesNoGoroutine(t *testing.T) {
 	gw := newTestGateway(t, Config{})
 	base := runtime.NumGoroutine()

@@ -49,20 +49,14 @@ func (e *confEnv) subscribe(label, q string) string {
 // numbers are contiguous, and reports how many updates there were and
 // whether the stream is still open.
 func (e *confEnv) read(label string) (n int, open bool) {
-	for ch := e.subs[label].Updates(); ; n++ {
-		select {
-		case u, ok := <-ch:
-			if !ok {
-				return n, false
-			}
-			if n > 0 && u.Seq != e.last[label]+1 {
-				e.t.Fatalf("%s: seq %d follows %d", label, u.Seq, e.last[label])
-			}
-			e.last[label] = u.Seq
-		default:
-			return n, true
+	batch, open := takeSub(e.subs[label])
+	for i, u := range batch {
+		if i > 0 && u.Seq != e.last[label]+1 {
+			e.t.Fatalf("%s: seq %d follows %d", label, u.Seq, e.last[label])
 		}
+		e.last[label] = u.Seq
 	}
+	return len(batch), open
 }
 
 // run advances n quanta, reading the named streams as live clients would.
@@ -178,7 +172,7 @@ func TestSessionMachineConformance(t *testing.T) {
 		}, "detached"},
 		{"second detach", func(e *confEnv) string { return text(e.sess["a"].Detach()) }, `session "a" is already detached`},
 		{"subscribe while detached", func(e *confEnv) string {
-			// Born detached: there is no channel to see close, only the reason.
+			// Born detached: there is no live stream to see close, only the reason.
 			return e.subscribe("a.temp", qTemp) + e.subs["a.temp"].Reason().String()
 		}, "detached"},
 		{"attach, unknown session", func(e *confEnv) string {

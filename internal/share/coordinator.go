@@ -45,7 +45,7 @@ type Config struct {
 	// Window is the result-cache depth in epochs (DefaultWindow if <= 0;
 	// negative disables caching).
 	Window int
-	// Buffer bounds each downstream subscriber channel and resume ring
+	// Buffer bounds each downstream subscriber stream and resume ring
 	// (gateway.DefaultBuffer if <= 0).
 	Buffer int
 	// MaxSessions and SessionQuota mirror the gateway limits, enforced at
@@ -223,6 +223,9 @@ type Coordinator struct {
 	staged []*fragment // fragments whose subscribes the upstream commits this round
 	epochs tier.EpochPool
 	stats  Stats
+	// drainFrags is drainFragsLocked, bound once: a closure handed through
+	// the UpstreamSession interface would allocate every round.
+	drainFrags func()
 }
 
 // New builds a coordinator over cfg.Upstream. The upstream must be fresh:
@@ -241,6 +244,7 @@ func New(cfg Config) (*Coordinator, error) {
 		trees: tier.NewSorted[string, *shareTree](),
 	}
 	c.up.Store(&upstream{cfg.Upstream})
+	c.drainFrags = c.drainFragsLocked
 	kcfg := tier.Config{
 		Name:            "share",
 		Mu:              &c.mu,
@@ -248,7 +252,7 @@ func New(cfg Config) (*Coordinator, error) {
 		MaxSessions:     cfg.MaxSessions,
 		SessionQuota:    cfg.SessionQuota,
 		MailboxDeadline: cfg.MailboxDeadline,
-		Now:             c.now,
+		Now:             c.Now,
 		ApplySubscribe:  c.applySubscribeLocked,
 		ReleaseGroup:    func(g *tier.Group) { c.teardownTreeLocked(c.trees.Get(g.Key)) },
 	}
@@ -283,7 +287,7 @@ func (c *Coordinator) statsLocked() Stats {
 }
 
 // Now returns the upstream's virtual clock.
-func (c *Coordinator) Now() (sim.Time, error) { return c.up.Load().Now() }
+func (c *Coordinator) Now() sim.Time { return c.up.Load().Now() }
 
 // Alive reports whether the upstream is up.
 func (c *Coordinator) Alive() bool { return c.up.Load().Alive() }
@@ -343,20 +347,22 @@ func (c *Coordinator) Advance(d time.Duration) (int, error) {
 	}
 	c.staged = nil
 	c.replayLocked(acks)
-	// Fragments fold in key order, the order their floats add in, under one
-	// hold of the upstream's lock (every upstream session shares it). A
-	// stream the upstream closed under us (crash, eviction) stalls its trees
-	// until reattach or teardown.
 	if len(c.upSess) > 0 && c.frags.Len() > 0 {
-		c.upSess[0].session().Read(func() {
-			for _, fr := range c.frags.Values() {
-				fr.Drain(func(u gateway.Update) { c.mergeLocked(fr, u) })
-			}
-		})
+		c.upSess[0].Read(c.drainFrags)
 	}
 	c.releaseLocked()
 	c.k.AckLocked(acks)
 	return applied, upErr
+}
+
+// drainFragsLocked folds every fragment in key order, the order their floats
+// add in; the coordinator runs it inside one Read on its upstream, whose
+// stream lock every upstream session shares. A stream the upstream closed
+// under us (crash, eviction) stalls its trees until reattach or teardown.
+func (c *Coordinator) drainFragsLocked() {
+	for _, fr := range c.frags.Values() {
+		fr.Drain(func(u gateway.Update) { c.mergeLocked(fr, u) })
+	}
 }
 
 // applySubscribeLocked is the kernel's admission hook: join the query's live
@@ -428,14 +434,7 @@ func (c *Coordinator) traceFragLocked(trace, parent uint64, kind, key string) tr
 	return tracing.Context{Trace: trace, Span: id}
 }
 
-// now is the coordinator's virtual clock: the upstream's (zero when it is
-// down; spans recorded during an outage still order by Seq).
-func (c *Coordinator) now() sim.Time {
-	now, _ := c.up.Load().Now()
-	return now
-}
-
-func (c *Coordinator) nowMS() int64 { return time.Duration(c.now()).Milliseconds() }
+func (c *Coordinator) nowMS() int64 { return time.Duration(c.Now()).Milliseconds() }
 
 // materializeLocked admits one new fragment upstream: it picks (or grows)
 // an upstream session with quota headroom — the upstream's default session
@@ -472,7 +471,7 @@ func (c *Coordinator) materializeLocked(fq fragQuery, fctx tracing.Context) (*fr
 		return nil, fmt.Errorf("share: fragment subscribe: %w", err)
 	}
 	fr := &fragment{key: fq.key, sessIdx: idx}
-	fr.Stage(carrier{c.upSess[idx]}, func() (tier.Source, error) { return tk.Wait() })
+	fr.Stage(c.upSess[idx], func() (tier.Source, error) { return tk.Wait() })
 	c.frags.Set(fq.key, fr)
 	c.upLoad[idx]++
 	c.staged = append(c.staged, fr)
@@ -722,7 +721,7 @@ func (c *Coordinator) Reattach(up Upstream) error {
 				held = append(held, &fr.Stream)
 			}
 		}
-		c.stats.UpstreamResumes += int64(tier.Reattach(carrier{sess}, carried[i], held))
+		c.stats.UpstreamResumes += int64(tier.Reattach(sess, carried[i], held))
 	}
 	return nil
 }

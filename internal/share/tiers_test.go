@@ -180,7 +180,7 @@ func composedTiers(t *testing.T) map[string]composedTier {
 		"share": {
 			b:     c,
 			held:  func() int { return c.ShareStats().FragmentsActive },
-			ups:   func() []*gateway.Stats { return stats(gw.Stats) },
+			ups:   func() []*gateway.Stats { return stats(func() (gateway.Stats, error) { return gw.Stats(), nil }) },
 			crash: func() error { return gw.Crash() },
 			recover: func() error {
 				if gw, err = gateway.Recover(gcfg); err != nil {
@@ -287,16 +287,11 @@ func TestSessionLifecycleCountersAgreeAcrossTiers(t *testing.T) {
 				if _, err := b.Advance(testQuantum); err != nil {
 					t.Fatal(err)
 				}
-				for read {
-					select {
-					case u, ok := <-sub.Updates():
-						if ok {
-							last = u.Seq
-							continue
-						}
-					default:
-					}
-					break
+				if !read {
+					continue
+				}
+				if batch, _ := takeSub(sub); len(batch) > 0 {
+					last = batch[len(batch)-1].Seq
 				}
 			}
 		}

@@ -20,7 +20,7 @@ import (
 // is the component driving Advance.
 type Upstream interface {
 	Advance(d time.Duration) (int, error)
-	Now() (sim.Time, error)
+	Now() sim.Time
 	Alive() bool
 	Register(name string) (UpstreamSession, error)
 	Attach(name, token string) (UpstreamSession, []gateway.ResumeInfo, error)
@@ -33,10 +33,8 @@ type Upstream interface {
 // upstream boxes the interface for the coordinator's atomic pointer.
 type upstream struct{ Upstream }
 
-// UpstreamSession is one coordinator-owned session on the upstream tier.
-// Its unexported half is the tier session under it, which the coordinator
-// reads its fragments in place on (tier.Session.ReadInPlace and Read); a
-// decorator of this seam inherits it by embedding the session it wraps.
+// UpstreamSession is one coordinator-owned session on the upstream tier. It
+// is the tier.Carrier the coordinator holds its fragment streams on.
 type UpstreamSession interface {
 	Name() string
 	Token() string
@@ -44,7 +42,9 @@ type UpstreamSession interface {
 	// UnsubscribeAsync stages a cancel; completion may lag the call.
 	UnsubscribeAsync(id gateway.SubID) error
 	Resume(id gateway.SubID, after uint64) (UpstreamSub, error)
-	session() *tier.Session
+	// Read is tier.Session.Read: read runs under the upstream's stream lock,
+	// which covers every session of the upstream tier.
+	Read(read func())
 }
 
 // UpstreamTicket resolves to a fragment stream at the next Advance.
@@ -61,7 +61,7 @@ type tracedUpstreamSession interface {
 	subscribeTraced(q query.Query, tc tracing.Context) (UpstreamTicket, error)
 }
 
-// UpstreamSub is one live fragment stream, read in place (tier.Sub.Take).
+// UpstreamSub is one live fragment stream (tier.Sub.Take).
 type UpstreamSub = tier.Source
 
 // ---------------------------------------------------------------------------
@@ -96,18 +96,16 @@ func (u tierUpstream) Attach(name, token string) (UpstreamSession, []gateway.Res
 	return upSession{s}, infos, nil
 }
 
-type upSession struct{ s *tier.Session }
-
-func (s upSession) Name() string           { return s.s.Name() }
-func (s upSession) Token() string          { return s.s.Token() }
-func (s upSession) session() *tier.Session { return s.s }
+// upSession is the kernel's session with the upstream seam's subscribe
+// and stream calls.
+type upSession struct{ *tier.Session }
 
 func (s upSession) SubscribeAsync(q query.Query) (UpstreamTicket, error) {
 	return s.subscribeTraced(q, tracing.Context{})
 }
 
 func (s upSession) subscribeTraced(q query.Query, tc tracing.Context) (UpstreamTicket, error) {
-	tk, err := s.s.SubscribeAsync(gateway.SubscribeRequest{Query: q, Trace: tc})
+	tk, err := s.Session.SubscribeAsync(gateway.SubscribeRequest{Query: q, Trace: tc})
 	if err != nil {
 		return nil, err
 	}
@@ -115,12 +113,12 @@ func (s upSession) subscribeTraced(q query.Query, tc tracing.Context) (UpstreamT
 }
 
 func (s upSession) UnsubscribeAsync(id gateway.SubID) error {
-	_, err := s.s.UnsubscribeAsync(id)
+	_, err := s.Session.UnsubscribeAsync(id)
 	return err
 }
 
 func (s upSession) Resume(id gateway.SubID, after uint64) (UpstreamSub, error) {
-	sub, err := s.s.Resume(id, after)
+	sub, err := s.Session.Resume(id, after)
 	if err != nil {
 		return nil, err // a nil *Sub would be a non-nil UpstreamSub
 	}
@@ -136,9 +134,3 @@ func (t upTicket) Wait() (UpstreamSub, error) {
 	}
 	return sub, nil
 }
-
-// carrier holds the coordinator's fragment streams on one of its upstream
-// sessions.
-type carrier struct{ UpstreamSession }
-
-func (c carrier) ReadInPlace() { c.session().ReadInPlace() }

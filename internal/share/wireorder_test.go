@@ -12,8 +12,8 @@ import (
 // scheduling race: a late subscriber of a warm query has its cached window
 // in the stream at the very commit that admits it, so its first frames are
 // ready before the server has written the ack. The ack must still come
-// first — a client that waits for it with no OnFrame handler (the
-// SubscribeRetry default) would otherwise silently lose seq 1.
+// first — a client that waits for it, as SubscribeRetry does, drops the
+// frames before it and would otherwise silently lose seq 1.
 func TestAckPrecedesReplayedFrames(t *testing.T) {
 	c, _ := newTestCoord(t, gateway.Config{}, Config{Window: 3})
 	srv, err := gateway.NewServer(c, gateway.ServerConfig{

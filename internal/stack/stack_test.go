@@ -60,18 +60,13 @@ func advance(t *testing.T, st *Stack, rounds int) {
 	}
 }
 
+// drain takes what sub holds and counts it.
 func drain(sub *tier.Sub) (n int) {
-	for {
-		select {
-		case _, ok := <-sub.Updates():
-			if !ok {
-				return n
-			}
-			n++
-		default:
-			return n
-		}
-	}
+	sub.Session().Read(func() {
+		batch, _ := sub.Take(nil)
+		n = len(batch)
+	})
+	return n
 }
 
 // TestBuildShapes: each of the four shapes comes back with the handles it

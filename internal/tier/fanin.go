@@ -16,9 +16,9 @@ import (
 // floats add in), and when an epoch releases.
 //
 // The upstream advances inside the composing tier's Advance, which waits for
-// it, so no stream needs a channel: the upstream pushes into the stream's
-// buffer in its kernel, and the composing tier takes the buffers of all its
-// streams on one upstream session inside one Session.Read per round.
+// it: the upstream pushes into the stream's buffer in its kernel, and the
+// composing tier takes the buffers of all its streams on one upstream tier
+// inside one Session.Read per round.
 
 // Source is a live upstream stream as the fan-in drains it; Sub.Take is the
 // kernel's.
@@ -31,12 +31,9 @@ type Source interface {
 // Carrier is the upstream session a composing tier holds its streams on. An
 // unsubscribe is best effort: a carrier that is down refuses it, and the
 // re-attach rule unsubscribes the stream once the upstream is back.
-// ReadInPlace is Session.ReadInPlace: the fan-in calls it whenever it binds
-// a stream to the carrier, before the upstream commits or resumes one.
 type Carrier interface {
 	UnsubscribeAsync(id SubID) error
 	Resume(id SubID, after uint64) (Source, error)
-	ReadInPlace()
 }
 
 // Stream is one upstream subscription a composing tier holds for its trees:
@@ -59,7 +56,6 @@ type Stream struct {
 // Stage starts the stream for one holder: a subscribe staged on carrier on,
 // which wait collects once the upstream has committed it.
 func (s *Stream) Stage(on Carrier, wait func() (Source, error)) {
-	on.ReadInPlace()
 	s.on, s.wait, s.holders = on, wait, 1
 }
 
@@ -135,7 +131,6 @@ func (s *Stream) Drain(fold func(Update)) {
 // live again); a carried stream nobody holds is unsubscribed. A staged
 // stream resolves later, on the new carrier. It returns how many resumed.
 func Reattach(on Carrier, carried []ResumeInfo, held []*Stream) (resumed int) {
-	on.ReadInPlace()
 	for _, s := range held {
 		s.on = on
 		if s.id != 0 && slices.ContainsFunc(carried, func(in ResumeInfo) bool { return in.ID == s.id }) {

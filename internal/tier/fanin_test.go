@@ -13,32 +13,18 @@ import (
 	"repro/internal/sim"
 )
 
-// fakeSource is an upstream stream whose channel the test fills; Take reads
-// it as a channel reader would.
+// fakeSource is an upstream stream whose buffer the test fills.
 type fakeSource struct {
-	id SubID
-	ch chan Update
+	id  SubID
+	buf []Update
 }
 
-func (f *fakeSource) ID() SubID                            { return f.id }
-func (f *fakeSource) QueryID() query.ID                    { return query.ID(f.id) }
-func (f *fakeSource) Take(spare []Update) ([]Update, bool) { return takeChan(f.ch, spare) }
-
-// takeChan is a channel reader's Take: everything waiting, and whether the
-// channel is still open.
-func takeChan(ch <-chan Update, spare []Update) ([]Update, bool) {
-	batch := spare[:0]
-	for {
-		select {
-		case u, ok := <-ch:
-			if !ok {
-				return batch, false
-			}
-			batch = append(batch, u)
-		default:
-			return batch, true
-		}
-	}
+func (f *fakeSource) ID() SubID         { return f.id }
+func (f *fakeSource) QueryID() query.ID { return query.ID(f.id) }
+func (f *fakeSource) Take(spare []Update) ([]Update, bool) {
+	batch := f.buf
+	f.buf = spare[:0]
+	return batch, true
 }
 
 // fakeCarrier records what a Stream asks of its upstream session.
@@ -52,17 +38,15 @@ func (c *fakeCarrier) UnsubscribeAsync(id SubID) error {
 	return nil
 }
 
-func (c *fakeCarrier) ReadInPlace() {}
-
 func (c *fakeCarrier) Resume(id SubID, after uint64) (Source, error) {
 	c.resumed = append(c.resumed, fmt.Sprintf("%d@%d", id, after))
-	return &fakeSource{id: id, ch: make(chan Update, 4)}, nil
+	return &fakeSource{id: id}, nil
 }
 
 // staged starts a stream on on whose subscribe resolves to id.
 func staged(on Carrier, id SubID) *Stream {
 	s := new(Stream)
-	s.Stage(on, func() (Source, error) { return &fakeSource{id: id, ch: make(chan Update, 4)}, nil })
+	s.Stage(on, func() (Source, error) { return &fakeSource{id: id}, nil })
 	return s
 }
 
@@ -85,8 +69,7 @@ func TestStreamHeldExactlyWhileNeeded(t *testing.T) {
 	if err != nil || src == nil || shared.ID() != 2 {
 		t.Fatalf("a held stream resolved to %v, %v (id %d)", src, err, shared.ID())
 	}
-	src.(*fakeSource).ch <- Update{Seq: 1}
-	src.(*fakeSource).ch <- Update{Seq: 2}
+	src.(*fakeSource).buf = []Update{{Seq: 1}, {Seq: 2}}
 	var seqs []uint64
 	shared.Drain(func(u Update) { seqs = append(seqs, u.Seq) })
 	if fmt.Sprint(seqs) != "[1 2]" {

@@ -109,19 +109,20 @@ func mustSub(t *testing.T, f *fakeTier, s *Session, text string) *Sub {
 	return sub
 }
 
-func seqs(ch <-chan Update) []uint64 {
+// take is one reader's Take of sub, inside its session's Read.
+func take(sub *Sub) (batch []Update, live bool) {
+	sub.Session().Read(func() { batch, live = sub.Take(nil) })
+	return batch, live
+}
+
+// seqs takes what sub holds and lists its sequence numbers.
+func seqs(sub *Sub) []uint64 {
 	var out []uint64
-	for {
-		select {
-		case u, ok := <-ch:
-			if !ok {
-				return out
-			}
-			out = append(out, u.Seq)
-		default:
-			return out
-		}
+	batch, _ := take(sub)
+	for _, u := range batch {
+		out = append(out, u.Seq)
 	}
+	return out
 }
 
 func wantErr(t *testing.T, err error, substr string) {
@@ -220,7 +221,7 @@ func TestKernelLifecycle(t *testing.T) {
 		{"detach, ring bound, resume with and without a gap", Config{Buffer: 4}, func(t *testing.T, f *fakeTier) {
 			s := mustRegister(t, f, "a")
 			sub := mustSub(t, f, s, qLight)
-			f.deliver(qLight, 2) // seq 1,2 buffered in the channel
+			f.deliver(qLight, 2) // seq 1,2 buffered in the stream
 			if err := s.Detach(); err != nil {
 				t.Fatal(err)
 			}
@@ -253,7 +254,7 @@ func TestKernelLifecycle(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := fmt.Sprint(seqs(rs.Updates())); got != "[3 4 5 6]" {
+			if got := fmt.Sprint(seqs(rs)); got != "[3 4 5 6]" {
 				t.Fatalf("resumed tail %s, want [3 4 5 6]", got)
 			}
 			_, err = s.Resume(sub.ID(), 1)
@@ -277,11 +278,11 @@ func TestKernelLifecycle(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := fmt.Sprint(seqs(rs.Updates())); got != "[7 8]" {
+			if got := fmt.Sprint(seqs(rs)); got != "[7 8]" {
 				t.Fatalf("resumed tail %s, want [7 8]", got)
 			}
 			f.deliver(qLight, 1)
-			if got := fmt.Sprint(seqs(rs.Updates())); got != "[9]" {
+			if got := fmt.Sprint(seqs(rs)); got != "[9]" {
 				t.Fatalf("live after resume %s, want [9]", got)
 			}
 			st := f.stats()
@@ -309,7 +310,7 @@ func TestKernelLifecycle(t *testing.T) {
 			if !raised() || raised() {
 				t.Fatal("want exactly one pending wake-up after a round of pushes")
 			}
-			if got := fmt.Sprint(seqs(a.Updates()), seqs(b.Updates())); got != "[1 2] [1]" {
+			if got := fmt.Sprint(seqs(a), seqs(b)); got != "[1 2] [1]" {
 				t.Fatalf("streams hold %s, want [1 2] [1]", got)
 			}
 			// A close raises it too: by unsubscribe, and by eviction.
@@ -357,7 +358,7 @@ func TestKernelLifecycle(t *testing.T) {
 			case <-time.After(time.Second):
 				t.Fatal("ready not raised for a resumed stream holding [1 2]")
 			}
-			if got := fmt.Sprint(seqs(rs.Updates())); got != "[1 2]" {
+			if got := fmt.Sprint(seqs(rs)); got != "[1 2]" {
 				t.Fatalf("resumed tail %s, want [1 2]", got)
 			}
 		}},
@@ -366,9 +367,9 @@ func TestKernelLifecycle(t *testing.T) {
 			ss, fs := mustSub(t, f, slow, qLight), mustSub(t, f, fast, qLight)
 			for i := 0; i < 3; i++ {
 				f.deliver(qLight, 1)
-				seqs(fs.Updates()) // fast keeps reading, slow never does
+				seqs(fs) // fast keeps reading, slow never does
 			}
-			if got := fmt.Sprint(seqs(ss.Updates())); got != "[1 2]" || ss.Reason() != ReasonEvicted {
+			if got := fmt.Sprint(seqs(ss)); got != "[1 2]" || ss.Reason() != ReasonEvicted {
 				t.Fatalf("slow stream %s reason %v, want [1 2] evicted", got, ss.Reason())
 			}
 			if fs.Reason() != ReasonNone {
@@ -439,7 +440,7 @@ func TestKernelLifecycle(t *testing.T) {
 				t.Fatalf("attach = %v %+v", err, infos)
 			}
 			rs, err := s.Resume(5, 0)
-			if err != nil || fmt.Sprint(seqs(rs.Updates())) != "[1]" {
+			if err != nil || fmt.Sprint(seqs(rs)) != "[1]" {
 				t.Fatalf("resume = %v", err)
 			}
 			// Fresh ids continue past the restored one.
@@ -459,7 +460,7 @@ func TestKernelLifecycle(t *testing.T) {
 			if _, err := pending.Wait(); !errors.Is(err, ErrClosed) {
 				t.Fatalf("staged command at crash = %v, want ErrClosed", err)
 			}
-			if _, open := <-sub.Updates(); open || sub.Reason() != ReasonCrashed {
+			if _, open := take(sub); open || sub.Reason() != ReasonCrashed {
 				t.Fatalf("stream after crash: open=%v reason %v", open, sub.Reason())
 			}
 			// Nothing drains: no hook ran, the table is as it was.
@@ -500,7 +501,7 @@ func TestKernelLifecycle(t *testing.T) {
 		{"push to a stream closed in the commit that admitted it", Config{}, func(t *testing.T, f *fakeTier) {
 			// Subscribe then close in one batch: the ack is still pending
 			// when the stream shuts, and a tier replaying cached epochs to
-			// its acks must find the push dropped, not a closed channel.
+			// its acks must find the push dropped, not a closed stream.
 			s := mustRegister(t, f, "a")
 			tk := stage(t, s, qLight)
 			if err := s.CloseAsync(); err != nil {
@@ -562,7 +563,7 @@ func TestKernelLifecycle(t *testing.T) {
 			if sb.Reason() != ReasonShutdown || len(f.released) != 2 {
 				t.Fatalf("reason %v released %v", sb.Reason(), f.released)
 			}
-			if _, ok := <-sb.Updates(); ok {
+			if _, ok := take(sb); ok {
 				t.Fatal("stream still open after close")
 			}
 			_, err = b.SubscribeAsync(SubscribeRequest{Query: query.MustParse(qLight)})

@@ -195,7 +195,7 @@ type Counters struct {
 	// counts detached sessions closed by the idle timeout; Recoveries is 1
 	// on a gateway rebuilt by Recover. After a recovery the counters are
 	// the deterministic replay's view of history: evictions replay as
-	// unsubscriptions, and drops on long-gone live channels are not
+	// unsubscriptions, and drops on long-gone live streams are not
 	// re-counted.
 	Detaches    int64 `json:"detaches"`
 	Attaches    int64 `json:"attaches"`
