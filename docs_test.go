@@ -91,6 +91,17 @@ func TestDocsMentionEveryCommand(t *testing.T) {
 	}
 }
 
+// TestDocsListEveryStudy: README.md names every study of the evaluation
+// registry as `-fig <name>`, so a study added to ttmqo-bench is documented.
+func TestDocsListEveryStudy(t *testing.T) {
+	readme := readDoc(t, "README.md")
+	for _, name := range StudyNames() {
+		if !regexp.MustCompile(`-fig ` + regexp.QuoteMeta(name) + `\b`).MatchString(readme) {
+			t.Errorf("README.md does not name -fig %s", name)
+		}
+	}
+}
+
 // TestDesignListsEveryInternalPackage: DESIGN.md §2 is the module map, so
 // every package under internal/ and every program under cmd/ has a row.
 func TestDesignListsEveryInternalPackage(t *testing.T) {

@@ -22,14 +22,6 @@ import (
 // stranded in flight.
 type ChaosConfig struct {
 	Seed int64
-	// Side of the grid (4 if zero).
-	Side int
-	// Clients is the number of subscriber sessions per scenario
-	// (4 if zero).
-	Clients int
-	// Scenarios lists the runs: builtin names (chaos.BuiltinNames) or whole
-	// scenario files read into text form. Default: every builtin.
-	Scenarios []string
 	// Parallelism caps the worker pool running independent scenarios (<= 0:
 	// one worker per CPU). Results are identical at any setting.
 	Parallelism int
@@ -60,37 +52,35 @@ type ChaosRow struct {
 	Violations []string `json:"violations,omitempty"`
 }
 
-// RunChaos sweeps the fault scenarios. Each scenario is an independent
-// cell with its own WAL file, so the sweep parallelizes like every other
-// study — and, like them, produces byte-identical rows at any parallelism.
+// RunChaos sweeps every builtin fault scenario (chaos.BuiltinNames) on the
+// script drill's own grid and clients (4 × 4, 4 sessions). Each scenario
+// is an independent cell with its own WAL file, so the sweep parallelizes
+// like every other study — and, like them, produces byte-identical rows at
+// any parallelism.
 func RunChaos(cfg ChaosConfig) ([]ChaosRow, error) {
-	if len(cfg.Scenarios) == 0 {
-		cfg.Scenarios = chaos.BuiltinNames()
-	}
 	dir, err := os.MkdirTemp("", "ttmqo-chaos-")
 	if err != nil {
 		return nil, err
 	}
 	defer os.RemoveAll(dir)
 	type cell struct {
-		i   int
-		ref string
+		i    int
+		name string
 	}
-	cells := make([]cell, len(cfg.Scenarios))
-	for i, ref := range cfg.Scenarios {
-		cells[i] = cell{i: i, ref: ref}
+	names := chaos.BuiltinNames()
+	cells := make([]cell, len(names))
+	for i, name := range names {
+		cells[i] = cell{i: i, name: name}
 	}
 	return sweep(cfg.Parallelism, cfg.Timing, cells, func(c cell) (ChaosRow, error) {
-		sc, err := chaos.Load(c.ref)
+		sc, err := chaos.Builtin(c.name)
 		if err != nil {
 			return ChaosRow{}, err
 		}
 		rep, err := chaos.Run(chaos.ScriptDrill, chaos.Config{
-			Script:  sc,
-			Seed:    cfg.Seed,
-			Side:    cfg.Side,
-			Clients: cfg.Clients,
-			WALDir:  filepath.Join(dir, fmt.Sprintf("cell-%02d", c.i)),
+			Script: sc,
+			Seed:   cfg.Seed,
+			WALDir: filepath.Join(dir, fmt.Sprintf("cell-%02d", c.i)),
 		})
 		if err != nil {
 			return ChaosRow{}, fmt.Errorf("scenario %q: %w", sc.Name, err)

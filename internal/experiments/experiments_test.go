@@ -208,6 +208,10 @@ func TestFigure5Shape(t *testing.T) {
 }
 
 func TestFigStringRenderers(t *testing.T) {
+	f2 := Fig2String([]Fig2Row{{Mode: "tinydb", AcqMessages: 20, WantAcqMessages: 20}})
+	if !strings.Contains(f2, "20 (20)") {
+		t.Errorf("Fig2String: %q", f2)
+	}
 	f3 := Fig3String([]Fig3Row{{Workload: "A", Nodes: 16, Scheme: network.TTMQO, AvgTxPct: 0.5}})
 	if !strings.Contains(f3, "ttmqo") {
 		t.Errorf("Fig3String: %q", f3)
@@ -239,7 +243,16 @@ func TestRunAllReport(t *testing.T) {
 			t.Errorf("report missing %q", want)
 		}
 	}
-	if len(r.Fig3) != 24 || len(r.Fig5) != 15 {
-		t.Fatalf("row counts: fig3=%d fig5=%d", len(r.Fig3), len(r.Fig5))
+	if strings.Index(md, "## Energy & network lifetime") > strings.Index(md, "## Tier-2 mechanism ablation") {
+		t.Error("report sections out of registry order: ablation must follow lifetime")
+	}
+	rows := map[string]any{}
+	for _, s := range r.Studies {
+		rows[s.Name] = s.Rows
+	}
+	fig3, _ := rows["figure 3"].([]Fig3Row)
+	fig5, _ := rows["figure 5"].([]Fig5Row)
+	if len(fig3) != 24 || len(fig5) != 15 {
+		t.Fatalf("row counts: fig3=%d fig5=%d", len(fig3), len(fig5))
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/network"
+	"repro/internal/runner"
 )
 
 // Study is one named row set inside a sweep export — typically one figure or
@@ -15,6 +16,12 @@ type Study struct {
 	// typed any so one envelope serves every study; decoding uses the
 	// concrete row type of the named study.
 	Rows any `json:"rows"`
+	// Timing is the study's sweep wall clock when Run produced it; it stays
+	// out of the JSON, so exports are identical at any parallelism.
+	Timing runner.Timing `json:"-"`
+	// entry is the registry entry that ran the study; Report.Markdown
+	// renders through it, so it is set on every study Run returns.
+	entry *entry
 }
 
 // Export is the JSON envelope for experiment sweeps: a manifest plus the
@@ -42,27 +49,17 @@ func WriteSweepJSON(w io.Writer, m network.Manifest, studies ...Study) error {
 	return network.WriteJSON(w, Export{Manifest: m, Studies: studies})
 }
 
-// Export bundles every study of the report into the JSON envelope. Timings
-// and Elapsed are deliberately excluded: they are wall-clock measurements,
-// and exported results must be identical at any parallelism setting.
+// Export bundles the report's studies into the JSON envelope, under a
+// manifest named for the selection that ran. Timings and Elapsed stay out:
+// they are wall-clock measurements, and exported results must be identical
+// at any parallelism setting.
 func (r *Report) Export() Export {
-	m := SweepManifest("all", r.Config.Seed, r.Config.Duration, r.Config.Runs)
-	return Export{Manifest: m, Studies: []Study{
-		{Name: "figure 2", Rows: r.Fig2},
-		{Name: "figure 3", Rows: r.Fig3},
-		{Name: "figure 4a", Rows: r.Fig4A},
-		{Name: "figure 4b", Rows: r.Fig4B},
-		{Name: "figure 4c", Rows: r.Fig4C},
-		{Name: "figure 5", Rows: r.Fig5},
-		{Name: "ablation", Rows: r.Ablation},
-		{Name: "reliability", Rows: r.Reliability},
-		{Name: "chaos", Rows: r.Chaos},
-		{Name: "lifetime", Rows: r.Lifetime},
-		{Name: "scaling", Rows: r.Scaling},
-	}}
+	m := SweepManifest(r.Fig, r.Config.Seed, r.Config.Duration, r.Config.Runs)
+	return Export{Manifest: m, Studies: r.Studies}
 }
 
-// WriteJSON exports the report (manifest + all study rows) to w.
+// WriteJSON exports the report (manifest + the rows of every study that
+// ran) to w.
 func (r *Report) WriteJSON(w io.Writer) error {
 	return network.WriteJSON(w, r.Export())
 }

@@ -69,29 +69,33 @@ func TestExportedSweepJSONIdenticalAcrossParallelism(t *testing.T) {
 	}
 }
 
-// Report.Export covers every study and excludes wall-clock timing, so a
-// full-report export is reproducible too.
+// Report.Export covers every study of the registry, in registry order, and
+// excludes wall-clock timing, so a full-report export is reproducible too.
 func TestReportExportShape(t *testing.T) {
-	r := &Report{
-		Config: ReportConfig{Seed: 1, Duration: time.Minute, Runs: 2},
-		Fig3:   []Fig3Row{{Workload: "A", Nodes: 16, Scheme: 1, AvgTxPct: 0.4}},
+	r, err := RunAll(ReportConfig{Seed: 1, Duration: time.Minute, Runs: 1})
+	if err != nil {
+		t.Fatal(err)
 	}
 	ex := r.Export()
-	if len(ex.Studies) != 11 {
-		t.Fatalf("studies = %d, want 11", len(ex.Studies))
-	}
-	if ex.Manifest.Study != "all" || ex.Manifest.Seed != 1 || ex.Manifest.Runs != 2 {
+	if ex.Manifest.Study != "all" || ex.Manifest.Seed != 1 || ex.Manifest.Runs != 1 {
 		t.Fatalf("manifest = %+v", ex.Manifest)
+	}
+	var names []string
+	for _, s := range ex.Studies {
+		names = append(names, s.Name)
+	}
+	want := []string{"figure 2", "figure 3", "figure 4a", "figure 4b", "figure 4c", "figure 5",
+		"reliability", "chaos", "scaling", "federation", "share", "lifetime", "ablation"}
+	if !reflect.DeepEqual(names, want) {
+		t.Fatalf("studies = %q, want %q", names, want)
 	}
 	var buf bytes.Buffer
 	if err := r.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
-	out := buf.String()
-	for _, name := range []string{"figure 2", "figure 3", "figure 4a", "figure 4b",
-		"figure 4c", "figure 5", "ablation", "reliability", "chaos", "lifetime", "scaling"} {
+	for _, name := range want {
 		if !bytes.Contains(buf.Bytes(), []byte(`"name": "`+name+`"`)) {
-			t.Fatalf("study %q missing from export:\n%s", name, out)
+			t.Fatalf("study %q missing from export:\n%s", name, buf.String())
 		}
 	}
 	if bytes.Contains(buf.Bytes(), []byte("Wall")) || bytes.Contains(buf.Bytes(), []byte("wall")) {

@@ -279,8 +279,6 @@ type (
 	// Parallelism knob capping its worker pool (<= 0: one worker per CPU);
 	// result rows are identical at any setting.
 	SweepTiming = runner.Timing
-	// StudyTiming pairs a study name with its sweep timing in a Report.
-	StudyTiming = experiments.StudyTiming
 	// Trace is a span recorder; one built by NewTrace and passed in
 	// SimulationConfig.Trace records the run's event log.
 	Trace = tracing.Recorder
@@ -451,13 +449,6 @@ func RunReliability(cfg ReliabilityConfig) ([]ReliabilityRow, error) {
 // user-visible damage plus any delivery-invariant violations.
 func RunChaos(cfg ChaosConfig) ([]ChaosRow, error) { return experiments.RunChaos(cfg) }
 
-// ChaosString renders the chaos study as a text table.
-func ChaosString(rows []ChaosRow) string { return experiments.ChaosString(rows) }
-
-// ScalingString renders the scaling study as a text table, including the
-// per-query time-to-first-result columns.
-func ScalingString(rows []ScalingRow) string { return experiments.ScalingString(rows) }
-
 // ParseChaosScenario reads a fault scenario in the chaos text format;
 // BuiltinChaosScenario returns a canned one by name (none, churn, burst,
 // partition, crash, mixed).
@@ -482,12 +473,6 @@ func RunFederationScaling(cfg FederationScalingConfig) ([]FederationScalingRow, 
 	return experiments.RunFederationScaling(cfg)
 }
 
-// FederationScalingString renders the federation scaling study as a text
-// table.
-func FederationScalingString(rows []FederationScalingRow) string {
-	return experiments.FederationScalingString(rows)
-}
-
 // RunShareStudy sweeps query-overlap factors with the tier-2 sharing
 // layer on and off, measuring injected tier-1 messages and cold vs
 // warm-cache late-subscriber time-to-first-result.
@@ -495,19 +480,26 @@ func RunShareStudy(cfg ShareStudyConfig) ([]ShareStudyRow, error) {
 	return experiments.RunShareStudy(cfg)
 }
 
-// ShareStudyString renders the cross-query sharing study as a text table.
-func ShareStudyString(rows []ShareStudyRow) string {
-	return experiments.ShareStudyString(rows)
-}
-
 // DefaultEnergyModel returns the mica2-flavoured energy defaults.
 func DefaultEnergyModel() EnergyModel { return metrics.DefaultEnergyModel() }
 
-// ReportConfig parametrizes RunAllExperiments.
+// ReportConfig is the options value every study of RunStudies and
+// RunAllExperiments runs from.
 type ReportConfig = experiments.ReportConfig
 
-// Report bundles one full evaluation run; its Markdown method renders it.
+// Report bundles one evaluation run: each study's rows and timing. Its
+// Markdown method renders it, its WriteJSON method exports it.
 type Report = experiments.Report
+
+// StudyNames lists every figure and extension study by its
+// cmd/ttmqo-bench -fig name, in run order.
+func StudyNames() []string { return experiments.StudyNames() }
+
+// RunStudies executes the study named fig (one of StudyNames, or "all"),
+// writing each text table to out (when non-nil) as it finishes.
+func RunStudies(cfg ReportConfig, fig string, out io.Writer) (*Report, error) {
+	return experiments.Run(cfg, fig, out)
+}
 
 // RunAllExperiments executes every figure and extension study and returns
 // the bundled report.
