@@ -49,13 +49,14 @@
 //   - ttmqo-bench regenerates the paper's evaluation figures
 //     (-fig, -minutes, -runs, -parallel, -seed, -json, -md,
 //     -cpuprofile, -memprofile).
-//   - ttmqo-sim runs one scenario from flags (-side, -scheme, -workload,
-//     -minutes, -seed, -alpha, -concurrency, -queries, -runs, -parallel,
-//     -mtbf, -mttr, -v, -trace, -field, -json, -series, -sample,
-//     -cpuprofile, -memprofile).
-//   - ttmqo-workload generates, inspects and replays JSON workload files
-//     (gen/show/run subcommands; -kind, -out, -seed, -queries,
-//     -concurrency, -minutes, -side, -scheme, -compare, -parallel, -json).
+//   - ttmqo-sim runs a scenario from flags (-side, -scheme, -workload,
+//     -minutes, -seed, -alpha, -concurrency, -queries, -runs, -compare,
+//     -parallel, -mtbf, -mttr, -v, -trace, -field, -json, -series,
+//     -sample, -cpuprofile, -memprofile): a named workload or a workload
+//     file, one run in detail, a run of seeds, or ttmqo-sim -workload
+//     w.json -compare for every scheme at one seed.
+//   - ttmqo-workload generates and inspects JSON workload files
+//     (gen/show subcommands; -kind, -out, -seed, -queries, -concurrency).
 //   - ttmqo-shell is an interactive console over a live simulation.
 //   - ttmqo-serve is the multi-client serving gateway over TCP (binary
 //     frames to clients that negotiate them, newline-delimited JSON to
