@@ -40,12 +40,9 @@ type plan struct {
 	shards []int        // slices[i].shard, for the per-epoch release walk
 }
 
-// planQuery splits q across K shards of spn sensors each.
-func planQuery(q query.Query, shards, spn int) (*plan, error) {
-	n := q.Normalize()
-	if err := n.Validate(); err != nil {
-		return nil, err
-	}
+// planQuery splits the canonical query n (gateway.Canonicalize) across K
+// shards of spn sensors each.
+func planQuery(n query.Query, shards, spn int) (*plan, error) {
 	if n.GroupBy != nil && n.GroupBy.Attr == field.AttrNodeID {
 		return nil, fmt.Errorf("federation: GROUP BY nodeid is not federatable (shard-local ids)")
 	}

@@ -19,9 +19,18 @@ const (
 	testSPN    = 3
 )
 
+// planText plans a query text as the router does: canonical form first.
+func planText(text string) (*plan, error) {
+	q, _, err := gateway.Canonicalize(query.MustParse(text))
+	if err != nil {
+		return nil, err
+	}
+	return planQuery(q, testShards, testSPN)
+}
+
 func mustPlan(t *testing.T, text string) *plan {
 	t.Helper()
-	p, err := planQuery(query.MustParse(text), testShards, testSPN)
+	p, err := planText(text)
 	if err != nil {
 		t.Fatalf("planQuery(%q): %v", text, err)
 	}
@@ -66,14 +75,14 @@ func TestPlanDropsShardAndCoveringPredicate(t *testing.T) {
 }
 
 func TestPlanRejectsOutOfRangeAndNodeIDAggs(t *testing.T) {
-	if _, err := planQuery(query.MustParse("SELECT light WHERE nodeid > 6 EPOCH DURATION 8192ms"), testShards, testSPN); err == nil {
+	if _, err := planText("SELECT light WHERE nodeid > 6 EPOCH DURATION 8192ms"); err == nil {
 		t.Fatal("predicate past the last shard must not plan")
 	}
 	for _, text := range []string{
 		"SELECT MAX(nodeid) EPOCH DURATION 8192ms",
 		"SELECT AVG(light) GROUP BY nodeid EPOCH DURATION 8192ms",
 	} {
-		if _, err := planQuery(query.MustParse(text), testShards, testSPN); err == nil {
+		if _, err := planText(text); err == nil {
 			t.Fatalf("%q must be rejected (shard-local ids)", text)
 		}
 	}

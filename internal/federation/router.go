@@ -688,12 +688,10 @@ func (r *Router) Advance(d time.Duration) (int, error) {
 // live tree, or plan a new one and stage its canonical upstream on every
 // shard the region touches.
 func (r *Router) applySubscribeLocked(a tier.Admission) (*tier.Group, error) {
-	q := a.Query.Normalize()
-	q.ID = 0
-	if q.Lifetime != 0 {
-		return nil, fmt.Errorf("federation: LIFETIME is not supported for subscriptions")
+	q, key, err := gateway.Canonicalize(a.Query)
+	if err != nil {
+		return nil, err
 	}
-	key := gateway.CanonicalKey(q)
 	if tr := r.trees.Get(key); tr != nil {
 		if r.cfg.Tracer != nil {
 			r.cfg.Tracer.Record(tracing.Span{

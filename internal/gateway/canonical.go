@@ -1,7 +1,7 @@
 package gateway
 
 import (
-	"fmt"
+	"errors"
 
 	"repro/internal/query"
 )
@@ -27,15 +27,19 @@ func CanonicalKey(q query.Query) string {
 	return c.String()
 }
 
-// canonicalize validates a client query for serving and returns its
-// normalized form plus cache key. Subscriptions are continuous: a LIFETIME
-// clause is rejected because the gateway owns the query's lifecycle via
-// reference counting.
-func canonicalize(q query.Query) (query.Query, string, error) {
+// errLifetime is every tier's refusal of a LIFETIME subscription.
+var errLifetime = errors.New("subscribe: LIFETIME is not supported (a subscription ends when its last subscriber leaves)")
+
+// Canonicalize validates a client query for serving and returns its
+// normalized form plus cache key: the one canonical subscription form the
+// gateway, the federation router and the share coordinator admit.
+// Subscriptions are continuous: a LIFETIME clause is rejected because each
+// tier owns the query's lifecycle via reference counting.
+func Canonicalize(q query.Query) (query.Query, string, error) {
 	n := q.Normalize()
 	n.ID = 0
 	if n.Lifetime != 0 {
-		return query.Query{}, "", fmt.Errorf("gateway: LIFETIME is not supported for subscriptions (the gateway cancels a query when its last subscriber leaves)")
+		return query.Query{}, "", errLifetime
 	}
 	if err := n.Validate(); err != nil {
 		return query.Query{}, "", err

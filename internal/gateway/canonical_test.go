@@ -120,7 +120,7 @@ func TestCanonicalKeyIgnoresIdentity(t *testing.T) {
 // unsubscribe, not by a LIFETIME clause.
 func TestCanonicalizeRejectsLifetime(t *testing.T) {
 	q := query.MustParse("SELECT light EPOCH DURATION 8192ms LIFETIME 60s")
-	if _, _, err := canonicalize(q); err == nil {
+	if _, _, err := Canonicalize(q); err == nil {
 		t.Fatalf("lifetime query accepted")
 	}
 }

@@ -665,7 +665,7 @@ func (g *Gateway) BrownoutLevel() resilience.Level {
 // gateway-wide cap, the session's token bucket, then dedup-or-admit. An
 // admitted subscribe is logged here, in commit order.
 func (g *Gateway) applySubscribeLocked(a tier.Admission) (*tier.Group, error) {
-	n, key, err := canonicalize(a.Query)
+	n, key, err := Canonicalize(a.Query)
 	if err != nil {
 		return nil, err
 	}

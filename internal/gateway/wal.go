@@ -334,7 +334,7 @@ func (g *Gateway) replay(sessions map[string]*Session, r walRecord, end sim.Time
 		if err != nil {
 			return fmt.Errorf("canonical query %q: %w", r.Query, err)
 		}
-		n, key, err := canonicalize(q)
+		n, key, err := Canonicalize(q)
 		if err != nil {
 			return err
 		}

@@ -15,8 +15,6 @@ import (
 	"repro/internal/tracing"
 )
 
-var errLifetime = fmt.Errorf("share: LIFETIME is not supported for subscriptions (the coordinator cancels fragments when their last reference drops)")
-
 // Defaults.
 const (
 	// DefaultCell is the fragment cell width in sensor ids. Smaller cells

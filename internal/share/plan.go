@@ -17,6 +17,7 @@ import (
 	"cmp"
 	"slices"
 
+	"repro/internal/gateway"
 	"repro/internal/query"
 	"repro/internal/tier"
 )
@@ -31,7 +32,7 @@ type fragQuery struct {
 // sharePlan is the decomposition of one canonical downstream query.
 type sharePlan struct {
 	q   query.Query // canonical downstream form
-	key string      // gateway.CanonicalKey(q)
+	key string      // its canonical key (gateway.Canonicalize)
 	agg bool        // aggregation (recombine) vs acquisition (concatenate)
 	// passthrough: the query could not be decomposed (GROUP BY or windowed
 	// aggregates); it rides as a single exact fragment, still deduplicated
@@ -47,25 +48,18 @@ type sharePlan struct {
 // partitions the query's node set exactly (required for aggregate
 // correctness — every sensor is counted once).
 func planShare(q query.Query, sensors, cell int) (*sharePlan, error) {
-	n := q.Normalize()
-	n.ID = 0
-	if n.Lifetime != 0 {
-		return nil, errLifetime
-	}
-	if err := n.Validate(); err != nil {
+	n, key, err := gateway.Canonicalize(q)
+	if err != nil {
 		return nil, err
 	}
-	p := &sharePlan{q: n, key: n.String(), agg: n.IsAggregation()}
+	p := &sharePlan{q: n, key: key, agg: n.IsAggregation()}
 
 	// GROUP BY buckets and windowed aggregates are not decomposable into
 	// region partials here (group keys and window states live inside the
 	// network); they pass through whole but still share by canonical key.
 	if n.GroupBy != nil || len(n.Wins) > 0 {
 		p.passthrough = true
-		f := n.Clone()
-		f.Lifetime = 0
-		f = f.Normalize()
-		p.frags = []fragQuery{{q: f, key: f.String()}}
+		p.frags = []fragQuery{{q: n.Clone(), key: key}}
 		return p, nil
 	}
 

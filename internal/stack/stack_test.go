@@ -111,6 +111,46 @@ func TestBuildShapes(t *testing.T) {
 	}
 }
 
+// TestLifetimeRefusedOnEveryShape: a subscription lasts until its last
+// subscriber leaves, so every shape's top tier refuses a LIFETIME clause at
+// commit, with the one refusal of the canonical subscription form.
+func TestLifetimeRefusedOnEveryShape(t *testing.T) {
+	_, _, want := gateway.Canonicalize(query.MustParse("SELECT light EPOCH DURATION 8192ms LIFETIME 60s"))
+	if want == nil {
+		t.Fatal("Canonicalize accepted a LIFETIME query")
+	}
+	for _, tc := range []struct {
+		name   string
+		shards int
+		share  bool
+	}{
+		{"gateway", 0, false},
+		{"share", 0, true},
+		{"shards", 2, false},
+		{"share over shards", 2, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			st, err := Build(spec(t, tc.shards, tc.share, ""))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer st.Close()
+			sess, err := st.Top().Register("c")
+			if err != nil {
+				t.Fatal(err)
+			}
+			tk, err := sess.SubscribeAsync(tier.SubscribeRequest{Query: query.MustParse("SELECT MAX(light) EPOCH DURATION 2048 LIFETIME 60s")})
+			if err != nil {
+				t.Fatal(err)
+			}
+			advance(t, st, 1)
+			if _, err := tk.Wait(); err == nil || err.Error() != want.Error() {
+				t.Fatalf("LIFETIME subscribe: got %v, want %q", err, want)
+			}
+		})
+	}
+}
+
 // TestCrashRecover: the pair means the same on every shape that has a WAL —
 // after Crash(i) and Recover(i) the stream a client already holds on the top
 // tier keeps delivering (resumed first when the top tier itself was the one
