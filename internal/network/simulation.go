@@ -516,7 +516,7 @@ func (s *Simulation) floodQuery(q query.Query) {
 	s.medium.Send(&radio.Message{
 		Kind:  radio.KindQuery,
 		Src:   topology.BaseStation,
-		Bytes: queryBytes(q),
+		Bytes: node.QueryMsgBytes(q),
 		Payload: &node.QueryMsg{
 			Q:     q,
 			Start: start,
@@ -537,7 +537,7 @@ func (s *Simulation) floodAbort(qid query.ID) {
 	s.medium.Send(&radio.Message{
 		Kind:    radio.KindAbort,
 		Src:     topology.BaseStation,
-		Bytes:   abortBytes(),
+		Bytes:   node.AbortMsgBytes(),
 		Payload: &node.AbortMsg{QID: qid},
 	})
 }
@@ -661,10 +661,3 @@ func (s *Simulation) deliver(inst *installedQuery, epochT sim.Time, rows []query
 		s.firstResult(uq.ID)
 	}
 }
-
-func queryBytes(q query.Query) int {
-	return cost.HeaderBytes + 6 + cost.BytesPerAttr*len(q.Attrs) +
-		cost.BytesPerAgg*len(q.Aggs) + 5*len(q.Preds)
-}
-
-func abortBytes() int { return cost.HeaderBytes + 2 }

@@ -106,7 +106,7 @@ func TestBeaconDigestRepairViaRig(t *testing.T) {
 	nodes[2].SetDown(true)
 	medium.Send(&radio.Message{
 		Kind: radio.KindQuery, Src: topology.BaseStation,
-		Bytes:   queryMsgBytes(q),
+		Bytes:   QueryMsgBytes(q),
 		Payload: &QueryMsg{Q: q, Start: 4096 * time.Millisecond},
 	})
 	engine.Run(3 * time.Second)

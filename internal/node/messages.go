@@ -123,9 +123,10 @@ func (m *ResultMsg) QueriesFor(id topology.NodeID) []query.ID {
 
 // --- On-air size model -------------------------------------------------
 
-// queryMsgBytes sizes a propagation message: header, epoch/start fields and
-// the query body (attrs, aggs, predicate ranges).
-func queryMsgBytes(q query.Query) int {
+// QueryMsgBytes sizes a propagation message: header, epoch/start fields and
+// the query body (attrs, aggs, predicate ranges). The base station's flood
+// and every mote's relay are sized by it.
+func QueryMsgBytes(q query.Query) int {
 	return cost.HeaderBytes + 6 +
 		cost.BytesPerAttr*len(q.Attrs) +
 		cost.BytesPerAgg*len(q.Aggs) +
@@ -153,7 +154,9 @@ func resultMsgBytes(m *ResultMsg) int {
 	return b
 }
 
-func abortMsgBytes() int { return cost.HeaderBytes + 2 }
+// AbortMsgBytes sizes an abort message: header and the query ID, at the
+// base station and at every relay.
+func AbortMsgBytes() int { return cost.HeaderBytes + 2 }
 func beaconMsgBytes(installed int) int {
 	return cost.HeaderBytes + 4 + cost.BytesPerQueryTag*installed
 }

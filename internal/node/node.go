@@ -319,7 +319,7 @@ func (n *Node) onBeacon(bm *BeaconMsg) {
 			n.cfg.Medium.Send(&radio.Message{
 				Kind:    radio.KindAbort,
 				Src:     n.id,
-				Bytes:   abortMsgBytes(),
+				Bytes:   AbortMsgBytes(),
 				Payload: &AbortMsg{QID: qid},
 			})
 			return
@@ -346,7 +346,7 @@ func (n *Node) onBeacon(bm *BeaconMsg) {
 		n.cfg.Medium.Send(&radio.Message{
 			Kind:    radio.KindQuery,
 			Src:     n.id,
-			Bytes:   queryMsgBytes(inst.q),
+			Bytes:   QueryMsgBytes(inst.q),
 			Payload: &QueryMsg{Q: inst.q, Start: inst.start, SenderHasData: n.matchesNow(inst.q)},
 		})
 		return
@@ -384,7 +384,7 @@ func (n *Node) onQuery(src topology.NodeID, qm *QueryMsg) {
 	n.cfg.Medium.Send(&radio.Message{
 		Kind:    radio.KindQuery,
 		Src:     n.id,
-		Bytes:   queryMsgBytes(qm.Q),
+		Bytes:   QueryMsgBytes(qm.Q),
 		Payload: fwd,
 	})
 }
@@ -429,7 +429,7 @@ func (n *Node) onAbort(am *AbortMsg) {
 	n.cfg.Medium.Send(&radio.Message{
 		Kind:    radio.KindAbort,
 		Src:     n.id,
-		Bytes:   abortMsgBytes(),
+		Bytes:   AbortMsgBytes(),
 		Payload: am,
 	})
 }

@@ -64,7 +64,7 @@ func newRig(t *testing.T, topo *topology.Topology, p Policy, src field.Source, t
 func (r *rig) flood(q query.Query, start sim.Time) {
 	r.medium.Send(&radio.Message{
 		Kind: radio.KindQuery, Src: topology.BaseStation,
-		Bytes:   queryMsgBytes(q),
+		Bytes:   QueryMsgBytes(q),
 		Payload: &QueryMsg{Q: q, Start: start},
 	})
 }
@@ -72,7 +72,7 @@ func (r *rig) flood(q query.Query, start sim.Time) {
 func (r *rig) abort(qid query.ID) {
 	r.medium.Send(&radio.Message{
 		Kind: radio.KindAbort, Src: topology.BaseStation,
-		Bytes:   abortMsgBytes(),
+		Bytes:   AbortMsgBytes(),
 		Payload: &AbortMsg{QID: qid},
 	})
 }
@@ -334,7 +334,7 @@ func TestResultMsgSubsets(t *testing.T) {
 
 func TestMessageSizes(t *testing.T) {
 	q := query.MustParse("SELECT light, temp WHERE light > 5")
-	if queryMsgBytes(q) <= 0 || abortMsgBytes() <= 0 || beaconMsgBytes(2) <= 0 || wakeMsgBytes(2) <= 0 {
+	if QueryMsgBytes(q) <= 0 || AbortMsgBytes() <= 0 || beaconMsgBytes(2) <= 0 || wakeMsgBytes(2) <= 0 {
 		t.Fatal("sizes must be positive")
 	}
 	var row field.Values
