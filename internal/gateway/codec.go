@@ -148,6 +148,8 @@ type keptBody struct {
 // keptTable is a connection's table of kept bodies, one per slot.
 type keptTable [keptSlots]keptBody
 
+// Each wire code table is declared once, op or type to code; the decoder's
+// code-to-name direction is derived from it.
 var opToCode = map[string]byte{
 	OpHello:       frameReqHello,
 	OpSubscribe:   frameReqSubscribe,
@@ -157,14 +159,7 @@ var opToCode = map[string]byte{
 	OpResume:      frameReqResume,
 }
 
-var codeToOp = map[byte]string{
-	frameReqHello:       OpHello,
-	frameReqSubscribe:   OpSubscribe,
-	frameReqUnsubscribe: OpUnsubscribe,
-	frameReqStats:       OpStats,
-	frameReqPing:        OpPing,
-	frameReqResume:      OpResume,
-}
+var codeToOp = inverse(opToCode)
 
 var typeToCode = map[string]byte{
 	TypeHello:      frameRespHello,
@@ -177,15 +172,15 @@ var typeToCode = map[string]byte{
 	TypeError:      frameRespError,
 }
 
-var codeToType = map[byte]string{
-	frameRespHello:      TypeHello,
-	frameRespSubscribed: TypeSubscribed,
-	frameRespRows:       TypeRows,
-	frameRespAgg:        TypeAgg,
-	frameRespClosed:     TypeClosed,
-	frameRespStats:      TypeStats,
-	frameRespPong:       TypePong,
-	frameRespError:      TypeError,
+var codeToType = inverse(typeToCode)
+
+// inverse maps each value of a one-to-one table back to its key.
+func inverse[K, V comparable](m map[K]V) map[V]K {
+	out := make(map[V]K, len(m))
+	for k, v := range m {
+		out[v] = k
+	}
+	return out
 }
 
 // allAttrs is the fixed attribute order binary rows are emitted in, so the
@@ -878,13 +873,7 @@ var walOpToCode = map[string]byte{
 	walOpAdvance:     5,
 }
 
-var walCodeToOp = map[byte]string{
-	1: walOpRegister,
-	2: walOpSubscribe,
-	3: walOpUnsubscribe,
-	4: walOpClose,
-	5: walOpAdvance,
-}
+var walCodeToOp = inverse(walOpToCode)
 
 // appendWALFrame encodes one log record as a binary frame.
 func appendWALFrame(buf []byte, rec *walRecord) ([]byte, error) {
