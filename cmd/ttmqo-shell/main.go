@@ -129,7 +129,7 @@ func (s *shell) exec(line string) {
 	cmd, rest, _ := strings.Cut(line, " ")
 	switch cmd {
 	case "help":
-		fmt.Println("post <query> | stop <id> | run <seconds> | results <id> [n] | queries | synthetic | explain <id> | stats | manifest | export <file> | map | trace [n|summary] | fail <id> | revive <id> | quit")
+		fmt.Println("post <query> | load <file.json> | stop <id> | run <seconds> | results <id> [n] | queries | synthetic | explain <id> | stats | manifest | export <file> | map | trace [n|summary] | fail <id> | revive <id> | quit")
 	case "load":
 		f, err := os.Open(strings.TrimSpace(rest))
 		if err != nil {
@@ -142,21 +142,29 @@ func (s *shell) exec(line string) {
 			fmt.Println("error:", err)
 			return
 		}
+		// Replayed as Simulation.Schedule would, under fresh IDs: what arrived
+		// by now is admitted now, what departed by now is skipped.
 		now := time.Duration(s.sim.Engine().Now())
 		for _, w := range ws {
-			q := w.Query
-			q.ID = 0 // let the simulation assign fresh IDs
-			if w.Arrive <= now {
-				if id, err := s.sim.Post(q); err != nil {
-					fmt.Println("error:", err)
-				} else {
-					fmt.Printf("query %d admitted\n", id)
-				}
+			if w.Depart != 0 && w.Depart <= now {
 				continue
 			}
+			q := w.Query
 			q.ID = s.sim.NextID()
-			s.sim.PostAt(w.Arrive, q)
-			fmt.Printf("query %d scheduled for t=%v\n", q.ID, w.Arrive)
+			if w.Arrive > now {
+				s.sim.PostAt(w.Arrive, q)
+				fmt.Printf("query %d scheduled for t=%v\n", q.ID, w.Arrive)
+			} else {
+				if _, err := s.sim.Post(q); err != nil {
+					fmt.Println("error:", err)
+					continue
+				}
+				fmt.Printf("query %d admitted\n", q.ID)
+			}
+			if w.Depart != 0 {
+				s.sim.CancelAt(w.Depart, q.ID)
+				fmt.Printf("query %d stops at t=%v\n", q.ID, w.Depart)
+			}
 		}
 	case "post":
 		q, err := ttmqo.ParseQuery(rest)

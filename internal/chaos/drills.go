@@ -309,8 +309,8 @@ func routerSpec(r *run) (stack.Spec, error) {
 }
 
 func checkShardsAlive(r *run) {
-	for i := 0; i < fedShards; i++ {
-		if !r.st.Router.ShardAlive(i) {
+	for i, sh := range r.st.Router.ShardStates() {
+		if !sh.Alive {
 			r.violate("shard %d not alive at end of run", i)
 		}
 	}
@@ -616,7 +616,7 @@ func checkStuck(r *run) {
 	if s.StalledShards != 0 {
 		r.violate("%d shard(s) still wedged at end of run", s.StalledShards)
 	}
-	if got := r.st.Router.ShardBreaker(victim); got != resilience.BreakerClosed {
+	if got := r.st.Router.ShardStates()[victim].Breaker; got != resilience.BreakerClosed {
 		r.violate("victim breaker %v at end of run, want closed", got)
 	}
 }

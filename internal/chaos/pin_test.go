@@ -26,6 +26,11 @@ import (
 //     export carries session names, and every drill now names its clients
 //     chaos-00, chaos-01, … as the script drill always did. The old share
 //     harness with only that format changed exports the digest below.
+//
+// The router drills' stats digests (were f5008ca0e7b8e33a, 23e47b7984124456
+// and 1ab74cb4cc6e93b5) changed with federation.Stats' JSON keys, which are
+// snake_case now. The code before that change, with only the tags added,
+// prints the digests below, so no counter moved.
 
 // pinLine renders alternating name/value arguments as "name=value ...".
 func pinLine(kv ...any) string {
@@ -100,16 +105,16 @@ var pinned = map[string][]string{
 		"faults=0 crashes=1 reconnects=32 probes=3 updates=401 rows=3063 expected=0 completeness=1 dup=0 gaps=0 order=0 value_mismatches=0 violations=0 stats=3437f4ca49df0f9d",
 	},
 	"kill-a-shard": {
-		"updates=152 rows=90 dup=0 gaps=0 order=0 at_fault=42 violations=0 stats=f5008ca0e7b8e33a",
-		"updates=152 rows=90 dup=0 gaps=0 order=0 at_fault=42 violations=0 stats=f5008ca0e7b8e33a",
-		"updates=152 rows=90 dup=0 gaps=0 order=0 at_fault=42 violations=0 stats=f5008ca0e7b8e33a",
-		"updates=152 rows=90 dup=0 gaps=0 order=0 at_fault=42 violations=0 stats=f5008ca0e7b8e33a",
+		"updates=152 rows=90 dup=0 gaps=0 order=0 at_fault=42 violations=0 stats=3f94071b05149a19",
+		"updates=152 rows=90 dup=0 gaps=0 order=0 at_fault=42 violations=0 stats=3f94071b05149a19",
+		"updates=152 rows=90 dup=0 gaps=0 order=0 at_fault=42 violations=0 stats=3f94071b05149a19",
+		"updates=152 rows=90 dup=0 gaps=0 order=0 at_fault=42 violations=0 stats=3f94071b05149a19",
 	},
 	"partition-the-router": {
-		"updates=152 rows=90 dup=0 gaps=0 order=0 at_fault=42 violations=0 stats=23e47b7984124456",
-		"updates=152 rows=90 dup=0 gaps=0 order=0 at_fault=42 violations=0 stats=23e47b7984124456",
-		"updates=152 rows=90 dup=0 gaps=0 order=0 at_fault=42 violations=0 stats=23e47b7984124456",
-		"updates=152 rows=90 dup=0 gaps=0 order=0 at_fault=42 violations=0 stats=23e47b7984124456",
+		"updates=152 rows=90 dup=0 gaps=0 order=0 at_fault=42 violations=0 stats=5b905f2107772dbf",
+		"updates=152 rows=90 dup=0 gaps=0 order=0 at_fault=42 violations=0 stats=5b905f2107772dbf",
+		"updates=152 rows=90 dup=0 gaps=0 order=0 at_fault=42 violations=0 stats=5b905f2107772dbf",
+		"updates=152 rows=90 dup=0 gaps=0 order=0 at_fault=42 violations=0 stats=5b905f2107772dbf",
 	},
 	"crash-under-the-cache": {
 		"updates=107 rows=288 dup=0 gaps=0 order=0 at_fault=40 late_replayed=4 value_mismatches=0 violations=0 stats=1ad680e57cdb64bf",
@@ -118,10 +123,10 @@ var pinned = map[string][]string{
 		"updates=107 rows=288 dup=0 gaps=0 order=0 at_fault=40 late_replayed=4 value_mismatches=0 violations=0 stats=1ad680e57cdb64bf traces=9860d6b85c6ebab2",
 	},
 	"stuck-shard": {
-		"updates=152 dup=0 gaps=0 order=0 at_fault=32 at_clear=72 degraded=40 min_coverage=0.5 violations=0 stats=1ab74cb4cc6e93b5",
-		"updates=152 dup=0 gaps=0 order=0 at_fault=32 at_clear=72 degraded=40 min_coverage=0.5 violations=0 stats=1ab74cb4cc6e93b5",
-		"updates=152 dup=0 gaps=0 order=0 at_fault=32 at_clear=72 degraded=40 min_coverage=0.5 violations=0 stats=1ab74cb4cc6e93b5",
-		"updates=152 dup=0 gaps=0 order=0 at_fault=32 at_clear=72 degraded=40 min_coverage=0.5 violations=0 stats=1ab74cb4cc6e93b5",
+		"updates=152 dup=0 gaps=0 order=0 at_fault=32 at_clear=72 degraded=40 min_coverage=0.5 violations=0 stats=57b475dd375b2b7e",
+		"updates=152 dup=0 gaps=0 order=0 at_fault=32 at_clear=72 degraded=40 min_coverage=0.5 violations=0 stats=57b475dd375b2b7e",
+		"updates=152 dup=0 gaps=0 order=0 at_fault=32 at_clear=72 degraded=40 min_coverage=0.5 violations=0 stats=57b475dd375b2b7e",
+		"updates=152 dup=0 gaps=0 order=0 at_fault=32 at_clear=72 degraded=40 min_coverage=0.5 violations=0 stats=57b475dd375b2b7e",
 	},
 }
 

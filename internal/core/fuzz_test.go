@@ -21,11 +21,14 @@ import (
 
 // An optimizer script is one operation per line, named by its first byte:
 // "+ <query>" inserts the query under the next ID; "* <query>" adds it to
-// the pending batch, which one InsertBatch admits before the next non-batch
-// line (and at the end); "- <n>" terminates the (n mod live)-th live query,
-// oldest first; "~ <attr> <value>" folds one reading into the cost model's
-// histograms, so the estimates the next operations decide on have moved.
-// Lines that do not parse are skipped, so any mutation is a valid script.
+// the pending batch, which one Insert admits before the next non-batch
+// line (and at the end); "= <n> <query>" adds it to the pending batch under
+// an ID already taken, the (n mod k)-th of the k live IDs (oldest first) and
+// pending batch IDs, so that the whole batch must be rejected; "- <n>"
+// terminates the (n mod live)-th live query, oldest first; "~ <attr>
+// <value>" folds one reading into the cost model's histograms, so the
+// estimates the next operations decide on have moved. Lines that do not
+// parse are skipped, so any mutation is a valid script.
 const maxScriptOps = 1500
 
 // scriptOf renders a timed workload as a script: arrivals and departures in
@@ -135,23 +138,38 @@ func (d *duo) observe(a field.Attr, v float64) {
 
 // admit inserts qs — as one batch, or one by one — and checks DESIGN.md §5
 // invariant 4 (an admission never raises the total estimated cost by more
-// than the admitted queries' own).
+// than the admitted queries' own) and invariant 17 (a rejected admission
+// changes nothing). A batch is rejected exactly when it reuses an ID.
 func (d *duo) admit(batch bool, qs ...query.Query) {
 	d.t.Helper()
 	before := d.o.TotalSyntheticCost()
+	syn, users := d.o.SyntheticQueries(), d.o.UserQueries()
 	var own float64
 	for _, q := range qs {
 		own += d.o.model.Cost(q)
 	}
 	if batch {
-		got, err := d.o.InsertBatch(qs)
-		want, refErr := d.ref.InsertBatch(qs)
-		d.same(fmt.Sprintf("InsertBatch(%v)", qs), got, want, err, refErr)
+		got, err := d.o.Insert(qs...)
+		want, refErr := d.ref.Insert(qs...)
+		op := fmt.Sprintf("Insert(%v)", qs)
+		if reused := d.reuses(qs); (err != nil) != reused || (refErr != nil) != reused {
+			d.t.Fatalf("%s: %v (reference: %v), want an error: %v", op, err, refErr, reused)
+		}
+		d.same(op, got, want)
+		if err != nil {
+			if !got.Empty() || !slices.EqualFunc(d.o.SyntheticQueries(), syn, sameQuery) || !slices.EqualFunc(d.o.UserQueries(), users, sameQuery) {
+				d.t.Fatalf("%s: rejected, yet changed %+v and the tables", op, got)
+			}
+			return
+		}
 	} else {
 		for _, q := range qs {
 			got, err := d.o.Insert(q)
 			want, refErr := d.ref.Insert(q)
-			d.same(fmt.Sprintf("Insert(%v)", q), got, want, err, refErr)
+			if err != nil || refErr != nil {
+				d.t.Fatalf("Insert(%v): %v (reference: %v)", q, err, refErr)
+			}
+			d.same(fmt.Sprintf("Insert(%v)", q), got, want)
 		}
 	}
 	for _, q := range qs {
@@ -162,6 +180,16 @@ func (d *duo) admit(batch bool, qs ...query.Query) {
 	}
 }
 
+// reuses reports whether an ID of qs is live or repeats within qs.
+func (d *duo) reuses(qs []query.Query) bool {
+	for i, q := range qs {
+		if slices.Contains(d.live, q.ID) || slices.ContainsFunc(qs[:i], func(p query.Query) bool { return p.ID == q.ID }) {
+			return true
+		}
+	}
+	return false
+}
+
 // terminate ends the k-th live query, oldest first.
 func (d *duo) terminate(k int) {
 	d.t.Helper()
@@ -169,16 +197,15 @@ func (d *duo) terminate(k int) {
 	d.live = slices.Delete(d.live, k, k+1)
 	got, err := d.o.Terminate(id)
 	want, refErr := d.ref.Terminate(id)
-	d.same(fmt.Sprintf("Terminate(%d)", id), got, want, err, refErr)
+	if err != nil || refErr != nil {
+		d.t.Fatalf("Terminate(%d): %v (reference: %v)", id, err, refErr)
+	}
+	d.same(fmt.Sprintf("Terminate(%d)", id), got, want)
 }
 
-// same holds the two optimizers against each other after operation op, which
-// must have succeeded on both.
-func (d *duo) same(op string, got, want Change, err, refErr error) {
+// same holds the two optimizers against each other after operation op.
+func (d *duo) same(op string, got, want Change) {
 	d.t.Helper()
-	if err != nil || refErr != nil {
-		d.t.Fatalf("%s: %v (reference: %v)", op, err, refErr)
-	}
 	if !slices.Equal(got.Abort, want.Abort) || !slices.EqualFunc(got.Inject, want.Inject, sameQuery) {
 		d.t.Fatalf("%s: change %+v, reference %+v", op, got, want)
 	}
@@ -244,6 +271,18 @@ func (d *duo) run(script string) {
 		switch line[0] {
 		case '*':
 			if q, ok := parse(arg); ok {
+				batch = append(batch, q)
+			}
+		case '=':
+			n, text, _ := strings.Cut(arg, " ")
+			k, err := strconv.ParseUint(n, 10, 32)
+			q, perr := query.Parse(text)
+			taken := slices.Clone(d.live)
+			for _, p := range batch {
+				taken = append(taken, p.ID)
+			}
+			if err == nil && perr == nil && len(taken) > 0 {
+				q.ID = taken[k%uint64(len(taken))]
 				batch = append(batch, q)
 			}
 		case '+':
@@ -318,7 +357,7 @@ func checkDerivedState(t testing.TB, o *Optimizer) {
 
 var fuzzAlphas = []float64{1e-9, 0.2, 0.6, 1.0, 5}
 
-// FuzzOptimizerOps runs random Insert / InsertBatch / Terminate
+// FuzzOptimizerOps runs random Insert (one query or a batch) / Terminate
 // interleavings, with the histograms moving in between, on the optimizer and
 // the reference optimizer side by side, and checks after every operation:
 // identical Changes, tables, from-lists and floats (duo.same); DESIGN.md §5
@@ -343,6 +382,9 @@ func FuzzOptimizerOps(f *testing.F) {
 	f.Add(uint8(1), observed(regionScript(), 9))
 	f.Add(uint8(2), "+ SELECT light WHERE nodeid = 5 EPOCH DURATION 8192ms\n~ nodeid 5\n~ nodeid 5\n+ SELECT light WHERE nodeid = 6 EPOCH DURATION 8192ms\n- 1\n")
 	f.Add(uint8(2), "* SELECT WINAVG(light, 4, 2) EPOCH DURATION 2048ms\n* SELECT WINMAX(temp, 4) EPOCH DURATION 2048ms\n- 0\n")
+	// Rejected batches: one colliding with a live ID, one repeating an ID.
+	f.Add(uint8(2), "+ SELECT light EPOCH DURATION 4096ms\n* SELECT temp EPOCH DURATION 4096ms\n= 0 SELECT light WHERE light > 100 EPOCH DURATION 4096ms\n+ SELECT MAX(temp) EPOCH DURATION 8192ms\n- 0\n")
+	f.Add(uint8(2), "* SELECT light EPOCH DURATION 4096ms\n* SELECT temp EPOCH DURATION 4096ms\n= 2 SELECT light WHERE light > 100 EPOCH DURATION 4096ms\n* SELECT MAX(light) EPOCH DURATION 4096ms\n- 0\n")
 
 	topo, err := topology.PaperGrid(8)
 	if err != nil {

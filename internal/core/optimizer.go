@@ -114,6 +114,7 @@ type Optimizer struct {
 	first   query.ID
 	aborted []query.ID
 	scratch []query.Query // what queries returns, reused
+	pending []*user       // the users Insert has checked; reused, cleared after each call
 }
 
 // Options configures an Optimizer.
@@ -146,49 +147,36 @@ func (o *Optimizer) Alpha() float64 { return o.alpha }
 // Model returns the cost model (shared so callers can feed observations).
 func (o *Optimizer) Model() *cost.Model { return o.model }
 
-// Insert admits a new user query (Algorithm 1) and returns the resulting
-// network change. The query must carry a unique positive ID below
-// SyntheticIDBase.
-func (o *Optimizer) Insert(q query.Query) (Change, error) {
-	o.begin()
-	if err := o.admit(q); err != nil {
-		return Change{}, err
-	}
-	return o.end(), nil
-}
-
-// InsertBatch admits several user queries as one operation, returning the
-// *net* network change: synthetic queries created and superseded while the
-// batch merges amongst itself never touch the network. Posting n similar
-// queries one by one floods up to 2n−1 injections/abortions; a batch floods
-// only the final synthetic set. On error, queries admitted before the
-// failure stay admitted and the change reflects them.
-func (o *Optimizer) InsertBatch(qs []query.Query) (Change, error) {
-	o.begin()
+// Insert admits user queries as one operation, Algorithm 1 on each in turn,
+// and returns the *net* network change: synthetic queries created and
+// superseded while the queries merge amongst themselves never touch the
+// network. Inserting n similar queries one by one floods up to 2n−1
+// injections/abortions; one Insert of all n floods only the final synthetic
+// set. Each query must carry a positive ID below SyntheticIDBase that is
+// neither live nor repeated in qs. Every query is checked before any is
+// admitted, so on error the change is empty and the tables are untouched.
+func (o *Optimizer) Insert(qs ...query.Query) (Change, error) {
+	o.pending = o.pending[:0]
+	defer func() { clear(o.pending) }()
 	for _, q := range qs {
-		if err := o.admit(q); err != nil {
-			return o.end(), err
+		if q.ID <= 0 || q.ID >= SyntheticIDBase {
+			return Change{}, fmt.Errorf("core: user query ID %d out of range", q.ID)
 		}
+		if o.users[q.ID] != nil || slices.ContainsFunc(o.pending, func(u *user) bool { return u.q.ID == q.ID }) {
+			return Change{}, fmt.Errorf("core: duplicate user query ID %d", q.ID)
+		}
+		q = q.Normalize()
+		if err := q.Validate(); err != nil {
+			return Change{}, fmt.Errorf("core: %w", err)
+		}
+		o.pending = append(o.pending, &user{priced: priced{q: q}})
+	}
+	o.begin()
+	for _, u := range o.pending {
+		o.users[u.q.ID] = u
+		o.insert([]*user{u}, &u.priced)
 	}
 	return o.end(), nil
-}
-
-// admit validates one user query and runs Algorithm 1 on it.
-func (o *Optimizer) admit(q query.Query) error {
-	if q.ID <= 0 || q.ID >= SyntheticIDBase {
-		return fmt.Errorf("core: user query ID %d out of range", q.ID)
-	}
-	if _, dup := o.users[q.ID]; dup {
-		return fmt.Errorf("core: duplicate user query ID %d", q.ID)
-	}
-	q = q.Normalize()
-	if err := q.Validate(); err != nil {
-		return fmt.Errorf("core: %w", err)
-	}
-	u := &user{priced: priced{q: q}}
-	o.users[q.ID] = u
-	o.insert([]*user{u}, &u.priced)
-	return nil
 }
 
 // Terminate removes a user query (Algorithm 2) and returns the resulting

@@ -11,7 +11,7 @@ import (
 	"repro/internal/query"
 )
 
-// The reference optimizer: Insert / InsertBatch / Terminate / Synthesize /
+// The reference optimizer: Insert / Terminate / Synthesize /
 // benefitOf as they stood before tier 1 stopped re-deriving what an operation
 // did not change — every member's plan recompiled and cost re-evaluated on
 // each setMembers, the canonical requirement rebuilt through maps, the
@@ -106,45 +106,27 @@ func newRefOptimizer(model *cost.Model, opts Options) *refOptimizer {
 	}
 }
 
-// Insert admits a new user query (Algorithm 1) and returns the resulting
-// network change. The query must carry a unique positive ID below
-// SyntheticIDBase.
-func (o *refOptimizer) Insert(q query.Query) (Change, error) {
-	if q.ID <= 0 || q.ID >= SyntheticIDBase {
-		return Change{}, fmt.Errorf("core: user query ID %d out of range", q.ID)
-	}
-	if _, dup := o.users[q.ID]; dup {
-		return Change{}, fmt.Errorf("core: duplicate user query ID %d", q.ID)
-	}
-	q = q.Normalize()
-	if err := q.Validate(); err != nil {
-		return Change{}, fmt.Errorf("core: %w", err)
-	}
-	before := o.runningIDs()
-	o.users[q.ID] = q
-	o.insert([]query.Query{q}, q)
-	return o.diff(before), nil
-}
-
-// InsertBatch admits several user queries as one operation, returning the
-// *net* network change: synthetic queries created and superseded while the
-// batch merges amongst itself never touch the network. Posting n similar
-// queries one by one floods up to 2n−1 injections/abortions; a batch floods
-// only the final synthetic set. On error, queries admitted before the
-// failure stay admitted and the change reflects them.
-func (o *refOptimizer) InsertBatch(qs []query.Query) (Change, error) {
-	before := o.runningIDs()
+// Insert admits user queries as one operation, returning the *net* network
+// change: synthetic queries created and superseded while the queries merge
+// amongst themselves never touch the network. Every query is checked first;
+// on error the change is empty and the tables are untouched.
+func (o *refOptimizer) Insert(qs ...query.Query) (Change, error) {
+	var ok []query.Query
 	for _, q := range qs {
 		if q.ID <= 0 || q.ID >= SyntheticIDBase {
-			return o.diff(before), fmt.Errorf("core: user query ID %d out of range", q.ID)
+			return Change{}, fmt.Errorf("core: user query ID %d out of range", q.ID)
 		}
-		if _, dup := o.users[q.ID]; dup {
-			return o.diff(before), fmt.Errorf("core: duplicate user query ID %d", q.ID)
+		if _, dup := o.users[q.ID]; dup || slices.ContainsFunc(ok, func(p query.Query) bool { return p.ID == q.ID }) {
+			return Change{}, fmt.Errorf("core: duplicate user query ID %d", q.ID)
 		}
 		q = q.Normalize()
 		if err := q.Validate(); err != nil {
-			return o.diff(before), fmt.Errorf("core: %w", err)
+			return Change{}, fmt.Errorf("core: %w", err)
 		}
+		ok = append(ok, q)
+	}
+	before := o.runningIDs()
+	for _, q := range ok {
 		o.users[q.ID] = q
 		o.insert([]query.Query{q}, q)
 	}

@@ -469,7 +469,7 @@ func TestInsertBatchNetsChanges(t *testing.T) {
 		q.ID = query.ID(i + 1)
 		queries = append(queries, q)
 	}
-	ch, err := batch.InsertBatch(queries)
+	ch, err := batch.Insert(queries...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -491,13 +491,14 @@ func TestInsertBatchPartialFailure(t *testing.T) {
 	q1 := query.MustParse("SELECT light EPOCH DURATION 4096")
 	q1.ID = 1
 	bad := query.Query{ID: 2} // invalid
-	ch, err := o.InsertBatch([]query.Query{q1, bad})
+	ch, err := o.Insert(q1, bad)
 	if err == nil {
 		t.Fatal("invalid query must fail the batch")
 	}
-	// q1 was admitted before the failure and its injection is reported.
-	if len(ch.Inject) != 1 || o.UserCount() != 1 {
-		t.Fatalf("partial state: %+v users=%d", ch, o.UserCount())
+	// Every member is checked before any is admitted: q1, which comes first,
+	// is not admitted either, and nothing is reported to the network.
+	if !ch.Empty() || o.UserCount() != 0 || o.SyntheticCount() != 0 {
+		t.Fatalf("partial state: %+v users=%d synthetic=%d", ch, o.UserCount(), o.SyntheticCount())
 	}
 	checkInvariants(t, o)
 }
@@ -620,7 +621,7 @@ func TestBenefitSumIsOrderStable(t *testing.T) {
 	}
 	// The same contributors admitted in another order sum to the same bits.
 	rev := newTestOptimizer(t, DefaultAlpha)
-	if _, err := rev.InsertBatch([]query.Query{s.members[4].q, s.members[2].q, s.members[0].q, s.members[3].q, s.members[1].q}); err != nil {
+	if _, err := rev.Insert(s.members[4].q, s.members[2].q, s.members[0].q, s.members[3].q, s.members[1].q); err != nil {
 		t.Fatal(err)
 	}
 	if got := math.Float64bits(rev.TotalBenefit()); rev.SyntheticCount() != 1 || got != math.Float64bits(o.TotalBenefit()) {

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/network"
 	"repro/internal/node"
-	"repro/internal/radio"
 	"repro/internal/runner"
 	"repro/internal/topology"
 	"repro/internal/workload"
@@ -106,19 +105,10 @@ func RunAblation(cfg AblationConfig) ([]AblationRow, error) {
 	rows, err := runner.MapTimed(cfg.Parallelism, len(variants), cfg.Timing, func(i int) (AblationRow, error) {
 		policy := node.InNetwork()
 		variants[i].mutate(&policy)
-		s, err := network.New(network.Config{
-			Topo:           topo,
-			Scheme:         network.TTMQO,
-			Seed:           cfg.Seed,
-			Radio:          radio.Config{CollisionFactor: radio.DefaultCollisionFactor},
-			PolicyOverride: &policy,
-			DiscardResults: true,
-		})
+		s, err := evaluate(topo, network.TTMQO, cfg.Seed, ws, cfg.Duration, &policy)
 		if err != nil {
 			return AblationRow{}, err
 		}
-		s.Schedule(ws)
-		s.Run(cfg.Duration)
 		return AblationRow{
 			Variant:  variants[i].name,
 			AvgTxPct: s.AvgTransmissionTime() * 100,

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/metrics"
 	"repro/internal/network"
-	"repro/internal/radio"
 	"repro/internal/runner"
 	"repro/internal/topology"
 	"repro/internal/workload"
@@ -94,18 +93,10 @@ func RunFigure3(cfg Fig3Config) ([]Fig3Row, error) {
 		if err != nil {
 			return Fig3Row{}, err
 		}
-		s, err := network.New(network.Config{
-			Topo:           topo,
-			Scheme:         c.scheme,
-			Seed:           cfg.Seed,
-			Radio:          radio.Config{CollisionFactor: radio.DefaultCollisionFactor},
-			DiscardResults: true,
-		})
+		s, err := evaluate(topo, c.scheme, cfg.Seed, ws, cfg.Duration, nil)
 		if err != nil {
 			return Fig3Row{}, err
 		}
-		s.Schedule(ws)
-		s.Run(cfg.Duration)
 		return Fig3Row{
 			Workload:        c.wname,
 			Nodes:           topo.Size(),

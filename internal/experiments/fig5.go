@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/metrics"
 	"repro/internal/network"
-	"repro/internal/radio"
 	"repro/internal/runner"
 	"repro/internal/stats"
 	"repro/internal/topology"
@@ -119,15 +118,17 @@ func RunFigure5(cfg Fig5Config) ([]Fig5Row, error) {
 			// tier-1 merge not to oversample at a shorter GCD.
 			SameEpoch: true,
 		})
-		b, err := runFig5Once(topo, network.Baseline, seed, ws, cfg.Duration)
+		b, err := evaluate(topo, network.Baseline, seed, ws, cfg.Duration, nil)
 		if err != nil {
 			return pair{}, err
 		}
-		o, err := runFig5Once(topo, network.TTMQO, seed, ws, cfg.Duration)
+		p := pair{b: b.AvgTransmissionTime()} // b may be collected while o runs
+		o, err := evaluate(topo, network.TTMQO, seed, ws, cfg.Duration, nil)
 		if err != nil {
 			return pair{}, err
 		}
-		return pair{b, o}, nil
+		p.o = o.AvgTransmissionTime()
+		return p, nil
 	})
 	if err != nil {
 		return nil, err
@@ -151,23 +152,6 @@ func RunFigure5(cfg Fig5Config) ([]Fig5Row, error) {
 		})
 	}
 	return rows, nil
-}
-
-func runFig5Once(topo *topology.Topology, scheme network.Scheme, seed int64,
-	ws []workload.TimedQuery, d time.Duration) (float64, error) {
-	s, err := network.New(network.Config{
-		Topo:           topo,
-		Scheme:         scheme,
-		Seed:           seed,
-		Radio:          radio.Config{CollisionFactor: radio.DefaultCollisionFactor},
-		DiscardResults: true,
-	})
-	if err != nil {
-		return 0, err
-	}
-	s.Schedule(ws)
-	s.Run(d)
-	return s.AvgTransmissionTime(), nil
 }
 
 // Fig5String renders rows as a text table.

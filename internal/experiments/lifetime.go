@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/metrics"
 	"repro/internal/network"
-	"repro/internal/radio"
 	"repro/internal/runner"
 	"repro/internal/topology"
 	"repro/internal/workload"
@@ -74,18 +73,10 @@ func RunLifetime(cfg LifetimeConfig) ([]LifetimeRow, error) {
 	}
 	schemes := network.AllSchemes()
 	rows, err := sweep(cfg.Parallelism, cfg.Timing, schemes, func(scheme network.Scheme) (LifetimeRow, error) {
-		s, err := network.New(network.Config{
-			Topo:           topo,
-			Scheme:         scheme,
-			Seed:           cfg.Seed,
-			Radio:          radio.Config{CollisionFactor: radio.DefaultCollisionFactor},
-			DiscardResults: true,
-		})
+		s, err := evaluate(topo, scheme, cfg.Seed, ws, cfg.Duration, nil)
 		if err != nil {
 			return LifetimeRow{}, err
 		}
-		s.Schedule(ws)
-		s.Run(cfg.Duration)
 		return LifetimeRow{
 			Scheme:   scheme,
 			TotalJ:   s.Metrics().TotalEnergy(cfg.Energy),

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/metrics"
 	"repro/internal/network"
-	"repro/internal/radio"
 	"repro/internal/runner"
 	"repro/internal/topology"
 	"repro/internal/tracing"
@@ -87,18 +86,10 @@ func RunScaling(cfg ScalingConfig) ([]ScalingRow, error) {
 		if err != nil {
 			return ScalingRow{}, err
 		}
-		s, err := network.New(network.Config{
-			Topo:           topo,
-			Scheme:         c.scheme,
-			Seed:           cfg.Seed,
-			Radio:          radio.Config{CollisionFactor: radio.DefaultCollisionFactor},
-			DiscardResults: true,
-		})
+		s, err := evaluate(topo, c.scheme, cfg.Seed, ws, cfg.Duration, nil)
 		if err != nil {
 			return ScalingRow{}, err
 		}
-		s.Schedule(ws)
-		s.Run(cfg.Duration)
 		row := ScalingRow{
 			Nodes:         topo.Size(),
 			Scheme:        c.scheme,

@@ -124,26 +124,26 @@ func (c Config) withDefaults() Config {
 // Stats is the router's own counter snapshot (shard gateway counters are
 // separate; see ShardStats and ServeStats).
 type Stats struct {
-	tier.Stats        // session and delivery lifecycle (the kernel's)
-	Shards            int
-	AliveShards       int
-	Trees             int   // live canonical cross-shard queries
-	UpstreamSubs      int   // live upstream subscriptions across shards
-	PartialUpdates    int64 // upstream updates drained from shards
-	MergedEpochs      int64 // epochs released by the watermark
-	ForcedReleases    int64 // epochs released early by maxPending overflow
-	LateDropped       int64 // partials that arrived for an already-released epoch
-	ShardCrashes      int64
-	ShardRecoveries   int64
-	Partitions        int64
-	Heals             int64
-	UpstreamResumes   int64 // upstream streams resumed after recover/heal
-	DegradedEpochs    int64 // epochs released without full shard coverage
-	ShardStalls       int64 // StallShard(i, true) calls (chaos stuck-shard injections)
-	StalledShards     int   // shards currently wedged by StallShard
-	BreakerTrips      int64 // per-shard breakers tripped open (summed)
-	BreakerProbes     int64 // half-open probes issued (summed)
-	BreakerRecoveries int64 // breakers closed again after a probe succeeded (summed)
+	tier.Stats              // session and delivery lifecycle (the kernel's)
+	Shards            int   `json:"shards"`
+	AliveShards       int   `json:"alive_shards"`
+	Trees             int   `json:"trees"`           // live canonical cross-shard queries
+	UpstreamSubs      int   `json:"upstream_subs"`   // live upstream subscriptions across shards
+	PartialUpdates    int64 `json:"partial_updates"` // upstream updates drained from shards
+	MergedEpochs      int64 `json:"merged_epochs"`   // epochs released by the watermark
+	ForcedReleases    int64 `json:"forced_releases"` // epochs released early by maxPending overflow
+	LateDropped       int64 `json:"late_dropped"`    // partials that arrived for an already-released epoch
+	ShardCrashes      int64 `json:"shard_crashes"`
+	ShardRecoveries   int64 `json:"shard_recoveries"`
+	Partitions        int64 `json:"partitions"`
+	Heals             int64 `json:"heals"`
+	UpstreamResumes   int64 `json:"upstream_resumes"`   // upstream streams resumed after recover/heal
+	DegradedEpochs    int64 `json:"degraded_epochs"`    // epochs released without full shard coverage
+	ShardStalls       int64 `json:"shard_stalls"`       // StallShard(i, true) calls (chaos stuck-shard injections)
+	StalledShards     int   `json:"stalled_shards"`     // shards currently wedged by StallShard
+	BreakerTrips      int64 `json:"breaker_trips"`      // per-shard breakers tripped open (summed)
+	BreakerProbes     int64 `json:"breaker_probes"`     // half-open probes issued (summed)
+	BreakerRecoveries int64 `json:"breaker_recoveries"` // breakers closed again after a probe succeeded (summed)
 }
 
 // upstream is the router's one canonical subscription to a shard for a
@@ -477,33 +477,24 @@ func (r *Router) Alive() bool {
 	return !r.k.ClosedLocked()
 }
 
-// UpstreamSubsOn returns the number of canonical upstream subscriptions
-// the router holds on shard i.
-func (r *Router) UpstreamSubsOn(i int) int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if i < 0 || i >= len(r.shards) {
-		return 0
-	}
-	return r.shards[i].ups.Len()
+// ShardState is one shard as the router sees it.
+type ShardState struct {
+	Alive     bool                    // the shard's gateway is up
+	Breaker   resilience.BreakerState // the shard's circuit breaker
+	Now       sim.Time                // virtual clock, frozen at crash time for a dead shard
+	Upstreams int                     // canonical upstream subscriptions the router holds on it
 }
 
-// ShardAlive reports whether shard i's gateway is up.
-func (r *Router) ShardAlive(i int) bool {
+// ShardStates reads every shard's state under one lock, so the values are
+// of one instant.
+func (r *Router) ShardStates() []ShardState {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return i >= 0 && i < len(r.shards) && r.shards[i].alive
-}
-
-// ShardNow returns shard i's virtual clock (frozen at crash time for a
-// dead shard).
-func (r *Router) ShardNow(i int) sim.Time {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if i < 0 || i >= len(r.shards) {
-		return 0
+	out := make([]ShardState, len(r.shards))
+	for i, sh := range r.shards {
+		out[i] = ShardState{Alive: sh.alive, Breaker: sh.brk.State(), Now: sh.vnow, Upstreams: sh.ups.Len()}
 	}
-	return r.shards[i].vnow
+	return out
 }
 
 // ServeStats implements gateway.Backend: shard counters summed, with the
@@ -567,17 +558,6 @@ func (r *Router) refreshBrownoutLocked() {
 		}
 	}
 	r.brownout.Store(int32(lvl))
-}
-
-// ShardBreaker reports shard i's circuit-breaker state
-// (BreakerClosed for an out-of-range index).
-func (r *Router) ShardBreaker(i int) resilience.BreakerState {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if i < 0 || i >= len(r.shards) {
-		return resilience.BreakerClosed
-	}
-	return r.shards[i].brk.State()
 }
 
 // ---------------------------------------------------------------------------

@@ -330,7 +330,7 @@ func TestRouterCrashRecoverFailover(t *testing.T) {
 	if err := r.CrashShard(1); err != nil {
 		t.Fatal(err)
 	}
-	if r.ShardAlive(1) {
+	if r.ShardStates()[1].Alive {
 		t.Fatal("shard 1 still alive after crash")
 	}
 	// The cross-shard tree stalls at the frozen watermark while shard 0
@@ -641,10 +641,10 @@ func TestRouterFailedFanoutReleasesStagedSlices(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := r.UpstreamSubsOn(0); n != 0 || st.ActiveSubscriptions != 0 {
+	if n := r.ShardStates()[0].Upstreams; n != 0 || st.ActiveSubscriptions != 0 {
 		t.Errorf("shard 0 carries %d subscriptions, the router holds %d upstreams there; want 0 and 0", st.ActiveSubscriptions, n)
 	}
-	if n := r.UpstreamSubsOn(1); n != 1 {
+	if n := r.ShardStates()[1].Upstreams; n != 1 {
 		t.Errorf("the router holds %d upstreams on shard 1, want the first query's 1", n)
 	}
 }

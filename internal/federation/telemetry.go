@@ -73,16 +73,16 @@ func RegisterMetrics(r *telemetry.Registry, current func() *Router) {
 		trees.Gauge().Set(float64(st.Trees))
 		upstreamSubs.Gauge().Set(float64(st.UpstreamSubs))
 		stalledShards.Gauge().Set(float64(st.StalledShards))
-		for i := 0; i < rt.Shards(); i++ {
+		for i, sh := range rt.ShardStates() {
 			label := strconv.Itoa(i)
-			if rt.ShardAlive(i) {
+			if sh.Alive {
 				shardUp.Gauge(label).Set(1)
 			} else {
 				shardUp.Gauge(label).Set(0)
 			}
-			breakerState.Gauge(label).Set(float64(rt.ShardBreaker(i)))
-			shardVTime.Gauge(label).Set(time.Duration(rt.ShardNow(i)).Seconds())
-			shardUpstreams.Gauge(label).Set(float64(rt.UpstreamSubsOn(i)))
+			breakerState.Gauge(label).Set(float64(sh.Breaker))
+			shardVTime.Gauge(label).Set(time.Duration(sh.Now).Seconds())
+			shardUpstreams.Gauge(label).Set(float64(sh.Upstreams))
 			gst, err := rt.ShardStats(i)
 			if err != nil {
 				continue

@@ -2,6 +2,8 @@ package network
 
 import (
 	"bytes"
+	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
@@ -9,13 +11,12 @@ import (
 	"repro/internal/tracing"
 )
 
-// A failed batch must not leave partial injections in the network: the
-// InsertBatch error is checked before its change set is applied.
+// A failed batch must not leave partial injections in the network: every
+// member is checked before anything is admitted.
 func TestPostBatchErrorFloodsNothing(t *testing.T) {
 	topo := grid4(t)
 	s := newSim(t, topo, TTMQO, 3)
-	// The second query duplicates the first's explicit ID, so admission
-	// fails after the first query was already merged by the optimizer.
+	// The second query duplicates the first's explicit ID.
 	q1 := query.MustParse("SELECT light EPOCH DURATION 4096")
 	q1.ID = 7
 	q2 := query.MustParse("SELECT temp EPOCH DURATION 4096")
@@ -27,8 +28,9 @@ func TestPostBatchErrorFloodsNothing(t *testing.T) {
 	if n := s.Metrics().MessagesOf("query"); n != 0 {
 		t.Fatalf("failed batch flooded %d query messages, want 0", n)
 	}
-	if len(s.installed) != 0 {
-		t.Fatalf("failed batch left %d installed queries", len(s.installed))
+	if len(s.installed) != 0 || s.Optimizer().UserCount() != 0 || s.Optimizer().SyntheticCount() != 0 {
+		t.Fatalf("failed batch left %d installed, %d user and %d synthetic queries",
+			len(s.installed), s.Optimizer().UserCount(), s.Optimizer().SyntheticCount())
 	}
 	// An invalid query anywhere in the batch is caught up front, too.
 	bad := query.Query{} // no attributes, no epoch: fails Validate
@@ -39,30 +41,54 @@ func TestPostBatchErrorFloodsNothing(t *testing.T) {
 	if n := s.Metrics().MessagesOf("query"); n != 0 {
 		t.Fatalf("invalid batch flooded %d query messages, want 0", n)
 	}
+}
 
-	// The optimizer-level failure path: a batch member colliding with an
-	// already-live query fails InsertBatch *after* earlier members were
-	// admitted; the partial change set must still not reach the network.
-	s2 := newSim(t, topo, TTMQO, 3)
-	live := query.MustParse("SELECT light EPOCH DURATION 4096")
-	live.ID = 7
-	if _, err := s2.Post(live); err != nil {
-		t.Fatal(err)
-	}
-	s2.Run(5 * time.Second)
-	flooded := s2.Metrics().MessagesOf("query")
-	fresh := query.MustParse("SELECT temp EPOCH DURATION 4096")
-	dup := query.MustParse("SELECT humidity EPOCH DURATION 4096")
-	dup.ID = 7
-	if _, err := s2.PostBatch([]query.Query{fresh, dup}); err == nil {
-		t.Fatal("batch colliding with a live query must error")
-	}
-	s2.Run(10 * time.Second)
-	if n := s2.Metrics().MessagesOf("query"); n != flooded {
-		t.Fatalf("failed batch flooded %d extra query messages", n-flooded)
-	}
-	if len(s2.installed) != 1 {
-		t.Fatalf("installed queries = %d, want only the pre-existing one", len(s2.installed))
+// A batch that reuses a live query's ID is rejected whole, under tier 1 and
+// without it: nothing is flooded or installed, the optimizer's tables stay as
+// they were, and the live query — not part of the batch — goes on delivering
+// exactly what a control run without the batch delivers.
+func TestRejectedBatchChangesNothing(t *testing.T) {
+	for _, scheme := range []Scheme{TTMQO, Baseline} {
+		var runs [2]*Simulation
+		for i := range runs {
+			s := newSim(t, grid4(t), scheme, 1)
+			live := query.MustParse("SELECT light EPOCH DURATION 4096")
+			if _, err := s.Post(live); err != nil {
+				t.Fatal(err)
+			}
+			s.Run(5 * time.Second)
+			if i == 1 {
+				queries, installed := s.Metrics().MessagesOf("query"), len(s.installed)
+				var synthetic []query.Query
+				if o := s.Optimizer(); o != nil {
+					synthetic = o.SyntheticQueries()
+				}
+				dup := query.MustParse("SELECT light WHERE light > 100 EPOCH DURATION 4096")
+				dup.ID = 1
+				if _, err := s.PostBatch([]query.Query{query.MustParse("SELECT temp EPOCH DURATION 4096"), dup}); err == nil {
+					t.Fatalf("%v: batch colliding with a live query must error", scheme)
+				}
+				if o := s.Optimizer(); o != nil && (o.UserCount() != 1 || !reflect.DeepEqual(o.SyntheticQueries(), synthetic)) {
+					t.Fatalf("%v: rejected batch left %d users, synthetic %v (was %v)", scheme, o.UserCount(), o.SyntheticQueries(), synthetic)
+				}
+				s.Run(time.Second)
+				if n := s.Metrics().MessagesOf("query"); n != queries || s.Metrics().MessagesOf("abort") != 0 || len(s.installed) != installed {
+					t.Fatalf("%v: rejected batch flooded %d query and %d abort messages, installed %d", scheme,
+						n-queries, s.Metrics().MessagesOf("abort"), len(s.installed)-installed)
+				}
+				s.Run(59 * time.Second)
+			} else {
+				s.Run(60 * time.Second)
+			}
+			runs[i] = s
+		}
+		control, got := runs[0].Results().RowsFor(1), runs[1].Results().RowsFor(1)
+		if len(control) == 0 || fmt.Sprint(got) != fmt.Sprint(control) {
+			t.Fatalf("%v: live query delivered %d epochs after the rejected batch, control %d", scheme, len(got), len(control))
+		}
+		if a, b := runs[1].NextID(), runs[0].NextID(); a != b {
+			t.Fatalf("%v: next ID %d after the rejected batch, control %d", scheme, a, b)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package network
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/core"
@@ -156,6 +157,7 @@ type Simulation struct {
 	spans    *tracing.Recorder
 	waiting  map[query.ID]struct{}
 	nextID   query.ID
+	batch    []query.Query // PostBatch's prepared queries; reused, cleared after each call
 	failures int
 	// series is the sampler StartSeries attached, if any.
 	series *Series
@@ -291,87 +293,92 @@ func (s *Simulation) NextID() query.ID {
 	return id
 }
 
-// Post admits a user query at the current virtual time. If q.ID is zero a
-// fresh ID is assigned; the (possibly assigned) ID is returned.
+// Post admits a user query at the current virtual time: a batch of one. If
+// q.ID is zero a fresh ID is assigned; the (possibly assigned) ID is returned.
 func (s *Simulation) Post(q query.Query) (query.ID, error) {
-	q = q.Normalize()
-	if err := q.Validate(); err != nil {
+	ids, err := s.PostBatch([]query.Query{q})
+	if err != nil {
 		return 0, err
 	}
-	if q.ID == 0 {
-		q.ID = s.NextID()
-	} else if q.ID >= s.nextID {
-		s.nextID = q.ID + 1
-	}
-	if err := s.admit(q); err != nil {
-		return 0, err
-	}
-	s.cfg.Trace.Eventf(int64(s.engine.Now()), int(topology.BaseStation), tracing.KindAdmit, "q%d %s", q.ID, q)
-	// TinyDB LIFETIME clause: the query terminates itself. Manual
-	// cancellation may race ahead; the auto-cancel then finds the query
-	// gone and does nothing.
-	if q.Lifetime > 0 {
-		qid := q.ID
-		s.engine.After(q.Lifetime, func() {
-			_ = s.Cancel(qid)
-		})
-	}
-	return q.ID, nil
+	return ids[0], nil
 }
 
-// PostBatch admits several user queries as one operation. Under a tier-1
-// scheme the optimizer computes the net change, so synthetic queries that
-// the batch itself supersedes are never flooded; without tier 1 it is
-// equivalent to posting each query in turn. Returns the assigned IDs.
+// PostBatch admits user queries as one operation at the current virtual time
+// and returns their IDs, assigning a fresh one to each query whose ID is zero.
+// Every query is normalized, validated and numbered before any is admitted,
+// and a batch that repeats an ID or reuses a live one is rejected whole: a
+// rejected batch changes nothing in tier 1 or the network. Under a tier-1
+// scheme the optimizer computes the net change, so synthetic queries that the
+// batch itself supersedes are never flooded; without tier 1 each query runs
+// as posted.
 func (s *Simulation) PostBatch(qs []query.Query) ([]query.ID, error) {
-	prepared := make([]query.Query, 0, len(qs))
-	ids := make([]query.ID, 0, len(qs))
-	seen := make(map[query.ID]bool, len(qs))
-	for _, q := range qs {
-		q = q.Normalize()
-		if err := q.Validate(); err != nil {
-			return nil, err
-		}
-		if q.ID == 0 {
-			q.ID = s.NextID()
-		} else if q.ID >= s.nextID {
-			s.nextID = q.ID + 1
-		}
-		if seen[q.ID] {
-			return nil, fmt.Errorf("network: duplicate query ID %d in batch", q.ID)
-		}
-		seen[q.ID] = true
-		prepared = append(prepared, q)
-		ids = append(ids, q.ID)
+	defer func() { clear(s.batch) }()
+	next := s.nextID
+	err := s.prepare(qs)
+	var ch core.Change
+	if err == nil && s.opt != nil {
+		ch, err = s.opt.Insert(s.batch...)
 	}
-	if s.opt != nil {
-		// Check the error before flooding: a failed batch must not leave
-		// partial injections in the network.
-		ch, err := s.opt.InsertBatch(prepared)
-		if err != nil {
-			return nil, err
-		}
-		s.markAdmitted(ch, ids...)
-		s.apply(ch)
-	} else {
-		for _, q := range prepared {
-			if _, dup := s.users[q.ID]; dup {
-				return nil, fmt.Errorf("network: duplicate query ID %d", q.ID)
-			}
+	if err != nil {
+		s.nextID = next
+		return nil, err
+	}
+	// The admit span's Seq is the number of synthetic queries the rewrite
+	// injected; zero means shared queries already running cover the batch.
+	injected := len(ch.Inject)
+	if s.opt == nil {
+		ch.Inject, injected = s.batch, 1
+	}
+	now := s.engine.Now()
+	for _, q := range s.batch {
+		if s.opt == nil {
 			s.users[q.ID] = q
-			ch := core.Change{Inject: []query.Query{q}}
-			s.markAdmitted(ch, q.ID)
-			s.apply(ch)
 		}
+		s.spans.Record(tracing.Span{Trace: uint64(q.ID), Kind: tracing.KindAdmit, At: int64(now), Seq: uint64(injected)})
+		s.waiting[q.ID] = struct{}{}
 	}
-	for _, q := range prepared {
-		s.cfg.Trace.Eventf(int64(s.engine.Now()), int(topology.BaseStation), tracing.KindAdmit, "q%d %s", q.ID, q)
+	s.apply(ch)
+	ids := make([]query.ID, len(s.batch))
+	for i, q := range s.batch {
+		ids[i] = q.ID
+		if s.cfg.Trace != nil { // boxing q allocates even when nothing is logged
+			s.cfg.Trace.Eventf(int64(now), int(topology.BaseStation), tracing.KindAdmit, "q%d %s", q.ID, q)
+		}
+		// TinyDB LIFETIME clause: the query terminates itself. Manual
+		// cancellation may race ahead; the auto-cancel then finds the query
+		// gone and does nothing.
 		if q.Lifetime > 0 {
 			qid := q.ID
 			s.engine.After(q.Lifetime, func() { _ = s.Cancel(qid) })
 		}
 	}
 	return ids, nil
+}
+
+// prepare normalizes, validates and numbers qs into s.batch, rejecting an ID
+// that repeats in the batch or is already live.
+func (s *Simulation) prepare(qs []query.Query) error {
+	s.batch = s.batch[:0]
+	for _, q := range qs {
+		q = q.Normalize()
+		if err := q.Validate(); err != nil {
+			return err
+		}
+		if q.ID == 0 {
+			q.ID = s.NextID()
+		} else if q.ID >= s.nextID {
+			s.nextID = q.ID + 1
+		}
+		_, live := s.users[q.ID]
+		if s.opt != nil {
+			_, live = s.opt.SyntheticFor(q.ID)
+		}
+		if live || slices.ContainsFunc(s.batch, func(p query.Query) bool { return p.ID == q.ID }) {
+			return fmt.Errorf("network: duplicate query ID %d", q.ID)
+		}
+		s.batch = append(s.batch, q)
+	}
+	return nil
 }
 
 // PostAt schedules a user query admission at virtual time t (tests and
@@ -429,44 +436,10 @@ func (s *Simulation) CancelAt(t time.Duration, qid query.ID) {
 	})
 }
 
-// admit routes a validated user query through tier 1 (when enabled) and
-// floods the resulting network changes. The query's admit span is recorded
-// here, with the rewrite's injection count.
-func (s *Simulation) admit(q query.Query) error {
-	if s.opt != nil {
-		ch, err := s.opt.Insert(q)
-		if err != nil {
-			return err
-		}
-		s.markAdmitted(ch, q.ID)
-		s.apply(ch)
-		return nil
-	}
-	if _, dup := s.users[q.ID]; dup {
-		return fmt.Errorf("network: duplicate query ID %d", q.ID)
-	}
-	s.users[q.ID] = q
-	ch := core.Change{Inject: []query.Query{q}}
-	s.markAdmitted(ch, q.ID)
-	s.apply(ch)
-	return nil
-}
-
-// markAdmitted records admit spans for the given user queries: the tier-1
-// rewrite produced ch, injecting len(ch.Inject) synthetic queries. An
-// admission with zero injections was fully covered by already-running
-// shared queries and needs no install flood.
-func (s *Simulation) markAdmitted(ch core.Change, ids ...query.ID) {
-	now := int64(s.engine.Now())
-	for _, id := range ids {
-		s.spans.Record(tracing.Span{Trace: uint64(id), Kind: tracing.KindAdmit, At: now, Seq: uint64(len(ch.Inject))})
-		s.waiting[id] = struct{}{}
-	}
-}
-
-// firstResult records the first non-empty delivery to a user query.
-func (s *Simulation) firstResult(id query.ID) {
-	if _, ok := s.waiting[id]; !ok {
+// firstResult records the first non-empty delivery to a user query, one of
+// n results.
+func (s *Simulation) firstResult(id query.ID, n int) {
+	if _, ok := s.waiting[id]; !ok || n == 0 {
 		return
 	}
 	delete(s.waiting, id)
@@ -610,54 +583,47 @@ func (s *Simulation) flush(inst *installedQuery, epochT sim.Time) {
 // deliver hands one closed epoch to the users. The rows move on as they are;
 // the states are only read.
 func (s *Simulation) deliver(inst *installedQuery, epochT sim.Time, rows []query.Row, states []query.AggState) {
-	if s.opt != nil {
-		// §3.1.2 statistics maintenance: returned readings refine the
-		// optimizer's per-attribute histograms, so future selectivity
-		// estimates track the live data distribution.
-		observe := s.opt.Model().Observe
-		for i := range rows {
-			rows[i].Values.Each(observe)
-		}
-		if inst.q.IsAggregation() {
-			for _, ua := range s.opt.MapAggregation(inst.q.ID, epochT, states) {
-				s.results.addAgg(ua)
-				if len(ua.Results) > 0 {
-					s.firstResult(ua.QueryID)
-				}
-			}
-			return
-		}
-		acq, agg := s.opt.MapAcquisition(inst.q.ID, epochT, rows)
-		for _, ur := range acq {
-			s.results.addRows(ur)
-			if len(ur.Rows) > 0 {
-				s.firstResult(ur.QueryID)
-			}
-		}
-		for _, ua := range agg {
-			s.results.addAgg(ua)
-			if len(ua.Results) > 0 {
-				s.firstResult(ua.QueryID)
-			}
+	if s.opt == nil {
+		// Identity mapping: the network query is the user query.
+		uq, live := s.users[inst.q.ID]
+		switch {
+		case !live:
+		case uq.IsAggregation():
+			s.addAgg(core.UserAgg{QueryID: uq.ID, Time: epochT, Results: core.AggregateStates(uq, epochT, states)})
+		default:
+			s.addRows(core.UserRows{QueryID: uq.ID, Time: epochT, Rows: rows})
 		}
 		return
 	}
+	// §3.1.2 statistics maintenance: returned readings refine the
+	// optimizer's per-attribute histograms, so future selectivity estimates
+	// track the live data distribution.
+	observe := s.opt.Model().Observe
+	for i := range rows {
+		rows[i].Values.Each(observe)
+	}
+	if inst.q.IsAggregation() {
+		for _, ua := range s.opt.MapAggregation(inst.q.ID, epochT, states) {
+			s.addAgg(ua)
+		}
+		return
+	}
+	acq, agg := s.opt.MapAcquisition(inst.q.ID, epochT, rows)
+	for _, ur := range acq {
+		s.addRows(ur)
+	}
+	for _, ua := range agg {
+		s.addAgg(ua)
+	}
+}
 
-	// Identity mapping: the network query is the user query.
-	uq, live := s.users[inst.q.ID]
-	if !live {
-		return
-	}
-	if uq.IsAggregation() {
-		res := core.AggregateStates(uq, epochT, states)
-		s.results.addAgg(core.UserAgg{QueryID: uq.ID, Time: epochT, Results: res})
-		if len(res) > 0 {
-			s.firstResult(uq.ID)
-		}
-		return
-	}
-	s.results.addRows(core.UserRows{QueryID: uq.ID, Time: epochT, Rows: rows})
-	if len(rows) > 0 {
-		s.firstResult(uq.ID)
-	}
+// addRows and addAgg store one delivery to a user query.
+func (s *Simulation) addRows(ur core.UserRows) {
+	s.results.addRows(ur)
+	s.firstResult(ur.QueryID, len(ur.Rows))
+}
+
+func (s *Simulation) addAgg(ua core.UserAgg) {
+	s.results.addAgg(ua)
+	s.firstResult(ua.QueryID, len(ua.Results))
 }

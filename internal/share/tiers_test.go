@@ -461,7 +461,8 @@ func TestDetachedSessionsAreReapedOnEveryTier(t *testing.T) {
 		upstream := func() int {
 			switch b := b.(type) {
 			case *federation.Router:
-				return b.UpstreamSubsOn(0) + b.UpstreamSubsOn(1)
+				sh := b.ShardStates()
+				return sh[0].Upstreams + sh[1].Upstreams
 			case *Coordinator:
 				return b.ShareStats().FragmentsActive
 			}
