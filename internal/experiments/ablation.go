@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"fmt"
 	"time"
 
 	"repro/internal/network"
@@ -130,13 +129,4 @@ func RunAblation(cfg AblationConfig) ([]AblationRow, error) {
 		}
 	}
 	return rows, nil
-}
-
-// AblationString renders the study as a text table.
-func AblationString(rows []AblationRow) string {
-	out := fmt.Sprintf("%-12s %10s %10s %9s\n", "variant", "avgTx(%)", "vs full", "messages")
-	for _, r := range rows {
-		out += fmt.Sprintf("%-12s %10.4f %+9.1f%% %9d\n", r.Variant, r.AvgTxPct, r.DeltaPct, r.Messages)
-	}
-	return out
 }

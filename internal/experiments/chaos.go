@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 
 	"repro/internal/chaos"
 	"repro/internal/runner"
@@ -98,19 +97,4 @@ func RunChaos(cfg ChaosConfig) ([]ChaosRow, error) {
 			Violations:   rep.Violations,
 		}, nil
 	})
-}
-
-// ChaosString renders the study as a text table.
-func ChaosString(rows []ChaosRow) string {
-	out := fmt.Sprintf("%-11s %7s %8s %10s %14s %4s %5s %s\n",
-		"scenario", "faults", "crashes", "reconnects", "completeness", "dup", "gaps", "violations")
-	for _, r := range rows {
-		v := "none"
-		if len(r.Violations) > 0 {
-			v = strings.Join(r.Violations, "; ")
-		}
-		out += fmt.Sprintf("%-11s %7d %8d %10d %13.1f%% %4d %5d %s\n",
-			r.Scenario, r.FaultEvents, r.Crashes, r.Reconnects, r.Completeness*100, r.Duplicates, r.Gaps, v)
-	}
-	return out
 }

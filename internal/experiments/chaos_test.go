@@ -33,7 +33,7 @@ func TestChaosStudyInvariants(t *testing.T) {
 	if crashes == 0 {
 		t.Fatal("no scenario crashed the gateway; the study is not exercising recovery")
 	}
-	if s := ChaosString(rows); len(s) == 0 {
+	if s := textOf(t, "chaos", rows); len(s) == 0 {
 		t.Fatal("empty table")
 	}
 }

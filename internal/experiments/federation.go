@@ -66,14 +66,3 @@ func RunFederationScaling(cfg FederationScalingConfig) ([]FederationScalingRow, 
 	}
 	return rows, nil
 }
-
-// FederationScalingString renders the study as a text table.
-func FederationScalingString(rows []FederationScalingRow) string {
-	out := fmt.Sprintf("%6s %7s %8s %5s %5s %9s %8s %8s\n",
-		"shards", "sensors", "sessions", "subs", "trees", "upstreams", "updates", "rows")
-	for _, r := range rows {
-		out += fmt.Sprintf("%6d %7d %8d %5d %5d %9d %8d %8d\n",
-			r.Shards, r.Sensors, r.Sessions, r.Subs, r.Trees, r.Upstreams, r.Updates, r.Rows)
-	}
-	return out
-}

@@ -127,14 +127,3 @@ func RunFigure2Example() ([]Fig2Row, error) {
 	}
 	return rows, nil
 }
-
-// Fig2String renders the example as a text table, each count beside the
-// paper's in parentheses.
-func Fig2String(rows []Fig2Row) string {
-	out := fmt.Sprintf("%-7s %12s %12s %12s\n", "mode", "acqMsgs", "acqNodes", "aggMsgs")
-	for _, r := range rows {
-		out += fmt.Sprintf("%-7s %8d (%2d) %8d (%d) %8d (%2d)\n", r.Mode,
-			r.AcqMessages, r.WantAcqMessages, r.AcqNodes, r.WantAcqNodes, r.AggMessages, r.WantAggMessages)
-	}
-	return out + "(parenthesised: the paper's §3.2.2 counts)\n"
-}

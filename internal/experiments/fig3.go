@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"fmt"
 	"time"
 
 	"repro/internal/metrics"
@@ -119,15 +118,4 @@ func RunFigure3(cfg Fig3Config) ([]Fig3Row, error) {
 		rows[i].SavingsPct = metrics.Savings(baseline[[2]any{rows[i].Workload, rows[i].Nodes}], rows[i].AvgTxPct) * 100
 	}
 	return rows, nil
-}
-
-// Fig3String renders rows as the text table cmd/ttmqo-bench prints.
-func Fig3String(rows []Fig3Row) string {
-	out := fmt.Sprintf("%-9s %6s %-13s %10s %9s %9s %8s\n",
-		"workload", "nodes", "scheme", "avgTx(%)", "save(%)", "messages", "retrans")
-	for _, r := range rows {
-		out += fmt.Sprintf("%-9s %6d %-13s %10.4f %9.1f %9d %8d\n",
-			r.Workload, r.Nodes, r.Scheme, r.AvgTxPct, r.SavingsPct, r.Messages, r.Retransmissions)
-	}
-	return out
 }

@@ -264,14 +264,3 @@ func RunFigure4C(cfg Fig4Config) ([]Fig4Point, error) {
 	}
 	return runPoints(cfg, specs)
 }
-
-// Fig4String renders Figure 4 points as a text table.
-func Fig4String(points []Fig4Point) string {
-	out := fmt.Sprintf("%11s %6s %12s %9s %10s %8s\n",
-		"concurrency", "alpha", "benefit(%)", "avgSyn", "avgConc", "reinject")
-	for _, p := range points {
-		out += fmt.Sprintf("%11d %6.2f %12.1f %9.2f %10.1f %8d\n",
-			p.Concurrency, p.Alpha, p.BenefitRatio*100, p.AvgSynthetic, p.AvgConcurrent, p.Reinjections)
-	}
-	return out
-}

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"fmt"
 	"time"
 
 	"repro/internal/metrics"
@@ -152,15 +151,4 @@ func RunFigure5(cfg Fig5Config) ([]Fig5Row, error) {
 		})
 	}
 	return rows, nil
-}
-
-// Fig5String renders rows as a text table.
-func Fig5String(rows []Fig5Row) string {
-	out := fmt.Sprintf("%8s %12s %13s %10s %9s\n",
-		"aggFrac", "selectivity", "baseline(%)", "ttmqo(%)", "save(%)")
-	for _, r := range rows {
-		out += fmt.Sprintf("%8.2f %12.2f %13.4f %10.4f %9.1f\n",
-			r.AggFraction, r.Selectivity, r.BaselineTxPct, r.TTMQOTxPct, r.SavingsPct)
-	}
-	return out
 }

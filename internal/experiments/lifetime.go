@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"fmt"
 	"time"
 
 	"repro/internal/metrics"
@@ -98,14 +97,4 @@ func RunLifetime(cfg LifetimeConfig) ([]LifetimeRow, error) {
 		}
 	}
 	return rows, nil
-}
-
-// LifetimeString renders the study as a text table.
-func LifetimeString(rows []LifetimeRow) string {
-	out := fmt.Sprintf("%-13s %10s %14s %9s\n", "scheme", "energy(J)", "lifetime", "gain")
-	for _, r := range rows {
-		out += fmt.Sprintf("%-13s %10.1f %14s %+8.1f%%\n",
-			r.Scheme, r.TotalJ, r.Lifetime.Round(time.Hour), r.GainPct)
-	}
-	return out
 }

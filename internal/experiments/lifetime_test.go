@@ -31,7 +31,7 @@ func TestLifetimeShapes(t *testing.T) {
 	if full.GainPct <= 0 {
 		t.Errorf("gain = %.1f%%", full.GainPct)
 	}
-	if s := LifetimeString(rows); s == "" {
+	if s := textOf(t, "lifetime", rows); s == "" {
 		t.Error("empty render")
 	}
 }

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"fmt"
 	"time"
 
 	"repro/internal/core"
@@ -151,18 +150,4 @@ func RunReliability(cfg ReliabilityConfig) ([]ReliabilityRow, error) {
 			AvgTxPct:     s.AvgTransmissionTime() * 100,
 		}, nil
 	})
-}
-
-// ReliabilityString renders the study as a text table.
-func ReliabilityString(rows []ReliabilityRow) string {
-	out := fmt.Sprintf("%-13s %8s %14s %9s %10s\n", "scheme", "mtbf", "completeness", "failures", "avgTx(%)")
-	for _, r := range rows {
-		mtbf := "none"
-		if r.MTBF > 0 {
-			mtbf = r.MTBF.String()
-		}
-		out += fmt.Sprintf("%-13s %8s %13.1f%% %9d %10.4f\n",
-			r.Scheme, mtbf, r.Completeness*100, r.Failures, r.AvgTxPct)
-	}
-	return out
 }

@@ -52,7 +52,7 @@ func TestReliabilityShapes(t *testing.T) {
 		t.Errorf("TTMQO far more fragile than baseline: %.3f vs %.3f",
 			tt.Completeness, bs.Completeness)
 	}
-	if s := ReliabilityString(rows); s == "" {
+	if s := textOf(t, "reliability", rows); s == "" {
 		t.Error("empty render")
 	}
 }

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"fmt"
 	"time"
 
 	"repro/internal/metrics"
@@ -116,15 +115,4 @@ func RunScaling(cfg ScalingConfig) ([]ScalingRow, error) {
 		rows[i].SavingsPct = metrics.Savings(baseline[rows[i].Nodes], rows[i].AvgTxPct) * 100
 	}
 	return rows, nil
-}
-
-// ScalingString renders the study as a text table.
-func ScalingString(rows []ScalingRow) string {
-	out := fmt.Sprintf("%6s %-13s %10s %9s %12s %9s %10s %10s\n",
-		"nodes", "scheme", "avgTx(%)", "save(%)", "latency(ms)", "messages", "ttfr50(ms)", "ttfr95(ms)")
-	for _, r := range rows {
-		out += fmt.Sprintf("%6d %-13s %10.4f %9.1f %12.0f %9d %10.0f %10.0f\n",
-			r.Nodes, r.Scheme, r.AvgTxPct, r.SavingsPct, r.MeanLatencyMS, r.Messages, r.TTFRP50MS, r.TTFRP95MS)
-	}
-	return out
 }

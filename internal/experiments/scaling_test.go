@@ -37,7 +37,7 @@ func TestScalingShapes(t *testing.T) {
 			t.Errorf("%d nodes: no latency recorded", n)
 		}
 	}
-	if s := ScalingString(rows); s == "" {
+	if s := textOf(t, "scaling", rows); s == "" {
 		t.Error("empty render")
 	}
 }

@@ -12,7 +12,7 @@ import (
 // servingStudies renders the share and federation studies at one seed the
 // way ttmqo-bench publishes them: each text table, then each study's rows
 // as they appear in the -json export.
-func servingStudies(seed int64) (string, error) {
+func servingStudies(t *testing.T, seed int64) (string, error) {
 	share, err := RunShareStudy(ShareStudyConfig{Seed: seed})
 	if err != nil {
 		return "", err
@@ -22,7 +22,7 @@ func servingStudies(seed int64) (string, error) {
 		return "", err
 	}
 	var b strings.Builder
-	fmt.Fprintf(&b, "-fig share\n%s-fig federation\n%s", ShareStudyString(share), FederationScalingString(fed))
+	fmt.Fprintf(&b, "-fig share\n%s-fig federation\n%s", textOf(t, "share", share), textOf(t, "federation", fed))
 	for _, st := range []Study{{Name: "share", Rows: share}, {Name: "federation", Rows: fed}} {
 		fmt.Fprintf(&b, "-json %s\n", st.Name)
 		if err := network.WriteJSON(&b, st); err != nil {
@@ -38,7 +38,7 @@ func servingStudies(seed int64) (string, error) {
 // byte for byte.
 func TestServingStudiesGolden(t *testing.T) {
 	for _, seed := range []int64{1, 7} {
-		got, err := servingStudies(seed)
+		got, err := servingStudies(t, seed)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}

@@ -93,22 +93,3 @@ func violations(rep *chaos.Report) error {
 	}
 	return fmt.Errorf("%d violation(s): %s", len(rep.Violations), strings.Join(rep.Violations, "; "))
 }
-
-// ShareStudyString renders the study as a text table, pairing each
-// overlap factor's off/on cells.
-func ShareStudyString(rows []ShareStudyRow) string {
-	out := fmt.Sprintf("%7s %7s %8s %9s %11s %11s %11s %11s %7s %7s\n",
-		"overlap", "sharing", "upstream", "messages",
-		"cold50(ms)", "cold95(ms)", "late50(ms)", "late95(ms)", "reuse", "cachehit")
-	for _, r := range rows {
-		mode := "off"
-		if r.Sharing {
-			mode = "on"
-		}
-		out += fmt.Sprintf("%7.2f %7s %8d %9d %11.0f %11.0f %11.0f %11.0f %7.2f %7.2f\n",
-			r.Overlap, mode, r.Upstream, r.Messages,
-			r.ColdTTFR50MS, r.ColdTTFR95MS, r.LateTTFR50MS, r.LateTTFR95MS,
-			r.FragmentReuse, r.CacheHitRatio)
-	}
-	return out
-}
