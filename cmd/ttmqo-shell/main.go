@@ -143,7 +143,8 @@ func (s *shell) exec(line string) {
 			return
 		}
 		// Replayed as Simulation.Schedule would, under fresh IDs: what arrived
-		// by now is admitted now, what departed by now is skipped.
+		// by now is admitted now, what departed by now is skipped, and a
+		// departure its LIFETIME ends first is not scheduled.
 		now := time.Duration(s.sim.Engine().Now())
 		for _, w := range ws {
 			if w.Depart != 0 && w.Depart <= now {
@@ -161,7 +162,7 @@ func (s *shell) exec(line string) {
 				}
 				fmt.Printf("query %d admitted\n", q.ID)
 			}
-			if w.Depart != 0 {
+			if w.Departs(max(w.Arrive, now)) {
 				s.sim.CancelAt(w.Depart, q.ID)
 				fmt.Printf("query %d stops at t=%v\n", q.ID, w.Depart)
 			}
@@ -422,11 +423,4 @@ func sortFloats(v []float64) {
 			v[j], v[j-1] = v[j-1], v[j]
 		}
 	}
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

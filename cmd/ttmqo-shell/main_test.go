@@ -65,6 +65,22 @@ func TestScriptedLoadGolden(t *testing.T) {
 	}
 }
 
+// TestLoadDepartureAfterLifetime: a loaded query whose LIFETIME ends before
+// its departure stops at the end of its lifetime, and its departure is not
+// scheduled, so it cannot panic on the ID the LIFETIME already removed.
+func TestLoadDepartureAfterLifetime(t *testing.T) {
+	bin := buildShell(t)
+	file := filepath.Join(t.TempDir(), "lifetime.json")
+	const ws = `[{"id": 1, "query": "SELECT light EPOCH DURATION 4096 LIFETIME 10s", "arrive_ms": 0, "depart_ms": 30000}]`
+	if err := os.WriteFile(file, []byte(ws), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out := string(runScript(t, bin, "1", "load "+file, "run 60", "queries", "quit"))
+	if !strings.Contains(out, "query 1 admitted") || strings.Contains(out, "query 1 stops") {
+		t.Errorf("load scheduled the departure after the lifetime:\n%s", out)
+	}
+}
+
 // buildShell builds the binary into the test's temporary directory.
 func buildShell(t *testing.T) string {
 	t.Helper()

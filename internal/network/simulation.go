@@ -392,11 +392,11 @@ func (s *Simulation) PostAt(t time.Duration, q query.Query) {
 }
 
 // Schedule posts every query of a workload at its arrival and cancels each
-// one that departs at its departure.
+// one that departs at its departure, unless its LIFETIME has ended it first.
 func (s *Simulation) Schedule(ws []workload.TimedQuery) {
 	for _, w := range ws {
 		s.PostAt(w.Arrive, w.Query)
-		if w.Depart != 0 {
+		if w.Departs(w.Arrive) {
 			s.CancelAt(w.Depart, w.Query.ID)
 		}
 	}

@@ -12,6 +12,7 @@ import (
 	"repro/internal/query"
 	"repro/internal/topology"
 	"repro/internal/tracing"
+	"repro/internal/workload"
 )
 
 func grid4(t *testing.T) *topology.Topology {
@@ -480,6 +481,27 @@ func TestQueryLifetimeAutoTerminates(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Run(2 * time.Minute)
+}
+
+// A scheduled departure after the query's LIFETIME has ended it is not
+// scheduled, so it cannot panic on the ID the auto-cancel removed; a
+// cancellation of any other unknown ID still panics.
+func TestScheduleDepartureAfterLifetime(t *testing.T) {
+	s := newSim(t, grid4(t), TTMQO, 9)
+	q := query.MustParse("SELECT light EPOCH DURATION 4096 LIFETIME 10s")
+	q.ID = 1
+	s.Schedule([]workload.TimedQuery{{Query: q, Depart: 30 * time.Second}})
+	s.Run(time.Minute)
+	if n := s.Optimizer().UserCount(); n != 0 {
+		t.Fatalf("%d live queries after the lifetime", n)
+	}
+	s.CancelAt(s.Engine().Now()+time.Second, 99)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("cancelling an unknown ID did not panic")
+		}
+	}()
+	s.Run(time.Minute)
 }
 
 // GROUP BY end to end: per-bucket aggregates match ground truth recomputed

@@ -20,6 +20,13 @@ type TimedQuery struct {
 	Depart time.Duration
 }
 
+// Departs reports whether the query, admitted at admit, is still running
+// when it departs: false when it has no Depart, or when its LIFETIME clause
+// has ended it by then.
+func (w TimedQuery) Departs(admit time.Duration) bool {
+	return w.Depart != 0 && (w.Query.Lifetime == 0 || admit+w.Query.Lifetime > w.Depart)
+}
+
 // Epochs allowed by §4.3: 8192 ms to 24576 ms, all divisible by 4096 ms.
 // (The paper prints "8092ms", which is not divisible by 4096; see DESIGN.md.)
 var Epochs = []time.Duration{
