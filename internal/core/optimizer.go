@@ -224,9 +224,10 @@ func (o *Optimizer) Terminate(qid query.ID) (Change, error) {
 }
 
 // insert implements the greedy loop of Algorithm 1, generalized to carry a
-// from-list (ascending ID) so that the "Integrate then Insert(q_id, Q_syn)"
-// recursion (line 14) reuses the same path: the merged synthetic query
-// re-enters insertion as the new query, bringing its contributors along.
+// from-list (ascending ID) so that the paper's "Integrate then Insert(q_id,
+// Q_syn)" recursion (line 14) reuses the same path: the merged synthetic
+// query, Synthesize over both member lists, re-enters insertion as the new
+// query, bringing its contributors along.
 func (o *Optimizer) insert(from []*user, q *priced) {
 	for {
 		best, bestRate, covers := o.mostBeneficial(q)
@@ -237,8 +238,9 @@ func (o *Optimizer) insert(from []*user, q *priced) {
 			o.setMembers(best, mergeMembers(best.members, from))
 			return
 		case best != nil && bestRate > 0:
-			// Integrate(q_id, q_i), then re-insert the merged query against
-			// the remaining synthetic queries (lines 13–14).
+			// Merge q_id and q_i (the paper's Integrate: Synthesize over
+			// their members), then re-insert the merged query against the
+			// remaining synthetic queries (lines 13–14).
 			o.remove(best)
 			from = mergeMembers(from, best.members)
 			q = &priced{q: Synthesize(o.queries(from))}

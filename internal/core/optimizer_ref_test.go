@@ -180,9 +180,10 @@ func (o *refOptimizer) Terminate(qid query.ID) (Change, error) {
 }
 
 // insert implements the greedy loop of Algorithm 1, generalized to carry a
-// from-list (ascending ID) so that the "Integrate then Insert(q_id, Q_syn)"
-// recursion (line 14) reuses the same path: the merged synthetic query
-// re-enters insertion as the new query, bringing its contributors along.
+// from-list (ascending ID) so that the paper's "Integrate then Insert(q_id,
+// Q_syn)" recursion (line 14) reuses the same path: the merged synthetic
+// query, Synthesize over both member lists, re-enters insertion as the new
+// query, bringing its contributors along.
 func (o *refOptimizer) insert(from []query.Query, q query.Query) {
 	for {
 		best, bestRate, covers := o.mostBeneficial(q)
@@ -193,8 +194,9 @@ func (o *refOptimizer) insert(from []query.Query, q query.Query) {
 			o.setMembers(best, refMergeMembers(best.members, from))
 			return
 		case best != nil && bestRate > 0:
-			// Integrate(q_id, q_i), then re-insert the merged query against
-			// the remaining synthetic queries (lines 13–14).
+			// Merge q_id and q_i (the paper's Integrate: Synthesize over
+			// their members), then re-insert the merged query against the
+			// remaining synthetic queries (lines 13–14).
 			delete(o.syn, best.id)
 			from = refMergeMembers(from, best.members)
 			q = refSynthesize(from)
@@ -345,7 +347,7 @@ func (o *refOptimizer) TotalBenefit() float64 {
 // predicate list is the n-ary conjunctive-superset union and the epoch is
 // the GCD.
 //
-// This is the associative/commutative closure of query.Integrate with the
+// This is the n-ary closure of the paper's pairwise merge (§3.1.2), with the
 // re-filter attributes computed exactly rather than pairwise-conservatively;
 // the paper's count fields (§3.1.1) are realized by recomputing this
 // canonical form from the surviving contributors (see DESIGN.md).
@@ -417,7 +419,7 @@ func refSynthesize(qs []query.Query) query.Query {
 	// query, with the widened range.
 	merged := qs[0].Preds
 	for _, q := range qs[1:] {
-		merged = query.UnionPreds(merged, q.Preds)
+		merged = refUnionPreds(merged, q.Preds)
 	}
 	mergedFor := make(map[field.Attr]query.Predicate, len(merged))
 	for _, p := range merged {
@@ -453,4 +455,19 @@ func refSynthesize(qs []query.Query) query.Query {
 		Preds: merged,
 		Epoch: epoch,
 	}.Normalize()
+}
+
+// refUnionPreds is the pairwise conjunctive-superset union of §3.1.2: an
+// attribute stays constrained only if both lists constrain it, with the
+// widened range.
+func refUnionPreds(a, b []query.Predicate) []query.Predicate {
+	var out []query.Predicate
+	for _, pa := range a {
+		for _, pb := range b {
+			if pa.Attr == pb.Attr {
+				out = append(out, pa.Union(pb))
+			}
+		}
+	}
+	return query.Query{Preds: out}.Normalize().Preds
 }

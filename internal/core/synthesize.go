@@ -28,8 +28,10 @@ import (
 // predicate list is the n-ary conjunctive-superset union and the epoch is
 // the GCD.
 //
-// This is the associative/commutative closure of query.Integrate with the
-// re-filter attributes computed exactly rather than pairwise-conservatively;
+// This is the n-ary closure of the paper's pairwise merge (§3.1.2: unions of
+// attributes and predicates, GCD of epochs), the one definition of a
+// synthetic query in the tree, with the re-filter attributes computed
+// exactly rather than pairwise-conservatively;
 // the paper's count fields (§3.1.1) are realized by recomputing this
 // canonical form from the surviving contributors (see DESIGN.md).
 func Synthesize(qs []query.Query) query.Query {
@@ -167,7 +169,7 @@ func (r *requirement) of(qs []query.Query) query.Query {
 	return query.Query{Attrs: r.attrs[:na], Preds: r.preds[:np], Epoch: epoch}.Normalize()
 }
 
-// gcdSlides is the GCD of two reporting slides.
+// gcdSlides is the GCD of two window reporting slides.
 func gcdSlides(a, b int) int {
 	for b != 0 {
 		a, b = b, a%b

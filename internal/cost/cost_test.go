@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
-	"time"
 
 	"repro/internal/field"
 	"repro/internal/query"
@@ -163,68 +162,6 @@ func TestCostMonotonicity(t *testing.T) {
 	fast := query.MustParse("SELECT light EPOCH DURATION 2048")
 	if m.Cost(slow) >= m.Cost(fast) {
 		t.Fatal("shorter epoch must cost more")
-	}
-}
-
-// pairBenefit is the paper's pairwise benefit (§3.1.2) spelled out over
-// query.Integrate: benefit(q1, q2) = cost(q1) + cost(q2) − cost(q12). The
-// optimizer prices merges against core.Synthesize instead (the exact n-ary
-// requirement); this is the textbook pair the worked example is about.
-func pairBenefit(m *Model, q1, q2 query.Query) float64 {
-	return m.Cost(q1) + m.Cost(q2) - m.Cost(query.Integrate(q1, q2))
-}
-
-func TestBenefitSymmetric(t *testing.T) {
-	m := fourLevels(t)
-	q1 := query.MustParse("SELECT light WHERE light >= 100 AND light <= 300 EPOCH DURATION 4096")
-	q2 := query.MustParse("SELECT light WHERE light >= 200 AND light <= 600 EPOCH DURATION 4096")
-	if math.Abs(pairBenefit(m, q1, q2)-pairBenefit(m, q2, q1)) > 1e-12 {
-		t.Fatal("benefit should be symmetric")
-	}
-}
-
-// The §3.1.3 worked example: with uniform light in [0,1000] and unit message
-// cost, q1(280,600)@2 and q2(100,300)@4 must NOT merge; q3(150,500)@4 merges
-// with q2; the result then merges with q1. We scale epochs 2→4096ms, 4→8192ms
-// (ratios preserved).
-func TestPaperRewritingExample(t *testing.T) {
-	m := fourLevels(t)
-	q1 := query.MustParse("select light where 280<light<600 epoch duration 4096")
-	q2 := query.MustParse("select light where 100<light<300 epoch duration 8192")
-	q3 := query.MustParse("select light where 150<light<500 epoch duration 8192")
-	benefit := func(a, b query.Query) float64 { return pairBenefit(m, a, b) }
-	// The Beneficial rate of §3.1.3: rate(qi, qj) = benefit(qj, qi) / cost(qi).
-	rate := func(qi, qj query.Query) float64 { return benefit(qj, qi) / m.Cost(qi) }
-
-	if b := benefit(q1, q2); b >= 0 {
-		t.Fatalf("benefit(q1,q2) = %f, want < 0 (paper: 320/2+200/4-500/2 < 0)", b)
-	}
-	if b := benefit(q2, q3); b <= 0 {
-		t.Fatalf("benefit(q2,q3) = %f, want > 0 (paper: 200/4+350/4-400/4 > 0)", b)
-	}
-	// The paper claims benefit(q1',q3) < 0, but its own formula gives
-	// d/L·(320/2 + 350/4 − 450/2) = +22.5·d/L (the union of (280,600) and
-	// (150,500) is (150,600), width 450 — the paper's "350/2" is a typo).
-	// The greedy outcome is unchanged because the benefit *rate* against q2'
-	// (37.5/87.5) beats q1' (22.5/87.5), so q3 still merges with q2'.
-	if rate(q3, q1) >= rate(q3, q2) {
-		t.Fatalf("greedy must prefer q2': rate(q3,q1)=%f, rate(q3,q2)=%f", rate(q3, q1), rate(q3, q2))
-	}
-	q23 := query.Integrate(q2, q3)
-	if b := benefit(q1, q23); b <= 0 {
-		t.Fatalf("benefit(q1,q2'') = %f, want > 0 (paper: 320/2+400/4-500/2 > 0)", b)
-	}
-	final := query.Integrate(q1, q23)
-	// Final: light in (100,600), epoch 4096ms.
-	if len(final.Preds) != 1 {
-		t.Fatalf("final preds = %v", final.Preds)
-	}
-	p := final.Preds[0]
-	if !(p.Min > 100 && p.Min < 100.01 && p.Max > 599.99 && p.Max < 600) {
-		t.Fatalf("final pred = %v, want (100,600)", p)
-	}
-	if final.Epoch != 4096*time.Millisecond {
-		t.Fatalf("final epoch = %v, want 4096ms", final.Epoch)
 	}
 }
 

@@ -87,17 +87,6 @@ func TestGroupBySemantics(t *testing.T) {
 		t.Fatal("grouped and ungrouped must not be rewritable")
 	}
 
-	merged := Integrate(g1, g2)
-	if !merged.GroupBy.Equal(g1.GroupBy) {
-		t.Fatalf("merged group = %+v", merged.GroupBy)
-	}
-	if !Covers(merged, g1) || !Covers(merged, g2) {
-		t.Fatal("merged must cover both")
-	}
-	if Covers(merged, g3) || Covers(merged, ungrouped) {
-		t.Fatal("merged must not cover different groupings")
-	}
-
 	// An acquisition query covers a grouped aggregate only if it acquires
 	// the grouping attribute.
 	acqFull := MustParse("SELECT light, nodeid WHERE temp > 20 EPOCH DURATION 4096")
@@ -107,16 +96,6 @@ func TestGroupBySemantics(t *testing.T) {
 	}
 	if Covers(acqNoGroup, g1) {
 		t.Fatal("acquisition without group attr must not cover")
-	}
-
-	// Integrating a grouped aggregate into an acquisition acquires the
-	// grouping attribute.
-	mixed := Integrate(acqNoGroup, g1)
-	if !mixed.HasAttr(field.AttrNodeID) {
-		t.Fatalf("mixed integrate attrs = %v", mixed.Attrs)
-	}
-	if !Covers(mixed, g1) {
-		t.Fatal("mixed integrate must cover the grouped aggregate")
 	}
 }
 

@@ -21,20 +21,6 @@ func EpochGCD(a, b time.Duration) time.Duration {
 	return a
 }
 
-// gcdInt is EpochGCD for plain ints (window slides).
-func gcdInt(a, b int) int {
-	if a <= 0 {
-		return b
-	}
-	if b <= 0 {
-		return a
-	}
-	for b != 0 {
-		a, b = b, a%b
-	}
-	return a
-}
-
 // EpochGCDAll folds EpochGCD over a set of queries; zero if the set is empty.
 func EpochGCDAll(qs []Query) time.Duration {
 	var g time.Duration
@@ -51,7 +37,7 @@ func EpochDivides(inner, outer time.Duration) bool {
 }
 
 // PredsEqual reports whether two predicate lists are identical once
-// normalized. Like PredsCover, UnionPreds, Covers, Rewritable and Query.Equal
+// normalized. Like PredsCover, Covers, Rewritable and Query.Equal
 // it allocates nothing on canonical operands (Normalize returns them as they
 // are), which is what tier 1 passes.
 func PredsEqual(a, b []Predicate) bool {
@@ -90,26 +76,6 @@ func PredsCover(sup, sub []Predicate) bool {
 		}
 	}
 	return true
-}
-
-// UnionPreds returns the tightest conjunctive predicate list admitting every
-// row admitted by either input (§3.1.2: "the requested ... predicates of q12
-// will be the union of those of q1 and q2"). An attribute stays constrained
-// only if both inputs constrain it, with the widened range; an attribute
-// constrained by only one input must be dropped, because the other query
-// accepts rows with any value there.
-func UnionPreds(a, b []Predicate) []Predicate {
-	a, b = normalizePreds(a), normalizePreds(b)
-	var out []Predicate
-	for _, pa := range a {
-		for _, pb := range b {
-			if pa.Attr == pb.Attr {
-				out = append(out, pa.Union(pb))
-				break
-			}
-		}
-	}
-	return normalizePreds(out)
 }
 
 // attrSubset reports whether every attribute of sub appears in sup.
@@ -253,62 +219,4 @@ func Rewritable(a, b Query) bool {
 		return PredsEqual(a.Preds, b.Preds) && a.GroupBy.Equal(b.GroupBy)
 	}
 	return true
-}
-
-// Integrate returns the synthetic query covering both inputs, per §3.1.2:
-// the requested attributes and predicates are unions, the epoch duration is
-// the GCD. Two aggregation queries merge into one aggregation query (their
-// predicates are identical by Rewritable); any mix involving an acquisition
-// query merges into an acquisition query that additionally acquires both
-// sides' aggregate inputs and predicate attributes, so every constituent
-// remains derivable at the base station after the predicate widening.
-//
-// The returned query carries no ID; callers assign one. Integrate panics if
-// the pair is not Rewritable. It is the paper's pairwise definition, kept for
-// its semantics; the optimizer does not call it — it decides with
-// core.Synthesize, the exact n-ary requirement.
-func Integrate(a, b Query) Query {
-	if !Rewritable(a, b) {
-		panic("query: Integrate on non-rewritable pair")
-	}
-	if a.IsWindowed() && b.IsWindowed() {
-		merged := Query{
-			Wins:  dedupWins(append(append([]Win(nil), a.Wins...), b.Wins...)),
-			Preds: normalizePreds(a.Preds),
-			Epoch: a.Epoch, // identical by Rewritable
-		}
-		// Report on the densest schedule so every contributor's reporting
-		// instants are a subsequence... slides are per-win; a merged query
-		// needs one shared slide: take the GCD of the contributors' slides.
-		slide := gcdInt(a.Wins[0].Slide, b.Wins[0].Slide)
-		for i := range merged.Wins {
-			merged.Wins[i].Slide = slide
-		}
-		return merged.Normalize()
-	}
-	if a.IsAggregation() && b.IsAggregation() {
-		return Query{
-			Aggs:    dedupAggs(append(append([]Agg(nil), a.Aggs...), b.Aggs...)),
-			Preds:   normalizePreds(a.Preds),
-			Epoch:   EpochGCD(a.Epoch, b.Epoch),
-			GroupBy: a.GroupBy, // identical by Rewritable
-		}.Normalize()
-	}
-	attrs := make([]field.Attr, 0, len(a.Attrs)+len(b.Attrs)+4)
-	attrs = append(attrs, a.Attrs...)
-	attrs = append(attrs, b.Attrs...)
-	attrs = append(attrs, a.AggAttrs()...)
-	attrs = append(attrs, b.AggAttrs()...)
-	attrs = append(attrs, a.PredAttrs()...)
-	attrs = append(attrs, b.PredAttrs()...)
-	for _, q := range []Query{a, b} {
-		if q.GroupBy != nil {
-			attrs = append(attrs, q.GroupBy.Attr)
-		}
-	}
-	return Query{
-		Attrs: dedupAttrs(attrs),
-		Preds: UnionPreds(a.Preds, b.Preds),
-		Epoch: EpochGCD(a.Epoch, b.Epoch),
-	}.Normalize()
 }

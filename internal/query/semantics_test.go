@@ -74,28 +74,6 @@ func TestPredsCover(t *testing.T) {
 	}
 }
 
-func TestUnionPreds(t *testing.T) {
-	a := []Predicate{{field.AttrLight, 100, 300}, {field.AttrTemp, 0, 50}}
-	b := []Predicate{{field.AttrLight, 200, 600}}
-	u := UnionPreds(a, b)
-	// temp constrained only in a → dropped; light widened.
-	if len(u) != 1 || u[0] != (Predicate{field.AttrLight, 100, 600}) {
-		t.Fatalf("union = %v", u)
-	}
-	// Disjoint attributes → unconstrained.
-	c := []Predicate{{field.AttrTemp, 0, 50}}
-	d := []Predicate{{field.AttrLight, 0, 10}}
-	if got := UnionPreds(c, d); len(got) != 0 {
-		t.Fatalf("disjoint union = %v, want empty", got)
-	}
-	// Half-open unions collapse to tautology and are dropped.
-	e := []Predicate{{field.AttrLight, math.Inf(-1), 5}}
-	f := []Predicate{{field.AttrLight, 10, math.Inf(1)}}
-	if got := UnionPreds(e, f); len(got) != 0 {
-		t.Fatalf("tautological union = %v, want empty", got)
-	}
-}
-
 func TestCoversAcquisition(t *testing.T) {
 	syn := MustParse("SELECT light, temp WHERE light >= 0 AND light <= 600 EPOCH DURATION 2048")
 	q := MustParse("SELECT light WHERE light >= 100 AND light <= 300 EPOCH DURATION 4096")
@@ -179,72 +157,6 @@ func TestRewritable(t *testing.T) {
 	}
 }
 
-func TestIntegrateAggAgg(t *testing.T) {
-	a := MustParse("SELECT MAX(light) WHERE temp > 20 EPOCH DURATION 4096")
-	b := MustParse("SELECT MIN(light) WHERE temp > 20 EPOCH DURATION 8192")
-	m := Integrate(a, b)
-	if !m.IsAggregation() {
-		t.Fatal("agg+agg must stay aggregation")
-	}
-	if len(m.Aggs) != 2 {
-		t.Fatalf("aggs = %v", m.Aggs)
-	}
-	if m.Epoch != 4096*time.Millisecond {
-		t.Fatalf("epoch = %v", m.Epoch)
-	}
-	if !Covers(m, a) || !Covers(m, b) {
-		t.Fatal("integration must cover both inputs")
-	}
-}
-
-func TestIntegrateAcqAcq(t *testing.T) {
-	// The §3.1.3 example shape: merge widens the predicate and takes GCD.
-	a := MustParse("SELECT light WHERE 100 < light AND light < 300 EPOCH DURATION 8192")
-	b := MustParse("SELECT light WHERE 150 < light AND light < 500 EPOCH DURATION 8192")
-	m := Integrate(a, b)
-	if m.IsAggregation() {
-		t.Fatal("acq+acq must stay acquisition")
-	}
-	if len(m.Preds) != 1 {
-		t.Fatalf("preds = %v", m.Preds)
-	}
-	p := m.Preds[0]
-	if !(p.Min > 100 && p.Min < 100.01) || !(p.Max < 500 && p.Max > 499.99) {
-		t.Fatalf("widened pred = %v", p)
-	}
-	if !Covers(m, a) || !Covers(m, b) {
-		t.Fatal("integration must cover both inputs")
-	}
-}
-
-func TestIntegrateAcqAgg(t *testing.T) {
-	acq := MustParse("SELECT light WHERE light > 100 EPOCH DURATION 4096")
-	agg := MustParse("SELECT MAX(temp) WHERE light > 200 EPOCH DURATION 8192")
-	m := Integrate(acq, agg)
-	if m.IsAggregation() {
-		t.Fatal("acq absorbs agg into an acquisition query")
-	}
-	// temp (the aggregate input) and light (both sides' predicate attribute)
-	// must be acquired.
-	if !m.HasAttr(field.AttrTemp) || !m.HasAttr(field.AttrLight) {
-		t.Fatalf("attrs = %v", m.Attrs)
-	}
-	if !Covers(m, acq) || !Covers(m, agg) {
-		t.Fatal("integration must cover both inputs")
-	}
-}
-
-func TestIntegratePanicsOnNonRewritable(t *testing.T) {
-	a := MustParse("SELECT MAX(light) WHERE temp > 20")
-	b := MustParse("SELECT MAX(light) WHERE temp > 30")
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	Integrate(a, b)
-}
-
 // genQuery builds a small random query from fuzz inputs.
 func genQuery(attrSel, aggSel uint8, lo, hi float64, epochMul uint8, isAgg bool) Query {
 	attrs := field.AllAttrs()
@@ -266,45 +178,6 @@ func genQuery(attrSel, aggSel uint8, lo, hi float64, epochMul uint8, isAgg bool)
 		q.Attrs = []field.Attr{a}
 	}
 	return q.Normalize()
-}
-
-// Property: Integrate always produces a query covering both inputs.
-func TestIntegrateCoversProperty(t *testing.T) {
-	f := func(a1, g1 uint8, lo1, hi1 float64, e1 uint8, agg1 bool,
-		a2, g2 uint8, lo2, hi2 float64, e2 uint8, agg2 bool) bool {
-		q1 := genQuery(a1, g1, lo1, hi1, e1, agg1)
-		q2 := genQuery(a2, g2, lo2, hi2, e2, agg2)
-		if !Rewritable(q1, q2) {
-			return true
-		}
-		m := Integrate(q1, q2)
-		return Covers(m, q1) && Covers(m, q2)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: UnionPreds admits every row admitted by either input.
-func TestUnionPredsSupersetProperty(t *testing.T) {
-	f := func(lo1, hi1, lo2, hi2, probe float64, sameAttr bool) bool {
-		attr1 := field.AttrLight
-		attr2 := field.AttrLight
-		if !sameAttr {
-			attr2 = field.AttrTemp
-		}
-		p1 := []Predicate{{attr1, math.Min(lo1, hi1), math.Max(lo1, hi1)}}
-		p2 := []Predicate{{attr2, math.Min(lo2, hi2), math.Max(lo2, hi2)}}
-		u := UnionPreds(p1, p2)
-		row := field.ValuesOf(map[field.Attr]float64{attr1: probe, attr2: probe})
-		if MatchAll(p1, &row) || MatchAll(p2, &row) {
-			return MatchAll(u, &row)
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
-		t.Fatal(err)
-	}
 }
 
 // Property: Covers implies row-level derivability for acquisition queries —

@@ -96,22 +96,8 @@ func TestWindowedSemantics(t *testing.T) {
 	if Rewritable(w1, acq) || Rewritable(w1, agg) || Rewritable(acq, w1) {
 		t.Fatal("windowed queries merge only with windowed queries")
 	}
-
-	m := Integrate(w1, w2)
-	if !m.IsWindowed() || len(m.Wins) != 2 {
-		t.Fatalf("merged = %v", m)
-	}
-	// Slides 2 and 4 merge to the GCD schedule 2.
-	for _, w := range m.Wins {
-		if w.Slide != 2 {
-			t.Fatalf("merged slide = %d", w.Slide)
-		}
-	}
-	if !Covers(m, w1) || !Covers(m, w2) {
-		t.Fatal("merged must cover both (slide decimation)")
-	}
-	if Covers(m, w3) || Covers(acq, w1) || Covers(m, acq) {
-		t.Fatal("coverage misfires")
+	if Covers(acq, w1) {
+		t.Fatal("an acquisition query does not cover a windowed one")
 	}
 }
 
