@@ -7,6 +7,7 @@ import (
 	"net"
 	"sort"
 	"sync"
+	"syscall"
 	"time"
 
 	"repro/internal/gateway"
@@ -252,15 +253,26 @@ func loris(r *run) error {
 	addr := srv.Addr().String()
 
 	// The victim speaks raw NDJSON on a shrunken receive buffer: it
-	// subscribes, confirms the stream is live, then never reads again.
-	vconn, err := net.Dial("tcp", addr)
+	// subscribes, confirms the stream is live, then never reads again. The
+	// buffer is shrunk before the handshake, so the window the kernel
+	// advertises never exceeds it. Shrunk after, the peer keeps sending into
+	// the larger window it was already offered, the excess is dropped, and
+	// the backlog the victim finally drains trickles in at one
+	// retransmission timeout per buffer, hiding the drop's verdict behind it.
+	vd := net.Dialer{Control: func(_, _ string, rc syscall.RawConn) error {
+		var serr error
+		if err := rc.Control(func(fd uintptr) {
+			serr = syscall.SetsockoptInt(int(fd), syscall.SOL_SOCKET, syscall.SO_RCVBUF, 4096)
+		}); err != nil {
+			return err
+		}
+		return serr
+	}}
+	vconn, err := vd.Dial("tcp", addr)
 	if err != nil {
 		return err
 	}
 	defer vconn.Close()
-	if tc, ok := vconn.(*net.TCPConn); ok {
-		_ = tc.SetReadBuffer(4096)
-	}
 	vr := bufio.NewReader(vconn)
 	vreq := func(line string) error {
 		_ = vconn.SetDeadline(time.Now().Add(5 * time.Second))
@@ -306,11 +318,15 @@ func loris(r *run) error {
 		r.violate("healthy subscribers starved behind the loris: %d updates, want >= %d", r.check.Updates, want)
 	}
 
-	// Wait for the stall to bite: the slow-consumer bound fires within the
-	// first ticks and the forwarder's blocked write hits the write deadline
-	// shortly after.
+	// Wait for the stall to bite on the victim itself: the slow-consumer
+	// bound evicts its stream, or the forwarder's blocked write hits the
+	// write deadline and severs it. The eviction counter alone cannot tell:
+	// a healthy client that just hung up can be evicted before its session
+	// detaches. So wait until no session but the victim's is attached and
+	// the victim holds no live stream (every live stream left is parked in
+	// a resume ring), or until no session is attached at all.
 	for deadline := time.Now().Add(lorisEvictWait); time.Now().Before(deadline); time.Sleep(10 * time.Millisecond) {
-		if gw.Stats().Evicted >= 1 {
+		if st := gw.Status(); st.Attached == 0 || st.Attached == 1 && st.ActiveSubscriptions == st.ResumeRings {
 			break
 		}
 	}
